@@ -1,4 +1,4 @@
-"""Benchmark: the batched multi-solve kernel vs. the per-cell path.
+"""Benchmark: the batched multi-solve kernel and the batched fan-outs.
 
 PR 7's acceptance claim comes in two halves.  First, the kernel itself:
 on one warm compiled skeleton, solving a matrix of objective rows through
@@ -9,10 +9,11 @@ single core and is asserted unconditionally.
 
 Second, the three parallel benchmarks that lost to serial in PR 4-6 —
 cross-shard AVG search, sharded single-query fan-out, and the warm
-multi-region batch — are re-run here with batching on, recording how far
-one-task-per-batch shipping closes the gap.  Those are hardware claims:
-range equality is asserted everywhere, but wall-clock speedup assertions
-skip below 4 cores instead of reporting a number no machine could hit.
+multi-region batch — are re-run here on the batched path (the only path),
+recording how far one-task-per-batch shipping closes the gap.  Those are
+hardware claims: range equality is asserted everywhere, but wall-clock
+speedup assertions skip below 4 cores instead of reporting a number no
+machine could hit.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def _avg_scenario():
     return build_partition_pcs(relation, ["t"], 48, exact_counts=True)
 
 
-def test_bench_batched_cross_shard_avg(report_artifact, bench_record,
-                                       monkeypatch):
+def test_bench_batched_cross_shard_avg(report_artifact, bench_record):
     """Cross-shard AVG re-run: one probe task per shard per iteration."""
     pcset = _avg_scenario()
     serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
@@ -115,10 +115,9 @@ def test_bench_batched_cross_shard_avg(report_artifact, bench_record,
                                 known_sum=5000.0, known_count=200.0)
     serial_seconds = time.perf_counter() - started
 
-    def sharded_run(batch: str) -> tuple[float, object, WorkerPool]:
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", batch)
-        pool = WorkerPool(max_workers=WORKERS, mode="process",
-                          name=f"bench-avg-{batch}")
+    pool = WorkerPool(max_workers=WORKERS, mode="process",
+                      name="bench-avg")
+    try:
         pool.start()  # exclude worker fork from the timed section
         sharded = PCBoundSolver(
             pcset, BoundOptions(check_closure=False, solve_workers=WORKERS,
@@ -128,39 +127,29 @@ def test_bench_batched_cross_shard_avg(report_artifact, bench_record,
         for shard in plan:
             sharded.shard_program(shard, None, "v")
         started = time.perf_counter()
-        found = sharded.bound(AggregateFunction.AVG, "v",
-                              known_sum=5000.0, known_count=200.0)
-        return time.perf_counter() - started, found, pool
-
-    unbatched_seconds, unbatched_range, unbatched_pool = sharded_run("0")
-    try:
-        batched_seconds, batched_range, batched_pool = sharded_run("1")
+        batched_range = sharded.bound(AggregateFunction.AVG, "v",
+                                      known_sum=5000.0, known_count=200.0)
+        batched_seconds = time.perf_counter() - started
+        statistics = pool.statistics
     finally:
-        unbatched_pool.shutdown()
-    statistics = batched_pool.statistics
-    batched_pool.shutdown()
+        pool.shutdown()
 
-    for found in (unbatched_range, batched_range):
-        assert found.lower == pytest.approx(serial_range.lower, rel=1e-9)
-        assert found.upper == pytest.approx(serial_range.upper, rel=1e-9)
+    assert batched_range.lower == pytest.approx(serial_range.lower, rel=1e-9)
+    assert batched_range.upper == pytest.approx(serial_range.upper, rel=1e-9)
 
     speedup = serial_seconds / max(batched_seconds, 1e-9)
-    batch_gain = unbatched_seconds / max(batched_seconds, 1e-9)
     cores = available_cores()
     report_artifact(
         "Cross-shard AVG search, batched probes (one task/shard/iteration)\n"
         f"  available cores      : {cores}\n"
         f"  serial search        : {serial_seconds * 1000:.1f} ms\n"
-        f"  sharded, per-cell    : {unbatched_seconds * 1000:.1f} ms\n"
         f"  sharded, batched     : {batched_seconds * 1000:.1f} ms\n"
-        f"  vs serial            : {speedup:.2f}x "
-        f"(batching gained {batch_gain:.2f}x)\n"
+        f"  vs serial            : {speedup:.2f}x\n"
         f"  pool traffic         : {statistics.cells_solved} cell(s) in "
         f"{statistics.tasks_shipped} task(s)")
     bench_record(serial_seconds=serial_seconds,
-                 unbatched_sharded_seconds=unbatched_seconds,
                  batched_sharded_seconds=batched_seconds,
-                 speedup=speedup, batch_gain=batch_gain,
+                 speedup=speedup,
                  tasks_shipped=statistics.tasks_shipped,
                  cells_solved=statistics.cells_solved,
                  workers=WORKERS, cores=cores)
@@ -171,8 +160,7 @@ def test_bench_batched_cross_shard_avg(report_artifact, bench_record,
     assert speedup >= 1.0
 
 
-def test_bench_batched_sharded_single_query(report_artifact, bench_record,
-                                            monkeypatch):
+def test_bench_batched_sharded_single_query(report_artifact, bench_record):
     """Sharded single-query fan-out re-run with batched cell shipping."""
     rng = np.random.default_rng(11)
     schema = Schema.from_pairs([("t", ColumnType.FLOAT),
@@ -193,54 +181,39 @@ def test_bench_batched_sharded_single_query(report_artifact, bench_record,
                      for aggregate, attribute in aggregates]
     serial_seconds = time.perf_counter() - started
 
-    def sharded_run(batch: str):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", batch)
-        sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                    solve_workers=WORKERS))
-        started = time.perf_counter()
-        ranges = [sharded.bound(aggregate, attribute)
-                  for aggregate, attribute in aggregates]
-        return time.perf_counter() - started, ranges
-
-    unbatched_seconds, unbatched_ranges = sharded_run("0")
-    batched_seconds, batched_ranges = sharded_run("1")
+    sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
+                                                solve_workers=WORKERS))
+    started = time.perf_counter()
+    batched_ranges = [sharded.bound(aggregate, attribute)
+                      for aggregate, attribute in aggregates]
+    batched_seconds = time.perf_counter() - started
 
     # Equal up to float summation order (the additive merge folds 64 shard
     # optima in a different association than the monolithic dot product).
-    for found in (unbatched_ranges, batched_ranges):
-        for sharded_range, serial_range in zip(found, serial_ranges):
-            assert sharded_range.lower == pytest.approx(serial_range.lower,
-                                                        rel=1e-12)
-            assert sharded_range.upper == pytest.approx(serial_range.upper,
-                                                        rel=1e-12)
-    # The batched and per-cell sharded paths are bit-identical.
-    assert [(r.lower, r.upper) for r in batched_ranges] == \
-        [(r.lower, r.upper) for r in unbatched_ranges]
+    for sharded_range, serial_range in zip(batched_ranges, serial_ranges):
+        assert sharded_range.lower == pytest.approx(serial_range.lower,
+                                                    rel=1e-12)
+        assert sharded_range.upper == pytest.approx(serial_range.upper,
+                                                    rel=1e-12)
 
     speedup = serial_seconds / max(batched_seconds, 1e-9)
-    batch_gain = unbatched_seconds / max(batched_seconds, 1e-9)
     cores = available_cores()
     report_artifact(
         "Single-query sharding on a 64-window partition, batched shipping\n"
         f"  available cores      : {cores}\n"
         f"  serial               : {serial_seconds * 1000:.1f} ms\n"
-        f"  sharded, per-cell    : {unbatched_seconds * 1000:.1f} ms\n"
         f"  sharded, batched     : {batched_seconds * 1000:.1f} ms\n"
-        f"  vs serial            : {speedup:.2f}x "
-        f"(batching gained {batch_gain:.2f}x)")
+        f"  vs serial            : {speedup:.2f}x")
     bench_record(serial_seconds=serial_seconds,
-                 unbatched_sharded_seconds=unbatched_seconds,
                  batched_sharded_seconds=batched_seconds,
-                 speedup=speedup, batch_gain=batch_gain,
-                 workers=WORKERS, cores=cores)
+                 speedup=speedup, workers=WORKERS, cores=cores)
     if cores < WORKERS:
         pytest.skip(f"parallel speedup needs >= {WORKERS} cores, found "
                     f"{cores}; range-equality was still asserted")
     assert speedup >= 1.0
 
 
-def test_bench_batched_warm_fanout(report_artifact, bench_record,
-                                   monkeypatch):
+def test_bench_batched_warm_fanout(report_artifact, bench_record):
     """Warm multi-region batch re-run with batched analyze shipping."""
     from test_bench_parallel_fanout import coupled_scenario
 
@@ -248,38 +221,31 @@ def test_bench_batched_warm_fanout(report_artifact, bench_record,
     for query in queries:
         analyzer.prepare(query.region, query.attribute)
 
-    def run(workers: int, mode: str, batch: str):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", batch)
+    def run(workers: int, mode: str):
         with BatchExecutor(max_workers=workers, mode=mode) as executor:
             started = time.perf_counter()
             result = executor.execute(analyzer, queries)
             return time.perf_counter() - started, result
 
-    serial_seconds, serial_result = run(1, "thread", "1")
-    unbatched_seconds, unbatched_result = run(WORKERS, "process", "0")
-    batched_seconds, batched_result = run(WORKERS, "process", "1")
+    serial_seconds, serial_result = run(1, "thread")
+    batched_seconds, batched_result = run(WORKERS, "process")
 
     serial_ranges = [(r.lower, r.upper) for r in serial_result.reports]
-    for result in (unbatched_result, batched_result):
-        assert [(r.lower, r.upper) for r in result.reports] == serial_ranges
+    assert [(r.lower, r.upper) for r in batched_result.reports] == \
+        serial_ranges
 
     speedup = serial_seconds / max(batched_seconds, 1e-9)
-    batch_gain = unbatched_seconds / max(batched_seconds, 1e-9)
     cores = available_cores()
     report_artifact(
         "Warm multi-region batch, process fan-out with batched shipping\n"
         f"  queries              : {len(queries)}\n"
         f"  available cores      : {cores}\n"
         f"  workers=1 (serial)   : {serial_seconds:.2f} s\n"
-        f"  fan-out, per-cell    : {unbatched_seconds:.2f} s\n"
         f"  fan-out, batched     : {batched_seconds:.2f} s\n"
-        f"  vs serial            : {speedup:.2f}x "
-        f"(batching gained {batch_gain:.2f}x)")
+        f"  vs serial            : {speedup:.2f}x")
     bench_record(serial_seconds=serial_seconds,
-                 unbatched_fanout_seconds=unbatched_seconds,
                  batched_fanout_seconds=batched_seconds,
-                 speedup=speedup, batch_gain=batch_gain,
-                 workers=WORKERS, cores=cores)
+                 speedup=speedup, workers=WORKERS, cores=cores)
     if cores < WORKERS:
         pytest.skip(f"parallel speedup needs >= {WORKERS} cores, found "
                     f"{cores}; range-equality was still asserted")

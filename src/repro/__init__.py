@@ -29,9 +29,9 @@ Sub-packages
     Satisfiability, LP/MILP, fractional-edge-cover substrates, and the
     MILP backend registry.
 ``repro.parallel``
-    Parallel solve fan-out: plan sharding along independent constraint
-    components (:class:`ShardedBoundPlan`), the thread/process
-    :class:`SolveExecutor`, and cross-backend range verification.
+    Parallel solve fan-out: the persistent thread/process worker pool that
+    runs sharded plans (:class:`ShardedBoundPlan`), and cross-backend range
+    verification.
 ``repro.service``
     The long-lived service layer: named/versioned constraint sessions,
     fingerprint-keyed decomposition and report caches, and concurrent batch
@@ -67,15 +67,12 @@ from .plan import (
     BoundPlan,
     BoundProgram,
     BoundQuery,
-    build_plan,
-    compile_plan,
-    optimize_plan,
-)
-from .parallel import (
     PlanShard,
     ShardedBoundPlan,
-    SolveExecutor,
+    build_plan,
+    compile_plan,
     merge_shard_ranges,
+    optimize_plan,
     shard_plan,
 )
 from .relational import (
@@ -125,7 +122,6 @@ __all__ = [
     "optimize_plan",
     "PlanShard",
     "ShardedBoundPlan",
-    "SolveExecutor",
     "merge_shard_ranges",
     "shard_plan",
     "AggregateFunction",

@@ -235,13 +235,6 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                        help="cross-check every range on this second MILP "
                             "backend and fail loudly when the two backends "
                             "return disjoint ranges")
-    group.add_argument("--solve-batch-size", type=int, default=None,
-                       metavar="CELLS",
-                       help="fixed batch size for the batched multi-solve "
-                            "kernel and pool task batching (default: "
-                            "adaptive from pool depth and observed cell "
-                            "density; REPRO_SOLVE_BATCH_SIZE overrides, "
-                            "REPRO_SOLVE_BATCH=0 disables batching)")
     group.add_argument("--steal", default=None, choices=["on", "off"],
                        help="work stealing in the worker pool: idle workers "
                             "take queued tasks from loaded peers under skew "
@@ -281,10 +274,6 @@ def _solver_options(args: argparse.Namespace):
         options.cell_budget = args.cell_budget
     if args.shard_strategy is not None:
         options.shard_strategy = args.shard_strategy
-    if args.solve_batch_size is not None:
-        if args.solve_batch_size < 1:
-            raise ReproError("--solve-batch-size must be at least 1")
-        options.solve_batch_size = args.solve_batch_size
     if args.deadline is not None:
         if args.deadline <= 0:
             raise ReproError("--deadline must be positive")

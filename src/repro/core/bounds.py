@@ -101,15 +101,6 @@ class BoundOptions:
         :class:`~repro.exceptions.DisjointRangeError` (the cross-backend
         alarm).  Must name a backend different from ``milp_backend`` to be
         a meaningful oracle, though equal names are tolerated.
-    ``solve_batch_size``
-        Fixed batch size for the batched multi-solve kernel and the pool's
-        batched task kinds (``--solve-batch-size`` on the CLI).  ``None``
-        (default) sizes batches adaptively from pool depth and the
-        observed-density feed; the ``REPRO_SOLVE_BATCH_SIZE`` environment
-        override wins over this field so one variable steers parent and
-        worker processes alike.  Like ``parallel_mode``, this knob is
-        excluded from option fingerprints: batched solves are bit-identical
-        to per-cell solves, so it can never change a range.
 
     The fourth block configures fault tolerance (see :mod:`repro.faults`):
 
@@ -146,7 +137,6 @@ class BoundOptions:
     parallel_mode: str = "thread"
     verify_backend: str | None = None
     shard_strategy: str = field(default_factory=default_shard_strategy)
-    solve_batch_size: int | None = None
     deadline_seconds: float | None = None
     degrade: str | None = None
 
@@ -520,15 +510,8 @@ class PCBoundSolver:
                 # while the enumeration work fanned out.
         program = self.program(region, attribute)
         with tracer.span("solve.serial"):
-            from ..solvers.batching import batching_enabled
-
-            if batching_enabled():
-                # The batched kernel path — one skeleton lookup, grouped
-                # (variant, sense) solves.  Bit-identical to program.bound.
-                return program.bound_batch(
-                    [(aggregate, known_sum, known_count)])[0]
-            return program.bound(aggregate, known_sum=known_sum,
-                                 known_count=known_count)
+            return program.bound_batch(
+                [(aggregate, known_sum, known_count)])[0]
 
     def borrow_pool(self, workers: int):
         """The worker pool the fan-out runs on: the injected (service-owned)
@@ -1147,8 +1130,7 @@ class PCBoundSolver:
             pool = self.borrow_pool(workers)
             estimate, _source = estimated_cell_count(plan, self._cell_statistics)
             batch_size = adaptive_batch_size(
-                len(keyed), pool.max_workers, estimated_cells=estimate,
-                configured=self._options.solve_batch_size)
+                len(keyed), pool.max_workers, estimated_cells=estimate)
             fresh = pool.decompose_shards(keyed, batch_size=batch_size)
             for (index, _shard), decomposition in zip(pending, fresh):
                 decompositions[index] = decomposition

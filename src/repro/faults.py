@@ -28,7 +28,8 @@ Each clause is ``action:key=value,...`` where *action* is one of
 and the keys select *which* dispatch the fault fires on:
 
 ``worker=N``   only tasks dispatched to worker index ``N``
-``kind=NAME``  only tasks of that kind (``solve``, ``decompose_batch``, ...)
+``kind=NAME``  only tasks of that kind (``solve_batch``, ``decompose_batch``,
+               ...); a pool rejects a plan whose kind it never dispatches
 ``task=N``     only the ``N``-th dispatch overall (1-based, deterministic
                because dispatch order is deterministic)
 ``shard=N``    only tasks whose payload position (shard index) is ``N``
@@ -164,6 +165,17 @@ class FaultPlan:
                 if directive.matches(worker, kind, position, self._dispatches):
                     return directive.wire()
         return None
+
+    def check_kinds(self, kinds) -> None:
+        """Raise :class:`~repro.exceptions.ReproError` when a ``kind=``
+        selector names none of ``kinds`` — such a directive could never
+        fire, and a chaos plan that silently injects nothing is a typo."""
+        for directive in self._directives:
+            if directive.kind is not None and directive.kind not in kinds:
+                raise ReproError(
+                    f"unknown fault kind {directive.kind!r} in "
+                    f"{self._spec!r} (expected one of "
+                    f"{', '.join(sorted(kinds))})")
 
     def fired(self) -> int:
         """Total times any directive has fired since the last reset."""

@@ -1,9 +1,8 @@
 """Persistent worker pools with warm per-worker program caches.
 
-PR 3's :class:`~repro.parallel.SolveExecutor` fans work out, but every call
-site constructed a fresh executor — paying process fork, analyzer pickling
-and solver warm-up on *each* sharded solve or batch phase.  This module is
-the long-lived runtime that amortises those costs:
+A fresh executor per call pays process fork, analyzer pickling and solver
+warm-up on *each* sharded solve or batch phase.  This module is the
+long-lived runtime that amortises those costs:
 
 * **Worker-side warm caches.**  Each process worker owns a program cache
   keyed by the *parent's* program-cache keys (content fingerprints + region
@@ -62,23 +61,31 @@ from ..faults import apply_worker_fault, current_deadline, resolve_faults
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
-from ..solvers.batching import adaptive_batch_size, batching_enabled, chunked
+from ..solvers.batching import adaptive_batch_size, chunked
 from ..solvers.registry import backend_capabilities
 from .stealing import resolve_stealing
 
-__all__ = ["WorkerPool", "PoolStatistics", "shared_pool",
+__all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "shared_pool",
            "shutdown_shared_pools", "default_pool_mode", "default_pool_workers",
            "in_worker", "in_pool_thread", "register_for_reaping",
            "sharded_avg_range"]
 
-_MODES = ("serial", "thread", "process", "auto")
+#: The pool flavours a caller may request (``"auto"`` resolves to threads).
+POOL_MODES = ("serial", "thread", "process", "auto")
 
 # Endpoint triple a solve task returns: (lower, upper, closed).
 Endpoints = tuple
 
 
+def _bound_endpoints(program, request: tuple) -> Endpoints:
+    """One ``(aggregate, known_sum, known_count)`` request as a width-1
+    batch, flattened to endpoints (the shard merge needs nothing else)."""
+    result = program.bound_batch([request])[0]
+    return (result.lower, result.upper, result.closed)
+
+
 def default_pool_workers() -> int:
-    """Default pool width (mirrors the solve executor's heuristic)."""
+    """Default pool width: one worker per core, at most eight."""
     return min(8, os.cpu_count() or 1)
 
 
@@ -108,7 +115,7 @@ def in_pool_thread() -> bool:
 
 
 # --------------------------------------------------------------------- #
-# The atexit reaper (shared with SolveExecutor)
+# The atexit reaper
 # --------------------------------------------------------------------- #
 _reap_lock = threading.Lock()
 _reapable: "weakref.WeakSet" = weakref.WeakSet()
@@ -225,38 +232,6 @@ def _handle_register(programs, sessions, task):
     return True
 
 
-def _handle_solve(programs, sessions, task):
-    _, _, key, program, aggregate, known_sum, known_count = task
-    program = _resolve_program(programs, key, program)
-    result = program.bound(aggregate, known_sum=known_sum,
-                           known_count=known_count)
-    return (result.lower, result.upper, result.closed)
-
-
-def _handle_probe(programs, sessions, task):
-    _, _, key, program, target, at_least, with_floor = task
-    program = _resolve_program(programs, key, program)
-    return program.avg_probe_optima(target, at_least=at_least,
-                                    with_floor=with_floor)
-
-
-def _handle_decompose(programs, sessions, task):
-    """One region shard's cell enumeration (the region-sharding fan-out).
-
-    Decompose tasks are self-contained — the constraint set and sub-region
-    travel with the task — so they need no warm program state; the parent
-    unions the returned cells into the serial-identical decomposition
-    (:func:`repro.plan.sharding.merge_shard_decompositions`).
-    """
-    from ..core.cells import CellDecomposer
-
-    _, _, _key, pcset, region, strategy, early_stop_depth = task
-    decomposer = CellDecomposer(pcset, strategy, early_stop_depth)
-    decomposition = decomposer.decompose(region)
-    get_tracer().annotate(cells=len(decomposition.cells))
-    return decomposition
-
-
 def _handle_solve_batch(programs, sessions, task):
     """A batch of bound requests against one warm program — one task, one
     skeleton lookup, one vectorized kernel entry per (variant, sense) group
@@ -302,23 +277,6 @@ def _handle_decompose_batch(programs, sessions, task):
     return results
 
 
-def _handle_analyze(programs, sessions, task):
-    _, _, session_key, program_key, program, query, resolved_depth = task
-    if program is not None:
-        programs.put(program_key, program)
-    analyzer = sessions.get(session_key)
-    if analyzer is None:
-        raise SolverError(
-            "worker has no registered session for an analyze task "
-            "(the parent must register before dispatching)")
-    # Adopt the parent's adaptive early-stop resolution for this pair, so
-    # this solver computes the parent's program key and finds the shipped
-    # warm program (no-op outside adaptive budgeting).
-    analyzer.solver.pin_early_stop_depth(query.region, query.attribute,
-                                         resolved_depth)
-    return analyzer.analyze(query)
-
-
 def _handle_analyze_batch(programs, sessions, task):
     """A batch of same-program queries against one registered session.
 
@@ -343,10 +301,6 @@ def _handle_analyze_batch(programs, sessions, task):
 _HANDLERS = {
     "warm": _handle_warm,
     "register": _handle_register,
-    "solve": _handle_solve,
-    "probe": _handle_probe,
-    "decompose": _handle_decompose,
-    "analyze": _handle_analyze,
     "solve_batch": _handle_solve_batch,
     "probe_batch": _handle_probe_batch,
     "decompose_batch": _handle_decompose_batch,
@@ -358,10 +312,6 @@ _HANDLERS = {
 _TASK_SPANS = {
     "warm": "pool.warm",
     "register": "pool.register",
-    "solve": "pool.solve",
-    "probe": "pool.probe",
-    "decompose": "pool.decompose",
-    "analyze": "pool.analyze",
     "solve_batch": "pool.solve_batch",
     "probe_batch": "pool.probe_batch",
     "decompose_batch": "pool.decompose_batch",
@@ -583,16 +533,15 @@ _MAX_IN_FLIGHT_PER_WORKER = 16
 #: tail behind that worker while the rest of the pool idles.
 _BACKLOG_LIMIT = 4 * _MAX_IN_FLIGHT_PER_WORKER
 
-#: Task kinds stealing may re-route.  The decompose kinds are fully
+#: Task kinds stealing may re-route.  The decompose kind is fully
 #: self-contained (no program shipping), and the program-addressed kinds
-#: re-ship through the ordinary warm-key bookkeeping; the analyze kinds stay
-#: pinned because moving them drags a whole session registration along.
-_STEALABLE_KINDS = ("decompose", "decompose_batch", "solve", "probe",
-                    "solve_batch", "probe_batch")
+#: re-ship through the ordinary warm-key bookkeeping; the analyze kind stays
+#: pinned because moving it drags a whole session registration along.
+_STEALABLE_KINDS = ("decompose_batch", "solve_batch", "probe_batch")
 
-#: Of those, the kinds that carry no program at all — the cheapest steals,
+#: Of those, the kind that carries no program at all — the cheapest steal,
 #: preferred by victim-side selection so warm caches stay warm.
-_SELF_CONTAINED_KINDS = ("decompose", "decompose_batch")
+_SELF_CONTAINED_KINDS = ("decompose_batch",)
 
 
 class WorkerPool:
@@ -633,7 +582,9 @@ class WorkerPool:
     The pool also consults :func:`repro.faults.resolve_faults` at
     construction: a non-empty ``REPRO_FAULTS`` plan makes the coordinator
     ship fault directives with deterministically selected dispatches (the
-    chaos-testing hook — see :mod:`repro.faults`).
+    chaos-testing hook — see :mod:`repro.faults`).  A ``kind=`` selector
+    naming no task kind of this pool raises
+    :class:`~repro.exceptions.ReproError` here instead of never firing.
 
     The pool starts lazily on first use, restarts lazily after
     :meth:`shutdown`, and is safe to share across threads (process-mode
@@ -646,9 +597,9 @@ class WorkerPool:
                  task_retry_limit: int | None = None,
                  breaker_threshold: int | None = None,
                  breaker_cooldown: float | None = None):
-        if mode not in _MODES:
+        if mode not in POOL_MODES:
             raise SolverError(
-                f"unknown pool mode {mode!r}; expected one of {_MODES}")
+                f"unknown pool mode {mode!r}; expected one of {POOL_MODES}")
         if max_workers is not None and max_workers <= 0:
             raise SolverError(
                 f"max_workers must be positive, got {max_workers}")
@@ -676,6 +627,8 @@ class WorkerPool:
         self._breaker_until = 0.0
         self._restart_times: deque = deque(maxlen=32)
         self._faults = resolve_faults()
+        if self._faults is not None:
+            self._faults.check_kinds(_HANDLERS)
         self._quarantined: list = []
         self._closing = False
         self._live_tasks = 0
@@ -943,23 +896,16 @@ class WorkerPool:
                        ) -> list[Endpoints]:
         """Bound ``aggregate`` on every ``(key, program)`` pair, in order.
 
-        Returns ``(lower, upper, closed)`` endpoint triples.  Process mode
-        routes each key to its affinity worker and ships the program only if
-        that worker does not hold it warm.  With batching enabled the solves
-        run through the batched kernel (``solve_batch`` tasks in process
-        mode) — same results, one skeleton lookup per program.
+        Returns ``(lower, upper, closed)`` endpoint triples.  Every solve
+        runs through the batched kernel as a one-request batch; process
+        mode ships each as a ``solve_batch`` task to the key's affinity
+        worker, with the program attached only if that worker does not
+        hold it warm.
         """
-        batched = batching_enabled()
         request = (aggregate, known_sum, known_count)
 
         def run_one(pair):
-            key, program = pair
-            if batched:
-                result = program.bound_batch([request])[0]
-            else:
-                result = program.bound(aggregate, known_sum=known_sum,
-                                       known_count=known_count)
-            return (result.lower, result.upper, result.closed)
+            return _bound_endpoints(pair[1], request)
 
         self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
         if self._inline() or len(keyed_programs) <= 1:
@@ -975,19 +921,12 @@ class WorkerPool:
         if self._mode == "thread":
             return self._thread_map(run_one, list(keyed_programs),
                                     label="pool.solve", shard_attr=True)
-        if batched:
-            requests = [
-                ("solve_batch", key, (key, program, (request,)), position)
-                for position, (key, program) in enumerate(keyed_programs)]
-            results = self._locked_round(requests)
-            return [results[position][0]
-                    for position in range(len(keyed_programs))]
         requests = [
-            ("solve", key, (key, program, aggregate, known_sum, known_count),
-             position)
+            ("solve_batch", key, (key, program, (request,)), position)
             for position, (key, program) in enumerate(keyed_programs)]
         results = self._locked_round(requests)
-        return [results[position] for position in range(len(keyed_programs))]
+        return [results[position][0]
+                for position in range(len(keyed_programs))]
 
     def solve_programs_resilient(self, keyed_programs: Sequence[tuple],
                                  aggregate: AggregateFunction,
@@ -1005,17 +944,10 @@ class WorkerPool:
         substitutes each failed shard's precomputed worst-case range and
         the merged result stays sound.
         """
-        batched = batching_enabled()
         request = (aggregate, known_sum, known_count)
 
         def run_one(pair):
-            key, program = pair
-            if batched:
-                result = program.bound_batch([request])[0]
-            else:
-                result = program.bound(aggregate, known_sum=known_sum,
-                                       known_count=known_count)
-            return (result.lower, result.upper, result.closed)
+            return _bound_endpoints(pair[1], request)
 
         self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
         pairs = list(keyed_programs)
@@ -1056,18 +988,12 @@ class WorkerPool:
                 except SolverError as error:
                     failures[position] = f"{type(error).__name__}: {error}"
             return endpoints, failures
-        if batched:
-            requests = [
-                ("solve_batch", key, (key, program, (request,)), position)
-                for position, (key, program) in enumerate(pairs)]
-            collected, failures = self._locked_round(requests, tolerate=True)
-            return ({position: values[0]
-                     for position, values in collected.items()}, failures)
         requests = [
-            ("solve", key, (key, program, aggregate, known_sum, known_count),
-             position)
+            ("solve_batch", key, (key, program, (request,)), position)
             for position, (key, program) in enumerate(pairs)]
-        return self._locked_round(requests, tolerate=True)
+        collected, failures = self._locked_round(requests, tolerate=True)
+        return ({position: values[0]
+                 for position, values in collected.items()}, failures)
 
     def _check_deadline(self, completed: int, total: int) -> None:
         """Raise :class:`~repro.exceptions.QueryDeadlineError` when the
@@ -1092,40 +1018,12 @@ class WorkerPool:
         iteration).  Returns, per probe, the per-shard
         ``(free_optimum, floor_optimum)`` pairs in shard order.
 
-        With batching enabled, the whole round ships as **one task per
-        shard** (the ``probe_batch`` kind): every probe's coefficient row
-        solves against the shard's warm skeleton in one kernel entry,
-        instead of one task per (probe, shard) pair.
+        The whole round ships as **one task per shard** (the
+        ``probe_batch`` kind): every probe's coefficient row solves against
+        the shard's warm skeleton in one kernel entry.
         """
-        if batching_enabled() and probes and keyed_programs:
-            return self._avg_probes_batched(list(keyed_programs),
-                                            [tuple(probe) for probe in probes])
-
-        def run_one(item):
-            (key, program), (target, at_least, with_floor) = item
-            return program.avg_probe_optima(target, at_least=at_least,
-                                            with_floor=with_floor)
-
-        flat = [(pair, probe) for probe in probes for pair in keyed_programs]
-        self._record_batch_traffic(len(flat), len(flat))
-        if self._inline() or len(flat) <= 1:
-            outcomes = [run_one(item) for item in flat]
-        elif self._mode == "thread":
-            outcomes = self._thread_map(run_one, flat, label="pool.probe")
-        else:
-            requests = [
-                ("probe", pair[0],
-                 (pair[0], pair[1]) + probe, position)
-                for position, (pair, probe) in enumerate(flat)]
-            results = self._locked_round(requests)
-            outcomes = [results[position] for position in range(len(flat))]
-        width = len(keyed_programs)
-        return [outcomes[start:start + width]
-                for start in range(0, len(outcomes), width)]
-
-    def _avg_probes_batched(self, keyed_programs: list,
-                            probes: list) -> list[list[tuple]]:
-        """One ``probe_batch`` task per shard for a whole search round."""
+        keyed_programs = list(keyed_programs)
+        probes = tuple(tuple(probe) for probe in probes)
         shards = len(keyed_programs)
 
         def run_shard(pair):
@@ -1147,9 +1045,8 @@ class WorkerPool:
                                          label="pool.probe_batch",
                                          shard_attr=True)
         else:
-            probe_tuple = tuple(probes)
             requests = [
-                ("probe_batch", key, (key, program, probe_tuple), position)
+                ("probe_batch", key, (key, program, probes), position)
                 for position, (key, program) in enumerate(keyed_programs)]
             results = self._locked_round(requests)
             per_shard = [results[position] for position in range(shards)]
@@ -1168,11 +1065,13 @@ class WorkerPool:
         the caller unions them (:func:`repro.plan.sharding.
         merge_shard_decompositions`).
 
-        In process mode with batching enabled, shards sharing an affinity
-        worker ship as one ``decompose_batch`` task carrying up to
-        ``batch_size`` enumerations (adaptive from pool depth when the
-        caller passes none) — the pipe round-trips shrink while affinity
-        routing and per-shard skew spans stay exactly as before.
+        Process mode ships ``decompose_batch`` tasks carrying up to
+        ``batch_size`` enumerations each (adaptive from pool depth when the
+        caller passes none).  Batches group *within* each affinity
+        worker's share of the keys, so a batch never drags a shard away
+        from the worker its key is pinned to, and per-shard skew spans stay
+        cell-accurate; each batch's result list scatters back to the
+        global shard order through its position tuple.
         """
         def run_one(task):
             from ..core.cells import CellDecomposer
@@ -1199,25 +1098,8 @@ class WorkerPool:
             self._record_batch_traffic(len(tasks), len(tasks))
             return self._thread_map(run_one, tasks,
                                     label="pool.decompose", shard_attr=True)
-        if batching_enabled():
-            size = batch_size or adaptive_batch_size(len(tasks),
-                                                     self._max_workers)
-            if size > 1:
-                return self._decompose_batched(tasks, size)
-        self._record_batch_traffic(len(tasks), len(tasks))
-        requests = [("decompose", task[0], tuple(task), position)
-                    for position, task in enumerate(tasks)]
-        results = self._locked_round(requests)
-        return [results[position] for position in range(len(tasks))]
-
-    def _decompose_batched(self, tasks: list, size: int) -> list:
-        """Chunk decompositions per affinity worker into batch tasks.
-
-        Grouping happens *within* each worker's share of the keys, so a
-        batch never drags a shard away from the worker whose cache its key
-        is pinned to.  Each batch's result list scatters back to the global
-        shard order through the recorded position tuples.
-        """
+        size = batch_size or adaptive_batch_size(len(tasks),
+                                                 self._max_workers)
         groups: dict[int, list[tuple[int, tuple]]] = {}
         for position, task in enumerate(tasks):
             groups.setdefault(self.worker_for(task[0]), []).append(
@@ -1232,16 +1114,7 @@ class WorkerPool:
                 requests.append(("decompose_batch", key, (key, entries),
                                  positions))
         self._record_batch_traffic(len(requests), len(tasks))
-        collected = self._locked_round(requests)
-        # Scatter through the *collected* position tuples, not the request
-        # list: work stealing may have split a queued batch mid-round, so
-        # results can come back under finer-grained position tuples than
-        # were dispatched.
-        results: list = [None] * len(tasks)
-        for positions, values in collected.items():
-            for position, value in zip(positions, values):
-                results[position] = value
-        return results
+        return self._scatter(self._locked_round(requests), len(tasks))
 
     def speculative_capacity(self, base_tasks: int) -> bool:
         """Whether the pool can absorb work beyond ``base_tasks`` concurrent
@@ -1265,12 +1138,13 @@ class WorkerPool:
 
         Thread/serial modes run ``analyzer.analyze`` directly (shared
         memory).  Process mode registers the analyzer on each involved
-        worker once, ships cold programs alongside their first query,
-        routes by program key so repeated traffic hits warm caches, and
-        forwards the parent's resolved adaptive early-stop depth so the
-        worker-side solver computes matching keys.  With batching enabled,
-        queries sharing a program key (and depth resolution) ship as one
-        ``analyze_batch`` task per chunk.
+        worker once, routes by program key so repeated traffic hits warm
+        caches, and forwards the parent's resolved adaptive early-stop
+        depth so the worker-side solver computes matching keys.  Queries
+        group by (program key, resolved depth) — the pair that must agree
+        for one worker-side pin to serve a whole chunk — and ship as
+        ``analyze_batch`` tasks of adaptive width, the first entry's
+        program riding along for the cold-cache case.
         """
         self.register_session(session_key, analyzer)
 
@@ -1284,40 +1158,15 @@ class WorkerPool:
         if self._mode == "thread":
             self._record_batch_traffic(len(entries), len(entries))
             return self._thread_map(run_one, entries, label="pool.analyze")
-        if batching_enabled():
-            size = adaptive_batch_size(len(entries), self._max_workers)
-            if size > 1:
-                return self._analyze_batched(session_key, entries, size)
-        self._record_batch_traffic(len(entries), len(entries))
-        requests = [
-            ("analyze", program_key,
-             (session_key, program_key, program, query, resolved_depth),
-             position)
-            for position, (program_key, program, query, resolved_depth)
-            in enumerate(entries)]
-        results = self._locked_round(requests)
-        return [results[position] for position in range(len(entries))]
-
-    def _analyze_batched(self, session_key, entries: list, size: int) -> list:
-        """Chunk same-program queries into ``analyze_batch`` tasks.
-
-        Queries group by (program key, resolved depth) — the pair that must
-        agree for one worker-side pin to serve the whole chunk — and the
-        first entry's program rides along for the cold-cache case.
-        """
+        size = adaptive_batch_size(len(entries), self._max_workers)
         groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
         for position, (program_key, program, query,
                        resolved_depth) in enumerate(entries):
-            group_key = (program_key, resolved_depth)
-            if group_key not in groups:
-                groups[group_key] = []
-                order.append(group_key)
-            groups[group_key].append((position, program, query))
+            groups.setdefault((program_key, resolved_depth), []).append(
+                (position, program, query))
         requests = []
-        for group_key in order:
-            program_key, resolved_depth = group_key
-            for chunk in chunked(groups[group_key], size):
+        for (program_key, resolved_depth), members in groups.items():
+            for chunk in chunked(members, size):
                 program = next((candidate for _, candidate, _ in chunk
                                 if candidate is not None), None)
                 queries = tuple(query for _, _, query in chunk)
@@ -1327,8 +1176,18 @@ class WorkerPool:
                      (session_key, program_key, program, queries,
                       resolved_depth), positions))
         self._record_batch_traffic(len(requests), len(entries))
-        collected = self._locked_round(requests)
-        results: list = [None] * len(entries)
+        return self._scatter(self._locked_round(requests), len(entries))
+
+    @staticmethod
+    def _scatter(collected: dict, count: int) -> list:
+        """Flatten a batched round's results back into input order.
+
+        Scatter through the *collected* position tuples, not the request
+        list: work stealing may have split a queued batch mid-round, so
+        results can come back under finer-grained position tuples than
+        were dispatched.
+        """
+        results: list = [None] * count
         for positions, values in collected.items():
             for position, value in zip(positions, values):
                 results[position] = value
@@ -1554,8 +1413,8 @@ class WorkerPool:
             # Crash-retried (or re-shipped) work is visible per task in
             # EXPLAIN ANALYZE, not just in the aggregate counters.
             root.attributes.setdefault("attempts", task.attempts)
-        if task.position is not None and task.kind in (
-                "solve", "decompose", "solve_batch", "probe_batch"):
+        if task.position is not None and task.kind in ("solve_batch",
+                                                       "probe_batch"):
             root.attributes.setdefault("shard", task.position)
 
     def _feed_backlogs(self, backlogs: dict, overflow: deque,
@@ -1639,10 +1498,10 @@ class WorkerPool:
 
         The tail is the work the victim reaches last, so stealing there
         overlaps the most wall time.  Affinity-aware preference: the
-        self-contained decompose kinds first (nothing to re-ship), then
+        self-contained decompose kind first (nothing to re-ship), then
         program tasks whose key the victim does *not* hold warm (a cold-key
         steal costs the victim's cache nothing), then any stealable kind.
-        The analyze kinds are never stolen — moving one drags a session
+        The analyze kind is never stolen — moving one drags a session
         registration along.
         """
         warm_keys: frozenset | set = frozenset()
@@ -1700,7 +1559,7 @@ class WorkerPool:
         program attached; returns False (caller raises) when there is
         nothing to re-ship or the task keeps failing.
         """
-        if task.kind not in ("solve", "probe", "solve_batch", "probe_batch"):
+        if task.kind not in ("solve_batch", "probe_batch"):
             return False
         key, program = task.args[0], task.args[1]
         if program is None or task.attempts >= _MAX_TASK_ATTEMPTS:
@@ -1716,8 +1575,8 @@ class WorkerPool:
         """Consult the fault plan for one dispatch (None without a plan).
 
         Batch positions are tuples; the plan's ``shard`` selector matches
-        their first (global) position so a plan written against unbatched
-        shard numbering keeps firing when batching groups tasks.
+        their first (global) position, so shard numbering stays the same
+        whether a batch carries one shard or several.
         """
         if self._faults is None:
             return None
@@ -1736,7 +1595,7 @@ class WorkerPool:
         worker = self._workers[worker_index]
         if not worker.alive:
             worker = self._respawn(worker_index, pending)
-        if kind in ("analyze", "analyze_batch"):
+        if kind == "analyze_batch":
             session_key = args[0]
             if session_key not in worker.sessions:
                 self._dispatch("register", (session_key,
@@ -1775,16 +1634,6 @@ class WorkerPool:
             worker.warm_keys.add(key)
             self._bump("programs_shipped")
             return ("warm", task_id, key, program)
-        if kind == "solve":
-            key, program, aggregate, known_sum, known_count = args
-            shipped = self._maybe_ship(worker, key, program)
-            return ("solve", task_id, key, shipped, aggregate,
-                    known_sum, known_count)
-        if kind == "probe":
-            key, program, target, at_least, with_floor = args
-            shipped = self._maybe_ship(worker, key, program)
-            return ("probe", task_id, key, shipped, target, at_least,
-                    with_floor)
         if kind == "solve_batch":
             key, program, batch_requests = args
             shipped = self._maybe_ship(worker, key, program)
@@ -1793,19 +1642,14 @@ class WorkerPool:
             key, program, probe_tuple = args
             shipped = self._maybe_ship(worker, key, program)
             return ("probe_batch", task_id, key, shipped, probe_tuple)
-        if kind in ("decompose", "decompose_batch"):
+        if kind == "decompose_batch":
             # Self-contained: no program shipping or warm bookkeeping.
             return (kind, task_id) + args
-        if kind == "analyze_batch":
-            session_key, program_key, program, queries, resolved_depth = args
-            shipped = self._maybe_ship(worker, program_key, program)
-            return ("analyze_batch", task_id, session_key, program_key,
-                    shipped, queries, resolved_depth)
-        assert kind == "analyze"
-        session_key, program_key, program, query, resolved_depth = args
+        assert kind == "analyze_batch"
+        session_key, program_key, program, queries, resolved_depth = args
         shipped = self._maybe_ship(worker, program_key, program)
-        return ("analyze", task_id, session_key, program_key, shipped, query,
-                resolved_depth)
+        return ("analyze_batch", task_id, session_key, program_key,
+                shipped, queries, resolved_depth)
 
     def _maybe_ship(self, worker: _ProcessWorker, key, program):
         """Ship ``program`` only if ``worker`` does not hold ``key`` warm."""

@@ -12,8 +12,7 @@ idle workers outnumber the remaining queued tasks.
 
 Stolen tasks produce bit-identical results — stealing moves *where* a task
 runs, never what it computes — so the knob is fingerprint-neutral and on by
-default, exactly like the batching knobs in
-:mod:`repro.solvers.batching` whose idiom this module follows:
+default:
 
 ``REPRO_STEAL``
     The on/off toggle.  Stealing is **on by default**; ``0`` / ``off`` /

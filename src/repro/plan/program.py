@@ -38,7 +38,6 @@ from ..exceptions import SolverError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
-from ..solvers.batching import batching_enabled, forced_batch_size
 from ..solvers.lp import LPSolution, Sense, SolutionStatus
 from ..solvers.milp import CompiledMILP, MILPModel, solve_milp
 from ..solvers.registry import resolve_backend
@@ -78,8 +77,9 @@ class _Skeleton:
     """One frozen model structure: variables + coupling rows, no objective.
 
     Built once per (program, variant); thread-safe because it is immutable
-    after construction.  ``solve_objective`` patches a cell-coefficient
-    vector into the structure (slack variables always carry objective 0).
+    after construction.  ``solve_objectives`` patches a matrix of
+    cell-coefficient rows into the structure (slack variables always carry
+    objective 0).
     """
 
     def __init__(self, profiles: list[CellProfile],
@@ -111,7 +111,6 @@ class _Skeleton:
             self._rows.append(
                 ({f"x{profile.index}": 1.0 for profile in profiles}, 1.0, _INF))
         self._pure_box = not self._rows
-        self._slack_zeros = np.zeros(len(self._slack_items))
         self._compiled: CompiledMILP | None = None
         # Only the vectorised-greedy (pure box) and scipy paths consult the
         # compiled arrays; other backends re-materialize models per solve.
@@ -167,31 +166,15 @@ class _Skeleton:
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
-    def solve_objective(self, cell_coefficients: np.ndarray,
-                        sense: Sense) -> tuple[SolutionStatus, float | None]:
-        """Optimise the patched objective; fast path, no solution values.
-
-        ``cell_coefficients`` is aligned with this skeleton's profile order;
-        slack variables are zero-padded automatically.
-        """
-        if self._compiled is not None:
-            c = (cell_coefficients if not self._slack_items
-                 else np.concatenate([cell_coefficients, self._slack_zeros]))
-            return self._compiled.solve_objective(c, sense)
-        objective = {name: float(value)
-                     for name, value in zip(self._cell_names, cell_coefficients)}
-        solution = self._dispatch(objective, sense)
-        return solution.status, solution.objective
-
     def solve_objectives(self, cell_matrix: np.ndarray, sense: Sense
                          ) -> list[tuple[SolutionStatus, float | None]]:
         """Optimise every row of ``cell_matrix`` against this skeleton.
 
-        The batched counterpart of :meth:`solve_objective`: one slack
-        padding, one kernel entry.  Backends without compiled arrays (the
-        branch-and-bound / relaxation dispatch path) still batch what they
-        can — the model structure is materialized once for the whole batch
-        and only the objective dict is swapped per row.
+        ``cell_matrix`` rows are aligned with this skeleton's profile order;
+        one slack padding, one kernel entry.  Backends without compiled
+        arrays (the branch-and-bound / relaxation dispatch path) still batch
+        what they can — the model structure is materialized once for the
+        whole batch and only the objective dict is swapped per row.
         """
         cell_matrix = np.asarray(cell_matrix, dtype=float)
         if cell_matrix.ndim != 2:
@@ -267,7 +250,7 @@ class BoundProgram:
     def __getstate__(self) -> dict:
         """Everything but the lock: compiled skeletons travel with the program.
 
-        The parallel solve executor hands warm programs to worker processes,
+        The worker pool hands warm programs to worker processes,
         so lazily-built skeletons and forced extrema are deliberately kept in
         the state — a worker receives the same warm artifact the parent had
         instead of re-deriving it.
@@ -449,44 +432,17 @@ class BoundProgram:
     # ------------------------------------------------------------------ #
     # Shared solve plumbing
     # ------------------------------------------------------------------ #
-    def _solve_value(self, variant: str, cell_coefficients: np.ndarray,
-                     sense: Sense) -> float:
-        """Optimum of the patched objective, with the solver's status policy."""
-        # Every patched-objective MILP solve funnels through here — the one
-        # chokepoint the per-span solver-call tallies hang off (no-op
-        # without an active trace).
-        get_tracer().add("solver_calls", 1)
-        if self._reuse:
-            status, objective = self._skeleton(variant).solve_objective(
-                cell_coefficients, sense)
-        else:
-            profiles = self._profiles if variant == _FULL else self._active
-            coefficients = {profile.index: float(value) for profile, value
-                            in zip(profiles, cell_coefficients)}
-            status, objective = self._rebuild_objective(variant, coefficients,
-                                                        sense)
-        if status is SolutionStatus.INFEASIBLE:
-            raise SolverError(
-                "the predicate-constraint set is unsatisfiable: no allocation of "
-                "missing rows meets every frequency constraint"
-            )
-        if status is SolutionStatus.UNBOUNDED:
-            return _INF if sense is Sense.MAXIMIZE else -_INF
-        if status is not SolutionStatus.OPTIMAL or objective is None:
-            raise SolverError(f"MILP solve failed with status {status.value}")
-        return objective
-
     def _solve_rows(self, variant: str, rows: list[np.ndarray], sense: Sense
                     ) -> list[tuple[SolutionStatus, float | None]]:
-        """Batched analogue of :meth:`_solve_value`, minus the status policy.
+        """Optimise every patched objective row against one skeleton.
 
-        One skeleton lookup and one lock acquisition cover the whole batch;
-        the kernel entry is chunked only when ``REPRO_SOLVE_BATCH_SIZE``
-        forces a fixed size (the degenerate size-1 case routes every row
-        through its own kernel entry, pinning batched == per-cell).  Returns
-        raw per-row ``(status, objective)`` pairs so callers can apply
-        either the bound policy (:meth:`_checked_value`) or the probe
-        policy (:meth:`_probe_value`).
+        Every patched-objective MILP solve funnels through here — one
+        skeleton lookup, one lock acquisition and one kernel entry per
+        call, and the one chokepoint the per-span solver-call tallies hang
+        off (no-op without an active trace).  Returns raw per-row
+        ``(status, objective)`` pairs so callers can apply either the bound
+        policy (:meth:`_checked_value`) or the probe policy
+        (:meth:`_probe_value`).
         """
         count = len(rows)
         if count == 0:
@@ -499,30 +455,18 @@ class BoundProgram:
                 {profile.index: float(value)
                  for profile, value in zip(profiles, row)},
                 sense) for row in rows]
-        skeleton = self._skeleton(variant)
-        if not batching_enabled():
-            return [skeleton.solve_objective(np.asarray(row, dtype=float),
-                                             sense) for row in rows]
         matrix = np.array(rows, dtype=float)
         if matrix.ndim != 2:
             matrix = matrix.reshape(count, -1)
-        histogram = get_registry().histogram("solver.batch_size",
-                                             buckets=_BATCH_SIZE_BUCKETS)
-        limit = forced_batch_size()
-        if limit is None or limit >= count:
-            histogram.observe(count)
-            return skeleton.solve_objectives(matrix, sense)
-        results: list[tuple[SolutionStatus, float | None]] = []
-        for start in range(0, count, limit):
-            chunk = matrix[start:start + limit]
-            histogram.observe(len(chunk))
-            results.extend(skeleton.solve_objectives(chunk, sense))
-        return results
+        get_registry().histogram("solver.batch_size",
+                                 buckets=_BATCH_SIZE_BUCKETS).observe(count)
+        return self._skeleton(variant).solve_objectives(matrix, sense)
 
     @staticmethod
     def _checked_value(status: SolutionStatus, objective: float | None,
                        sense: Sense) -> float:
-        """:meth:`_solve_value`'s status policy, applied to one batch row."""
+        """The bound status policy for one solved row: infeasible and
+        failed solves raise, unbounded ones are the signed infinity."""
         if status is SolutionStatus.INFEASIBLE:
             raise SolverError(
                 "the predicate-constraint set is unsatisfiable: no allocation of "
@@ -537,9 +481,9 @@ class BoundProgram:
     @staticmethod
     def _probe_value(status: SolutionStatus, objective: float | None,
                      sense: Sense) -> float | None:
-        """:meth:`avg_probe_optima`'s policy: infeasible/failed probes map
-        to None (the serial search's ``SolverError`` catch), unbounded to
-        the signed infinity :meth:`_solve_value` would return."""
+        """The probe status policy: infeasible/failed probes map to None
+        (an unachievable target), unbounded ones to the signed infinity
+        :meth:`_checked_value` would return."""
         if status is SolutionStatus.UNBOUNDED:
             return _INF if sense is Sense.MAXIMIZE else -_INF
         if status is not SolutionStatus.OPTIMAL or objective is None:
@@ -561,18 +505,9 @@ class BoundProgram:
     # ------------------------------------------------------------------ #
     def bound(self, aggregate: AggregateFunction,
               known_sum: float = 0.0, known_count: float = 0.0) -> ResultRange:
-        """The result range of ``aggregate`` over the missing rows."""
-        if aggregate is AggregateFunction.COUNT:
-            return self._bound_count()
-        if aggregate is AggregateFunction.SUM:
-            return self._bound_sum()
-        if aggregate is AggregateFunction.AVG:
-            return self._bound_avg(known_sum, known_count)
-        if aggregate is AggregateFunction.MAX:
-            return self._bound_max()
-        if aggregate is AggregateFunction.MIN:
-            return self._bound_min()
-        raise SolverError(f"unsupported aggregate {aggregate!r}")  # pragma: no cover
+        """The result range of ``aggregate`` over the missing rows (a
+        width-1 :meth:`bound_batch`)."""
+        return self.bound_batch([(aggregate, known_sum, known_count)])[0]
 
     def worst_case_range(self, aggregate: AggregateFunction,
                          known_sum: float = 0.0,
@@ -654,10 +589,8 @@ class BoundProgram:
         acquisition per group — instead of one solver invocation per
         objective.  MIN/MAX read compiled extrema (no solver calls) and
         AVG runs its serial binary search (its batching lever is the
-        cross-shard probe batch, :meth:`avg_probe_optima_batch`).  Results
-        are bit-identical to calling :meth:`bound` per request: the edge
-        cases, coefficient vectors and status policy are the serial
-        methods' own, only the solver entry count changes.
+        cross-shard probe batch, :meth:`avg_probe_optima_batch`).  A
+        request's range never depends on what else shares its batch.
         """
         descriptors: list[tuple[str, np.ndarray, Sense]] = []
 
@@ -696,8 +629,8 @@ class BoundProgram:
                     builders.append(self._range(0.0, 0.0, AggregateFunction.SUM,
                                                 self._attribute))
                     continue
-                # Mirrors _bound_sum/_sum_direction: the infinite-value fast
-                # paths replace a solve, everything else enqueues one row.
+                # The infinite-value fast paths replace a solve; everything
+                # else enqueues one row per direction.
                 if any(math.isinf(p.value_upper) and p.value_upper > 0
                        for p in self._active):
                     upper_slot, upper_const = None, _INF
@@ -729,7 +662,7 @@ class BoundProgram:
                                        self._attribute)
 
                 builders.append(build_sum)
-            else:  # pragma: no cover - bound() rejects these first
+            else:  # pragma: no cover - the enum has no other members
                 raise SolverError(f"unsupported aggregate {aggregate!r}")
 
         solved: dict[int, float] = {}
@@ -749,43 +682,6 @@ class BoundProgram:
                attribute: str | None = None) -> ResultRange:
         return ResultRange(lower, upper, aggregate, attribute,
                            statistics=self._decomposition.statistics)
-
-    # COUNT ------------------------------------------------------------- #
-    def _bound_count(self) -> ResultRange:
-        if not self._profiles:
-            return self._range(0.0, 0.0, AggregateFunction.COUNT)
-        ones = np.ones(len(self._profiles))
-        upper = self._solve_value(_FULL, ones, Sense.MAXIMIZE)
-        if self._pcset.has_mandatory_rows():
-            lower = self._solve_value(_FULL, ones, Sense.MINIMIZE)
-        else:
-            lower = 0.0
-        return self._range(lower, upper, AggregateFunction.COUNT)
-
-    # SUM ---------------------------------------------------------------- #
-    def _bound_sum(self) -> ResultRange:
-        attribute = self._attribute
-        if not self._profiles:
-            return self._range(0.0, 0.0, AggregateFunction.SUM, attribute)
-        upper = self._sum_direction(maximise=True)
-        mandatory = self._pcset.has_mandatory_rows()
-        non_negative = all(profile.value_lower >= 0 for profile in self._profiles)
-        if not mandatory and non_negative:
-            lower = 0.0
-        else:
-            lower = self._sum_direction(maximise=False)
-        return self._range(lower, upper, AggregateFunction.SUM, attribute)
-
-    def _sum_direction(self, maximise: bool) -> float:
-        if maximise and any(math.isinf(p.value_upper) and p.value_upper > 0
-                            for p in self._active):
-            return _INF
-        if not maximise and any(math.isinf(p.value_lower) and p.value_lower < 0
-                                for p in self._active):
-            return -_INF
-        coefficients = self._full_uppers if maximise else self._full_lowers
-        sense = Sense.MAXIMIZE if maximise else Sense.MINIMIZE
-        return self._solve_value(_FULL, coefficients, sense)
 
     # MIN / MAX ---------------------------------------------------------- #
     def _bound_max(self) -> ResultRange:
@@ -897,47 +793,26 @@ class BoundProgram:
         # contains the true extreme average despite the finite tolerance.
         return high if find_upper else low
 
-    def avg_probe_optima(self, target: float, *, at_least: bool,
-                         with_floor: bool
-                         ) -> tuple[float | None, float | None]:
-        """One shard's contribution to a cross-shard AVG probe.
-
-        Returns ``(free, floor)``: the optimum of the ``value − target``
-        objective over this program's active skeleton without and (when
-        ``with_floor``) with the "at least one allocated row" floor row.
-        ``None`` marks an infeasible model — the same condition the serial
-        search's ``SolverError`` catch maps to an unachievable probe.  The
-        reduction over shards lives in :func:`repro.parallel.pool.
-        sharded_avg_range`; the free optima are additive and the floored
-        optimum is the best over which shard carries the floor row.
-        """
-        values = self._active_uppers if at_least else self._active_lowers
-        coefficients = values - target
-        sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
-        try:
-            free = self._solve_value(_ACTIVE, coefficients, sense)
-        except SolverError:
-            free = None
-        floor: float | None = None
-        if with_floor and self._active:
-            try:
-                floor = self._solve_value(_ACTIVE_FLOOR, coefficients, sense)
-            except SolverError:
-                floor = None
-        return free, floor
-
     def avg_probe_optima_batch(self, probes: Sequence[tuple]
                                ) -> list[tuple[float | None, float | None]]:
-        """Batched :meth:`avg_probe_optima`: all probes, few kernel entries.
+        """This shard's contributions to a round of cross-shard AVG probes.
 
         ``probes`` is a sequence of ``(target, at_least, with_floor)``
         triples — one cross-shard search iteration's parent midpoints plus
-        both speculative children travel together.  Rows are grouped by
-        (skeleton variant, sense), so the whole probe set costs at most
-        four kernel entries (one :meth:`_skeleton` lookup and one lock
-        acquisition each) instead of up to two solver invocations per
-        probe.  Per-probe results match :meth:`avg_probe_optima` exactly:
-        infeasible rows come back None, unbounded rows as signed infinity.
+        both speculative children travel together.  Each probe yields
+        ``(free, floor)``: the optimum of the ``value − target`` objective
+        over this program's active skeleton without and (when
+        ``with_floor``) with the "at least one allocated row" floor row.
+        ``None`` marks an infeasible model — an unachievable probe, exactly
+        as in the serial search — and unbounded rows come back as signed
+        infinity.  The reduction over shards lives in
+        :func:`repro.parallel.pool.sharded_avg_range`: the free optima are
+        additive and the floored optimum is the best over which shard
+        carries the floor row.
+
+        Rows are grouped by (skeleton variant, sense), so the whole probe
+        set costs at most four kernel entries (one :meth:`_skeleton` lookup
+        and one lock acquisition each).
         """
         results: list[list[float | None]] = [[None, None] for _ in probes]
         rows: dict[tuple[str, Sense], list[np.ndarray]] = {}
@@ -967,15 +842,20 @@ class BoundProgram:
         """Is there an allocation whose combined average is >= (or <=) target?
 
         The per-probe parameter patch: objective ``value - target`` over the
-        active cells, solved against the compiled skeleton.
+        active cells, solved as a one-row batch against the compiled
+        skeleton.
         """
         values = self._active_uppers if at_least else self._active_lowers
         coefficients = values - target
         variant = _ACTIVE_FLOOR if known_count == 0 else _ACTIVE
         sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
         try:
-            optimum = self._solve_value(variant, coefficients, sense)
+            [(status, objective)] = self._solve_rows(variant, [coefficients],
+                                                     sense)
         except SolverError:
+            return False
+        optimum = self._probe_value(status, objective, sense)
+        if optimum is None:
             return False
         constant = known_sum - target * known_count
         if at_least:

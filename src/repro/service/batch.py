@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 from ..core.engine import ContingencyQuery, ContingencyReport, PCAnalyzer
 from ..core.predicates import Predicate
+from ..exceptions import SolverError
 from ..obs.metrics import timed
 from ..obs.trace import get_tracer
-from ..parallel.executor import SolveExecutor, default_workers
-from ..parallel.pool import WorkerPool
+from ..parallel.pool import POOL_MODES, WorkerPool, default_pool_workers
 from ..solvers.registry import backend_capabilities
 
 __all__ = ["BatchStatistics", "BatchResult", "BatchExecutor"]
@@ -148,10 +148,11 @@ class BatchExecutor:
                  pool: WorkerPool | None = None):
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self._max_workers = max_workers or default_workers()
+        if mode not in POOL_MODES:
+            raise SolverError(
+                f"unknown pool mode {mode!r}; expected one of {POOL_MODES}")
+        self._max_workers = max_workers or default_pool_workers()
         self._mode = mode
-        # Fail fast on an unknown mode (SolveExecutor validates the name).
-        SolveExecutor(max_workers=1, mode=mode)
         self._pool = pool
         self._owns_pool = pool is None
         self._own_pool: WorkerPool | None = None

@@ -1,44 +1,23 @@
-"""Batched-solve knobs shared by the kernel, the pool and the planner.
+"""Batch sizing shared by the kernel, the pool and the planner.
 
-The batched multi-solve kernel (:meth:`repro.solvers.milp.CompiledMILP.
-solve_objectives`) amortises the per-call solver floor across a matrix of
-objective rows, and the worker pool amortises the per-task dispatch floor
-by shipping one task per *batch* of cells instead of one per cell.  Both
-layers consult the same two knobs, which live here so the solver, plan and
-parallel layers agree without import cycles:
+Batched solving is the only solve path.  The batched multi-solve kernel
+(:meth:`repro.solvers.milp.CompiledMILP.solve_objectives`) amortises the
+per-call solver floor across a matrix of objective rows, and the worker
+pool amortises the per-task dispatch floor by shipping one task per
+*batch* of work items; a one-item job is simply a width-1 batch.
 
-``REPRO_SOLVE_BATCH``
-    The on/off toggle.  Batching is **on by default** — batched results are
-    bit-identical to the per-cell path, so there is nothing to trade away —
-    and ``0`` / ``off`` / ``false`` / ``no`` disables it (the escape hatch,
-    and the control arm of the equivalence benchmarks).  The CI matrix pins
-    both states.
-
-``REPRO_SOLVE_BATCH_SIZE``
-    Forces a fixed batch size everywhere (kernel row chunks and pool task
-    chunks).  Unset means adaptive; ``1`` is the degenerate
-    one-cell-per-batch case the CI matrix pins so the batch machinery can
-    never drift from the per-cell semantics it wraps.
-
-Callers with a :class:`~repro.core.bounds.BoundOptions` pass its
-``solve_batch_size`` through :func:`resolve_batch_size`; the environment
-override wins so one variable steers parent and worker processes alike.
-Neither knob may influence *what* is computed — only how many solves share
-one entry — so none of them participates in program keys or artifact
-fingerprints.
+This module decides how wide a pool batch is: :func:`adaptive_batch_size`
+derives the width from pool depth and the observed-density feed, and
+:func:`chunked` splits work into batches of that width.  Batch width may
+never influence *what* is computed — only how many solves share one entry
+— so it participates in no program key or artifact fingerprint.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
-__all__ = ["BATCH_ENV", "BATCH_SIZE_ENV", "MAX_BATCH_SIZE",
-           "batching_enabled", "forced_batch_size", "resolve_batch_size",
-           "adaptive_batch_size", "chunked"]
-
-BATCH_ENV = "REPRO_SOLVE_BATCH"
-BATCH_SIZE_ENV = "REPRO_SOLVE_BATCH_SIZE"
+__all__ = ["MAX_BATCH_SIZE", "adaptive_batch_size", "chunked"]
 
 #: Upper clamp on any adaptive batch: large enough to amortise the per-task
 #: floor many times over, small enough that one straggler batch cannot hold
@@ -51,50 +30,16 @@ MAX_BATCH_SIZE = 64
 _HEAVY_CELLS_PER_BATCH = 256
 
 
-def batching_enabled() -> bool:
-    """Whether batched solving is on (default) — ``REPRO_SOLVE_BATCH``."""
-    value = os.environ.get(BATCH_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
-def forced_batch_size() -> int | None:
-    """The ``REPRO_SOLVE_BATCH_SIZE`` override, or None when unset/invalid."""
-    raw = os.environ.get(BATCH_SIZE_ENV)
-    if raw is None:
-        return None
-    try:
-        size = int(raw.strip())
-    except ValueError:
-        return None
-    return size if size >= 1 else None
-
-
-def resolve_batch_size(configured: int | None = None) -> int | None:
-    """The effective fixed batch size: environment override, then the
-    caller's ``BoundOptions.solve_batch_size``, then None (adaptive)."""
-    forced = forced_batch_size()
-    if forced is not None:
-        return forced
-    if configured is not None and configured >= 1:
-        return configured
-    return None
-
-
 def adaptive_batch_size(task_count: int, workers: int,
-                        estimated_cells: int | None = None,
-                        configured: int | None = None) -> int:
+                        estimated_cells: int | None = None) -> int:
     """How many work items one pool task should carry.
 
-    A fixed size (environment or options) wins outright.  Otherwise the
-    batch size targets one batch per worker (``ceil(task_count / workers)``
-    — the smallest size that still fills the pool), shrunk when the
-    observed-density feed predicts heavy per-item enumeration (so one batch
-    never concentrates more than ~:data:`_HEAVY_CELLS_PER_BATCH` estimated
-    cells) and clamped to [1, :data:`MAX_BATCH_SIZE`].
+    The batch size targets one batch per worker (``ceil(task_count /
+    workers)`` — the smallest size that still fills the pool), shrunk when
+    the observed-density feed predicts heavy per-item enumeration (so one
+    batch never concentrates more than ~:data:`_HEAVY_CELLS_PER_BATCH`
+    estimated cells) and clamped to [1, :data:`MAX_BATCH_SIZE`].
     """
-    fixed = resolve_batch_size(configured)
-    if fixed is not None:
-        return max(1, fixed)
     if task_count <= 0:
         return 1
     size = math.ceil(task_count / max(1, workers))

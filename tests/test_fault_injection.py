@@ -120,23 +120,24 @@ class TestFaultPlanParsing:
     def test_selectors_fire_deterministically(self):
         plan = parse_faults("delay:worker=0,nth=2,ms=5")
         # nth counts only dispatches matching the other selectors.
-        assert plan.on_dispatch(1, "solve", 0) is None
-        assert plan.on_dispatch(0, "solve", 0) is None  # 1st match
-        assert plan.on_dispatch(0, "solve", 1) == ("delay", 5.0)
-        assert plan.on_dispatch(0, "solve", 2) is None  # count exhausted
+        assert plan.on_dispatch(1, "solve_batch", 0) is None
+        assert plan.on_dispatch(0, "solve_batch", 0) is None  # 1st match
+        assert plan.on_dispatch(0, "solve_batch", 1) == ("delay", 5.0)
+        # The count is exhausted after one firing.
+        assert plan.on_dispatch(0, "solve_batch", 2) is None
         assert plan.fired() == 1
         plan.reset()
         assert plan.fired() == 0
 
     def test_count_caps_firings(self):
         plan = parse_faults("fail:shard=0,count=2,message=boom")
-        assert plan.on_dispatch(0, "solve", 0) == ("fail", "boom")
-        assert plan.on_dispatch(1, "solve", 0) == ("fail", "boom")
-        assert plan.on_dispatch(2, "solve", 0) is None
+        assert plan.on_dispatch(0, "solve_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(1, "solve_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(2, "solve_batch", 0) is None
 
     def test_first_matching_clause_wins(self):
         plan = parse_faults("delay:ms=1;kill:worker=0")
-        assert plan.on_dispatch(0, "solve", 0) == ("delay", 1.0)
+        assert plan.on_dispatch(0, "solve_batch", 0) == ("delay", 1.0)
 
     @pytest.mark.parametrize("spec", [
         "explode:worker=1",          # unknown action
@@ -148,6 +149,17 @@ class TestFaultPlanParsing:
     def test_malformed_plans_fail_loudly(self, spec):
         with pytest.raises(ReproError):
             parse_faults(spec)
+
+    def test_pool_rejects_kinds_it_never_dispatches(self, monkeypatch):
+        """A ``kind=`` selector naming no pool task kind fails when the
+        pool resolves the plan, instead of silently never firing."""
+        monkeypatch.setenv(FAULTS_ENV, "delay:ms=1;kill:kind=solve")
+        with pytest.raises(ReproError,
+                           match="unknown fault kind 'solve'.*solve_batch"):
+            WorkerPool(max_workers=2, mode="process")
+        monkeypatch.setenv(FAULTS_ENV, "kill:kind=decompose_batch")
+        pool = WorkerPool(max_workers=2, mode="process")
+        assert pool.fault_plan.spec == "kill:kind=decompose_batch"
 
     def test_environment_wins_over_configured(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:task=1")

@@ -1,10 +1,10 @@
-"""Unit tests for repro.parallel: sharding, the executor, verification.
+"""Unit tests for plan sharding, batch fan-out modes and verification.
 
 The randomized harness (test_property_soundness) pins the end-to-end
 equivalences; these tests pin the pieces — the overlap-graph partition, the
-shard merge algebra, executor mode selection and capability gating, the
-pickle-safe program handoff, and the cross-backend alarm actually firing
-when a backend is (deliberately) broken.
+shard merge algebra, batch-executor mode validation and capability gating,
+the pickle-safe program handoff, and the cross-backend alarm actually
+firing when a backend is (deliberately) broken.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.core.ranges import ResultRange
 from repro.exceptions import DisjointRangeError, SolverError
-from repro.parallel import (
-    SolveExecutor,
+from repro.plan.ir import BoundQuery, build_plan
+from repro.plan.sharding import (
     merge_shard_ranges,
     partition_constraint_indices,
     shard_plan,
 )
-from repro.plan.ir import BoundQuery, build_plan
 from repro.relational.aggregates import AggregateFunction
 from repro.service import ContingencyService
 from repro.solvers.lp import LPSolution, SolutionStatus
@@ -162,35 +161,14 @@ class TestMergeShardRanges:
 
 
 # --------------------------------------------------------------------- #
-# Executor
+# Batch executor modes
 # --------------------------------------------------------------------- #
-class TestSolveExecutor:
-    def test_serial_and_thread_map_preserve_order(self):
-        for mode in ("serial", "thread"):
-            with SolveExecutor(max_workers=4, mode=mode) as executor:
-                assert executor.map(lambda x: x * x, range(8)) == \
-                    [x * x for x in range(8)]
-
-    def test_width_one_degrades_to_serial(self):
-        executor = SolveExecutor(max_workers=1, mode="thread")
-        assert executor.mode == "serial"
-
+class TestBatchExecutorModes:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(SolverError):
-            SolveExecutor(mode="fibers")
+        from repro.service.batch import BatchExecutor
 
-    def test_process_mode_gated_on_capability_flag(self):
-        register_backend(
-            "test-native-handle",
-            lambda model, time_limit=None: None,
-            replace=True,
-            capabilities=BackendCapabilities(process_safe=False))
-        with pytest.raises(SolverError, match="not process-safe"):
-            SolveExecutor(max_workers=2, mode="process",
-                          backend="test-native-handle")
-        # Thread mode stays available for the same backend.
-        SolveExecutor(max_workers=2, mode="thread",
-                      backend="test-native-handle")
+        with pytest.raises(SolverError, match="unknown pool mode"):
+            BatchExecutor(mode="fibers")
 
     def test_batch_process_mode_honours_capability_gate(self):
         """A process-mode batch falls back to the thread pool on a
@@ -213,19 +191,6 @@ class TestSolveExecutor:
             check_closure=False)).analyze(ContingencyQuery.count())
         assert result.reports[0].lower == baseline.lower
         assert result.reports[0].upper == baseline.upper
-
-    def test_solve_programs_matches_direct_bounds(self):
-        solver = PCBoundSolver(windows_pcset(4),
-                               BoundOptions(check_closure=False))
-        sharded = solver.sharded_plan(None, "v", max_shards=2)
-        programs = [solver.shard_program(shard, None, "v")
-                    for shard in sharded]
-        with SolveExecutor(max_workers=2, mode="thread") as executor:
-            endpoints = executor.solve_programs(programs,
-                                                AggregateFunction.SUM)
-        direct = [program.bound(AggregateFunction.SUM)
-                  for program in programs]
-        assert endpoints == [(r.lower, r.upper, r.closed) for r in direct]
 
 
 # --------------------------------------------------------------------- #

@@ -388,73 +388,77 @@ def test_solve_objectives_matches_row_by_row(seed, pure_box):
             assert value == want_value, (sense, row, value, want_value)
 
 
-@pytest.mark.parametrize("backend", ["scipy", "branch-and-bound",
-                                     "relaxation"])
-def test_bound_batch_matches_per_request_across_backends(backend):
-    """``bound_batch`` == per-request ``bound`` on every backend's path.
+#: The backends whose batched paths the rebuild reference pins: scipy runs
+#: the compiled multi-RHS kernel, branch-and-bound and relaxation the
+#: materialize-once dispatch loop.
+REFERENCE_BACKENDS = ["scipy", "branch-and-bound", "relaxation"]
 
-    scipy exercises the compiled multi-RHS kernel, branch-and-bound and
-    relaxation the materialize-once dispatch loop — all three must be
-    endpoint-identical to the per-cell path on all five aggregates.
+
+@pytest.mark.parametrize("backend", REFERENCE_BACKENDS)
+def test_bound_batch_matches_per_request_across_backends(backend):
+    """One ``bound_batch`` == per-request rebuild solves, on every backend.
+
+    The reference (``program_reuse=False``) builds and solves a fresh MILP
+    model for every objective, so it shares no skeleton and no kernel
+    entry with the batch under test; all five aggregates must agree (up to
+    float summation order, like every path comparison in this harness).
     """
     _, _, _, pcset, _ = scenario(606, "mandatory")
-    solver = PCBoundSolver(pcset, BoundOptions(milp_backend=backend))
-    program = solver.program(None, "v")
+    program = PCBoundSolver(pcset, BoundOptions(milp_backend=backend)
+                            ).program(None, "v")
+    reference = PCBoundSolver(pcset, BoundOptions(
+        milp_backend=backend, program_reuse=False)).program(None, "v")
     requests = [(aggregate, 0.0, 0) for aggregate, _ in AGGREGATES]
     requests.append((AggregateFunction.AVG, 42.0, 11))
     batch = program.bound_batch(requests)
     for (aggregate, known_sum, known_count), got in zip(requests, batch):
-        want = program.bound(aggregate, known_sum=known_sum,
-                             known_count=known_count)
-        assert (got.lower, got.upper, got.closed) == \
-            (want.lower, want.upper, want.closed), (backend, aggregate)
+        want = reference.bound(aggregate, known_sum=known_sum,
+                               known_count=known_count)
+        detail = (backend, aggregate, str(got), str(want))
+        _assert_endpoint(got.lower, want.lower, detail)
+        _assert_endpoint(got.upper, want.upper, detail)
+        assert got.closed == want.closed, detail
 
 
 @pytest.mark.parametrize("seed", [515, 616])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
-def test_batched_solves_identical_to_unbatched(seed, kind, monkeypatch):
-    """REPRO_SOLVE_BATCH on vs off: endpoint-identical on serial + sharded.
+def test_batched_solves_identical_to_unbatched(seed, kind):
+    """Batched serial and sharded solves == the unbatched rebuild reference.
 
-    The batched kernel's hard constraint — flipping the toggle (or forcing
-    the degenerate one-cell batches) must never move an endpoint, for all
-    five aggregates, on the serial and thread-sharded paths alike.
+    ``program_reuse=False`` rebuilds the MILP and solves one objective at a
+    time; the batched kernel path, serial and thread-sharded alike, must
+    return the same endpoints (up to float summation order) for all five
+    aggregates on all three backends.
     """
-    _, _, missing, pcset, queries = scenario(seed, kind)
-
-    def ranges(env):
-        for name, value in env.items():
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
-        results = []
-        for options in (BoundOptions(), BoundOptions(solve_workers=3)):
-            solver = PCBoundSolver(pcset, options)
-            for query in queries:
-                result = solver.bound(query.aggregate, query.attribute,
-                                      query.region)
-                results.append((result.lower, result.upper, result.closed))
-        return results
-
-    baseline = ranges({"REPRO_SOLVE_BATCH": "0", "REPRO_SOLVE_BATCH_SIZE": None})
-    batched = ranges({"REPRO_SOLVE_BATCH": "1", "REPRO_SOLVE_BATCH_SIZE": None})
-    degenerate = ranges({"REPRO_SOLVE_BATCH": "1",
-                         "REPRO_SOLVE_BATCH_SIZE": "1"})
-    assert batched == baseline
-    assert degenerate == baseline
+    _, _, _, pcset, queries = scenario(seed, kind)
+    for backend in REFERENCE_BACKENDS:
+        reference = PCBoundSolver(pcset, BoundOptions(milp_backend=backend,
+                                                      program_reuse=False))
+        batched = [PCBoundSolver(pcset, BoundOptions(milp_backend=backend)),
+                   PCBoundSolver(pcset, BoundOptions(milp_backend=backend,
+                                                     solve_workers=3))]
+        for query in queries:
+            want = reference.bound(query.aggregate, query.attribute,
+                                   query.region)
+            for solver in batched:
+                got = solver.bound(query.aggregate, query.attribute,
+                                   query.region)
+                assert_same_range(want, got, query,
+                                  f"{backend} batched vs rebuild")
+                assert got.closed == want.closed, (backend, query.describe())
 
 
-def test_batched_process_pool_matches_serial(monkeypatch):
+def test_batched_process_pool_matches_serial():
     """Batched task kinds through real process workers == serial ranges.
 
     Covers solve_batch (sharded COUNT/SUM/MIN/MAX), probe_batch (the
     cross-shard AVG search) and the batched region decomposition, against
-    the unbatched serial baseline on the same constraint set.
+    the serial baseline on the same constraint set, which must itself
+    contain the ground truth.
     """
     from repro.parallel.pool import WorkerPool
 
     _, _, missing, pcset, queries = scenario(505, "mandatory")
-    monkeypatch.setenv("REPRO_SOLVE_BATCH", "0")
     serial = PCBoundSolver(pcset, BoundOptions())
     baseline = {}
     for query in queries:
@@ -462,7 +466,6 @@ def test_batched_process_pool_matches_serial(monkeypatch):
         baseline[id(query)] = result
         truth = query.ground_truth(missing)
         assert_contains(result, truth, query, "serial baseline")
-    monkeypatch.setenv("REPRO_SOLVE_BATCH", "1")
     with WorkerPool(max_workers=3, mode="process", name="batch-test") as pool:
         sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3),
                                 worker_pool=pool)

@@ -1,9 +1,9 @@
 """Unit coverage for the batched-solve machinery around the kernel.
 
-The bit-identity of batched vs per-cell *results* lives in
-``test_property_soundness.py``; this module pins the plumbing: the shared
-knobs (:mod:`repro.solvers.batching`), the pool's batched task kinds and
-traffic counters, the admission price inversion, and the profile's
+The equality of batched *results* with independent references lives in
+``test_property_soundness.py``; this module pins the plumbing: adaptive
+batch sizing (:mod:`repro.solvers.batching`), the pool's batched task kinds
+and traffic counters, the admission price inversion, and the profile's
 batch-aware shard accounting.
 """
 
@@ -12,57 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.solvers.batching import (
-    MAX_BATCH_SIZE,
-    adaptive_batch_size,
-    batching_enabled,
-    chunked,
-    forced_batch_size,
-    resolve_batch_size,
-)
+from repro.solvers.batching import MAX_BATCH_SIZE, adaptive_batch_size, chunked
 
 
 class TestKnobs:
-    def test_batching_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH", raising=False)
-        assert batching_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " OFF "])
-    def test_batching_disable_spellings(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", value)
-        assert not batching_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-    def test_batching_enable_spellings(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", value)
-        assert batching_enabled()
-
-    def test_forced_size_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
-        assert forced_batch_size() is None
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "4")
-        assert forced_batch_size() == 4
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "0")
-        assert forced_batch_size() is None
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "junk")
-        assert forced_batch_size() is None
-
-    def test_environment_wins_over_configured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "8")
-        assert resolve_batch_size(configured=3) == 8
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE")
-        assert resolve_batch_size(configured=3) == 3
-        assert resolve_batch_size(configured=None) is None
-
-    def test_adaptive_targets_one_batch_per_worker(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
+    def test_adaptive_targets_one_batch_per_worker(self):
         assert adaptive_batch_size(12, 4) == 3
         assert adaptive_batch_size(13, 4) == 4
         assert adaptive_batch_size(1, 4) == 1
         assert adaptive_batch_size(0, 4) == 1
 
-    def test_adaptive_clamps_and_density_shrink(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
+    def test_adaptive_clamps_and_density_shrink(self):
         # Clamp: one worker and 1000 tasks still caps at MAX_BATCH_SIZE.
         assert adaptive_batch_size(1000, 1) == MAX_BATCH_SIZE
         # Heavy estimated enumeration shrinks the batch so one task never
@@ -71,10 +31,6 @@ class TestKnobs:
         heavy = adaptive_batch_size(64, 1, estimated_cells=64 * 1024)
         assert heavy < light
         assert heavy >= 1
-
-    def test_fixed_size_wins_outright(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
-        assert adaptive_batch_size(1000, 1, configured=5) == 5
 
     def test_chunked(self):
         assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
@@ -95,9 +51,8 @@ class TestPoolBatchTraffic:
         snapshot = pool.statistics.snapshot()
         assert snapshot.as_dict()["cells_per_task"] == 5.0
 
-    def test_avg_probes_batched_one_task_per_shard(self, monkeypatch):
+    def test_avg_probes_batched_one_task_per_shard(self):
         """A 3-probe round over 2 shards ships 2 tasks carrying 6 cells."""
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", "1")
         from repro.core.bounds import BoundOptions, PCBoundSolver
         from repro.parallel.pool import WorkerPool
 
@@ -118,14 +73,10 @@ class TestPoolBatchTraffic:
         assert all(len(per_shard) == len(keyed) for per_shard in outcomes)
         assert pool.statistics.tasks_shipped == len(keyed)
         assert pool.statistics.cells_solved == len(keyed) * len(probes)
-        # Unbatched control: same results, one task per (probe, shard).
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", "0")
-        control_pool = WorkerPool(max_workers=2, mode="thread",
-                                  name="probe-control")
-        control = control_pool.avg_probes(keyed, probes)
-        assert control == outcomes
-        assert control_pool.statistics.tasks_shipped == \
-            len(keyed) * len(probes)
+        # Same results as each probe solved alone as a width-1 batch.
+        assert outcomes == [[program.avg_probe_optima_batch([probe])[0]
+                             for _, program in keyed]
+                            for probe in probes]
 
 
 class TestAdmissionInversion:
@@ -251,9 +202,8 @@ class TestProfileBatchAccounting:
         assert payload["batched_tasks"] == 2.0
         assert payload["batched_cells"] == 10.0
 
-    def test_solver_batch_size_histogram_observes(self, monkeypatch):
+    def test_solver_batch_size_histogram_observes(self):
         """The kernel layer records batch widths into solver.batch_size."""
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", "1")
         from repro.core.bounds import BoundOptions, PCBoundSolver
         from repro.obs.metrics import get_registry
         from repro.relational.aggregates import AggregateFunction

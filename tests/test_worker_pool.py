@@ -118,13 +118,12 @@ class TestLifecycle:
         try:
             with pytest.raises(SolverError, match="cache miss"):
                 # A bare key with no program: the worker cannot resolve it.
+                request = (AggregateFunction.COUNT, 0.0, 0.0)
                 pool._locked_round([
-                    ("solve", "no-such-key",
-                     ("no-such-key", None, AggregateFunction.COUNT, 0.0, 0.0),
-                     0),
-                    ("solve", "no-such-key-2",
-                     ("no-such-key-2", None, AggregateFunction.COUNT, 0.0, 0.0),
-                     1)])
+                    ("solve_batch", "no-such-key",
+                     ("no-such-key", None, (request,)), 0),
+                    ("solve_batch", "no-such-key-2",
+                     ("no-such-key-2", None, (request,)), 1)])
         finally:
             pool.shutdown()
 
@@ -201,11 +200,72 @@ class TestModesAndFallbacks:
         probes = [(10.0, True, True), (30.0, False, True), (50.0, True, False)]
         with WorkerPool(max_workers=WORKERS, mode=mode) as pool:
             pooled = pool.avg_probes(keyed, probes)
-        direct = [[program.avg_probe_optima(target, at_least=at_least,
-                                            with_floor=with_floor)
+        # Reference: each probe solved alone, a width-1 batch per shard.
+        direct = [[program.avg_probe_optima_batch([probe])[0]
                    for _, program in keyed]
-                  for target, at_least, with_floor in probes]
+                  for probe in probes]
         assert pooled == direct
+
+
+class TestBatchedTaskVocabulary:
+    """Every pool entry point ships batches; a one-item job is width 1."""
+
+    BATCHED_KINDS = {"warm", "register", "solve_batch", "probe_batch",
+                     "decompose_batch", "analyze_batch"}
+
+    def test_handler_table_holds_only_the_batched_kinds(self):
+        from repro.parallel.pool import _HANDLERS
+
+        assert set(_HANDLERS) == self.BATCHED_KINDS
+
+    def test_fanout_shape_dispatches_only_batched_kinds(self, monkeypatch):
+        """Two process workers serve a 2-shard region session (one
+        width-1 ``decompose_batch`` per shard) and a component-sharded
+        session asked all five aggregates: serial-identical ranges, and
+        nothing but the batched kinds on the wire."""
+        from test_region_sharding import chain_pcset, disjoint_pcset
+
+        aggregates = [(AggregateFunction.COUNT, None),
+                      (AggregateFunction.SUM, "v"),
+                      (AggregateFunction.MIN, "v"),
+                      (AggregateFunction.MAX, "v"),
+                      (AggregateFunction.AVG, "v")]
+        dispatched = []
+        with WorkerPool(max_workers=2, mode="process",
+                        name="fanout-shape") as pool:
+            dispatch = pool._dispatch
+
+            def recording(kind, args, *rest, **kwargs):
+                dispatched.append((kind, args))
+                return dispatch(kind, args, *rest, **kwargs)
+
+            monkeypatch.setattr(pool, "_dispatch", recording)
+            for pcset, strategy in ((chain_pcset(6), "region"),
+                                    (disjoint_pcset(6), "component")):
+                serial = PCBoundSolver(pcset,
+                                       BoundOptions(check_closure=False))
+                sharded = PCBoundSolver(pcset, BoundOptions(
+                    check_closure=False, solve_workers=2,
+                    shard_strategy=strategy), worker_pool=pool)
+                plan = sharded.sharded_plan(None, "v")
+                assert plan.strategy == strategy and len(plan) == 2
+                for aggregate, attribute in aggregates:
+                    # An observed partition keeps AVG off its fast path,
+                    # so the component session runs the probe search.
+                    want = serial.bound(aggregate, attribute,
+                                        known_sum=60.0, known_count=12.0)
+                    got = sharded.bound(aggregate, attribute,
+                                        known_sum=60.0, known_count=12.0)
+                    assert (got.lower, got.upper, got.closed) == \
+                        (want.lower, want.upper, want.closed), \
+                        (strategy, aggregate)
+        kinds = {kind for kind, _ in dispatched}
+        assert kinds <= self.BATCHED_KINDS
+        assert {"decompose_batch", "solve_batch", "probe_batch"} <= kinds
+        decompositions = [args for kind, args in dispatched
+                          if kind == "decompose_batch"]
+        assert len(decompositions) == 2
+        assert all(len(entries) == 1 for _key, entries in decompositions)
 
 
 class TestAffinityAndWarmCaches:
