@@ -120,8 +120,7 @@ def test_bench_batched_cross_shard_avg(report_artifact, bench_record):
     try:
         pool.start()  # exclude worker fork from the timed section
         sharded = PCBoundSolver(
-            pcset, BoundOptions(check_closure=False, solve_workers=WORKERS,
-                                parallel_mode="process"),
+            pcset, BoundOptions(check_closure=False, solve_workers=WORKERS),
             worker_pool=pool)
         plan = sharded.sharded_plan(None, "v")
         for shard in plan:
@@ -227,7 +226,7 @@ def test_bench_batched_warm_fanout(report_artifact, bench_record):
             result = executor.execute(analyzer, queries)
             return time.perf_counter() - started, result
 
-    serial_seconds, serial_result = run(1, "thread")
+    serial_seconds, serial_result = run(1, "serial")
     batched_seconds, batched_result = run(WORKERS, "process")
 
     serial_ranges = [(r.lower, r.upper) for r in serial_result.reports]

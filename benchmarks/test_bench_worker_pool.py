@@ -44,8 +44,7 @@ def test_bench_cross_shard_avg(report_artifact, bench_record):
 
     serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
     sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                solve_workers=WORKERS,
-                                                parallel_mode="process"))
+                                                solve_workers=WORKERS))
     # Compile both paths' programs outside the timed sections.
     serial.program(None, "v")
     sharded_plan = sharded.sharded_plan(None, "v")

@@ -29,8 +29,8 @@ Sub-packages
     Satisfiability, LP/MILP, fractional-edge-cover substrates, and the
     MILP backend registry.
 ``repro.parallel``
-    Parallel solve fan-out: the persistent thread/process worker pool that
-    runs sharded plans (:class:`ShardedBoundPlan`), and cross-backend range
+    Parallel solve fan-out: the persistent worker pool (inline or process
+    workers) that runs sharded plans (:class:`ShardedBoundPlan`), and cross-backend range
     verification.
 ``repro.service``
     The long-lived service layer: named/versioned constraint sessions,

@@ -108,12 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "when the plan shards into independent "
                                    "constraint components (default: serial); "
                                    "workers are borrowed from a persistent "
-                                   "shared pool")
-    bound_parser.add_argument("--parallel-mode", default=None,
-                              choices=["thread", "process"],
-                              help="worker-pool flavour for --workers "
-                                   "(default: thread; process needs a "
-                                   "process-safe backend)")
+                                   "shared process pool")
     bound_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                               help="persistent cache directory: route the "
                                    "query through a service whose "
@@ -137,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--observed", default=None,
                               help="optional CSV file with the observed partition")
     serve_parser.add_argument("--workers", type=int, default=None,
-                              help="thread-pool width for batch execution")
+                              help="run batches on this many worker "
+                                   "processes (default: inline)")
     serve_parser.add_argument("--repeat", type=int, default=1,
                               help="run the batch this many times (>1 shows "
                                    "the effect of warm caches)")
@@ -363,8 +359,6 @@ def _command_bound(args: argparse.Namespace) -> int:
         if args.workers < 1:
             raise ReproError("--workers must be at least 1")
         options.solve_workers = args.workers
-    if args.parallel_mode is not None:
-        options.parallel_mode = args.parallel_mode
     service = None
     if args.cache_dir:
         # Route through a service so the persistent tier backs the caches:
@@ -406,9 +400,8 @@ def _command_bound(args: argparse.Namespace) -> int:
             flavour = "cross-shard binary search"
         else:
             flavour = "merged shard solves"
-        # Report the pool the solve actually borrowed: the resolved mode
-        # can differ from --parallel-mode (process-unsafe backends fall
-        # back to threads, width 1 degrades to serial).
+        # Report the pool the solve actually borrowed: process-unsafe
+        # backends run inline, and width 1 degrades to serial.
         pool = analyzer.solver.borrow_pool(options.solve_workers)
         print(f"sharding        : {sharded.strategy} strategy, "
               f"{len(sharded)} shard(s) over "
@@ -484,7 +477,10 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
 
     admission = (None if args.max_cost is None
                  else AdmissionPolicy(max_query_cost=args.max_cost))
+    pool_mode = ("process" if args.workers is not None and args.workers > 1
+                 else None)
     service = ContingencyService(max_workers=args.workers,
+                                 pool_mode=pool_mode,
                                  admission=admission,
                                  cache_dir=args.cache_dir)
     session_name = Path(args.constraints).stem

@@ -91,10 +91,6 @@ class BoundOptions:
         expensive one-component plans), ``"component"``, or ``"region"``.
         Defaults to the ``REPRO_SHARD_STRATEGY`` environment toggle (the
         region-preferred CI leg) falling back to ``"auto"``.
-    ``parallel_mode``
-        Pool flavour for the fan-out: ``"thread"`` (default, safe for every
-        backend), ``"process"`` (real CPU scale-out; requires the backend's
-        ``process_safe`` capability flag), or ``"auto"``.
     ``verify_backend``
         When set, every bound is additionally solved on this second registry
         backend and the two ranges are intersected; disjoint ranges raise
@@ -111,8 +107,7 @@ class BoundOptions:
         :class:`~repro.exceptions.QueryDeadlineError` carrying partial
         progress.  Under the service the scope opens at admission, so time
         spent queued *shrinks* the execution budget.  Excluded from option
-        fingerprints like ``parallel_mode``: it changes failure behaviour,
-        never a returned range.
+        fingerprints: it changes failure behaviour, never a returned range.
     ``degrade``
         ``"worst-case"`` opts the component-sharded aggregates into
         graceful degradation: a shard whose solve dies repeatedly or runs
@@ -134,7 +129,6 @@ class BoundOptions:
     optimize: bool = True
     program_reuse: bool = True
     solve_workers: int | None = None
-    parallel_mode: str = "thread"
     verify_backend: str | None = None
     shard_strategy: str = field(default_factory=default_shard_strategy)
     deadline_seconds: float | None = None
@@ -477,14 +471,14 @@ class PCBoundSolver:
         tracer = get_tracer()
         workers = self._options.solve_workers
         if workers is not None and workers > 1:
-            from ..parallel.pool import in_pool_thread, in_worker
+            from ..parallel.pool import in_worker
             from ..plan.sharding import SHARDABLE_AGGREGATES
 
-            # Inside a pool worker — process or thread — the fan-out IS the
-            # pool; sharding again would run every per-shard solve inline
-            # (or spawn pools from workers), multiplying cost for zero
-            # concurrency, so pooled analyzers degrade to the serial path.
-            if not in_worker() and not in_pool_thread():
+            # Inside a pool worker the fan-out IS the pool; sharding again
+            # would run every per-shard solve inline (or spawn pools from
+            # workers), multiplying cost for zero concurrency, so pooled
+            # analyzers degrade to the serial path.
+            if not in_worker():
                 with tracer.span("shard.plan"):
                     sharded = self.sharded_plan(region, attribute,
                                                 max_shards=workers)
@@ -515,28 +509,18 @@ class PCBoundSolver:
 
     def borrow_pool(self, workers: int):
         """The worker pool the fan-out runs on: the injected (service-owned)
-        pool when one was supplied, else a process-global shared pool —
-        either way long-lived, so repeated sharded solves never pay pool
-        start-up or re-ship warm programs.
-
-        The ``process_safe`` capability gate applies to injected pools too:
-        a service-owned process pool cannot run a backend whose state cannot
-        cross the process boundary, so such solvers borrow a shared thread
-        pool instead (the same fallback :class:`~repro.parallel.pool.
-        WorkerPool` applies when it knows the backend at construction).
+        pool when one was supplied, else the process-global shared process
+        pool of width ``workers`` — either way long-lived, so repeated
+        sharded solves never pay pool start-up or re-ship warm programs.
+        A backend without the ``process_safe`` capability runs inline
+        instead (:func:`~repro.parallel.pool.pool_for_backend`).
         """
-        from ..parallel.pool import shared_pool
-        from ..solvers.registry import backend_capabilities
+        from ..parallel.pool import pool_for_backend, shared_pool
 
-        backend = self._options.milp_backend
         pool = self._worker_pool
-        if pool is not None:
-            if (pool.mode != "process"
-                    or backend_capabilities(backend).process_safe):
-                return pool
-            return shared_pool(mode="thread", max_workers=workers)
-        return shared_pool(mode=self._options.parallel_mode,
-                           max_workers=workers, backend=backend)
+        if pool is None:
+            pool = shared_pool(max_workers=workers)
+        return pool_for_backend(pool, self._options.milp_backend)
 
     def _keyed_shard_programs(self, sharded, region: Predicate | None,
                               attribute: str | None) -> list[tuple]:
@@ -784,8 +768,7 @@ class PCBoundSolver:
         ignores the aggregate.  With a shared program cache the per-key
         locking inside ``get_or_compute`` dedupes concurrent compilations;
         the private fallback mirrors that per-key scheme, so distinct pairs
-        compile in parallel (the batch executor's warm phase relies on it)
-        while same-key racers share one compile.
+        compile concurrently while same-key racers share one compile.
         """
         return self._cached_program(
             (region, attribute),
@@ -1024,7 +1007,7 @@ class PCBoundSolver:
 
         Public so callers can reuse or pre-warm decompositions — the batch
         executor warms each distinct region once before fanning queries out
-        over its thread pool.  Runs through the plan pipeline, so the cells
+        over its worker pool.  Runs through the plan pipeline, so the cells
         are those of the *optimized* constraint set.
         """
         plan = self.plan(BoundQuery(AggregateFunction.COUNT, None, region))
@@ -1032,8 +1015,8 @@ class PCBoundSolver:
 
     def _record_decomposition(self, decomposition: CellDecomposition) -> None:
         # Distinct regions can decompose concurrently under a shared cache
-        # (the batch executor warms them in parallel), so the read-modify-
-        # write on the counters needs a lock to stay exact.
+        # (concurrent service callers), so the read-modify-write on the
+        # counters needs a lock to stay exact.
         with self._counter_lock:
             self._decompositions_computed += 1
             self._decomposition_solver_calls += decomposition.statistics.solver_calls
@@ -1055,9 +1038,9 @@ class PCBoundSolver:
         workers = self._options.solve_workers
         if workers is None or workers <= 1:
             return None
-        from ..parallel.pool import in_pool_thread, in_worker
+        from ..parallel.pool import in_worker
 
-        if in_worker() or in_pool_thread():
+        if in_worker():
             return None
         sharded = self.sharded_plan(plan.query.region, plan.query.attribute,
                                     max_shards=workers)

@@ -203,9 +203,9 @@ class CellDecomposer:
             cells = self._decompose_dfs(query_box, statistics, use_rewrite)
         statistics.satisfiable_cells = len(cells)
         # The tally lives at the enumeration site — not at the cache/merge
-        # layers above — so serial, thread-pooled and process-pooled
-        # enumerations all charge their satisfiability-solver calls to
-        # whichever span actually ran them, exactly once.
+        # layers above — so inline and process-pooled enumerations all
+        # charge their satisfiability-solver calls to whichever span
+        # actually ran them, exactly once.
         from ..obs.trace import get_tracer
 
         get_tracer().add("solver_calls", statistics.solver_calls)

@@ -174,8 +174,8 @@ class QueryProfile:
         signal stable across batching: a shard that used to emit ten
         one-cell task spans now emits one ten-cell batch span, and both
         shapes must report the same per-shard totals.  Spans without a
-        ``cells`` tally count as one cell (the inline and thread-mode
-        ``pool.solve`` spans solve exactly one parameterisation each).
+        ``cells`` tally count as one cell (the inline ``pool.solve`` spans
+        solve exactly one parameterisation each).
         """
         totals: dict[Any, list[float]] = {}
         for node in self.root.walk():

@@ -27,9 +27,7 @@ Design constraints, in priority order:
    profile requests) bypass sampling.  Span storage is append-only per
    trace, flat, and bounded by pipeline depth × shard count.
 
-State is thread-local: each coordinator thread owns its active trace, and
-worker threads in thread-mode pools join the coordinator's trace via
-:meth:`Tracer.attach`.
+State is thread-local: each coordinator thread owns its active trace.
 
 Fault-tolerance events leave span tags rather than new span kinds: a task
 span whose result came from a re-dispatch after a worker crash carries
@@ -324,7 +322,7 @@ class Tracer:
         stack[-1].add(key, amount)
 
     # ------------------------------------------------------------------ #
-    # Cross-thread propagation (thread-mode pools)
+    # Cross-process propagation (process-mode pools)
     # ------------------------------------------------------------------ #
     def context(self) -> tuple[str, str] | None:
         """(trace_id, parent_span_id) to ship with a task, or None.
@@ -338,18 +336,6 @@ class Tracer:
             return None
         return (trace.trace_id, state.stack[-1].span_id)
 
-    def attach(self, trace: Trace, parent_id: str | None):
-        """Join ``trace`` from another thread, parenting under ``parent_id``.
-
-        Returns a context manager; inside it the calling thread's spans
-        record into the shared trace.  Used by thread-mode pool workers so
-        a fan-out yields one tree, not one orphan trace per thread.
-        """
-        return _AttachContext(self, trace, parent_id)
-
-    # ------------------------------------------------------------------ #
-    # Cross-process propagation (process-mode pools)
-    # ------------------------------------------------------------------ #
     def capture(self, name: str, context: tuple[str, str] | None):
         """Worker side: record ``name`` and its children for export.
 
@@ -384,35 +370,6 @@ class Tracer:
             if span.parent_id not in local_ids:
                 return span
         return adopted[0]  # pragma: no cover - cyclic wire data
-
-
-class _AttachContext:
-    """Temporarily point a thread's tracer state at a foreign trace."""
-
-    __slots__ = ("_tracer", "_trace", "_parent_id", "_saved")
-
-    def __init__(self, tracer: Tracer, trace: Trace, parent_id: str | None):
-        self._tracer = tracer
-        self._trace = trace
-        self._parent_id = parent_id
-        self._saved: tuple | None = None
-
-    def __enter__(self) -> None:
-        state = self._tracer._state
-        self._saved = (getattr(state, "trace", None),
-                       getattr(state, "stack", None))
-        state.trace = self._trace
-        # Seed the stack with a closed sentinel carrying the parent id so
-        # pushes parent correctly without re-recording the parent span.
-        anchor = Span(span_id=self._parent_id or self._trace.trace_id,
-                      parent_id=None, name="", start=0.0, end=0.0)
-        state.stack = [anchor]
-
-    def __exit__(self, *_exc) -> None:
-        state = self._tracer._state
-        saved_trace, saved_stack = self._saved or (None, None)
-        state.trace = saved_trace
-        state.stack = saved_stack if saved_stack is not None else []
 
 
 class _CaptureContext:

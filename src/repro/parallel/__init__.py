@@ -7,16 +7,17 @@ features that live here (how plans split into shards is a plan-pipeline
 pass, :mod:`repro.plan.sharding`):
 
 ``pool``
-    :class:`WorkerPool`, the one parallel runtime: long-lived thread or
-    process workers with warm per-worker program caches keyed by the
-    parent's fingerprints, affinity routing, a warm-up protocol, restart on
-    worker death, and the cross-shard AVG binary search
-    (:func:`~repro.parallel.pool.sharded_avg_range`).  Work always ships
-    as batches — a one-item job is a width-1 batch.  Process mode is
-    offered only to backends whose capability flags declare their compiled
-    skeletons pickle-safe; other backends fall back to threads.  The
-    service owns one pool; bare solvers and the CLI borrow process-global
-    shared pools.
+    :class:`WorkerPool`, the one parallel runtime, in two modes: inline
+    (``"serial"``) or long-lived process workers with warm per-worker
+    program caches keyed by the parent's fingerprints, affinity routing, a
+    warm-up protocol, restart on worker death, and the cross-shard AVG
+    binary search (:func:`~repro.parallel.pool.sharded_avg_range`).  Work
+    always ships as batches — a one-item job is a width-1 batch.  Process
+    mode is offered only to backends whose capability flags declare their
+    compiled skeletons pickle-safe; other backends run inline
+    (:func:`~repro.parallel.pool.pool_for_backend`).  The service owns one
+    pool; bare solvers and the CLI borrow process-global shared process
+    pools.
 ``stealing``
     The work-stealing switch for the pool's process rounds.
 ``verify``

@@ -22,14 +22,14 @@ long-lived runtime that amortises those costs:
   re-shipped) transparently, and an ``atexit`` reaper guarantees interrupted
   test runs never strand worker processes.
 
-Three modes share one interface: ``"process"`` (real CPU scale-out, gated on
-the backend's ``process_safe`` capability — unsafe backends *fall back* to
-threads instead of failing, the pool being infrastructure that outlives any
-one backend choice), ``"thread"`` (shared-memory fan-out, the default), and
-``"serial"`` (inline, the width-1 degeneration).  Nested use is safe: code
-already running inside a pool worker (process or thread) executes inline
-instead of re-entering a pool, so a pooled analyzer whose options request
-fan-out can never recurse into worker-spawning.
+Two modes share one interface: ``"serial"`` (inline in the caller's
+thread, the default and the width-1 degeneration) and ``"process"`` (real
+CPU scale-out).  A backend whose ``process_safe`` capability is off never
+reaches a process pool: :func:`pool_for_backend` routes its work inline
+instead of failing, the pool being infrastructure that outlives any one
+backend choice.  Nested use is safe: code already running inside a pool
+worker executes inline instead of re-entering a pool, so a pooled analyzer
+whose options request fan-out can never recurse into worker-spawning.
 
 The cross-shard AVG search (:func:`sharded_avg_range`) lives here too: the
 paper's §4.2 binary search couples every cell through the shared target, but
@@ -52,7 +52,6 @@ import threading
 import time
 import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -66,12 +65,12 @@ from ..solvers.registry import backend_capabilities
 from .stealing import resolve_stealing
 
 __all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "shared_pool",
-           "shutdown_shared_pools", "default_pool_mode", "default_pool_workers",
-           "in_worker", "in_pool_thread", "register_for_reaping",
+           "shutdown_shared_pools", "pool_for_backend", "default_pool_mode",
+           "default_pool_workers", "in_worker", "register_for_reaping",
            "sharded_avg_range"]
 
-#: The pool flavours a caller may request (``"auto"`` resolves to threads).
-POOL_MODES = ("serial", "thread", "process", "auto")
+#: The pool flavours a caller may request: inline or process workers.
+POOL_MODES = ("serial", "process")
 
 # Endpoint triple a solve task returns: (lower, upper, closed).
 Endpoints = tuple
@@ -90,28 +89,21 @@ def default_pool_workers() -> int:
 
 
 def default_pool_mode() -> str:
-    """The service's default pool flavour; ``REPRO_POOL=1`` opts into
-    process workers (the CI matrix leg that exercises the warm-pool path)."""
-    return "process" if os.environ.get("REPRO_POOL") == "1" else "thread"
+    """The service's default pool flavour: inline, unless ``REPRO_POOL=1``
+    opts into process workers (the CI matrix leg that exercises the
+    warm-pool path)."""
+    return "process" if os.environ.get("REPRO_POOL") == "1" else "serial"
 
 
 # --------------------------------------------------------------------- #
-# Re-entrancy guards
+# Re-entrancy guard
 # --------------------------------------------------------------------- #
 _IN_WORKER = False
-_POOL_THREAD = threading.local()
 
 
 def in_worker() -> bool:
     """True inside a pool worker process (guards against nested fan-out)."""
     return _IN_WORKER
-
-
-def in_pool_thread() -> bool:
-    """True on a thread-mode pool worker thread (same nested-fan-out guard:
-    waiting on our own executor from one of its threads would deadlock, and
-    inline re-sharding would multiply cost for zero concurrency)."""
-    return getattr(_POOL_THREAD, "active", False)
 
 
 # --------------------------------------------------------------------- #
@@ -553,13 +545,9 @@ class WorkerPool:
         Pool width (default ``min(8, cpu_count)``); ``1`` degrades to
         serial inline execution.
     mode:
-        ``"thread"`` (default via ``"auto"``), ``"process"``, or
-        ``"serial"``.  Process mode requires the backend's ``process_safe``
-        capability; an unsafe backend falls back to threads (recorded in
-        :attr:`requested_mode` vs :attr:`mode`).
-    backend:
-        The MILP backend the pooled solves will use; consulted only for the
-        process-safety fallback.
+        ``"serial"`` (default, inline) or ``"process"``.  Callers route a
+        backend without the ``process_safe`` capability through
+        :func:`pool_for_backend`, which keeps it off process pools.
     name:
         Label for diagnostics.
     steal:
@@ -588,11 +576,11 @@ class WorkerPool:
 
     The pool starts lazily on first use, restarts lazily after
     :meth:`shutdown`, and is safe to share across threads (process-mode
-    dispatch rounds are serialised; thread-mode fan-out is concurrent).
+    dispatch rounds are serialised).
     """
 
-    def __init__(self, max_workers: int | None = None, mode: str = "auto",
-                 backend: str | None = None, name: str = "worker-pool",
+    def __init__(self, max_workers: int | None = None, mode: str = "serial",
+                 name: str = "worker-pool",
                  steal: bool | None = None,
                  task_retry_limit: int | None = None,
                  breaker_threshold: int | None = None,
@@ -604,16 +592,7 @@ class WorkerPool:
             raise SolverError(
                 f"max_workers must be positive, got {max_workers}")
         self._max_workers = max_workers or default_pool_workers()
-        self._requested_mode = mode
-        if mode == "auto":
-            mode = "thread"
-        if mode == "process" and backend is not None:
-            if not backend_capabilities(backend).process_safe:
-                mode = "thread"  # the documented thread fallback
-        if self._max_workers == 1:
-            mode = "serial"
-        self._mode = mode
-        self._backend = backend
+        self._mode = "serial" if self._max_workers == 1 else mode
         self._name = name
         self._steal = steal
         if task_retry_limit is not None and task_retry_limit < 1:
@@ -639,7 +618,6 @@ class WorkerPool:
         self._affinity: dict = {}
         self._assigned = [0] * self._max_workers
         self._workers: list[_ProcessWorker] | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._session_objects: dict = {}
         self._task_ids = itertools.count()
         self._statistics = PoolStatistics()
@@ -653,12 +631,8 @@ class WorkerPool:
 
     @property
     def mode(self) -> str:
-        """The resolved mode (after the thread fallback, width-1 serial)."""
+        """The resolved mode (width 1 is always serial)."""
         return self._mode
-
-    @property
-    def requested_mode(self) -> str:
-        return self._requested_mode
 
     @property
     def max_workers(self) -> int:
@@ -692,9 +666,9 @@ class WorkerPool:
 
     @property
     def live_tasks(self) -> int:
-        """Work items currently executing or dispatched across every entry
-        point (process rounds and thread fan-outs alike) — the live-load
-        signal :meth:`speculative_capacity` gates on."""
+        """Work items currently dispatched across every concurrent process
+        round — the live-load signal :meth:`speculative_capacity` gates
+        on."""
         with self._statistics_lock:
             return self._live_tasks
 
@@ -719,7 +693,7 @@ class WorkerPool:
 
     def alive_workers(self) -> int:
         """How many worker processes are currently alive (0 when not started
-        or in thread/serial mode, where there is nothing to strand)."""
+        or in serial mode, where there is nothing to strand)."""
         with self._round_lock:
             if self._workers is None:
                 return 0
@@ -782,7 +756,7 @@ class WorkerPool:
         (double ``shutdown()``, the atexit reaper overlapping an explicit
         one): the ``_closing`` flag asks any running round to unwind at its
         next poll tick (≤ 0.25 s) rather than blocking on ``_round_lock``
-        forever, and the worker/executor handles are detached atomically
+        forever, and the worker handles are detached atomically
         under a separate lifecycle lock so exactly one caller tears each
         worker down.  If the round does not release the lock in time the
         teardown proceeds anyway — :meth:`_ProcessWorker.stop` joins with a
@@ -793,7 +767,6 @@ class WorkerPool:
         try:
             with self._lifecycle_lock:
                 workers, self._workers = self._workers, None
-                executor, self._executor = self._executor, None
         finally:
             if locked:
                 self._round_lock.release()
@@ -801,8 +774,6 @@ class WorkerPool:
         if workers is not None:
             for worker in workers:
                 worker.stop()
-        if executor is not None:
-            executor.shutdown()
 
     def restart(self) -> None:
         """Bounce the pool: fresh workers, cold caches, same sticky map —
@@ -831,20 +802,12 @@ class WorkerPool:
     def __exit__(self, *_exc) -> None:
         self.shutdown()
 
-    def _ensure_started(self):
+    def _ensure_started(self) -> None:
         register_for_reaping(self)
-        if self._mode == "process":
-            if self._workers is None:
-                context = multiprocessing.get_context()
-                self._workers = [
-                    _ProcessWorker(index, context)
-                    for index in range(self._max_workers)]
-            return self._workers
-        if self._mode == "thread" and self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix=f"repro-{self._name}")
-        return self._executor
+        if self._mode == "process" and self._workers is None:
+            context = multiprocessing.get_context()
+            self._workers = [_ProcessWorker(index, context)
+                             for index in range(self._max_workers)]
 
     # ------------------------------------------------------------------ #
     # Warm-up protocol
@@ -853,8 +816,8 @@ class WorkerPool:
         """Make ``analyzer`` available to workers under ``session_key``.
 
         Process mode ships the analyzer lazily — once per worker, and only
-        to workers that actually receive this session's queries.  Thread and
-        serial modes share the parent's memory, so registration is pure
+        to workers that actually receive this session's queries.  Serial
+        mode shares the parent's memory, so registration is pure
         bookkeeping.
 
         The pool keeps one reference per session key (for re-registration
@@ -903,24 +866,17 @@ class WorkerPool:
         hold it warm.
         """
         request = (aggregate, known_sum, known_count)
-
-        def run_one(pair):
-            return _bound_endpoints(pair[1], request)
-
         self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
         if self._inline() or len(keyed_programs) <= 1:
             tracer = get_tracer()
             results = []
-            for position, pair in enumerate(keyed_programs):
+            for position, (_key, program) in enumerate(keyed_programs):
                 self._check_deadline(position, len(keyed_programs))
                 with tracer.span("pool.solve"):
                     if len(keyed_programs) > 1:
                         tracer.annotate(shard=position)
-                    results.append(run_one(pair))
+                    results.append(_bound_endpoints(program, request))
             return results
-        if self._mode == "thread":
-            return self._thread_map(run_one, list(keyed_programs),
-                                    label="pool.solve", shard_attr=True)
         requests = [
             ("solve_batch", key, (key, program, (request,)), position)
             for position, (key, program) in enumerate(keyed_programs)]
@@ -945,38 +901,14 @@ class WorkerPool:
         the merged result stays sound.
         """
         request = (aggregate, known_sum, known_count)
-
-        def run_one(pair):
-            return _bound_endpoints(pair[1], request)
-
         self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
         pairs = list(keyed_programs)
-        if not (self._inline() or len(pairs) <= 1) and self._mode == "thread":
-            deadline = current_deadline()
-
-            def tolerant(pair):
-                if deadline is not None and deadline.expired():
-                    return (False, "deadline")
-                try:
-                    return (True, run_one(pair))
-                except SolverError as error:
-                    return (False, f"{type(error).__name__}: {error}")
-
-            outcomes = self._thread_map(tolerant, pairs, label="pool.solve",
-                                        shard_attr=True, deadline_check=False)
-            endpoints = {position: value
-                         for position, (ok, value) in enumerate(outcomes)
-                         if ok}
-            failures = {position: value
-                        for position, (ok, value) in enumerate(outcomes)
-                        if not ok}
-            return endpoints, failures
         if self._inline() or len(pairs) <= 1:
             deadline = current_deadline()
             tracer = get_tracer()
             endpoints: dict = {}
             failures: dict = {}
-            for position, pair in enumerate(pairs):
+            for position, (_key, program) in enumerate(pairs):
                 if deadline is not None and deadline.expired():
                     failures[position] = "deadline"
                     continue
@@ -984,7 +916,8 @@ class WorkerPool:
                     with tracer.span("pool.solve"):
                         if len(pairs) > 1:
                             tracer.annotate(shard=position)
-                        endpoints[position] = run_one(pair)
+                        endpoints[position] = _bound_endpoints(program,
+                                                               request)
                 except SolverError as error:
                     failures[position] = f"{type(error).__name__}: {error}"
             return endpoints, failures
@@ -1025,25 +958,16 @@ class WorkerPool:
         keyed_programs = list(keyed_programs)
         probes = tuple(tuple(probe) for probe in probes)
         shards = len(keyed_programs)
-
-        def run_shard(pair):
-            _key, program = pair
-            get_tracer().annotate(cells=len(probes))
-            return program.avg_probe_optima_batch(probes)
-
         self._record_batch_traffic(shards, shards * len(probes))
         if self._inline() or shards <= 1:
             tracer = get_tracer()
             per_shard = []
-            for position, pair in enumerate(keyed_programs):
+            for position, (_key, program) in enumerate(keyed_programs):
                 with tracer.span("pool.probe_batch"):
                     if shards > 1:
                         tracer.annotate(shard=position)
-                    per_shard.append(run_shard(pair))
-        elif self._mode == "thread":
-            per_shard = self._thread_map(run_shard, keyed_programs,
-                                         label="pool.probe_batch",
-                                         shard_attr=True)
+                    tracer.annotate(cells=len(probes))
+                    per_shard.append(program.avg_probe_optima_batch(probes))
         else:
             requests = [
                 ("probe_batch", key, (key, program, probes), position)
@@ -1073,31 +997,24 @@ class WorkerPool:
         cell-accurate; each batch's result list scatters back to the
         global shard order through its position tuple.
         """
-        def run_one(task):
-            from ..core.cells import CellDecomposer
-
-            _key, pcset, region, strategy, early_stop_depth = task
-            decomposition = CellDecomposer(pcset, strategy,
-                                           early_stop_depth).decompose(region)
-            get_tracer().annotate(cells=len(decomposition.cells))
-            return decomposition
-
         tasks = list(keyed_tasks)
         if self._inline() or len(tasks) <= 1:
+            from ..core.cells import CellDecomposer
+
             self._record_batch_traffic(len(tasks), len(tasks))
             tracer = get_tracer()
             results = []
-            for position, task in enumerate(tasks):
+            for position, (_key, pcset, region, strategy,
+                           early_stop_depth) in enumerate(tasks):
                 self._check_deadline(position, len(tasks))
                 with tracer.span("pool.decompose"):
                     if len(tasks) > 1:
                         tracer.annotate(shard=position)
-                    results.append(run_one(task))
+                    decomposition = CellDecomposer(
+                        pcset, strategy, early_stop_depth).decompose(region)
+                    tracer.annotate(cells=len(decomposition.cells))
+                results.append(decomposition)
             return results
-        if self._mode == "thread":
-            self._record_batch_traffic(len(tasks), len(tasks))
-            return self._thread_map(run_one, tasks,
-                                    label="pool.decompose", shard_attr=True)
         size = batch_size or adaptive_batch_size(len(tasks),
                                                  self._max_workers)
         groups: dict[int, list[tuple[int, tuple]]] = {}
@@ -1127,7 +1044,7 @@ class WorkerPool:
         a busy pool adds redundant solves to the shared critical path
         instead of filling idle slots.
         """
-        if self._mode == "serial" or in_worker() or in_pool_thread():
+        if self._mode == "serial" or in_worker():
             return False
         return self._max_workers - self.live_tasks > base_tasks
 
@@ -1136,28 +1053,21 @@ class WorkerPool:
         """Answer ``(program_key, program, query, resolved_depth)`` entries,
         in order.
 
-        Thread/serial modes run ``analyzer.analyze`` directly (shared
-        memory).  Process mode registers the analyzer on each involved
-        worker once, routes by program key so repeated traffic hits warm
-        caches, and forwards the parent's resolved adaptive early-stop
-        depth so the worker-side solver computes matching keys.  Queries
-        group by (program key, resolved depth) — the pair that must agree
-        for one worker-side pin to serve a whole chunk — and ship as
+        Serial mode runs ``analyzer.analyze`` directly (shared memory).
+        Process mode registers the analyzer on each involved worker once,
+        routes by program key so repeated traffic hits warm caches, and
+        forwards the parent's resolved adaptive early-stop depth so the
+        worker-side solver computes matching keys.  Queries group by
+        (program key, resolved depth) — the pair that must agree for one
+        worker-side pin to serve a whole chunk — and ship as
         ``analyze_batch`` tasks of adaptive width, the first entry's
         program riding along for the cold-cache case.
         """
         self.register_session(session_key, analyzer)
-
-        def run_one(entry):
-            return analyzer.analyze(entry[2])
-
         entries = list(keyed_queries)
         if self._inline() or len(entries) <= 1:
             self._record_batch_traffic(len(entries), len(entries))
-            return [run_one(entry) for entry in entries]
-        if self._mode == "thread":
-            self._record_batch_traffic(len(entries), len(entries))
-            return self._thread_map(run_one, entries, label="pool.analyze")
+            return [analyzer.analyze(query) for _, _, query, _ in entries]
         size = adaptive_batch_size(len(entries), self._max_workers)
         groups: dict[tuple, list[tuple]] = {}
         for position, (program_key, program, query,
@@ -1194,63 +1104,15 @@ class WorkerPool:
         return results
 
     # ------------------------------------------------------------------ #
-    # Thread-mode plumbing
+    # Inline routing
     # ------------------------------------------------------------------ #
     def _inline(self) -> bool:
-        if self._mode == "serial" or in_worker() or in_pool_thread():
+        if self._mode == "serial" or in_worker():
             return True
         # A tripped circuit breaker routes new entry points inline: the
         # caller's process computes the same results serially, immune to
         # whatever is crash-looping the workers.
         return time.monotonic() < self._breaker_until
-
-    def _thread_map(self, fn, items: list, label: str = "pool.task",
-                    shard_attr: bool = False,
-                    deadline_check: bool = True) -> list:
-        with self._round_lock:
-            executor = self._ensure_started()
-        # Thread-mode rounds run concurrently (no round lock), so the
-        # counters need their own lock to stay exact under shared use.
-        with self._statistics_lock:
-            self._bump("rounds")
-            self._bump("tasks_dispatched", len(items))
-        # Capture the caller's trace position before fanning out: worker
-        # threads attach to it so the fan-out yields one tree.
-        tracer = get_tracer()
-        trace = tracer.current_trace
-        parent = tracer.current_span
-        parent_id = parent.span_id if parent is not None else None
-        # The ambient deadline is thread-local to the *caller*; capture it
-        # here so the executor threads can honour it.
-        deadline = current_deadline() if deadline_check else None
-
-        def guarded(indexed):
-            # Nested pool use from inside a pool thread runs inline —
-            # waiting on our own executor from one of its threads would
-            # deadlock once every thread blocks.
-            index, item = indexed
-            if deadline is not None and deadline.expired():
-                raise QueryDeadlineError(
-                    f"query deadline of {deadline.seconds:.3f}s expired "
-                    f"during a pooled {label} fan-out",
-                    deadline=deadline.seconds, elapsed=deadline.elapsed())
-            _POOL_THREAD.active = True
-            try:
-                if trace is None:
-                    return fn(item)
-                with tracer.attach(trace, parent_id):
-                    with tracer.span(label):
-                        if shard_attr:
-                            tracer.annotate(shard=index)
-                        return fn(item)
-            finally:
-                _POOL_THREAD.active = False
-
-        self._note_live(len(items))
-        try:
-            return list(executor.map(guarded, enumerate(items)))
-        finally:
-            self._note_live(-len(items))
 
     # ------------------------------------------------------------------ #
     # Process-mode dispatch/collect with restart-on-death
@@ -1747,37 +1609,25 @@ class WorkerPool:
 # The shared-pool registry (the CLI / bare-solver borrow point)
 # --------------------------------------------------------------------- #
 _shared_lock = threading.Lock()
-_shared_pools: dict[tuple, WorkerPool] = {}
+_shared_pools: dict[int, WorkerPool] = {}
 
 
-def shared_pool(mode: str = "thread", max_workers: int | None = None,
-                backend: str | None = None) -> WorkerPool:
-    """A process-global long-lived pool for callers without a service.
+def shared_pool(max_workers: int | None = None) -> WorkerPool:
+    """A process-global long-lived process pool for callers without a
+    service.
 
     Bare :class:`~repro.core.bounds.PCBoundSolver` instances (and therefore
     the CLI ``bound --workers`` path) borrow from here, so repeated sharded
     solves amortise worker start-up exactly like service traffic does.
-    Pools are keyed by (resolved mode, width, backend) and reaped atexit.
+    Pools are keyed by width (width 1 is the inline pool) and reaped atexit.
     """
     workers = max_workers or default_pool_workers()
-    # Resolve the mode fully — including the process-unsafe thread
-    # fallback — before keying, so a "process" request that resolves to
-    # threads shares the registry entry with direct thread requests
-    # instead of registering a second identical thread pool.
-    resolved = "thread" if mode == "auto" else mode
-    if resolved == "process" and backend is not None:
-        if not backend_capabilities(backend).process_safe:
-            resolved = "thread"
-    if workers == 1:
-        resolved = "serial"
-    key = (resolved, workers, backend if resolved == "process" else None)
     with _shared_lock:
-        pool = _shared_pools.get(key)
+        pool = _shared_pools.get(workers)
         if pool is None:
-            pool = WorkerPool(max_workers=workers, mode=resolved,
-                              backend=backend,
-                              name=f"shared-{resolved}-{workers}")
-            _shared_pools[key] = pool
+            pool = WorkerPool(max_workers=workers, mode="process",
+                              name=f"shared-{workers}")
+            _shared_pools[workers] = pool
         return pool
 
 
@@ -1787,6 +1637,18 @@ def shutdown_shared_pools() -> None:
         for pool in _shared_pools.values():
             pool.shutdown()
         _shared_pools.clear()
+
+
+def pool_for_backend(pool: WorkerPool, backend: str) -> WorkerPool:
+    """The pool solves on ``backend`` may use: ``pool`` itself, or the
+    inline pool when ``pool`` is a process pool and the backend lacks the
+    ``process_safe`` capability (its state cannot cross the process
+    boundary, so the work runs in the caller's process instead of failing
+    inside a worker)."""
+    if (pool.mode == "process"
+            and not backend_capabilities(backend).process_safe):
+        return shared_pool(max_workers=1)
+    return pool
 
 
 # --------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 This subpackage turns the one-shot :class:`~repro.core.engine.PCAnalyzer`
 into a long-lived service: constraint sets are registered once under stable
 names, cell decompositions and finished reports are cached by content
-fingerprint, and query batches execute concurrently over a thread pool.
+fingerprint, and query batches execute on the service's worker pool.
 
 Layering: ``repro.service`` sits strictly above ``repro.core`` — core never
 imports it at module scope.  The one upward reference (the bound solver

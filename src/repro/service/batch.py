@@ -25,7 +25,6 @@ Results come back in input order, each paired with the same
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..core.engine import ContingencyQuery, ContingencyReport, PCAnalyzer
@@ -33,8 +32,12 @@ from ..core.predicates import Predicate
 from ..exceptions import SolverError
 from ..obs.metrics import timed
 from ..obs.trace import get_tracer
-from ..parallel.pool import POOL_MODES, WorkerPool, default_pool_workers
-from ..solvers.registry import backend_capabilities
+from ..parallel.pool import (
+    POOL_MODES,
+    WorkerPool,
+    default_pool_workers,
+    pool_for_backend,
+)
 
 __all__ = ["BatchStatistics", "BatchResult", "BatchExecutor"]
 
@@ -47,7 +50,7 @@ class BatchStatistics:
     region_groups: int = 0
     program_groups: int = 0
     max_workers: int = 0
-    executor_mode: str = "thread"
+    executor_mode: str = "serial"
     warm_seconds: float = 0.0
     execute_seconds: float = 0.0
     group_sizes: dict[str, int] = field(default_factory=dict)
@@ -126,16 +129,13 @@ class BatchExecutor:
     ----------
     max_workers:
         Pool width (default: ``min(8, cpu_count)``).  ``1`` degrades
-        gracefully to sequential execution — useful for debugging and for
-        analyzers that are not safe to share across threads (a plain
-        :class:`PCAnalyzer` without a shared thread-safe decomposition cache
-        should be driven with ``max_workers=1``; analyzers built by the
-        service layer are always safe).
+        gracefully to sequential execution.
     mode:
-        The pool flavour for phase 2 (``"thread"`` by default;
+        The pool flavour for phase 2 (``"serial"``, inline, by default;
         ``"process"`` for the warm persistent-pool path).  Phase 1
-        (program warming) always uses threads — warming must populate the
-        *parent's* caches, which a worker process cannot do.
+        (program warming) always runs in the caller's process — warming
+        must populate the *parent's* caches, which a worker process cannot
+        do.
     pool:
         A long-lived :class:`~repro.parallel.pool.WorkerPool` to borrow
         (the service passes its own).  When omitted the executor lazily
@@ -144,7 +144,7 @@ class BatchExecutor:
         :meth:`close` / on interpreter exit.
     """
 
-    def __init__(self, max_workers: int | None = None, mode: str = "thread",
+    def __init__(self, max_workers: int | None = None, mode: str = "serial",
                  pool: WorkerPool | None = None):
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -156,7 +156,6 @@ class BatchExecutor:
         self._pool = pool
         self._owns_pool = pool is None
         self._own_pool: WorkerPool | None = None
-        self._fallback_pool: WorkerPool | None = None
 
     @property
     def max_workers(self) -> int:
@@ -180,9 +179,6 @@ class BatchExecutor:
         if self._owns_pool and self._own_pool is not None:
             self._own_pool.shutdown()
             self._own_pool = None
-        if self._fallback_pool is not None:
-            self._fallback_pool.shutdown()
-            self._fallback_pool = None
 
     def __enter__(self) -> "BatchExecutor":
         return self
@@ -197,14 +193,6 @@ class BatchExecutor:
             self._own_pool = WorkerPool(max_workers=self._max_workers,
                                         mode=self._mode, name="batch")
         return self._own_pool
-
-    def _thread_fallback(self) -> WorkerPool:
-        """A thread pool for analyzers whose backend is not process-safe."""
-        if self._fallback_pool is None:
-            self._fallback_pool = WorkerPool(max_workers=self._max_workers,
-                                            mode="thread",
-                                            name="batch-fallback")
-        return self._fallback_pool
 
     # ------------------------------------------------------------------ #
     # Grouping
@@ -261,36 +249,26 @@ class BatchExecutor:
         # Phase 1 — warm one compiled program per distinct (region,
         # attribute) pair.  Pairs sharing a region share one cached
         # decomposition underneath, so this still decomposes each region
-        # exactly once; distinct pairs compile in parallel and the per-key
-        # locking inside a shared cache dedupes any overlap with
-        # concurrent batches.
+        # exactly once; the per-key locking inside a shared cache dedupes
+        # any overlap with concurrent batches.
         tracer = get_tracer()
         pairs = list(program_groups)
         with timed("batch.warm_seconds") as warm_timer, \
                 tracer.span("batch.warm"):
             tracer.annotate(programs=len(pairs))
-            if self._max_workers == 1 or len(pairs) == 1:
-                for region, attribute in pairs:
-                    analyzer.prepare(region, attribute)
-            else:
-                with ThreadPoolExecutor(
-                        max_workers=self._max_workers) as warm_pool:
-                    list(warm_pool.map(lambda pair: analyzer.prepare(*pair),
-                                       pairs))
+            for region, attribute in pairs:
+                analyzer.prepare(region, attribute)
         statistics.warm_seconds = warm_timer.seconds
 
         # Phase 2 — every query now runs against a warm program, fanned out
-        # through the persistent worker pool.  Thread mode keeps the
-        # historical shared-memory behaviour; process mode registers the
-        # session on each involved worker once, pre-ships the warm compiled
-        # skeletons to their affinity workers, and from then on ships only
-        # keys — the per-batch fork/pickle cost the per-call executor used
-        # to pay is gone.  Backends that are not process-safe fall back to
-        # the thread pool.
-        pool = self._borrowed_pool()
-        if (pool.mode == "process" and not backend_capabilities(
-                analyzer.options.milp_backend).process_safe):
-            pool = self._thread_fallback()
+        # through the persistent worker pool.  Serial mode answers inline;
+        # process mode registers the session on each involved worker once,
+        # pre-ships the warm compiled skeletons to their affinity workers,
+        # and from then on ships only keys — the per-batch fork/pickle cost
+        # the per-call executor used to pay is gone.  Backends that are not
+        # process-safe run inline.
+        pool = pool_for_backend(self._borrowed_pool(),
+                                analyzer.options.milp_backend)
         statistics.executor_mode = pool.mode
         before = pool.statistics.snapshot()
         with timed("batch.execute_seconds") as execute_timer, \

@@ -5,7 +5,7 @@ decompositions (keyed by decomposition namespace and query region), another
 holds finished contingency reports (keyed by session identity and query
 fingerprint).  The design constraints come from the batch executor:
 
-* **Thread safety** — batched queries run on a thread pool, so every
+* **Thread safety** — service callers may be concurrent threads, so every
   operation takes an internal lock.
 * **Compute deduplication** — fifty concurrent queries over the same region
   must trigger *one* decomposition, not fifty.  :meth:`get_or_compute`

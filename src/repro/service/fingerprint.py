@@ -145,10 +145,9 @@ def fingerprint_bound_options(options: BoundOptions) -> str:
     (early-stopped) enumeration, ``verify_backend`` because a verified
     session fails differently from an unverified one, and ``degrade``
     because a degraded answer is a (sound) superset of the exact one — the
-    two must never share a report-cache entry.  ``parallel_mode`` is
-    excluded: thread vs process pools can never change a range, only its
-    wall-clock cost; ``deadline_seconds`` likewise — a deadline changes
-    whether a query *finishes*, never the range it finishes with.
+    two must never share a report-cache entry.  ``deadline_seconds`` is
+    excluded — a deadline changes whether a query *finishes*, never the
+    range it finishes with.
     """
     tokens = [
         "options",

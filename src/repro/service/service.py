@@ -15,8 +15,8 @@ together —
   touching the solver at all,
 * a **session registry** with content-fingerprint deduplication and
   versioning,
-* a **batch executor** that groups queries by region and fans them out over
-  a thread pool.
+* a **batch executor** that groups queries by region and runs them on the
+  service's worker pool (inline by default, process workers on request).
 
 Usage::
 
@@ -178,7 +178,7 @@ class ContingencyService:
     report_cache_entries:
         Capacity of the per-(session, query) report LRU.
     max_workers:
-        Thread-pool width for batch execution.
+        Worker-pool width for batch execution and sharded fan-out.
     default_options:
         :class:`BoundOptions` applied to sessions registered without
         explicit options.
@@ -194,13 +194,13 @@ class ContingencyService:
         independent from the default scipy/HiGHS path).
     pool_mode:
         Flavour of the service-owned persistent
-        :class:`~repro.parallel.pool.WorkerPool`: ``"thread"`` (default),
-        ``"process"`` (warm worker caches + real CPU scale-out), or
-        ``"serial"``.  Defaults to the ``REPRO_POOL`` environment toggle
-        (``1`` selects processes — the CI leg that exercises the warm-pool
-        path).  The pool outlives every batch: it serves batch phase 2 and
-        every session's sharded fan-out, and is torn down by
-        :meth:`shutdown` (or the atexit reaper).
+        :class:`~repro.parallel.pool.WorkerPool`: ``"serial"`` (default,
+        inline) or ``"process"`` (warm worker caches + real CPU scale-out).
+        Defaults to the ``REPRO_POOL`` environment toggle (``1`` selects
+        processes — the CI leg that exercises the warm-pool path).  The
+        pool outlives every batch: it serves batch phase 2 and every
+        session's sharded fan-out, and is torn down by :meth:`shutdown`
+        (or the atexit reaper).
     admission:
         Optional :class:`~repro.service.admission.AdmissionPolicy` enabling
         program-aware admission control: every cold query is priced from
@@ -239,6 +239,9 @@ class ContingencyService:
             raise ReproError(
                 f"unknown verify mode {verify!r}; expected one of "
                 f"{self._VERIFY_MODES}")
+        self._worker_pool = WorkerPool(max_workers=max_workers,
+                                       mode=pool_mode or default_pool_mode(),
+                                       name="service")
         self._decomposition_cache = LRUCache(decomposition_cache_entries,
                                              name="decomposition")
         self._program_cache = LRUCache(program_cache_entries, name="program")
@@ -250,9 +253,6 @@ class ContingencyService:
             self._decomposition_cache.attach_store(self._store,
                                                    "decomposition")
             self._report_cache.attach_store(self._store, "report")
-        self._worker_pool = WorkerPool(max_workers=max_workers,
-                                       mode=pool_mode or default_pool_mode(),
-                                       name="service")
         self._cell_statistics = ObservedCellStatistics()
         self._shard_loads = ShardLoadMemo()
         self._registry = SessionRegistry(

@@ -28,8 +28,8 @@ matching on names:
     The backend's solves can run in a worker *process*: it holds no native
     handles, so models/compiled skeletons pickle across the boundary.  A
     future backend wrapping a persistent native solver handle registers with
-    ``process_safe=False`` and the worker pool falls back to threads instead
-    of fanning its work out to processes.
+    ``process_safe=False`` and its work runs inline instead of fanning out
+    to processes (:func:`repro.parallel.pool.pool_for_backend`).
 ``supports_coupling``
     The backend can solve models with coupling constraints.  ``greedy`` is
     the one built-in that cannot — it is exact, but only on pure box

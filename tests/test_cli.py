@@ -123,11 +123,10 @@ class TestCliBound:
                                                disjoint_constraint_file):
         code = main(["bound", "--constraints", str(disjoint_constraint_file),
                      "--aggregate", "sum", "--attribute", "price",
-                     "--workers", "2", "--parallel-mode", "thread",
-                     "--no-closure-check"])
+                     "--workers", "2", "--no-closure-check"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "shard(s) over 2 worker(s) on the shared thread pool" in output
+        assert "shard(s) over 2 worker(s) on the shared process pool" in output
         assert "merged shard solves" in output
 
     def test_bound_workers_avg_uses_cross_shard_search(self, capsys,

@@ -188,30 +188,6 @@ class TestWireRoundTrip:
 
 
 # --------------------------------------------------------------------- #
-# Thread-mode propagation
-# --------------------------------------------------------------------- #
-class TestThreadAttach:
-    def test_attach_records_into_foreign_trace(self):
-        import threading
-
-        tracer = Tracer(enabled=False)
-        with tracer.trace("query", force=True) as trace:
-            parent_id = tracer.current_span.span_id
-
-            def worker():
-                with tracer.attach(trace, parent_id):
-                    with tracer.span("pool.task"):
-                        tracer.annotate(shard=7)
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        task = next(span for span in trace if span.name == "pool.task")
-        assert task.parent_id == parent_id
-        assert task.attributes == {"shard": 7}
-
-
-# --------------------------------------------------------------------- #
 # Real process-pool re-parenting
 # --------------------------------------------------------------------- #
 class TestProcessPoolReParenting:

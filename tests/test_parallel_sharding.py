@@ -167,12 +167,14 @@ class TestBatchExecutorModes:
     def test_unknown_mode_rejected(self):
         from repro.service.batch import BatchExecutor
 
-        with pytest.raises(SolverError, match="unknown pool mode"):
-            BatchExecutor(mode="fibers")
+        for mode in ("fibers", "thread", "auto"):
+            with pytest.raises(SolverError, match=r"unknown pool mode .* "
+                               r"\('serial', 'process'\)"):
+                BatchExecutor(mode=mode)
 
     def test_batch_process_mode_honours_capability_gate(self):
-        """A process-mode batch falls back to the thread pool on a
-        process-unsafe backend instead of crashing inside a worker."""
+        """A process-mode batch runs inline on a process-unsafe backend
+        instead of crashing inside a worker."""
         from repro.core.engine import ContingencyQuery, PCAnalyzer
         from repro.service.batch import BatchExecutor
         from repro.solvers.milp import _solve_scipy
@@ -186,7 +188,7 @@ class TestBatchExecutorModes:
             check_closure=False, milp_backend="test-native-handle-batch"))
         with BatchExecutor(max_workers=2, mode="process") as executor:
             result = executor.execute(analyzer, [ContingencyQuery.count()])
-        assert result.statistics.executor_mode == "thread"
+        assert result.statistics.executor_mode == "serial"
         baseline = PCAnalyzer(windows_pcset(3), options=BoundOptions(
             check_closure=False)).analyze(ContingencyQuery.count())
         assert result.reports[0].lower == baseline.lower

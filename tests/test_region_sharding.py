@@ -350,7 +350,7 @@ class TestSpeculativeAvg:
         from repro.parallel.pool import WorkerPool, sharded_avg_range
 
         keyed, serial, low, high = self._sharded_setup()
-        with WorkerPool(max_workers=8, mode="thread", name="spec") as pool:
+        with WorkerPool(max_workers=3, mode="process", name="spec") as pool:
             lower, upper = sharded_avg_range(
                 pool, keyed, 0.0, 0.0, low, high,
                 tolerance=1e-6, max_iterations=64, speculative=speculative)
@@ -362,7 +362,7 @@ class TestSpeculativeAvg:
         keyed, _, low, high = self._sharded_setup()
         rounds = {}
         for speculative in (False, True):
-            with WorkerPool(max_workers=8, mode="thread",
+            with WorkerPool(max_workers=3, mode="process",
                             name=f"spec-{speculative}") as pool:
                 sharded_avg_range(pool, keyed, 0.0, 0.0, low, high,
                                   tolerance=1e-6, max_iterations=64,
@@ -373,7 +373,7 @@ class TestSpeculativeAvg:
     def test_capacity_gate(self):
         from repro.parallel.pool import WorkerPool
 
-        with WorkerPool(max_workers=8, mode="thread", name="gate") as pool:
+        with WorkerPool(max_workers=8, mode="process", name="gate") as pool:
             assert pool.speculative_capacity(4)
             assert not pool.speculative_capacity(8)
         serial_pool = WorkerPool(max_workers=1, name="gate-serial")

@@ -66,9 +66,10 @@ class TestPoolBatchTraffic:
                  for shard in sharded]
         assert len(keyed) >= 2
         keyed = keyed[:2]
-        pool = WorkerPool(max_workers=2, mode="thread", name="probe-test")
         probes = [(1.0, True, True), (2.0, False, True), (3.0, True, False)]
-        outcomes = pool.avg_probes(keyed, probes)
+        with WorkerPool(max_workers=2, mode="process",
+                        name="probe-test") as pool:
+            outcomes = pool.avg_probes(keyed, probes)
         assert len(outcomes) == len(probes)
         assert all(len(per_shard) == len(keyed) for per_shard in outcomes)
         assert pool.statistics.tasks_shipped == len(keyed)

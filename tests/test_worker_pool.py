@@ -6,8 +6,8 @@ The pool's contract has three legs the soundness harness cannot see:
   and transparent recovery when a worker process is killed mid-service;
 * **affinity** — a program key is pinned to one worker, so its warm cache
   is actually reused (observable as warm hits without program re-ships);
-* **equivalence** — every mode (serial / thread / process) returns the
-  endpoints and reports the direct in-process calls produce.
+* **equivalence** — both modes (serial / process) return the endpoints and
+  reports the direct in-process calls produce.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ from repro.core.builders import build_partition_pcs
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.predicates import Predicate
 from repro.exceptions import SolverError
-from repro.parallel.pool import WorkerPool, shared_pool, shutdown_shared_pools
+from repro.parallel.pool import (
+    WorkerPool,
+    pool_for_backend,
+    shared_pool,
+    shutdown_shared_pools,
+)
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
@@ -140,51 +145,66 @@ class TestLifecycle:
                              for index in range(4000)]
 
     def test_shared_pools_are_reused_and_reaped(self):
-        first = shared_pool(mode="thread", max_workers=WORKERS)
-        second = shared_pool(mode="thread", max_workers=WORKERS)
+        first = shared_pool(max_workers=WORKERS)
+        second = shared_pool(max_workers=WORKERS)
         assert first is second
-        other = shared_pool(mode="thread", max_workers=WORKERS + 1)
+        other = shared_pool(max_workers=WORKERS + 1)
         assert other is not first
         shutdown_shared_pools()
-        third = shared_pool(mode="thread", max_workers=WORKERS)
+        third = shared_pool(max_workers=WORKERS)
         assert third is not first
-
-    def test_shared_pool_keyed_by_resolved_mode(self):
-        """A process request that falls back to threads shares the thread
-        registry entry instead of creating a duplicate thread pool."""
-        register_backend(
-            "test-shared-pool-unsafe",
-            lambda model, time_limit=None: None,
-            replace=True,
-            capabilities=BackendCapabilities(process_safe=False))
-        fallback = shared_pool(mode="process", max_workers=WORKERS,
-                               backend="test-shared-pool-unsafe")
-        assert fallback.mode == "thread"
-        assert shared_pool(mode="thread", max_workers=WORKERS) is fallback
 
 
 class TestModesAndFallbacks:
     def test_mode_validation(self):
-        with pytest.raises(SolverError, match="unknown pool mode"):
-            WorkerPool(mode="quantum")
+        rejected = r"unknown pool mode .* \('serial', 'process'\)"
+        for mode in ("quantum", "thread", "auto"):
+            with pytest.raises(SolverError, match=rejected):
+                WorkerPool(mode=mode)
+            with pytest.raises(SolverError, match=rejected):
+                ContingencyService(pool_mode=mode)
         with pytest.raises(SolverError, match="must be positive"):
             WorkerPool(max_workers=0)
 
     def test_width_one_degrades_to_serial(self):
         assert WorkerPool(max_workers=1, mode="process").mode == "serial"
 
-    def test_process_unsafe_backend_falls_back_to_threads(self):
+    def test_process_unsafe_backend_runs_inline(self):
+        """A bare solver borrows the shared process pool; a backend without
+        ``process_safe`` runs inline instead, with serial-identical ranges."""
+        from repro.solvers.milp import _solve_scipy
+
         register_backend(
             "test-pool-native-handle",
-            lambda model, time_limit=None: None,
+            lambda model, time_limit=None: _solve_scipy(model),
             replace=True,
             capabilities=BackendCapabilities(process_safe=False))
-        pool = WorkerPool(max_workers=2, mode="process",
-                          backend="test-pool-native-handle")
-        assert pool.mode == "thread"
-        assert pool.requested_mode == "process"
+        pcset = build_partition_pcs(make_relation(), ["t"], 6)
+        safe = PCBoundSolver(pcset, BoundOptions(check_closure=False,
+                                                 solve_workers=2))
+        process_pool = safe.borrow_pool(2)
+        assert process_pool.mode == "process"
+        assert pool_for_backend(process_pool, "scipy") is process_pool
+        unsafe = PCBoundSolver(pcset, BoundOptions(
+            check_closure=False, solve_workers=2,
+            milp_backend="test-pool-native-handle"))
+        inline = unsafe.borrow_pool(2)
+        assert inline.mode == "serial"
+        assert pool_for_backend(process_pool,
+                                "test-pool-native-handle") is inline
+        dispatched = process_pool.statistics.tasks_dispatched
+        serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
+        for aggregate, attribute in [(AggregateFunction.COUNT, None),
+                                     (AggregateFunction.SUM, "v")]:
+            pooled_range = unsafe.bound(aggregate, attribute)
+            serial_range = serial.bound(aggregate, attribute)
+            assert pooled_range.lower == pytest.approx(serial_range.lower,
+                                                       rel=1e-9)
+            assert pooled_range.upper == pytest.approx(serial_range.upper,
+                                                       rel=1e-9)
+        assert process_pool.statistics.tasks_dispatched == dispatched
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_solve_programs_matches_direct_bounds(self, solver, mode):
         keyed = keyed_shard_programs(solver)
         workers = 1 if mode == "serial" else WORKERS
@@ -194,7 +214,7 @@ class TestModesAndFallbacks:
                 assert pool.solve_programs(keyed, aggregate) == \
                     direct_endpoints(keyed, aggregate)
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_avg_probes_match_direct_calls(self, solver, mode):
         keyed = keyed_shard_programs(solver)
         probes = [(10.0, True, True), (30.0, False, True), (50.0, True, False)]
@@ -405,8 +425,7 @@ class TestServiceIntegration:
 
     def test_injected_process_pool_gated_for_unsafe_backend(self):
         """A process-unsafe backend never reaches an injected process pool:
-        the solver borrows a shared thread pool instead (same fallback the
-        pool applies when it knows the backend at construction)."""
+        the solver runs inline instead, with serial-identical ranges."""
         from repro.solvers.milp import _solve_scipy
 
         register_backend(
@@ -423,7 +442,7 @@ class TestServiceIntegration:
                 worker_pool=pool)
             borrowed = solver.borrow_pool(2)
             assert borrowed is not pool
-            assert borrowed.mode == "thread"
+            assert borrowed.mode == "serial"
             serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
             pooled_range = solver.bound(AggregateFunction.SUM, "v")
             serial_range = serial.bound(AggregateFunction.SUM, "v")
@@ -569,7 +588,7 @@ class TestWorkStealing:
 
 class TestSpeculativeCapacity:
     def test_gated_on_live_tasks_not_just_width(self):
-        pool = WorkerPool(max_workers=4, mode="thread")
+        pool = WorkerPool(max_workers=4, mode="process")
         try:
             assert pool.speculative_capacity(2)  # 4 idle workers > 2
             pool._note_live(3)
@@ -584,29 +603,31 @@ class TestSpeculativeCapacity:
         finally:
             pool.shutdown()
 
-    def test_thread_fanout_occupies_live_slots(self):
+    def test_process_round_occupies_live_slots(self, monkeypatch, solver):
+        """A round in flight counts in ``live_tasks`` (a delayed task holds
+        it open), so speculation backs off until the round completes."""
         import threading
 
-        pool = WorkerPool(max_workers=4, mode="thread")
-        release = threading.Event()
+        from repro.faults import FAULTS_ENV
 
-        def blocked(_item):
-            release.wait(10.0)
-            return True
-
-        worker = threading.Thread(
-            target=lambda: pool._thread_map(blocked, [0, 1, 2],
-                                            label="pool.block"))
+        keyed = keyed_shard_programs(solver)
+        monkeypatch.setenv(FAULTS_ENV, "delay:ms=500")
+        pool = WorkerPool(max_workers=4, mode="process")
+        pool.start()
+        results = []
+        worker = threading.Thread(target=lambda: results.append(
+            pool.solve_programs(keyed, AggregateFunction.MIN)))
         worker.start()
         try:
             deadline = time.time() + 5.0
-            while pool.live_tasks != 3 and time.time() < deadline:
+            while pool.live_tasks != len(keyed) and time.time() < deadline:
                 time.sleep(0.005)
-            assert pool.live_tasks == 3
+            assert pool.live_tasks == len(keyed)
             assert not pool.speculative_capacity(1)
         finally:
-            release.set()
             worker.join(timeout=10.0)
             pool.shutdown()
+        assert not worker.is_alive()
+        assert results == [direct_endpoints(keyed, AggregateFunction.MIN)]
         assert pool.live_tasks == 0
         assert pool.speculative_capacity(1)
