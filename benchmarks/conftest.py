@@ -16,7 +16,7 @@ from PR 4 on — merge the per-PR files with ``repro bench-report`` (or
 
 Every record is stamped with the environment it ran under — git SHA,
 timestamp, CPU count, and the ``REPRO_POOL`` / ``REPRO_SHARD_STRATEGY`` /
-``REPRO_TRACE`` / ``REPRO_STEAL`` / ``REPRO_CACHE_DIR`` toggles — because
+``REPRO_TRACE`` / ``REPRO_CACHE_DIR`` toggles — because
 a trajectory comparison across PRs is meaningless without knowing whether
 the runs were comparable.
 """
@@ -46,7 +46,7 @@ _RECORDS: list[dict] = []
 #: values ride along on every record so cross-PR diffs can rule out
 #: configuration drift.
 _ENV_TOGGLES = ("REPRO_POOL", "REPRO_SHARD_STRATEGY", "REPRO_TRACE",
-                "REPRO_STEAL", "REPRO_CACHE_DIR")
+                "REPRO_CACHE_DIR")
 
 
 def _git_sha() -> str | None:

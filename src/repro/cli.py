@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -231,10 +230,6 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                        help="cross-check every range on this second MILP "
                             "backend and fail loudly when the two backends "
                             "return disjoint ranges")
-    group.add_argument("--steal", default=None, choices=["on", "off"],
-                       help="work stealing in the worker pool: idle workers "
-                            "take queued tasks from loaded peers under skew "
-                            "(default: on; equivalent to REPRO_STEAL)")
     group.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget per query; an expired query "
@@ -276,13 +271,6 @@ def _solver_options(args: argparse.Namespace):
         options.deadline_seconds = args.deadline
     if args.degrade is not None:
         options.degrade = args.degrade
-    if args.steal is not None:
-        # Stealing is a pool scheduling knob, not a solver option — the
-        # environment steers every pool this process creates, matching
-        # how REPRO_STEAL behaves for library callers.
-        from .parallel.stealing import STEAL_ENV
-
-        os.environ[STEAL_ENV] = "1" if args.steal == "on" else "0"
     return options
 
 

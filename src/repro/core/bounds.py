@@ -35,8 +35,8 @@ from ..faults import Deadline, current_deadline, deadline_scope
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..plan.ir import BoundPlan, BoundQuery, build_plan
-from ..plan.passes import (ObservedCellStatistics, ShardLoadMemo,
-                           default_passes, optimize_plan)
+from ..plan.passes import (ObservedCellStatistics, default_passes,
+                           optimize_plan)
 from ..plan.program import BoundProgram, compile_plan
 from ..plan.sharding import default_shard_strategy
 from ..relational.aggregates import AggregateFunction
@@ -210,12 +210,6 @@ class PCBoundSolver:
         the strategy-selection pass consults for adaptive cell budgeting;
         the solver records every fresh decomposition into it.  Defaults to
         a private per-solver feed; the service shares one across sessions.
-    shard_loads:
-        Optional :class:`~repro.plan.passes.ShardLoadMemo` feeding observed
-        per-shard cell loads back into region cut placement across
-        requests; every pooled region decomposition records its measured
-        slice loads into it.  Defaults to a private per-solver memo; the
-        service shares one across sessions (like ``cell_statistics``).
     """
 
     def __init__(self, pcset: PredicateConstraintSet,
@@ -224,8 +218,7 @@ class PCBoundSolver:
                  cache_namespace: object = None,
                  program_cache=None,
                  worker_pool=None,
-                 cell_statistics: ObservedCellStatistics | None = None,
-                 shard_loads: ShardLoadMemo | None = None):
+                 cell_statistics: ObservedCellStatistics | None = None):
         self._pcset = pcset
         self._options = options or BoundOptions()
         self._shared_cache = decomposition_cache
@@ -233,7 +226,6 @@ class PCBoundSolver:
         self._program_cache = program_cache
         self._worker_pool = worker_pool
         self._cell_statistics = cell_statistics or ObservedCellStatistics()
-        self._shard_loads = shard_loads or ShardLoadMemo()
         self._decomposition_cache: dict[object, CellDecomposition] = {}
         self._decomposition_locks: dict[object, threading.Lock] = {}
         self._resolved_depths: dict[tuple, int | None] = {}
@@ -265,7 +257,6 @@ class PCBoundSolver:
         state["_program_cache"] = None
         state["_worker_pool"] = None
         state["_cell_statistics"] = None
-        state["_shard_loads"] = None
         state["_decomposition_locks"] = {}
         state["_local_program_locks"] = {}
         del state["_counter_lock"]
@@ -277,7 +268,6 @@ class PCBoundSolver:
         self._counter_lock = threading.Lock()
         self._program_lock = threading.Lock()
         self._cell_statistics = ObservedCellStatistics()
-        self._shard_loads = ShardLoadMemo()
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -296,11 +286,6 @@ class PCBoundSolver:
     def cell_statistics(self) -> ObservedCellStatistics | None:
         """The adaptive cell-count feed strategy selection consults."""
         return self._cell_statistics
-
-    @property
-    def shard_loads(self) -> ShardLoadMemo:
-        """The per-shard observed-load feed region cut placement consults."""
-        return self._shard_loads
 
     def attach_program_cache(self, cache) -> None:
         """Swap in a program cache (the worker-pool warm-cache handshake).
@@ -793,34 +778,23 @@ class PCBoundSolver:
         (the same stability argument as the adaptive early-stop memo).
         Plans and the shard layouts they induce are immutable, so the
         cached object is safe to share across threads.
-
-        The memo is *version-aware* against the shard-load feedback memo
-        (:class:`~repro.plan.passes.ShardLoadMemo`): each cached entry
-        remembers the memo version it was cut under, and a later request
-        after new load observations re-runs cut placement so the critical
-        shard shrinks on the next query.  Re-cutting moves shard
-        boundaries, never merged decomposition content, so the pinned
-        ``auto`` decision and bit-identical results both survive.
         """
         from ..plan.sharding import select_sharding
 
         if max_shards is None:
             max_shards = self._options.solve_workers
         key = (region, attribute, max_shards)
-        version = self._shard_loads.version
         with self._program_lock:
             cached = self._sharded_plans.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
+        if cached is not None:
+            return cached
         aggregate = (AggregateFunction.COUNT if attribute is None
                      else AggregateFunction.SUM)
         plan = self.plan(BoundQuery(aggregate, attribute, region))
         sharded = select_sharding(plan, max_shards=max_shards,
-                                  cell_statistics=self._cell_statistics,
-                                  shard_loads=self._shard_loads)
+                                  cell_statistics=self._cell_statistics)
         with self._program_lock:
-            self._sharded_plans[key] = (version, sharded)
-        return sharded
+            return self._sharded_plans.setdefault(key, sharded)
 
     def shard_program(self, shard, region: Predicate | None,
                       attribute: str | None) -> BoundProgram:
@@ -1119,18 +1093,6 @@ class PCBoundSolver:
                 decompositions[index] = decomposition
                 if slice_keys is not None:
                     self._shared_cache.put(slice_keys[index], decomposition)
-        # Close the feedback loop: record each shard's observed cell load
-        # under the *partition* attribute the cuts were placed on (not the
-        # aggregate attribute) so the next sharded_plan() for this pair
-        # re-cuts with real loads instead of midpoint counts.  Cached slices
-        # report their (identical) cell counts too — reuse must not starve
-        # the load feed.
-        loads = [(shard.bounds, len(decomposition.cells))
-                 for shard, decomposition in zip(shards, decompositions)
-                 if shard.bounds is not None]
-        if loads:
-            self._shard_loads.observe(
-                region, sharded.shards[0].partition_attribute, loads)
         return merge_shard_decompositions(plan, decompositions)
 
     def _decompose_plan(self, plan: BoundPlan) -> CellDecomposition:

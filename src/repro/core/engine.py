@@ -177,10 +177,6 @@ class PCAnalyzer:
         Optional shared :class:`~repro.plan.passes.ObservedCellStatistics`
         feed for adaptive cell budgeting (the service shares one across
         sessions).
-    shard_loads:
-        Optional shared :class:`~repro.plan.passes.ShardLoadMemo` feeding
-        observed per-shard cell loads back into region cut placement (the
-        service shares one across sessions).
     """
 
     def __init__(self, pcset: PredicateConstraintSet,
@@ -190,8 +186,7 @@ class PCAnalyzer:
                  cache_namespace: object = None,
                  program_cache=None,
                  worker_pool=None,
-                 cell_statistics=None,
-                 shard_loads=None):
+                 cell_statistics=None):
         self._pcset = pcset
         self._observed = observed
         self._options = options or BoundOptions()
@@ -200,8 +195,7 @@ class PCAnalyzer:
                                      cache_namespace=cache_namespace,
                                      program_cache=program_cache,
                                      worker_pool=worker_pool,
-                                     cell_statistics=cell_statistics,
-                                     shard_loads=shard_loads)
+                                     cell_statistics=cell_statistics)
 
     @property
     def pcset(self) -> PredicateConstraintSet:

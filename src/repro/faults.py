@@ -17,7 +17,7 @@ Each clause is ``action:key=value,...`` where *action* is one of
     the crash-recovery path: respawn, re-dispatch, retry budget.
 ``delay``
     The worker sleeps ``ms`` milliseconds before running the task — the
-    straggler path: deadlines, degradation, work stealing.
+    straggler path: deadlines and degradation.
 ``drop_reply``
     The worker runs the task but never sends the reply — the lost-message
     path: the coordinator sees a silent worker, not a dead one.
@@ -75,9 +75,9 @@ __all__ = [
     "current_deadline",
 ]
 
-#: Environment variable holding the fault plan.  Mirrors ``REPRO_STEAL``:
-#: the environment wins over any configured value, so CI legs and ad-hoc
-#: shells can inject faults without touching code.
+#: Environment variable holding the fault plan.  The environment wins over
+#: any configured value, so CI legs and ad-hoc shells can inject faults
+#: without touching code.
 FAULTS_ENV = "REPRO_FAULTS"
 
 _ACTIONS = ("kill", "delay", "drop_reply", "fail")
@@ -257,10 +257,10 @@ def faults_enabled() -> bool:
 def resolve_faults(configured: FaultPlan | str | None = None) -> FaultPlan | None:
     """The effective fault plan: the environment wins over ``configured``.
 
-    Mirrors :func:`repro.parallel.stealing.resolve_stealing` — an explicit
-    ``REPRO_FAULTS`` beats whatever the caller wired up, so chaos CI legs
-    apply to unmodified code.  Returns ``None`` when no faults are active
-    (the common case: zero overhead on the dispatch path).
+    An explicit ``REPRO_FAULTS`` beats whatever the caller wired up, so
+    chaos CI legs apply to unmodified code.  Returns ``None`` when no
+    faults are active (the common case: zero overhead on the dispatch
+    path).
     """
     raw = os.environ.get(FAULTS_ENV)
     if raw is not None and raw.strip() != "":

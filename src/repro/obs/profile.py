@@ -3,10 +3,8 @@
 A :class:`QueryProfile` is the user-facing form of one query's trace: the
 span tree with wall-times, attribute tallies (solver calls, cache verdicts,
 per-shard counts) and derived aggregates — total solver calls, the max/mean
-*shard-time* and *shard-cell* skew ratios the skew-aware scheduler flattens
-(``shard_cell_skew`` is the number feedback resharding optimizes), the
-count of pool tasks work stealing re-routed (``stolen_tasks``), and the
-fault-tolerance trail — tasks that survived a worker crash
+*shard-time* and *shard-cell* skew ratios across a sharded query's shards,
+and the fault-tolerance trail — tasks that survived a worker crash
 (``retried_tasks``) and shards answered from their worst-case fallback
 (``degraded_shards``).
 
@@ -220,13 +218,7 @@ class QueryProfile:
 
     def shard_cell_skew(self) -> float | None:
         """max/mean per-shard cells-solved ratio (>= 1.0), the load-balance
-        twin of :meth:`shard_skew` in work units instead of wall time.
-
-        This is the number the skew-aware scheduler optimizes: feedback
-        resharding moves region cut points to flatten it across requests,
-        and the PR8 benchmark asserts it drops once observed loads feed
-        back into cut placement.
-        """
+        twin of :meth:`shard_skew` in work units instead of wall time."""
         cells = self.shard_cells()
         if not cells:
             return None
@@ -241,15 +233,6 @@ class QueryProfile:
         shard ran hot rather than just how unbalanced the run was."""
         return {shard: entry[1]
                 for shard, entry in self._shard_totals().items()}
-
-    def stolen_tasks(self) -> int:
-        """How many pool task spans ran on a stolen (re-routed) worker.
-
-        The pool tags a task's root span with ``stolen=True`` when work
-        stealing moved it off its affinity worker; the count measures how
-        much elastic re-balancing one query needed."""
-        return sum(1 for node in self.root.walk()
-                   if node.attributes.get("stolen"))
 
     def retried_tasks(self) -> int:
         """How many pool task spans came from a re-dispatched task.
@@ -324,9 +307,6 @@ class QueryProfile:
         if batches["batched_tasks"]:
             summary += (f", batched {batches['batched_cells']:.0f} cell(s) "
                         f"in {batches['batched_tasks']:.0f} task(s)")
-        stolen = self.stolen_tasks()
-        if stolen:
-            summary += f", stolen {stolen} task(s)"
         retried = self.retried_tasks()
         if retried:
             summary += f", retried {retried} task(s)"
@@ -352,7 +332,6 @@ class QueryProfile:
             "shard_cells": sum(self.shard_cells()),
             "batched_tasks": batches["batched_tasks"],
             "batched_cells": batches["batched_cells"],
-            "stolen_tasks": self.stolen_tasks(),
             "retried_tasks": self.retried_tasks(),
             "degraded_shards": len(self.degraded_shards()),
             "tree": self.root.to_dict(),

@@ -18,8 +18,6 @@ pass, :mod:`repro.plan.sharding`):
     (:func:`~repro.parallel.pool.pool_for_backend`).  The service owns one
     pool; bare solvers and the CLI borrow process-global shared process
     pools.
-``stealing``
-    The work-stealing switch for the pool's process rounds.
 ``verify``
     Cross-backend verification: solve one program on two registry backends
     and intersect the ranges.  Two sound ranges always intersect, so a

@@ -62,7 +62,6 @@ from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
 from ..solvers.batching import adaptive_batch_size, chunked
 from ..solvers.registry import backend_capabilities
-from .stealing import resolve_stealing
 
 __all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "shared_pool",
            "shutdown_shared_pools", "pool_for_backend", "default_pool_mode",
@@ -388,8 +387,6 @@ class PoolStatistics:
     worker_restarts: int = 0
     tasks_shipped: int = 0
     cells_solved: int = 0
-    tasks_stolen: int = 0
-    batches_split: int = 0
     tasks_retried: int = 0
     tasks_quarantined: int = 0
     clean_restarts: int = 0
@@ -422,8 +419,6 @@ class PoolStatistics:
             "tasks_shipped": self.tasks_shipped,
             "cells_solved": self.cells_solved,
             "cells_per_task": self.cells_per_task,
-            "tasks_stolen": self.tasks_stolen,
-            "batches_split": self.batches_split,
             "tasks_retried": self.tasks_retried,
             "tasks_quarantined": self.tasks_quarantined,
             "clean_restarts": self.clean_restarts,
@@ -435,7 +430,6 @@ class PoolStatistics:
                               self.programs_shipped, self.warm_hits,
                               self.sessions_shipped, self.worker_restarts,
                               self.tasks_shipped, self.cells_solved,
-                              self.tasks_stolen, self.batches_split,
                               self.tasks_retried, self.tasks_quarantined,
                               self.clean_restarts, self.breaker_trips)
 
@@ -446,7 +440,6 @@ _POOL_METRICS = {field: f"pool.{field}"
                                "programs_shipped", "warm_hits",
                                "sessions_shipped", "worker_restarts",
                                "tasks_shipped", "cells_solved",
-                               "tasks_stolen", "batches_split",
                                "tasks_retried", "tasks_quarantined",
                                "clean_restarts", "breaker_trips")}
 
@@ -490,7 +483,6 @@ class _PendingTask:
     args: tuple
     worker_index: int
     attempts: int = 1
-    stolen: bool = False
 
 
 _MAX_TASK_ATTEMPTS = 3
@@ -519,22 +511,6 @@ _BREAKER_COOLDOWN = 30.0
 #: deadlock-free — see :meth:`WorkerPool._run_round`.
 _MAX_IN_FLIGHT_PER_WORKER = 16
 
-#: Cap on a worker's parent-side backlog deque.  Tasks beyond it land on the
-#: round's shared overflow queue, which feeds whichever worker drains first —
-#: so a round that concentrates on one affinity worker cannot park its whole
-#: tail behind that worker while the rest of the pool idles.
-_BACKLOG_LIMIT = 4 * _MAX_IN_FLIGHT_PER_WORKER
-
-#: Task kinds stealing may re-route.  The decompose kind is fully
-#: self-contained (no program shipping), and the program-addressed kinds
-#: re-ship through the ordinary warm-key bookkeeping; the analyze kind stays
-#: pinned because moving it drags a whole session registration along.
-_STEALABLE_KINDS = ("decompose_batch", "solve_batch", "probe_batch")
-
-#: Of those, the kind that carries no program at all — the cheapest steal,
-#: preferred by victim-side selection so warm caches stay warm.
-_SELF_CONTAINED_KINDS = ("decompose_batch",)
-
 
 class WorkerPool:
     """A long-lived pool of workers with warm program caches.
@@ -550,11 +526,6 @@ class WorkerPool:
         :func:`pool_for_backend`, which keeps it off process pools.
     name:
         Label for diagnostics.
-    steal:
-        Whether idle workers steal queued tasks from loaded peers (see
-        :mod:`repro.parallel.stealing`).  ``None`` (default) follows the
-        ``REPRO_STEAL`` environment switch, which also overrides an
-        explicit setting so one variable steers a whole process.
     task_retry_limit:
         How many times a task may kill its worker before it is quarantined
         as poison and failed with
@@ -581,7 +552,6 @@ class WorkerPool:
 
     def __init__(self, max_workers: int | None = None, mode: str = "serial",
                  name: str = "worker-pool",
-                 steal: bool | None = None,
                  task_retry_limit: int | None = None,
                  breaker_threshold: int | None = None,
                  breaker_cooldown: float | None = None):
@@ -594,7 +564,6 @@ class WorkerPool:
         self._max_workers = max_workers or default_pool_workers()
         self._mode = "serial" if self._max_workers == 1 else mode
         self._name = name
-        self._steal = steal
         if task_retry_limit is not None and task_retry_limit < 1:
             raise SolverError(
                 f"task_retry_limit must be >= 1, got {task_retry_limit}")
@@ -610,7 +579,6 @@ class WorkerPool:
             self._faults.check_kinds(_HANDLERS)
         self._quarantined: list = []
         self._closing = False
-        self._live_tasks = 0
         self._round_lock = threading.RLock()
         self._lifecycle_lock = threading.Lock()
         self._affinity_lock = threading.Lock()
@@ -643,12 +611,6 @@ class WorkerPool:
         return self._statistics
 
     @property
-    def stealing(self) -> bool:
-        """Whether this pool's rounds re-route queued tasks to idle workers
-        (the resolved switch: ``REPRO_STEAL`` over the constructor flag)."""
-        return resolve_stealing(self._steal)
-
-    @property
     def breaker_tripped(self) -> bool:
         """Whether the crash-loop circuit breaker is currently open (new
         entry points run inline until the cool-down expires)."""
@@ -663,18 +625,6 @@ class WorkerPool:
     @property
     def task_retry_limit(self) -> int:
         return self._retry_limit
-
-    @property
-    def live_tasks(self) -> int:
-        """Work items currently dispatched across every concurrent process
-        round — the live-load signal :meth:`speculative_capacity` gates
-        on."""
-        with self._statistics_lock:
-            return self._live_tasks
-
-    def _note_live(self, delta: int) -> None:
-        with self._statistics_lock:
-            self._live_tasks += delta
 
     def _bump(self, field: str, amount: int = 1) -> None:
         """Advance one pool counter: the dataclass view (the historical
@@ -725,20 +675,6 @@ class WorkerPool:
                 self._affinity[key] = index
                 self._assigned[index] += 1
             return index
-
-    def retire_affinity(self, key) -> None:
-        """Forget ``key``'s sticky placement and return its load credit.
-
-        Callers that evict a program (or close a session) retire its key so
-        the balanced-on-first-sight counters keep tracking *live* keys —
-        without retirement the counters only ever grow, and a worker that
-        once hosted a burst of short-lived keys looks permanently loaded.
-        Unknown keys are ignored (retirement is advisory bookkeeping).
-        """
-        with self._affinity_lock:
-            index = self._affinity.pop(key, None)
-            if index is not None and self._assigned[index] > 0:
-                self._assigned[index] -= 1
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1033,21 +969,6 @@ class WorkerPool:
         self._record_batch_traffic(len(requests), len(tasks))
         return self._scatter(self._locked_round(requests), len(tasks))
 
-    def speculative_capacity(self, base_tasks: int) -> bool:
-        """Whether the pool can absorb work beyond ``base_tasks`` concurrent
-        tasks — the gate for speculative AVG probing, which trades redundant
-        solves for halved search round-trips only when workers would
-        otherwise idle.
-
-        Gated on *live* idle capacity, not just pool width: tasks already in
-        flight from concurrent queries occupy workers, and speculating into
-        a busy pool adds redundant solves to the shared critical path
-        instead of filling idle slots.
-        """
-        if self._mode == "serial" or in_worker():
-            return False
-        return self._max_workers - self.live_tasks > base_tasks
-
     def analyze(self, session_key, analyzer,
                 keyed_queries: Sequence[tuple]) -> list:
         """Answer ``(program_key, program, query, resolved_depth)`` entries,
@@ -1090,13 +1011,8 @@ class WorkerPool:
 
     @staticmethod
     def _scatter(collected: dict, count: int) -> list:
-        """Flatten a batched round's results back into input order.
-
-        Scatter through the *collected* position tuples, not the request
-        list: work stealing may have split a queued batch mid-round, so
-        results can come back under finer-grained position tuples than
-        were dispatched.
-        """
+        """Flatten a batched round's results back into input order: each
+        collected entry pairs a request's position tuple with its results."""
         results: list = [None] * count
         for positions, values in collected.items():
             for position, value in zip(positions, values):
@@ -1132,13 +1048,15 @@ class WorkerPool:
         round, because each worker has its own pipe and a broken pipe is a
         detectable event, not a shared lock left behind.
 
-        Dispatch and collection interleave: at most
-        :data:`_MAX_IN_FLIGHT_PER_WORKER` tasks are outstanding per worker,
-        so the bytes buffered in any pipe direction stay bounded.  Sending
-        a whole large round up-front would deadlock — the worker blocks
-        sending results into a full outbound buffer and stops receiving,
-        then the parent blocks sending into the worker's full inbound
-        buffer, and both sides are alive so no recovery ever fires.
+        Each task queues on its key's affinity worker, where the worker's
+        warm cache and registered sessions live.  Dispatch and collection
+        interleave: at most :data:`_MAX_IN_FLIGHT_PER_WORKER` tasks are
+        outstanding per worker, so the bytes buffered in any pipe
+        direction stay bounded.  Sending a whole large round up-front
+        would deadlock — the worker blocks sending results into a full
+        outbound buffer and stops receiving, then the parent blocks
+        sending into the worker's full inbound buffer, and both sides are
+        alive so no recovery ever fires.
 
         Failure semantics.  The ambient query deadline is checked every
         loop tick: on expiry the round stops dispatching and abandons
@@ -1153,91 +1071,77 @@ class WorkerPool:
         sound worst-case ranges for those positions.
         """
         self._bump("rounds")
-        steal = self.stealing
         deadline = current_deadline()
         self._quarantined = []
         failures: dict = {}
         pending: dict[int, _PendingTask] = {}
         backlogs: dict[int, deque] = {}
-        overflow: deque = deque()
         for kind, key, args, position in requests:
-            backlog = backlogs.setdefault(self.worker_for(key), deque())
-            if len(backlog) < _BACKLOG_LIMIT:
-                backlog.append((kind, args, position))
-            else:
-                overflow.append((kind, args, position))
+            backlogs.setdefault(self.worker_for(key), deque()).append(
+                (kind, args, position))
         collected: dict = {}
-        self._note_live(len(requests))
-        try:
-            while pending or overflow or any(backlogs.values()):
-                if self._closing:
-                    raise SolverError(
-                        "worker pool shut down while a round was in flight")
-                if deadline is not None and deadline.expired():
-                    queued = (len(overflow)
-                              + sum(len(b) for b in backlogs.values()))
-                    abandoned = len(pending) + queued
-                    get_tracer().annotate(deadline_abandoned=abandoned)
-                    if tolerate:
-                        for task in pending.values():
-                            if task.position is not None:
-                                failures.setdefault(task.position, "deadline")
-                        for backlog in backlogs.values():
-                            for _kind, _args, position in backlog:
-                                if position is not None:
-                                    failures.setdefault(position, "deadline")
-                        for _kind, _args, position in overflow:
+        while pending or any(backlogs.values()):
+            if self._closing:
+                raise SolverError(
+                    "worker pool shut down while a round was in flight")
+            if deadline is not None and deadline.expired():
+                abandoned = len(pending) + sum(len(backlog) for backlog
+                                               in backlogs.values())
+                get_tracer().annotate(deadline_abandoned=abandoned)
+                if tolerate:
+                    for task in pending.values():
+                        if task.position is not None:
+                            failures.setdefault(task.position, "deadline")
+                    for backlog in backlogs.values():
+                        for _kind, _args, position in backlog:
                             if position is not None:
                                 failures.setdefault(position, "deadline")
-                        pending.clear()
-                        backlogs.clear()
-                        overflow.clear()
-                        break
-                    raise QueryDeadlineError(
-                        f"query deadline of {deadline.seconds:.3f}s expired "
-                        f"after {deadline.elapsed():.3f}s with "
-                        f"{len(collected)} of {len(requests)} tasks complete "
-                        f"({abandoned} abandoned)",
-                        deadline=deadline.seconds,
-                        elapsed=deadline.elapsed(),
-                        completed=len(collected), pending=abandoned)
-                self._feed_backlogs(backlogs, overflow, pending, steal)
-                if not pending:
+                    pending.clear()
+                    backlogs.clear()
+                    break
+                raise QueryDeadlineError(
+                    f"query deadline of {deadline.seconds:.3f}s expired "
+                    f"after {deadline.elapsed():.3f}s with "
+                    f"{len(collected)} of {len(requests)} tasks complete "
+                    f"({abandoned} abandoned)",
+                    deadline=deadline.seconds,
+                    elapsed=deadline.elapsed(),
+                    completed=len(collected), pending=abandoned)
+            self._feed_backlogs(backlogs, pending)
+            if not pending:
+                continue
+            connections = {}
+            for task in pending.values():
+                worker = self._workers[task.worker_index]
+                connections[worker.connection] = task.worker_index
+            ready = multiprocessing.connection.wait(list(connections),
+                                                    timeout=0.25)
+            if not ready:
+                self._recover(pending)
+                continue
+            for connection in ready:
+                worker_index = connections[connection]
+                try:
+                    task_id, ok, payload, spans = connection.recv()
+                except (EOFError, OSError):
+                    self._respawn(worker_index, pending)
                     continue
-                connections = {}
-                for task in pending.values():
-                    worker = self._workers[task.worker_index]
-                    connections[worker.connection] = task.worker_index
-                ready = multiprocessing.connection.wait(list(connections),
-                                                        timeout=0.25)
-                if not ready:
-                    self._recover(pending)
-                    continue
-                for connection in ready:
-                    worker_index = connections[connection]
-                    try:
-                        task_id, ok, payload, spans = connection.recv()
-                    except (EOFError, OSError):
-                        self._respawn(worker_index, pending)
+                task = pending.pop(task_id, None)
+                if task is None:
+                    continue  # stale result from an abandoned round
+                if not ok:
+                    if (isinstance(payload, WorkerCacheMiss)
+                            and self._retry_cache_miss(task, pending)):
                         continue
-                    task = pending.pop(task_id, None)
-                    if task is None:
-                        continue  # stale result from an abandoned round
-                    if not ok:
-                        if (isinstance(payload, WorkerCacheMiss)
-                                and self._retry_cache_miss(task, pending)):
-                            continue
-                        if tolerate and task.position is not None:
-                            failures[task.position] = (
-                                f"{type(payload).__name__}: {payload}")
-                            continue
-                        raise payload if isinstance(payload, BaseException) \
-                            else SolverError(str(payload))
-                    self._adopt_spans(task, worker_index, spans)
-                    if task.position is not None:
-                        collected[task.position] = payload
-        finally:
-            self._note_live(-len(requests))
+                    if tolerate and task.position is not None:
+                        failures[task.position] = (
+                            f"{type(payload).__name__}: {payload}")
+                        continue
+                    raise payload if isinstance(payload, BaseException) \
+                        else SolverError(str(payload))
+                self._adopt_spans(task, worker_index, spans)
+                if task.position is not None:
+                    collected[task.position] = payload
         quarantined, self._quarantined = self._quarantined, []
         if quarantined:
             for task, fingerprint in quarantined:
@@ -1269,8 +1173,6 @@ class WorkerPool:
         if root is None:
             return
         root.attributes.setdefault("worker", worker_index)
-        if task.stolen:
-            root.attributes.setdefault("stolen", True)
         if task.attempts > 1:
             # Crash-retried (or re-shipped) work is visible per task in
             # EXPLAIN ANALYZE, not just in the aggregate counters.
@@ -1279,12 +1181,9 @@ class WorkerPool:
                                                        "probe_batch"):
             root.attributes.setdefault("shard", task.position)
 
-    def _feed_backlogs(self, backlogs: dict, overflow: deque,
-                       pending: dict, steal: bool) -> None:
-        """Top workers up to the in-flight cap: own backlog first (affinity
-        order), then the shared overflow onto the least loaded workers,
-        then — with stealing on — queued tasks re-routed from loaded peers
-        to fully idle ones."""
+    def _feed_backlogs(self, backlogs: dict, pending: dict) -> None:
+        """Top each worker up to the in-flight cap from its own backlog, in
+        affinity order."""
         outstanding: dict[int, int] = {}
         for task in pending.values():
             outstanding[task.worker_index] = \
@@ -1297,120 +1196,6 @@ class WorkerPool:
                                worker_index=worker_index)
                 outstanding[worker_index] = \
                     outstanding.get(worker_index, 0) + 1
-        while overflow:
-            target = min(range(self._max_workers),
-                         key=lambda index: (outstanding.get(index, 0)
-                                            + len(backlogs.get(index) or ())))
-            if outstanding.get(target, 0) >= _MAX_IN_FLIGHT_PER_WORKER:
-                break  # every worker saturated; retry after some replies
-            kind, args, position = overflow.popleft()
-            self._dispatch(kind, args, position, pending, worker_index=target)
-            outstanding[target] = outstanding.get(target, 0) + 1
-        if steal:
-            self._steal_into_idle(backlogs, pending, outstanding)
-
-    def _steal_into_idle(self, backlogs: dict, pending: dict,
-                         outstanding: dict) -> None:
-        """Re-route queued tasks from loaded workers to fully idle ones.
-
-        A thief is a worker with nothing queued *and* nothing in flight —
-        topping up a merely-unsaturated worker would churn its cache for no
-        concurrency gain.  Victims are scanned deepest backlog first, and
-        each steal moves one whole task (:meth:`_pick_steal` chooses which).
-        When idle workers outnumber every queued task — the critical shard's
-        batch queue has out-lasted its siblings — the deepest backlog's last
-        splittable ``decompose_batch`` is halved instead: the thief takes
-        one half, the victim keeps the other, and the merged decomposition
-        stays bit-identical because entries carry their global positions.
-        """
-        while True:
-            thieves = [index for index in range(self._max_workers)
-                       if not backlogs.get(index)
-                       and outstanding.get(index, 0) == 0]
-            if not thieves:
-                return
-            victims = sorted((index for index, backlog in backlogs.items()
-                              if backlog),
-                             key=lambda index: -len(backlogs[index]))
-            if not victims:
-                return
-            queued = sum(len(backlogs[index]) for index in victims)
-            chosen = None
-            if len(thieves) > queued:
-                for victim in victims:
-                    chosen = self._split_queued_batch(backlogs[victim])
-                    if chosen is not None:
-                        break
-            if chosen is None:
-                for victim in victims:
-                    chosen = self._pick_steal(backlogs[victim], victim)
-                    if chosen is not None:
-                        break
-            if chosen is None:
-                return  # nothing queued is stealable (or splittable)
-            kind, args, position = chosen
-            thief = thieves[0]
-            self._bump("tasks_stolen")
-            self._dispatch(kind, args, position, pending, worker_index=thief,
-                           stolen=True)
-            outstanding[thief] = outstanding.get(thief, 0) + 1
-
-    def _pick_steal(self, backlog: deque, victim_index: int):
-        """Choose the queued task a thief takes, scanning from the tail.
-
-        The tail is the work the victim reaches last, so stealing there
-        overlaps the most wall time.  Affinity-aware preference: the
-        self-contained decompose kind first (nothing to re-ship), then
-        program tasks whose key the victim does *not* hold warm (a cold-key
-        steal costs the victim's cache nothing), then any stealable kind.
-        The analyze kind is never stolen — moving one drags a session
-        registration along.
-        """
-        warm_keys: frozenset | set = frozenset()
-        if self._workers is not None:
-            warm_keys = self._workers[victim_index].warm_keys
-        best: tuple[int, int] | None = None
-        for offset in range(len(backlog) - 1, -1, -1):
-            kind, args, _position = backlog[offset]
-            if kind not in _STEALABLE_KINDS:
-                continue
-            if kind in _SELF_CONTAINED_KINDS:
-                rank = 0
-            elif args[0] not in warm_keys:
-                rank = 1
-            else:
-                rank = 2
-            if best is None or rank < best[0]:
-                best = (rank, offset)
-            if rank == 0:
-                break
-        if best is None:
-            return None
-        task = backlog[best[1]]
-        del backlog[best[1]]
-        return task
-
-    def _split_queued_batch(self, backlog: deque):
-        """Halve the last queued ``decompose_batch`` carrying >= 2 entries.
-
-        Returns the stolen half as a complete task triple and re-queues the
-        kept half in place; None when nothing queued can split.  Entries
-        and their position tuple slice in lockstep, so both halves scatter
-        into the global shard order exactly as the unsplit batch would.
-        """
-        for offset in range(len(backlog) - 1, -1, -1):
-            kind, args, position = backlog[offset]
-            if kind != "decompose_batch":
-                continue
-            key, entries = args
-            if len(entries) < 2:
-                continue
-            half = len(entries) // 2
-            backlog[offset] = ("decompose_batch", (key, entries[:half]),
-                               position[:half])
-            self._bump("batches_split")
-            return ("decompose_batch", (key, entries[half:]), position[half:])
-        return None
 
     def _retry_cache_miss(self, task: _PendingTask, pending: dict) -> bool:
         """Re-dispatch a task whose worker evicted (or lost) its program.
@@ -1429,7 +1214,7 @@ class WorkerPool:
         self._workers[task.worker_index].warm_keys.discard(key)
         self._dispatch(task.kind, task.args, task.position, pending,
                        worker_index=task.worker_index,
-                       attempts=task.attempts + 1, stolen=task.stolen)
+                       attempts=task.attempts + 1)
         return True
 
     def _fault_directive(self, worker_index: int, kind: str,
@@ -1450,8 +1235,7 @@ class WorkerPool:
 
     def _dispatch(self, kind: str, args: tuple,
                   position: int | tuple | None, pending: dict,
-                  worker_index: int, attempts: int = 1,
-                  stolen: bool = False) -> None:
+                  worker_index: int, attempts: int = 1) -> None:
         if self._workers is None:
             raise SolverError("worker pool is shut down")
         worker = self._workers[worker_index]
@@ -1474,7 +1258,7 @@ class WorkerPool:
                                          position)) + payload[2:]
         pending[task_id] = _PendingTask(position=position, kind=kind,
                                        args=args, worker_index=worker_index,
-                                       attempts=attempts, stolen=stolen)
+                                       attempts=attempts)
         try:
             worker.connection.send(payload)
         except (BrokenPipeError, OSError):
@@ -1597,7 +1381,7 @@ class WorkerPool:
             self._bump("tasks_retried")
             self._dispatch(task.kind, task.args, task.position, pending,
                            worker_index=worker_index,
-                           attempts=task.attempts + 1, stolen=task.stolen)
+                           attempts=task.attempts + 1)
         return self._workers[worker_index]
 
     def __repr__(self) -> str:
@@ -1697,8 +1481,8 @@ class _DirectedAvgSearch:
     Mirrors :meth:`repro.plan.program.BoundProgram._avg_search` exactly —
     same open/close test, same midpoint, same interval update — so the
     pooled search's decision sequence is the serial search's bit-for-bit.
-    ``probes`` counts consumed probe results (speculative children included
-    once consumed), bounded by the serial search's iteration budget.
+    ``probes`` counts applied probe results, bounded by the serial search's
+    iteration budget.
     """
 
     def __init__(self, low: float, high: float, at_least: bool):
@@ -1731,80 +1515,37 @@ class _DirectedAvgSearch:
 def sharded_avg_range(pool: WorkerPool, keyed_programs: Sequence[tuple],
                       known_sum: float, known_count: float,
                       low_start: float, high_start: float,
-                      tolerance: float, max_iterations: int,
-                      speculative: bool | None = None
+                      tolerance: float, max_iterations: int
                       ) -> tuple[float, float]:
     """The (lower, upper) extreme achievable averages, searched across shards.
 
-    Runs the upper and lower binary searches in lockstep: each iteration
-    fans one probe per active search per shard out over the pool and folds
-    the per-shard ``value − target`` optima with one reduction — the
-    communication pattern that makes AVG, the one non-separable aggregate,
-    scale out with the rest of the sharded plan.  The probe decisions are
-    the serial search's decisions exactly, so the returned endpoints match
-    the single-program path (same midpoints, same conservative rounding).
-
-    ``speculative`` additionally evaluates *both* children of each active
-    midpoint one level ahead in the same round: whichever way the parent
-    probe decides, the next midpoint's verdict is already in hand, so the
-    search consumes two levels per round-trip — halving rounds on
-    high-latency pools at the price of one discarded probe per search per
-    round.  Defaults to :meth:`WorkerPool.speculative_capacity` (speculate
-    only when workers would otherwise idle).  Decisions, midpoints and
-    endpoints are unchanged: a child midpoint is computed from the same
-    operands the serial search would use, and the per-search probe budget
-    still caps total consumed probes at ``max_iterations``.
+    Runs the upper and lower binary searches in lockstep: each round fans
+    one midpoint probe per open search out over the pool, one task per
+    shard, and folds the per-shard ``value − target`` optima with one
+    reduction — the communication pattern that makes AVG, the one
+    non-separable aggregate, scale out with the rest of the sharded plan.
+    The probe decisions are the serial search's decisions exactly, so the
+    returned endpoints match the single-program path (same midpoints, same
+    conservative rounding).
     """
     with_floor = known_count == 0
     searches = [_DirectedAvgSearch(low_start, high_start, at_least=True),
                 _DirectedAvgSearch(low_start, high_start, at_least=False)]
-    if speculative is None:
-        speculative = pool.speculative_capacity(
-            2 * max(1, len(keyed_programs)))
+    tracer = get_tracer()
     while True:
-        probes: list[tuple] = []
-        owners: list[tuple] = []
-        for search in searches:
-            if search.probes >= max_iterations or not search.open(tolerance):
-                continue
-            midpoint = search.midpoint
-            probes.append((midpoint, search.at_least, with_floor))
-            owners.append((search, midpoint))
-            if speculative and search.probes + 1 < max_iterations:
-                # The two possible next midpoints, computed from the same
-                # operands the serial search will use after deciding the
-                # parent — float-identical to the post-decision midpoint.
-                for child in ((search.low + midpoint) / 2.0,
-                              (midpoint + search.high) / 2.0):
-                    probes.append((child, search.at_least, with_floor))
-                    owners.append((search, child))
-        if not probes:
+        active = [(search, search.midpoint) for search in searches
+                  if search.probes < max_iterations
+                  and search.open(tolerance)]
+        if not active:
             break
-        tracer = get_tracer()
+        probes = [(midpoint, search.at_least, with_floor)
+                  for search, midpoint in active]
         with tracer.span("avg.round"):
             tracer.annotate(probes=len(probes), shards=len(keyed_programs))
             outcomes = pool.avg_probes(keyed_programs, probes)
-        verdicts: dict[tuple, bool] = {}
-        parents: dict[int, float] = {}
-        for (search, target), outcome in zip(owners, outcomes):
-            constant = known_sum - target * known_count
-            verdicts[(id(search), target)] = _achievable(
-                outcome, search.at_least, with_floor, constant)
-            parents.setdefault(id(search), target)
-        for search in searches:
-            parent = parents.get(id(search))
-            if parent is None:
-                continue
-            search.apply(parent, verdicts[(id(search), parent)])
-            if not speculative:
-                continue
-            # Consume the pre-computed child verdict when the search is
-            # still open and has budget — exactly one extra serial step.
-            if search.probes >= max_iterations or not search.open(tolerance):
-                continue
-            child = search.midpoint
-            verdict = verdicts.get((id(search), child))
-            if verdict is not None:
-                search.apply(child, verdict)
+        for (search, midpoint), outcome in zip(active, outcomes):
+            constant = known_sum - midpoint * known_count
+            search.apply(midpoint, _achievable(outcome, search.at_least,
+                                               with_floor, constant))
     # Conservative endpoints, exactly like the serial search.
     return searches[1].conservative, searches[0].conservative

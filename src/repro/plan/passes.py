@@ -27,10 +27,9 @@ from ..core.pcset import PredicateConstraintSet
 from ..obs.metrics import get_registry
 from .ir import BoundPlan
 
-__all__ = ["PlanPass", "ObservedCellStatistics", "ShardLoadMemo",
-           "RegionPruningPass", "ConstraintMergingPass",
-           "StrategySelectionPass", "default_passes", "optimize_plan",
-           "estimated_cell_count"]
+__all__ = ["PlanPass", "ObservedCellStatistics", "RegionPruningPass",
+           "ConstraintMergingPass", "StrategySelectionPass", "default_passes",
+           "optimize_plan", "estimated_cell_count"]
 
 PlanPass = Callable[[BoundPlan], BoundPlan]
 
@@ -126,84 +125,6 @@ class ObservedCellStatistics:
         worst = worst_case_cell_count(num_constraints)
         estimated = int(math.ceil(max(densities) * worst))
         return max(num_constraints, min(estimated, worst))
-
-
-class ShardLoadMemo:
-    """Observed per-shard cell loads, feeding region cut placement back.
-
-    Region cut points are placed from constraint-interval midpoints *before*
-    any enumeration runs, so the first split of a skewed constraint set can
-    concentrate most satisfiable cells in one hot shard — and the hot shard
-    sets the fan-out's critical path (skew, not mean load, governs parallel
-    cost).  This memo closes the loop: after a region-sharded decomposition
-    the solver records, per ``(region, attribute)`` pair, each slice's
-    bounds and the cell count it actually produced; the next request's cut
-    placement (:meth:`repro.plan.sharding.RegionSharding.cut_points`)
-    weights its midpoint quantiles by those measured densities, moving cuts
-    *into* the hot slice.
-
-    Placement is pure scheduling — every cut layout merges back to the
-    serial-identical decomposition — so feedback can never change a result,
-    only the balance.  ``version`` advances only when a stored observation
-    actually changes, which is what lets the solver's sharded-plan memo stay
-    warm across identical repeats and recompute only on fresh signal.
-    Thread-safe; scope one instance per solver or share one per service
-    (the service shares, like :class:`ObservedCellStatistics`).
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._loads: dict[tuple, tuple] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotone change counter (the sharded-plan memo's freshness key)."""
-        with self._lock:
-            return self._version
-
-    def observe(self, region, attribute: str | None,
-                loads: Sequence[tuple]) -> None:
-        """Record one region-sharded run's measured slice loads.
-
-        ``loads`` pairs each slice's ``(low, high)`` bounds with the cell
-        count its enumeration produced, in shard order.
-        """
-        if attribute is None or not loads:
-            return
-        entry = tuple((tuple(bounds), float(cells))
-                      for bounds, cells in loads)
-        with self._lock:
-            if self._loads.get((region, attribute)) == entry:
-                return
-            self._loads[(region, attribute)] = entry
-            self._version += 1
-        registry = get_registry()
-        registry.counter("shards.load_observations").inc()
-        registry.gauge("shards.load_pairs").set(len(self._loads))
-
-    def slice_loads(self, region, attribute: str | None
-                    ) -> tuple[tuple[tuple[float, float], float], ...] | None:
-        """The recorded ``((low, high), cells)`` pairs for a pair, or None."""
-        if attribute is None:
-            return None
-        with self._lock:
-            return self._loads.get((region, attribute))
-
-    def cell_skew(self, region, attribute: str | None) -> float | None:
-        """max/mean cells across the recorded slices (>= 1.0), or None."""
-        loads = self.slice_loads(region, attribute)
-        if not loads:
-            return None
-        cells = [count for _bounds, count in loads]
-        mean = sum(cells) / len(cells)
-        if mean <= 0:
-            return 1.0
-        return max(cells) / mean
-
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()
 
 
 class RegionPruningPass:

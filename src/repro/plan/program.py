@@ -798,8 +798,8 @@ class BoundProgram:
         """This shard's contributions to a round of cross-shard AVG probes.
 
         ``probes`` is a sequence of ``(target, at_least, with_floor)``
-        triples — one cross-shard search iteration's parent midpoints plus
-        both speculative children travel together.  Each probe yields
+        triples — one cross-shard search iteration's midpoints, one per
+        open search direction, travel together.  Each probe yields
         ``(free, floor)``: the optimum of the ``value − target`` objective
         over this program's active skeleton without and (when
         ``with_floor``) with the "at least one allocated row" floor row.

@@ -75,7 +75,7 @@ from ..core.ranges import ResultRange
 from ..exceptions import PredicateError, SolverError
 from ..relational.aggregates import AggregateFunction
 from .ir import BoundPlan, BoundQuery
-from .passes import ObservedCellStatistics, ShardLoadMemo, estimated_cell_count
+from .passes import ObservedCellStatistics, estimated_cell_count
 
 __all__ = ["SHARDABLE_AGGREGATES", "SHARD_STRATEGIES", "PlanShard",
            "ShardedBoundPlan", "ShardingStrategy", "ConstraintComponentSharding",
@@ -345,10 +345,8 @@ class RegionSharding(ShardingStrategy):
 
     name = "region"
 
-    def __init__(self, attribute: str | None = None,
-                 shard_loads: ShardLoadMemo | None = None):
+    def __init__(self, attribute: str | None = None):
         self._attribute = attribute
-        self._shard_loads = shard_loads
 
     def split(self, plan: BoundPlan,
               max_shards: int | None = None) -> ShardedBoundPlan:
@@ -360,12 +358,7 @@ class RegionSharding(ShardingStrategy):
         attribute = self._attribute or self.partition_attribute(plan)
         if attribute is None:
             return _single_shard(plan, "region")
-        slice_loads = None
-        if self._shard_loads is not None:
-            slice_loads = self._shard_loads.slice_loads(plan.query.region,
-                                                        attribute)
-        cuts = self.cut_points(plan, attribute, max_shards,
-                               slice_loads=slice_loads)
+        cuts = self.cut_points(plan, attribute, max_shards)
         if not cuts:
             return _single_shard(plan, "region")
         edges = [-_INF, *cuts, _INF]
@@ -459,38 +452,9 @@ class RegionSharding(ShardingStrategy):
                 best = score
         return None if best is None else best[1]
 
-    @staticmethod
-    def _midpoint_weights(midpoints: list[float],
-                          slice_loads) -> list[float] | None:
-        """Per-midpoint enumeration weights from observed slice loads.
-
-        Each observed slice's measured cell count is spread evenly over the
-        midpoints the slice contains, so a hot slice's midpoints weigh more
-        and the weighted quantiles pull cuts *into* it.  Midpoints no slice
-        covers (the previous layout dropped their window) fall back to the
-        mean observed weight.  ``None`` — the uniform-weights signal — when
-        there is nothing usable to learn from.
-        """
-        if not slice_loads or not midpoints:
-            return None
-        weights: list[float | None] = [None] * len(midpoints)
-        for (low, high), cells in slice_loads:
-            members = [index for index, midpoint in enumerate(midpoints)
-                       if weights[index] is None and low <= midpoint <= high]
-            if not members:
-                continue
-            share = max(0.0, float(cells)) / len(members)
-            for index in members:
-                weights[index] = share
-        assigned = [weight for weight in weights if weight is not None]
-        if not assigned or sum(assigned) <= 0.0:
-            return None
-        fallback = sum(assigned) / len(assigned)
-        return [fallback if weight is None else weight for weight in weights]
-
     @classmethod
-    def cut_points(cls, plan: BoundPlan, attribute: str, max_shards: int,
-                   slice_loads=None) -> list[float]:
+    def cut_points(cls, plan: BoundPlan, attribute: str,
+                   max_shards: int) -> list[float]:
         """Strictly increasing cut values between balanced midpoint chunks.
 
         Cuts can only fall in *gaps* — positions where adjacent sorted
@@ -499,31 +463,16 @@ class RegionSharding(ShardingStrategy):
         boundaries snaps to its nearest unused gap, so duplicated
         structures (several constraints sharing an interval) still split
         into balanced slices, and fewer gaps gracefully produce fewer
-        shards.
-
-        Without ``slice_loads`` the quantiles are midpoint-*count*
-        quantiles — each slice attracts an equal share of constraint
-        structure, the only signal available before anything has run.  With
-        ``slice_loads`` (a :class:`~repro.plan.passes.ShardLoadMemo`
-        observation from a previous run of this (region, attribute) pair)
-        they become midpoint-*weight* quantiles: midpoints are weighted by
-        their slice's measured cells, so a slice that produced most of the
-        enumeration work attracts proportionally more cuts the next time.
-        Uniform weights reproduce the unweighted placement exactly —
-        feedback refines the balance, never the contract.
+        shards.  The quantiles are midpoint-*count* quantiles: each slice
+        attracts an equal share of constraint structure, the only signal
+        available before anything has run.
         """
         midpoints = cls._interval_midpoints(plan, attribute)
         gaps = [index for index in range(1, len(midpoints))
                 if midpoints[index - 1] < midpoints[index]]
         if not gaps:
             return []
-        weights = cls._midpoint_weights(midpoints, slice_loads)
-        if weights is None:
-            weights = [1.0] * len(midpoints)
-        prefix = [0.0]
-        for weight in weights:
-            prefix.append(prefix[-1] + weight)
-        total = prefix[-1]
+        total = len(midpoints)
         shards = min(max_shards, len(gaps) + 1)
         chosen: set[int] = set()
         for boundary in range(1, shards):
@@ -531,7 +480,7 @@ class RegionSharding(ShardingStrategy):
             free = [gap for gap in gaps if gap not in chosen]
             if not free:
                 break
-            chosen.add(min(free, key=lambda gap: abs(prefix[gap] - target)))
+            chosen.add(min(free, key=lambda gap: abs(gap - target)))
         return [(midpoints[gap - 1] + midpoints[gap]) / 2.0
                 for gap in sorted(chosen)]
 
@@ -548,8 +497,7 @@ def shard_plan(plan: BoundPlan, max_shards: int | None = None
 
 
 def select_sharding(plan: BoundPlan, max_shards: int | None = None,
-                    cell_statistics: ObservedCellStatistics | None = None,
-                    shard_loads: ShardLoadMemo | None = None
+                    cell_statistics: ObservedCellStatistics | None = None
                     ) -> ShardedBoundPlan:
     """Choose and apply the sharding strategy for ``plan``.
 
@@ -566,10 +514,6 @@ def select_sharding(plan: BoundPlan, max_shards: int | None = None,
       feed is supplied — the same signal budget-driven strategy selection
       uses) reaches :data:`REGION_SHARDING_MIN_CELLS`; tiny enumerations
       run inline faster than any fan-out round.
-
-    ``shard_loads`` feeds observed per-slice cell loads back into region
-    cut placement (see :class:`~repro.plan.passes.ShardLoadMemo`); it can
-    move cuts, never change what a merged decomposition contains.
     """
     preference = plan.shard_strategy
     if preference not in SHARD_STRATEGIES:
@@ -583,7 +527,7 @@ def select_sharding(plan: BoundPlan, max_shards: int | None = None,
         estimate, _ = estimated_cell_count(plan, cell_statistics)
         if estimate < REGION_SHARDING_MIN_CELLS:
             return component
-    region = RegionSharding(shard_loads=shard_loads).split(plan, max_shards)
+    region = RegionSharding().split(plan, max_shards)
     return region if region.is_sharded else component
 
 
@@ -684,9 +628,9 @@ def slice_cache_keys(sharded: ShardedBoundPlan, namespace: object) -> list[tuple
       hash by content, and ``conjoin`` normalises range intersection), so
       the second query hits the first query's slice entries and recomputes
       only its uncovered slices.
-    * Moved cut points (e.g. after :class:`~repro.plan.passes.ShardLoadMemo`
-      feedback re-cuts a region) change the sub-region predicates, which is
-      simply a cache miss — never a wrong hit.
+    * Different cut points (e.g. another ``max_shards``) change the
+      sub-region predicates, which is simply a cache miss — never a wrong
+      hit.
 
     The key embeds the partition attribute and slice interval through the
     sub-region predicate itself, and the relation/options identity through

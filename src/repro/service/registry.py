@@ -54,7 +54,6 @@ class RegisteredSession:
     _program_cache: object = field(default=None, repr=False)
     _worker_pool: object = field(default=None, repr=False)
     _cell_statistics: object = field(default=None, repr=False)
-    _shard_loads: object = field(default=None, repr=False)
     _analyzer: PCAnalyzer | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -70,8 +69,7 @@ class RegisteredSession:
                                                             self.options),
                     program_cache=self._program_cache,
                     worker_pool=self._worker_pool,
-                    cell_statistics=self._cell_statistics,
-                    shard_loads=self._shard_loads)
+                    cell_statistics=self._cell_statistics)
             return self._analyzer
 
     def analyze(self, query: ContingencyQuery) -> ContingencyReport:
@@ -148,19 +146,14 @@ class SessionRegistry:
         Shared :class:`~repro.plan.passes.ObservedCellStatistics` feed, so
         every session's measured decompositions inform every other
         session's adaptive cell budgeting.
-    shard_loads:
-        Shared :class:`~repro.plan.passes.ShardLoadMemo`, so every
-        session's observed per-shard cell loads inform every other
-        session's region cut placement.
     """
 
     def __init__(self, decomposition_cache=None, program_cache=None,
-                 worker_pool=None, cell_statistics=None, shard_loads=None):
+                 worker_pool=None, cell_statistics=None):
         self._decomposition_cache = decomposition_cache
         self._program_cache = program_cache
         self._worker_pool = worker_pool
         self._cell_statistics = cell_statistics
-        self._shard_loads = shard_loads
         self._sessions: dict[str, list[RegisteredSession]] = {}
         self._lock = threading.RLock()
 
@@ -196,7 +189,6 @@ class SessionRegistry:
                 _program_cache=self._program_cache,
                 _worker_pool=self._worker_pool,
                 _cell_statistics=self._cell_statistics,
-                _shard_loads=self._shard_loads,
             )
             versions.append(session)
             return session

@@ -43,7 +43,7 @@ from ..obs.metrics import get_registry
 from ..obs.profile import QueryProfile
 from ..obs.trace import Trace, get_tracer
 from ..parallel.pool import WorkerPool, default_pool_mode
-from ..plan.passes import ObservedCellStatistics, ShardLoadMemo
+from ..plan.passes import ObservedCellStatistics
 from ..relational.relation import Relation
 from .admission import (
     AdmissionController,
@@ -254,13 +254,11 @@ class ContingencyService:
                                                    "decomposition")
             self._report_cache.attach_store(self._store, "report")
         self._cell_statistics = ObservedCellStatistics()
-        self._shard_loads = ShardLoadMemo()
         self._registry = SessionRegistry(
             decomposition_cache=self._decomposition_cache,
             program_cache=self._program_cache,
             worker_pool=self._worker_pool,
-            cell_statistics=self._cell_statistics,
-            shard_loads=self._shard_loads)
+            cell_statistics=self._cell_statistics)
         self._executor = BatchExecutor(max_workers, pool=self._worker_pool)
         self._default_options = default_options
         self._verify_backend = verify_backend if verify == "cross-backend" else None
@@ -295,11 +293,6 @@ class ContingencyService:
     def cell_statistics(self) -> ObservedCellStatistics:
         """The shared adaptive cell-count feed (one across all sessions)."""
         return self._cell_statistics
-
-    @property
-    def shard_loads(self) -> ShardLoadMemo:
-        """The shared shard-load feedback memo (one across all sessions)."""
-        return self._shard_loads
 
     @property
     def admission(self) -> AdmissionController | None:

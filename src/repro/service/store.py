@@ -41,8 +41,11 @@ from ..obs.metrics import get_registry
 
 __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 
-#: Bump whenever the table layout or value encoding changes incompatibly.
-SCHEMA_VERSION = 1
+#: Bump whenever the table layout or value encoding changes incompatibly,
+#: or when entries an older version wrote may be unsound.  Version 2: box-SAT
+#: keeps integral cells next to fractional endpoints, which version 1
+#: decompositions and reports could miss.
+SCHEMA_VERSION = 2
 
 _DB_FILENAME = "repro-cache.sqlite"
 

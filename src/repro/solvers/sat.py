@@ -82,15 +82,19 @@ class Interval:
     def complement_pieces(self) -> tuple["Interval", ...]:
         """The complement of this interval as up to two intervals.
 
-        For integral intervals the complement excludes the integer endpoints
-        (e.g. the complement of ``[2, 5]`` is ``(-inf, 1]`` and ``[6, inf)``).
+        For integral intervals the complement steps past the integers the
+        interval contains, so fractional endpoints round inward first (e.g.
+        the complement of ``[2, 5]`` or of ``[1.5, 5.5]`` is ``(-inf, 1]``
+        and ``[6, inf)``).
         """
         pieces: list[Interval] = []
         if self.low > _NEG_INF:
-            upper = self.low - 1 if self.integral else math.nextafter(self.low, _NEG_INF)
+            upper = (float(math.ceil(self.low) - 1) if self.integral
+                     else math.nextafter(self.low, _NEG_INF))
             pieces.append(Interval(_NEG_INF, upper, self.integral))
         if self.high < _POS_INF:
-            lower = self.high + 1 if self.integral else math.nextafter(self.high, _POS_INF)
+            lower = (float(math.floor(self.high) + 1) if self.integral
+                     else math.nextafter(self.high, _POS_INF))
             pieces.append(Interval(lower, _POS_INF, self.integral))
         return tuple(pieces)
 

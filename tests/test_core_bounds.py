@@ -217,6 +217,19 @@ class TestEdgeCases:
         with pytest.raises(SolverError):
             solver.bound(AggregateFunction.SUM)
 
+    def test_integral_fractional_endpoint_keeps_boundary_cell(self):
+        # The integers in [2.5, 6] are 3..6, so k = 2 lies in b alone: five
+        # rows there at v = 100 satisfy both constraints.
+        a = pc(Predicate.range("k", 2.5, 6, integral=True), {"v": (0.0, 10.0)},
+               0, 5, name="a")
+        b = pc(Predicate.range("k", 2, 6, integral=True), {"v": (0.0, 100.0)},
+               0, 5, name="b")
+        solver = PCBoundSolver(PredicateConstraintSet([a, b]), NO_CLOSURE)
+        maximum = solver.bound(AggregateFunction.MAX, "v")
+        assert (maximum.lower, maximum.upper) == (None, 100.0)
+        total = solver.bound(AggregateFunction.SUM, "v")
+        assert (total.lower, total.upper) == (0.0, 500.0)
+
     def test_negative_values_affect_lower_bound(self):
         constraint = pc(Predicate.range("x", 0, 1), {"v": (-10.0, 10.0)}, 0, 4)
         solver = PCBoundSolver(PredicateConstraintSet([constraint]), NO_CLOSURE)

@@ -8,8 +8,8 @@ machine, every time:
 * **kill mid-batch** — a worker dies holding dispatched tasks; the round
   retries them elsewhere and the surviving results are bit-identical to
   the serial path, for all five aggregates;
-* **kill during steal** — same contract with work stealing re-routing
-  tasks between the kill and the retry;
+* **kill mid-round** — a kill on a later dispatch of a round deeper than
+  the pool, with its tasks retried on the respawned worker;
 * **poison quarantine** — a task that kills its worker twice is
   quarantined and fails *only its own query* with
   :class:`~repro.exceptions.PoisonTaskError` while sibling tasks and
@@ -69,7 +69,6 @@ def _isolated_fault_env(monkeypatch):
     """Each test states its own fault plan; the chaos CI leg's global
     ``REPRO_FAULTS`` must not leak into scenarios scripted differently."""
     monkeypatch.delenv(FAULTS_ENV, raising=False)
-    monkeypatch.delenv("REPRO_STEAL", raising=False)
     yield
 
 
@@ -220,7 +219,7 @@ class TestDeadlines:
 
 
 # --------------------------------------------------------------------- #
-# Crash recovery: kill mid-batch, kill during steal
+# Crash recovery: kill mid-batch, kill mid-round
 # --------------------------------------------------------------------- #
 class TestKillRecovery:
     def test_kill_mid_batch_bit_identical_all_aggregates(self, monkeypatch):
@@ -248,8 +247,7 @@ class TestKillRecovery:
         assert counter_value("pool.tasks_retried") >= \
             retried_before + len(ALL_AGGREGATES)
 
-    def test_kill_during_steal_bit_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEAL", "1")
+    def test_kill_mid_round_bit_identical(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:task=2")
         solver = make_solver()
         keyed = keyed_shard_programs(solver, shards=6)

@@ -5,7 +5,7 @@ equalities; these tests pin the pass itself — strategy selection and its
 preference/density gates, the region splitter's partition-attribute and
 cut-point choices, sub-region coverage, the cell-union merge equalling the
 serial enumeration under every knob, cache-token separation, the worker
-pool's decompose fan-out, and the speculative AVG search.
+pool's decompose fan-out, and the cross-shard AVG search.
 """
 
 from __future__ import annotations
@@ -323,10 +323,17 @@ class TestSolverIntegration:
 
 
 # --------------------------------------------------------------------- #
-# Speculative AVG probing
+# Cross-shard AVG probing
 # --------------------------------------------------------------------- #
 class TestSpeculativeAvg:
-    def _sharded_setup(self):
+    """The cross-shard AVG search lands on the serial endpoints.
+
+    Each round probes one midpoint per open search across the shards; the
+    ``known_rows`` case adds an observed partition, which drops the
+    cardinality floor from the probes and widens the search bracket.
+    """
+
+    def _sharded_setup(self, known_sum: float, known_count: float):
         pcset = PredicateConstraintSet([
             pc(float(2 * i), 2 * i + 0.9, f"w{i}", klo=2, khi=8,
                value_range=(float(i), float(i + 7)))
@@ -339,42 +346,22 @@ class TestSpeculativeAvg:
                   solver.shard_program(shard, None, "v"))
                  for shard in sharded]
         program = solver.program(None, "v")
-        serial = program.bound(AggregateFunction.AVG)
+        serial = program.bound(AggregateFunction.AVG, known_sum, known_count)
         active = [p for key, prog in keyed for p in prog.active_profiles]
-        low = min(p.value_lower for p in active)
-        high = max(p.value_upper for p in active)
+        known = [known_sum / known_count] if known_count else []
+        low = min([p.value_lower for p in active] + known)
+        high = max([p.value_upper for p in active] + known)
         return keyed, serial, low, high
 
-    @pytest.mark.parametrize("speculative", [False, True])
-    def test_endpoints_identical_to_serial(self, speculative):
+    @pytest.mark.parametrize("known_rows", [False, True])
+    def test_endpoints_identical_to_serial(self, known_rows):
         from repro.parallel.pool import WorkerPool, sharded_avg_range
 
-        keyed, serial, low, high = self._sharded_setup()
-        with WorkerPool(max_workers=3, mode="process", name="spec") as pool:
+        known_sum, known_count = (36.0, 3.0) if known_rows else (0.0, 0.0)
+        keyed, serial, low, high = self._sharded_setup(known_sum, known_count)
+        with WorkerPool(max_workers=3, mode="process",
+                        name="cross-shard-avg") as pool:
             lower, upper = sharded_avg_range(
-                pool, keyed, 0.0, 0.0, low, high,
-                tolerance=1e-6, max_iterations=64, speculative=speculative)
+                pool, keyed, known_sum, known_count, low, high,
+                tolerance=1e-6, max_iterations=64)
         assert lower == serial.lower and upper == serial.upper
-
-    def test_speculation_halves_rounds(self):
-        from repro.parallel.pool import WorkerPool, sharded_avg_range
-
-        keyed, _, low, high = self._sharded_setup()
-        rounds = {}
-        for speculative in (False, True):
-            with WorkerPool(max_workers=3, mode="process",
-                            name=f"spec-{speculative}") as pool:
-                sharded_avg_range(pool, keyed, 0.0, 0.0, low, high,
-                                  tolerance=1e-6, max_iterations=64,
-                                  speculative=speculative)
-                rounds[speculative] = pool.statistics.rounds
-        assert rounds[True] <= rounds[False] / 2 + 1
-
-    def test_capacity_gate(self):
-        from repro.parallel.pool import WorkerPool
-
-        with WorkerPool(max_workers=8, mode="process", name="gate") as pool:
-            assert pool.speculative_capacity(4)
-            assert not pool.speculative_capacity(8)
-        serial_pool = WorkerPool(max_workers=1, name="gate-serial")
-        assert not serial_pool.speculative_capacity(0)

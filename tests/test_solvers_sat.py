@@ -48,6 +48,11 @@ class TestInterval:
         below, above = Interval(2, 5, integral=True).complement_pieces()
         assert below.high == 1
         assert above.low == 6
+        # Fractional endpoints round inward before stepping past them: the
+        # integers in [2.5, 5.5] are 3..5, so 2 and 6 stay in the complement.
+        below, above = Interval(2.5, 5.5, integral=True).complement_pieces()
+        assert below.high == 2
+        assert above.low == 6
 
     def test_sample_point(self):
         assert Interval(1, 3).contains(Interval(1, 3).sample_point())

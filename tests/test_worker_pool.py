@@ -144,6 +144,25 @@ class TestLifecycle:
         assert endpoints == [expected[index % len(expected)]
                              for index in range(4000)]
 
+    def test_round_deeper_than_in_flight_cap_completes(self):
+        """40 tasks on one affinity key queue far past the in-flight cap on
+        one worker; the round drains that queue with one dispatch per task
+        and returns the serial enumeration for every entry."""
+        from repro.core.cells import CellDecomposer, DecompositionStrategy
+
+        pcset = build_partition_pcs(make_relation(), ["t"], 4)
+        tasks = [("hot-key", pcset, None, DecompositionStrategy.DFS_REWRITE,
+                  None)] * 40
+        expected = {cell.covering
+                    for cell in CellDecomposer(pcset).decompose().cells}
+        with WorkerPool(max_workers=WORKERS, mode="process") as pool:
+            results = pool.decompose_shards(tasks, batch_size=1)
+            statistics = pool.statistics
+        assert statistics.tasks_dispatched == len(tasks)
+        assert len(results) == len(tasks)
+        assert all({cell.covering for cell in result.cells} == expected
+                   for result in results)
+
     def test_shared_pools_are_reused_and_reaped(self):
         first = shared_pool(max_workers=WORKERS)
         second = shared_pool(max_workers=WORKERS)
@@ -321,6 +340,41 @@ class TestAffinityAndWarmCaches:
         finally:
             pool.shutdown()
 
+    def test_warm_round_leaves_every_program_on_its_affinity_worker(
+            self, solver):
+        """A warm round far deeper than the in-flight cap still lands every
+        program on the worker its key routes to, so the solves that follow
+        ship nothing."""
+        programs = keyed_shard_programs(solver)
+        keyed = [(f"key-{index}", programs[index % len(programs)][1])
+                 for index in range(300)]
+        with WorkerPool(max_workers=2, mode="process") as pool:
+            pool.warm(dict(keyed))
+            for key, _ in keyed:
+                assert key in pool.warm_keys_on(pool.worker_for(key))
+            endpoints = pool.solve_programs(keyed, AggregateFunction.SUM)
+            statistics = pool.statistics
+        assert statistics.programs_shipped == len(keyed)
+        assert statistics.warm_hits == len(keyed)
+        expected = direct_endpoints(programs, AggregateFunction.SUM)
+        assert endpoints == [expected[index % len(expected)]
+                             for index in range(len(keyed))]
+
+    def test_restart_resets_load_counters_but_keeps_sticky_map(self):
+        pool = WorkerPool(max_workers=WORKERS, mode="process")
+        try:
+            indexes = {key: pool.worker_for(key)
+                       for key in ("k0", "k1", "k2", "k3")}
+            assert sum(pool._assigned) == 4
+            pool.restart()
+            # The dead incarnation's load history is gone...
+            assert pool._assigned == [0] * WORKERS
+            # ...but sticky placement survives the bounce.
+            for key, index in indexes.items():
+                assert pool.worker_for(key) == index
+        finally:
+            pool.shutdown()
+
     def test_worker_lru_eviction_recovers_by_reshipping(self, solver,
                                                         monkeypatch):
         """Warm-key bookkeeping is advisory: a worker that evicted a
@@ -475,159 +529,3 @@ class TestServiceIntegration:
             assert pool.statistics.tasks_dispatched > 0
         finally:
             pool.shutdown()
-
-
-class TestWorkStealing:
-    """Elastic re-routing of queued tasks from loaded workers to idle ones.
-
-    All tasks are keyed to one affinity key, so routing concentrates the
-    round on a single worker — the synthetic worst case of skew.  With
-    stealing on, idle peers must take over the queued tail (and split a
-    queued batch when idle workers outnumber queued tasks); with stealing
-    off, the counters stay at zero.  Either way the results must equal the
-    serial enumeration — stealing moves where a task runs, never what it
-    computes.
-    """
-
-    def skewed_tasks(self, count: int) -> list[tuple]:
-        from repro.core.cells import DecompositionStrategy
-
-        pcset = build_partition_pcs(make_relation(), ["t"], 4)
-        return [("hot-key", pcset, None, DecompositionStrategy.DFS_REWRITE,
-                 None)] * count
-
-    def serial_coverings(self, tasks):
-        from repro.core.cells import CellDecomposer
-
-        return {cell.covering
-                for cell in CellDecomposer(tasks[0][1]).decompose().cells}
-
-    def test_idle_workers_steal_queued_tasks(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        # batch_size=1 forces one single-shard task per entry: 40 tasks on
-        # one affinity worker, capped at 16 in flight, leaves a deep queue
-        # the idle workers must drain.
-        tasks = self.skewed_tasks(40)
-        expected = self.serial_coverings(tasks)
-        with WorkerPool(max_workers=WORKERS, mode="process",
-                        steal=True) as pool:
-            results = pool.decompose_shards(tasks, batch_size=1)
-            stolen = pool.statistics.tasks_stolen
-        assert stolen > 0
-        assert len(results) == len(tasks)
-        assert all({cell.covering for cell in result.cells} == expected
-                   for result in results)
-
-    def test_stealing_off_keeps_affinity_routing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        tasks = self.skewed_tasks(40)
-        expected = self.serial_coverings(tasks)
-        with WorkerPool(max_workers=WORKERS, mode="process",
-                        steal=False) as pool:
-            assert not pool.stealing
-            results = pool.decompose_shards(tasks, batch_size=1)
-            statistics = pool.statistics
-        assert statistics.tasks_stolen == 0
-        assert statistics.batches_split == 0
-        assert all({cell.covering for cell in result.cells} == expected
-                   for result in results)
-
-    def test_environment_wins_over_pool_configuration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEAL", "0")
-        assert not WorkerPool(max_workers=2, mode="process",
-                              steal=True).stealing
-        monkeypatch.setenv("REPRO_STEAL", "1")
-        assert WorkerPool(max_workers=2, mode="process",
-                          steal=False).stealing
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        assert WorkerPool(max_workers=2, mode="process").stealing
-
-    def test_queued_batch_splits_when_thieves_outnumber_tasks(self,
-                                                              monkeypatch):
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        # batch_size=4 over 68 same-key tasks makes 17 decompose_batch
-        # requests for one worker: 16 in flight, exactly one queued — fewer
-        # queued tasks than idle workers, so the queued batch must split.
-        tasks = self.skewed_tasks(68)
-        expected = self.serial_coverings(tasks)
-        with WorkerPool(max_workers=WORKERS, mode="process",
-                        steal=True) as pool:
-            results = pool.decompose_shards(tasks, batch_size=4)
-            statistics = pool.statistics
-        assert statistics.batches_split >= 1
-        assert statistics.tasks_stolen >= 1
-        assert len(results) == len(tasks)
-        assert all({cell.covering for cell in result.cells} == expected
-                   for result in results)
-
-    def test_restart_resets_load_counters_but_keeps_sticky_map(self):
-        pool = WorkerPool(max_workers=WORKERS, mode="process")
-        try:
-            indexes = {key: pool.worker_for(key)
-                       for key in ("k0", "k1", "k2", "k3")}
-            assert sum(pool._assigned) == 4
-            pool.restart()
-            # The dead incarnation's load history is gone...
-            assert pool._assigned == [0] * WORKERS
-            # ...but sticky placement survives the bounce.
-            for key, index in indexes.items():
-                assert pool.worker_for(key) == index
-        finally:
-            pool.shutdown()
-
-    def test_retire_affinity_returns_the_load_credit(self):
-        pool = WorkerPool(max_workers=WORKERS, mode="process")
-        index = pool.worker_for("transient")
-        assert pool._assigned[index] == 1
-        pool.retire_affinity("transient")
-        assert pool._assigned[index] == 0
-        assert "transient" not in pool._affinity
-        pool.retire_affinity("transient")  # advisory: unknown keys ignored
-        assert pool._assigned[index] == 0
-
-
-class TestSpeculativeCapacity:
-    def test_gated_on_live_tasks_not_just_width(self):
-        pool = WorkerPool(max_workers=4, mode="process")
-        try:
-            assert pool.speculative_capacity(2)  # 4 idle workers > 2
-            pool._note_live(3)
-            try:
-                # Three tasks in flight leave one idle worker: speculating
-                # two extra probes would queue behind live work.
-                assert not pool.speculative_capacity(2)
-                assert not pool.speculative_capacity(1)
-            finally:
-                pool._note_live(-3)
-            assert pool.speculative_capacity(2)
-        finally:
-            pool.shutdown()
-
-    def test_process_round_occupies_live_slots(self, monkeypatch, solver):
-        """A round in flight counts in ``live_tasks`` (a delayed task holds
-        it open), so speculation backs off until the round completes."""
-        import threading
-
-        from repro.faults import FAULTS_ENV
-
-        keyed = keyed_shard_programs(solver)
-        monkeypatch.setenv(FAULTS_ENV, "delay:ms=500")
-        pool = WorkerPool(max_workers=4, mode="process")
-        pool.start()
-        results = []
-        worker = threading.Thread(target=lambda: results.append(
-            pool.solve_programs(keyed, AggregateFunction.MIN)))
-        worker.start()
-        try:
-            deadline = time.time() + 5.0
-            while pool.live_tasks != len(keyed) and time.time() < deadline:
-                time.sleep(0.005)
-            assert pool.live_tasks == len(keyed)
-            assert not pool.speculative_capacity(1)
-        finally:
-            worker.join(timeout=10.0)
-            pool.shutdown()
-        assert not worker.is_alive()
-        assert results == [direct_endpoints(keyed, AggregateFunction.MIN)]
-        assert pool.live_tasks == 0
-        assert pool.speculative_capacity(1)
