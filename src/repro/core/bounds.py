@@ -35,8 +35,7 @@ from ..faults import Deadline, current_deadline, deadline_scope
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..plan.ir import BoundPlan, BoundQuery, build_plan
-from ..plan.passes import (ObservedCellStatistics, default_passes,
-                           optimize_plan)
+from ..plan.passes import optimize_plan
 from ..plan.program import BoundProgram, compile_plan
 from ..plan.sharding import default_shard_strategy
 from ..relational.aggregates import AggregateFunction
@@ -45,6 +44,7 @@ from .cells import (
     CellDecomposition,
     DecompositionStrategy,
     decompose_cached,
+    estimate_cell_count,
 )
 from .pcset import PredicateConstraintSet
 from .predicates import Predicate
@@ -205,11 +205,6 @@ class PCBoundSolver:
         (the service layer passes its own pool).  When omitted and
         ``options.solve_workers > 1``, a process-global shared pool is
         borrowed.
-    cell_statistics:
-        Optional :class:`~repro.plan.passes.ObservedCellStatistics` feed
-        the strategy-selection pass consults for adaptive cell budgeting;
-        the solver records every fresh decomposition into it.  Defaults to
-        a private per-solver feed; the service shares one across sessions.
     """
 
     def __init__(self, pcset: PredicateConstraintSet,
@@ -217,18 +212,15 @@ class PCBoundSolver:
                  decomposition_cache=None,
                  cache_namespace: object = None,
                  program_cache=None,
-                 worker_pool=None,
-                 cell_statistics: ObservedCellStatistics | None = None):
+                 worker_pool=None):
         self._pcset = pcset
         self._options = options or BoundOptions()
         self._shared_cache = decomposition_cache
         self._cache_namespace = cache_namespace
         self._program_cache = program_cache
         self._worker_pool = worker_pool
-        self._cell_statistics = cell_statistics or ObservedCellStatistics()
         self._decomposition_cache: dict[object, CellDecomposition] = {}
         self._decomposition_locks: dict[object, threading.Lock] = {}
-        self._resolved_depths: dict[tuple, int | None] = {}
         self._local_programs: dict[object, BoundProgram] = {}
         self._local_program_locks: dict[object, threading.Lock] = {}
         self._sharded_plans: dict[tuple, object] = {}
@@ -256,7 +248,6 @@ class PCBoundSolver:
         state["_shared_cache"] = None
         state["_program_cache"] = None
         state["_worker_pool"] = None
-        state["_cell_statistics"] = None
         state["_decomposition_locks"] = {}
         state["_local_program_locks"] = {}
         del state["_counter_lock"]
@@ -267,7 +258,6 @@ class PCBoundSolver:
         self.__dict__.update(state)
         self._counter_lock = threading.Lock()
         self._program_lock = threading.Lock()
-        self._cell_statistics = ObservedCellStatistics()
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -281,11 +271,6 @@ class PCBoundSolver:
     def worker_pool(self):
         """The injected worker pool, if any (None means borrow the shared one)."""
         return self._worker_pool
-
-    @property
-    def cell_statistics(self) -> ObservedCellStatistics | None:
-        """The adaptive cell-count feed strategy selection consults."""
-        return self._cell_statistics
 
     def attach_program_cache(self, cache) -> None:
         """Swap in a program cache (the worker-pool warm-cache handshake).
@@ -301,45 +286,24 @@ class PCBoundSolver:
                     attribute: str | None = None) -> tuple:
         """The content-derived cache key for the (region, attribute) program.
 
-        Stable across processes (fingerprint namespace + execution knobs),
-        which is what lets the worker pool address warm worker-side caches
+        The decomposition namespace covers the constraint set's content and
+        the enumeration knobs; the remaining execution knobs (backend, AVG
+        search parameters, pipeline toggles) are appended explicitly because
+        they change the compiled artifact without changing decompositions.
+        The early-stop depth is a function of these, so the key is stable
+        across processes: the worker pool addresses warm worker-side caches
         with the parent's keys.
         """
-        return self._program_key(region, attribute)
-
-    def resolved_early_stop_depth(self, region: Predicate | None = None,
-                                  attribute: str | None = None) -> int | None:
-        """The pair's pinned early-stop depth (resolving it on first ask).
-
-        The worker pool ships this alongside each query so worker-side
-        solvers can :meth:`pin_early_stop_depth` to the parent's decision —
-        without it, a worker whose density feed diverged from the parent's
-        would resolve adaptive pairs differently and compute mismatched
-        program keys.
-        """
-        return self._resolved_early_stop_depth(region, attribute)
-
-    def pin_early_stop_depth(self, region: Predicate | None,
-                             attribute: str | None,
-                             depth: int | None) -> None:
-        """Adopt a parent solver's resolved adaptive depth for one pair.
-
-        The worker-side half of the handshake described in
-        :meth:`resolved_early_stop_depth`.  First pin wins (matching the
-        parent-side memo semantics); a no-op outside adaptive budgeting,
-        where the depth is already determined by the options.
-        """
         options = self._options
-        if (not options.optimize or options.cell_budget is None
-                or options.early_stop_depth is not None):
-            return
-        with self._program_lock:
-            self._resolved_depths.setdefault((region, attribute), depth)
+        return ("program", self._namespace(), options.milp_backend,
+                options.avg_tolerance, options.avg_max_iterations,
+                options.optimize, options.cell_budget, options.program_reuse,
+                region, attribute)
 
     def shard_program_key(self, shard, region: Predicate | None,
                           attribute: str | None) -> tuple:
         """The cache key for one shard's program (program key + shard token)."""
-        return self._program_key(region, attribute) + shard.cache_token()
+        return self.program_key(region, attribute) + shard.cache_token()
 
     def has_cached_program(self, region: Predicate | None = None,
                            attribute: str | None = None,
@@ -354,7 +318,7 @@ class PCBoundSolver:
         statistics or LRU recency, and it never compiles anything.
         """
         if self._program_cache is not None:
-            key = self._program_key(region, attribute)
+            key = self.program_key(region, attribute)
             if shard is not None:
                 key = key + shard.cache_token()
             peek = getattr(self._program_cache, "peek",
@@ -649,8 +613,7 @@ class PCBoundSolver:
                     self._pcset, options,
                     decomposition_cache=self._shared_cache,
                     cache_namespace=self._cache_namespace,
-                    program_cache=self._program_cache,
-                    cell_statistics=self._cell_statistics)
+                    program_cache=self._program_cache)
             return self._verify_solver
 
     def explain(self, aggregate: AggregateFunction, attribute: str | None = None,
@@ -715,35 +678,9 @@ class PCBoundSolver:
             plan = build_plan(query, self._pcset, self._options)
             if self._options.optimize:
                 with tracer.span("plan.optimize"):
-                    plan = optimize_plan(plan,
-                                         default_passes(self._cell_statistics))
-                    plan = self._pin_adaptive_depth(plan)
+                    plan = optimize_plan(plan)
             tracer.annotate(constraints=len(plan.pcset))
         return plan
-
-    def _pin_adaptive_depth(self, plan: BoundPlan) -> BoundPlan:
-        """First resolution wins: pin a pair's adaptive early-stop depth.
-
-        Under adaptive budgeting the strategy-selection decision depends on
-        the observed-density feed, which keeps learning; without pinning,
-        the same (region, attribute) pair could compile to different depths
-        over time, making cache keys unstable and parent/worker keys
-        diverge.  The first resolved depth for a pair is memoized (plain
-        data — it travels in the pickle to pool workers) and every later
-        plan for that pair is amended to match.
-        """
-        options = self._options
-        if options.cell_budget is None or options.early_stop_depth is not None:
-            return plan
-        key = (plan.query.region, plan.query.attribute)
-        with self._program_lock:
-            pinned = self._resolved_depths.setdefault(key,
-                                                      plan.early_stop_depth)
-        if pinned == plan.early_stop_depth:
-            return plan
-        return plan.amended(early_stop_depth=pinned).annotated(
-            f"strategy-selection: depth pinned to this pair's first "
-            f"resolution ({pinned}) for cache-key stability")
 
     def program(self, region: Predicate | None = None,
                 attribute: str | None = None) -> BoundProgram:
@@ -757,7 +694,7 @@ class PCBoundSolver:
         """
         return self._cached_program(
             (region, attribute),
-            lambda: self._program_key(region, attribute),
+            lambda: self.program_key(region, attribute),
             lambda: self._compile(region, attribute))
 
     def sharded_plan(self, region: Predicate | None = None,
@@ -770,14 +707,11 @@ class PCBoundSolver:
         strategy preference comes from ``options.shard_strategy``; a plan no
         strategy can split comes back with one shard (``is_sharded`` False).
 
-        Sharded plans are memoized per (region, attribute, max_shards):
+        Sharded plans are cached per (region, attribute, max_shards):
         building one runs the optimizer plus a quadratic predicate-overlap
-        scan, which a warm repeated query must not pay again — and under
-        ``auto`` the region-splitting decision consults the mutable
-        observed-density feed, so memoization also pins the first decision
-        (the same stability argument as the adaptive early-stop memo).
-        Plans and the shard layouts they induce are immutable, so the
-        cached object is safe to share across threads.
+        scan, which a warm repeated query must not pay again.  Plans and the
+        shard layouts they induce are immutable, so the cached object is
+        safe to share across threads.
         """
         from ..plan.sharding import select_sharding
 
@@ -791,8 +725,7 @@ class PCBoundSolver:
         aggregate = (AggregateFunction.COUNT if attribute is None
                      else AggregateFunction.SUM)
         plan = self.plan(BoundQuery(aggregate, attribute, region))
-        sharded = select_sharding(plan, max_shards=max_shards,
-                                  cell_statistics=self._cell_statistics)
+        sharded = select_sharding(plan, max_shards=max_shards)
         with self._program_lock:
             return self._sharded_plans.setdefault(key, sharded)
 
@@ -810,7 +743,7 @@ class PCBoundSolver:
         token = shard.cache_token()
         return self._cached_program(
             (region, attribute, token),
-            lambda: self._program_key(region, attribute) + token,
+            lambda: self.program_key(region, attribute) + token,
             lambda: self._compile_shard(shard, region))
 
     def _cached_program(self, private_key, shared_key_factory,
@@ -834,57 +767,6 @@ class PCBoundSolver:
                     self._local_programs[key] = program
                     self._local_program_locks.pop(key, None)
             return program
-
-    def _program_key(self, region: Predicate | None,
-                     attribute: str | None) -> tuple:
-        """The shared-cache key for one compiled program.
-
-        The decomposition namespace covers the constraint set's content and
-        the enumeration knobs; the remaining execution knobs (backend, AVG
-        search parameters, pipeline toggles) are appended explicitly because
-        they change the compiled artifact without changing decompositions.
-        Under adaptive budgeting the *resolved* early-stop depth joins the
-        key, so a cached program can never alias a differently-budgeted
-        compile of the same pair (see :meth:`_resolved_early_stop_depth`).
-        """
-        options = self._options
-        return ("program", self._namespace(), options.milp_backend,
-                options.avg_tolerance, options.avg_max_iterations,
-                options.optimize, options.cell_budget, options.program_reuse,
-                self._resolved_early_stop_depth(region, attribute),
-                region, attribute)
-
-    def _resolved_early_stop_depth(self, region: Predicate | None,
-                                   attribute: str | None) -> int | None:
-        """The early-stop depth the compiled program will actually use.
-
-        Deterministic straight from the options in every configuration
-        except adaptive budgeting (a cell budget with no explicit depth),
-        where strategy selection consults the mutable observed-density
-        feed.  There the decision is resolved by running the optimizer
-        **once per (region, attribute) and memoized**, which buys three
-        properties at once: cache keys are stable for the solver's lifetime
-        (a cached artifact always means exactly one (plan, depth) pair),
-        warm key lookups stay tuple-cheap instead of re-running the
-        optimizer per call, and — because the memo is plain data that
-        *travels in the pickle* — a pool worker computes the same keys as
-        the parent for every pair the parent resolved, so pre-shipped warm
-        programs are actually found.  Adaptivity still applies to pairs
-        first seen after the feed has samples (and to later solvers sharing
-        a service feed); already-resolved pairs keep their decision, which
-        is sound either way (early stopping only loosens).
-        """
-        options = self._options
-        if (not options.optimize or options.cell_budget is None
-                or options.early_stop_depth is not None):
-            return options.early_stop_depth
-        with self._program_lock:
-            if (region, attribute) in self._resolved_depths:
-                return self._resolved_depths[(region, attribute)]
-        aggregate = (AggregateFunction.COUNT if attribute is None
-                     else AggregateFunction.SUM)
-        # plan() pins the pair's depth into the memo as a side effect.
-        return self.plan(BoundQuery(aggregate, attribute, region)).early_stop_depth
 
     def _namespace(self) -> object:
         if self._cache_namespace is not None:
@@ -994,8 +876,6 @@ class PCBoundSolver:
         with self._counter_lock:
             self._decompositions_computed += 1
             self._decomposition_solver_calls += decomposition.statistics.solver_calls
-        if self._cell_statistics is not None:
-            self._cell_statistics.observe(decomposition.statistics)
 
     def _region_decomposition_factory(self, plan: BoundPlan):
         """A pool-fanned way to compute ``plan``'s decomposition, or None.
@@ -1030,7 +910,7 @@ class PCBoundSolver:
         Each task carries its shard's full constraint set and sub-region
         (self-contained, so any worker can run it); routing keys reuse the
         shard program keys, so repeated sharded queries keep their affinity
-        workers.  The shard plans inherit the parent's strategy and resolved
+        workers.  The shard plans inherit the parent's strategy and
         early-stop depth, which is what makes the merged cell set equal the
         serial enumeration under every knob combination.
 
@@ -1046,13 +926,12 @@ class PCBoundSolver:
         decompositions are written back so future overlapping regions (and,
         with a persistent tier attached, future processes) reuse them.
 
-        Batch size for the pool's batched shipping comes from the
-        observed-density feed: dense constraint sets (heavy per-shard
+        Batch size for the pool's batched shipping comes from the plan's
+        worst-case cell count: dense constraint sets (heavy per-shard
         enumeration) keep batches small so one task cannot become the
-        critical-path straggler, sparse ones batch aggressively.
+        critical-path straggler, small ones batch aggressively.
         """
         from ..obs.metrics import get_registry
-        from ..plan.passes import estimated_cell_count
         from ..plan.sharding import merge_shard_decompositions, slice_cache_keys
         from ..solvers.batching import adaptive_batch_size
 
@@ -1085,9 +964,9 @@ class PCBoundSolver:
                       shard.plan.strategy, shard.plan.early_stop_depth)
                      for _index, shard in pending]
             pool = self.borrow_pool(workers)
-            estimate, _source = estimated_cell_count(plan, self._cell_statistics)
             batch_size = adaptive_batch_size(
-                len(keyed), pool.max_workers, estimated_cells=estimate)
+                len(keyed), pool.max_workers,
+                estimated_cells=estimate_cell_count(plan.pcset))
             fresh = pool.decompose_shards(keyed, batch_size=batch_size)
             for (index, _shard), decomposition in zip(pending, fresh):
                 decompositions[index] = decomposition
@@ -1107,15 +986,15 @@ class PCBoundSolver:
 
         The caller's namespace covers the original constraint set and
         enumeration knobs; the pipeline toggles complete it because they
-        decide what actually gets decomposed.  The plan's resolved
-        early-stop depth joins explicitly: under adaptive budgeting it
-        depends on the observed-density feed, not just on
-        (namespace, region), and two plans that enumerate to different
-        depths must never share cells.  Whole-region entries and per-slice
-        entries share this namespace — a region shard's decomposition *is*
-        the decomposition of its sub-region (shard plans inherit the
-        parent's constraint set, strategy and depth), so the two entry
-        populations may soundly serve each other.
+        decide what actually gets decomposed.  The plan's early-stop depth
+        joins explicitly: a region shard inherits its parent plan's depth,
+        which a direct query on the same sub-region need not pick, and two
+        plans that enumerate to different depths must never share cells.
+        Whole-region entries and per-slice entries share this namespace — a
+        region shard's decomposition *is* the decomposition of its
+        sub-region (shard plans inherit the parent's constraint set,
+        strategy and depth), so the two entry populations may soundly serve
+        each other.
         """
         if self._cache_namespace is not None:
             return ("plan", self._cache_namespace,

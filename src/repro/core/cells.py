@@ -45,8 +45,7 @@ _CELL_ESTIMATE_CAP = 1 << 62
 def worst_case_cell_count(num_constraints: int) -> int:
     """Worst-case covered cells for ``num_constraints`` overlapping
     predicates: ``2^n - 1``, capped so very large sets never overflow into
-    bignum territory.  The single source of truth for this formula — the
-    strategy-selection pass and its observed-density feed both scale it.
+    bignum territory.  The single source of truth for this formula.
     """
     if num_constraints <= 0:
         return 0

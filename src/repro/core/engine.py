@@ -173,10 +173,6 @@ class PCAnalyzer:
     worker_pool:
         Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
         solver's sharded fan-out borrows (the service passes its own).
-    cell_statistics:
-        Optional shared :class:`~repro.plan.passes.ObservedCellStatistics`
-        feed for adaptive cell budgeting (the service shares one across
-        sessions).
     """
 
     def __init__(self, pcset: PredicateConstraintSet,
@@ -185,8 +181,7 @@ class PCAnalyzer:
                  decomposition_cache=None,
                  cache_namespace: object = None,
                  program_cache=None,
-                 worker_pool=None,
-                 cell_statistics=None):
+                 worker_pool=None):
         self._pcset = pcset
         self._observed = observed
         self._options = options or BoundOptions()
@@ -194,8 +189,7 @@ class PCAnalyzer:
                                      decomposition_cache=decomposition_cache,
                                      cache_namespace=cache_namespace,
                                      program_cache=program_cache,
-                                     worker_pool=worker_pool,
-                                     cell_statistics=cell_statistics)
+                                     worker_pool=worker_pool)
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -332,16 +326,17 @@ class PCAnalyzer:
     # ------------------------------------------------------------------ #
     def _observed_summary(self, query: ContingencyQuery
                           ) -> tuple[float | None, int, float]:
-        """(observed aggregate, matching row count, matching sum)."""
+        """(observed aggregate, matching row count, matching sum for AVG)."""
         if self._observed is None:
             return None, 0, 0.0
         relational_query = query.to_aggregate_query()
         result = relational_query.execute(self._observed)
-        matching = self._observed.filter(relational_query.where)
         observed_sum = 0.0
-        if query.attribute is not None and matching.num_rows > 0:
+        if (query.aggregate is AggregateFunction.AVG
+                and query.attribute is not None and result.matching_rows > 0):
+            matching = self._observed.filter(relational_query.where)
             observed_sum = matching.column_sum(query.attribute)
-        return result.value, matching.num_rows, observed_sum
+        return result.value, result.matching_rows, observed_sum
 
     def _combine(self, query: ContingencyQuery, missing: ResultRange,
                  observed_value: float | None) -> ResultRange:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..exceptions import ClosureError, ConstraintError
+from ..exceptions import ClosureError, ConstraintError, QueryError
 from ..relational.relation import Relation
 from ..solvers.sat import AttributeDomain, BoxSolver
 from .constraints import ConstraintViolation, PredicateConstraint
@@ -42,6 +42,12 @@ class PredicateConstraintSet:
         checks and for negating categorical predicates during cell
         decomposition.  Numeric attributes may be omitted (they default to
         the full real line).
+
+    Box-SAT complements an integral interval over the integers, so each
+    numeric attribute is read one way, or :class:`ConstraintError` is
+    raised.  A declared integral domain reads real predicates over the
+    integers; otherwise all predicates on the attribute share one
+    ``integral`` flag, which a declared real domain requires to be false.
     """
 
     def __init__(self, constraints: Iterable[PredicateConstraint] = (),
@@ -50,6 +56,8 @@ class PredicateConstraintSet:
         self._domains: dict[str, AttributeDomain] = dict(domains or {})
         self._disjoint_hint: bool | None = None
         self._closed_hint: bool | None = None
+        #: attribute -> {integral flag: first constraint carrying it}
+        self._integrality: dict[str, dict[bool, str]] = {}
         for constraint in constraints:
             self.add(constraint)
 
@@ -66,6 +74,14 @@ class PredicateConstraintSet:
         if constraint.name in existing_names:
             constraint = constraint.rename(
                 f"{constraint.name}_{len(self._constraints)}")
+        updates = {}
+        for attribute, bounds in constraint.predicate.ranges.items():
+            flags = self._integrality.get(attribute, {})
+            if bounds.integral not in flags:
+                updates[attribute] = {**flags, bounds.integral: constraint.name}
+                self._check_integrality(attribute, updates[attribute],
+                                        self._domains.get(attribute))
+        self._integrality.update(updates)
         self._constraints.append(constraint)
         self._disjoint_hint = None
         self._closed_hint = None
@@ -93,7 +109,39 @@ class PredicateConstraintSet:
 
     def set_domain(self, attribute: str, domain: AttributeDomain) -> None:
         """Declare (or replace) the global domain of an attribute."""
+        self._check_integrality(attribute,
+                                self._integrality.get(attribute, {}), domain)
         self._domains[attribute] = domain
+
+    @staticmethod
+    def _check_integrality(attribute: str, flags: dict[bool, str],
+                           domain: AttributeDomain | None) -> None:
+        if domain is not None and domain.interval is not None:
+            if True in flags and not domain.interval.integral:
+                raise ConstraintError(
+                    f"constraint {flags[True]!r} reads {attribute!r} as "
+                    "integral, but its declared domain is real")
+        elif len(flags) == 2:
+            raise ConstraintError(
+                f"constraints {flags[True]!r} (integral) and "
+                f"{flags[False]!r} (real) disagree on {attribute!r}; give "
+                "its predicates one flag or declare an integral domain")
+
+    def check_query_region(self, region: Predicate | None) -> None:
+        """Raise :class:`QueryError` when ``region`` reads an attribute as
+        integral that this set reads as real: the slack and forced-extremum
+        checks negate the region, and its integral complement would hide
+        the real rows just outside it."""
+        for attribute, bounds in ({} if region is None else region.ranges).items():
+            domain = self._domains.get(attribute)
+            if domain is not None and domain.interval is not None:
+                real = not domain.interval.integral
+            else:
+                real = False in self._integrality.get(attribute, {})
+            if bounds.integral and real:
+                raise QueryError(
+                    f"the query region reads {attribute!r} as integral, "
+                    "but the constraint set reads it as real")
 
     def attributes(self) -> set[str]:
         """All attributes referenced by any predicate or value constraint."""

@@ -1,13 +1,12 @@
 """The shared metrics registry: counters, gauges, latency histograms.
 
-Before this module, telemetry was five incompatible ad-hoc classes
-(``ServiceStatistics``, ``PoolStatistics``, ``AdmissionStatistics``,
-``ObservedCellStatistics`` and the batch counters), each with its own
-snapshot idiom and no common export.  The :class:`MetricsRegistry` is the
-one sink they all publish into now — the dataclasses survive as snapshot
-*views*, but every increment also lands on a named instrument here, so
-``repro stats`` (and any future scrape endpoint) sees the whole system
-through one interface.
+Before this module, telemetry was four incompatible ad-hoc classes
+(``ServiceStatistics``, ``PoolStatistics``, ``AdmissionStatistics`` and the
+batch counters), each with its own snapshot idiom and no common export.
+The :class:`MetricsRegistry` is the one sink they all publish into now —
+the dataclasses survive as snapshot *views*, but every increment also
+lands on a named instrument here, so ``repro stats`` (and any future
+scrape endpoint) sees the whole system through one interface.
 
 Three instrument kinds, all thread-safe:
 

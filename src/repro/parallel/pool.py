@@ -269,12 +269,8 @@ def _handle_decompose_batch(programs, sessions, task):
 
 
 def _handle_analyze_batch(programs, sessions, task):
-    """A batch of same-program queries against one registered session.
-
-    One program ship (at most), one early-stop pin — the batch shares a
-    program key, so every query resolves the same (region, attribute) pair.
-    """
-    _, _, session_key, program_key, program, queries, resolved_depth = task
+    """A batch of same-program queries against one registered session."""
+    _, _, session_key, program_key, program, queries = task
     if program is not None:
         programs.put(program_key, program)
     analyzer = sessions.get(session_key)
@@ -282,9 +278,6 @@ def _handle_analyze_batch(programs, sessions, task):
         raise SolverError(
             "worker has no registered session for an analyze task "
             "(the parent must register before dispatching)")
-    first = queries[0]
-    analyzer.solver.pin_early_stop_depth(first.region, first.attribute,
-                                         resolved_depth)
     get_tracer().annotate(cells=len(queries))
     return [analyzer.analyze(query) for query in queries]
 
@@ -971,32 +964,26 @@ class WorkerPool:
 
     def analyze(self, session_key, analyzer,
                 keyed_queries: Sequence[tuple]) -> list:
-        """Answer ``(program_key, program, query, resolved_depth)`` entries,
-        in order.
+        """Answer ``(program_key, program, query)`` entries, in order.
 
         Serial mode runs ``analyzer.analyze`` directly (shared memory).
-        Process mode registers the analyzer on each involved worker once,
-        routes by program key so repeated traffic hits warm caches, and
-        forwards the parent's resolved adaptive early-stop depth so the
-        worker-side solver computes matching keys.  Queries group by
-        (program key, resolved depth) — the pair that must agree for one
-        worker-side pin to serve a whole chunk — and ship as
-        ``analyze_batch`` tasks of adaptive width, the first entry's
-        program riding along for the cold-cache case.
+        Process mode registers the analyzer on each involved worker once and
+        routes by program key so repeated traffic hits warm caches.  Queries
+        group by program key and ship as ``analyze_batch`` tasks of adaptive
+        width, the first entry's program riding along for the cold-cache
+        case.
         """
         self.register_session(session_key, analyzer)
         entries = list(keyed_queries)
         if self._inline() or len(entries) <= 1:
             self._record_batch_traffic(len(entries), len(entries))
-            return [analyzer.analyze(query) for _, _, query, _ in entries]
+            return [analyzer.analyze(query) for _, _, query in entries]
         size = adaptive_batch_size(len(entries), self._max_workers)
-        groups: dict[tuple, list[tuple]] = {}
-        for position, (program_key, program, query,
-                       resolved_depth) in enumerate(entries):
-            groups.setdefault((program_key, resolved_depth), []).append(
-                (position, program, query))
+        groups: dict[object, list[tuple]] = {}
+        for position, (program_key, program, query) in enumerate(entries):
+            groups.setdefault(program_key, []).append((position, program, query))
         requests = []
-        for (program_key, resolved_depth), members in groups.items():
+        for program_key, members in groups.items():
             for chunk in chunked(members, size):
                 program = next((candidate for _, candidate, _ in chunk
                                 if candidate is not None), None)
@@ -1004,8 +991,8 @@ class WorkerPool:
                 positions = tuple(position for position, _, _ in chunk)
                 requests.append(
                     ("analyze_batch", program_key,
-                     (session_key, program_key, program, queries,
-                      resolved_depth), positions))
+                     (session_key, program_key, program, queries),
+                     positions))
         self._record_batch_traffic(len(requests), len(entries))
         return self._scatter(self._locked_round(requests), len(entries))
 
@@ -1292,10 +1279,10 @@ class WorkerPool:
             # Self-contained: no program shipping or warm bookkeeping.
             return (kind, task_id) + args
         assert kind == "analyze_batch"
-        session_key, program_key, program, queries, resolved_depth = args
+        session_key, program_key, program, queries = args
         shipped = self._maybe_ship(worker, program_key, program)
         return ("analyze_batch", task_id, session_key, program_key,
-                shipped, queries, resolved_depth)
+                shipped, queries)
 
     def _maybe_ship(self, worker: _ProcessWorker, key, program):
         """Ship ``program`` only if ``worker`` does not hold ``key`` warm."""

@@ -26,7 +26,7 @@ physical execution:
     optimized plan to a :class:`ShardedBoundPlan` — constraint-component
     splitting for block-diagonal MILPs, region-level splitting for
     one-component constraint sets — selected by :func:`select_sharding`
-    from the plan's preference and the observed-density feed.
+    from the plan's preference and its worst-case cell count.
 
 The pipeline's entry points are :func:`build_plan`, :func:`optimize_plan`,
 :func:`compile_plan` and :func:`select_sharding`;
@@ -41,7 +41,6 @@ from .passes import (
     RegionPruningPass,
     StrategySelectionPass,
     default_passes,
-    estimated_cell_count,
     optimize_plan,
 )
 from .program import BoundProgram, compile_plan
@@ -67,7 +66,6 @@ __all__ = [
     "ConstraintMergingPass",
     "StrategySelectionPass",
     "default_passes",
-    "estimated_cell_count",
     "optimize_plan",
     "BoundProgram",
     "compile_plan",

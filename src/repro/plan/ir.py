@@ -133,9 +133,11 @@ def build_plan(query, pcset: PredicateConstraintSet, options=None) -> BoundPlan:
 
     ``options`` is duck-typed against :class:`repro.core.bounds.BoundOptions`
     (strategy, early_stop_depth, milp_backend, cell_budget); omitting it
-    uses the pipeline defaults.
+    uses the pipeline defaults.  The query region must pass
+    :meth:`~repro.core.pcset.PredicateConstraintSet.check_query_region`.
     """
     bound_query = BoundQuery.of(query)
+    pcset.check_query_region(bound_query.region)
     plan = BoundPlan(query=bound_query, pcset=pcset, source_pcset=pcset)
     if options is not None:
         plan = plan.amended(

@@ -51,9 +51,9 @@ Strategy selection (:func:`select_sharding`) is the sharding arm of the
 optimizer's strategy-selection pass: component splitting wins whenever the
 overlap graph shards (it parallelises whole solves exactly), region
 splitting covers the one-component remainder, gated — under the default
-``auto`` preference — on the estimated cell count (observed-density-scaled
-when an :class:`~repro.plan.passes.ObservedCellStatistics` feed is
-supplied), so trivially small decompositions never pay fan-out overhead.
+``auto`` preference — on the plan's worst-case cell count
+(:func:`~repro.core.cells.estimate_cell_count`), so trivially small
+decompositions never pay fan-out overhead.
 The preference comes from ``BoundOptions.shard_strategy`` /
 ``--shard-strategy`` / the ``REPRO_SHARD_STRATEGY`` environment toggle.
 """
@@ -68,6 +68,7 @@ from ..core.cells import (
     CellDecomposition,
     DecompositionStatistics,
     decomposition_cache_key,
+    estimate_cell_count,
 )
 from ..core.pcset import PredicateConstraintSet
 from ..core.predicates import Predicate
@@ -75,7 +76,6 @@ from ..core.ranges import ResultRange
 from ..exceptions import PredicateError, SolverError
 from ..relational.aggregates import AggregateFunction
 from .ir import BoundPlan, BoundQuery
-from .passes import ObservedCellStatistics, estimated_cell_count
 
 __all__ = ["SHARDABLE_AGGREGATES", "SHARD_STRATEGIES", "PlanShard",
            "ShardedBoundPlan", "ShardingStrategy", "ConstraintComponentSharding",
@@ -97,7 +97,7 @@ SHARDABLE_AGGREGATES = frozenset({
 #: The recognised shard-strategy preferences (``BoundOptions.shard_strategy``).
 SHARD_STRATEGIES = ("auto", "component", "region")
 
-#: Estimated satisfiable cells below which ``auto`` skips region splitting —
+#: Worst-case cell count below which ``auto`` skips region splitting —
 #: decompositions this small finish faster inline than any fan-out round.
 REGION_SHARDING_MIN_CELLS = 16
 
@@ -496,9 +496,8 @@ def shard_plan(plan: BoundPlan, max_shards: int | None = None
     return ConstraintComponentSharding().split(plan, max_shards)
 
 
-def select_sharding(plan: BoundPlan, max_shards: int | None = None,
-                    cell_statistics: ObservedCellStatistics | None = None
-                    ) -> ShardedBoundPlan:
+def select_sharding(plan: BoundPlan,
+                    max_shards: int | None = None) -> ShardedBoundPlan:
     """Choose and apply the sharding strategy for ``plan``.
 
     The preference comes from ``plan.shard_strategy`` (lowered from
@@ -510,10 +509,9 @@ def select_sharding(plan: BoundPlan, max_shards: int | None = None,
       (it parallelises whole solves exactly, so it always dominates), region
       splitting for the one-component remainder, unconditionally.
     * ``"auto"`` (default) — like ``"region"``, but region splitting only
-      engages when the estimated cell count (observed-density-scaled when a
-      feed is supplied — the same signal budget-driven strategy selection
-      uses) reaches :data:`REGION_SHARDING_MIN_CELLS`; tiny enumerations
-      run inline faster than any fan-out round.
+      engages when the worst-case cell count (the same signal budget-driven
+      strategy selection uses) reaches :data:`REGION_SHARDING_MIN_CELLS`;
+      tiny enumerations run inline faster than any fan-out round.
     """
     preference = plan.shard_strategy
     if preference not in SHARD_STRATEGIES:
@@ -524,8 +522,7 @@ def select_sharding(plan: BoundPlan, max_shards: int | None = None,
     if preference == "component" or component.is_sharded:
         return component
     if preference == "auto":
-        estimate, _ = estimated_cell_count(plan, cell_statistics)
-        if estimate < REGION_SHARDING_MIN_CELLS:
+        if estimate_cell_count(plan.pcset) < REGION_SHARDING_MIN_CELLS:
             return component
     region = RegionSharding().split(plan, max_shards)
     return region if region.is_sharded else component
@@ -652,10 +649,8 @@ def merge_shard_decompositions(plan: BoundPlan,
     summed — the merged record reports the total work the shards paid,
     matching :func:`merge_shard_statistics` semantics — while
     ``num_constraints`` and ``satisfiable_cells`` describe the merged
-    artifact itself, which keeps the observed-density feed
-    (:class:`~repro.plan.passes.ObservedCellStatistics`) exact: density is
-    *deduplicated* cells over the worst case for the *parent's* constraint
-    count.
+    artifact itself: the *parent's* constraint count and the *deduplicated*
+    cells.
     """
     seen: dict[frozenset, object] = {}
     for decomposition in decompositions:

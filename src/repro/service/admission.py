@@ -4,10 +4,10 @@ A production service must refuse work it cannot afford *before* paying for
 it.  The plan pipeline makes that possible: ``plan_for(query)`` plus the
 sharding pass expose — without decomposing or solving anything — exactly the
 quantities that predict a query's cost: the optimized constraint count, the
-estimated satisfiable-cell count (observed-density-scaled through the same
-:class:`~repro.plan.passes.ObservedCellStatistics` feed strategy selection
-uses), the sharded layout (strategy and shard count), whether the compiled
-program is already warm in the cache, and the worker pool's warm-hit rate.
+worst-case satisfiable-cell count (the same
+:func:`~repro.core.cells.estimate_cell_count` strategy selection reads), the
+sharded layout (strategy and shard count), whether the compiled program is
+already warm in the cache, and the worker pool's warm-hit rate.
 
 :func:`price_query` folds those signals into a scalar unit count
 (:class:`QueryCost`), and :class:`AdmissionController` enforces an
@@ -42,11 +42,11 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..core.cells import estimate_cell_count
 from ..exceptions import QueryDeadlineError, QueryRejectedError
 from ..faults import current_deadline
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..plan.passes import ObservedCellStatistics, estimated_cell_count
 from ..relational.aggregates import AggregateFunction
 
 __all__ = ["QueryCost", "price_query", "admissible_cell_budget",
@@ -100,9 +100,7 @@ class QueryCost:
         }
 
 
-def price_query(solver, query, *, pool_statistics=None,
-                cell_statistics: ObservedCellStatistics | None = None
-                ) -> QueryCost:
+def price_query(solver, query, *, pool_statistics=None) -> QueryCost:
     """Price ``query`` against ``solver``'s plan — no decomposition, no solve.
 
     The model is deliberately simple, monotone, and sourced entirely from
@@ -124,8 +122,7 @@ def price_query(solver, query, *, pool_statistics=None,
     """
     sharded = solver.sharded_plan(query.region, query.attribute)
     plan = sharded.parent
-    estimate, _ = estimated_cell_count(plan, cell_statistics)
-    cells = max(1, estimate)
+    cells = max(1, estimate_cell_count(plan.pcset))
     constraints = len(plan.pcset)
     # The sharded layout only discounts the price when the solver will
     # actually execute it — a session without fan-out runs serially no

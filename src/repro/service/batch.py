@@ -283,15 +283,12 @@ class BatchExecutor:
                     program_key = solver.program_key(query.region,
                                                      query.attribute)
                     program = solver.program(query.region, query.attribute)
-                    depth = solver.resolved_early_stop_depth(query.region,
-                                                             query.attribute)
                     entries[program_key] = program
-                    keyed_queries.append((program_key, program, query, depth))
+                    keyed_queries.append((program_key, program, query))
                 pool.warm(entries)
                 reports = pool.analyze(key, analyzer, keyed_queries)
             else:
-                keyed_queries = [(None, None, query, None)
-                                 for query in queries]
+                keyed_queries = [(None, None, query) for query in queries]
                 reports = pool.analyze(session_key or "batch", analyzer,
                                        keyed_queries)
         statistics.execute_seconds = execute_timer.seconds

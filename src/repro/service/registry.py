@@ -53,7 +53,6 @@ class RegisteredSession:
     _decomposition_cache: object = field(default=None, repr=False)
     _program_cache: object = field(default=None, repr=False)
     _worker_pool: object = field(default=None, repr=False)
-    _cell_statistics: object = field(default=None, repr=False)
     _analyzer: PCAnalyzer | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -68,8 +67,7 @@ class RegisteredSession:
                     cache_namespace=decomposition_namespace(self.pcset,
                                                             self.options),
                     program_cache=self._program_cache,
-                    worker_pool=self._worker_pool,
-                    cell_statistics=self._cell_statistics)
+                    worker_pool=self._worker_pool)
             return self._analyzer
 
     def analyze(self, query: ContingencyQuery) -> ContingencyReport:
@@ -142,18 +140,13 @@ class SessionRegistry:
         The owning service's persistent worker pool, handed to every
         session's analyzer so sharded fan-out borrows it instead of
         spinning per-call executors.
-    cell_statistics:
-        Shared :class:`~repro.plan.passes.ObservedCellStatistics` feed, so
-        every session's measured decompositions inform every other
-        session's adaptive cell budgeting.
     """
 
     def __init__(self, decomposition_cache=None, program_cache=None,
-                 worker_pool=None, cell_statistics=None):
+                 worker_pool=None):
         self._decomposition_cache = decomposition_cache
         self._program_cache = program_cache
         self._worker_pool = worker_pool
-        self._cell_statistics = cell_statistics
         self._sessions: dict[str, list[RegisteredSession]] = {}
         self._lock = threading.RLock()
 
@@ -188,7 +181,6 @@ class SessionRegistry:
                 _decomposition_cache=self._decomposition_cache,
                 _program_cache=self._program_cache,
                 _worker_pool=self._worker_pool,
-                _cell_statistics=self._cell_statistics,
             )
             versions.append(session)
             return session

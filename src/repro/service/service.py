@@ -43,7 +43,6 @@ from ..obs.metrics import get_registry
 from ..obs.profile import QueryProfile
 from ..obs.trace import Trace, get_tracer
 from ..parallel.pool import WorkerPool, default_pool_mode
-from ..plan.passes import ObservedCellStatistics
 from ..relational.relation import Relation
 from .admission import (
     AdmissionController,
@@ -253,12 +252,10 @@ class ContingencyService:
             self._decomposition_cache.attach_store(self._store,
                                                    "decomposition")
             self._report_cache.attach_store(self._store, "report")
-        self._cell_statistics = ObservedCellStatistics()
         self._registry = SessionRegistry(
             decomposition_cache=self._decomposition_cache,
             program_cache=self._program_cache,
-            worker_pool=self._worker_pool,
-            cell_statistics=self._cell_statistics)
+            worker_pool=self._worker_pool)
         self._executor = BatchExecutor(max_workers, pool=self._worker_pool)
         self._default_options = default_options
         self._verify_backend = verify_backend if verify == "cross-backend" else None
@@ -288,11 +285,6 @@ class ContingencyService:
     def worker_pool(self) -> WorkerPool:
         """The service-owned persistent worker pool."""
         return self._worker_pool
-
-    @property
-    def cell_statistics(self) -> ObservedCellStatistics:
-        """The shared adaptive cell-count feed (one across all sessions)."""
-        return self._cell_statistics
 
     @property
     def admission(self) -> AdmissionController | None:
@@ -467,8 +459,7 @@ class ContingencyService:
                query: ContingencyQuery) -> QueryCost:
         """Price one query from its plan (no decomposition, no solve)."""
         return price_query(session.analyzer.solver, query,
-                           pool_statistics=self._worker_pool.statistics,
-                           cell_statistics=self._cell_statistics)
+                           pool_statistics=self._worker_pool.statistics)
 
     def execute_batch(self, name: str, queries: list[ContingencyQuery],
                       version: int | None = None) -> BatchResult:

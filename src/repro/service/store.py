@@ -44,8 +44,10 @@ __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 #: Bump whenever the table layout or value encoding changes incompatibly,
 #: or when entries an older version wrote may be unsound.  Version 2: box-SAT
 #: keeps integral cells next to fractional endpoints, which version 1
-#: decompositions and reports could miss.
-SCHEMA_VERSION = 2
+#: decompositions and reports could miss.  Version 3: under a cell budget
+#: the early-stop depth follows from the plan alone, while version 2 entries
+#: may carry a depth learned from earlier traffic.
+SCHEMA_VERSION = 3
 
 _DB_FILENAME = "repro-cache.sqlite"
 

@@ -7,7 +7,7 @@ pool amortises the per-task dispatch floor by shipping one task per
 *batch* of work items; a one-item job is simply a width-1 batch.
 
 This module decides how wide a pool batch is: :func:`adaptive_batch_size`
-derives the width from pool depth and the observed-density feed, and
+derives the width from pool depth and the plan's worst-case cell count, and
 :func:`chunked` splits work into batches of that width.  Batch width may
 never influence *what* is computed — only how many solves share one entry
 — so it participates in no program key or artifact fingerprint.
@@ -26,7 +26,7 @@ MAX_BATCH_SIZE = 64
 
 #: Estimated cells above which a batch is considered "full" of enumeration
 #: work: adaptive sizing shrinks batches so no single task carries more than
-#: roughly this much predicted work, keeping load balance under density skew.
+#: roughly this much predicted work, keeping load balance across dense sets.
 _HEAVY_CELLS_PER_BATCH = 256
 
 
@@ -36,7 +36,7 @@ def adaptive_batch_size(task_count: int, workers: int,
 
     The batch size targets one batch per worker (``ceil(task_count /
     workers)`` — the smallest size that still fills the pool), shrunk when
-    the observed-density feed predicts heavy per-item enumeration (so one
+    the estimated cell count predicts heavy per-item enumeration (so one
     batch never concentrates more than ~:data:`_HEAVY_CELLS_PER_BATCH`
     estimated cells) and clamped to [1, :data:`MAX_BATCH_SIZE`].
     """

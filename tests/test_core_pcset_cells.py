@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.bounds import BoundOptions, PCBoundSolver
 from repro.core.cells import Cell, CellDecomposer, DecompositionStrategy
 from repro.core.constraints import (
     FrequencyConstraint,
@@ -12,7 +13,8 @@ from repro.core.constraints import (
 )
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
-from repro.exceptions import ClosureError, ConstraintError
+from repro.exceptions import ClosureError, ConstraintError, QueryError
+from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.solvers.sat import AttributeDomain
@@ -127,6 +129,57 @@ class TestPredicateConstraintSet:
         pcset = PredicateConstraintSet([pc(Predicate.range("x", 0, 1), name="a")])
         renamed = pcset.map_constraints(lambda c: c.rename(c.name + "_new"))
         assert [c.name for c in renamed] == ["a_new"]
+
+
+class TestIntegrality:
+    """Each numeric attribute is read one way: integral or real."""
+
+    def mixed_pair(self) -> list[PredicateConstraint]:
+        # The integral a holds k = 2..5; the real b also holds k = 2.5.
+        return [pc(Predicate.range("k", 2, 5, integral=True),
+                   {"v": (0.0, 10.0)}, max_rows=5, name="a"),
+                pc(Predicate.range("k", 2.2, 4.8), {"v": (0.0, 100.0)},
+                   max_rows=5, name="b")]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_mixed_flags_on_one_attribute_are_rejected(self, order):
+        with pytest.raises(ConstraintError, match="'a'.*'b'.*disagree on 'k'"):
+            PredicateConstraintSet(self.mixed_pair()[::order])
+
+    def test_integral_predicate_under_real_domain_is_rejected(self):
+        integral, _real = self.mixed_pair()
+        with pytest.raises(ConstraintError, match="'a' reads 'k'"):
+            PredicateConstraintSet([integral], {"k": AttributeDomain.numeric()})
+        pcset = PredicateConstraintSet([integral])
+        with pytest.raises(ConstraintError, match="'a' reads 'k'"):
+            pcset.set_domain("k", AttributeDomain.numeric())
+        assert "k" not in pcset.domains
+
+    @pytest.mark.parametrize("strategy", list(DecompositionStrategy))
+    def test_integral_domain_reads_mixed_flags_over_the_integers(self,
+                                                                 strategy):
+        pcset = PredicateConstraintSet(
+            self.mixed_pair(), {"k": AttributeDomain.numeric(integral=True)})
+        predicates = pcset.predicates()
+        oracle = set()
+        for k in range(0, 8):
+            covering = frozenset(
+                index for index, predicate in enumerate(predicates)
+                if predicate.matches_row({"k": k}))
+            if covering:
+                oracle.add(covering)
+        cells = CellDecomposer(pcset, strategy).decompose()
+        assert {cell.covering for cell in cells} == oracle
+        assert oracle == {frozenset({0}), frozenset({0, 1})}
+
+    def test_integral_region_over_real_attribute_is_rejected(self):
+        _integral, real = self.mixed_pair()
+        solver = PCBoundSolver(PredicateConstraintSet([real]),
+                               BoundOptions(check_closure=False))
+        region = Predicate.range("k", 2, 5, integral=True)
+        with pytest.raises(QueryError, match="'k' as integral"):
+            solver.bound(AggregateFunction.COUNT, None, region)
+        assert solver.decompositions_computed == 0
 
 
 class TestCell:

@@ -14,8 +14,6 @@ Two properties anchor this module:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -37,7 +35,6 @@ from repro.experiments.reporting import format_result_range_table, intersect_ran
 from repro.plan import BoundQuery, build_plan, optimize_plan
 from repro.plan.passes import (
     ConstraintMergingPass,
-    ObservedCellStatistics,
     RegionPruningPass,
     StrategySelectionPass,
 )
@@ -261,144 +258,57 @@ class TestStrategySelectionPass:
             if tight.upper is not None and loose.upper is not None:
                 assert loose.upper >= tight.upper - 1e-6
 
+    def test_budgeted_range_ignores_service_history(self, monkeypatch):
+        """The early-stop depth, and so the range, depends only on the
+        constraints, the query and the options: exact decompositions the
+        service ran before must not talk a budgeted plan out of early
+        stopping."""
+        # Both services must compute: a shared persistent store would serve
+        # the first answer to the second.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        budgeted = BoundOptions(check_closure=False, cell_budget=64)
 
-class TestAdaptiveCellBudget:
-    """Measured cell counts replace the worst-case 2^n estimate."""
+        def answer(service: ContingencyService):
+            service.register("chain", self.overlapping_pcset(),
+                             options=budgeted)
+            count = service.analyze("chain", ContingencyQuery.count())
+            total = service.analyze("chain", ContingencyQuery.sum("price"))
+            analyzer = service.session("chain").analyzer
+            depth = analyzer.plan_for(ContingencyQuery.count()).early_stop_depth
+            return (count.result_range.as_interval(),
+                    total.result_range.as_interval(), depth)
 
-    def statistics(self, num_constraints: int, cells: int, assumed: int = 0):
-        from repro.core.cells import DecompositionStatistics
+        with ContingencyService() as fresh:
+            expected = answer(fresh)
+        assert expected == ((0.0, 80.0), (0.0, 4390.0), 6)
+        with ContingencyService() as warmed:
+            for index in range(3):
+                offset = 100.0 * (index + 1)
+                warmed.register(
+                    f"warm{index}",
+                    PredicateConstraintSet(
+                        [pc(offset + i * 0.5, offset + i * 0.5 + 1.0,
+                            50.0 + i, 10, name=f"w{i}") for i in range(8)]),
+                    options=NO_CLOSURE)
+                warmed.analyze(f"warm{index}", ContingencyQuery.count())
+            assert answer(warmed) == expected
 
-        return DecompositionStatistics(num_constraints=num_constraints,
-                                       satisfiable_cells=cells,
-                                       assumed_satisfiable=assumed)
-
-    def test_feed_needs_minimum_samples(self):
-        feed = ObservedCellStatistics()
-        feed.observe(self.statistics(8, 20))
-        feed.observe(self.statistics(8, 24))
-        assert feed.estimate(10) is None
-        feed.observe(self.statistics(8, 16))
-        assert feed.estimate(10) is not None
-
-    def test_feed_ignores_early_stopped_decompositions(self):
-        feed = ObservedCellStatistics()
-        for _ in range(5):
-            feed.observe(self.statistics(8, 200, assumed=64))
-        assert feed.sample_count == 0
-        assert feed.estimate(10) is None
-
-    def test_estimate_scales_max_observed_density(self):
-        feed = ObservedCellStatistics()
-        # Densities: 17/255, 25/255, 20/255 — the max (25/255) wins, so
-        # the estimate stays conservative on the cost axis.
-        for cells in (17, 25, 20):
-            feed.observe(self.statistics(8, cells))
-        estimate = feed.estimate(10)
-        assert estimate == math.ceil((25 / 255) * 1023)
-        # Larger-set samples never inform a smaller set: scaling a big
-        # sparse set's density down would bypass the cell-budget guard.
-        assert feed.estimate(2) is None
-        feed.observe(self.statistics(8, 255))  # density 1.0
-        assert feed.estimate(10) == 1023
-
-    def sparse_feed(self) -> ObservedCellStatistics:
-        """A feed whose measurements say: ~2% of subsets are satisfiable."""
-        feed = ObservedCellStatistics()
-        for cells in (5, 6, 5):
-            feed.observe(self.statistics(8, cells))
-        return feed
-
-    def test_observed_estimate_avoids_needless_early_stop(self):
-        pcset = TestStrategySelectionPass().overlapping_pcset()
-        options = BoundOptions(check_closure=False, cell_budget=64)
-        plan = build_plan(BoundQuery(AggregateFunction.COUNT), pcset, options)
-        # Worst case (2^10) blows the budget: early stop engages...
-        worst_case = StrategySelectionPass()(plan)
-        assert worst_case.early_stop_depth is not None
-        # ...but measured density (~24 cells predicted) fits it: exact.
-        adaptive = StrategySelectionPass(self.sparse_feed())(plan)
-        assert adaptive.early_stop_depth is None
-
-    def test_observed_estimate_still_early_stops_dense_sets(self):
-        feed = ObservedCellStatistics()
-        for cells in (200, 210, 205):  # dense (but measured) overlap
-            feed.observe(self.statistics(8, cells))
-        pcset = TestStrategySelectionPass().overlapping_pcset()
-        options = BoundOptions(check_closure=False, cell_budget=64)
-        plan = build_plan(BoundQuery(AggregateFunction.COUNT), pcset, options)
-        adaptive = StrategySelectionPass(feed)(plan)
-        assert adaptive.early_stop_depth is not None
-        assert any("observed" in note for note in adaptive.trace)
-
-    def test_large_sparse_sample_never_disables_budget_for_small_sets(self):
-        """A near-disjoint 30-constraint sample (vanishing density) must not
-        talk a dense 10-constraint set out of its cell budget."""
-        feed = ObservedCellStatistics()
-        for _ in range(3):
-            feed.observe(self.statistics(30, 35))  # density ~3e-8
-        assert feed.estimate(10) is None
-        pcset = TestStrategySelectionPass().overlapping_pcset()
-        options = BoundOptions(check_closure=False, cell_budget=16)
-        plan = build_plan(BoundQuery(AggregateFunction.COUNT), pcset, options)
-        guarded = StrategySelectionPass(feed)(plan)
-        assert guarded.early_stop_depth is not None  # budget guard intact
-
-    def test_adaptive_depth_is_pinned_and_travels_in_the_pickle(self):
-        """Cache keys stay stable as the feed learns, and a pickled solver
-        (a pool worker's copy) computes the parent's keys for resolved
-        pairs — the warm-shipping protocol depends on it."""
+    def test_budgeted_program_key_survives_pickling(self):
+        """A budgeted solver's program key is the same before and after it
+        bounds other queries, and a pickled copy (what a pool worker holds)
+        computes it too — the warm-shipping protocol depends on it."""
         import pickle
 
-        pcset = TestStrategySelectionPass().overlapping_pcset()
-        solver = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                   cell_budget=16))
+        solver = PCBoundSolver(self.overlapping_pcset(),
+                               BoundOptions(check_closure=False,
+                                            cell_budget=16))
         key_before = solver.program_key(None, "price")
-        # Learning new densities must not move an already-resolved pair.
-        for cells in (5, 6, 5):
-            solver.cell_statistics.observe(
-                TestAdaptiveCellBudget().statistics(8, cells))
+        solver.bound(AggregateFunction.COUNT)
+        solver.bound(AggregateFunction.SUM, "price",
+                     Predicate.range("utc", 0.0, 2.0))
         assert solver.program_key(None, "price") == key_before
         worker_copy = pickle.loads(pickle.dumps(solver))
         assert worker_copy.program_key(None, "price") == key_before
-
-    def test_worker_pin_matches_parent_keys_for_late_pairs(self):
-        """The analyze-task depth handshake: a worker whose copy predates a
-        pair's resolution adopts the parent's decision and computes the
-        parent's program key (pre-ship warm programs depend on it)."""
-        import pickle
-
-        pcset = TestStrategySelectionPass().overlapping_pcset()
-        parent = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                   cell_budget=16))
-        worker = pickle.loads(pickle.dumps(parent))  # no pairs resolved yet
-        # Parent learns sparse densities, then resolves a brand-new pair —
-        # possibly to a different depth than a fresh feed would choose.
-        for cells in (5, 6, 5):
-            parent.cell_statistics.observe(
-                TestAdaptiveCellBudget().statistics(8, cells))
-        parent_key = parent.program_key(None, "price")
-        depth = parent.resolved_early_stop_depth(None, "price")
-        worker.pin_early_stop_depth(None, "price", depth)
-        assert worker.program_key(None, "price") == parent_key
-
-    def test_solver_feeds_its_own_decompositions(self):
-        """A solver's exact decompositions adapt its later budget decisions."""
-        pcset = TestStrategySelectionPass().overlapping_pcset(count=6)
-        solver = PCBoundSolver(pcset, NO_CLOSURE)
-        assert solver.cell_statistics.sample_count == 0
-        solver.bound(AggregateFunction.COUNT)
-        assert solver.cell_statistics.sample_count == 1
-
-    def test_service_shares_one_feed_across_sessions(self):
-        service = ContingencyService()
-        pcset = TestStrategySelectionPass().overlapping_pcset(count=6)
-        service.register("a", pcset, options=NO_CLOSURE)
-        service.register("b", pcset, options=BoundOptions(check_closure=False,
-                                                          cell_budget=1024))
-        service.analyze("a", ContingencyQuery.count())
-        assert service.cell_statistics.sample_count >= 1
-        session_b = service.session("b")
-        assert session_b.analyzer.solver.cell_statistics is service.cell_statistics
 
 
 class TestCompiledProgramEquivalence:
