@@ -27,6 +27,7 @@ sound (the feasible region is a superset of the true one).
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -36,7 +37,7 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..plan.ir import BoundPlan, BoundQuery, build_plan
 from ..plan.passes import optimize_plan
-from ..plan.program import BoundProgram, compile_plan
+from ..plan.program import BoundProgram, avg_endpoints, compile_plan
 from ..plan.sharding import default_shard_strategy
 from ..relational.aggregates import AggregateFunction
 from ..solvers.milp import MILPBackend
@@ -123,8 +124,6 @@ class BoundOptions:
     milp_backend: str = MILPBackend.SCIPY
     early_stop_depth: int | None = None
     check_closure: bool = True
-    avg_tolerance: float = 1e-6
-    avg_max_iterations: int = 64
     cell_budget: int | None = None
     optimize: bool = True
     program_reuse: bool = True
@@ -287,16 +286,15 @@ class PCBoundSolver:
         """The content-derived cache key for the (region, attribute) program.
 
         The decomposition namespace covers the constraint set's content and
-        the enumeration knobs; the remaining execution knobs (backend, AVG
-        search parameters, pipeline toggles) are appended explicitly because
-        they change the compiled artifact without changing decompositions.
+        the enumeration knobs; the remaining execution knobs (backend and
+        pipeline toggles) are appended explicitly because they change the
+        compiled artifact without changing decompositions.
         The early-stop depth is a function of these, so the key is stable
         across processes: the worker pool addresses warm worker-side caches
         with the parent's keys.
         """
         options = self._options
         return ("program", self._namespace(), options.milp_backend,
-                options.avg_tolerance, options.avg_max_iterations,
                 options.optimize, options.cell_budget, options.program_reuse,
                 region, attribute)
 
@@ -531,53 +529,19 @@ class PCBoundSolver:
     def _bound_avg_sharded(self, sharded, attribute: str | None,
                            region: Predicate | None, known_sum: float,
                            known_count: float, workers: int) -> ResultRange:
-        """AVG across shards: the pooled cross-shard binary search.
-
-        Mirrors :meth:`BoundProgram._bound_avg` over the union of the shard
-        programs' active cells (the shard cells partition the full
-        program's cells, so the edge cases and the search interval are
-        identical), then runs the probe loop through the pool — one
-        reduction of per-shard ``value − target`` optima per iteration
-        (:func:`repro.parallel.pool.sharded_avg_range`).
-        """
-        import math as _math
-
-        from ..parallel.pool import sharded_avg_range
+        """AVG across component shards: the one §4.2 search
+        (:func:`~repro.plan.program.avg_endpoints`) over the shard
+        programs, each round one pooled probe task per shard."""
         from ..plan.sharding import merge_shard_statistics
 
-        aggregate = AggregateFunction.AVG
         keyed = self._keyed_shard_programs(sharded, region, attribute)
+        lower, upper = avg_endpoints(
+            [program for _, program in keyed], known_sum, known_count,
+            functools.partial(self.borrow_pool(workers).avg_probes, keyed))
         statistics = merge_shard_statistics(
             program.decomposition.statistics for _, program in keyed)
-
-        def result(lower, upper):
-            return ResultRange(lower, upper, aggregate, attribute,
-                               statistics=statistics)
-
-        active = [profile for _, program in keyed
-                  for profile in program.active_profiles]
-        if not active:
-            if known_count > 0:
-                average = known_sum / known_count
-                return result(average, average)
-            return result(None, None)
-        uppers = [profile.value_upper for profile in active]
-        lowers = [profile.value_lower for profile in active]
-        if any(_math.isinf(value) for value in uppers + lowers):
-            return result(-_INF, _INF)
-        mandatory = any(program.pcset.has_mandatory_rows()
-                        for _, program in keyed)
-        if not mandatory and known_count == 0:
-            return result(min(lowers), max(uppers))
-        known = [known_sum / known_count] if known_count else []
-        high_start = max(uppers + known)
-        low_start = min(lowers + known)
-        lower, upper = sharded_avg_range(
-            self.borrow_pool(workers), keyed, known_sum, known_count,
-            low_start, high_start,
-            tolerance=self._options.avg_tolerance,
-            max_iterations=self._options.avg_max_iterations)
-        return result(lower, upper)
+        return ResultRange(lower, upper, AggregateFunction.AVG, attribute,
+                           statistics=statistics)
 
     def _cross_check(self, result: ResultRange, aggregate: AggregateFunction,
                      attribute: str | None, region: Predicate | None,
@@ -786,11 +750,8 @@ class PCBoundSolver:
         with tracer.span("compile"):
             plan = self.plan(BoundQuery(aggregate, attribute, region))
             decomposition = self._decompose_plan(plan)
-            program = compile_plan(
-                plan, decomposition,
-                avg_tolerance=self._options.avg_tolerance,
-                avg_max_iterations=self._options.avg_max_iterations,
-                reuse=self._options.program_reuse)
+            program = compile_plan(plan, decomposition,
+                                   reuse=self._options.program_reuse)
             tracer.annotate(cells=len(decomposition.cells))
         with self._counter_lock:
             self._programs_compiled += 1
@@ -820,11 +781,8 @@ class PCBoundSolver:
                 cache=self._shared_cache,
                 namespace=namespace,
                 on_compute=self._record_decomposition)
-            program = compile_plan(
-                plan, decomposition,
-                avg_tolerance=self._options.avg_tolerance,
-                avg_max_iterations=self._options.avg_max_iterations,
-                reuse=self._options.program_reuse)
+            program = compile_plan(plan, decomposition,
+                                   reuse=self._options.program_reuse)
             tracer.annotate(cells=len(decomposition.cells))
         with self._counter_lock:
             self._programs_compiled += 1

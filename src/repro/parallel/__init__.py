@@ -10,11 +10,12 @@ pass, :mod:`repro.plan.sharding`):
     :class:`WorkerPool`, the one parallel runtime, in two modes: inline
     (``"serial"``) or long-lived process workers with warm per-worker
     program caches keyed by the parent's fingerprints, affinity routing, a
-    warm-up protocol, restart on worker death, and the cross-shard AVG
-    binary search (:func:`~repro.parallel.pool.sharded_avg_range`).  Work
-    always ships as batches — a one-item job is a width-1 batch.  Process
-    mode is offered only to backends whose capability flags declare their
-    compiled skeletons pickle-safe; other backends run inline
+    warm-up protocol, restart on worker death, and the transport for
+    cross-shard AVG probes (:meth:`WorkerPool.avg_probes`; the search is
+    :func:`repro.plan.program.avg_endpoints`).  Work always ships as
+    batches — a one-item job is a width-1 batch.  Process mode is offered
+    only to backends whose capability flags declare their compiled
+    skeletons pickle-safe; other backends run inline
     (:func:`~repro.parallel.pool.pool_for_backend`).  The service owns one
     pool; bare solvers and the CLI borrow process-global shared process
     pools.

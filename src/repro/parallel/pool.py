@@ -31,12 +31,9 @@ backend choice.  Nested use is safe: code already running inside a pool
 worker executes inline instead of re-entering a pool, so a pooled analyzer
 whose options request fan-out can never recurse into worker-spawning.
 
-The cross-shard AVG search (:func:`sharded_avg_range`) lives here too: the
-paper's §4.2 binary search couples every cell through the shared target, but
-for a *fixed* target the ``value − target`` objective separates across plan
-shards, so each probe is one pooled fan-out plus one reduction over the
-per-shard optima — the one aggregate plan sharding previously routed
-serially.
+The pool carries cross-shard AVG probes (:meth:`WorkerPool.avg_probes`) but
+holds no AVG logic: the search, one function for one program and for
+shards alike, is :func:`repro.plan.program.avg_endpoints`.
 """
 
 from __future__ import annotations
@@ -65,8 +62,7 @@ from ..solvers.registry import backend_capabilities
 
 __all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "shared_pool",
            "shutdown_shared_pools", "pool_for_backend", "default_pool_mode",
-           "default_pool_workers", "in_worker", "register_for_reaping",
-           "sharded_avg_range"]
+           "default_pool_workers", "in_worker", "register_for_reaping"]
 
 #: The pool flavours a caller may request: inline or process workers.
 POOL_MODES = ("serial", "process")
@@ -519,17 +515,15 @@ class WorkerPool:
         :func:`pool_for_backend`, which keeps it off process pools.
     name:
         Label for diagnostics.
-    task_retry_limit:
-        How many times a task may kill its worker before it is quarantined
-        as poison and failed with
-        :class:`~repro.exceptions.PoisonTaskError` (default 2).  Sibling
-        tasks of a quarantined task still complete before the error is
-        raised, so one poison payload fails only its own query.
-    breaker_threshold / breaker_cooldown:
-        The circuit breaker: more than ``breaker_threshold`` crash
-        respawns within a 5-second window routes new entry points inline
-        (serial, in-process — slower but crash-immune) for
-        ``breaker_cooldown`` seconds.
+
+    A task that kills its worker :data:`_DEFAULT_TASK_RETRIES` times is
+    quarantined as poison and failed with
+    :class:`~repro.exceptions.PoisonTaskError`; its sibling tasks still
+    complete first, so one poison payload fails only its own query.  More
+    than :data:`_BREAKER_THRESHOLD` crash respawns within a 5-second window
+    trip the circuit breaker, which routes new entry points inline (serial,
+    in-process — slower but crash-immune) for :data:`_BREAKER_COOLDOWN`
+    seconds.
 
     The pool also consults :func:`repro.faults.resolve_faults` at
     construction: a non-empty ``REPRO_FAULTS`` plan makes the coordinator
@@ -544,10 +538,7 @@ class WorkerPool:
     """
 
     def __init__(self, max_workers: int | None = None, mode: str = "serial",
-                 name: str = "worker-pool",
-                 task_retry_limit: int | None = None,
-                 breaker_threshold: int | None = None,
-                 breaker_cooldown: float | None = None):
+                 name: str = "worker-pool"):
         if mode not in POOL_MODES:
             raise SolverError(
                 f"unknown pool mode {mode!r}; expected one of {POOL_MODES}")
@@ -557,14 +548,6 @@ class WorkerPool:
         self._max_workers = max_workers or default_pool_workers()
         self._mode = "serial" if self._max_workers == 1 else mode
         self._name = name
-        if task_retry_limit is not None and task_retry_limit < 1:
-            raise SolverError(
-                f"task_retry_limit must be >= 1, got {task_retry_limit}")
-        self._retry_limit = (task_retry_limit if task_retry_limit is not None
-                             else _DEFAULT_TASK_RETRIES)
-        self._breaker_threshold = breaker_threshold or _BREAKER_THRESHOLD
-        self._breaker_cooldown = (breaker_cooldown if breaker_cooldown
-                                  is not None else _BREAKER_COOLDOWN)
         self._breaker_until = 0.0
         self._restart_times: deque = deque(maxlen=32)
         self._faults = resolve_faults()
@@ -614,10 +597,6 @@ class WorkerPool:
         """The active :class:`~repro.faults.FaultPlan`, or None (chaos
         tests assert against its firing state)."""
         return self._faults
-
-    @property
-    def task_retry_limit(self) -> int:
-        return self._retry_limit
 
     def _bump(self, field: str, amount: int = 1) -> None:
         """Advance one pool counter: the dataclass view (the historical
@@ -872,13 +851,14 @@ class WorkerPool:
                 completed=completed, pending=total - completed)
 
     def avg_probes(self, keyed_programs: Sequence[tuple],
-                   probes: Sequence[tuple]) -> list[list[tuple]]:
-        """One cross-shard reduction round of the AVG binary search.
+                   probes: Sequence[tuple]) -> list[list[float | None]]:
+        """One round of AVG probes against every shard program.
 
-        ``probes`` is a sequence of ``(target, at_least, with_floor)``
-        triples (typically the upper- and lower-search midpoints of one
-        iteration).  Returns, per probe, the per-shard
-        ``(free_optimum, floor_optimum)`` pairs in shard order.
+        ``probes`` is a sequence of ``(target, at_least, floor)`` triples
+        (:meth:`repro.plan.program.BoundProgram.avg_probe_optima_batch`).
+        Returns, per probe, the shard optima in shard order: the
+        ``probe_round`` that :func:`repro.plan.program.avg_endpoints`
+        reduces.
 
         The whole round ships as **one task per shard** (the
         ``probe_batch`` kind): every probe's coefficient row solves against
@@ -1314,7 +1294,7 @@ class WorkerPool:
         """Storm accounting before a respawn: jittered backoff once
         respawns come faster than ``_STORM_THRESHOLD`` per window (forking
         into a crash loop at full speed starves the surviving workers),
-        and the circuit breaker past ``breaker_threshold`` (subsequent
+        and the circuit breaker past ``_BREAKER_THRESHOLD`` (subsequent
         entry points run inline until the cool-down expires).  The jitter
         is seeded from the restart counter, so chaos runs stay
         reproducible.
@@ -1323,9 +1303,8 @@ class WorkerPool:
         recent = sum(1 for stamp in self._restart_times
                      if now - stamp < _STORM_WINDOW) + 1
         self._restart_times.append(now)
-        if (recent >= self._breaker_threshold
-                and now >= self._breaker_until):
-            self._breaker_until = now + self._breaker_cooldown
+        if recent >= _BREAKER_THRESHOLD and now >= self._breaker_until:
+            self._breaker_until = now + _BREAKER_COOLDOWN
             self._bump("breaker_trips")
         if recent >= _STORM_THRESHOLD:
             rng = random.Random(self._statistics.worker_restarts)
@@ -1356,7 +1335,7 @@ class WorkerPool:
         for _, task in stale:
             if task.kind == "register":
                 continue  # re-registration happens on demand
-            if task.attempts >= self._retry_limit:
+            if task.attempts >= _DEFAULT_TASK_RETRIES:
                 # Poison: this payload has now killed a worker on every
                 # dispatch in its budget.  Quarantine it (no re-dispatch)
                 # and let the round drain its siblings before raising —
@@ -1420,119 +1399,3 @@ def pool_for_backend(pool: WorkerPool, backend: str) -> WorkerPool:
             and not backend_capabilities(backend).process_safe):
         return shared_pool(max_workers=1)
     return pool
-
-
-# --------------------------------------------------------------------- #
-# Cross-shard AVG: pooled binary search (paper §4.2, sharded)
-# --------------------------------------------------------------------- #
-def _achievable(per_shard: list[tuple], at_least: bool, with_floor: bool,
-                constant: float) -> bool:
-    """Reduce one probe's per-shard optima to the serial model's decision.
-
-    The free optima sum (the objective and every frequency row separate
-    across shards).  The floor row — "allocate at least one row somewhere",
-    active only when there is no observed partition — is the one cross-shard
-    constraint; its feasible set is the union over "shard *j* carries the
-    row", so the floored optimum is the best over *j* of (floored shard *j*
-    + free everyone else).  ``None`` optima mean an infeasible shard model,
-    exactly where the serial search's ``SolverError`` catch says False.
-    """
-    frees = [free for free, _ in per_shard]
-    if any(free is None for free in frees):
-        return False
-    total_free = sum(frees)
-    if not with_floor:
-        optimum = total_free
-    else:
-        best = None
-        for free, floor in per_shard:
-            if floor is None:
-                continue
-            candidate = total_free - free + floor
-            if best is None:
-                best = candidate
-            elif at_least:
-                best = max(best, candidate)
-            else:
-                best = min(best, candidate)
-        if best is None:
-            return False
-        optimum = best
-    value = optimum + constant
-    return value >= -1e-9 if at_least else value <= 1e-9
-
-
-class _DirectedAvgSearch:
-    """One direction of the AVG binary search (upper when ``at_least``).
-
-    Mirrors :meth:`repro.plan.program.BoundProgram._avg_search` exactly —
-    same open/close test, same midpoint, same interval update — so the
-    pooled search's decision sequence is the serial search's bit-for-bit.
-    ``probes`` counts applied probe results, bounded by the serial search's
-    iteration budget.
-    """
-
-    def __init__(self, low: float, high: float, at_least: bool):
-        self.low = low
-        self.high = high
-        self.at_least = at_least
-        self.probes = 0
-
-    def open(self, tolerance: float) -> bool:
-        return (self.high - self.low
-                > tolerance * max(1.0, abs(self.high), abs(self.low)))
-
-    @property
-    def midpoint(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def apply(self, midpoint: float, achievable: bool) -> None:
-        self.probes += 1
-        if achievable == self.at_least:
-            self.low = midpoint
-        else:
-            self.high = midpoint
-
-    @property
-    def conservative(self) -> float:
-        """The endpoint that always contains the true extreme average."""
-        return self.high if self.at_least else self.low
-
-
-def sharded_avg_range(pool: WorkerPool, keyed_programs: Sequence[tuple],
-                      known_sum: float, known_count: float,
-                      low_start: float, high_start: float,
-                      tolerance: float, max_iterations: int
-                      ) -> tuple[float, float]:
-    """The (lower, upper) extreme achievable averages, searched across shards.
-
-    Runs the upper and lower binary searches in lockstep: each round fans
-    one midpoint probe per open search out over the pool, one task per
-    shard, and folds the per-shard ``value − target`` optima with one
-    reduction — the communication pattern that makes AVG, the one
-    non-separable aggregate, scale out with the rest of the sharded plan.
-    The probe decisions are the serial search's decisions exactly, so the
-    returned endpoints match the single-program path (same midpoints, same
-    conservative rounding).
-    """
-    with_floor = known_count == 0
-    searches = [_DirectedAvgSearch(low_start, high_start, at_least=True),
-                _DirectedAvgSearch(low_start, high_start, at_least=False)]
-    tracer = get_tracer()
-    while True:
-        active = [(search, search.midpoint) for search in searches
-                  if search.probes < max_iterations
-                  and search.open(tolerance)]
-        if not active:
-            break
-        probes = [(midpoint, search.at_least, with_floor)
-                  for search, midpoint in active]
-        with tracer.span("avg.round"):
-            tracer.annotate(probes=len(probes), shards=len(keyed_programs))
-            outcomes = pool.avg_probes(keyed_programs, probes)
-        for (search, midpoint), outcome in zip(active, outcomes):
-            constant = known_sum - midpoint * known_count
-            search.apply(midpoint, _achievable(outcome, search.at_least,
-                                               with_floor, constant))
-    # Conservative endpoints, exactly like the serial search.
-    return searches[1].conservative, searches[0].conservative

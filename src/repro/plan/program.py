@@ -15,7 +15,9 @@ pair.  Compilation materializes, exactly once:
 
 Executions then only patch parameters: SUM/COUNT swap objective vectors,
 AVG's binary search swaps the ``value - target`` objective per probe, and
-MIN/MAX read precompiled extrema.  This is what makes compiled-program
+MIN/MAX read precompiled extrema.  The AVG search itself,
+:func:`avg_endpoints`, serves one program and the component programs of a
+sharded plan alike.  This is what makes compiled-program
 reuse cheap enough for the service layer to treat programs as cacheable
 values alongside decompositions.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,9 +49,19 @@ from ..core.predicates import Predicate
 from ..core.ranges import ResultRange
 from .ir import BoundPlan
 
-__all__ = ["CellProfile", "BoundProgram", "compile_plan"]
+__all__ = ["CellProfile", "BoundProgram", "compile_plan", "avg_endpoints",
+           "AVG_TOLERANCE", "AVG_MAX_PROBES"]
 
 _INF = float("inf")
+
+#: The AVG search (:func:`avg_endpoints`) stops once its bracket is this
+#: narrow relative to the bracket's magnitude, or after this many probes
+#: per direction.
+AVG_TOLERANCE = 1e-6
+AVG_MAX_PROBES = 64
+
+_UNSATISFIABLE = ("the predicate-constraint set is unsatisfiable: no "
+                  "allocation of missing rows meets every frequency constraint")
 
 # Skeleton variants: which profile subset a model is built over, and whether
 # the "at least one allocated row" floor (AVG with no observed rows) applies.
@@ -220,15 +232,12 @@ class BoundProgram:
     """
 
     def __init__(self, plan: BoundPlan, decomposition: CellDecomposition,
-                 *, avg_tolerance: float = 1e-6, avg_max_iterations: int = 64,
-                 reuse: bool = True):
+                 *, reuse: bool = True):
         self._plan = plan
         self._pcset = plan.pcset
         self._region = plan.query.region
         self._attribute = plan.query.attribute
         self._decomposition = decomposition
-        self._avg_tolerance = avg_tolerance
-        self._avg_max_iterations = avg_max_iterations
         self._backend = plan.milp_backend
         self._reuse = reuse
         self._lock = threading.Lock()
@@ -282,9 +291,8 @@ class BoundProgram:
     def active_profiles(self) -> list[CellProfile]:
         """The cells that can actually hold rows (capacity > 0).
 
-        The cross-shard AVG search unions these across shard programs to
-        reproduce the serial program's active-cell edge cases (no active
-        cells, infinite value bounds, search start interval).
+        :func:`avg_endpoints` unions these across its programs for the AVG
+        bracket (no active cells, infinite value bounds, search start).
         """
         return list(self._active)
 
@@ -299,6 +307,14 @@ class BoundProgram:
     @property
     def region(self) -> Predicate | None:
         return self._region
+
+    def _allows_no_rows(self) -> bool:
+        """Whether leaving every cell empty meets every constraint: each
+        constraint that forces rows can park them outside the query region.
+        Without active cells this is the only allocation left."""
+        return all(index in self._slack_bounds
+                   for index, pc in enumerate(self._pcset)
+                   if pc.min_rows() > 0)
 
     # ------------------------------------------------------------------ #
     # Compilation steps
@@ -440,9 +456,7 @@ class BoundProgram:
         skeleton lookup, one lock acquisition and one kernel entry per
         call, and the one chokepoint the per-span solver-call tallies hang
         off (no-op without an active trace).  Returns raw per-row
-        ``(status, objective)`` pairs so callers can apply either the bound
-        policy (:meth:`_checked_value`) or the probe policy
-        (:meth:`_probe_value`).
+        ``(status, objective)`` pairs for :meth:`_checked_value`.
         """
         count = len(rows)
         if count == 0:
@@ -468,26 +482,11 @@ class BoundProgram:
         """The bound status policy for one solved row: infeasible and
         failed solves raise, unbounded ones are the signed infinity."""
         if status is SolutionStatus.INFEASIBLE:
-            raise SolverError(
-                "the predicate-constraint set is unsatisfiable: no allocation of "
-                "missing rows meets every frequency constraint"
-            )
+            raise SolverError(_UNSATISFIABLE)
         if status is SolutionStatus.UNBOUNDED:
             return _INF if sense is Sense.MAXIMIZE else -_INF
         if status is not SolutionStatus.OPTIMAL or objective is None:
             raise SolverError(f"MILP solve failed with status {status.value}")
-        return objective
-
-    @staticmethod
-    def _probe_value(status: SolutionStatus, objective: float | None,
-                     sense: Sense) -> float | None:
-        """The probe status policy: infeasible/failed probes map to None
-        (an unachievable target), unbounded ones to the signed infinity
-        :meth:`_checked_value` would return."""
-        if status is SolutionStatus.UNBOUNDED:
-            return _INF if sense is Sense.MAXIMIZE else -_INF
-        if status is not SolutionStatus.OPTIMAL or objective is None:
-            return None
         return objective
 
     def solve_for_explanation(self, coefficients: dict[int, float]
@@ -561,23 +560,9 @@ class BoundProgram:
             return self._range(lower, None, AggregateFunction.MIN,
                                self._attribute)
         if aggregate is AggregateFunction.AVG:
-            if not self._active:
-                if known_count > 0:
-                    average = known_sum / known_count
-                    return self._range(average, average,
-                                       AggregateFunction.AVG,
-                                       self._attribute)
-                return self._range(None, None, AggregateFunction.AVG,
-                                   self._attribute)
-            uppers = [p.value_upper for p in self._active]
-            lowers = [p.value_lower for p in self._active]
-            if (any(math.isinf(u) for u in uppers)
-                    or any(math.isinf(l) for l in lowers)):
-                return self._range(-_INF, _INF, AggregateFunction.AVG,
-                                   self._attribute)
-            known = [known_sum / known_count] if known_count else []
-            return self._range(min(lowers + known), max(uppers + known),
-                               AggregateFunction.AVG, self._attribute)
+            lower, upper = _avg_bracket(self._active, known_sum, known_count)
+            return self._range(lower, upper, AggregateFunction.AVG,
+                               self._attribute)
         raise SolverError(f"unsupported aggregate {aggregate!r}")  # pragma: no cover
 
     def bound_batch(self, requests: list[tuple]) -> list[ResultRange]:
@@ -588,9 +573,9 @@ class BoundProgram:
         kernel entries — one :meth:`_skeleton` lookup and one lock
         acquisition per group — instead of one solver invocation per
         objective.  MIN/MAX read compiled extrema (no solver calls) and
-        AVG runs its serial binary search (its batching lever is the
-        cross-shard probe batch, :meth:`avg_probe_optima_batch`).  A
-        request's range never depends on what else shares its batch.
+        AVG runs the §4.2 search (:func:`avg_endpoints`), each round one
+        :meth:`avg_probe_optima_batch` call.  A request's range never
+        depends on what else shares its batch.
         """
         descriptors: list[tuple[str, np.ndarray, Sense]] = []
 
@@ -737,137 +722,159 @@ class BoundProgram:
 
     # AVG (binary search, paper §4.2) ------------------------------------ #
     def _bound_avg(self, known_sum: float, known_count: float) -> ResultRange:
-        attribute = self._attribute
-        if not self._active:
-            if known_count > 0:
-                average = known_sum / known_count
-                return self._range(average, average, AggregateFunction.AVG,
-                                   attribute)
-            return self._range(None, None, AggregateFunction.AVG, attribute)
-
-        uppers = [p.value_upper for p in self._active]
-        lowers = [p.value_lower for p in self._active]
-        if any(math.isinf(u) for u in uppers) or any(math.isinf(l) for l in lowers):
-            return self._range(-_INF, _INF, AggregateFunction.AVG, attribute)
-
-        # Fast path: nothing forces rows and there is no observed partition,
-        # so a single row at the extreme cell attains the extreme average.
-        if not self._pcset.has_mandatory_rows() and known_count == 0:
-            return self._range(min(lowers), max(uppers), AggregateFunction.AVG,
-                               attribute)
-
-        high_start = max(uppers + ([known_sum / known_count] if known_count else []))
-        low_start = min(lowers + ([known_sum / known_count] if known_count else []))
-        upper = self._avg_search(known_sum, known_count, low_start, high_start,
-                                 find_upper=True)
-        lower = self._avg_search(known_sum, known_count, low_start, high_start,
-                                 find_upper=False)
-        return self._range(lower, upper, AggregateFunction.AVG, attribute)
-
-    def _avg_search(self, known_sum: float, known_count: float,
-                    low_start: float, high_start: float,
-                    find_upper: bool) -> float:
-        """Binary search for the extreme achievable average."""
-        tolerance = self._avg_tolerance
-        tracer = get_tracer()
-        low, high = low_start, high_start
-        for _ in range(self._avg_max_iterations):
-            if high - low <= tolerance * max(1.0, abs(high), abs(low)):
-                break
-            midpoint = (low + high) / 2.0
-            with tracer.span("avg.round"):
-                tracer.annotate(target=midpoint, upper=find_upper)
-                achievable = self._average_achievable(
-                    known_sum, known_count, midpoint, at_least=find_upper)
-            if achievable:
-                if find_upper:
-                    low = midpoint
-                else:
-                    high = midpoint
-            else:
-                if find_upper:
-                    high = midpoint
-                else:
-                    low = midpoint
-        # Return the conservative endpoint so the reported range always
-        # contains the true extreme average despite the finite tolerance.
-        return high if find_upper else low
+        lower, upper = avg_endpoints(
+            [self], known_sum, known_count,
+            lambda probes: [[optimum] for optimum
+                            in self.avg_probe_optima_batch(probes)])
+        return self._range(lower, upper, AggregateFunction.AVG,
+                           self._attribute)
 
     def avg_probe_optima_batch(self, probes: Sequence[tuple]
-                               ) -> list[tuple[float | None, float | None]]:
-        """This shard's contributions to a round of cross-shard AVG probes.
+                               ) -> list[float | None]:
+        """The optima of one round of AVG probes against this program.
 
-        ``probes`` is a sequence of ``(target, at_least, with_floor)``
-        triples — one cross-shard search iteration's midpoints, one per
-        open search direction, travel together.  Each probe yields
-        ``(free, floor)``: the optimum of the ``value − target`` objective
-        over this program's active skeleton without and (when
-        ``with_floor``) with the "at least one allocated row" floor row.
-        ``None`` marks an infeasible model — an unachievable probe, exactly
-        as in the serial search — and unbounded rows come back as signed
-        infinity.  The reduction over shards lives in
-        :func:`repro.parallel.pool.sharded_avg_range`: the free optima are
-        additive and the floored optimum is the best over which shard
-        carries the floor row.
+        ``probes`` holds ``(target, at_least, floor)`` triples.  A probe's
+        optimum is the ``value − target`` objective over this program's
+        active cells, maximised when ``at_least`` and minimised otherwise,
+        with the "at least one allocated row" row added when ``floor``.
+        A floored probe on a program without active cells is ``None``: the
+        program cannot carry that row.  Every other probe follows the bound
+        status policy (:meth:`_checked_value`), so an infeasible or failed
+        solve raises and an unbounded one is the signed infinity.
 
-        Rows are grouped by (skeleton variant, sense), so the whole probe
-        set costs at most four kernel entries (one :meth:`_skeleton` lookup
-        and one lock acquisition each).
+        Rows are grouped by (skeleton variant, sense), so a round costs at
+        most four kernel entries (one :meth:`_skeleton` lookup and one lock
+        acquisition each).
         """
-        results: list[list[float | None]] = [[None, None] for _ in probes]
+        results: list[float | None] = [None] * len(probes)
         rows: dict[tuple[str, Sense], list[np.ndarray]] = {}
-        slots: dict[tuple[str, Sense], list[tuple[int, int]]] = {}
-        for position, (target, at_least, with_floor) in enumerate(probes):
+        slots: dict[tuple[str, Sense], list[int]] = {}
+        for position, (target, at_least, floor) in enumerate(probes):
+            if floor and not self._active:
+                continue
             values = self._active_uppers if at_least else self._active_lowers
-            coefficients = values - target
             sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
-            group = (_ACTIVE, sense)
-            rows.setdefault(group, []).append(coefficients)
-            slots.setdefault(group, []).append((position, 0))
-            if with_floor and self._active:
-                group = (_ACTIVE_FLOOR, sense)
-                rows.setdefault(group, []).append(coefficients)
-                slots.setdefault(group, []).append((position, 1))
-        for group, group_rows in rows.items():
-            variant, sense = group
+            group = (_ACTIVE_FLOOR if floor else _ACTIVE, sense)
+            rows.setdefault(group, []).append(values - target)
+            slots.setdefault(group, []).append(position)
+        for (variant, sense), group_rows in rows.items():
             outcomes = self._solve_rows(variant, group_rows, sense)
-            for (position, slot), (status, objective) in zip(slots[group],
-                                                             outcomes):
-                results[position][slot] = self._probe_value(status, objective,
-                                                            sense)
-        return [(free, floor) for free, floor in results]
+            for position, (status, objective) in zip(slots[(variant, sense)],
+                                                     outcomes):
+                results[position] = self._checked_value(status, objective,
+                                                        sense)
+        return results
 
-    def _average_achievable(self, known_sum: float, known_count: float,
-                            target: float, at_least: bool) -> bool:
-        """Is there an allocation whose combined average is >= (or <=) target?
 
-        The per-probe parameter patch: objective ``value - target`` over the
-        active cells, solved as a one-row batch against the compiled
-        skeleton.
-        """
-        values = self._active_uppers if at_least else self._active_lowers
-        coefficients = values - target
-        variant = _ACTIVE_FLOOR if known_count == 0 else _ACTIVE
-        sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
-        try:
-            [(status, objective)] = self._solve_rows(variant, [coefficients],
-                                                     sense)
-        except SolverError:
-            return False
-        optimum = self._probe_value(status, objective, sense)
-        if optimum is None:
-            return False
-        constant = known_sum - target * known_count
-        if at_least:
-            return optimum + constant >= -1e-9
-        return optimum + constant <= 1e-9
+def _avg_bracket(active: Sequence[CellProfile], known_sum: float,
+                 known_count: float) -> tuple[float | None, float | None]:
+    """The solver-free AVG range over the ``active`` cells.
+
+    Every achievable average lies between the extreme clipped cell values
+    and the observed average.  Without active cells only the observed
+    average remains (or nothing), and an unbounded value bound gives
+    (−inf, inf).
+    """
+    if not active:
+        if known_count > 0:
+            average = known_sum / known_count
+            return average, average
+        return None, None
+    uppers = [p.value_upper for p in active]
+    lowers = [p.value_lower for p in active]
+    if any(math.isinf(value) for value in uppers + lowers):
+        return -_INF, _INF
+    known = [known_sum / known_count] if known_count else []
+    return min(lowers + known), max(uppers + known)
+
+
+def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
+                  known_count: float, probe_round: Callable
+                  ) -> tuple[float | None, float | None]:
+    """The (lower, upper) AVG range over ``programs`` (paper §4.2).
+
+    ``programs`` is one program, or the component programs of a sharded
+    plan, whose cells and constraints partition the unsharded program's.
+    ``probe_round(probes)`` answers a list of ``(target, at_least, floor)``
+    probes with, per probe, the optima of every program in order: a single
+    program's own :meth:`BoundProgram.avg_probe_optima_batch`, or
+    :meth:`repro.parallel.pool.WorkerPool.avg_probes` for shards.
+
+    The search starts from :func:`_avg_bracket`, which is already the
+    answer when nothing forces rows and no rows are observed (one row at
+    the extreme cell attains the extreme average).  Otherwise it bisects
+    both directions in lockstep, one probe per open direction per round,
+    until the bracket is :data:`AVG_TOLERANCE` narrow or
+    :data:`AVG_MAX_PROBES` probes are spent.  A target is achievable when
+    the optimum of ``value − target`` plus the observed rows' share
+    ``known_sum − target · known_count`` reaches 0.  The programs' optima
+    add up, since the objective and every frequency row separate.  The
+    floor row (no observed rows) is the one constraint that spans
+    programs: its optimum is the best, over which program carries the row,
+    of that program's floored optimum plus everyone else's free one.  The
+    returned endpoints are the bracket's conservative ends, so the range
+    contains the true extremes.
+
+    A set that forces rows but admits no allocation raises
+    :class:`~repro.exceptions.SolverError`, like COUNT and SUM: through a
+    probe's status, or, when no probe would run, through
+    :meth:`BoundProgram._allows_no_rows` (no active cells) or one free
+    probe (a bracket closed from the start).  Only an unbounded value
+    bound answers (−inf, inf) without checking.
+    """
+    active = [profile for program in programs
+              for profile in program.active_profiles]
+    if not active and not all(program._allows_no_rows()
+                              for program in programs):
+        raise SolverError(_UNSATISFIABLE)
+    low, high = _avg_bracket(active, known_sum, known_count)
+    mandatory = any(program.pcset.has_mandatory_rows() for program in programs)
+    if low is None or math.isinf(high) or not (mandatory or known_count):
+        return low, high
+    floor = known_count == 0
+    # Several programs share the floor row, so each probe asks every
+    # program for its free and its floored optimum.
+    split = floor and len(programs) > 1
+    brackets = {True: [low, high], False: [low, high]}
+    tracer = get_tracer()
+    for round_index in range(AVG_MAX_PROBES):
+        targets = [(at_least, (bracket[0] + bracket[1]) / 2.0)
+                   for at_least, bracket in brackets.items()
+                   if bracket[1] - bracket[0] > AVG_TOLERANCE * max(
+                       1.0, abs(bracket[1]), abs(bracket[0]))]
+        if not targets:
+            if mandatory and round_index == 0:
+                # Closed from the start: one free probe still checks that
+                # some allocation meets every constraint (it raises if not).
+                probe_round([(high, True, False)])
+            break
+        probes = []
+        for at_least, target in targets:
+            if split:
+                probes.append((target, at_least, False))
+            probes.append((target, at_least, floor))
+        with tracer.span("avg.round"):
+            tracer.annotate(probes=len(probes), shards=len(programs))
+            optima = iter(probe_round(probes))
+        for at_least, target in targets:
+            if split:
+                frees, floors = next(optima), next(optima)
+                total = sum(frees)
+                candidates = [total - free + floored
+                              for free, floored in zip(frees, floors)
+                              if floored is not None]
+                optimum = max(candidates) if at_least else min(candidates)
+            else:
+                optimum = sum(next(optima))
+            value = optimum + (known_sum - target * known_count)
+            achievable = value >= -1e-9 if at_least else value <= 1e-9
+            # The upper search moves its low end up to an achievable target
+            # and its high end down to any other; the lower search mirrors.
+            brackets[at_least][0 if achievable == at_least else 1] = target
+    return brackets[False][0], brackets[True][1]
 
 
 def compile_plan(plan: BoundPlan, decomposition: CellDecomposition, *,
-                 avg_tolerance: float = 1e-6, avg_max_iterations: int = 64,
                  reuse: bool = True) -> BoundProgram:
     """Compile an optimized plan + its decomposition into a program."""
-    return BoundProgram(plan, decomposition,
-                        avg_tolerance=avg_tolerance,
-                        avg_max_iterations=avg_max_iterations,
-                        reuse=reuse)
+    return BoundProgram(plan, decomposition, reuse=reuse)

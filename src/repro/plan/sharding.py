@@ -16,8 +16,8 @@ share a cell: the *connected components* of the predicate-overlap graph
 induce a block-diagonal MILP, and each block can compile and solve as its
 own :class:`~repro.plan.BoundProgram` on its own worker.  Per-shard result
 ranges recombine exactly through :func:`merge_shard_ranges`
-(COUNT/SUM-additive, MIN/MAX-extrema); AVG runs the cross-shard dual binary
-search (:func:`repro.parallel.pool.sharded_avg_range`).
+(COUNT/SUM-additive, MIN/MAX-extrema); AVG runs its binary search over the
+shard programs (:func:`repro.plan.program.avg_endpoints`).
 
 **Region-level splitting** (:class:`RegionSharding`).  A one-component
 overlap graph defeats component splitting — and it is exactly the regime
@@ -583,8 +583,8 @@ def merge_shard_ranges(aggregate: AggregateFunction,
     COUNT/SUM add endpoint-wise (the separable-MILP argument in the module
     docstring); MAX/MIN take extrema with ``None`` endpoints meaning "this
     shard guarantees/permits no rows" and dropping out of the merge.  AVG is
-    rejected — route it through the cross-shard dual search (or the serial
-    program) instead.  This is the one range-combination contract every
+    rejected — route it through :func:`repro.plan.program.avg_endpoints`
+    instead.  This is the one range-combination contract every
     strategy shares: component shards feed it their per-shard solves, and
     region shards reach it through the merged serial-identical program
     (trivially, as the one-shard case).

@@ -47,6 +47,7 @@ from ..exceptions import QueryDeadlineError, QueryRejectedError
 from ..faults import current_deadline
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
+from ..plan.program import AVG_MAX_PROBES
 from ..relational.aggregates import AggregateFunction
 
 __all__ = ["QueryCost", "price_query", "admissible_cell_budget",
@@ -153,7 +154,7 @@ def price_query(solver, query, *, pool_statistics=None) -> QueryCost:
         build = build / shard_count * (1.0 - 0.5 * warm_hit_rate)
     probes = 1
     if query.aggregate is AggregateFunction.AVG:
-        probes = 2 * getattr(solver.options, "avg_max_iterations", 64)
+        probes = 2 * AVG_MAX_PROBES
     solve = probes * float(cells) / shard_count
     return QueryCost(units=build + solve,
                      aggregate=query.aggregate.value,

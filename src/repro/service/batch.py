@@ -38,6 +38,7 @@ from ..parallel.pool import (
     default_pool_workers,
     pool_for_backend,
 )
+from .registry import session_fingerprint
 
 __all__ = ["BatchStatistics", "BatchResult", "BatchExecutor"]
 
@@ -99,27 +100,6 @@ class BatchResult:
         lines = [self.statistics.summary()]
         lines.extend(f"  {report.summary()}" for report in self.reports)
         return "\n".join(lines)
-
-
-def _session_key_for(analyzer: PCAnalyzer) -> str:
-    """A content fingerprint identifying ``analyzer`` on pool workers.
-
-    Matches the registry's session fingerprint (constraints + options +
-    observed data), so a service-passed key and a derived key for the same
-    session address the same worker-side state.
-    """
-    from .fingerprint import (
-        combine_fingerprints,
-        fingerprint_bound_options,
-        fingerprint_pcset,
-        fingerprint_relation,
-    )
-
-    parts = [fingerprint_pcset(analyzer.pcset),
-             fingerprint_bound_options(analyzer.options)]
-    if analyzer.observed is not None:
-        parts.append(fingerprint_relation(analyzer.observed))
-    return combine_fingerprints(*parts)
 
 
 class BatchExecutor:
@@ -276,7 +256,8 @@ class BatchExecutor:
             tracer.annotate(queries=len(queries), mode=pool.mode)
             if pool.mode == "process":
                 solver = analyzer.solver
-                key = session_key or _session_key_for(analyzer)
+                key = session_key or session_fingerprint(
+                    analyzer.pcset, analyzer.observed, analyzer.options)
                 entries = {}
                 keyed_queries = []
                 for query in queries:

@@ -155,8 +155,6 @@ def fingerprint_bound_options(options: BoundOptions) -> str:
         str(options.milp_backend),
         "" if options.early_stop_depth is None else str(options.early_stop_depth),
         str(int(options.check_closure)),
-        _number(options.avg_tolerance),
-        str(options.avg_max_iterations),
         "" if options.cell_budget is None else str(options.cell_budget),
         str(int(options.optimize)),
         str(int(options.program_reuse)),
@@ -297,9 +295,9 @@ def decomposition_namespace(pcset: PredicateConstraintSet,
     Only the knobs that change the *decomposition itself* participate:
     strategy, early-stop depth, and the plan-pipeline knobs that decide what
     gets decomposed (the optimizer toggle and the cell budget behind
-    strategy selection).  The MILP backend, the closure check and the AVG
-    search tolerance all act after decomposition, so solvers that differ
-    only in those still share cached decompositions.
+    strategy selection).  The MILP backend and the closure check act after
+    decomposition, so solvers that differ only in those still share cached
+    decompositions.
     """
     tokens = [
         "decomposition-namespace",

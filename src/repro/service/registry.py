@@ -36,7 +36,7 @@ from .fingerprint import (
     relation_version,
 )
 
-__all__ = ["RegisteredSession", "SessionRegistry"]
+__all__ = ["RegisteredSession", "SessionRegistry", "session_fingerprint"]
 
 
 @dataclass
@@ -115,9 +115,14 @@ class RegisteredSession:
         }
 
 
-def _session_fingerprint(pcset: PredicateConstraintSet,
-                         observed: Relation | None,
-                         options: BoundOptions) -> str:
+def session_fingerprint(pcset: PredicateConstraintSet,
+                        observed: Relation | None,
+                        options: BoundOptions) -> str:
+    """A session's identity: its constraints, options and observed data.
+
+    Batch execution addresses a session's worker-side state by the same
+    key, whether the service passes it or the batch derives it.
+    """
     parts = [fingerprint_pcset(pcset), fingerprint_bound_options(options)]
     if observed is not None:
         parts.append(fingerprint_relation(observed))
@@ -165,7 +170,7 @@ class SessionRegistry:
         if not name:
             raise ReproError("session name must be non-empty")
         options = options or BoundOptions()
-        fingerprint = _session_fingerprint(pcset, observed, options)
+        fingerprint = session_fingerprint(pcset, observed, options)
         with self._lock:
             versions = self._sessions.setdefault(name, [])
             if versions and versions[-1].fingerprint == fingerprint:

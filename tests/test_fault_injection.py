@@ -46,7 +46,7 @@ from repro.faults import (
     resolve_faults,
 )
 from repro.obs.metrics import get_registry
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import _DEFAULT_TASK_RETRIES, WorkerPool
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
@@ -315,7 +315,7 @@ class TestPoisonQuarantine:
             error = excinfo.value
             assert error.fingerprint is not None
             assert error.fingerprint in str(error)
-            assert error.attempts == pool.task_retry_limit
+            assert error.attempts == _DEFAULT_TASK_RETRIES
             # Sibling tasks drained before the round failed.
             assert "sibling" in str(error)
             statistics = pool.statistics

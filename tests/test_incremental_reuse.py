@@ -40,8 +40,7 @@ from repro.service.fingerprint import (
 
 from test_service import build_observed, build_pcset
 
-FAST = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                    avg_max_iterations=16)
+FAST = BoundOptions(check_closure=False)
 
 ALL_AGGREGATES = [
     lambda region: ContingencyQuery.count(region),
@@ -80,8 +79,7 @@ def chained_pcset() -> PredicateConstraintSet:
     return PredicateConstraintSet(constraints)
 
 
-SLICED = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                      avg_max_iterations=16, solve_workers=4,
+SLICED = BoundOptions(check_closure=False, solve_workers=4,
                       shard_strategy="region")
 
 
@@ -127,8 +125,7 @@ class TestSliceReuse:
     def test_sliced_answers_match_serial_solver(self):
         """The slice-cached sharded path equals the serial single-program
         path on both the warm and the cold region."""
-        serial_options = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                                      avg_max_iterations=16)
+        serial_options = BoundOptions(check_closure=False)
         cache = LRUCache(max_entries=256, name="decomposition")
         sharded = PCAnalyzer(chained_pcset(), options=SLICED,
                              decomposition_cache=cache)
@@ -315,8 +312,7 @@ class TestDeltaInvalidation:
     def test_appended_session_matches_cold_analyzer(self, strategy):
         """Property: after an append, every aggregate over every probed
         region is bit-identical to a cold analyzer on the full data."""
-        options = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                               avg_max_iterations=16, solve_workers=2,
+        options = BoundOptions(check_closure=False, solve_workers=2,
                                shard_strategy=strategy)
         rows = [(10.0, 5.0), (10.5, 15.0), (11.2, 25.0), (12.5, 35.0)]
         delta = [(12.6, 9.0), (10.1, 2.0)]

@@ -17,8 +17,7 @@ from repro.service.store import SCHEMA_VERSION, default_cache_dir
 
 from test_service import build_observed, build_pcset, mixed_queries
 
-FAST = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                    avg_max_iterations=16)
+FAST = BoundOptions(check_closure=False)
 
 
 class TestPersistentStore:

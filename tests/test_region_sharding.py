@@ -326,11 +326,12 @@ class TestSolverIntegration:
 # Cross-shard AVG probing
 # --------------------------------------------------------------------- #
 class TestSpeculativeAvg:
-    """The cross-shard AVG search lands on the serial endpoints.
+    """The AVG search over shard programs lands on the serial endpoints.
 
-    Each round probes one midpoint per open search across the shards; the
-    ``known_rows`` case adds an observed partition, which drops the
-    cardinality floor from the probes and widens the search bracket.
+    Each round probes one midpoint per open direction across the shards
+    through ``WorkerPool.avg_probes``; the ``known_rows`` case adds an
+    observed partition, which drops the cardinality floor from the probes
+    and widens the search bracket.
     """
 
     def _sharded_setup(self, known_sum: float, known_count: float):
@@ -347,21 +348,19 @@ class TestSpeculativeAvg:
                  for shard in sharded]
         program = solver.program(None, "v")
         serial = program.bound(AggregateFunction.AVG, known_sum, known_count)
-        active = [p for key, prog in keyed for p in prog.active_profiles]
-        known = [known_sum / known_count] if known_count else []
-        low = min([p.value_lower for p in active] + known)
-        high = max([p.value_upper for p in active] + known)
-        return keyed, serial, low, high
+        return keyed, serial
 
     @pytest.mark.parametrize("known_rows", [False, True])
     def test_endpoints_identical_to_serial(self, known_rows):
-        from repro.parallel.pool import WorkerPool, sharded_avg_range
+        from repro.parallel.pool import WorkerPool
+        from repro.plan.program import avg_endpoints
 
         known_sum, known_count = (36.0, 3.0) if known_rows else (0.0, 0.0)
-        keyed, serial, low, high = self._sharded_setup(known_sum, known_count)
+        keyed, serial = self._sharded_setup(known_sum, known_count)
         with WorkerPool(max_workers=3, mode="process",
                         name="cross-shard-avg") as pool:
-            lower, upper = sharded_avg_range(
-                pool, keyed, known_sum, known_count, low, high,
-                tolerance=1e-6, max_iterations=64)
+            lower, upper = avg_endpoints(
+                [program for _, program in keyed], known_sum, known_count,
+                lambda probes: pool.avg_probes(keyed, probes))
+            assert pool.statistics.tasks_shipped > 0
         assert lower == serial.lower and upper == serial.upper

@@ -28,8 +28,7 @@ from repro.service import (
     SessionRegistry,
 )
 
-FAST = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                    avg_max_iterations=16)
+FAST = BoundOptions(check_closure=False)
 
 
 def build_pcset() -> PredicateConstraintSet:

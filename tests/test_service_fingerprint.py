@@ -113,9 +113,10 @@ class TestQueryAndOptionsFingerprints:
     def test_decomposition_namespace_ignores_post_decomposition_knobs(self):
         pcset = PredicateConstraintSet([make_constraint(11, 12)])
         base = decomposition_namespace(pcset, BoundOptions())
-        # The closure check and AVG tolerance act after decomposition.
+        # The closure check and the MILP backend act after decomposition.
         assert base == decomposition_namespace(
-            pcset, BoundOptions(check_closure=False, avg_tolerance=1e-3))
+            pcset, BoundOptions(check_closure=False,
+                                milp_backend="branch-and-bound"))
         # Strategy and early stopping change the decomposition itself.
         assert base != decomposition_namespace(
             pcset, BoundOptions(strategy=DecompositionStrategy.NAIVE))
