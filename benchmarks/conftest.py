@@ -15,10 +15,9 @@ from PR 4 on — merge the per-PR files with ``repro bench-report`` (or
 ``python benchmarks/trajectory.py``) instead of scraping pytest logs.
 
 Every record is stamped with the environment it ran under — git SHA,
-timestamp, CPU count, and the ``REPRO_POOL`` / ``REPRO_SHARD_STRATEGY`` /
-``REPRO_TRACE`` / ``REPRO_CACHE_DIR`` toggles — because
-a trajectory comparison across PRs is meaningless without knowing whether
-the runs were comparable.
+timestamp, CPU count, and the ``REPRO_POOL`` / ``REPRO_TRACE`` /
+``REPRO_CACHE_DIR`` toggles — because a trajectory comparison across PRs is
+meaningless without knowing whether the runs were comparable.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ _RECORDS: list[dict] = []
 #: Environment toggles that change what the benchmarks measure; their
 #: values ride along on every record so cross-PR diffs can rule out
 #: configuration drift.
-_ENV_TOGGLES = ("REPRO_POOL", "REPRO_SHARD_STRATEGY", "REPRO_TRACE",
-                "REPRO_CACHE_DIR")
+_ENV_TOGGLES = ("REPRO_POOL", "REPRO_TRACE", "REPRO_CACHE_DIR")
 
 
 def _git_sha() -> str | None:

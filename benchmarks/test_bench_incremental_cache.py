@@ -1,10 +1,7 @@
 """Benchmark: incremental, versioned result reuse.
 
-Three timings, one per reuse layer:
+Two timings, one per reuse layer:
 
-* **Shifted region** — a region-sharded query whose WHERE window moved by a
-  couple of units recomputes only the uncovered edge slices; the interior
-  slices come from the shared decomposition cache.
 * **Append delta** — appending rows to a registered session migrates every
   cached report the delta provably cannot change, so the post-append batch
   pays only for the queries whose regions the new rows actually touch.
@@ -32,14 +29,13 @@ from repro.core.constraints import (
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
-from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
-from repro.service import ContingencyService, LRUCache
+from repro.service import ContingencyService
 
 
 def chained_pcset(size: int = 10) -> PredicateConstraintSet:
-    """One overlap component of ``size`` chained windows (forces region cuts)."""
+    """One overlap component of ``size`` chained windows."""
     constraints = []
     for index in range(size):
         low = 20.0 + 6 * index
@@ -71,47 +67,6 @@ def assert_identical(actual, expected):
     assert actual.missing_range.lower == expected.missing_range.lower
     assert actual.missing_range.upper == expected.missing_range.upper
     assert actual.observed_value == expected.observed_value
-
-
-@pytest.mark.paper_artifact("incremental-cache")
-def test_bench_shifted_region_slice_reuse(report_artifact, bench_record):
-    """A shifted WHERE region recomputes only the uncovered edge slices."""
-    options = BoundOptions(check_closure=False, solve_workers=4,
-                           shard_strategy="region")
-    registry = get_registry()
-    cache = LRUCache(max_entries=256, name="decomposition")
-    analyzer = PCAnalyzer(chained_pcset(), options=options,
-                          decomposition_cache=cache)
-
-    started = time.perf_counter()
-    analyzer.analyze(ContingencyQuery.count(Predicate.range("utc", 10, 90)))
-    cold_seconds = time.perf_counter() - started
-
-    hits_before = registry.counter("cache.slice_hits").value
-    recomputed_before = registry.counter("cache.slice_recomputed").value
-    shifted = Predicate.range("utc", 12, 92)
-    started = time.perf_counter()
-    report = analyzer.analyze(ContingencyQuery.count(shifted))
-    shifted_seconds = time.perf_counter() - started
-    slice_hits = registry.counter("cache.slice_hits").value - hits_before
-    recomputed = (registry.counter("cache.slice_recomputed").value
-                  - recomputed_before)
-
-    # Bit-identical to a cold analyzer, always.
-    cold = PCAnalyzer(chained_pcset(), options=options)
-    assert_identical(report, cold.analyze(ContingencyQuery.count(shifted)))
-    assert slice_hits > 0 and recomputed < slice_hits + recomputed
-
-    ratio = cold_seconds / max(shifted_seconds, 1e-9)
-    report_artifact(
-        "Shifted-region slice reuse\n"
-        f"  cold region [10, 90]   : {cold_seconds * 1000:.1f} ms\n"
-        f"  shifted region [12, 92]: {shifted_seconds * 1000:.1f} ms "
-        f"({slice_hits} slice(s) reused, {recomputed} recomputed)\n"
-        f"  shifted/cold speedup   : {ratio:.1f}x")
-    bench_record(cold_seconds=cold_seconds, shifted_seconds=shifted_seconds,
-                 speedup=ratio, slice_hits=int(slice_hits),
-                 slice_recomputed=int(recomputed))
 
 
 @pytest.mark.paper_artifact("incremental-cache")

@@ -81,8 +81,7 @@ def test_region_sharded_enumeration_vs_serial(bench_record):
                     name="bench-region") as pool:
         pool.start()  # exclude worker fork from the timed section
         region = PCBoundSolver(
-            pcset, BoundOptions(check_closure=False, solve_workers=WORKERS,
-                                shard_strategy="region"),
+            pcset, BoundOptions(check_closure=False, solve_workers=WORKERS),
             worker_pool=pool)
         started = time.perf_counter()
         region_result = region.bound(AggregateFunction.COUNT)

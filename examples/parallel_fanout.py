@@ -99,7 +99,7 @@ def main() -> None:
               f"rate over {pooled.worker_pool.max_workers} workers")
 
     # --- cross-backend verification ------------------------------------
-    service = ContingencyService(verify="cross-backend")
+    service = ContingencyService(verify_backend="branch-and-bound")
     service.register("telemetry", pcset)
     report = service.analyze("telemetry",
                              ContingencyQuery.sum("v",

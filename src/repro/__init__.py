@@ -73,7 +73,6 @@ from .plan import (
     compile_plan,
     merge_shard_ranges,
     optimize_plan,
-    shard_plan,
 )
 from .relational import (
     AggregateFunction,
@@ -123,7 +122,6 @@ __all__ = [
     "PlanShard",
     "ShardedBoundPlan",
     "merge_shard_ranges",
-    "shard_plan",
     "AggregateFunction",
     "AggregateQuery",
     "ColumnType",

@@ -103,11 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     bound_parser.add_argument("--no-closure-check", action="store_true",
                               help="skip the closed-world check (assume closure)")
     bound_parser.add_argument("--workers", type=int, default=None,
-                              help="fan the solve out over this many workers "
-                                   "when the plan shards into independent "
-                                   "constraint components (default: serial); "
-                                   "workers are borrowed from a persistent "
-                                   "shared process pool")
+                              help="fan the solve out over this many worker "
+                                   "processes when the plan shards: by "
+                                   "independent constraint components, or by "
+                                   "query region for a one-component set big "
+                                   "enough to pay for it (default: serial); "
+                                   "the process pool is a persistent shared "
+                                   "one, or the service's own under a cache "
+                                   "directory")
     bound_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                               help="persistent cache directory: route the "
                                    "query through a service whose "
@@ -218,14 +221,6 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                        metavar="CELLS",
                        help="let the plan optimizer early-stop automatically "
                             "when the worst-case cell count exceeds CELLS")
-    group.add_argument("--shard-strategy", default=None,
-                       choices=["auto", "component", "region"],
-                       help="how the sharding pass splits plans for "
-                            "--workers: component (independent constraint "
-                            "components), region (partition the query region "
-                            "so one-component sets shard too), or auto "
-                            "(default; component first, region when the "
-                            "enumeration is worth fanning out)")
     group.add_argument("--verify-backend", default=None, metavar="NAME",
                        help="cross-check every range on this second MILP "
                             "backend and fail loudly when the two backends "
@@ -263,8 +258,6 @@ def _solver_options(args: argparse.Namespace):
         if args.cell_budget < 1:
             raise ReproError("--cell-budget must be at least 1")
         options.cell_budget = args.cell_budget
-    if args.shard_strategy is not None:
-        options.shard_strategy = args.shard_strategy
     if args.deadline is not None:
         if args.deadline <= 0:
             raise ReproError("--deadline must be positive")
@@ -272,6 +265,12 @@ def _solver_options(args: argparse.Namespace):
     if args.degrade is not None:
         options.degrade = args.degrade
     return options
+
+
+def _pool_mode(workers: int | None) -> str | None:
+    """The service pool mode for ``--workers``: process workers above one,
+    otherwise the service default (inline unless ``REPRO_POOL=1``)."""
+    return "process" if workers is not None and workers > 1 else None
 
 
 def _validated_backend(name: str) -> str:
@@ -347,14 +346,17 @@ def _command_bound(args: argparse.Namespace) -> int:
         if args.workers < 1:
             raise ReproError("--workers must be at least 1")
         options.solve_workers = args.workers
-    service = None
-    if args.cache_dir:
-        # Route through a service so the persistent tier backs the caches:
-        # a repeated invocation with the same --cache-dir answers from the
-        # store without recomputing (warm restart).
-        from .service import ContingencyService
+    from .service import ContingencyService, default_cache_dir
 
-        service = ContingencyService(cache_dir=args.cache_dir)
+    service = None
+    cache_dir = args.cache_dir or default_cache_dir()
+    if cache_dir:
+        # Route through a service so the persistent tier backs the caches:
+        # a repeated invocation with the same cache directory answers from
+        # the store without recomputing (warm restart).
+        service = ContingencyService(max_workers=args.workers,
+                                     pool_mode=_pool_mode(args.workers),
+                                     cache_dir=cache_dir)
         session_name = Path(args.constraints).stem
         service.register(session_name, pcset, observed=observed,
                          options=options)
@@ -388,12 +390,12 @@ def _command_bound(args: argparse.Namespace) -> int:
             flavour = "cross-shard binary search"
         else:
             flavour = "merged shard solves"
-        # Report the pool the solve actually borrowed: process-unsafe
-        # backends run inline, and width 1 degrades to serial.
+        # Report the pool the solve actually borrowed: the service's or
+        # the shared one; process-unsafe backends run inline.
         pool = analyzer.solver.borrow_pool(options.solve_workers)
         print(f"sharding        : {sharded.strategy} strategy, "
               f"{len(sharded)} shard(s) over "
-              f"{options.solve_workers} worker(s) on the shared "
+              f"{options.solve_workers} worker(s) on the {pool.name} "
               f"{pool.mode} pool"
               + (f" ({flavour})" if sharded.is_sharded
                  else " (unsplittable; solved serially)"))
@@ -412,7 +414,7 @@ def _command_bound(args: argparse.Namespace) -> int:
         store = service.statistics().store or {}
         print(f"persistent store: {int(store.get('reads', 0))} read(s) / "
               f"{int(store.get('hits', 0))} hit(s) / "
-              f"{int(store.get('writes', 0))} write(s) in {args.cache_dir}")
+              f"{int(store.get('writes', 0))} write(s) in {cache_dir}")
         service.shutdown()
     _print_profile(args, profile)
     return 0
@@ -465,10 +467,8 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
 
     admission = (None if args.max_cost is None
                  else AdmissionPolicy(max_query_cost=args.max_cost))
-    pool_mode = ("process" if args.workers is not None and args.workers > 1
-                 else None)
     service = ContingencyService(max_workers=args.workers,
-                                 pool_mode=pool_mode,
+                                 pool_mode=_pool_mode(args.workers),
                                  admission=admission,
                                  cache_dir=args.cache_dir)
     session_name = Path(args.constraints).stem

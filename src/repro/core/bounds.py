@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..exceptions import QueryDeadlineError, SolverError
-from ..faults import Deadline, current_deadline, deadline_scope
+from ..faults import query_deadline_scope
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..plan.ir import BoundPlan, BoundQuery, build_plan
 from ..plan.passes import optimize_plan
 from ..plan.program import BoundProgram, avg_endpoints, compile_plan
-from ..plan.sharding import default_shard_strategy
 from ..relational.aggregates import AggregateFunction
 from ..solvers.milp import MILPBackend
 from .cells import (
@@ -81,17 +80,13 @@ class BoundOptions:
 
     ``solve_workers``
         When > 1, queries are sharded onto a worker pool of this width
-        through the plan pipeline's sharding pass: multi-component
-        constraint sets split into per-component programs (ranges merged
-        exactly), and one-component sets split by query region (cell
+        through the plan pipeline's sharding pass, which decides the layout
+        from the plan alone (:func:`~repro.plan.sharding.select_sharding`):
+        multi-component constraint sets split into per-component programs
+        (ranges merged exactly), and one-component sets whose worst-case
+        cell count reaches the region gate split by query region (cell
         enumeration fanned out, then merged into the serial-identical
         program).  ``None`` (and ``1``) keep the serial single-program path.
-    ``shard_strategy``
-        Which sharding strategy the pass prefers: ``"auto"`` (component
-        splitting when the overlap graph shards, region splitting for
-        expensive one-component plans), ``"component"``, or ``"region"``.
-        Defaults to the ``REPRO_SHARD_STRATEGY`` environment toggle (the
-        region-preferred CI leg) falling back to ``"auto"``.
     ``verify_backend``
         When set, every bound is additionally solved on this second registry
         backend and the two ranges are intersected; disjoint ranges raise
@@ -129,7 +124,6 @@ class BoundOptions:
     program_reuse: bool = True
     solve_workers: int | None = None
     verify_backend: str | None = None
-    shard_strategy: str = field(default_factory=default_shard_strategy)
     deadline_seconds: float | None = None
     degrade: str | None = None
 
@@ -379,8 +373,9 @@ class PCBoundSolver:
         if aggregate.needs_attribute and attribute is None:
             raise SolverError(f"{aggregate.value} bounds require an attribute")
         tracer = get_tracer()
+        deadline = query_deadline_scope(self._options.deadline_seconds)
         try:
-            with self._deadline_scope(), tracer.span("bound"):
+            with deadline, tracer.span("bound"):
                 tracer.annotate(aggregate=aggregate.value)
                 closed = self._is_closed(region)
                 result = self._bound_missing(aggregate, attribute, region,
@@ -396,20 +391,6 @@ class PCBoundSolver:
         except QueryDeadlineError:
             get_registry().counter("queries.deadline_exceeded").inc()
             raise
-
-    def _deadline_scope(self):
-        """The deadline scope one bound call runs under.
-
-        Creates a fresh :class:`~repro.faults.Deadline` from
-        ``options.deadline_seconds`` only when no ambient deadline is
-        already installed — the service opens its scope at admission time,
-        and restarting the clock here would hand a queued query its full
-        budget back.
-        """
-        seconds = self._options.deadline_seconds
-        if seconds is None or current_deadline() is not None:
-            return deadline_scope(None)
-        return deadline_scope(Deadline(seconds))
 
     def _bound_missing(self, aggregate: AggregateFunction,
                        attribute: str | None, region: Predicate | None,
@@ -667,9 +648,9 @@ class PCBoundSolver:
         """The :class:`~repro.plan.ShardedBoundPlan` for a (region,
         attribute) pair: the optimized plan run through the sharding pass
         (:func:`~repro.plan.sharding.select_sharding`), capped at
-        ``max_shards`` (defaulting to ``options.solve_workers``).  The
-        strategy preference comes from ``options.shard_strategy``; a plan no
-        strategy can split comes back with one shard (``is_sharded`` False).
+        ``max_shards`` (defaulting to ``options.solve_workers``).  The layout
+        depends on the plan alone; a plan neither splitter can split comes
+        back with one shard (``is_sharded`` False).
 
         Sharded plans are cached per (region, attribute, max_shards):
         building one runs the optimizer plus a quadratic predicate-overlap
@@ -839,11 +820,12 @@ class PCBoundSolver:
         """A pool-fanned way to compute ``plan``'s decomposition, or None.
 
         Returns a zero-argument callable only when the sharding pass chose
-        region splitting for this pair (one-component overlap graph, a
-        usable partition attribute, fan-out requested and not already
-        running inside a pool worker).  The callable produces a
-        decomposition *identical* to the inline enumeration — the cell-union
-        equality argued in :mod:`repro.plan.sharding` — so it slots into
+        region splitting for this pair (one-component overlap graph at or
+        above the cell-count gate, a usable partition attribute, fan-out
+        requested and not already running inside a pool worker).  The
+        callable produces a decomposition *identical* to the inline
+        enumeration — the cell-union equality argued in
+        :mod:`repro.plan.sharding` — so it slots into
         :func:`decompose_cached` as a ``compute_override`` without touching
         keys, namespaces or the accounting callback.
         """
@@ -870,67 +852,30 @@ class PCBoundSolver:
         shard program keys, so repeated sharded queries keep their affinity
         workers.  The shard plans inherit the parent's strategy and
         early-stop depth, which is what makes the merged cell set equal the
-        serial enumeration under every knob combination.
-
-        **Slice-level reuse.**  Before dispatching, each shard consults the
-        shared decomposition cache under its *slice key* (see
-        :func:`repro.plan.sharding.slice_cache_keys`): a shard's
-        decomposition is exactly the decomposition of its sub-region, so
-        slices are keyed like ordinary (namespace, region) entries and a
-        query whose region overlaps a previous one recomputes only the
-        uncovered slices — the cached ones rejoin via the same
-        :func:`merge_shard_decompositions` union, which keeps the merged
-        artifact bit-identical to a cold serial enumeration.  Fresh slice
-        decompositions are written back so future overlapping regions (and,
-        with a persistent tier attached, future processes) reuse them.
+        serial enumeration under every knob combination.  Every shard goes
+        to the pool; the caller caches the merged decomposition whole,
+        under the parent region's key, exactly like an inline one.
 
         Batch size for the pool's batched shipping comes from the plan's
         worst-case cell count: dense constraint sets (heavy per-shard
         enumeration) keep batches small so one task cannot become the
         critical-path straggler, small ones batch aggressively.
         """
-        from ..obs.metrics import get_registry
-        from ..plan.sharding import merge_shard_decompositions, slice_cache_keys
+        from ..plan.sharding import merge_shard_decompositions
         from ..solvers.batching import adaptive_batch_size
 
         region = plan.query.region
         attribute = plan.query.attribute
-        shards = list(sharded)
-        slice_keys = None
-        decompositions: list = [None] * len(shards)
-        pending = list(enumerate(shards))
-        if self._shared_cache is not None:
-            slice_keys = slice_cache_keys(sharded, self._plan_namespace(plan))
-            pending = []
-            for index, shard in enumerate(shards):
-                cached = self._shared_cache.get(slice_keys[index])
-                if cached is not None:
-                    decompositions[index] = cached
-                else:
-                    pending.append((index, shard))
-            slice_hits = len(shards) - len(pending)
-            registry = get_registry()
-            if slice_hits:
-                registry.counter("cache.slice_hits").inc(slice_hits)
-            if pending:
-                registry.counter("cache.slice_recomputed").inc(len(pending))
-            get_tracer().annotate(slice_hits=slice_hits,
-                                  slice_recomputed=len(pending))
-        if pending:
-            keyed = [(self.shard_program_key(shard, region, attribute),
-                      shard.plan.pcset, shard.plan.query.region,
-                      shard.plan.strategy, shard.plan.early_stop_depth)
-                     for _index, shard in pending]
-            pool = self.borrow_pool(workers)
-            batch_size = adaptive_batch_size(
-                len(keyed), pool.max_workers,
-                estimated_cells=estimate_cell_count(plan.pcset))
-            fresh = pool.decompose_shards(keyed, batch_size=batch_size)
-            for (index, _shard), decomposition in zip(pending, fresh):
-                decompositions[index] = decomposition
-                if slice_keys is not None:
-                    self._shared_cache.put(slice_keys[index], decomposition)
-        return merge_shard_decompositions(plan, decompositions)
+        keyed = [(self.shard_program_key(shard, region, attribute),
+                  shard.plan.pcset, shard.plan.query.region,
+                  shard.plan.strategy, shard.plan.early_stop_depth)
+                 for shard in sharded]
+        pool = self.borrow_pool(workers)
+        batch_size = adaptive_batch_size(
+            len(keyed), pool.max_workers,
+            estimated_cells=estimate_cell_count(plan.pcset))
+        return merge_shard_decompositions(
+            plan, pool.decompose_shards(keyed, batch_size=batch_size))
 
     def _decompose_plan(self, plan: BoundPlan) -> CellDecomposition:
         tracer = get_tracer()
@@ -945,14 +890,10 @@ class PCBoundSolver:
         The caller's namespace covers the original constraint set and
         enumeration knobs; the pipeline toggles complete it because they
         decide what actually gets decomposed.  The plan's early-stop depth
-        joins explicitly: a region shard inherits its parent plan's depth,
-        which a direct query on the same sub-region need not pick, and two
-        plans that enumerate to different depths must never share cells.
-        Whole-region entries and per-slice entries share this namespace — a
-        region shard's decomposition *is* the decomposition of its
-        sub-region (shard plans inherit the parent's constraint set,
-        strategy and depth), so the two entry populations may soundly serve
-        each other.
+        joins explicitly.  Every entry is a whole-region decomposition, whose
+        depth already follows from the rest of its key (constraint set,
+        options, region), so the term is redundant; it stays so that keys
+        already written to a persistent store keep matching.
         """
         if self._cache_namespace is not None:
             return ("plan", self._cache_namespace,

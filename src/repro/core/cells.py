@@ -335,14 +335,6 @@ def decomposition_cache_key(namespace: object,
     completes the key because predicate pushdown makes the cell list
     region-specific.  :class:`~repro.core.predicates.Predicate` hashes by
     content, so syntactically equal regions collide as intended.
-
-    Region *slices* share this key space: the region-sharded fan-out stores
-    each shard's decomposition under ``(namespace, sub_region)`` (see
-    :func:`repro.plan.sharding.slice_cache_keys`), because a shard's
-    decomposition is definitionally the decomposition of its sub-region.
-    Whole-region entries and slice entries may therefore serve each other —
-    an overlapping query recomputes only uncovered slices, and a query
-    whose region happens to equal a previous slice reuses it outright.
     """
     return ("decomposition", namespace, query_region)
 

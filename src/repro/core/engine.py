@@ -157,7 +157,7 @@ class PCAnalyzer:
         only the missing partition.
     options:
         Solver tuning knobs (decomposition strategy, MILP backend, closure
-        checking, AVG tolerance).
+        checking, fan-out, verification, deadlines).
     decomposition_cache:
         Optional shared decomposition cache (see
         :class:`~repro.core.bounds.PCBoundSolver`).  The service layer passes

@@ -72,6 +72,7 @@ __all__ = [
     "apply_worker_fault",
     "Deadline",
     "deadline_scope",
+    "query_deadline_scope",
     "current_deadline",
 ]
 
@@ -357,3 +358,17 @@ def deadline_scope(deadline: Deadline | None):
         yield deadline
     finally:
         stack.pop()
+
+
+def query_deadline_scope(deadline_seconds: float | None):
+    """The deadline scope one query configured with ``deadline_seconds``
+    runs under.
+
+    An ambient deadline wins: a fresh :class:`Deadline` is created only when
+    none is installed yet.  The service opens its scope at admission (and a
+    batch may install its own budget), so restarting the clock inside would
+    hand a queued query its full budget back.
+    """
+    if deadline_seconds is None or current_deadline() is not None:
+        return deadline_scope(None)
+    return deadline_scope(Deadline(deadline_seconds))

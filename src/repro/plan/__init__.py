@@ -22,11 +22,11 @@ physical execution:
     after compilation and safe to share across threads, which is what lets
     the service layer LRU-cache them alongside decompositions.
 ``sharding``
-    The sharding pass: a pluggable :class:`ShardingStrategy` maps one
-    optimized plan to a :class:`ShardedBoundPlan` — constraint-component
-    splitting for block-diagonal MILPs, region-level splitting for
-    one-component constraint sets — selected by :func:`select_sharding`
-    from the plan's preference and its worst-case cell count.
+    The sharding pass: :func:`select_sharding` maps one optimized plan to a
+    :class:`ShardedBoundPlan` — constraint-component splitting for
+    block-diagonal MILPs, region-level splitting for one-component
+    constraint sets whose worst-case cell count is worth fanning out — and
+    reads nothing but the plan.
 
 The pipeline's entry points are :func:`build_plan`, :func:`optimize_plan`,
 :func:`compile_plan` and :func:`select_sharding`;
@@ -49,12 +49,9 @@ from .sharding import (
     PlanShard,
     RegionSharding,
     ShardedBoundPlan,
-    ShardingStrategy,
-    default_shard_strategy,
     merge_shard_decompositions,
     merge_shard_ranges,
     select_sharding,
-    shard_plan,
 )
 
 __all__ = [
@@ -69,14 +66,11 @@ __all__ = [
     "optimize_plan",
     "BoundProgram",
     "compile_plan",
-    "ShardingStrategy",
     "ConstraintComponentSharding",
     "RegionSharding",
     "PlanShard",
     "ShardedBoundPlan",
-    "default_shard_strategy",
     "select_sharding",
-    "shard_plan",
     "merge_shard_ranges",
     "merge_shard_decompositions",
 ]

@@ -74,10 +74,6 @@ class BoundPlan:
         selection may tighten ``early_stop_depth`` under a cell budget.
     milp_backend:
         Registry name of the backend the program's skeleton solves with.
-    shard_strategy:
-        The sharding preference (``"auto"``, ``"component"`` or
-        ``"region"``) the sharding pass will honour when the executor asks
-        for a sharded layout — see :func:`repro.plan.sharding.select_sharding`.
     trace:
         One line per optimizer pass that changed the plan — the plan-level
         EXPLAIN output.
@@ -90,7 +86,6 @@ class BoundPlan:
     early_stop_depth: int | None = None
     milp_backend: str = "scipy"
     cell_budget: int | None = None
-    shard_strategy: str = "auto"
     trace: tuple[str, ...] = field(default=())
 
     @property
@@ -121,8 +116,6 @@ class BoundPlan:
                else f", early-stop depth {self.early_stop_depth}"),
             f"  backend     : {self.milp_backend}",
         ]
-        if self.shard_strategy != "auto":
-            lines.append(f"  sharding    : {self.shard_strategy}")
         for note in self.trace:
             lines.append(f"  - {note}")
         return "\n".join(lines)
@@ -146,7 +139,5 @@ def build_plan(query, pcset: PredicateConstraintSet, options=None) -> BoundPlan:
                                      plan.early_stop_depth),
             milp_backend=getattr(options, "milp_backend", plan.milp_backend),
             cell_budget=getattr(options, "cell_budget", plan.cell_budget),
-            shard_strategy=getattr(options, "shard_strategy",
-                                   plan.shard_strategy),
         )
     return plan

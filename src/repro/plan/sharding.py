@@ -1,12 +1,12 @@
-"""Sharding as a plan-pipeline pass: pluggable strategies, one contract.
+"""Sharding as a plan-pipeline pass: two splitters, one contract.
 
-Sharding used to live in :mod:`repro.parallel` as a post-hoc utility that
-split an *already optimized* plan.  This module promotes it into the plan
-pipeline itself: a :class:`ShardingStrategy` is a pass that maps one
-optimized :class:`~repro.plan.ir.BoundPlan` to a :class:`ShardedBoundPlan`,
-and every downstream consumer — the bound solver, the worker pool, the
-service layer, the CLI — sees the same sharded-plan contract regardless of
-*how* the plan was split.  Two strategies ship:
+The sharding pass maps one optimized :class:`~repro.plan.ir.BoundPlan` to a
+:class:`ShardedBoundPlan`, and every downstream consumer — the bound
+solver, the worker pool, the service layer, the CLI — sees the same
+sharded-plan contract regardless of *how* the plan was split.  Splitters
+are pure: ``split`` never solves, decomposes or mutates the plan, it only
+proposes a layout, which is what lets the service layer price a query from
+its sharded plan before any work is dispatched.  Two splitters ship:
 
 **Constraint-component splitting** (:class:`ConstraintComponentSharding`).
 The §4.2 MILP couples two cell variables only when some predicate-constraint
@@ -47,27 +47,23 @@ then degenerates to the single-program case (or to component merging, when
 the caller composes both), which is what keeps ``merge_shard_ranges`` the
 single range-combination contract for every strategy.
 
-Strategy selection (:func:`select_sharding`) is the sharding arm of the
-optimizer's strategy-selection pass: component splitting wins whenever the
-overlap graph shards (it parallelises whole solves exactly), region
-splitting covers the one-component remainder, gated — under the default
-``auto`` preference — on the plan's worst-case cell count
-(:func:`~repro.core.cells.estimate_cell_count`), so trivially small
-decompositions never pay fan-out overhead.
-The preference comes from ``BoundOptions.shard_strategy`` /
-``--shard-strategy`` / the ``REPRO_SHARD_STRATEGY`` environment toggle.
+Layout selection (:func:`select_sharding`) reads only the plan: component
+splitting wins whenever the overlap graph shards (it parallelises whole
+solves exactly), and region splitting covers the one-component remainder
+once the plan's worst-case cell count
+(:func:`~repro.core.cells.estimate_cell_count`) reaches
+:data:`REGION_SHARDING_MIN_CELLS`, so trivially small decompositions never
+pay fan-out overhead.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from ..core.cells import (
     CellDecomposition,
     DecompositionStatistics,
-    decomposition_cache_key,
     estimate_cell_count,
 )
 from ..core.pcset import PredicateConstraintSet
@@ -77,12 +73,11 @@ from ..exceptions import PredicateError, SolverError
 from ..relational.aggregates import AggregateFunction
 from .ir import BoundPlan, BoundQuery
 
-__all__ = ["SHARDABLE_AGGREGATES", "SHARD_STRATEGIES", "PlanShard",
-           "ShardedBoundPlan", "ShardingStrategy", "ConstraintComponentSharding",
-           "RegionSharding", "default_shard_strategy", "select_sharding",
-           "partition_constraint_indices", "shard_plan", "merge_shard_ranges",
-           "merge_shard_statistics", "merge_shard_decompositions",
-           "slice_cache_keys"]
+__all__ = ["SHARDABLE_AGGREGATES", "PlanShard",
+           "ShardedBoundPlan", "ConstraintComponentSharding",
+           "RegionSharding", "select_sharding",
+           "partition_constraint_indices", "merge_shard_ranges",
+           "merge_shard_statistics", "merge_shard_decompositions"]
 
 _INF = float("inf")
 
@@ -94,23 +89,9 @@ SHARDABLE_AGGREGATES = frozenset({
     AggregateFunction.MAX,
 })
 
-#: The recognised shard-strategy preferences (``BoundOptions.shard_strategy``).
-SHARD_STRATEGIES = ("auto", "component", "region")
-
-#: Worst-case cell count below which ``auto`` skips region splitting —
+#: Worst-case cell count below which a one-component plan stays unsharded —
 #: decompositions this small finish faster inline than any fan-out round.
 REGION_SHARDING_MIN_CELLS = 16
-
-
-def default_shard_strategy() -> str:
-    """The default preference: ``REPRO_SHARD_STRATEGY`` or ``auto``.
-
-    The environment toggle backs the CI matrix leg that runs the whole
-    tier-1 suite with region splitting preferred; unrecognised values fall
-    back to ``auto`` so a stray variable can never break a deployment.
-    """
-    value = os.environ.get("REPRO_SHARD_STRATEGY", "auto").strip().lower()
-    return value if value in SHARD_STRATEGIES else "auto"
 
 
 def partition_constraint_indices(pcset: PredicateConstraintSet
@@ -236,28 +217,9 @@ class ShardedBoundPlan:
         return "\n".join(lines)
 
 
-class ShardingStrategy:
-    """A plan-pipeline pass mapping an optimized plan to a sharded layout.
-
-    Implementations must be pure: ``split`` may not solve, decompose, or
-    mutate the plan — it only *proposes* a layout, which is what lets the
-    service layer price a query from its sharded plan before any work is
-    dispatched.  ``split`` always returns a :class:`ShardedBoundPlan`; a
-    plan the strategy cannot usefully split comes back as a single shard
-    (``is_sharded`` False) rather than an error, so strategies compose in
-    preference order.
-    """
-
-    name: str = "sharding"
-
-    def split(self, plan: BoundPlan,
-              max_shards: int | None = None) -> ShardedBoundPlan:
-        raise NotImplementedError
-
-    @staticmethod
-    def _validate_max_shards(max_shards: int | None) -> None:
-        if max_shards is not None and max_shards < 1:
-            raise SolverError(f"max_shards must be positive, got {max_shards}")
+def _validate_max_shards(max_shards: int | None) -> None:
+    if max_shards is not None and max_shards < 1:
+        raise SolverError(f"max_shards must be positive, got {max_shards}")
 
 
 def _single_shard(plan: BoundPlan, strategy: str) -> ShardedBoundPlan:
@@ -288,20 +250,19 @@ def _group_components(components: list[tuple[int, ...]],
     return groups
 
 
-class ConstraintComponentSharding(ShardingStrategy):
+class ConstraintComponentSharding:
     """Split a plan along the independent components of its overlap graph.
 
     ``max_shards`` caps the number of shards (e.g. at the worker-pool
     width); surplus components are packed together, which stays exact —
     a shard holding two independent components is itself block-diagonal.
-    Plans whose overlap graph is one component come back as a single shard.
+    Plans whose overlap graph is one component come back as a single shard
+    (``is_sharded`` False) rather than an error.
     """
-
-    name = "component"
 
     def split(self, plan: BoundPlan,
               max_shards: int | None = None) -> ShardedBoundPlan:
-        self._validate_max_shards(max_shards)
+        _validate_max_shards(max_shards)
         components = partition_constraint_indices(plan.pcset)
         if len(components) <= 1:
             groups = [sorted(components[0])] if components else []
@@ -328,34 +289,29 @@ class ConstraintComponentSharding(ShardingStrategy):
                                 strategy="component")
 
 
-class RegionSharding(ShardingStrategy):
+class RegionSharding:
     """Split a plan's query region along a partition attribute.
 
     The attribute is chosen automatically (the numeric attribute bounded by
-    the most constraint predicates, ties broken lexicographically) unless
-    pinned at construction.  Cut points are placed between quantile chunks
-    of the constraints' interval midpoints on that attribute, so each
-    sub-region attracts a balanced share of the enumeration work; the
-    outermost sub-regions extend to ±∞ so the slices cover the whole
-    attribute line (the completeness half of the cell-union equality in the
-    module docstring).  Every shard keeps the parent's full constraint set —
+    the most constraint predicates, ties broken lexicographically).  Cut
+    points are placed between quantile chunks of the constraints' interval
+    midpoints on that attribute, so each sub-region attracts a balanced
+    share of the enumeration work; the outermost sub-regions extend to ±∞
+    so the slices cover the whole attribute line (the completeness half of
+    the cell-union equality in the module docstring).  Every shard keeps
+    the parent's full constraint set —
     cells index into the parent's constraint order, which is what lets
     :func:`merge_shard_decompositions` reassemble the serial decomposition.
     """
 
-    name = "region"
-
-    def __init__(self, attribute: str | None = None):
-        self._attribute = attribute
-
     def split(self, plan: BoundPlan,
               max_shards: int | None = None) -> ShardedBoundPlan:
-        self._validate_max_shards(max_shards)
+        _validate_max_shards(max_shards)
         if max_shards is None:
             max_shards = 2
         if max_shards < 2 or len(plan.pcset) == 0:
             return _single_shard(plan, "region")
-        attribute = self._attribute or self.partition_attribute(plan)
+        attribute = self.partition_attribute(plan)
         if attribute is None:
             return _single_shard(plan, "region")
         cuts = self.cut_points(plan, attribute, max_shards)
@@ -485,45 +441,21 @@ class RegionSharding(ShardingStrategy):
                 for gap in sorted(chosen)]
 
 
-def shard_plan(plan: BoundPlan, max_shards: int | None = None
-               ) -> ShardedBoundPlan:
-    """Split a plan along its constraint components (the historical API).
-
-    Kept as the stable entry point for callers that want component
-    splitting specifically; :func:`select_sharding` is the strategy-aware
-    front door the solver uses.
-    """
-    return ConstraintComponentSharding().split(plan, max_shards)
-
-
 def select_sharding(plan: BoundPlan,
                     max_shards: int | None = None) -> ShardedBoundPlan:
-    """Choose and apply the sharding strategy for ``plan``.
+    """The sharded layout for ``plan``, decided from the plan alone.
 
-    The preference comes from ``plan.shard_strategy`` (lowered from
-    ``BoundOptions.shard_strategy`` by :func:`~repro.plan.ir.build_plan`):
-
-    * ``"component"`` — component splitting only; one-component plans stay
-      unsharded (the pre-region behaviour).
-    * ``"region"`` — component splitting when the overlap graph shards
-      (it parallelises whole solves exactly, so it always dominates), region
-      splitting for the one-component remainder, unconditionally.
-    * ``"auto"`` (default) — like ``"region"``, but region splitting only
-      engages when the worst-case cell count (the same signal budget-driven
-      strategy selection uses) reaches :data:`REGION_SHARDING_MIN_CELLS`;
-      tiny enumerations run inline faster than any fan-out round.
+    Component splitting when the overlap graph shards (it parallelises
+    whole solves exactly, so it always dominates); otherwise region
+    splitting, once the worst-case cell count (the same signal budget-driven
+    strategy selection uses) reaches :data:`REGION_SHARDING_MIN_CELLS` —
+    tiny enumerations run inline faster than any fan-out round.  A plan
+    neither splitter can split comes back as the one-shard component layout.
     """
-    preference = plan.shard_strategy
-    if preference not in SHARD_STRATEGIES:
-        raise SolverError(
-            f"unknown shard strategy {preference!r}; expected one of "
-            f"{SHARD_STRATEGIES}")
     component = ConstraintComponentSharding().split(plan, max_shards)
-    if preference == "component" or component.is_sharded:
+    if (component.is_sharded
+            or estimate_cell_count(plan.pcset) < REGION_SHARDING_MIN_CELLS):
         return component
-    if preference == "auto":
-        if estimate_cell_count(plan.pcset) < REGION_SHARDING_MIN_CELLS:
-            return component
     region = RegionSharding().split(plan, max_shards)
     return region if region.is_sharded else component
 
@@ -607,34 +539,6 @@ def merge_shard_ranges(aggregate: AggregateFunction,
     return ResultRange(lower, upper, aggregate, attribute,
                        closed=all(result.closed for result in ranges),
                        statistics=statistics)
-
-
-def slice_cache_keys(sharded: ShardedBoundPlan, namespace: object) -> list[tuple]:
-    """Per-shard decomposition-cache keys for a region-sharded plan.
-
-    A region shard's decomposition is *exactly* the decomposition of its
-    sub-region predicate: shard plans carry the parent's full constraint
-    set, strategy and early-stop depth, and differ only in the conjoined
-    slice window.  Each slice is therefore keyed like an ordinary
-    whole-region entry — ``(namespace, sub_region)`` via
-    :func:`repro.core.cells.decomposition_cache_key` — which is what makes
-    slice-level reuse sound by construction:
-
-    * Two overlapping query regions that share interior cut points produce
-      *identical* sub-region predicates for the shared slices (predicates
-      hash by content, and ``conjoin`` normalises range intersection), so
-      the second query hits the first query's slice entries and recomputes
-      only its uncovered slices.
-    * Different cut points (e.g. another ``max_shards``) change the
-      sub-region predicates, which is simply a cache miss — never a wrong
-      hit.
-
-    The key embeds the partition attribute and slice interval through the
-    sub-region predicate itself, and the relation/options identity through
-    ``namespace`` (see ``PCBoundSolver._plan_namespace``).
-    """
-    return [decomposition_cache_key(namespace, shard.plan.query.region)
-            for shard in sharded]
 
 
 def merge_shard_decompositions(plan: BoundPlan,

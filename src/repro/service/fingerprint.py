@@ -140,14 +140,15 @@ def fingerprint_query(query: ContingencyQuery) -> str:
 def fingerprint_bound_options(options: BoundOptions) -> str:
     """Content hash of the solver tuning knobs (plan-pipeline knobs included).
 
-    ``solve_workers`` and ``shard_strategy`` participate because sharded and
-    serial execution may legitimately differ under approximate
-    (early-stopped) enumeration, ``verify_backend`` because a verified
-    session fails differently from an unverified one, and ``degrade``
-    because a degraded answer is a (sound) superset of the exact one — the
-    two must never share a report-cache entry.  ``deadline_seconds`` is
-    excluded — a deadline changes whether a query *finishes*, never the
-    range it finishes with.
+    ``solve_workers`` participates because sharded and serial execution may
+    legitimately differ under approximate (early-stopped) enumeration; the
+    sharded layout follows from the plan and the worker count alone, so no
+    other fan-out knob exists to hash.  ``verify_backend`` participates
+    because a verified session fails differently from an unverified one,
+    and ``degrade`` because a degraded answer is a (sound) superset of the
+    exact one — the two must never share a report-cache entry.
+    ``deadline_seconds`` is excluded — a deadline changes whether a query
+    *finishes*, never the range it finishes with.
     """
     tokens = [
         "options",
@@ -160,7 +161,6 @@ def fingerprint_bound_options(options: BoundOptions) -> str:
         str(int(options.program_reuse)),
         "" if options.solve_workers is None else str(options.solve_workers),
         "" if options.verify_backend is None else str(options.verify_backend),
-        options.shard_strategy,
         "" if options.degrade is None else str(options.degrade),
     ]
     return _digest(tokens)

@@ -108,7 +108,6 @@ class RegisteredSession:
             "total_max_rows": self.pcset.total_max_rows(),
             "observed_rows": 0 if self.observed is None else self.observed.num_rows,
             "relation_version": None if version is None else version.describe(),
-            "shard_strategy": self.options.shard_strategy,
             "deadline_seconds": self.options.deadline_seconds,
             "degrade": self.options.degrade,
             "registered_at": self.registered_at,

@@ -38,12 +38,13 @@ from ..core.bounds import BoundOptions
 from ..core.engine import ContingencyQuery, ContingencyReport
 from ..core.pcset import PredicateConstraintSet
 from ..exceptions import QueryDeadlineError, ReproError
-from ..faults import Deadline, current_deadline, deadline_scope
+from ..faults import query_deadline_scope
 from ..obs.metrics import get_registry
 from ..obs.profile import QueryProfile
 from ..obs.trace import Trace, get_tracer
 from ..parallel.pool import WorkerPool, default_pool_mode
 from ..relational.relation import Relation
+from ..solvers.registry import resolve_backend
 from .admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -181,16 +182,15 @@ class ContingencyService:
     default_options:
         :class:`BoundOptions` applied to sessions registered without
         explicit options.
-    verify:
-        Opt-in verification mode.  The only supported value,
-        ``"cross-backend"``, solves every program on a second registry
-        backend (``verify_backend``) and intersects the ranges; a disjoint
-        pair raises :class:`~repro.exceptions.DisjointRangeError`, turning
-        a silent solver defect into an alarm.
     verify_backend:
-        The second backend for ``verify="cross-backend"`` (default:
-        ``branch-and-bound``, the pure-Python implementation — maximally
-        independent from the default scipy/HiGHS path).
+        Opt-in cross-backend verification: a registry backend name (e.g.
+        ``"branch-and-bound"``, the pure-Python implementation — maximally
+        independent from the default scipy/HiGHS path).  Every session that
+        does not pin its own ``BoundOptions.verify_backend`` solves every
+        program on this second backend too and intersects the ranges; a
+        disjoint pair raises :class:`~repro.exceptions.DisjointRangeError`,
+        turning a silent solver defect into an alarm.  An unknown name
+        fails here, at construction.
     pool_mode:
         Flavour of the service-owned persistent
         :class:`~repro.parallel.pool.WorkerPool`: ``"serial"`` (default,
@@ -222,22 +222,17 @@ class ContingencyService:
         backend-specific state.
     """
 
-    _VERIFY_MODES = (None, "cross-backend")
-
     def __init__(self, *, decomposition_cache_entries: int = 256,
                  program_cache_entries: int = 1024,
                  report_cache_entries: int = 2048,
                  max_workers: int | None = None,
                  default_options: BoundOptions | None = None,
-                 verify: str | None = None,
-                 verify_backend: str = "branch-and-bound",
+                 verify_backend: str | None = None,
                  pool_mode: str | None = None,
                  admission: AdmissionPolicy | None = None,
                  cache_dir: str | None = None):
-        if verify not in self._VERIFY_MODES:
-            raise ReproError(
-                f"unknown verify mode {verify!r}; expected one of "
-                f"{self._VERIFY_MODES}")
+        if verify_backend is not None:
+            resolve_backend(verify_backend)  # a typo fails now, not per query
         self._worker_pool = WorkerPool(max_workers=max_workers,
                                        mode=pool_mode or default_pool_mode(),
                                        name="service")
@@ -258,7 +253,7 @@ class ContingencyService:
             worker_pool=self._worker_pool)
         self._executor = BatchExecutor(max_workers, pool=self._worker_pool)
         self._default_options = default_options
-        self._verify_backend = verify_backend if verify == "cross-backend" else None
+        self._verify_backend = verify_backend
         self._admission = (None if admission is None
                            else AdmissionController(admission))
         self._queries_answered = 0
@@ -331,8 +326,8 @@ class ContingencyService:
                  options: BoundOptions | None = None) -> RegisteredSession:
         """Register (or idempotently re-register) a constraint session.
 
-        Under ``verify="cross-backend"`` the verification backend is folded
-        into the session's options (unless the caller pinned one
+        Under a service-wide ``verify_backend`` the verification backend is
+        folded into the session's options (unless the caller pinned one
         explicitly), so it participates in the session fingerprint — a
         verified session and an unverified one never share report-cache
         entries, because their failure behaviour differs.
@@ -405,7 +400,7 @@ class ContingencyService:
         # admission wait (a deferred query's solve budget shrinks while it
         # is parked) as well as the solve itself.
         try:
-            with self._deadline(session):
+            with query_deadline_scope(session.options.deadline_seconds):
                 report = self._analyze_admitted(session, query, key, tracer)
         except QueryDeadlineError:
             with self._counter_lock:
@@ -415,19 +410,6 @@ class ContingencyService:
             with self._counter_lock:
                 self._degraded += 1
         return report
-
-    def _deadline(self, session: RegisteredSession):
-        """The deadline scope for one query against ``session``.
-
-        An ambient deadline installed by the caller (e.g. a batch-level
-        budget) wins over the session's configured ``deadline_seconds`` —
-        the scope is a no-op then, mirroring the solver's own guard.
-        """
-        options = session.options
-        seconds = None if options is None else options.deadline_seconds
-        if seconds is None or current_deadline() is not None:
-            return deadline_scope(None)
-        return deadline_scope(Deadline(seconds))
 
     def _analyze_admitted(self, session: RegisteredSession,
                           query: ContingencyQuery, key, tracer

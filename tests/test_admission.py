@@ -164,8 +164,7 @@ class TestPricing:
             [pc(float(2 * i), 2 * i + 0.9, f"w{i}") for i in range(4)])
         pcset.mark_disjoint(True)
         solver = PCBoundSolver(pcset, BoundOptions(
-            check_closure=False, solve_workers=2,
-            shard_strategy="component"))
+            check_closure=False, solve_workers=2))
         query = ContingencyQuery.count()
         cold = price_query(solver, query)
         assert cold.strategy == "component" and not cold.program_warm
@@ -177,7 +176,7 @@ class TestPricing:
     def test_fanned_out_query_is_cheaper_than_serial(self):
         _, serial = self.price(chain_pcset(6), ContingencyQuery.count())
         _, sharded = self.price(chain_pcset(6), ContingencyQuery.count(),
-                                solve_workers=3, shard_strategy="region")
+                                solve_workers=3)
         assert sharded.strategy == "region" and sharded.shard_count >= 2
         assert serial.strategy == "serial"
         assert sharded.units < serial.units

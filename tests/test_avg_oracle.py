@@ -137,8 +137,7 @@ def assert_within_stopping_width(lower, upper, truth) -> None:
 
 
 def component_programs(pcset: PredicateConstraintSet) -> list:
-    solver = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                               shard_strategy="component"))
+    solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
     sharded = solver.sharded_plan(None, "v", max_shards=2)
     return [solver.shard_program(shard, None, "v") for shard in sharded]
 

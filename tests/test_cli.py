@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -126,8 +127,28 @@ class TestCliBound:
                      "--workers", "2", "--no-closure-check"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "shard(s) over 2 worker(s) on the shared process pool" in output
+        # The line names the pool the solve borrowed (the shared one, or the
+        # service's when a cache directory routes through a service); either
+        # way --workers 2 means process workers.
+        assert re.search(r"shard\(s\) over 2 worker\(s\) on the \S+ "
+                         r"process pool", output)
         assert "merged shard solves" in output
+
+    def test_bound_reads_cache_dir_from_environment(self, capsys, tmp_path,
+                                                    monkeypatch,
+                                                    constraint_text_file):
+        cache_dir = tmp_path / "env-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        code = main(["bound", "--constraints", str(constraint_text_file),
+                     "--aggregate", "sum", "--attribute", "price",
+                     "--no-closure-check"])
+        assert code == 0
+        output = capsys.readouterr().out
+        writes = re.search(r"persistent store: .* / (\d+) write\(s\) in (.+)",
+                           output)
+        assert writes is not None
+        assert int(writes.group(1)) > 0 and writes.group(2) == str(cache_dir)
+        assert any(cache_dir.iterdir())
 
     def test_bound_workers_avg_uses_cross_shard_search(self, capsys,
                                                        disjoint_constraint_file):
@@ -356,12 +377,19 @@ class TestCliShardingAndAdmission:
             "4 <= utc <= 6 => 1.0 <= price <= 50.0, (0, 5)\n")
         return path
 
+    @pytest.fixture
+    def short_chain_file(self, tmp_path, chained_constraint_file):
+        """The first four windows: 15 worst-case cells, under the gate."""
+        path = tmp_path / "short-chain.txt"
+        path.write_text("".join(
+            chained_constraint_file.read_text().splitlines(keepends=True)[:4]))
+        return path
+
     def test_bound_region_strategy_shards_one_component_set(
             self, capsys, chained_constraint_file):
         code = main(["bound", "--constraints", str(chained_constraint_file),
                      "--aggregate", "sum", "--attribute", "price",
-                     "--workers", "2", "--shard-strategy", "region",
-                     "--no-closure-check"])
+                     "--workers", "2", "--no-closure-check"])
         assert code == 0
         output = capsys.readouterr().out
         assert "region strategy" in output
@@ -381,18 +409,29 @@ class TestCliShardingAndAdmission:
         region = range_line(["bound", "--constraints",
                              str(chained_constraint_file),
                              "--aggregate", "sum", "--attribute", "price",
-                             "--workers", "2", "--shard-strategy", "region",
-                             "--no-closure-check"])
+                             "--workers", "2", "--no-closure-check"])
         assert serial == region
 
     def test_bound_component_strategy_reports_unsplittable(
-            self, capsys, chained_constraint_file):
-        code = main(["bound", "--constraints", str(chained_constraint_file),
+            self, capsys, short_chain_file):
+        code = main(["bound", "--constraints", str(short_chain_file),
                      "--aggregate", "count",
-                     "--workers", "2", "--shard-strategy", "component",
-                     "--no-closure-check"])
+                     "--workers", "2", "--no-closure-check"])
         assert code == 0
-        assert "unsplittable; solved serially" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "component strategy, 1 shard(s)" in output
+        assert "unsplittable; solved serially" in output
+
+    def test_bound_workers_with_cache_dir_runs_on_a_process_pool(
+            self, capsys, tmp_path, chained_constraint_file):
+        code = main(["bound", "--constraints", str(chained_constraint_file),
+                     "--aggregate", "sum", "--attribute", "price",
+                     "--workers", "2", "--no-closure-check",
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "over 2 worker(s) on the service process pool" in output
+        assert "region-split cell enumeration" in output
 
     def test_serve_batch_max_cost_rejects_before_solving(
             self, capsys, chained_constraint_file, query_file):

@@ -1,11 +1,8 @@
 """Tests for incremental, versioned result reuse.
 
-Three layers, each checked for the same invariant — reuse is *provably
+Two layers, each checked for the same invariant — reuse is *provably
 bit-identical* to cold computation:
 
-* slice-level decomposition caching: a shifted query region over a
-  region-sharded plan recomputes only the uncovered slices and still
-  produces exactly the serial answer, on all five aggregates;
 * lineage-aware fingerprints: :meth:`Relation.append` remembers its deltas,
   ``fingerprint_relation`` hashes only the delta bytes, and the digest
   equals a cold full-content pass;
@@ -28,10 +25,9 @@ from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.exceptions import ReproError
-from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
-from repro.service import ContingencyService, LRUCache
+from repro.service import ContingencyService
 from repro.service.fingerprint import (
     RelationVersion,
     fingerprint_relation,
@@ -64,82 +60,33 @@ def assert_reports_identical(actual, expected):
     assert actual.observed_value == expected.observed_value
 
 
-# --------------------------------------------------------------------- #
-# Layer 1: slice-level decomposition caching
-# --------------------------------------------------------------------- #
-def chained_pcset() -> PredicateConstraintSet:
-    """One overlap component spanning utc in [20, 78] (forces region cuts)."""
-    constraints = []
-    for index in range(8):
-        low = 20.0 + 6 * index
-        constraints.append(PredicateConstraint(
-            Predicate.range("utc", low, low + 10),
-            ValueConstraint({"price": (1.0, 50.0 + index)}),
-            FrequencyConstraint(0, 10 + index), name=f"c{index}"))
-    return PredicateConstraintSet(constraints)
+def window_chain() -> PredicateConstraintSet:
+    """Five windows that all contain ``utc = 12``: one overlap component
+    whose 31 worst-case cells clear the region-sharding gate for every
+    region the delta tests probe."""
+    return PredicateConstraintSet([
+        PredicateConstraint(
+            Predicate.range("utc", 10.0 + 0.4 * index, 12.2 + 0.4 * index),
+            ValueConstraint({"price": (1.0, 50.0 + 10 * index)}),
+            FrequencyConstraint(0, 5 + index), name=f"w{index}")
+        for index in range(5)])
 
 
-SLICED = BoundOptions(check_closure=False, solve_workers=4,
-                      shard_strategy="region")
-
-
-class TestSliceReuse:
-    def test_shifted_region_reuses_interior_slices(self):
-        """Acceptance: slice hits > 0, recomputed < total, bit-identical."""
-        registry = get_registry()
-        cache = LRUCache(max_entries=256, name="decomposition")
-        warm = PCAnalyzer(chained_pcset(), options=SLICED,
-                          decomposition_cache=cache)
-        warm.analyze(ContingencyQuery.count(Predicate.range("utc", 10, 90)))
-
-        hits_before = registry.counter("cache.slice_hits").value
-        recomputed_before = registry.counter("cache.slice_recomputed").value
-        shifted = Predicate.range("utc", 12, 92)
-        reports = [warm.analyze(maker(shifted)) for maker in ALL_AGGREGATES]
-
-        hits = registry.counter("cache.slice_hits").value - hits_before
-        recomputed = (registry.counter("cache.slice_recomputed").value
-                      - recomputed_before)
-        assert hits > 0  # interior slices came from the first region
-        assert recomputed > 0  # the moved edges were genuinely recomputed
-        assert recomputed < hits + recomputed  # partial, not full, recompute
-
-        cold = PCAnalyzer(chained_pcset(), options=SLICED)
-        for maker, report in zip(ALL_AGGREGATES, reports):
-            assert_reports_identical(report, cold.analyze(maker(shifted)))
-
-    def test_identical_region_is_a_whole_region_hit(self):
-        """Equal regions skip the pooled slice path entirely (plain hit)."""
-        registry = get_registry()
-        cache = LRUCache(max_entries=256, name="decomposition")
-        analyzer = PCAnalyzer(chained_pcset(), options=SLICED,
-                              decomposition_cache=cache)
-        region = Predicate.range("utc", 10, 90)
-        analyzer.analyze(ContingencyQuery.count(region))
-        hits_before = registry.counter("cache.slice_hits").value
-        analyzer.analyze(ContingencyQuery.sum(
-            "price", Predicate.range("utc", 10, 90)))
-        # Served from the whole-region decomposition entry: no slice events.
-        assert registry.counter("cache.slice_hits").value == hits_before
-
-    def test_sliced_answers_match_serial_solver(self):
-        """The slice-cached sharded path equals the serial single-program
-        path on both the warm and the cold region."""
-        serial_options = BoundOptions(check_closure=False)
-        cache = LRUCache(max_entries=256, name="decomposition")
-        sharded = PCAnalyzer(chained_pcset(), options=SLICED,
-                             decomposition_cache=cache)
-        serial = PCAnalyzer(chained_pcset(), options=serial_options)
-        for region in (Predicate.range("utc", 10, 90),
-                       Predicate.range("utc", 12, 92),
-                       Predicate.range("utc", 30, 70)):
-            for maker in ALL_AGGREGATES:
-                assert_reports_identical(sharded.analyze(maker(region)),
-                                         serial.analyze(maker(region)))
+def disjoint_windows() -> PredicateConstraintSet:
+    """Three pairwise-disjoint windows: every region the delta tests probe
+    meets at least two of them, so its plan splits into constraint
+    components."""
+    return PredicateConstraintSet([
+        PredicateConstraint(
+            Predicate.range("utc", low, high),
+            ValueConstraint({"price": (1.0, 40.0 + 20 * index)}),
+            FrequencyConstraint(0, 4 + index), name=f"d{index}")
+        for index, (low, high) in enumerate([(10.0, 11.4), (11.5, 12.4),
+                                             (12.5, 13.5)])])
 
 
 # --------------------------------------------------------------------- #
-# Layer 2: append lineage + incremental fingerprints
+# Layer 1: append lineage + incremental fingerprints
 # --------------------------------------------------------------------- #
 class TestAppendLineage:
     def test_append_records_lineage(self):
@@ -222,7 +169,7 @@ class TestAppendLineage:
 
 
 # --------------------------------------------------------------------- #
-# Layer 3: delta-aware report migration
+# Layer 2: delta-aware report migration
 # --------------------------------------------------------------------- #
 class TestDeltaInvalidation:
     def test_only_intersecting_reports_invalidated(self):
@@ -308,12 +255,18 @@ class TestDeltaInvalidation:
             == before.observed_value + 1
         service.shutdown()
 
-    @pytest.mark.parametrize("strategy", ["component", "region", "auto"])
-    def test_appended_session_matches_cold_analyzer(self, strategy):
+    # Ids name the layout the sharding pass picks on its own; "auto" is
+    # the two-constraint set it leaves unsharded.
+    @pytest.mark.parametrize("build, layout", [
+        pytest.param(disjoint_windows, "component", id="component"),
+        pytest.param(window_chain, "region", id="region"),
+        pytest.param(build_pcset, "serial", id="auto"),
+    ])
+    def test_appended_session_matches_cold_analyzer(self, build, layout):
         """Property: after an append, every aggregate over every probed
-        region is bit-identical to a cold analyzer on the full data."""
-        options = BoundOptions(check_closure=False, solve_workers=2,
-                               shard_strategy=strategy)
+        region is bit-identical to a cold analyzer on the full data, for
+        plans that component-shard, region-shard or stay unsharded."""
+        options = BoundOptions(check_closure=False, solve_workers=2)
         rows = [(10.0, 5.0), (10.5, 15.0), (11.2, 25.0), (12.5, 35.0)]
         delta = [(12.6, 9.0), (10.1, 2.0)]
         regions = [Predicate.range("utc", 11, 12),
@@ -321,17 +274,21 @@ class TestDeltaInvalidation:
                    Predicate.range("utc", 11, 13)]
 
         service = ContingencyService(max_workers=2)
-        service.register(
-            "outage", build_pcset(),
+        session = service.register(
+            "outage", build(),
             observed=Relation.from_rows(observed_schema(), rows),
             options=options)
+        for region in regions:
+            sharded = session.analyzer.solver.sharded_plan(region, "price")
+            assert (sharded.strategy if sharded.is_sharded
+                    else "serial") == layout
         for region in regions:  # warm the caches pre-append
             for maker in ALL_AGGREGATES:
                 service.analyze("outage", maker(region))
         service.append_rows("outage", delta)
 
         cold = PCAnalyzer(
-            build_pcset(),
+            build(),
             observed=Relation.from_rows(observed_schema(), rows + delta),
             options=options)
         for region in regions:

@@ -32,8 +32,7 @@ def chain_pcset(count: int = 6) -> PredicateConstraintSet:
 
 
 def region_options(**overrides) -> BoundOptions:
-    return BoundOptions(check_closure=False, solve_workers=3,
-                        shard_strategy="region", **overrides)
+    return BoundOptions(check_closure=False, solve_workers=3, **overrides)
 
 
 # --------------------------------------------------------------------- #

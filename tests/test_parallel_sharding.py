@@ -25,9 +25,9 @@ from repro.core.ranges import ResultRange
 from repro.exceptions import DisjointRangeError, SolverError
 from repro.plan.ir import BoundQuery, build_plan
 from repro.plan.sharding import (
+    ConstraintComponentSharding,
     merge_shard_ranges,
     partition_constraint_indices,
-    shard_plan,
 )
 from repro.relational.aggregates import AggregateFunction
 from repro.service import ContingencyService
@@ -82,7 +82,7 @@ class TestPartitioning:
 
     def test_shard_plan_groups_respect_max_shards(self):
         plan = build_plan(BoundQuery(AggregateFunction.COUNT), windows_pcset(6))
-        sharded = shard_plan(plan, max_shards=2)
+        sharded = ConstraintComponentSharding().split(plan, max_shards=2)
         assert len(sharded) == 2 and sharded.is_sharded
         merged_indices = sorted(index for shard in sharded
                                 for index in shard.indices)
@@ -96,19 +96,19 @@ class TestPartitioning:
             pc(Predicate.range("t", 1, 3), 0, 10, "b"),
         ])
         plan = build_plan(BoundQuery(AggregateFunction.COUNT), pcset)
-        sharded = shard_plan(plan)
+        sharded = ConstraintComponentSharding().split(plan)
         assert len(sharded) == 1 and not sharded.is_sharded
 
     def test_shard_cache_tokens_are_distinct(self):
         plan = build_plan(BoundQuery(AggregateFunction.COUNT), windows_pcset(4))
-        sharded = shard_plan(plan, max_shards=4)
+        sharded = ConstraintComponentSharding().split(plan, max_shards=4)
         tokens = {shard.cache_token() for shard in sharded}
         assert len(tokens) == len(sharded)
 
     def test_invalid_max_shards_rejected(self):
         plan = build_plan(BoundQuery(AggregateFunction.COUNT), windows_pcset(3))
         with pytest.raises(SolverError):
-            shard_plan(plan, max_shards=0)
+            ConstraintComponentSharding().split(plan, max_shards=0)
 
 
 # --------------------------------------------------------------------- #
@@ -270,7 +270,7 @@ class TestCrossBackendVerification:
     def test_service_cross_backend_mode(self):
         from repro.core.engine import ContingencyQuery
 
-        service = ContingencyService(verify="cross-backend")
+        service = ContingencyService(verify_backend="branch-and-bound")
         session = service.register("verified", self.OVERLAPPING,
                                    options=BoundOptions(check_closure=False))
         assert session.options.verify_backend == "branch-and-bound"
@@ -281,10 +281,12 @@ class TestCrossBackendVerification:
         assert (report.lower, report.upper) == (expected.lower, expected.upper)
 
     def test_service_rejects_unknown_verify_mode(self):
+        """A verification backend the registry does not know fails at
+        construction, not at the first query."""
         from repro.exceptions import ReproError
 
-        with pytest.raises(ReproError):
-            ContingencyService(verify="triple-modular")
+        with pytest.raises(ReproError, match="triple-modular"):
+            ContingencyService(verify_backend="triple-modular")
 
     def test_verified_session_fingerprint_differs(self):
         from repro.service import fingerprint_bound_options

@@ -258,37 +258,34 @@ def test_sharded_avg_through_process_pool_matches_serial():
 @pytest.mark.parametrize("seed", [111, 222])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_region_sharded_matches_component_sharded_and_serial(seed, kind):
-    """Region-sharded == constraint-sharded == serial, truth inside all three.
+    """Region-sharded and component-sharded == serial, truth inside both.
 
-    The region splitter's contract is *identity*: its shards merge at the
-    cell level into the serial program, so every aggregate — AVG included —
-    must return the serial range bit-for-bit.  The overlapping scenarios
-    are the ones component splitting cannot shard (one overlap component),
-    i.e. exactly the regime region splitting was built for; on disjoint
-    scenarios the region preference defers to component splitting, so the
-    equality chain also pins that hand-off.
+    One sharded solver serves every scenario, and the plan picks its
+    layout: the disjoint and mandatory scenarios split by constraint
+    component, and the overlapping ones — one overlap component that
+    component splitting cannot shard — split by query region.  The region
+    splitter's contract is *identity*: its shards merge at the cell level
+    into the serial program, so every aggregate — AVG included — must
+    return the serial range bit-for-bit.
     """
     _, _, missing, pcset, queries = scenario(seed, kind)
     serial = PCBoundSolver(pcset, BoundOptions())
-    component = PCBoundSolver(pcset, BoundOptions(
-        solve_workers=3, shard_strategy="component"))
-    region = PCBoundSolver(pcset, BoundOptions(
-        solve_workers=3, shard_strategy="region"))
+    sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3))
+    layout = sharded.sharded_plan(None, "v")
+    assert layout.is_sharded
+    assert layout.strategy == ("region" if kind == "overlapping"
+                               else "component")
     for query in queries:
         truth = query.ground_truth(missing)
         serial_range = serial.bound(query.aggregate, query.attribute,
                                     query.region)
-        component_range = component.bound(query.aggregate, query.attribute,
-                                          query.region)
-        region_range = region.bound(query.aggregate, query.attribute,
-                                    query.region)
+        sharded_range = sharded.bound(query.aggregate, query.attribute,
+                                      query.region)
         assert_contains(serial_range, truth, query, "serial")
-        assert_contains(component_range, truth, query, "component-sharded")
-        assert_contains(region_range, truth, query, "region-sharded")
-        assert_same_range(serial_range, component_range, query,
-                          "component-sharded vs serial")
-        assert_same_range(serial_range, region_range, query,
-                          "region-sharded vs serial")
+        assert_contains(sharded_range, truth, query,
+                        f"{layout.strategy}-sharded")
+        assert_same_range(serial_range, sharded_range, query,
+                          f"{layout.strategy}-sharded vs serial")
 
 
 def test_region_sharding_engages_on_one_component_sets():
@@ -306,13 +303,14 @@ def test_region_sharding_engages_on_one_component_sets():
     serial = PCBoundSolver(pcset, BoundOptions())
     with WorkerPool(max_workers=3, mode="process",
                     name="acceptance") as pool:
-        region = PCBoundSolver(pcset, BoundOptions(
-            solve_workers=3, shard_strategy="region"), worker_pool=pool)
+        region = PCBoundSolver(pcset, BoundOptions(solve_workers=3),
+                               worker_pool=pool)
         sharded = region.sharded_plan(None, "v")
         assert sharded.strategy == "region" and len(sharded) >= 2
         # Component splitting really cannot shard this set (one component).
-        from repro.plan.sharding import shard_plan
-        assert not shard_plan(sharded.parent).is_sharded
+        from repro.plan.sharding import ConstraintComponentSharding
+        assert not ConstraintComponentSharding().split(
+            sharded.parent).is_sharded
         before = pool.statistics.tasks_dispatched
         for aggregate, attribute in AGGREGATES:
             query = ContingencyQuery(aggregate, attribute, None)

@@ -1,8 +1,8 @@
 """Unit tests for the plan-pipeline sharding pass, region splitting above all.
 
 The randomized harness (test_property_soundness) pins the end-to-end range
-equalities; these tests pin the pass itself — strategy selection and its
-preference/density gates, the region splitter's partition-attribute and
+equalities; these tests pin the pass itself — layout selection and its
+cell-count gate, the region splitter's partition-attribute and
 cut-point choices, sub-region coverage, the cell-union merge equalling the
 serial enumeration under every knob, cache-token separation, the worker
 pool's decompose fan-out, and the cross-shard AVG search.
@@ -13,7 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bounds import BoundOptions, PCBoundSolver
-from repro.core.cells import CellDecomposer, DecompositionStrategy
+from repro.core.cells import (
+    CellDecomposer,
+    DecompositionStrategy,
+    estimate_cell_count,
+)
 from repro.core.constraints import (
     FrequencyConstraint,
     PredicateConstraint,
@@ -28,7 +32,6 @@ from repro.plan.sharding import (
     RegionSharding,
     merge_shard_decompositions,
     select_sharding,
-    shard_plan,
 )
 from repro.relational.aggregates import AggregateFunction
 
@@ -55,56 +58,39 @@ def disjoint_pcset(count: int = 6) -> PredicateConstraintSet:
     return pcset
 
 
-def plan_for(pcset, shard_strategy="auto", region=None, attribute="v"):
+def plan_for(pcset, region=None, attribute="v"):
     aggregate = (AggregateFunction.COUNT if attribute is None
                  else AggregateFunction.SUM)
-    plan = build_plan(BoundQuery(aggregate, attribute, region), pcset)
-    return plan.amended(shard_strategy=shard_strategy)
+    return build_plan(BoundQuery(aggregate, attribute, region), pcset)
 
 
 # --------------------------------------------------------------------- #
-# Strategy selection
+# Layout selection
 # --------------------------------------------------------------------- #
 class TestSelectSharding:
     def test_component_wins_when_graph_shards(self):
-        for preference in ("auto", "region", "component"):
-            sharded = select_sharding(plan_for(disjoint_pcset(), preference),
-                                      max_shards=3)
-            assert sharded.strategy == "component"
-            assert sharded.is_sharded and len(sharded) == 3
+        sharded = select_sharding(plan_for(disjoint_pcset()), max_shards=3)
+        assert sharded.strategy == "component"
+        assert sharded.is_sharded and len(sharded) == 3
 
     def test_one_component_under_region_preference_region_shards(self):
-        sharded = select_sharding(plan_for(chain_pcset(), "region"),
-                                  max_shards=3)
+        # A one-component plan above the gate region-shards by itself.
+        sharded = select_sharding(plan_for(chain_pcset()), max_shards=3)
         assert sharded.strategy == "region"
         assert sharded.is_sharded and len(sharded) == 3
 
-    def test_component_preference_never_region_shards(self):
-        sharded = select_sharding(plan_for(chain_pcset(), "component"),
-                                  max_shards=3)
-        assert sharded.strategy == "component"
-        assert not sharded.is_sharded
-
     def test_auto_gates_region_on_estimated_cells(self):
-        # Two chained constraints: worst case 3 cells < the gate.
-        small = select_sharding(plan_for(chain_pcset(2), "auto"), max_shards=2)
-        assert not small.is_sharded
-        # Six chained constraints: worst case 63 cells clears the gate.
-        large = select_sharding(plan_for(chain_pcset(6), "auto"), max_shards=2)
-        assert large.strategy == "region" and large.is_sharded
-
-    def test_explicit_region_preference_skips_the_gate(self):
-        sharded = select_sharding(plan_for(chain_pcset(2), "region"),
-                                  max_shards=2)
-        assert sharded.strategy == "region" and sharded.is_sharded
-
-    def test_unknown_preference_rejected(self):
-        with pytest.raises(SolverError):
-            select_sharding(plan_for(chain_pcset(), "quantum"))
-
-    def test_shard_plan_compat_entry_point_is_component(self):
-        sharded = shard_plan(plan_for(chain_pcset(), "region"), max_shards=3)
-        assert sharded.strategy == "component" and not sharded.is_sharded
+        # (chained constraints, worst-case cells, region-shards?): 4 is the
+        # longest chain under REGION_SHARDING_MIN_CELLS, 5 the shortest
+        # that clears it.
+        for count, cells, shards in ((2, 3, False), (4, 15, False),
+                                     (5, 31, True), (6, 63, True)):
+            plan = plan_for(chain_pcset(count))
+            assert estimate_cell_count(plan.pcset) == cells
+            sharded = select_sharding(plan, max_shards=2)
+            assert sharded.is_sharded is shards, count
+            assert sharded.strategy == ("region" if shards
+                                        else "component"), count
 
 
 # --------------------------------------------------------------------- #
@@ -128,12 +114,12 @@ class TestRegionSplitter:
                                 ValueConstraint({"v": (0.0, 1.0)}),
                                 FrequencyConstraint(0, 5), name=name)
             for name in ("a", "b")])
-        sharded = RegionSharding().split(plan_for(categorical, "region"),
+        sharded = RegionSharding().split(plan_for(categorical),
                                          max_shards=2)
         assert not sharded.is_sharded
 
     def test_slices_cover_the_attribute_line(self):
-        sharded = RegionSharding().split(plan_for(chain_pcset(), "region"),
+        sharded = RegionSharding().split(plan_for(chain_pcset()),
                                          max_shards=3)
         bounds = [shard.bounds for shard in sharded]
         assert bounds[0][0] == float("-inf")
@@ -144,7 +130,7 @@ class TestRegionSplitter:
     def test_sub_regions_conjoin_the_query_region(self):
         region = Predicate.range("t", 1.0, 5.0)
         sharded = RegionSharding().split(
-            plan_for(chain_pcset(), "region", region=region), max_shards=2)
+            plan_for(chain_pcset(), region=region), max_shards=2)
         assert sharded.is_sharded
         for shard in sharded:
             sub = shard.plan.query.region
@@ -158,25 +144,25 @@ class TestRegionSplitter:
         # the right slices conjoin empty and the split degrades gracefully.
         region = Predicate.range("t", 0.0, 0.5)
         sharded = RegionSharding().split(
-            plan_for(chain_pcset(), "region", region=region), max_shards=3)
+            plan_for(chain_pcset(), region=region), max_shards=3)
         assert len(sharded) <= 3
 
     def test_cache_tokens_distinguish_region_from_component(self):
-        plan = plan_for(chain_pcset(), "region")
+        plan = plan_for(chain_pcset())
         region_sharded = RegionSharding().split(plan, max_shards=2)
         component_sharded = ConstraintComponentSharding().split(
-            plan_for(disjoint_pcset(2), "auto"), max_shards=2)
+            plan_for(disjoint_pcset(2)), max_shards=2)
         tokens = {shard.cache_token() for shard in region_sharded}
         tokens |= {shard.cache_token() for shard in component_sharded}
         assert len(tokens) == len(region_sharded) + len(component_sharded)
 
     def test_invalid_max_shards_rejected(self):
         with pytest.raises(SolverError):
-            RegionSharding().split(plan_for(chain_pcset(), "region"),
+            RegionSharding().split(plan_for(chain_pcset()),
                                    max_shards=0)
 
     def test_describe_names_strategy_and_slices(self):
-        sharded = RegionSharding().split(plan_for(chain_pcset(), "region"),
+        sharded = RegionSharding().split(plan_for(chain_pcset()),
                                          max_shards=2)
         text = sharded.describe()
         assert "region strategy" in text and "t in [" in text
@@ -192,7 +178,7 @@ class TestMergeShardDecompositions:
     @pytest.mark.parametrize("depth", [None, 2])
     def test_union_equals_serial_cells(self, strategy, depth):
         pcset = chain_pcset(5)
-        plan = plan_for(pcset, "region").amended(strategy=strategy,
+        plan = plan_for(pcset).amended(strategy=strategy,
                                                  early_stop_depth=depth)
         sharded = RegionSharding().split(plan, max_shards=3)
         assert sharded.is_sharded
@@ -208,7 +194,7 @@ class TestMergeShardDecompositions:
 
     def test_merged_statistics_sum_the_shards_work(self):
         pcset = chain_pcset(5)
-        plan = plan_for(pcset, "region")
+        plan = plan_for(pcset)
         sharded = RegionSharding().split(plan, max_shards=3)
         per_shard = [CellDecomposer(shard.plan.pcset,
                                     DecompositionStrategy.DFS_REWRITE, None)
@@ -222,7 +208,7 @@ class TestMergeShardDecompositions:
         # A constraint hugging a cut point is satisfiable on both sides;
         # the union must report it once.
         pcset = chain_pcset(4)
-        plan = plan_for(pcset, "region")
+        plan = plan_for(pcset)
         sharded = RegionSharding().split(plan, max_shards=2)
         per_shard = [CellDecomposer(shard.plan.pcset,
                                     DecompositionStrategy.DFS_REWRITE, None)
@@ -244,8 +230,7 @@ AGGREGATES = [(AggregateFunction.COUNT, None), (AggregateFunction.SUM, "v"),
 
 
 def region_options(**overrides):
-    return BoundOptions(check_closure=False, solve_workers=3,
-                        shard_strategy="region", **overrides)
+    return BoundOptions(check_closure=False, solve_workers=3, **overrides)
 
 
 class TestSolverIntegration:

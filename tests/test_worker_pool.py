@@ -284,8 +284,7 @@ class TestBatchedTaskVocabulary:
                 serial = PCBoundSolver(pcset,
                                        BoundOptions(check_closure=False))
                 sharded = PCBoundSolver(pcset, BoundOptions(
-                    check_closure=False, solve_workers=2,
-                    shard_strategy=strategy), worker_pool=pool)
+                    check_closure=False, solve_workers=2), worker_pool=pool)
                 plan = sharded.sharded_plan(None, "v")
                 assert plan.strategy == strategy and len(plan) == 2
                 for aggregate, attribute in aggregates:
