@@ -87,7 +87,9 @@ def test_bench_append_delta_migration(report_artifact, bench_record):
     service.execute_batch("bench", queries)
     cold_seconds = time.perf_counter() - started
 
+    started = time.perf_counter()
     service.append_rows("bench", delta)
+    append_rows_seconds = time.perf_counter() - started
     started = time.perf_counter()
     warm = service.execute_batch("bench", queries)
     append_seconds = time.perf_counter() - started
@@ -108,11 +110,13 @@ def test_bench_append_delta_migration(report_artifact, bench_record):
         f"  batch size           : {len(queries)} queries over "
         f"{len(regions)} regions\n"
         f"  cold batch           : {cold_seconds * 1000:.1f} ms\n"
+        f"  append_rows          : {append_rows_seconds * 1000:.2f} ms\n"
         f"  post-append batch    : {append_seconds * 1000:.1f} ms "
         f"({statistics.delta_migrations} migrated, "
         f"{statistics.delta_invalidations} invalidated)\n"
         f"  post-append speedup  : {ratio:.1f}x")
     bench_record(cold_seconds=cold_seconds, append_seconds=append_seconds,
+                 append_rows_seconds=append_rows_seconds,
                  speedup=ratio, migrated=statistics.delta_migrations,
                  invalidated=statistics.delta_invalidations)
 

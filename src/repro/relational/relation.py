@@ -1,14 +1,16 @@
 """An in-memory column-store relation.
 
-:class:`Relation` stores each column as a numpy array and provides the small
-set of operations the rest of the library needs: filtering by boolean masks
-or expressions, projection, concatenation, sampling, sorting, grouping, and
-per-column summary statistics.  It deliberately has no query optimiser — the
-experiments operate on datasets of at most a few hundred thousand rows.
+:class:`Relation` stores each column as a read-only numpy array and provides
+the small set of operations the rest of the library needs: filtering by
+boolean masks or expressions, projection, concatenation, appending,
+sampling, sorting, grouping, and per-column summary statistics.  It
+deliberately has no query optimiser — the experiments operate on datasets of
+at most a few hundred thousand rows.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -22,8 +24,40 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 __all__ = ["Relation"]
 
 
+class _AppendBuffer:
+    """Column storage shared by the versions of one append chain.
+
+    ``arrays`` holds one array per column with spare capacity at its end, and
+    each version's columns are read-only views ``array[:n]``.  ``rows`` is
+    the number of rows written so far: only a version with exactly that many
+    rows may write after them, so rows a view can see are never written
+    again.  ``lock`` serialises those writes.
+    """
+
+    __slots__ = ("arrays", "capacity", "rows", "lock")
+
+    def __init__(self, arrays: dict[str, np.ndarray], capacity: int, rows: int):
+        self.arrays = arrays
+        self.capacity = capacity
+        self.rows = rows
+        self.lock = threading.Lock()
+
+    def views(self, rows: int) -> dict[str, np.ndarray]:
+        """Read-only views of the first ``rows`` rows of every column."""
+        views = {}
+        for name, array in self.arrays.items():
+            view = array[:rows]
+            view.flags.writeable = False
+            views[name] = view
+        return views
+
+
 class Relation:
     """A named, schema-ed, immutable column-store table.
+
+    Every column is a read-only numpy array: built by
+    :meth:`ColumnType.coerce`, or a view of storage that the versions made
+    by :meth:`append` share.  Copy a column before mutating it.
 
     Parameters
     ----------
@@ -35,6 +69,9 @@ class Relation:
     name:
         Optional relation name, used by joins and error messages.
     """
+
+    #: The append buffer this relation's columns are views of, if any.
+    _buffer: _AppendBuffer | None = None
 
     def __init__(
         self,
@@ -126,7 +163,12 @@ class Relation:
         return f"Relation({self._name!r}, rows={self._length}, schema={self._schema!r})"
 
     def column(self, name: str) -> np.ndarray:
-        """Return the column named ``name`` as a numpy array (no copy)."""
+        """Return the column named ``name`` as a numpy array (no copy).
+
+        The array is read-only, and for an appended version it is a view of
+        storage shared with the other versions of its chain: copy it before
+        mutating it.
+        """
         self._schema.column(name)
         return self._columns[name]
 
@@ -229,6 +271,14 @@ class Relation:
         Any other mutation (``filter``, ``with_column``, ...) produces a
         relation without lineage, which callers must treat as a full rebuild.
 
+        The versions of an append chain share one buffer per column, and
+        each version's columns are read-only views of its first rows, so an
+        append copies only the delta: it writes the delta after this
+        relation's rows when this is the buffer's newest version and the
+        rows fit.  Otherwise — a first append, a full buffer, or an append to
+        an older version — the rows are copied once into a new buffer of
+        twice the new length.  No row a version can see ever moves.
+
         ``rows`` may be another relation with an identical schema, an
         iterable of row tuples in schema order, or an iterable of
         ``{column: value}`` mappings.
@@ -246,11 +296,37 @@ class Relation:
                 delta = Relation.from_dicts(self._schema, materialised, name=self._name)
             else:
                 delta = Relation.from_rows(self._schema, materialised, name=self._name)
-        result = self.concat(delta)
+        length = self._length + delta._length
+        result = Relation.__new__(Relation)
+        result._schema = self._schema
+        result._name = self._name
+        result._length = length
+        result._buffer = self._extend_buffer(delta, length)
+        result._columns = result._buffer.views(length)
         base, deltas = self.append_lineage or (self, ())
         result._append_base = base
         result._append_deltas = (*deltas, delta)
         return result
+
+    def _extend_buffer(self, delta: "Relation", length: int) -> _AppendBuffer:
+        """A buffer holding this relation's rows, then ``delta``'s."""
+        start = self._length
+        buffer = self._buffer
+        if buffer is not None:
+            with buffer.lock:
+                if buffer.rows == start and length <= buffer.capacity:
+                    for name, array in buffer.arrays.items():
+                        array[start:length] = delta._columns[name]
+                    buffer.rows = length
+                    return buffer
+        capacity = 2 * length
+        arrays = {}
+        for name, column in self._columns.items():
+            array = np.empty(capacity, dtype=column.dtype)
+            array[:start] = column
+            array[start:length] = delta._columns[name]
+            arrays[name] = array
+        return _AppendBuffer(arrays, capacity, length)
 
     @property
     def append_lineage(self) -> "tuple[Relation, tuple[Relation, ...]] | None":
@@ -267,16 +343,25 @@ class Relation:
         return base, self._append_deltas
 
     def __getstate__(self) -> dict:
-        """Drop unpicklable fingerprint hasher states before pickling.
+        """Drop unpicklable and process-local state before pickling.
 
         The service layer memoizes running ``hashlib`` hashers on relation
         objects (see :mod:`repro.service.fingerprint`); hasher objects do
         not pickle, and a worker process never needs them — the memoized
         digest string travels, and hashers rebuild lazily if asked for.
+        The append buffer is dropped too, so a pickled version carries only
+        its own rows; its next append copies them into a new buffer.
         """
         state = self.__dict__.copy()
         state.pop("_fingerprint_hashers", None)
+        state.pop("_buffer", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled relation; unpickled columns are read-only too."""
+        self.__dict__.update(state)
+        for array in self._columns.values():
+            array.flags.writeable = False
 
     def sample(
         self, count: int, rng: np.random.Generator | None = None, replace: bool = False

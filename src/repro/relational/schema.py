@@ -44,19 +44,32 @@ class ColumnType(enum.Enum):
         return np.dtype(object)
 
     def coerce(self, values: Iterable) -> np.ndarray:
-        """Coerce ``values`` into a numpy array of the right dtype.
+        """Coerce ``values`` into a fresh, read-only array of the right dtype.
+
+        A one-dimensional ``ndarray`` that already has this type's dtype is
+        copied once; any other input is converted value by value, so
+        conversions and their errors do not depend on the container.  The
+        result never aliases ``values`` and is marked read-only: relations
+        share column arrays between versions and memoize fingerprints over
+        them, so a column must not change after construction.
 
         Raises
         ------
         TypeMismatchError
             If the values cannot be represented in this type.
         """
-        try:
-            array = np.asarray(list(values), dtype=self.numpy_dtype())
-        except (TypeError, ValueError) as exc:
-            raise TypeMismatchError(
-                f"cannot coerce values to column type {self.value}: {exc}"
-            ) from exc
+        dtype = self.numpy_dtype()
+        if (type(values) is np.ndarray and values.ndim == 1
+                and values.dtype == dtype):
+            array = values.copy()
+        else:
+            try:
+                array = np.asarray(list(values), dtype=dtype)
+            except (TypeError, ValueError) as exc:
+                raise TypeMismatchError(
+                    f"cannot coerce values to column type {self.value}: {exc}"
+                ) from exc
+        array.flags.writeable = False
         return array
 
 

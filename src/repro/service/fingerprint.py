@@ -189,10 +189,12 @@ def _column_hashers(relation: Relation) -> dict[str, "hashlib._Hash"]:
 
     For a relation with append lineage the hashers are built incrementally:
     copy the base relation's (memoized) hasher states via ``hashlib``'s
-    ``.copy()`` and stream only the delta bytes — O(delta) work that yields
-    digests byte-identical to a cold full-content pass, preserving the
-    "fingerprints equal iff content equal" contract.  Callers must ``copy()``
-    a hasher before finalising if they intend to extend it further.
+    ``.copy()`` and stream every delta appended since the base — work that
+    grows with the appended rows, not the base, and yields digests
+    byte-identical to a cold full-content pass, preserving the
+    "fingerprints equal iff content equal" contract.  Callers must
+    ``copy()`` a hasher before finalising if they intend to extend it
+    further.
     """
     cached = getattr(relation, "_fingerprint_hashers", None)
     if cached is not None:
@@ -228,9 +230,10 @@ def fingerprint_relation(relation: Relation) -> str:
     string columns fall back to per-value rendering.  The relation's display
     name is excluded — renaming does not change any query answer.
 
-    The digest is memoized on the relation object (relations are immutable),
-    and relations built via :meth:`Relation.append` are hashed incrementally
-    from their lineage — only the delta bytes are streamed, yet the digest
+    The digest is memoized on the relation object (relations and their
+    read-only columns are immutable), and relations built via
+    :meth:`Relation.append` are hashed incrementally from their lineage —
+    only the rows appended since the base are streamed, yet the digest
     equals the one a cold full-content pass would produce.
     """
     memo = getattr(relation, "_fingerprint_memo", None)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -184,3 +188,119 @@ class TestStatistics:
         summary = relation.describe()
         assert summary["x"]["count"] == 4.0
         assert "tag" not in summary
+
+
+class TestReadOnlyColumns:
+    def test_column_writes_raise(self, relation: Relation):
+        appended = relation.append([(5.0, 50, "d")])
+        for built in (relation, relation.filter(relation.column("k") > 10),
+                      appended, pickle.loads(pickle.dumps(appended))):
+            with pytest.raises(ValueError):
+                built.column("x")[0] = 99.0
+        assert relation.column("x").tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_coerce_copies_a_matching_array_once(self):
+        cases = [(ColumnType.FLOAT, np.array([1.5, -2.0])),
+                 (ColumnType.INT, np.array([3, 4], dtype=np.int64)),
+                 (ColumnType.STRING, np.array(["a", "b"], dtype=object))]
+        for ctype, values in cases:
+            array = ctype.coerce(values)
+            assert array.dtype == ctype.numpy_dtype()
+            assert array.tolist() == values.tolist()
+            assert not np.shares_memory(array, values)
+            assert not array.flags.writeable and values.flags.writeable
+
+    def test_coerce_converts_other_arrays_value_by_value(self):
+        assert ColumnType.FLOAT.coerce(np.array([1, 2])).tolist() == [1.0, 2.0]
+        assert ColumnType.INT.coerce(np.array([1.0, 2.0])).tolist() == [1, 2]
+        with pytest.raises(TypeMismatchError):
+            ColumnType.INT.coerce(np.array([1.0, np.nan]))
+
+
+def _random_rows(rng: np.random.Generator, count: int) -> list[tuple]:
+    return [(float(rng.normal()), int(rng.integers(-50, 50)),
+             f"s{int(rng.integers(10))}") for _ in range(count)]
+
+
+def _lineage_concat(version: Relation) -> Relation:
+    base, deltas = version.append_lineage
+    for delta in deltas:
+        base = base.concat(delta)
+    return base
+
+
+def _assert_same(relation: Relation, expected: Relation) -> None:
+    assert relation.schema == expected.schema
+    assert relation.num_rows == expected.num_rows
+    for name in expected.schema.names:
+        assert relation.column(name).dtype == expected.column(name).dtype
+        assert relation.column(name).tolist() == expected.column(name).tolist()
+
+
+class TestSharedAppendStorage:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_versions_equal_their_lineage(self, schema: Schema, seed: int):
+        """Appends to the newest and to older versions, with empty deltas and
+        pickled versions, never change a row another version can see."""
+        rng = np.random.default_rng(seed)
+        versions = [Relation.from_rows(schema,
+                                       _random_rows(rng, int(rng.integers(4))))]
+        for _ in range(40):
+            if rng.random() < 0.6:
+                parent = versions[-1]
+            else:
+                parent = versions[int(rng.integers(len(versions)))]
+            if rng.random() < 0.2:
+                restored = pickle.loads(pickle.dumps(parent))
+                _assert_same(restored, parent)
+                parent = restored
+            size = int(rng.choice([0, 1, 3, 8]))
+            versions.append(parent.append(_random_rows(rng, size)))
+            for version in versions[1:]:
+                _assert_same(version, _lineage_concat(version))
+
+    def test_buffers_hold_at_most_four_times_the_newest_version(
+            self, schema: Schema):
+        rng = np.random.default_rng(11)
+        base = Relation.from_rows(schema, _random_rows(rng, 5))
+        versions = [base]
+        for _ in range(150):
+            size = int(rng.choice([0, 1, 2, 5, 9]))
+            versions.append(versions[-1].append(_random_rows(rng, size)))
+        buffers = {}
+        for version in versions:
+            for array in version.columns().values():
+                owner = array if array.base is None else array.base
+                buffers[id(owner)] = owner.nbytes
+        newest = sum(a.nbytes for a in versions[-1].columns().values())
+        base_bytes = sum(a.nbytes for a in base.columns().values())
+        assert sum(buffers.values()) <= 4 * newest + base_bytes
+        _assert_same(versions[-1], _lineage_concat(versions[-1]))
+
+    def test_concurrent_appends_to_one_version(self, schema: Schema):
+        """Racing appends to one version each get their own rows."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                start = Relation.from_rows(schema, [(0.0, 0, "base")]).append(
+                    [(1.0, 1, "start")])
+                results: dict[int, Relation] = {}
+
+                def append(index: int) -> None:
+                    results[index] = start.append(
+                        [(float(index), index, f"w{index}")] * (index + 1))
+
+                threads = [threading.Thread(target=append, args=(index,))
+                           for index in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                for index, result in results.items():
+                    assert result.column("k").tolist()[2:] == [index] * (index + 1)
+                    _assert_same(result, _lineage_concat(result))
+                assert len(results) == 6
+        finally:
+            sys.setswitchinterval(previous)
