@@ -1,6 +1,6 @@
 """Benchmark: incremental, versioned result reuse.
 
-Two timings, one per reuse layer:
+Three timings, one per reuse layer:
 
 * **Append delta** — appending rows to a registered session migrates every
   cached report the delta provably cannot change, so the post-append batch
@@ -8,6 +8,10 @@ Two timings, one per reuse layer:
 * **Warm restart** — a second service process pointed at the same
   ``cache_dir`` answers the first service's workload from the persistent
   tier without recomputing a single decomposition.
+* **Restart after an append** — a second service over the appended relation
+  answers COUNT, SUM, MIN and MAX from stored reports (regions the delta
+  missed) and stored missing-row ranges (regions it hit), compiling no
+  program.
 
 Every layer's answers are asserted bit-identical to cold computation
 *unconditionally* — the timing claims are only meaningful if reuse never
@@ -29,6 +33,7 @@ from repro.core.constraints import (
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
+from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service import ContingencyService
@@ -165,3 +170,61 @@ def test_bench_warm_restart(tmp_path, report_artifact, bench_record):
                  speedup=ratio, store_hits=int(statistics.store["hits"]))
     # The acceptance threshold, with margin below observed ratios.
     assert ratio >= 2.0
+
+
+@pytest.mark.paper_artifact("incremental-cache")
+def test_bench_restart_after_append(tmp_path, report_artifact, bench_record):
+    """A restarted service answers an appended relation's non-AVG queries
+    without compiling, bit-identical to cold computation."""
+    options = BoundOptions(check_closure=False)
+    regions = [Predicate.range("utc", 20.0 + 5 * index, 30.0 + 5 * index)
+               for index in range(8)]
+    queries = [query for region in regions for query in all_aggregates(region)
+               if query.aggregate is not AggregateFunction.AVG]
+    delta = [(51.0, 7.0), (55.5, 9.0)]
+
+    with ContingencyService(max_workers=1,
+                            cache_dir=str(tmp_path)) as first:
+        first.register("bench", chained_pcset(),
+                       observed=observed_relation(), options=options)
+        started = time.perf_counter()
+        for query in queries:
+            first.analyze("bench", query)
+        cold_seconds = time.perf_counter() - started
+        first.append_rows("bench", delta)
+        invalidated = first.statistics().delta_invalidations
+
+    appended = observed_relation().append(delta)
+    with ContingencyService(max_workers=1,
+                            cache_dir=str(tmp_path)) as second:
+        second.register("bench", chained_pcset(), observed=appended,
+                        options=options)
+        started = time.perf_counter()
+        reports = [second.analyze("bench", query) for query in queries]
+        restart_seconds = time.perf_counter() - started
+        statistics = second.statistics()
+
+    cold = PCAnalyzer(chained_pcset(), observed=appended, options=options)
+    for query, report in zip(queries, reports):
+        assert_identical(report, cold.analyze(query))
+    assert statistics.programs_compiled == 0
+    assert statistics.decompositions_computed == 0
+    # Migrated reports answer the untouched regions; every invalidated
+    # query is a range read from the store.
+    assert invalidated > 0
+    assert statistics.store["hits"] == len(queries)
+    range_hits = statistics.range_cache.misses
+    assert range_hits == invalidated
+
+    ratio = cold_seconds / max(restart_seconds, 1e-9)
+    report_artifact(
+        "Restart after an append\n"
+        f"  queries               : {len(queries)} COUNT/SUM/MIN/MAX over "
+        f"{len(regions)} regions ({invalidated} invalidated by the delta)\n"
+        f"  cold process          : {cold_seconds * 1000:.1f} ms\n"
+        f"  restarted, appended   : {restart_seconds * 1000:.1f} ms "
+        f"({range_hits} range(s) from the store, 0 programs compiled)\n"
+        f"  restart speedup       : {ratio:.1f}x")
+    bench_record(cold_seconds=cold_seconds, restart_seconds=restart_seconds,
+                 speedup=ratio, invalidated=invalidated,
+                 stored_ranges_read=range_hits)

@@ -367,9 +367,9 @@ def _command_bound(args: argparse.Namespace) -> int:
         analyzer = PCAnalyzer(pcset, observed=observed, options=options)
         report, profile = _maybe_profiled(args, "query",
                                           lambda: analyzer.analyze(query))
-    # The program was compiled (and cached) by analyze(); reading its plan
-    # back avoids running the optimizer pipeline a second time.
-    plan = analyzer.solver.program(query.region, query.attribute).plan
+    # A cached answer compiles nothing, so build the plan (without
+    # compiling it) just to print it.
+    plan = analyzer.plan_for(query)
     print(f"query           : {query.describe()}")
     print(f"constraints     : {len(pcset)} from {args.constraints}")
     print(f"plan            : {plan.num_constraints} constraint(s), "

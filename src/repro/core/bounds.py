@@ -192,6 +192,16 @@ class PCBoundSolver:
         Optional shared cache for compiled :class:`BoundProgram` objects
         (same protocol as ``decomposition_cache``).  When omitted, programs
         are cached in a private per-instance dict.
+    range_cache:
+        Optional shared cache of closed-world missing ranges (any object
+        with ``get(key)`` and ``put(key, value)``).  A COUNT, SUM, MIN or
+        MAX range over the missing rows depends only on the compiled
+        program and the fan-out width, so it is memoized under
+        ``("range", program_key, aggregate, solve_workers)`` and a repeated
+        query skips compiling and solving.  AVG (its range depends on the
+        observed sum and count), degraded ranges and calls that raise are
+        never memoized; verification, open-world widening and the observed
+        combine run on every call.  When omitted nothing is memoized.
     worker_pool:
         Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
         sharded fan-out borrows instead of spinning a per-call executor
@@ -205,12 +215,14 @@ class PCBoundSolver:
                  decomposition_cache=None,
                  cache_namespace: object = None,
                  program_cache=None,
-                 worker_pool=None):
+                 worker_pool=None,
+                 range_cache=None):
         self._pcset = pcset
         self._options = options or BoundOptions()
         self._shared_cache = decomposition_cache
         self._cache_namespace = cache_namespace
         self._program_cache = program_cache
+        self._range_cache = range_cache
         self._worker_pool = worker_pool
         self._decomposition_cache: dict[object, CellDecomposition] = {}
         self._decomposition_locks: dict[object, threading.Lock] = {}
@@ -240,6 +252,7 @@ class PCBoundSolver:
         state = dict(self.__dict__)
         state["_shared_cache"] = None
         state["_program_cache"] = None
+        state["_range_cache"] = None
         state["_worker_pool"] = None
         state["_decomposition_locks"] = {}
         state["_local_program_locks"] = {}
@@ -368,7 +381,9 @@ class PCBoundSolver:
         (``solve_workers > 1`` and the plan splits into independent
         components), and — orthogonally — cross-backend verification
         (``verify_backend``), which intersects the range with a second
-        backend's and alarms on disagreement.
+        backend's and alarms on disagreement.  With a range cache the
+        closed-world range of COUNT, SUM, MIN and MAX is looked up before
+        either solve path runs.
         """
         if aggregate.needs_attribute and attribute is None:
             raise SolverError(f"{aggregate.value} bounds require an attribute")
@@ -378,8 +393,8 @@ class PCBoundSolver:
             with deadline, tracer.span("bound"):
                 tracer.annotate(aggregate=aggregate.value)
                 closed = self._is_closed(region)
-                result = self._bound_missing(aggregate, attribute, region,
-                                             known_sum, known_count)
+                result = self._memoized_missing(aggregate, attribute, region,
+                                                known_sum, known_count)
                 if self._options.verify_backend is not None:
                     with tracer.span("bound.verify"):
                         result = self._cross_check(result, aggregate,
@@ -391,6 +406,26 @@ class PCBoundSolver:
         except QueryDeadlineError:
             get_registry().counter("queries.deadline_exceeded").inc()
             raise
+
+    def _memoized_missing(self, aggregate: AggregateFunction,
+                          attribute: str | None, region: Predicate | None,
+                          known_sum: float, known_count: float) -> ResultRange:
+        """:meth:`_bound_missing` behind the range cache (see the class
+        docstring).  ``solve_workers`` joins the key because sharded and
+        serial ranges may differ under early-stopped enumeration."""
+        cache = self._range_cache
+        if cache is None or aggregate is AggregateFunction.AVG:
+            return self._bound_missing(aggregate, attribute, region,
+                                       known_sum, known_count)
+        key = ("range", self.program_key(region, attribute), aggregate,
+               self._options.solve_workers)
+        result = cache.get(key)
+        if result is None:
+            result = self._bound_missing(aggregate, attribute, region,
+                                         known_sum, known_count)
+            if not getattr(result.statistics, "degraded_shards", ()):
+                cache.put(key, result)
+        return result
 
     def _bound_missing(self, aggregate: AggregateFunction,
                        attribute: str | None, region: Predicate | None,

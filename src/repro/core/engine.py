@@ -173,6 +173,12 @@ class PCAnalyzer:
     worker_pool:
         Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
         solver's sharded fan-out borrows (the service passes its own).
+    range_cache:
+        Optional shared cache of missing-row ranges keyed by compiled
+        program (see :class:`~repro.core.bounds.PCBoundSolver`); the service
+        passes one so a report miss over a known (region, attribute,
+        aggregate) skips compiling and solving.  Without it nothing is
+        memoized.
     """
 
     def __init__(self, pcset: PredicateConstraintSet,
@@ -181,7 +187,8 @@ class PCAnalyzer:
                  decomposition_cache=None,
                  cache_namespace: object = None,
                  program_cache=None,
-                 worker_pool=None):
+                 worker_pool=None,
+                 range_cache=None):
         self._pcset = pcset
         self._observed = observed
         self._options = options or BoundOptions()
@@ -189,7 +196,8 @@ class PCAnalyzer:
                                      decomposition_cache=decomposition_cache,
                                      cache_namespace=cache_namespace,
                                      program_cache=program_cache,
-                                     worker_pool=worker_pool)
+                                     worker_pool=worker_pool,
+                                     range_cache=range_cache)
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -329,13 +337,10 @@ class PCAnalyzer:
         """(observed aggregate, matching row count, matching sum for AVG)."""
         if self._observed is None:
             return None, 0, 0.0
-        relational_query = query.to_aggregate_query()
-        result = relational_query.execute(self._observed)
+        result = query.to_aggregate_query().execute(self._observed)
         observed_sum = 0.0
-        if (query.aggregate is AggregateFunction.AVG
-                and query.attribute is not None and result.matching_rows > 0):
-            matching = self._observed.filter(relational_query.where)
-            observed_sum = matching.column_sum(query.attribute)
+        if query.aggregate is AggregateFunction.AVG and result.matching_rows:
+            observed_sum = float(result.selected.sum())
         return result.value, result.matching_rows, observed_sum
 
     def _combine(self, query: ContingencyQuery, missing: ResultRange,

@@ -30,11 +30,17 @@ class QueryResult:
 
     ``value`` is the scalar result for queries without GROUP BY; ``groups``
     maps group keys to per-group values when GROUP BY is present.
+    ``selected`` holds the aggregated column's float64 values over the
+    matching rows, in row order, for an ungrouped query over an attribute
+    (``None`` otherwise), so a caller needing a second statistic of the same
+    rows does not scan again.
     """
 
     value: float | None
     groups: dict[tuple, float | None] | None = None
     matching_rows: int = 0
+    selected: np.ndarray | None = field(default=None, compare=False,
+                                        repr=False)
 
     @property
     def is_grouped(self) -> bool:
@@ -121,18 +127,30 @@ class AggregateQuery:
     # Execution
     # ------------------------------------------------------------------ #
     def execute(self, relation: Relation) -> QueryResult:
-        """Execute the query exactly against ``relation``."""
+        """Execute the query exactly against ``relation``.
+
+        Without GROUP BY the WHERE mask is evaluated once and only the
+        aggregated column's matching values are selected; no filtered
+        relation is built.
+        """
         if self.attribute is not None:
             relation.schema.require_numeric(self.attribute)
-        matching = relation.filter(self.where)
         if self.group_by:
+            matching = relation.filter(self.where)
             groups: dict[tuple, float | None] = {}
             for key, group in matching.group_by(list(self.group_by)).items():
                 groups[key] = self._aggregate_relation(group)
             return QueryResult(value=None, groups=groups,
                                matching_rows=matching.num_rows)
-        return QueryResult(value=self._aggregate_relation(matching),
-                           groups=None, matching_rows=matching.num_rows)
+        mask = np.asarray(self.where.evaluate(relation), dtype=bool)
+        matching_rows = int(np.count_nonzero(mask))
+        if self.attribute is None:  # COUNT(*)
+            return QueryResult(value=float(matching_rows),
+                               matching_rows=matching_rows)
+        selected = relation.column(self.attribute)[mask].astype(np.float64,
+                                                                copy=False)
+        return QueryResult(value=compute_aggregate(self.aggregate, selected),
+                           matching_rows=matching_rows, selected=selected)
 
     def scalar(self, relation: Relation) -> float | None:
         """Execute and return the scalar value (no GROUP BY allowed)."""

@@ -53,6 +53,7 @@ class RegisteredSession:
     _decomposition_cache: object = field(default=None, repr=False)
     _program_cache: object = field(default=None, repr=False)
     _worker_pool: object = field(default=None, repr=False)
+    _range_cache: object = field(default=None, repr=False)
     _analyzer: PCAnalyzer | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -67,7 +68,8 @@ class RegisteredSession:
                     cache_namespace=decomposition_namespace(self.pcset,
                                                             self.options),
                     program_cache=self._program_cache,
-                    worker_pool=self._worker_pool)
+                    worker_pool=self._worker_pool,
+                    range_cache=self._range_cache)
             return self._analyzer
 
     def analyze(self, query: ContingencyQuery) -> ContingencyReport:
@@ -144,13 +146,19 @@ class SessionRegistry:
         The owning service's persistent worker pool, handed to every
         session's analyzer so sharded fan-out borrows it instead of
         spinning per-call executors.
+    range_cache:
+        Shared cache of missing-row ranges keyed by compiled program, handed
+        to every session's analyzer: sessions that differ only in observed
+        data (every version of an append chain) share their COUNT, SUM, MIN
+        and MAX ranges.  ``None`` memoizes nothing.
     """
 
     def __init__(self, decomposition_cache=None, program_cache=None,
-                 worker_pool=None):
+                 worker_pool=None, range_cache=None):
         self._decomposition_cache = decomposition_cache
         self._program_cache = program_cache
         self._worker_pool = worker_pool
+        self._range_cache = range_cache
         self._sessions: dict[str, list[RegisteredSession]] = {}
         self._lock = threading.RLock()
 
@@ -185,6 +193,7 @@ class SessionRegistry:
                 _decomposition_cache=self._decomposition_cache,
                 _program_cache=self._program_cache,
                 _worker_pool=self._worker_pool,
+                _range_cache=self._range_cache,
             )
             versions.append(session)
             return session

@@ -11,6 +11,10 @@ together —
   :class:`~repro.plan.BoundProgram` objects, so warm queries skip plan
   optimization, profile extraction and MILP skeleton construction and only
   patch parameters into an existing program,
+* a **range cache** holding each COUNT, SUM, MIN and MAX range over the
+  missing rows under its compiled program's key, so a report miss over a
+  known query shape (after an append, or in another session over the same
+  constraints and options) costs one observed scan and no solve,
 * a **report cache** so a byte-identical repeated query is answered without
   touching the solver at all,
 * a **session registry** with content-fingerprint deduplication and
@@ -68,6 +72,7 @@ class ServiceStatistics:
     decomposition_cache: CacheStatistics
     program_cache: CacheStatistics
     report_cache: CacheStatistics
+    range_cache: CacheStatistics
     queries_answered: int
     batches_executed: int
     sessions_registered: int
@@ -92,6 +97,7 @@ class ServiceStatistics:
             "decomposition_cache": self.decomposition_cache.as_dict(),
             "program_cache": self.program_cache.as_dict(),
             "report_cache": self.report_cache.as_dict(),
+            "range_cache": self.range_cache.as_dict(),
             "queries_answered": self.queries_answered,
             "batches_executed": self.batches_executed,
             "sessions_registered": self.sessions_registered,
@@ -113,6 +119,7 @@ class ServiceStatistics:
         decomposition = self.decomposition_cache
         program = self.program_cache
         report = self.report_cache
+        ranges = self.range_cache
         lines = [
             f"queries answered       : {self.queries_answered} "
             f"({self.batches_executed} batch(es), "
@@ -127,6 +134,9 @@ class ServiceStatistics:
             f"report cache           : {report.hits} hit(s) / "
             f"{report.misses} miss(es) / {report.evictions} eviction(s) "
             f"(hit rate {report.hit_rate:.1%})",
+            f"range cache            : {ranges.hits} hit(s) / "
+            f"{ranges.misses} miss(es) / {ranges.evictions} eviction(s) "
+            f"(hit rate {ranges.hit_rate:.1%})",
             f"decompositions computed: {self.decompositions_computed} "
             f"({self.decomposition_solver_calls} satisfiability call(s), "
             f"{self.programs_compiled} program(s) compiled)",
@@ -176,7 +186,8 @@ class ContingencyService:
         Capacity of the shared compiled-program LRU (each entry is one
         (session, region, attribute) bound program).
     report_cache_entries:
-        Capacity of the per-(session, query) report LRU.
+        Capacity of the per-(session, query) report LRU, and of the range
+        LRU (one missing-row range per compiled program and aggregate).
     max_workers:
         Worker-pool width for batch execution and sharded fan-out.
     default_options:
@@ -212,10 +223,12 @@ class ContingencyService:
     cache_dir:
         Optional directory for the persistent cache tier (see
         :mod:`repro.service.store`).  When set — explicitly or via the
-        ``REPRO_CACHE_DIR`` environment toggle — the decomposition and
-        report caches write through to a sqlite store in that directory and
-        read from it on memory misses, so warm work survives restarts and
-        can be shared between replicas.  The store is strictly
+        ``REPRO_CACHE_DIR`` environment toggle — the decomposition, range
+        and report caches write through to a sqlite store in that directory
+        and read from it on memory misses, so warm work survives restarts
+        and can be shared between processes on one host.  Ranges are keyed
+        by program, not by data, so a restarted service answers an appended
+        relation's queries without solving.  The store is strictly
         best-effort: any store failure is a cache miss, never an error.
         Compiled programs are deliberately not persisted — they recompile
         in milliseconds from a cached decomposition and may hold
@@ -240,6 +253,7 @@ class ContingencyService:
                                              name="decomposition")
         self._program_cache = LRUCache(program_cache_entries, name="program")
         self._report_cache = LRUCache(report_cache_entries, name="report")
+        self._range_cache = LRUCache(report_cache_entries, name="range")
         cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         self._store: PersistentStore | None = None
         if cache_dir:
@@ -247,10 +261,12 @@ class ContingencyService:
             self._decomposition_cache.attach_store(self._store,
                                                    "decomposition")
             self._report_cache.attach_store(self._store, "report")
+            self._range_cache.attach_store(self._store, "range")
         self._registry = SessionRegistry(
             decomposition_cache=self._decomposition_cache,
             program_cache=self._program_cache,
-            worker_pool=self._worker_pool)
+            worker_pool=self._worker_pool,
+            range_cache=self._range_cache)
         self._executor = BatchExecutor(max_workers, pool=self._worker_pool)
         self._default_options = default_options
         self._verify_backend = verify_backend
@@ -315,6 +331,10 @@ class ContingencyService:
     @property
     def report_cache(self) -> LRUCache:
         return self._report_cache
+
+    @property
+    def range_cache(self) -> LRUCache:
+        return self._range_cache
 
     @property
     def store(self) -> PersistentStore | None:
@@ -542,9 +562,10 @@ class ContingencyService:
         the delta are left behind under the old fingerprint (the old
         version stays queryable and they remain correct *for it*) and are
         counted as ``cache.delta_invalidations`` — the new version
-        recomputes them cold.
+        recomputes them, for COUNT, SUM, MIN and MAX as a range-cache hit
+        plus one scan of the observed rows.
 
-        Decomposition and program caches are keyed by constraint-set
+        Decomposition, program and range caches are keyed by constraint-set
         content, not data, so they stay warm across appends by
         construction; only report-level reuse needs this migration.
 
@@ -621,6 +642,7 @@ class ContingencyService:
             decomposition_cache=self._decomposition_cache.statistics.snapshot(),
             program_cache=self._program_cache.statistics.snapshot(),
             report_cache=self._report_cache.statistics.snapshot(),
+            range_cache=self._range_cache.statistics.snapshot(),
             queries_answered=self._queries_answered,
             batches_executed=self._batches_executed,
             sessions_registered=len(self._registry),
@@ -639,7 +661,9 @@ class ContingencyService:
         )
 
     def clear_caches(self) -> None:
-        """Drop cached decompositions, programs and reports (counters kept)."""
+        """Drop cached decompositions, programs, ranges and reports
+        (counters kept)."""
         self._decomposition_cache.clear()
         self._program_cache.clear()
+        self._range_cache.clear()
         self._report_cache.clear()

@@ -21,9 +21,15 @@ Design rules, in order of importance:
   cache key (cache keys are tuples of fingerprints/predicates, already
   content-derived); values are pickled Python objects.  Two processes running
   the same code produce the same key bytes for the same logical entry.
+* **Cheap commits.**  The file runs in sqlite's write-ahead-log mode with
+  ``synchronous=NORMAL``: a commit appends to the ``-wal`` file without an
+  fsync.  A power loss can drop the last commits but cannot corrupt the
+  file, and a dropped commit is only a cold miss.  WAL needs shared memory,
+  so processes may share a directory only on one host (no network
+  filesystems).
 
-Rows are namespaced by ``kind`` (one per attached cache) so decompositions
-and reports share one file without colliding.
+Rows are namespaced by ``kind`` (one per attached cache) so decompositions,
+missing-row ranges and reports share one file without colliding.
 """
 
 from __future__ import annotations
@@ -88,8 +94,8 @@ class PersistentStore:
     ----------
     cache_dir:
         Directory holding the database file (created if absent).  Multiple
-        stores — even in different processes — may point at the same
-        directory; sqlite serialises writers.
+        stores — even in different processes on one host — may point at the
+        same directory; sqlite serialises writers.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -139,6 +145,8 @@ class PersistentStore:
 
     def _connect(self) -> sqlite3.Connection:
         connection = sqlite3.connect(str(self._path), check_same_thread=False)
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=NORMAL")
         version = connection.execute("PRAGMA user_version").fetchone()[0]
         if version not in (0, SCHEMA_VERSION):
             # Written by an incompatible layout: drop rather than guess.
@@ -159,7 +167,11 @@ class PersistentStore:
         """Replace a corrupted/truncated database file with a fresh one.
 
         Losing the warm entries is exactly the contract: a bad store is a
-        cold cache, never an error surfaced to a query.
+        cold cache, never an error surfaced to a query.  The ``-wal`` and
+        ``-shm`` files go with the main file: they belong to the old file,
+        so a leftover log replayed into the fresh one brings old rows back,
+        and an index a live writer still holds leaves the fresh one
+        unreadable.
         """
         if self._connection is not None:
             try:
@@ -168,7 +180,8 @@ class PersistentStore:
                 pass
             self._connection = None
         try:
-            self._path.unlink(missing_ok=True)
+            for suffix in ("", "-wal", "-shm"):
+                Path(f"{self._path}{suffix}").unlink(missing_ok=True)
             self._connection = self._connect()
         except (OSError, sqlite3.Error):
             self._connection = None

@@ -150,6 +150,26 @@ class TestCliBound:
         assert int(writes.group(1)) > 0 and writes.group(2) == str(cache_dir)
         assert any(cache_dir.iterdir())
 
+    def test_bound_warm_run_reads_only_the_report(self, capsys, tmp_path,
+                                                  constraint_text_file):
+        """A warm run answers from the stored report and prints the plan
+        without compiling a program: one store read, one hit, no write."""
+        arguments = ["bound", "--constraints", str(constraint_text_file),
+                     "--aggregate", "sum", "--attribute", "price",
+                     "--no-closure-check",
+                     "--cache-dir", str(tmp_path / "cache")]
+        assert main(arguments) == 0
+        cold = capsys.readouterr().out
+        assert main(arguments) == 0
+        warm = capsys.readouterr().out
+        assert "persistent store: 1 read(s) / 1 hit(s) / 0 write(s)" in warm
+
+        def plan_lines(output):
+            return [line for line in output.splitlines()
+                    if line.startswith(("plan", "result range"))]
+
+        assert plan_lines(warm) == plan_lines(cold)
+
     def test_bound_workers_avg_uses_cross_shard_search(self, capsys,
                                                        disjoint_constraint_file):
         code = main(["bound", "--constraints", str(disjoint_constraint_file),

@@ -1,6 +1,6 @@
 """Tests for incremental, versioned result reuse.
 
-Two layers, each checked for the same invariant — reuse is *provably
+Three layers, each checked for the same invariant — reuse is *provably
 bit-identical* to cold computation:
 
 * lineage-aware fingerprints: :meth:`Relation.append` remembers its deltas,
@@ -8,14 +8,20 @@ bit-identical* to cold computation:
   equals a cold full-content pass;
 * delta-aware invalidation: :meth:`ContingencyService.append_rows` migrates
   cached reports whose query region the delta provably cannot touch and
-  drops (only) the intersecting ones.
+  drops (only) the intersecting ones;
+* the range tier: COUNT, SUM, MIN and MAX ranges over the missing rows are
+  keyed by compiled program, not data, so a dropped report recomputes
+  without compiling or solving.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.core.bounds import BoundOptions
+from repro.core.bounds import BoundOptions, PCBoundSolver
+from repro.core.builders import build_partition_pcs
 from repro.core.constraints import (
     FrequencyConstraint,
     PredicateConstraint,
@@ -25,6 +31,8 @@ from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.exceptions import ReproError
+from repro.faults import FAULTS_ENV
+from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service import ContingencyService
@@ -33,7 +41,9 @@ from repro.service.fingerprint import (
     fingerprint_relation,
     relation_version,
 )
+from repro.solvers.milp import CompiledMILP
 
+from test_fault_injection import make_relation
 from test_service import build_observed, build_pcset
 
 FAST = BoundOptions(check_closure=False)
@@ -319,3 +329,155 @@ class TestDeltaInvalidation:
                 "price", Predicate.range("utc", 11, 12)))
             assert warm.statistics().decompositions_computed == 0
         assert_reports_identical(after, before)
+
+
+# --------------------------------------------------------------------- #
+# Layer 3: the range tier (missing-row ranges keyed by compiled program)
+# --------------------------------------------------------------------- #
+NON_AVG = ALL_AGGREGATES[:2] + ALL_AGGREGATES[3:]  # every aggregate but AVG
+
+
+class TestRangeTier:
+    def test_restart_after_append_answers_from_stored_ranges(
+            self, tmp_path, monkeypatch):
+        """A restarted service over the appended relation answers a region
+        the delta invalidated with no compile and no solve, bit-identical
+        to a cold analyzer on the appended data."""
+        region = Predicate.range("utc", 12, 13)
+        delta = [(12.6, 9.0)]
+        with ContingencyService(max_workers=1,
+                                cache_dir=str(tmp_path)) as service:
+            service.register("outage", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            for maker in NON_AVG:
+                service.analyze("outage", maker(region))
+            service.append_rows("outage", delta)
+            assert service.statistics().delta_invalidations == len(NON_AVG)
+
+        appended = build_observed().append(delta)
+        with ContingencyService(max_workers=1,
+                                cache_dir=str(tmp_path)) as warm:
+            warm.register("outage", build_pcset(), observed=appended,
+                          options=FAST)
+
+            def solve(*_args, **_kwargs):
+                raise AssertionError("a range hit must not solve")
+
+            with monkeypatch.context() as guarded:
+                guarded.setattr(CompiledMILP, "solve_objective", solve)
+                guarded.setattr(CompiledMILP, "solve_objectives", solve)
+                reports = [warm.analyze("outage", maker(region))
+                           for maker in NON_AVG]
+            statistics = warm.statistics()
+            assert statistics.programs_compiled == 0
+            assert statistics.decompositions_computed == 0
+            assert statistics.range_cache.misses == len(NON_AVG)
+            assert statistics.store["hits"] == len(NON_AVG)
+
+        cold = PCAnalyzer(build_pcset(), observed=appended, options=FAST)
+        for maker, report in zip(NON_AVG, reports):
+            expected = cold.analyze(maker(region))
+            assert_reports_identical(report, expected)
+            assert report.observed_rows == expected.observed_rows
+
+    def test_avg_is_never_memoized(self):
+        region = Predicate.range("utc", 11, 13)
+        query = ContingencyQuery.avg("price", region)
+        service = ContingencyService(max_workers=1)
+        service.register("outage", build_pcset(), observed=build_observed(),
+                         options=FAST)
+        before = service.analyze("outage", query)
+        service.append_rows("outage", [(12.6, 90.0)])
+        after = service.analyze("outage", query)
+
+        cold = PCAnalyzer(build_pcset(),
+                          observed=build_observed().append([(12.6, 90.0)]),
+                          options=FAST)
+        assert_reports_identical(after, cold.analyze(query))
+        assert after.result_range.upper != before.result_range.upper
+        assert len(service.range_cache) == 0
+        if service.store is not None:
+            assert service.store.entry_count("range") == 0
+        service.shutdown()
+
+    def test_degraded_range_is_not_served_later(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV, "kill:shard=0,count=2")
+        relation = make_relation(seed=11)
+        pcset = build_partition_pcs(relation, ["t"], 6)
+        workers = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "3")))
+        options = BoundOptions(check_closure=False, solve_workers=workers,
+                               degrade="worst-case")
+        query = ContingencyQuery.sum("v")
+        with ContingencyService(max_workers=workers, pool_mode="process",
+                                default_options=options) as service:
+            service.register("chaos", pcset, observed=relation)
+            degraded = service.analyze("chaos", query)
+            assert degraded.degraded_shards == (0,)
+            assert len(service.range_cache) == 0
+            monkeypatch.delenv(FAULTS_ENV)  # the plan is spent, and gone
+            service.append_rows("chaos", [(5.0, 30.0)])
+            later = service.analyze("chaos", query)
+            assert len(service.range_cache) == 1
+        assert later.degraded_shards == ()  # solved again, not served
+        exact = PCAnalyzer(pcset, observed=relation.append([(5.0, 30.0)]),
+                           options=BoundOptions(check_closure=False)
+                           ).analyze(query)
+        assert later.lower == pytest.approx(exact.lower, rel=1e-9)
+        assert later.upper == pytest.approx(exact.upper, rel=1e-9)
+
+    def test_serial_and_sharded_sessions_keep_separate_ranges(self):
+        """Under a cell budget sharded and serial ranges may differ, so the
+        fan-out width is part of the key."""
+        region = Predicate.range("utc", 11, 13)
+        query = ContingencyQuery.count(region)
+        serial = BoundOptions(check_closure=False, cell_budget=4)
+        sharded = BoundOptions(check_closure=False, cell_budget=4,
+                               solve_workers=2)
+        service = ContingencyService(max_workers=2)
+        service.register("serial", window_chain(), options=serial)
+        service.register("sharded", window_chain(), options=sharded)
+        reports = {name: service.analyze(name, query)
+                   for name in ("serial", "sharded")}
+
+        keys = service.range_cache.keys()
+        assert len(keys) == 2
+        assert {key[:-1] for key in keys} == {keys[0][:-1]}
+        assert {key[-1] for key in keys} == {None, 2}
+        for name, options in (("serial", serial), ("sharded", sharded)):
+            expected = PCAnalyzer(window_chain(), options=options
+                                  ).analyze(query)
+            assert_reports_identical(reports[name], expected)
+        service.shutdown()
+
+    def test_hit_is_still_widened_and_cross_checked(self, monkeypatch):
+        """Only the closed-world range is memoized: open-world widening and
+        cross-backend verification run on a hit too."""
+        checks = []
+        cross_check = PCBoundSolver._cross_check
+
+        def counting(self, *args, **kwargs):
+            checks.append(args[1])
+            return cross_check(self, *args, **kwargs)
+
+        monkeypatch.setattr(PCBoundSolver, "_cross_check", counting)
+        options = BoundOptions(verify_backend="branch-and-bound")
+        region = Predicate.range("utc", 10, 13)  # [10, 11) is uncovered
+        query = ContingencyQuery.count(region)
+        service = ContingencyService(max_workers=1)
+        service.register("outage", build_pcset(), observed=build_observed(),
+                         options=options)
+        service.analyze("outage", query)
+        service.append_rows("outage", [(12.6, 9.0)])
+        hits = service.range_cache.statistics.hits
+        report = service.analyze("outage", query)
+        assert service.range_cache.statistics.hits == hits + 1
+        assert checks == [AggregateFunction.COUNT] * 2
+
+        cold = PCAnalyzer(build_pcset(),
+                          observed=build_observed().append([(12.6, 9.0)]),
+                          options=options)
+        expected = cold.analyze(query)
+        assert_reports_identical(report, expected)
+        assert report.upper == float("inf")
+        assert report.missing_range.closed is False
+        service.shutdown()

@@ -7,8 +7,13 @@ never an error).
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.core.bounds import BoundOptions
 from repro.core.engine import ContingencyQuery
 from repro.core.predicates import Predicate
@@ -18,6 +23,20 @@ from repro.service.store import SCHEMA_VERSION, default_cache_dir
 from test_service import build_observed, build_pcset, mixed_queries
 
 FAST = BoundOptions(check_closure=False)
+
+#: Opens the store in the directory ``argv[1]``, commits five rows into the
+#: write-ahead log, reports ``ready`` and exits with ``os._exit`` (no close,
+#: no checkpoint) once a line arrives on stdin.
+_WAL_WRITER = """
+import os, sys
+from repro.service.store import PersistentStore
+store = PersistentStore(sys.argv[1])
+for index in range(5):
+    store.write("report", ("mid", index), "y" * 200)
+print("ready", flush=True)
+sys.stdin.readline()
+os._exit(0)
+"""
 
 
 class TestPersistentStore:
@@ -134,6 +153,52 @@ class TestPersistentStore:
         assert store.statistics.writes == 0
         assert store.entry_count() == -1
         store.close()
+
+    def test_commits_run_in_wal_mode(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        store.write("report", ("k",), "value")
+        connection = sqlite3.connect(str(store.path))
+        assert connection.execute(
+            "PRAGMA journal_mode").fetchone()[0] == "wal"
+        connection.close()
+        store.close()
+
+    def test_recreation_drops_a_live_writers_log(self, tmp_path):
+        """A writer still holding the store leaves WAL frames and shared
+        memory behind; once the main file is corrupted, the reopened store
+        must be cold and usable, and its rows must survive the writer's
+        ``os._exit`` and a reopen."""
+        store = PersistentStore(tmp_path)
+        for index in range(50):
+            store.write("report", ("old", index), "x" * 200)
+        store.close()  # checkpointed: every page lives in the main file
+        writer = subprocess.Popen(
+            [sys.executable, "-c", _WAL_WRITER, str(tmp_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(repro.__file__).parents[1])})
+        try:
+            assert writer.stdout.readline().strip() == "ready"
+            assert Path(f"{store.path}-wal").stat().st_size > 0
+            store.path.write_bytes(b"\xa5" * store.path.stat().st_size)
+
+            reopened = PersistentStore(tmp_path)
+            assert reopened.read("report", ("old", 1)) is None  # cold
+            assert reopened.statistics.errors >= 1
+            for index in range(5):
+                reopened.write("report", ("new", index), "fresh")
+            assert reopened.entry_count("report") == 5  # and usable
+        finally:
+            writer.stdin.write("exit\n")
+            writer.stdin.flush()
+            writer.wait(timeout=30)
+        reopened.close()
+
+        survivor = PersistentStore(tmp_path)
+        assert survivor.entry_count("report") == 5
+        assert survivor.read("report", ("new", 3)) == "fresh"
+        assert survivor.read("report", ("mid", 1)) is None
+        survivor.close()
 
     def test_default_cache_dir_reads_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

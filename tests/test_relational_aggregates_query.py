@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import QueryError, UnsupportedAggregateError
@@ -118,3 +119,27 @@ class TestAggregateQuery:
     def test_matching_rows_reported(self, orders):
         result = AggregateQuery.sum("price", where=Between("day", 2.0, 3.0)).execute(orders)
         assert result.matching_rows == 3
+
+    @pytest.mark.parametrize("aggregate", list(AggregateFunction))
+    def test_one_scan_matches_the_filtered_relation(self, aggregate):
+        """An ungrouped query selects one column under one mask; its value,
+        row count and selection equal, bit for bit, what aggregating the
+        filtered relation gives (the reference)."""
+        rng = np.random.default_rng(7)
+        schema = Schema.from_pairs([("t", ColumnType.FLOAT),
+                                    ("n", ColumnType.INT)])
+        relation = Relation(schema, {
+            "t": rng.uniform(0.0, 10.0, 5000),
+            "n": rng.integers(-1000, 1000, 5000)})
+        for where in (Between("t", 2.5, 7.25), Between("t", 20.0, 30.0)):
+            attribute = None if aggregate is AggregateFunction.COUNT else "n"
+            result = AggregateQuery(aggregate, attribute, where).execute(
+                relation)
+            matching = relation.filter(where)
+            assert result.matching_rows == matching.num_rows
+            if attribute is None:
+                assert result.value == float(matching.num_rows)
+                continue
+            assert result.value == compute_aggregate(
+                aggregate, matching.column("n").astype(np.float64))
+            assert float(result.selected.sum()) == matching.column_sum("n")
