@@ -218,7 +218,7 @@ def test_bench_batched_warm_fanout(report_artifact, bench_record):
 
     analyzer, queries = coupled_scenario()
     for query in queries:
-        analyzer.prepare(query.region, query.attribute)
+        analyzer.solver.program(query.region, query.attribute)
 
     def run(workers: int, mode: str):
         with BatchExecutor(max_workers=workers, mode=mode) as executor:

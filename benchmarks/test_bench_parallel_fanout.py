@@ -90,7 +90,7 @@ def test_bench_warm_multi_region_batch_fanout(report_artifact, bench_record):
     # Warm every program outside the timed sections: the claim is about
     # solve fan-out, not compilation.
     for query in queries:
-        analyzer.prepare(query.region, query.attribute)
+        analyzer.solver.program(query.region, query.attribute)
 
     serial_result, serial_seconds = run_batch(analyzer, queries, 1, "serial")
     fanout_result, fanout_seconds = run_batch(analyzer, queries, WORKERS,

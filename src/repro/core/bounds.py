@@ -60,20 +60,15 @@ _INF = float("inf")
 class BoundOptions:
     """Tuning knobs for :class:`PCBoundSolver`.
 
-    The first block configures decomposition and solving; the second block
-    configures the plan pipeline itself:
+    The first block configures decomposition and solving.  Every plan runs
+    through the bound-preserving optimizer passes (region pruning,
+    duplicate merging, strategy selection) and executes as a compiled
+    program; the second block is the one knob that steers the passes:
 
     ``cell_budget``
         Worst-case cell count above which the strategy-selection pass trades
         exactness for an early-stopped (still sound, possibly looser)
         enumeration.  ``None`` (default) always enumerates exactly.
-    ``optimize``
-        Run the bound-preserving optimizer passes (region pruning, duplicate
-        merging, strategy selection).  Disabling executes the raw plan.
-    ``program_reuse``
-        Patch parameters into compiled program skeletons (default).  When
-        disabled, every solve rebuilds the MILP from scratch — the
-        pre-pipeline behaviour, kept as an equivalence/benchmark baseline.
 
     The third block configures parallel fan-out and verification
     (see :mod:`repro.parallel`):
@@ -112,7 +107,9 @@ class BoundOptions:
         of failing the query.  The merged range is still sound — a superset
         of the exact range — and the result's statistics are stamped with
         ``degraded_shards``.  *Included* in option fingerprints: it can
-        change returned ranges.
+        change returned ranges.  Any other value than ``None`` and
+        ``"worst-case"`` raises :class:`~repro.exceptions.SolverError` at
+        construction.
     """
 
     strategy: DecompositionStrategy = DecompositionStrategy.DFS_REWRITE
@@ -120,12 +117,15 @@ class BoundOptions:
     early_stop_depth: int | None = None
     check_closure: bool = True
     cell_budget: int | None = None
-    optimize: bool = True
-    program_reuse: bool = True
     solve_workers: int | None = None
     verify_backend: str | None = None
     deadline_seconds: float | None = None
     degrade: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.degrade not in (None, "worst-case"):
+            raise SolverError(f"unknown degrade policy {self.degrade!r}; "
+                              "expected 'worst-case'")
 
 
 @dataclass(frozen=True)
@@ -293,17 +293,15 @@ class PCBoundSolver:
         """The content-derived cache key for the (region, attribute) program.
 
         The decomposition namespace covers the constraint set's content and
-        the enumeration knobs; the remaining execution knobs (backend and
-        pipeline toggles) are appended explicitly because they change the
-        compiled artifact without changing decompositions.
+        the enumeration knobs; the backend and the cell budget are appended
+        explicitly because they change the compiled artifact.
         The early-stop depth is a function of these, so the key is stable
         across processes: the worker pool addresses warm worker-side caches
         with the parent's keys.
         """
         options = self._options
         return ("program", self._namespace(), options.milp_backend,
-                options.optimize, options.cell_budget, options.program_reuse,
-                region, attribute)
+                options.cell_budget, region, attribute)
 
     def shard_program_key(self, shard, region: Predicate | None,
                           attribute: str | None) -> tuple:
@@ -508,9 +506,6 @@ class PCBoundSolver:
         )
 
         degrade = self._options.degrade
-        if degrade is not None and degrade != "worst-case":
-            raise SolverError(
-                f"unknown degrade policy {degrade!r}; expected 'worst-case'")
         keyed = self._keyed_shard_programs(sharded, region, attribute)
         pool = self.borrow_pool(workers)
         degraded: list[int] = []
@@ -647,7 +642,7 @@ class PCBoundSolver:
     # The pipeline: plan -> optimize -> compile
     # ------------------------------------------------------------------ #
     def plan(self, query) -> BoundPlan:
-        """The (optimized) logical plan for anything query-shaped.
+        """The optimized logical plan for anything query-shaped.
 
         Introspection entry point: ``solver.plan(query).describe()`` shows
         which constraints survive pruning/merging and which enumeration
@@ -656,9 +651,8 @@ class PCBoundSolver:
         tracer = get_tracer()
         with tracer.span("plan"):
             plan = build_plan(query, self._pcset, self._options)
-            if self._options.optimize:
-                with tracer.span("plan.optimize"):
-                    plan = optimize_plan(plan)
+            with tracer.span("plan.optimize"):
+                plan = optimize_plan(plan)
             tracer.annotate(constraints=len(plan.pcset))
         return plan
 
@@ -766,8 +760,7 @@ class PCBoundSolver:
         with tracer.span("compile"):
             plan = self.plan(BoundQuery(aggregate, attribute, region))
             decomposition = self._decompose_plan(plan)
-            program = compile_plan(plan, decomposition,
-                                   reuse=self._options.program_reuse)
+            program = compile_plan(plan, decomposition)
             tracer.annotate(cells=len(decomposition.cells))
         with self._counter_lock:
             self._programs_compiled += 1
@@ -786,8 +779,8 @@ class PCBoundSolver:
         namespace = None
         if self._shared_cache is not None and self._cache_namespace is not None:
             namespace = ("plan-shard", self._cache_namespace,
-                         self._options.optimize, self._options.cell_budget,
-                         plan.early_stop_depth, shard.cache_token())
+                         self._options.cell_budget, plan.early_stop_depth,
+                         shard.cache_token())
         tracer = get_tracer()
         with tracer.span("compile.shard"):
             decomposition = decompose_cached(
@@ -797,8 +790,7 @@ class PCBoundSolver:
                 cache=self._shared_cache,
                 namespace=namespace,
                 on_compute=self._record_decomposition)
-            program = compile_plan(plan, decomposition,
-                                   reuse=self._options.program_reuse)
+            program = compile_plan(plan, decomposition)
             tracer.annotate(cells=len(decomposition.cells))
         with self._counter_lock:
             self._programs_compiled += 1
@@ -835,10 +827,9 @@ class PCBoundSolver:
     def decompose(self, region: Predicate | None = None) -> CellDecomposition:
         """The (cached) cell decomposition for ``region``.
 
-        Public so callers can reuse or pre-warm decompositions — the batch
-        executor warms each distinct region once before fanning queries out
-        over its worker pool.  Runs through the plan pipeline, so the cells
-        are those of the *optimized* constraint set.
+        Public so callers can reuse or pre-warm decompositions.  Runs
+        through the plan pipeline, so the cells are those of the
+        *optimized* constraint set.
         """
         plan = self.plan(BoundQuery(AggregateFunction.COUNT, None, region))
         return self._decompose_plan(plan)
@@ -923,17 +914,15 @@ class PCBoundSolver:
         """The decomposition-cache namespace for ``plan``'s entries.
 
         The caller's namespace covers the original constraint set and
-        enumeration knobs; the pipeline toggles complete it because they
-        decide what actually gets decomposed.  The plan's early-stop depth
-        joins explicitly.  Every entry is a whole-region decomposition, whose
-        depth already follows from the rest of its key (constraint set,
-        options, region), so the term is redundant; it stays so that keys
-        already written to a persistent store keep matching.
+        enumeration knobs; the cell budget completes it because strategy
+        selection decides from it what actually gets decomposed.  Every
+        entry is a whole-region decomposition, whose early-stop depth
+        follows from the rest of its key (constraint set, options, region).
+        Without a caller's namespace the structural key of the optimized
+        constraint set names the depth itself.
         """
         if self._cache_namespace is not None:
-            return ("plan", self._cache_namespace,
-                    self._options.optimize, self._options.cell_budget,
-                    plan.early_stop_depth)
+            return ("plan", self._cache_namespace, self._options.cell_budget)
         from .cells import _structural_namespace
 
         return _structural_namespace(plan.pcset, plan.strategy,
@@ -953,7 +942,7 @@ class PCBoundSolver:
                 on_compute=self._record_decomposition,
                 compute_override=compute_override)
         # Programs for the same region but different attributes can compile
-        # concurrently (the batch executor's warm phase), so the private
+        # concurrently (threads sharing one analyzer), so the private
         # dict needs per-region locking to keep one decomposition per
         # region and exact counters.
         with self._program_lock:

@@ -216,18 +216,6 @@ class PCAnalyzer:
         """The underlying bound solver (exposes decomposition counters)."""
         return self._solver
 
-    def prepare(self, region: Predicate | None = None,
-                attribute: str | None = None) -> None:
-        """Warm the compiled program for a (region, attribute) pair.
-
-        The batch executor calls this once per distinct pair so the
-        expensive steps — cell enumeration, profile extraction, MILP
-        skeleton compilation — happen exactly once even when dozens of
-        queries share the pair.  Programs for the same region share one
-        cached decomposition, so warming several attributes stays cheap.
-        """
-        self._solver.program(region, attribute)
-
     def plan_for(self, query: ContingencyQuery):
         """The optimized :class:`~repro.plan.BoundPlan` for ``query``.
 

@@ -21,10 +21,10 @@ sharded plan alike.  This is what makes compiled-program
 reuse cheap enough for the service layer to treat programs as cacheable
 values alongside decompositions.
 
-Setting ``reuse=False`` compiles a program that deliberately rebuilds the
-slack layout and the full MILP from scratch on every solve — the
-pre-pipeline behaviour, kept as a measurable baseline for the equivalence
-tests and the ``plan_compile`` benchmark.
+There is no second model builder to compare against:
+``tests/test_range_oracle.py`` checks COUNT, SUM, MIN and MAX against an
+enumeration of every allocation of rows to the points of tiny generated
+sets, and ``tests/test_avg_oracle.py`` does the same for AVG.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
 from ..solvers.lp import LPSolution, Sense, SolutionStatus
 from ..solvers.milp import CompiledMILP, MILPModel, solve_milp
-from ..solvers.registry import resolve_backend
 from ..core.cells import CellDecomposition
 from ..core.pcset import PredicateConstraintSet
 from ..core.predicates import Predicate
@@ -98,8 +97,7 @@ class _Skeleton:
                  slack_bounds: dict[int, int],
                  pcset: PredicateConstraintSet,
                  floor_row: bool,
-                 backend: str,
-                 compile_arrays: bool):
+                 backend: str):
         self._profiles = profiles
         self._backend = backend
         self._cell_names = [f"x{profile.index}" for profile in profiles]
@@ -126,7 +124,7 @@ class _Skeleton:
         self._compiled: CompiledMILP | None = None
         # Only the vectorised-greedy (pure box) and scipy paths consult the
         # compiled arrays; other backends re-materialize models per solve.
-        if compile_arrays and (self._pure_box or backend == "scipy"):
+        if self._pure_box or backend == "scipy":
             self._compiled = CompiledMILP(self._materialize({}, Sense.MAXIMIZE))
 
     @staticmethod
@@ -231,15 +229,13 @@ class BoundProgram:
     concurrent batch traffic.
     """
 
-    def __init__(self, plan: BoundPlan, decomposition: CellDecomposition,
-                 *, reuse: bool = True):
+    def __init__(self, plan: BoundPlan, decomposition: CellDecomposition):
         self._plan = plan
         self._pcset = plan.pcset
         self._region = plan.query.region
         self._attribute = plan.query.attribute
         self._decomposition = decomposition
         self._backend = plan.milp_backend
-        self._reuse = reuse
         self._lock = threading.Lock()
 
         self._profiles = self._build_profiles()
@@ -320,27 +316,51 @@ class BoundProgram:
     # Compilation steps
     # ------------------------------------------------------------------ #
     def _build_profiles(self) -> list[CellProfile]:
-        attribute, region = self._attribute, self._region
-        region_range = None
-        if attribute is not None and region is not None:
-            region_range = region.range_for(attribute)
+        """One profile per cell: its capacity and the aggregated
+        attribute's value bounds, clipped to the query region.
+
+        A cell is barren (capacity 0) when, on the aggregated attribute or
+        on any attribute a constraint bounds, its covering constraints'
+        bounds (folded with their predicate ranges, as
+        :meth:`~repro.core.constraints.PredicateConstraint.value_lower`
+        does) clipped to the region's range on that attribute are empty:
+        no row of the cell can meet them all.  Each constraint's bounds are
+        read once per program.  An attribute whose bounds meet across every
+        constraint cannot empty a cell, so only the others are checked.
+        """
+        attribute, region, pcset = self._attribute, self._region, self._pcset
+        names = {name for pc in pcset for name in pc.values.attributes()}
+        if attribute is not None:
+            names.add(attribute)
+        bounds: dict[str, tuple[list[float], list[float]]] = {}
+        for name in names:
+            lows = [pc.value_lower(name) for pc in pcset]
+            highs = [pc.value_upper(name) for pc in pcset]
+            clip = None if region is None else region.range_for(name)
+            if clip is not None:
+                lows = [max(low, clip.low) for low in lows]
+                highs = [min(high, clip.high) for high in highs]
+            bounds[name] = (lows, highs)
+        checked = [(lows, highs) for name, (lows, highs) in bounds.items()
+                   if name != attribute and max(lows) > min(highs)]
+        capacities = [pc.max_rows() for pc in pcset]
         profiles: list[CellProfile] = []
         for index, cell in enumerate(self._decomposition.cells):
-            constraints = [self._pcset[i] for i in cell.covering]
-            capacity = min(pc.max_rows() for pc in constraints)
+            covering = cell.covering
+            capacity = min(capacities[i] for i in covering)
             if attribute is None:
                 value_upper, value_lower = 1.0, 1.0
             else:
-                value_upper = min(pc.value_upper(attribute) for pc in constraints)
-                value_lower = max(pc.value_lower(attribute) for pc in constraints)
-                if region_range is not None:
-                    value_upper = min(value_upper, region_range.high)
-                    value_lower = max(value_lower, region_range.low)
+                lows, highs = bounds[attribute]
+                value_upper = min(highs[i] for i in covering)
+                value_lower = max(lows[i] for i in covering)
                 if value_upper < value_lower:
-                    # No row can simultaneously satisfy every covering value
-                    # constraint inside the query region: the cell is barren.
                     capacity = 0
-            profiles.append(CellProfile(index, cell.covering, capacity,
+            if any(min(highs[i] for i in covering)
+                   < max(lows[i] for i in covering)
+                   for lows, highs in checked):
+                capacity = 0
+            profiles.append(CellProfile(index, covering, capacity,
                                         value_upper, value_lower))
         return profiles
 
@@ -375,75 +395,9 @@ class BoundProgram:
                 skeleton = _Skeleton(
                     profiles, self._slack_bounds, self._pcset,
                     floor_row=(variant == _ACTIVE_FLOOR),
-                    backend=self._backend,
-                    compile_arrays=self._reuse)
+                    backend=self._backend)
                 self._skeletons[variant] = skeleton
             return skeleton
-
-    # ------------------------------------------------------------------ #
-    # Rebuild-per-solve baseline (the pre-pipeline behaviour)
-    # ------------------------------------------------------------------ #
-    def _rebuild_model(self, profiles: list[CellProfile],
-                       coefficients: dict[int, float], sense: Sense,
-                       extra_constraints: list[tuple[dict[str, float], float, float]]
-                       | None = None) -> MILPModel:
-        model = MILPModel(sense=sense)
-        for profile in profiles:
-            model.add_variable(f"x{profile.index}", lower=0.0,
-                               upper=float(profile.capacity),
-                               objective=coefficients.get(profile.index, 0.0),
-                               is_integer=True)
-        slack_names: dict[int, str] = {}
-        if self._region is not None:
-            solver = self._pcset.solver()
-            region_box = self._region.to_box()
-            for constraint_index, pc in enumerate(self._pcset):
-                if pc.min_rows() == 0:
-                    continue
-                if solver.is_satisfiable([pc.predicate.to_box()], [region_box]):
-                    name = f"s{constraint_index}"
-                    model.add_variable(name, lower=0.0,
-                                       upper=float(pc.max_rows()),
-                                       objective=0.0, is_integer=True)
-                    slack_names[constraint_index] = name
-        for constraint_index, pc in enumerate(self._pcset):
-            terms: dict[str, float] = {}
-            covered_capacity_total = 0
-            for profile in profiles:
-                if constraint_index in profile.covering:
-                    terms[f"x{profile.index}"] = 1.0
-                    covered_capacity_total += profile.capacity
-            slack = slack_names.get(constraint_index)
-            if slack is not None:
-                terms[slack] = 1.0
-            if not terms:
-                if pc.min_rows() > 0:
-                    raise SolverError(
-                        f"constraint {pc.name!r} forces rows to exist but its "
-                        "predicate is unsatisfiable"
-                    )
-                continue
-            if (len(terms) == 1 and slack is None and pc.min_rows() == 0
-                    and covered_capacity_total <= pc.max_rows()):
-                continue
-            model.add_constraint(terms, lower=float(pc.min_rows()),
-                                 upper=float(pc.max_rows()))
-        for terms, low, high in (extra_constraints or []):
-            model.add_constraint(terms, lower=low, upper=high)
-        return model
-
-    def _rebuild_objective(self, variant: str, coefficients: dict[int, float],
-                           sense: Sense) -> tuple[SolutionStatus, float | None]:
-        profiles = self._profiles if variant == _FULL else self._active
-        extra = None
-        if variant == _ACTIVE_FLOOR:
-            extra = [({f"x{p.index}": 1.0 for p in profiles}, 1.0, _INF)]
-        model = self._rebuild_model(profiles, coefficients, sense, extra)
-        backend = self._backend
-        if model.is_pure_box_problem():
-            backend = "greedy"
-        solution = solve_milp(model, backend=backend)
-        return solution.status, solution.objective
 
     # ------------------------------------------------------------------ #
     # Shared solve plumbing
@@ -462,13 +416,6 @@ class BoundProgram:
         if count == 0:
             return []
         get_tracer().add("solver_calls", count)
-        if not self._reuse:
-            profiles = self._profiles if variant == _FULL else self._active
-            return [self._rebuild_objective(
-                variant,
-                {profile.index: float(value)
-                 for profile, value in zip(profiles, row)},
-                sense) for row in rows]
         matrix = np.array(rows, dtype=float)
         if matrix.ndim != 2:
             matrix = matrix.reshape(count, -1)
@@ -493,11 +440,7 @@ class BoundProgram:
                               ) -> LPSolution:
         """Maximise over the full skeleton, returning per-cell allocations."""
         named = {f"x{index}": value for index, value in coefficients.items()}
-        if self._reuse:
-            return self._skeleton(_FULL).solve_solution(named, Sense.MAXIMIZE)
-        model = self._rebuild_model(self._profiles, coefficients, Sense.MAXIMIZE)
-        backend = "greedy" if model.is_pure_box_problem() else self._backend
-        return solve_milp(model, backend=backend)
+        return self._skeleton(_FULL).solve_solution(named, Sense.MAXIMIZE)
 
     # ------------------------------------------------------------------ #
     # Execution: one entry point per aggregate
@@ -874,7 +817,9 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
     return brackets[False][0], brackets[True][1]
 
 
-def compile_plan(plan: BoundPlan, decomposition: CellDecomposition, *,
-                 reuse: bool = True) -> BoundProgram:
-    """Compile an optimized plan + its decomposition into a program."""
-    return BoundProgram(plan, decomposition, reuse=reuse)
+def compile_plan(plan: BoundPlan, decomposition: CellDecomposition
+                 ) -> BoundProgram:
+    """Compile a plan and its decomposition into a program (every plan the
+    solver compiles has been through :func:`~repro.plan.passes.optimize_plan`;
+    tests compile raw plans to check that the passes preserve ranges)."""
+    return BoundProgram(plan, decomposition)

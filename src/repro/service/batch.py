@@ -1,21 +1,19 @@
 """Concurrent execution of contingency-query batches.
 
 Production traffic arrives as batches — a dashboard refresh fires dozens of
-aggregate queries against the same constraint session at once.  Two
-observations shape the executor:
+aggregate queries against the same constraint session at once.  Queries
+are independent, so they fan out over a worker pool.  The pool is
+**persistent** (:class:`~repro.parallel.pool.WorkerPool`): the executor
+borrows the service's pool (or lazily owns one) instead of spinning a fresh
+executor per batch, so process workers keep warm program caches across
+batches — the first batch ships compiled skeletons and registers the
+session on each worker, every later batch ships only keys and queries.
 
-* Queries cluster on a few WHERE regions (per-widget filters), and the
-  expensive step — cell decomposition — depends only on the region.  The
-  executor therefore groups the batch by region and *warms* each distinct
-  region's decomposition first, so the MILP solves that follow all run
-  against cached decompositions.
-* Warm queries are independent, so they fan out over a worker pool.  The
-  pool is **persistent** (:class:`~repro.parallel.pool.WorkerPool`): the
-  executor borrows the service's pool (or lazily owns one) instead of
-  spinning a fresh executor per batch, so process workers keep warm
-  program caches across batches — the first batch ships compiled skeletons
-  and registers the session on each worker, every later batch ships only
-  keys and queries.
+Inline, each query compiles its program on demand inside ``analyze``, and
+only when the range tier misses; queries sharing a (region, attribute)
+pair share one cached program, and pairs sharing a region share one
+decomposition.  A process batch compiles each query's program in the
+caller's process, because it ships the program to its worker.
 
 Results come back in input order, each paired with the same
 :class:`~repro.core.engine.ContingencyReport` a sequential
@@ -111,11 +109,11 @@ class BatchExecutor:
         Pool width (default: ``min(8, cpu_count)``).  ``1`` degrades
         gracefully to sequential execution.
     mode:
-        The pool flavour for phase 2 (``"serial"``, inline, by default;
-        ``"process"`` for the warm persistent-pool path).  Phase 1
-        (program warming) always runs in the caller's process — warming
-        must populate the *parent's* caches, which a worker process cannot
-        do.
+        The pool flavour (``"serial"``, inline, by default; ``"process"``
+        for the warm persistent-pool path).  A process batch compiles and
+        ships its programs first, in the caller's process, and reports
+        that time as ``warm_seconds`` (the ``batch.warm`` span); an inline
+        batch reports 0.
     pool:
         A long-lived :class:`~repro.parallel.pool.WorkerPool` to borrow
         (the service passes its own).  When omitted the executor lazily
@@ -223,41 +221,22 @@ class BatchExecutor:
             "TRUE" if region is None else repr(region): len(positions)
             for region, positions in groups.items()
         }
-        program_groups = self.group_by_program(queries)
-        statistics.program_groups = len(program_groups)
+        statistics.program_groups = len(self.group_by_program(queries))
 
-        # Phase 1 — warm one compiled program per distinct (region,
-        # attribute) pair.  Pairs sharing a region share one cached
-        # decomposition underneath, so this still decomposes each region
-        # exactly once; the per-key locking inside a shared cache dedupes
-        # any overlap with concurrent batches.
+        # Serial mode answers inline, compiling on demand.  Process mode
+        # registers the session on each involved worker once, pre-ships
+        # the compiled skeletons to their affinity workers, and from then
+        # on ships only keys.  Backends that are not process-safe run
+        # inline.
         tracer = get_tracer()
-        pairs = list(program_groups)
-        with timed("batch.warm_seconds") as warm_timer, \
-                tracer.span("batch.warm"):
-            tracer.annotate(programs=len(pairs))
-            for region, attribute in pairs:
-                analyzer.prepare(region, attribute)
-        statistics.warm_seconds = warm_timer.seconds
-
-        # Phase 2 — every query now runs against a warm program, fanned out
-        # through the persistent worker pool.  Serial mode answers inline;
-        # process mode registers the session on each involved worker once,
-        # pre-ships the warm compiled skeletons to their affinity workers,
-        # and from then on ships only keys — the per-batch fork/pickle cost
-        # the per-call executor used to pay is gone.  Backends that are not
-        # process-safe run inline.
         pool = pool_for_backend(self._borrowed_pool(),
                                 analyzer.options.milp_backend)
         statistics.executor_mode = pool.mode
         before = pool.statistics.snapshot()
-        with timed("batch.execute_seconds") as execute_timer, \
-                tracer.span("batch.execute"):
-            tracer.annotate(queries=len(queries), mode=pool.mode)
-            if pool.mode == "process":
+        if pool.mode == "process":
+            with timed("batch.warm_seconds") as warm_timer, \
+                    tracer.span("batch.warm"):
                 solver = analyzer.solver
-                key = session_key or session_fingerprint(
-                    analyzer.pcset, analyzer.observed, analyzer.options)
                 entries = {}
                 keyed_queries = []
                 for query in queries:
@@ -266,12 +245,18 @@ class BatchExecutor:
                     program = solver.program(query.region, query.attribute)
                     entries[program_key] = program
                     keyed_queries.append((program_key, program, query))
+                tracer.annotate(programs=len(entries))
                 pool.warm(entries)
-                reports = pool.analyze(key, analyzer, keyed_queries)
-            else:
-                keyed_queries = [(None, None, query) for query in queries]
-                reports = pool.analyze(session_key or "batch", analyzer,
-                                       keyed_queries)
+            statistics.warm_seconds = warm_timer.seconds
+            key = session_key or session_fingerprint(
+                analyzer.pcset, analyzer.observed, analyzer.options)
+        else:
+            key = session_key or "batch"
+            keyed_queries = [(None, None, query) for query in queries]
+        with timed("batch.execute_seconds") as execute_timer, \
+                tracer.span("batch.execute"):
+            tracer.annotate(queries=len(queries), mode=pool.mode)
+            reports = pool.analyze(key, analyzer, keyed_queries)
         statistics.execute_seconds = execute_timer.seconds
         after = pool.statistics.snapshot()
         # Pool traffic attributed to this batch as a before/after delta of

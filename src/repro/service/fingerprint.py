@@ -138,7 +138,8 @@ def fingerprint_query(query: ContingencyQuery) -> str:
 
 
 def fingerprint_bound_options(options: BoundOptions) -> str:
-    """Content hash of the solver tuning knobs (plan-pipeline knobs included).
+    """Content hash of the solver tuning knobs: one token per field but
+    the deadline.
 
     ``solve_workers`` participates because sharded and serial execution may
     legitimately differ under approximate (early-stopped) enumeration; the
@@ -157,8 +158,6 @@ def fingerprint_bound_options(options: BoundOptions) -> str:
         "" if options.early_stop_depth is None else str(options.early_stop_depth),
         str(int(options.check_closure)),
         "" if options.cell_budget is None else str(options.cell_budget),
-        str(int(options.optimize)),
-        str(int(options.program_reuse)),
         "" if options.solve_workers is None else str(options.solve_workers),
         "" if options.verify_backend is None else str(options.verify_backend),
         "" if options.degrade is None else str(options.degrade),
@@ -296,18 +295,16 @@ def decomposition_namespace(pcset: PredicateConstraintSet,
     """The cache namespace for decompositions of ``pcset`` under ``options``.
 
     Only the knobs that change the *decomposition itself* participate:
-    strategy, early-stop depth, and the plan-pipeline knobs that decide what
-    gets decomposed (the optimizer toggle and the cell budget behind
-    strategy selection).  The MILP backend and the closure check act after
-    decomposition, so solvers that differ only in those still share cached
-    decompositions.
+    strategy, early-stop depth, and the cell budget behind strategy
+    selection, which decides what gets decomposed.  The MILP backend and
+    the closure check act after decomposition, so solvers that differ only
+    in those still share cached decompositions.
     """
     tokens = [
         "decomposition-namespace",
         fingerprint_pcset(pcset),
         options.strategy.value,
         "" if options.early_stop_depth is None else str(options.early_stop_depth),
-        str(int(options.optimize)),
         "" if options.cell_budget is None else str(options.cell_budget),
     ]
     return _digest(tokens)

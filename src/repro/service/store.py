@@ -52,8 +52,10 @@ __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 #: keeps integral cells next to fractional endpoints, which version 1
 #: decompositions and reports could miss.  Version 3: under a cell budget
 #: the early-stop depth follows from the plan alone, while version 2 entries
-#: may carry a depth learned from earlier traffic.
-SCHEMA_VERSION = 3
+#: may carry a depth learned from earlier traffic.  Version 4: a cell whose
+#: covering constraints' bounds on any attribute are empty holds no rows,
+#: where version 3 ranges (COUNT above all) could still place rows there.
+SCHEMA_VERSION = 4
 
 _DB_FILENAME = "repro-cache.sqlite"
 

@@ -92,10 +92,6 @@ class MILPModel:
     def variable_names(self) -> list[str]:
         return list(self.objective)
 
-    def is_pure_box_problem(self) -> bool:
-        """True when there are no coupling constraints (disjoint PC case)."""
-        return not self.constraints
-
 
 class MILPBackend:
     """Names of the available solving strategies."""

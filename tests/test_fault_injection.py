@@ -437,9 +437,16 @@ class TestDegradation:
         assert counter_value("queries.degraded") == degraded_before + 1
 
     def test_unknown_degrade_policy_rejected(self):
-        solver = make_solver(degrade="optimistic", solve_workers=WORKERS)
+        # Rejected when the options are built, not when a sharded query
+        # first reads the policy.
         with pytest.raises(ReproError, match="degrade"):
-            solver.bound(AggregateFunction.SUM, "v")
+            make_solver(degrade="optimistic", solve_workers=WORKERS)
+
+    def test_degrade_typo_rejected_on_the_serial_path(self):
+        """The serial path never reads the policy, so a typo used to
+        answer as if no policy were set."""
+        with pytest.raises(ReproError, match="degrade"):
+            make_solver(degrade="worst_case")
 
 
 # --------------------------------------------------------------------- #

@@ -380,6 +380,37 @@ class TestRangeTier:
             assert_reports_identical(report, expected)
             assert report.observed_rows == expected.observed_rows
 
+    def test_restarted_batch_compiles_nothing_the_range_tier_answers(
+            self, tmp_path):
+        """A batch compiles a program only when a query misses the range
+        tier: the same restart through ``execute_batch`` reads every range
+        from the store and compiles nothing.  The pool mode is pinned,
+        because a process batch compiles each program to ship it."""
+        region = Predicate.range("utc", 12, 13)
+        queries = [maker(region) for maker in NON_AVG]
+        with ContingencyService(max_workers=1, pool_mode="serial",
+                                cache_dir=str(tmp_path)) as service:
+            service.register("outage", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            service.execute_batch("outage", queries)
+            service.append_rows("outage", [(12.6, 9.0)])
+
+        appended = build_observed().append([(12.6, 9.0)])
+        with ContingencyService(max_workers=1, pool_mode="serial",
+                                cache_dir=str(tmp_path)) as warm:
+            warm.register("outage", build_pcset(), observed=appended,
+                          options=FAST)
+            result = warm.execute_batch("outage", queries)
+            statistics = warm.statistics()
+            assert statistics.programs_compiled == 0
+            assert statistics.decompositions_computed == 0
+            assert statistics.store["hits"] == len(NON_AVG)
+            assert result.statistics.warm_seconds == 0.0
+
+        cold = PCAnalyzer(build_pcset(), observed=appended, options=FAST)
+        for query, report in zip(queries, result.reports):
+            assert_reports_identical(report, cold.analyze(query))
+
     def test_avg_is_never_memoized(self):
         region = Predicate.range("utc", 11, 13)
         query = ContingencyQuery.avg("price", region)

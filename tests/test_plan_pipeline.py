@@ -1,15 +1,10 @@
 """Tests for the plan pipeline: IR, optimizer passes, compiled programs.
 
-Two properties anchor this module:
-
-* **optimizer passes preserve bounds** — every pass (region pruning,
-  duplicate merging) yields the same result range as the unoptimized plan,
-  and strategy selection under a cell budget can only loosen, never cross,
-  the exact range;
-* **compile-once equals rebuild-per-solve** — the compiled-program path
-  (skeleton + parameter patching) returns the same ranges as the
-  pre-pipeline behaviour of rebuilding every MILP from scratch, across the
-  soundness suite's scenario and all five aggregates.
+One property anchors this module: **optimizer passes preserve bounds** —
+every pass (region pruning, duplicate merging) yields the same result range
+as the unoptimized plan, and strategy selection under a cell budget can
+only loosen, never cross, the exact range.  Whether those ranges are the
+true extremes is ``tests/test_range_oracle.py``'s question.
 """
 
 from __future__ import annotations
@@ -18,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import BoundOptions, PCBoundSolver
-from repro.core.builders import build_corr_pcs
-from repro.core.cells import DecompositionStrategy
+from repro.core.cells import decompose_cached
 from repro.core.constraints import (
     FrequencyConstraint,
     PredicateConstraint,
@@ -29,10 +23,9 @@ from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.core.ranges import ResultRange
-from repro.datasets.intel_wireless import generate_intel_wireless
 from repro.exceptions import SolverError
 from repro.experiments.reporting import format_result_range_table, intersect_ranges
-from repro.plan import BoundQuery, build_plan, optimize_plan
+from repro.plan import BoundQuery, build_plan, compile_plan, optimize_plan
 from repro.plan.passes import (
     ConstraintMergingPass,
     RegionPruningPass,
@@ -45,8 +38,6 @@ from repro.solvers.registry import (
     register_backend,
     resolve_backend,
 )
-from repro.workloads.missing import remove_correlated
-from repro.workloads.queries import QueryWorkloadSpec, generate_query_workload
 
 NO_CLOSURE = BoundOptions(check_closure=False)
 ALL_AGGREGATES = [
@@ -75,6 +66,21 @@ def window_pcset() -> PredicateConstraintSet:
         pc(50, 52, 700.0, 10, min_rows=3, name="far-mandatory"),
         pc(60, 62, 900.0, 5, name="far-optional-2"),
     ])
+
+
+def raw_plan_bound(pcset: PredicateConstraintSet,
+                   aggregate: AggregateFunction, attribute: str | None = None,
+                   region: Predicate | None = None, known_sum: float = 0.0,
+                   known_count: float = 0.0) -> ResultRange:
+    """The range the unoptimized plan compiles to: the solver's pipeline
+    without :func:`optimize_plan`."""
+    plan = build_plan(BoundQuery(aggregate, attribute, region), pcset,
+                      NO_CLOSURE)
+    decomposition = decompose_cached(plan.pcset, region,
+                                     strategy=plan.strategy,
+                                     early_stop_depth=plan.early_stop_depth)
+    return compile_plan(plan, decomposition).bound(aggregate, known_sum,
+                                                   known_count)
 
 
 def assert_ranges_equal(left: ResultRange, right: ResultRange,
@@ -136,13 +142,11 @@ class TestRegionPruningPass:
     def test_pruning_preserves_bounds(self, aggregate, attribute):
         region = Predicate.range("utc", 11, 13)
         optimized = PCBoundSolver(window_pcset(), NO_CLOSURE)
-        raw = PCBoundSolver(window_pcset(),
-                            BoundOptions(check_closure=False, optimize=False))
         assert_ranges_equal(
             optimized.bound(aggregate, attribute, region,
                             known_sum=30.0, known_count=2.0),
-            raw.bound(aggregate, attribute, region,
-                      known_sum=30.0, known_count=2.0),
+            raw_plan_bound(window_pcset(), aggregate, attribute, region,
+                           known_sum=30.0, known_count=2.0),
             rel=1e-6)
 
 
@@ -185,9 +189,7 @@ class TestConstraintMergingPass:
         for aggregate, attribute in ALL_AGGREGATES:
             assert_ranges_equal(
                 PCBoundSolver(pcset, NO_CLOSURE).bound(aggregate, attribute),
-                PCBoundSolver(pcset, BoundOptions(
-                    check_closure=False, optimize=False)).bound(aggregate,
-                                                                attribute),
+                raw_plan_bound(pcset, aggregate, attribute),
                 rel=1e-6)
 
     def test_incompatible_frequencies_left_unmerged(self):
@@ -202,11 +204,9 @@ class TestConstraintMergingPass:
     @pytest.mark.parametrize("aggregate,attribute", ALL_AGGREGATES)
     def test_merging_preserves_bounds(self, aggregate, attribute):
         optimized = PCBoundSolver(self.duplicated_pcset(), NO_CLOSURE)
-        raw = PCBoundSolver(self.duplicated_pcset(),
-                            BoundOptions(check_closure=False, optimize=False))
         assert_ranges_equal(
             optimized.bound(aggregate, attribute),
-            raw.bound(aggregate, attribute),
+            raw_plan_bound(self.duplicated_pcset(), aggregate, attribute),
             rel=1e-6)
 
 
@@ -312,50 +312,8 @@ class TestStrategySelectionPass:
 
 
 class TestCompiledProgramEquivalence:
-    """Acceptance: compile-once results == rebuild-per-solve results."""
-
-    @pytest.fixture(scope="class")
-    def scenario(self):
-        relation = generate_intel_wireless(num_rows=2_000, seed=31)
-        scenario = remove_correlated(relation, 0.5, "light", highest=True)
-        pcset_args = (scenario.missing, "light", 20)
-        spec = QueryWorkloadSpec(AggregateFunction.SUM, "light",
-                                 ("device_id", "time"), num_queries=6)
-        queries = generate_query_workload(
-            scenario.observed.concat(scenario.missing), spec, seed=17)
-        return pcset_args, queries
-
-    def build_solver(self, pcset_args, reuse: bool) -> PCBoundSolver:
-        pcset = build_corr_pcs(*pcset_args, candidates=["device_id", "time"])
-        return PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                 program_reuse=reuse))
-
-    def test_identical_ranges_on_soundness_scenario(self, scenario):
-        pcset_args, queries = scenario
-        compiled = self.build_solver(pcset_args, reuse=True)
-        rebuilt = self.build_solver(pcset_args, reuse=False)
-        for query in queries:
-            assert_ranges_equal(
-                compiled.bound(query.aggregate, query.attribute, query.region),
-                rebuilt.bound(query.aggregate, query.attribute, query.region),
-                rel=1e-6)
-
-    def test_identical_ranges_across_aggregates(self, scenario):
-        pcset_args, _queries = scenario
-        compiled = self.build_solver(pcset_args, reuse=True)
-        rebuilt = self.build_solver(pcset_args, reuse=False)
-        for aggregate, attribute in [
-                (AggregateFunction.COUNT, None),
-                (AggregateFunction.SUM, "light"),
-                (AggregateFunction.AVG, "light"),
-                (AggregateFunction.MIN, "light"),
-                (AggregateFunction.MAX, "light")]:
-            assert_ranges_equal(
-                compiled.bound(aggregate, attribute,
-                               known_sum=120.0, known_count=10.0),
-                rebuilt.bound(aggregate, attribute,
-                              known_sum=120.0, known_count=10.0),
-                rel=1e-6)
+    """One compiled program per (region, attribute) pair serves every
+    aggregate over it."""
 
     def test_program_compiled_once_per_region_attribute(self):
         solver = PCBoundSolver(window_pcset(), NO_CLOSURE)
@@ -371,11 +329,11 @@ class TestCompiledProgramEquivalence:
 
 class TestPrivateCacheConcurrency:
     def test_parallel_warm_compiles_each_pair_once(self):
-        """Cache-less analyzers warm distinct pairs in parallel, exactly once.
+        """A cache-less analyzer compiles each pair of a batch exactly once.
 
         Programs for one region but different attributes share a single
-        decomposition even when compiled concurrently (per-key locking in
-        the private caches).
+        decomposition (per-key locking in the private caches keeps that
+        true when they compile concurrently).
         """
         from repro.service import BatchExecutor
 

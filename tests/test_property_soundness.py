@@ -386,26 +386,29 @@ def test_solve_objectives_matches_row_by_row(seed, pure_box):
             assert value == want_value, (sense, row, value, want_value)
 
 
-#: The backends whose batched paths the rebuild reference pins: scipy runs
-#: the compiled multi-RHS kernel, branch-and-bound and relaxation the
-#: materialize-once dispatch loop.
+#: The backends whose batched paths these tests compare: scipy runs the
+#: compiled multi-RHS kernel, branch-and-bound and relaxation the
+#: materialize-once dispatch loop.  Whether a backend's ranges are the true
+#: extremes is ``tests/test_range_oracle.py``'s question; here a range must
+#: not depend on its batch or on the fan-out.
 REFERENCE_BACKENDS = ["scipy", "branch-and-bound", "relaxation"]
 
 
 @pytest.mark.parametrize("backend", REFERENCE_BACKENDS)
 def test_bound_batch_matches_per_request_across_backends(backend):
-    """One ``bound_batch`` == per-request rebuild solves, on every backend.
+    """One ``bound_batch`` == width-1 ``bound`` calls, on every backend.
 
-    The reference (``program_reuse=False``) builds and solves a fresh MILP
-    model for every objective, so it shares no skeleton and no kernel
-    entry with the batch under test; all five aggregates must agree (up to
-    float summation order, like every path comparison in this harness).
+    A range must not depend on what else shares its batch.  The reference
+    is a fresh program of the same backend answering one request per
+    call, so it shares no skeleton and no kernel entry with the batch under
+    test; all five aggregates must agree (up to float summation order, like
+    every path comparison in this harness).
     """
     _, _, _, pcset, _ = scenario(606, "mandatory")
     program = PCBoundSolver(pcset, BoundOptions(milp_backend=backend)
                             ).program(None, "v")
-    reference = PCBoundSolver(pcset, BoundOptions(
-        milp_backend=backend, program_reuse=False)).program(None, "v")
+    reference = PCBoundSolver(pcset, BoundOptions(milp_backend=backend)
+                              ).program(None, "v")
     requests = [(aggregate, 0.0, 0) for aggregate, _ in AGGREGATES]
     requests.append((AggregateFunction.AVG, 42.0, 11))
     batch = program.bound_batch(requests)
@@ -421,29 +424,26 @@ def test_bound_batch_matches_per_request_across_backends(backend):
 @pytest.mark.parametrize("seed", [515, 616])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_batched_solves_identical_to_unbatched(seed, kind):
-    """Batched serial and sharded solves == the unbatched rebuild reference.
+    """Sharded solves == the same backend's serial solves.
 
-    ``program_reuse=False`` rebuilds the MILP and solves one objective at a
-    time; the batched kernel path, serial and thread-sharded alike, must
-    return the same endpoints (up to float summation order) for all five
-    aggregates on all three backends.
+    The sharded solver (``solve_workers=3``) batches each shard's solves
+    and merges them, or fans out the enumeration, and must return the same
+    endpoints (up to float summation order) as one serial program for all
+    five aggregates on all three backends.
     """
     _, _, _, pcset, queries = scenario(seed, kind)
     for backend in REFERENCE_BACKENDS:
-        reference = PCBoundSolver(pcset, BoundOptions(milp_backend=backend,
-                                                      program_reuse=False))
-        batched = [PCBoundSolver(pcset, BoundOptions(milp_backend=backend)),
-                   PCBoundSolver(pcset, BoundOptions(milp_backend=backend,
-                                                     solve_workers=3))]
+        serial = PCBoundSolver(pcset, BoundOptions(milp_backend=backend))
+        sharded = PCBoundSolver(pcset, BoundOptions(milp_backend=backend,
+                                                    solve_workers=3))
         for query in queries:
-            want = reference.bound(query.aggregate, query.attribute,
-                                   query.region)
-            for solver in batched:
-                got = solver.bound(query.aggregate, query.attribute,
-                                   query.region)
-                assert_same_range(want, got, query,
-                                  f"{backend} batched vs rebuild")
-                assert got.closed == want.closed, (backend, query.describe())
+            want = serial.bound(query.aggregate, query.attribute,
+                                query.region)
+            got = sharded.bound(query.aggregate, query.attribute,
+                                query.region)
+            assert_same_range(want, got, query,
+                              f"{backend} sharded vs serial")
+            assert got.closed == want.closed, (backend, query.describe())
 
 
 def test_batched_process_pool_matches_serial():
