@@ -5,7 +5,9 @@ Stopping the satisfiability search after the first K levels trades bound
 tightness for decomposition time: unverified cells are assumed satisfiable,
 which can only loosen (never invalidate) the bound.  The benchmark measures
 both effects against the exact decomposition on the same overlapping
-constraint set.
+constraint set.  The solver always enumerates exactly, so each depth's
+program is compiled here from :class:`CellDecomposer`'s early-stopped
+enumeration.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bounds import BoundOptions, PCBoundSolver
+from repro.core.bounds import BoundOptions
 from repro.core.builders import build_random_overlapping_boxes
 from repro.core.cells import CellDecomposer, DecompositionStrategy
 from repro.datasets.intel_wireless import generate_intel_wireless
+from repro.plan import BoundQuery, build_plan, compile_plan
 from repro.relational.aggregates import AggregateFunction
 
 
@@ -31,9 +34,11 @@ def pcset():
 
 
 def _bound_with_depth(pcset, early_stop_depth):
-    options = BoundOptions(check_closure=False, early_stop_depth=early_stop_depth)
-    solver = PCBoundSolver(pcset, options)
-    return solver.bound(AggregateFunction.SUM, "light")
+    plan = build_plan(BoundQuery(AggregateFunction.SUM, "light"), pcset,
+                      BoundOptions(check_closure=False))
+    decomposition = CellDecomposer(
+        pcset, early_stop_depth=early_stop_depth).decompose()
+    return compile_plan(plan, decomposition).bound(AggregateFunction.SUM)
 
 
 @pytest.mark.paper_artifact("ablation-early-stopping")

@@ -98,9 +98,8 @@ def test_region_sharded_enumeration_vs_serial(bench_record):
         # well under the serial enumeration's cost.
         per_shard_calls = []
         for shard in sharded:
-            decomposition = CellDecomposer(
-                shard.plan.pcset, shard.plan.strategy,
-                shard.plan.early_stop_depth).decompose(shard.plan.query.region)
+            decomposition = CellDecomposer(shard.plan.pcset).decompose(
+                shard.plan.query.region)
             per_shard_calls.append(decomposition.statistics.solver_calls)
         assert max(per_shard_calls) <= 0.8 * serial_calls, (
             f"critical shard pays {max(per_shard_calls)} of "

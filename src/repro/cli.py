@@ -201,26 +201,12 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     """The plan-pipeline knobs shared by ``bound`` and ``serve-batch``."""
-    from .core.cells import DecompositionStrategy
-
     group = parser.add_argument_group("solver options")
     group.add_argument("--backend", default=None, metavar="NAME",
                        help="MILP backend for the bound programs: scipy "
                             "(HiGHS, the default), branch-and-bound, "
                             "relaxation, or any name added via "
                             "repro.solvers.register_backend")
-    group.add_argument("--strategy", default=None,
-                       choices=[member.value for member in DecompositionStrategy],
-                       help="cell-decomposition strategy "
-                            "(default: dfs-rewrite)")
-    group.add_argument("--early-stop-depth", type=int, default=None,
-                       metavar="DEPTH",
-                       help="assume satisfiability below this DFS depth "
-                            "(approximate, still sound; default: exact)")
-    group.add_argument("--cell-budget", type=int, default=None,
-                       metavar="CELLS",
-                       help="let the plan optimizer early-stop automatically "
-                            "when the worst-case cell count exceeds CELLS")
     group.add_argument("--verify-backend", default=None, metavar="NAME",
                        help="cross-check every range on this second MILP "
                             "backend and fail loudly when the two backends "
@@ -241,23 +227,12 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
 def _solver_options(args: argparse.Namespace):
     """Build :class:`BoundOptions` from the shared solver flags."""
     from .core.bounds import BoundOptions
-    from .core.cells import DecompositionStrategy
 
     options = BoundOptions(check_closure=not args.no_closure_check)
     if args.backend is not None:
         options.milp_backend = _validated_backend(args.backend)
     if args.verify_backend is not None:
         options.verify_backend = _validated_backend(args.verify_backend)
-    if args.strategy is not None:
-        options.strategy = DecompositionStrategy.parse(args.strategy)
-    if args.early_stop_depth is not None:
-        if args.early_stop_depth < 1:
-            raise ReproError("--early-stop-depth must be at least 1")
-        options.early_stop_depth = args.early_stop_depth
-    if args.cell_budget is not None:
-        if args.cell_budget < 1:
-            raise ReproError("--cell-budget must be at least 1")
-        options.cell_budget = args.cell_budget
     if args.deadline is not None:
         if args.deadline <= 0:
             raise ReproError("--deadline must be positive")
@@ -373,10 +348,7 @@ def _command_bound(args: argparse.Namespace) -> int:
     print(f"query           : {query.describe()}")
     print(f"constraints     : {len(pcset)} from {args.constraints}")
     print(f"plan            : {plan.num_constraints} constraint(s), "
-          f"strategy {plan.strategy.value}"
-          + ("" if plan.early_stop_depth is None
-             else f" (early-stop depth {plan.early_stop_depth})")
-          + f", backend {plan.milp_backend}")
+          f"backend {plan.milp_backend}")
     for note in plan.trace:
         print(f"                  - {note}")
     if options.solve_workers is not None and options.solve_workers > 1:

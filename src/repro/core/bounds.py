@@ -8,13 +8,12 @@ constraints.
 Since the plan-pipeline refactor the solver is a thin facade over
 :mod:`repro.plan`: every query is lowered to a logical
 :class:`~repro.plan.BoundPlan`, optimized (region pruning, duplicate
-merging, budget-driven strategy selection), compiled into a
-:class:`~repro.plan.BoundProgram` — decomposition, cell profiles, slack
-layout and MILP skeleton materialized once — and executed by patching
-parameters into that program.  Programs are cached per (region, attribute),
-privately or in a shared LRU supplied by the service layer, so repeated
-queries (and every probe of AVG's binary search) skip model construction
-entirely.
+merging), compiled into a :class:`~repro.plan.BoundProgram` — exact cell
+decomposition, cell profiles, slack layout and MILP skeleton materialized
+once — and executed by patching parameters into that program.  Programs
+are cached per (region, attribute), privately or in a shared LRU supplied
+by the service layer, so repeated queries (and every probe of AVG's binary
+search) skip model construction entirely.
 
 One deviation from the paper's informal description is documented here
 because it matters for soundness: when a query predicate is pushed down and
@@ -42,7 +41,7 @@ from ..relational.aggregates import AggregateFunction
 from ..solvers.milp import MILPBackend
 from .cells import (
     CellDecomposition,
-    DecompositionStrategy,
+    _structural_namespace,
     decompose_cached,
     estimate_cell_count,
 )
@@ -60,17 +59,13 @@ _INF = float("inf")
 class BoundOptions:
     """Tuning knobs for :class:`PCBoundSolver`.
 
-    The first block configures decomposition and solving.  Every plan runs
-    through the bound-preserving optimizer passes (region pruning,
-    duplicate merging, strategy selection) and executes as a compiled
-    program; the second block is the one knob that steers the passes:
+    The first block configures solving: the MILP backend and the closure
+    check.  Every plan runs through the bound-preserving optimizer passes
+    (region pruning, duplicate merging), enumerates its cells exactly (DFS
+    with rewriting, no early stop) and executes as a compiled program; no
+    option changes the enumeration.
 
-    ``cell_budget``
-        Worst-case cell count above which the strategy-selection pass trades
-        exactness for an early-stopped (still sound, possibly looser)
-        enumeration.  ``None`` (default) always enumerates exactly.
-
-    The third block configures parallel fan-out and verification
+    The second block configures parallel fan-out and verification
     (see :mod:`repro.parallel`):
 
     ``solve_workers``
@@ -89,7 +84,7 @@ class BoundOptions:
         alarm).  Must name a backend different from ``milp_backend`` to be
         a meaningful oracle, though equal names are tolerated.
 
-    The fourth block configures fault tolerance (see :mod:`repro.faults`):
+    The third block configures fault tolerance (see :mod:`repro.faults`):
 
     ``deadline_seconds``
         Wall-clock budget per :meth:`PCBoundSolver.bound` call
@@ -112,11 +107,8 @@ class BoundOptions:
         construction.
     """
 
-    strategy: DecompositionStrategy = DecompositionStrategy.DFS_REWRITE
     milp_backend: str = MILPBackend.SCIPY
-    early_stop_depth: int | None = None
     check_closure: bool = True
-    cell_budget: int | None = None
     solve_workers: int | None = None
     verify_backend: str | None = None
     deadline_seconds: float | None = None
@@ -185,9 +177,9 @@ class PCBoundSolver:
         threaded use).
     cache_namespace:
         Overrides the namespace used inside a shared cache.  Defaults to a
-        structural key derived from the constraint set's content and the
-        decomposition knobs, which is always sound; the service layer passes
-        its fingerprint-based namespace instead.
+        structural key derived from the constraint set's content, which is
+        always sound; the service layer passes its fingerprint-based
+        namespace instead.
     program_cache:
         Optional shared cache for compiled :class:`BoundProgram` objects
         (same protocol as ``decomposition_cache``).  When omitted, programs
@@ -292,16 +284,13 @@ class PCBoundSolver:
                     attribute: str | None = None) -> tuple:
         """The content-derived cache key for the (region, attribute) program.
 
-        The decomposition namespace covers the constraint set's content and
-        the enumeration knobs; the backend and the cell budget are appended
-        explicitly because they change the compiled artifact.
-        The early-stop depth is a function of these, so the key is stable
-        across processes: the worker pool addresses warm worker-side caches
-        with the parent's keys.
+        The decomposition namespace covers the constraint set's content; the
+        backend is appended because it changes the compiled artifact.  The
+        key is stable across processes: the worker pool addresses warm
+        worker-side caches with the parent's keys.
         """
-        options = self._options
-        return ("program", self._namespace(), options.milp_backend,
-                options.cell_budget, region, attribute)
+        return ("program", self._namespace(), self._options.milp_backend,
+                region, attribute)
 
     def shard_program_key(self, shard, region: Predicate | None,
                           attribute: str | None) -> tuple:
@@ -409,8 +398,9 @@ class PCBoundSolver:
                           attribute: str | None, region: Predicate | None,
                           known_sum: float, known_count: float) -> ResultRange:
         """:meth:`_bound_missing` behind the range cache (see the class
-        docstring).  ``solve_workers`` joins the key because sharded and
-        serial ranges may differ under early-stopped enumeration."""
+        docstring).  ``solve_workers`` joins the key because a
+        component-sharded SUM adds up its shards' optima where the serial
+        path solves one objective, so the two may differ by an ulp or two."""
         cache = self._range_cache
         if cache is None or aggregate is AggregateFunction.AVG:
             return self._bound_missing(aggregate, attribute, region,
@@ -645,8 +635,8 @@ class PCBoundSolver:
         """The optimized logical plan for anything query-shaped.
 
         Introspection entry point: ``solver.plan(query).describe()`` shows
-        which constraints survive pruning/merging and which enumeration
-        strategy the compiled program will use.
+        which constraints survive pruning/merging and which backend the
+        compiled program will solve with.
         """
         tracer = get_tracer()
         with tracer.span("plan"):
@@ -745,10 +735,7 @@ class PCBoundSolver:
     def _namespace(self) -> object:
         if self._cache_namespace is not None:
             return self._cache_namespace
-        from .cells import _structural_namespace
-
-        return _structural_namespace(self._pcset, self._options.strategy,
-                                     self._options.early_stop_depth)
+        return _structural_namespace(self._pcset)
 
     def _compile(self, region: Predicate | None,
                  attribute: str | None) -> BoundProgram:
@@ -779,14 +766,11 @@ class PCBoundSolver:
         namespace = None
         if self._shared_cache is not None and self._cache_namespace is not None:
             namespace = ("plan-shard", self._cache_namespace,
-                         self._options.cell_budget, plan.early_stop_depth,
                          shard.cache_token())
         tracer = get_tracer()
         with tracer.span("compile.shard"):
             decomposition = decompose_cached(
                 plan.pcset, region,
-                strategy=plan.strategy,
-                early_stop_depth=plan.early_stop_depth,
                 cache=self._shared_cache,
                 namespace=namespace,
                 on_compute=self._record_decomposition)
@@ -876,9 +860,8 @@ class PCBoundSolver:
         Each task carries its shard's full constraint set and sub-region
         (self-contained, so any worker can run it); routing keys reuse the
         shard program keys, so repeated sharded queries keep their affinity
-        workers.  The shard plans inherit the parent's strategy and
-        early-stop depth, which is what makes the merged cell set equal the
-        serial enumeration under every knob combination.  Every shard goes
+        workers.  Every shard enumerates exactly, like the serial path, so
+        the merged cell set equals the serial enumeration.  Every shard goes
         to the pool; the caller caches the merged decomposition whole,
         under the parent region's key, exactly like an inline one.
 
@@ -893,8 +876,7 @@ class PCBoundSolver:
         region = plan.query.region
         attribute = plan.query.attribute
         keyed = [(self.shard_program_key(shard, region, attribute),
-                  shard.plan.pcset, shard.plan.query.region,
-                  shard.plan.strategy, shard.plan.early_stop_depth)
+                  shard.plan.pcset, shard.plan.query.region)
                  for shard in sharded]
         pool = self.borrow_pool(workers)
         batch_size = adaptive_batch_size(
@@ -913,20 +895,14 @@ class PCBoundSolver:
     def _plan_namespace(self, plan: BoundPlan) -> object:
         """The decomposition-cache namespace for ``plan``'s entries.
 
-        The caller's namespace covers the original constraint set and
-        enumeration knobs; the cell budget completes it because strategy
-        selection decides from it what actually gets decomposed.  Every
-        entry is a whole-region decomposition, whose early-stop depth
-        follows from the rest of its key (constraint set, options, region).
-        Without a caller's namespace the structural key of the optimized
-        constraint set names the depth itself.
+        The caller's namespace covers the original constraint set; every
+        entry is a whole-region decomposition of the optimized set, which
+        follows from that set and the region.  Without a caller's namespace
+        the structural key of the optimized constraint set names it.
         """
         if self._cache_namespace is not None:
-            return ("plan", self._cache_namespace, self._options.cell_budget)
-        from .cells import _structural_namespace
-
-        return _structural_namespace(plan.pcset, plan.strategy,
-                                     plan.early_stop_depth)
+            return ("plan", self._cache_namespace)
+        return _structural_namespace(plan.pcset)
 
     def _decompose_plan_inner(self, plan: BoundPlan) -> CellDecomposition:
         region = plan.query.region
@@ -935,8 +911,6 @@ class PCBoundSolver:
             namespace = self._plan_namespace(plan)
             return decompose_cached(
                 plan.pcset, region,
-                strategy=plan.strategy,
-                early_stop_depth=plan.early_stop_depth,
                 cache=self._shared_cache,
                 namespace=namespace,
                 on_compute=self._record_decomposition,
@@ -957,8 +931,6 @@ class PCBoundSolver:
             if decomposition is None:
                 decomposition = decompose_cached(
                     plan.pcset, region,
-                    strategy=plan.strategy,
-                    early_stop_depth=plan.early_stop_depth,
                     on_compute=self._record_decomposition,
                     compute_override=compute_override)
                 with self._program_lock:

@@ -19,8 +19,11 @@ with the paper's four optimisations:
    assumed satisfiable; this can only add cells (loosening but never
    invalidating the bound).
 
-The decomposition reports statistics (cells evaluated, solver calls,
-rewrites) that back the paper's Figure 7.
+The bounding engine enumerates exactly: :func:`decompose_cached` always runs
+DFS with rewriting and no early stop.  :class:`CellDecomposer` still takes
+the other strategies and an early-stop depth, as the reference for Figure 7
+and for Optimisation 4's ablation.  The decomposition reports statistics
+(cells evaluated, solver calls, rewrites) that back the paper's Figure 7.
 """
 
 from __future__ import annotations
@@ -96,16 +99,6 @@ class DecompositionStrategy(enum.Enum):
     NAIVE = "naive"
     DFS = "dfs"
     DFS_REWRITE = "dfs-rewrite"
-
-    @classmethod
-    def parse(cls, text: str) -> "DecompositionStrategy":
-        for member in cls:
-            if member.value == text or member.name.lower() == text.lower():
-                return member
-        raise ConstraintError(
-            f"unknown decomposition strategy {text!r}; expected one of "
-            f"{[member.value for member in cls]}"
-        )
 
 
 @dataclass
@@ -329,53 +322,48 @@ def decomposition_cache_key(namespace: object,
                             query_region: Predicate | None) -> tuple:
     """The cache key under which one decomposition is stored.
 
-    ``namespace`` identifies the constraint set *and* the decomposition
-    strategy (the service layer derives it from content fingerprints so
-    equal constraint sets share entries across analyzers); the query region
-    completes the key because predicate pushdown makes the cell list
-    region-specific.  :class:`~repro.core.predicates.Predicate` hashes by
+    ``namespace`` identifies the constraint set (the service layer derives
+    it from content fingerprints so equal constraint sets share entries
+    across analyzers); the query region completes the key because predicate
+    pushdown makes the cell list region-specific.  :class:`~repro.core.predicates.Predicate` hashes by
     content, so syntactically equal regions collide as intended.
     """
     return ("decomposition", namespace, query_region)
 
 
-def _structural_namespace(pcset: PredicateConstraintSet,
-                          strategy: DecompositionStrategy,
-                          early_stop_depth: int | None) -> tuple:
+def _structural_namespace(pcset: PredicateConstraintSet) -> tuple:
     """A content-derived namespace for callers that did not supply one.
 
     Built purely from hashable-by-content pieces (predicates, value and
-    frequency constraints, domains, strategy knobs), so two equal constraint
-    sets share cache entries while *any* difference — including the
-    decomposition strategy — keys separately.  Keying by object identity
-    instead would be unsound: a shared cache would hand one set's cells to
-    another.
+    frequency constraints, domains), so two equal constraint sets share
+    cache entries while *any* difference keys separately.  Keying by object
+    identity instead would be unsound: a shared cache would hand one set's
+    cells to another.
     """
     constraints = tuple((pc.predicate, pc.values, pc.frequency)
                         for pc in pcset)
     domains = frozenset(pcset.domains.items())
-    return (constraints, domains, strategy, early_stop_depth)
+    return (constraints, domains)
 
 
 def decompose_cached(
     pcset: PredicateConstraintSet,
     query_region: Predicate | None = None,
     *,
-    strategy: DecompositionStrategy = DecompositionStrategy.DFS_REWRITE,
-    early_stop_depth: int | None = None,
     cache=None,
     namespace: object = None,
     on_compute: Callable[[CellDecomposition], None] | None = None,
     compute_override: Callable[[], CellDecomposition] | None = None,
 ) -> CellDecomposition:
-    """Decompose ``pcset``, reusing a previously computed decomposition.
+    """Decompose ``pcset`` exactly, reusing a previously computed
+    decomposition.
 
     This is the single entry point through which the bounding engine and the
-    service layer obtain decompositions: callers that pass a ``cache`` (any
-    object with ``get_or_compute(key, factory)``, e.g.
-    :class:`repro.service.LRUCache`) skip the exponential cell enumeration
-    whenever an equal (namespace, region) pair was decomposed before —
-    across queries, analyzers and threads.  ``on_compute`` fires only for
+    service layer obtain decompositions (DFS with rewriting, no early stop):
+    callers that pass a ``cache`` (any object with ``get_or_compute(key,
+    factory)``, e.g. :class:`repro.service.LRUCache`) skip the exponential
+    cell enumeration whenever an equal (namespace, region) pair was
+    decomposed before — across queries, analyzers and threads.  ``on_compute`` fires only for
     fresh decompositions, which is how callers keep exact solver-call
     accounting even when most traffic is cache hits.
 
@@ -388,17 +376,16 @@ def decompose_cached(
     :mod:`repro.plan.sharding`); anything else would poison shared caches.
 
     ``namespace`` defaults to a structural key derived from the constraint
-    set's content and the strategy knobs, so omitting it is always sound;
-    pass one explicitly (e.g. a service-layer fingerprint) only to make the
-    key cheaper or stable across processes.
+    set's content, so omitting it is always sound; pass one explicitly (e.g.
+    a service-layer fingerprint) only to make the key cheaper or stable
+    across processes.
     """
 
     def compute() -> CellDecomposition:
         if compute_override is not None:
             decomposition = compute_override()
         else:
-            decomposer = CellDecomposer(pcset, strategy, early_stop_depth)
-            decomposition = decomposer.decompose(query_region)
+            decomposition = CellDecomposer(pcset).decompose(query_region)
         if on_compute is not None:
             on_compute(decomposition)
         return decomposition
@@ -406,6 +393,6 @@ def decompose_cached(
     if cache is None:
         return compute()
     if namespace is None:
-        namespace = _structural_namespace(pcset, strategy, early_stop_depth)
+        namespace = _structural_namespace(pcset)
     return cache.get_or_compute(decomposition_cache_key(namespace, query_region),
                                 compute)

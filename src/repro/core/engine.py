@@ -156,8 +156,8 @@ class PCAnalyzer:
         ranges cover the whole relation ``R* ∪ R?``; otherwise they cover
         only the missing partition.
     options:
-        Solver tuning knobs (decomposition strategy, MILP backend, closure
-        checking, fan-out, verification, deadlines).
+        Solver tuning knobs (MILP backend, closure checking, fan-out,
+        verification, deadlines).
     decomposition_cache:
         Optional shared decomposition cache (see
         :class:`~repro.core.bounds.PCBoundSolver`).  The service layer passes
@@ -165,7 +165,7 @@ class PCAnalyzer:
         repeated or region-sharing queries skip re-decomposition.
     cache_namespace:
         Overrides the namespace used inside the shared cache (defaults to a
-        content fingerprint of the constraint set and options).
+        content fingerprint of the constraint set).
     program_cache:
         Optional shared cache of compiled bound programs (see
         :class:`~repro.plan.BoundProgram`); the service layer passes one so

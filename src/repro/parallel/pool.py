@@ -252,10 +252,9 @@ def _handle_decompose_batch(programs, sessions, task):
     tracer = get_tracer()
     results = []
     total = 0
-    for shard_position, pcset, region, strategy, early_stop_depth in entries:
+    for shard_position, pcset, region in entries:
         with tracer.span("pool.decompose"):
-            decomposer = CellDecomposer(pcset, strategy, early_stop_depth)
-            decomposition = decomposer.decompose(region)
+            decomposition = CellDecomposer(pcset).decompose(region)
             tracer.annotate(shard=shard_position,
                             cells=len(decomposition.cells))
         total += len(decomposition.cells)
@@ -890,10 +889,10 @@ class WorkerPool:
                          batch_size: int | None = None) -> list:
         """Enumerate every region shard's cells, in order.
 
-        ``keyed_tasks`` entries are ``(key, pcset, region, strategy,
-        early_stop_depth)`` — the key routes the task to its affinity
-        worker (so a repeated sharded query keeps landing on the same
-        workers), and the rest is the self-contained decomposition job.
+        ``keyed_tasks`` entries are ``(key, pcset, region)`` — the key
+        routes the task to its affinity worker (so a repeated sharded query
+        keeps landing on the same workers), and the rest is the
+        self-contained (exact) decomposition job.
         Returns one :class:`~repro.core.cells.CellDecomposition` per task;
         the caller unions them (:func:`repro.plan.sharding.
         merge_shard_decompositions`).
@@ -913,14 +912,12 @@ class WorkerPool:
             self._record_batch_traffic(len(tasks), len(tasks))
             tracer = get_tracer()
             results = []
-            for position, (_key, pcset, region, strategy,
-                           early_stop_depth) in enumerate(tasks):
+            for position, (_key, pcset, region) in enumerate(tasks):
                 self._check_deadline(position, len(tasks))
                 with tracer.span("pool.decompose"):
                     if len(tasks) > 1:
                         tracer.annotate(shard=position)
-                    decomposition = CellDecomposer(
-                        pcset, strategy, early_stop_depth).decompose(region)
+                    decomposition = CellDecomposer(pcset).decompose(region)
                     tracer.annotate(cells=len(decomposition.cells))
                 results.append(decomposition)
             return results

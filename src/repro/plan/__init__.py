@@ -8,14 +8,13 @@ physical execution:
 ``ir``
     :class:`BoundPlan`, the logical intermediate representation — an
     aggregate query plus the predicate-constraint set it will be bounded
-    under, together with the decomposition/solver knobs chosen so far.
+    under and the MILP backend its program solves with.
 ``passes``
-    Optimizer passes over the IR: query-region constraint pruning,
-    duplicate/subsumed predicate merging, and cell-budget-driven strategy
-    selection.  Every pass is bound-preserving: the optimized plan yields
-    the same result range as the original.
+    Optimizer passes over the IR: query-region constraint pruning and
+    duplicate predicate merging.  Every pass is bound-preserving: the
+    optimized plan yields the same result range as the original.
 ``program``
-    :class:`BoundProgram`, the compiled physical artifact: the cell
+    :class:`BoundProgram`, the compiled physical artifact: the exact cell
     decomposition, per-cell profiles, slack variables and the MILP skeleton
     are materialized once; executions (including every probe of AVG's
     binary search) only patch objective parameters.  Programs are immutable
@@ -39,7 +38,6 @@ from .passes import (
     ConstraintMergingPass,
     PlanPass,
     RegionPruningPass,
-    StrategySelectionPass,
     default_passes,
     optimize_plan,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "PlanPass",
     "RegionPruningPass",
     "ConstraintMergingPass",
-    "StrategySelectionPass",
     "default_passes",
     "optimize_plan",
     "BoundProgram",

@@ -3,10 +3,10 @@
 A :class:`BoundPlan` captures *what* has to be bounded (a
 :class:`BoundQuery`: aggregate, attribute, region) and *under which
 constraints* (a :class:`~repro.core.pcset.PredicateConstraintSet`), plus the
-decomposition/solver knobs the optimizer has settled on so far.  Plans are
-immutable; optimizer passes return amended copies and leave a human-readable
-trace, so ``analyzer.plan_for(query).describe()`` explains exactly how a
-query will be executed.
+MILP backend its program solves with.  Plans are immutable; optimizer
+passes return amended copies and leave a human-readable trace, so
+``analyzer.plan_for(query).describe()`` explains exactly how a query will be
+executed.
 
 This module deliberately avoids importing the engine or the bound solver —
 the pipeline sits *below* them.  :meth:`BoundQuery.of` duck-types any object
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 from ..exceptions import QueryError
 from ..relational.aggregates import AggregateFunction
-from ..core.cells import DecompositionStrategy
 from ..core.pcset import PredicateConstraintSet
 from ..core.predicates import Predicate
 
@@ -69,9 +68,6 @@ class BoundPlan:
     source_pcset:
         The constraint set the user supplied, untouched.  Closure checking
         and user-facing diagnostics run against this one.
-    strategy / early_stop_depth:
-        The cell-enumeration knobs the program will compile with.  Strategy
-        selection may tighten ``early_stop_depth`` under a cell budget.
     milp_backend:
         Registry name of the backend the program's skeleton solves with.
     trace:
@@ -82,10 +78,7 @@ class BoundPlan:
     query: BoundQuery
     pcset: PredicateConstraintSet
     source_pcset: PredicateConstraintSet
-    strategy: DecompositionStrategy = DecompositionStrategy.DFS_REWRITE
-    early_stop_depth: int | None = None
     milp_backend: str = "scipy"
-    cell_budget: int | None = None
     trace: tuple[str, ...] = field(default=())
 
     @property
@@ -111,9 +104,6 @@ class BoundPlan:
             f"  constraints : {len(self.pcset)}"
             + ("" if len(self.pcset) == len(self.source_pcset)
                else f" (from {len(self.source_pcset)})"),
-            f"  strategy    : {self.strategy.value}"
-            + ("" if self.early_stop_depth is None
-               else f", early-stop depth {self.early_stop_depth}"),
             f"  backend     : {self.milp_backend}",
         ]
         for note in self.trace:
@@ -125,19 +115,14 @@ def build_plan(query, pcset: PredicateConstraintSet, options=None) -> BoundPlan:
     """Lower a query + constraint set into the initial (unoptimized) plan.
 
     ``options`` is duck-typed against :class:`repro.core.bounds.BoundOptions`
-    (strategy, early_stop_depth, milp_backend, cell_budget); omitting it
-    uses the pipeline defaults.  The query region must pass
+    (only ``milp_backend`` is read); omitting it uses the default backend.
+    The query region must pass
     :meth:`~repro.core.pcset.PredicateConstraintSet.check_query_region`.
     """
     bound_query = BoundQuery.of(query)
     pcset.check_query_region(bound_query.region)
     plan = BoundPlan(query=bound_query, pcset=pcset, source_pcset=pcset)
     if options is not None:
-        plan = plan.amended(
-            strategy=getattr(options, "strategy", plan.strategy),
-            early_stop_depth=getattr(options, "early_stop_depth",
-                                     plan.early_stop_depth),
-            milp_backend=getattr(options, "milp_backend", plan.milp_backend),
-            cell_budget=getattr(options, "cell_budget", plan.cell_budget),
-        )
+        plan = plan.amended(milp_backend=getattr(options, "milp_backend",
+                                                 plan.milp_backend))
     return plan

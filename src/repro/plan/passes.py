@@ -1,26 +1,21 @@
 """Bound-preserving optimizer passes over :class:`~repro.plan.ir.BoundPlan`.
 
 Each pass is a callable ``plan -> plan`` that may rewrite the constraint set
-or the enumeration knobs but never the result range the compiled program
-will produce (strategy selection may *loosen* a range — early stopping only
-ever adds cells, which keeps bounds sound — and does so only when the
-caller opted in with a cell budget).  The soundness arguments live next to
-each pass; the test-suite pins them down by comparing optimized and
-unoptimized pipelines across aggregates.
+but never the result range the compiled program will produce.  The
+soundness arguments live next to each pass; the test-suite pins them down
+by comparing optimized and unoptimized pipelines across aggregates.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
-from ..core.cells import DecompositionStrategy, estimate_cell_count
 from ..core.constraints import FrequencyConstraint, PredicateConstraint
 from ..core.pcset import PredicateConstraintSet
 from .ir import BoundPlan
 
 __all__ = ["PlanPass", "RegionPruningPass", "ConstraintMergingPass",
-           "StrategySelectionPass", "default_passes", "optimize_plan"]
+           "default_passes", "optimize_plan"]
 
 PlanPass = Callable[[BoundPlan], BoundPlan]
 
@@ -136,51 +131,13 @@ class ConstraintMergingPass:
                                    FrequencyConstraint(lower, upper), name=name)
 
 
-class StrategySelectionPass:
-    """Pick exact DFS vs. early-stopped enumeration under a cell budget.
-
-    The exact DFS visits up to ``2^n`` prefixes.  When the plan carries a
-    ``cell_budget`` and the worst-case cell count
-    (:func:`~repro.core.cells.estimate_cell_count`) exceeds it, this pass
-    caps the search at ``early_stop_depth = floor(log2(budget))``: below
-    that depth prefixes are assumed satisfiable, which can only *add*
-    cells — bounds stay sound (possibly looser) and runtime becomes linear
-    in the budget.  Plans with an explicit ``early_stop_depth``, a disjoint
-    constraint set (already linear) or no budget are left untouched.  The
-    decision reads only the plan, so one (constraint set, query, options)
-    triple always enumerates to the same depth.
-    """
-
-    name = "strategy-selection"
-
-    def __call__(self, plan: BoundPlan) -> BoundPlan:
-        budget = plan.cell_budget
-        if budget is None or budget <= 0 or plan.early_stop_depth is not None:
-            return plan
-        if plan.strategy is DecompositionStrategy.NAIVE:
-            return plan  # the naive strategy ignores early stopping
-        if plan.pcset.is_pairwise_disjoint():
-            return plan  # the disjoint fast path is already linear
-        estimate = estimate_cell_count(plan.pcset)
-        if estimate <= budget:
-            return plan
-        depth = max(1, int(math.floor(math.log2(budget))))
-        if depth >= len(plan.pcset):
-            return plan
-        return plan.amended(early_stop_depth=depth).annotated(
-            f"{self.name}: ~{estimate} worst-case cells exceed budget "
-            f"{budget}; early-stopping below depth {depth}")
-
-
 def default_passes() -> tuple[PlanPass, ...]:
     """The standard pipeline, in application order.
 
     Merging runs after pruning so region-irrelevant duplicates are already
-    gone; strategy selection runs last so its cell estimate sees the final
-    constraint count.
+    gone.
     """
-    return (RegionPruningPass(), ConstraintMergingPass(),
-            StrategySelectionPass())
+    return (RegionPruningPass(), ConstraintMergingPass())
 
 
 def optimize_plan(plan: BoundPlan,

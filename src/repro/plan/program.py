@@ -15,11 +15,11 @@ pair.  Compilation materializes, exactly once:
 
 Executions then only patch parameters: SUM/COUNT swap objective vectors,
 AVG's binary search swaps the ``value - target`` objective per probe, and
-MIN/MAX read precompiled extrema.  The AVG search itself,
-:func:`avg_endpoints`, serves one program and the component programs of a
-sharded plan alike.  This is what makes compiled-program
-reuse cheap enough for the service layer to treat programs as cacheable
-values alongside decompositions.
+MIN/MAX read precompiled extrema after one memoized feasibility check.  The
+AVG search itself, :func:`avg_endpoints`, serves one program and the
+component programs of a sharded plan alike.  This is what makes
+compiled-program reuse cheap enough for the service layer to treat programs
+as cacheable values alongside decompositions.
 
 There is no second model builder to compare against:
 ``tests/test_range_oracle.py`` checks COUNT, SUM, MIN and MAX against an
@@ -243,6 +243,7 @@ class BoundProgram:
         self._slack_bounds = self._compile_slack_bounds()
         self._skeletons: dict[str, _Skeleton] = {}
         self._forced_extrema: dict[bool, float | None] = {}
+        self._satisfiable: bool | None = None
         # Patchable coefficient vectors, aligned with the skeleton variants.
         self._full_uppers = np.array([p.value_upper for p in self._profiles])
         self._full_lowers = np.array([p.value_lower for p in self._profiles])
@@ -255,10 +256,10 @@ class BoundProgram:
     def __getstate__(self) -> dict:
         """Everything but the lock: compiled skeletons travel with the program.
 
-        The worker pool hands warm programs to worker processes,
-        so lazily-built skeletons and forced extrema are deliberately kept in
-        the state — a worker receives the same warm artifact the parent had
-        instead of re-deriving it.
+        The worker pool hands warm programs to worker processes, so
+        lazily-built skeletons, forced extrema and the feasibility verdict
+        are deliberately kept in the state — a worker receives the same warm
+        artifact the parent had instead of re-deriving it.
         """
         state = dict(self.__dict__)
         del state["_lock"]
@@ -304,13 +305,38 @@ class BoundProgram:
     def region(self) -> Predicate | None:
         return self._region
 
-    def _allows_no_rows(self) -> bool:
-        """Whether leaving every cell empty meets every constraint: each
-        constraint that forces rows can park them outside the query region.
-        Without active cells this is the only allocation left."""
-        return all(index in self._slack_bounds
-                   for index, pc in enumerate(self._pcset)
-                   if pc.min_rows() > 0)
+    def check_satisfiable(self) -> None:
+        """Raise :class:`~repro.exceptions.SolverError` unless some
+        allocation of rows meets every constraint.
+
+        COUNT and SUM learn this from their own solves; MIN, MAX and AVG's
+        solver-free answers ask here, so every aggregate raises on the same
+        sets.  Without mandatory rows the empty allocation always qualifies.
+        Otherwise the verdict, memoized per program, is COUNT's max solve
+        over the full skeleton; without active cells the empty allocation is
+        the only one left, and it qualifies when every constraint that
+        forces rows can park them outside the query region.  A failed solve
+        raises its own error and is not memoized.
+        """
+        if not self._pcset.has_mandatory_rows():
+            return
+        with self._lock:
+            satisfiable = self._satisfiable
+        if satisfiable is None:
+            if self._active:
+                status, objective = self._solve_rows(
+                    _FULL, [np.ones(len(self._profiles))], Sense.MAXIMIZE)[0]
+                satisfiable = status is not SolutionStatus.INFEASIBLE
+                if satisfiable:
+                    self._checked_value(status, objective, Sense.MAXIMIZE)
+            else:
+                satisfiable = all(index in self._slack_bounds
+                                  for index, pc in enumerate(self._pcset)
+                                  if pc.min_rows() > 0)
+            with self._lock:
+                self._satisfiable = satisfiable
+        if not satisfiable:
+            raise SolverError(_UNSATISFIABLE)
 
     # ------------------------------------------------------------------ #
     # Compilation steps
@@ -537,6 +563,7 @@ class BoundProgram:
                 builders.append(self._bound_avg(known_sum, known_count))
             elif aggregate is AggregateFunction.COUNT:
                 if not self._profiles:
+                    self.check_satisfiable()
                     builders.append(self._range(0.0, 0.0,
                                                 AggregateFunction.COUNT))
                     continue
@@ -554,6 +581,7 @@ class BoundProgram:
                 builders.append(build_count)
             elif aggregate is AggregateFunction.SUM:
                 if not self._profiles:
+                    self.check_satisfiable()
                     builders.append(self._range(0.0, 0.0, AggregateFunction.SUM,
                                                 self._attribute))
                     continue
@@ -578,6 +606,9 @@ class BoundProgram:
                     lower_slot = enqueue(_FULL, self._full_lowers,
                                          Sense.MINIMIZE)
                     lower_const = None
+
+                if upper_slot is None and lower_slot is None:
+                    self.check_satisfiable()  # no solve checks it
 
                 def build_sum(solved, upper_slot=upper_slot,
                               upper_const=upper_const, lower_slot=lower_slot,
@@ -613,6 +644,7 @@ class BoundProgram:
 
     # MIN / MAX ---------------------------------------------------------- #
     def _bound_max(self) -> ResultRange:
+        self.check_satisfiable()
         if not self._active:
             return self._range(None, None, AggregateFunction.MAX, self._attribute)
         upper = max(profile.value_upper for profile in self._active)
@@ -620,6 +652,7 @@ class BoundProgram:
         return self._range(lower, upper, AggregateFunction.MAX, self._attribute)
 
     def _bound_min(self) -> ResultRange:
+        self.check_satisfiable()
         if not self._active:
             return self._range(None, None, AggregateFunction.MIN, self._attribute)
         lower = min(profile.value_lower for profile in self._active)
@@ -760,19 +793,17 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
 
     A set that forces rows but admits no allocation raises
     :class:`~repro.exceptions.SolverError`, like COUNT and SUM: through a
-    probe's status, or, when no probe would run, through
-    :meth:`BoundProgram._allows_no_rows` (no active cells) or one free
-    probe (a bracket closed from the start).  Only an unbounded value
-    bound answers (−inf, inf) without checking.
+    probe's status, or, when no probe runs (no active cells, an unbounded
+    value bound, a bracket closed from the start), through every program's
+    :meth:`BoundProgram.check_satisfiable` verdict.
     """
     active = [profile for program in programs
               for profile in program.active_profiles]
-    if not active and not all(program._allows_no_rows()
-                              for program in programs):
-        raise SolverError(_UNSATISFIABLE)
     low, high = _avg_bracket(active, known_sum, known_count)
     mandatory = any(program.pcset.has_mandatory_rows() for program in programs)
     if low is None or math.isinf(high) or not (mandatory or known_count):
+        for program in programs:
+            program.check_satisfiable()
         return low, high
     floor = known_count == 0
     # Several programs share the floor row, so each probe asks every
@@ -786,10 +817,10 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
                    if bracket[1] - bracket[0] > AVG_TOLERANCE * max(
                        1.0, abs(bracket[1]), abs(bracket[0]))]
         if not targets:
-            if mandatory and round_index == 0:
-                # Closed from the start: one free probe still checks that
-                # some allocation meets every constraint (it raises if not).
-                probe_round([(high, True, False)])
+            if round_index == 0:
+                # Closed from the start: no probe ran.
+                for program in programs:
+                    program.check_satisfiable()
             break
         probes = []
         for at_least, target in targets:

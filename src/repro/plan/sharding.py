@@ -36,9 +36,11 @@ provably identical to the serial one —
   inside the query region is satisfiable inside at least one sub-region
   (completeness), and conjoining a sub-region box only restricts, so every
   shard cell is a serial cell (soundness);
-* DFS rewriting is an exact implication and early stopping assumes the same
-  below-depth subtrees in whichever shard reaches them, so the equality
-  holds for every enumeration strategy and depth.
+* DFS rewriting is an exact implication, so the equality holds for the
+  exact enumeration every shard runs.  (It holds for every strategy and
+  early-stop depth :class:`~repro.core.cells.CellDecomposer` takes, too:
+  early stopping assumes the same below-depth subtrees in whichever shard
+  reaches them.)
 
 The compiled program over the merged decomposition *is* the serial program,
 so all five aggregates — AVG included — return bit-identical ranges while
@@ -447,10 +449,10 @@ def select_sharding(plan: BoundPlan,
 
     Component splitting when the overlap graph shards (it parallelises
     whole solves exactly, so it always dominates); otherwise region
-    splitting, once the worst-case cell count (the same signal budget-driven
-    strategy selection uses) reaches :data:`REGION_SHARDING_MIN_CELLS` —
-    tiny enumerations run inline faster than any fan-out round.  A plan
-    neither splitter can split comes back as the one-shard component layout.
+    splitting, once the worst-case cell count reaches
+    :data:`REGION_SHARDING_MIN_CELLS` — tiny enumerations run inline faster
+    than any fan-out round.  A plan neither splitter can split comes back
+    as the one-shard component layout.
     """
     component = ConstraintComponentSharding().split(plan, max_shards)
     if (component.is_sharded

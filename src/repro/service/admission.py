@@ -4,10 +4,11 @@ A production service must refuse work it cannot afford *before* paying for
 it.  The plan pipeline makes that possible: ``plan_for(query)`` plus the
 sharding pass expose — without decomposing or solving anything — exactly the
 quantities that predict a query's cost: the optimized constraint count, the
-worst-case satisfiable-cell count (the same
-:func:`~repro.core.cells.estimate_cell_count` strategy selection reads), the
-sharded layout (strategy and shard count), whether the compiled program is
-already warm in the cache, and the worker pool's warm-hit rate.
+worst-case satisfiable-cell count
+(:func:`~repro.core.cells.estimate_cell_count`, which region sharding
+reads too), the sharded layout (strategy and shard count), whether the
+compiled program is already warm in the cache, and the worker pool's
+warm-hit rate.
 
 :func:`price_query` folds those signals into a scalar unit count
 (:class:`QueryCost`), and :class:`AdmissionController` enforces an

@@ -141,23 +141,21 @@ def fingerprint_bound_options(options: BoundOptions) -> str:
     """Content hash of the solver tuning knobs: one token per field but
     the deadline.
 
-    ``solve_workers`` participates because sharded and serial execution may
-    legitimately differ under approximate (early-stopped) enumeration; the
-    sharded layout follows from the plan and the worker count alone, so no
-    other fan-out knob exists to hash.  ``verify_backend`` participates
-    because a verified session fails differently from an unverified one,
-    and ``degrade`` because a degraded answer is a (sound) superset of the
-    exact one — the two must never share a report-cache entry.
+    ``solve_workers`` participates because a component-sharded SUM adds up
+    its shards' optima where the serial path solves one objective, so the
+    two may differ by an ulp or two; the sharded layout follows from the
+    plan and the worker count alone, so no other fan-out knob exists to
+    hash.  ``verify_backend`` participates because a verified session fails
+    differently from an unverified one, and ``degrade`` because a degraded
+    answer is a (sound) superset of the exact one — the two must never
+    share a report-cache entry.
     ``deadline_seconds`` is excluded — a deadline changes whether a query
     *finishes*, never the range it finishes with.
     """
     tokens = [
         "options",
-        options.strategy.value,
         str(options.milp_backend),
-        "" if options.early_stop_depth is None else str(options.early_stop_depth),
         str(int(options.check_closure)),
-        "" if options.cell_budget is None else str(options.cell_budget),
         "" if options.solve_workers is None else str(options.solve_workers),
         "" if options.verify_backend is None else str(options.verify_backend),
         "" if options.degrade is None else str(options.degrade),
@@ -290,24 +288,14 @@ def relation_version(relation: Relation) -> RelationVersion:
     )
 
 
-def decomposition_namespace(pcset: PredicateConstraintSet,
-                            options: BoundOptions) -> str:
-    """The cache namespace for decompositions of ``pcset`` under ``options``.
+def decomposition_namespace(pcset: PredicateConstraintSet) -> str:
+    """The cache namespace for decompositions of ``pcset``.
 
-    Only the knobs that change the *decomposition itself* participate:
-    strategy, early-stop depth, and the cell budget behind strategy
-    selection, which decides what gets decomposed.  The MILP backend and
-    the closure check act after decomposition, so solvers that differ only
-    in those still share cached decompositions.
+    Every decomposition is exact, so only the constraint set participates:
+    no option changes what gets decomposed, and sessions that differ only
+    in their options share cached decompositions.
     """
-    tokens = [
-        "decomposition-namespace",
-        fingerprint_pcset(pcset),
-        options.strategy.value,
-        "" if options.early_stop_depth is None else str(options.early_stop_depth),
-        "" if options.cell_budget is None else str(options.cell_budget),
-    ]
-    return _digest(tokens)
+    return _digest(["decomposition-namespace", fingerprint_pcset(pcset)])
 
 
 def combine_fingerprints(*fingerprints: str) -> str:

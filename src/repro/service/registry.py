@@ -65,8 +65,7 @@ class RegisteredSession:
                 self._analyzer = PCAnalyzer(
                     self.pcset, observed=self.observed, options=self.options,
                     decomposition_cache=self._decomposition_cache,
-                    cache_namespace=decomposition_namespace(self.pcset,
-                                                            self.options),
+                    cache_namespace=decomposition_namespace(self.pcset),
                     program_cache=self._program_cache,
                     worker_pool=self._worker_pool,
                     range_cache=self._range_cache)

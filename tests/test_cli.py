@@ -271,10 +271,12 @@ class TestCliSolverOptions:
         code = main(["bound", "--constraints", str(constraint_text_file),
                      "--aggregate", "sum", "--attribute", "price",
                      "--no-closure-check", "--backend", "branch-and-bound",
-                     "--strategy", "dfs", "--early-stop-depth", "1"])
+                     "--verify-backend", "scipy"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "strategy dfs" in output and "branch-and-bound" in output
+        assert ("plan            : 2 constraint(s), backend branch-and-bound"
+                in output)
+        assert "cross-backend against scipy" in output
 
     def test_bound_accepts_registered_custom_backend(self, capsys,
                                                      constraint_text_file):
@@ -299,19 +301,21 @@ class TestCliSolverOptions:
         err = capsys.readouterr().err
         assert "simplex-of-doom" in err and "scipy" in err
 
-    def test_serve_batch_with_cell_budget(self, capsys, constraint_text_file,
-                                          query_file):
-        code = main(["serve-batch", "--constraints", str(constraint_text_file),
-                     "--queries", str(query_file), "--no-closure-check",
-                     "--cell-budget", "64"])
-        assert code == 0
-        assert "batch round 1" in capsys.readouterr().out
-
-    def test_bound_rejects_bad_depth(self, capsys, constraint_text_file):
-        code = main(["bound", "--constraints", str(constraint_text_file),
-                     "--aggregate", "count", "--no-closure-check",
-                     "--early-stop-depth", "0"])
-        assert code == 2
+    def test_enumeration_flags_are_gone(self, capsys, constraint_text_file,
+                                        query_file):
+        """Cells are always enumerated exactly: both commands reject the
+        old enumeration flags."""
+        commands = (["bound", "--aggregate", "count"],
+                    ["serve-batch", "--queries", str(query_file)])
+        flags = (["--strategy", "dfs"], ["--early-stop-depth", "2"],
+                 ["--cell-budget", "64"])
+        for command in commands:
+            for flag in flags:
+                with pytest.raises(SystemExit) as caught:
+                    main(command + ["--constraints", str(constraint_text_file),
+                                    "--no-closure-check"] + flag)
+                assert caught.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCliServeBatch:

@@ -342,7 +342,8 @@ class TestCellDecomposerEdgeCases:
         assert exact_covers < assumed_covers
 
     def test_early_stop_depth_zero_only_loosens_bounds(self):
-        from repro.core.bounds import BoundOptions, PCBoundSolver
+        from repro.core.bounds import BoundOptions
+        from repro.plan import BoundQuery, build_plan, compile_plan
         from repro.relational.aggregates import AggregateFunction
 
         def build():
@@ -357,16 +358,23 @@ class TestCellDecomposerEdgeCases:
             pcset.mark_disjoint(False)
             return pcset
 
-        exact_solver = PCBoundSolver(build(), BoundOptions(check_closure=False))
-        loose_solver = PCBoundSolver(build(), BoundOptions(check_closure=False,
-                                                           early_stop_depth=0))
+        def bound(aggregate, attribute, depth):
+            # Compiled the way the solver compiles, but from an
+            # early-stopped enumeration (Optimisation 4).
+            pcset = build()
+            plan = build_plan(BoundQuery(aggregate, attribute), pcset,
+                              BoundOptions(check_closure=False))
+            decomposition = CellDecomposer(
+                pcset, early_stop_depth=depth).decompose()
+            return compile_plan(plan, decomposition).bound(aggregate)
+
         for aggregate, attribute in [(AggregateFunction.COUNT, None),
                                      (AggregateFunction.SUM, "v"),
                                      (AggregateFunction.AVG, "v"),
                                      (AggregateFunction.MIN, "v"),
                                      (AggregateFunction.MAX, "v")]:
-            exact = exact_solver.bound(aggregate, attribute)
-            loose = loose_solver.bound(aggregate, attribute)
+            exact = bound(aggregate, attribute, None)
+            loose = bound(aggregate, attribute, 0)
             # Assumed-satisfiable cells can only widen the range: the loose
             # interval must contain the exact one, never cut into it.
             if exact.lower is not None:
@@ -422,6 +430,3 @@ class TestDecomposeCached:
         # Equal content (fresh objects) still shares the entry.
         equal = PredicateConstraintSet([pc(Predicate.range("x", 0, 2))])
         assert decompose_cached(equal, cache=cache) is first
-        # Different strategy knobs key separately even for equal content.
-        assert decompose_cached(equal, cache=cache,
-                                early_stop_depth=0) is not first

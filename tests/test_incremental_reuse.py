@@ -457,16 +457,18 @@ class TestRangeTier:
         assert later.upper == pytest.approx(exact.upper, rel=1e-9)
 
     def test_serial_and_sharded_sessions_keep_separate_ranges(self):
-        """Under a cell budget sharded and serial ranges may differ, so the
-        fan-out width is part of the key."""
+        """A component-sharded SUM adds up its shards' optima where the
+        serial path solves one objective, so the two may differ by an ulp
+        or two: the fan-out width is part of the key."""
         region = Predicate.range("utc", 11, 13)
-        query = ContingencyQuery.count(region)
-        serial = BoundOptions(check_closure=False, cell_budget=4)
-        sharded = BoundOptions(check_closure=False, cell_budget=4,
-                               solve_workers=2)
+        query = ContingencyQuery.sum("price", region)
+        serial = BoundOptions(check_closure=False)
+        sharded = BoundOptions(check_closure=False, solve_workers=2)
         service = ContingencyService(max_workers=2)
-        service.register("serial", window_chain(), options=serial)
-        service.register("sharded", window_chain(), options=sharded)
+        service.register("serial", disjoint_windows(), options=serial)
+        service.register("sharded", disjoint_windows(), options=sharded)
+        assert service.session("sharded").analyzer.solver.sharded_plan(
+            region, "price").strategy == "component"
         reports = {name: service.analyze(name, query)
                    for name in ("serial", "sharded")}
 
@@ -475,7 +477,7 @@ class TestRangeTier:
         assert {key[:-1] for key in keys} == {keys[0][:-1]}
         assert {key[-1] for key in keys} == {None, 2}
         for name, options in (("serial", serial), ("sharded", sharded)):
-            expected = PCAnalyzer(window_chain(), options=options
+            expected = PCAnalyzer(disjoint_windows(), options=options
                                   ).analyze(query)
             assert_reports_identical(reports[name], expected)
         service.shutdown()

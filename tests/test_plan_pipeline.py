@@ -2,9 +2,8 @@
 
 One property anchors this module: **optimizer passes preserve bounds** —
 every pass (region pruning, duplicate merging) yields the same result range
-as the unoptimized plan, and strategy selection under a cell budget can
-only loosen, never cross, the exact range.  Whether those ranges are the
-true extremes is ``tests/test_range_oracle.py``'s question.
+as the unoptimized plan.  Whether those ranges are the true extremes is
+``tests/test_range_oracle.py``'s question.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import BoundOptions, PCBoundSolver
-from repro.core.cells import decompose_cached
+from repro.core.cells import CellDecomposer
 from repro.core.constraints import (
     FrequencyConstraint,
     PredicateConstraint,
@@ -29,7 +28,7 @@ from repro.plan import BoundQuery, build_plan, compile_plan, optimize_plan
 from repro.plan.passes import (
     ConstraintMergingPass,
     RegionPruningPass,
-    StrategySelectionPass,
+    default_passes,
 )
 from repro.relational.aggregates import AggregateFunction
 from repro.service import ContingencyService
@@ -76,9 +75,7 @@ def raw_plan_bound(pcset: PredicateConstraintSet,
     without :func:`optimize_plan`."""
     plan = build_plan(BoundQuery(aggregate, attribute, region), pcset,
                       NO_CLOSURE)
-    decomposition = decompose_cached(plan.pcset, region,
-                                     strategy=plan.strategy,
-                                     early_stop_depth=plan.early_stop_depth)
+    decomposition = CellDecomposer(plan.pcset).decompose(region)
     return compile_plan(plan, decomposition).bound(aggregate, known_sum,
                                                    known_count)
 
@@ -101,6 +98,10 @@ class TestBoundPlanIR:
         assert plan.query.attribute == "price"
         assert plan.pcset is pcset and plan.source_pcset is pcset
         assert not plan.is_optimized
+
+    def test_default_passes_prune_then_merge(self):
+        assert [type(optimizer_pass) for optimizer_pass in default_passes()] \
+            == [RegionPruningPass, ConstraintMergingPass]
 
     def test_describe_renders_trace(self):
         pcset = window_pcset()
@@ -210,110 +211,24 @@ class TestConstraintMergingPass:
             rel=1e-6)
 
 
-class TestStrategySelectionPass:
-    def overlapping_pcset(self, count=10) -> PredicateConstraintSet:
-        constraints = [pc(i * 0.5, i * 0.5 + 1.0, 50.0 + i, 10, name=f"o{i}")
-                       for i in range(count)]
-        return PredicateConstraintSet(constraints)
-
-    def test_budget_sets_early_stop_depth(self):
-        options = BoundOptions(check_closure=False, cell_budget=16)
-        plan = optimize_plan(build_plan(BoundQuery(AggregateFunction.COUNT),
-                                        self.overlapping_pcset(), options))
-        assert plan.early_stop_depth == 4
-        assert any("strategy-selection" in note for note in plan.trace)
-
-    def test_no_budget_keeps_exact_enumeration(self):
-        plan = optimize_plan(build_plan(BoundQuery(AggregateFunction.COUNT),
-                                        self.overlapping_pcset(), NO_CLOSURE))
-        assert plan.early_stop_depth is None
-
-    def test_explicit_depth_wins_over_budget(self):
-        options = BoundOptions(check_closure=False, cell_budget=16,
-                               early_stop_depth=7)
-        plan = optimize_plan(build_plan(BoundQuery(AggregateFunction.COUNT),
-                                        self.overlapping_pcset(), options))
-        assert plan.early_stop_depth == 7
-
-    def test_disjoint_sets_ignore_budget(self):
-        pcset = PredicateConstraintSet(
-            [pc(float(i), i + 0.5, 10.0, 5, name=f"d{i}") for i in range(10)])
-        options = BoundOptions(check_closure=False, cell_budget=4)
-        plan = optimize_plan(build_plan(BoundQuery(AggregateFunction.COUNT),
-                                        pcset, options))
-        assert plan.early_stop_depth is None
-
-    def test_budgeted_bounds_contain_exact_bounds(self):
-        """Early stopping may loosen but never cross the exact range."""
-        pcset = self.overlapping_pcset()
-        exact = PCBoundSolver(pcset, NO_CLOSURE)
-        budgeted = PCBoundSolver(
-            self.overlapping_pcset(),
-            BoundOptions(check_closure=False, cell_budget=8))
-        for aggregate, attribute in ALL_AGGREGATES:
-            tight = exact.bound(aggregate, attribute)
-            loose = budgeted.bound(aggregate, attribute)
-            if tight.lower is not None and loose.lower is not None:
-                assert loose.lower <= tight.lower + 1e-6
-            if tight.upper is not None and loose.upper is not None:
-                assert loose.upper >= tight.upper - 1e-6
-
-    def test_budgeted_range_ignores_service_history(self, monkeypatch):
-        """The early-stop depth, and so the range, depends only on the
-        constraints, the query and the options: exact decompositions the
-        service ran before must not talk a budgeted plan out of early
-        stopping."""
-        # Both services must compute: a shared persistent store would serve
-        # the first answer to the second.
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        budgeted = BoundOptions(check_closure=False, cell_budget=64)
-
-        def answer(service: ContingencyService):
-            service.register("chain", self.overlapping_pcset(),
-                             options=budgeted)
-            count = service.analyze("chain", ContingencyQuery.count())
-            total = service.analyze("chain", ContingencyQuery.sum("price"))
-            analyzer = service.session("chain").analyzer
-            depth = analyzer.plan_for(ContingencyQuery.count()).early_stop_depth
-            return (count.result_range.as_interval(),
-                    total.result_range.as_interval(), depth)
-
-        with ContingencyService() as fresh:
-            expected = answer(fresh)
-        assert expected == ((0.0, 80.0), (0.0, 4390.0), 6)
-        with ContingencyService() as warmed:
-            for index in range(3):
-                offset = 100.0 * (index + 1)
-                warmed.register(
-                    f"warm{index}",
-                    PredicateConstraintSet(
-                        [pc(offset + i * 0.5, offset + i * 0.5 + 1.0,
-                            50.0 + i, 10, name=f"w{i}") for i in range(8)]),
-                    options=NO_CLOSURE)
-                warmed.analyze(f"warm{index}", ContingencyQuery.count())
-            assert answer(warmed) == expected
-
-    def test_budgeted_program_key_survives_pickling(self):
-        """A budgeted solver's program key is the same before and after it
-        bounds other queries, and a pickled copy (what a pool worker holds)
-        computes it too — the warm-shipping protocol depends on it."""
-        import pickle
-
-        solver = PCBoundSolver(self.overlapping_pcset(),
-                               BoundOptions(check_closure=False,
-                                            cell_budget=16))
-        key_before = solver.program_key(None, "price")
-        solver.bound(AggregateFunction.COUNT)
-        solver.bound(AggregateFunction.SUM, "price",
-                     Predicate.range("utc", 0.0, 2.0))
-        assert solver.program_key(None, "price") == key_before
-        worker_copy = pickle.loads(pickle.dumps(solver))
-        assert worker_copy.program_key(None, "price") == key_before
-
-
 class TestCompiledProgramEquivalence:
     """One compiled program per (region, attribute) pair serves every
     aggregate over it."""
+
+    def test_program_key_survives_pickling(self):
+        """A solver's program key is the same before and after it bounds
+        other queries, and a pickled copy (what a pool worker holds)
+        computes it too — the warm-shipping protocol depends on it."""
+        import pickle
+
+        solver = PCBoundSolver(window_pcset(), NO_CLOSURE)
+        key_before = solver.program_key(None, "price")
+        solver.bound(AggregateFunction.COUNT)
+        solver.bound(AggregateFunction.SUM, "price",
+                     Predicate.range("utc", 11, 13))
+        assert solver.program_key(None, "price") == key_before
+        worker_copy = pickle.loads(pickle.dumps(solver))
+        assert worker_copy.program_key(None, "price") == key_before
 
     def test_program_compiled_once_per_region_attribute(self):
         solver = PCBoundSolver(window_pcset(), NO_CLOSURE)

@@ -19,19 +19,20 @@ oracle reads only the constraint tuples the instance was drawn from.
 
 Each instance runs on three backends, serially and through
 :func:`~repro.plan.sharding.merge_shard_ranges` over the component shards'
-programs.  A set without a feasible allocation must raise
-:class:`~repro.exceptions.SolverError` for COUNT and SUM on the exact
-backends without a region.  Elsewhere nothing is asserted for it: MIN and
-MAX never check feasibility, the relaxation may find a fractional
-allocation, and the slack that lets mandatory rows leave a region ignores
-the other constraints, so an unsatisfiable set may be answered there.
+programs.  A feasible set never raises.  Wherever COUNT raises
+:class:`~repro.exceptions.SolverError`, SUM, MIN and MAX raise too: MIN
+and MAX read no solve of their own, so they ask the program's feasibility
+verdict.  A set without a feasible allocation must raise on the exact
+backends without a region.  Elsewhere it may be answered: the relaxation
+may find a fractional allocation, and the slack that lets mandatory rows
+leave a region ignores the other constraints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import BoundOptions, PCBoundSolver
@@ -52,6 +53,7 @@ from repro.solvers.sat import AttributeDomain
 
 COUNT, SUM = AggregateFunction.COUNT, AggregateFunction.SUM
 MIN, MAX = AggregateFunction.MIN, AggregateFunction.MAX
+AVG = AggregateFunction.AVG
 QUERIES = ((COUNT, None), (SUM, "v"), (MIN, "v"), (MAX, "v"))
 BACKENDS = ("scipy", "branch-and-bound", "relaxation")
 EXACT_BACKENDS = ("scipy", "branch-and-bound")
@@ -216,7 +218,11 @@ def true_extremes(rows: np.ndarray) -> dict:
     return extremes
 
 
-def merged_bound(solver: PCBoundSolver, aggregate, attribute, region):
+def serial_bound(solver: PCBoundSolver, region, aggregate, attribute):
+    return solver.bound(aggregate, attribute, region)
+
+
+def merged_bound(solver: PCBoundSolver, region, aggregate, attribute):
     """The range merged from the component shards' programs, in-process."""
     sharded = solver.sharded_plan(region, attribute, max_shards=2)
     ranges = [solver.shard_program(shard, region, attribute).bound(aggregate)
@@ -224,9 +230,16 @@ def merged_bound(solver: PCBoundSolver, aggregate, attribute, region):
     return merge_shard_ranges(aggregate, ranges, attribute)
 
 
+# ``inner`` needs 3 rows inside ``outer``, which allows 2: COUNT raises,
+# and MIN and MAX used to answer.
+_NESTED_UNSATISFIABLE = ([[(0, 2, 0.0, 10.0, 0, 2), (0, 1, 3.0, 5.0, 3, 4)]],
+                         None)
+
+
 class TestRangeOracle:
     @settings(max_examples=80, deadline=None)
     @given(instances())
+    @example(_NESTED_UNSATISFIABLE)
     def test_ranges_contain_every_value_and_are_exact_without_a_region(
             self, instance):
         components, region_spec = instance
@@ -238,23 +251,28 @@ class TestRangeOracle:
             solver = PCBoundSolver(pcset, BoundOptions(check_closure=False,
                                                        milp_backend=backend))
             exact = region is None and backend in EXACT_BACKENDS
-            for aggregate, attribute in QUERIES:
-                paths = (
-                    ("serial", lambda: solver.bound(aggregate, attribute,
-                                                    region)),
-                    ("merged", lambda: merged_bound(solver, aggregate,
-                                                    attribute, region)))
-                for path, bound in paths:
-                    detail = (backend, path, aggregate.value)
-                    if truth is None:
-                        if exact and aggregate in (COUNT, SUM):
-                            with pytest.raises(SolverError):
-                                bound()
-                        continue
-                    result = bound()
+            for path, bound in (("serial", serial_bound),
+                                ("merged", merged_bound)):
+                detail = (backend, path)
+                try:
+                    results = {COUNT: bound(solver, region, COUNT, None)}
+                except SolverError:
+                    assert truth is None, detail
+                    for aggregate, attribute in QUERIES[1:]:
+                        with pytest.raises(SolverError):
+                            bound(solver, region, aggregate, attribute)
+                    continue
+                if truth is None:
+                    assert not exact, detail  # answered an unsatisfiable set
+                    continue
+                for aggregate, attribute in QUERIES[1:]:
+                    results[aggregate] = bound(solver, region, aggregate,
+                                               attribute)
+                for aggregate, result in results.items():
                     if truth[aggregate] is None:
                         continue
                     lowest, highest = truth[aggregate]
+                    detail = (backend, path, aggregate.value)
                     assert result.contains(lowest), (detail, result, lowest)
                     assert result.contains(highest), (detail, result, highest)
                     if exact and aggregate in (COUNT, SUM):
@@ -262,14 +280,67 @@ class TestRangeOracle:
                             (lowest, highest), abs=1e-6), (detail, result)
 
 
-# --------------------------------------------------------------------- #
-# Barren cells: a cell whose bounds on some attribute are empty holds no rows
-# --------------------------------------------------------------------- #
 def pc(t_low: float, t_high: float, values: tuple[float, float], kl: int,
        ku: int, name: str) -> PredicateConstraint:
     return PredicateConstraint(Predicate.range("t", t_low, t_high),
                                ValueConstraint({"v": values}),
                                FrequencyConstraint(kl, ku), name=name)
+
+
+# --------------------------------------------------------------------- #
+# Feasibility: every aggregate raises on a set no allocation satisfies
+# --------------------------------------------------------------------- #
+class TestFeasibilityVerdict:
+    @staticmethod
+    def nested(outer_values: tuple[float, float]) -> PredicateConstraintSet:
+        """``inner`` needs 3 rows inside ``outer``, which allows 2; ``far``
+        is a second, satisfiable component."""
+        return PredicateConstraintSet([
+            pc(0, 2, outer_values, 0, 2, "outer"),
+            pc(0, 1, (3.0, 5.0), 3, 4, "inner"),
+            pc(50, 51, (1.0, 2.0), 0, 3, "far")])
+
+    @pytest.mark.parametrize("outer_values", [(0.0, 10.0),
+                                              (0.0, float("inf"))])
+    def test_every_aggregate_raises_where_count_does(self, outer_values):
+        """MIN and MAX used to answer [0, 5] and [3, 10] here, and AVG
+        answered (-inf, inf) without a check once a value was unbounded."""
+        solver = PCBoundSolver(self.nested(outer_values),
+                               BoundOptions(check_closure=False))
+        for aggregate, attribute in QUERIES + ((AVG, "v"),):
+            with pytest.raises(SolverError, match="unsatisfiable"):
+                solver.bound(aggregate, attribute)
+
+    def test_a_set_with_no_cell_raises_when_it_forces_rows(self):
+        """No row can lie in t ∈ [20, 30] inside the domain [0, 10], so the
+        program has no cell.  COUNT and SUM used to answer [0, 0] and MIN
+        and MAX (None, None) while AVG raised."""
+        solver = PCBoundSolver(
+            PredicateConstraintSet([pc(20, 30, (0.0, 5.0), 1, 3, "outside")],
+                                   domains={"t": AttributeDomain.numeric(0, 10)}),
+            BoundOptions(check_closure=False))
+        for aggregate, attribute in QUERIES + ((AVG, "v"),):
+            with pytest.raises(SolverError, match="unsatisfiable"):
+                solver.bound(aggregate, attribute)
+
+    def test_min_and_max_raise_on_a_component_sharded_pool(self):
+        from repro.parallel.pool import WorkerPool
+
+        with WorkerPool(max_workers=2, mode="process") as pool:
+            solver = PCBoundSolver(
+                self.nested((0.0, 10.0)),
+                BoundOptions(check_closure=False, solve_workers=2),
+                worker_pool=pool)
+            assert solver.sharded_plan(None, "v").strategy == "component"
+            for aggregate in (MIN, MAX):
+                with pytest.raises(SolverError, match="unsatisfiable"):
+                    solver.bound(aggregate, "v")
+            assert pool.statistics.tasks_shipped > 0
+
+
+# --------------------------------------------------------------------- #
+# Barren cells: a cell whose bounds on some attribute are empty holds no rows
+# --------------------------------------------------------------------- #
 
 
 class TestBarrenCells:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bounds import BoundOptions
-from repro.core.cells import DecompositionStrategy
 from repro.core.constraints import (
     FrequencyConstraint,
     PredicateConstraint,
@@ -105,23 +104,28 @@ class TestQueryAndOptionsFingerprints:
         assert base != fingerprint_query(ContingencyQuery.sum("price"))
 
     def test_options_fingerprint(self):
-        assert (fingerprint_bound_options(BoundOptions())
-                == fingerprint_bound_options(BoundOptions()))
-        assert (fingerprint_bound_options(BoundOptions())
-                != fingerprint_bound_options(BoundOptions(early_stop_depth=2)))
+        base = fingerprint_bound_options(BoundOptions())
+        assert base == fingerprint_bound_options(BoundOptions())
+        # Every field but the deadline can change a returned range.
+        for changed in (BoundOptions(milp_backend="branch-and-bound"),
+                        BoundOptions(check_closure=False),
+                        BoundOptions(solve_workers=2),
+                        BoundOptions(verify_backend="relaxation"),
+                        BoundOptions(degrade="worst-case")):
+            assert fingerprint_bound_options(changed) != base, changed
+        assert fingerprint_bound_options(
+            BoundOptions(deadline_seconds=5.0)) == base
 
     def test_decomposition_namespace_ignores_post_decomposition_knobs(self):
+        """Every knob acts after the (exact) decomposition, so the
+        namespace reads only the constraint set: sessions that differ only
+        in their options share decompositions."""
         pcset = PredicateConstraintSet([make_constraint(11, 12)])
-        base = decomposition_namespace(pcset, BoundOptions())
-        # The closure check and the MILP backend act after decomposition.
+        base = decomposition_namespace(pcset)
         assert base == decomposition_namespace(
-            pcset, BoundOptions(check_closure=False,
-                                milp_backend="branch-and-bound"))
-        # Strategy and early stopping change the decomposition itself.
+            PredicateConstraintSet([make_constraint(11, 12)]))
         assert base != decomposition_namespace(
-            pcset, BoundOptions(strategy=DecompositionStrategy.NAIVE))
-        assert base != decomposition_namespace(
-            pcset, BoundOptions(early_stop_depth=1))
+            PredicateConstraintSet([make_constraint(11, 13)]))
 
 
 class TestRelationFingerprint:

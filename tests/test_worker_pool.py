@@ -148,11 +148,10 @@ class TestLifecycle:
         """40 tasks on one affinity key queue far past the in-flight cap on
         one worker; the round drains that queue with one dispatch per task
         and returns the serial enumeration for every entry."""
-        from repro.core.cells import CellDecomposer, DecompositionStrategy
+        from repro.core.cells import CellDecomposer
 
         pcset = build_partition_pcs(make_relation(), ["t"], 4)
-        tasks = [("hot-key", pcset, None, DecompositionStrategy.DFS_REWRITE,
-                  None)] * 40
+        tasks = [("hot-key", pcset, None)] * 40
         expected = {cell.covering
                     for cell in CellDecomposer(pcset).decompose().cells}
         with WorkerPool(max_workers=WORKERS, mode="process") as pool:
