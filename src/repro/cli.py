@@ -424,7 +424,7 @@ def _load_queries(path_text: str) -> list[ContingencyQuery]:
 
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
-    from .service import AdmissionPolicy, ContingencyService
+    from .service import ContingencyService
 
     if args.repeat < 1:
         raise ReproError("--repeat must be at least 1")
@@ -437,11 +437,9 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     observed = read_csv(args.observed) if args.observed else None
     options = _solver_options(args)
 
-    admission = (None if args.max_cost is None
-                 else AdmissionPolicy(max_query_cost=args.max_cost))
     service = ContingencyService(max_workers=args.workers,
                                  pool_mode=_pool_mode(args.workers),
-                                 admission=admission,
+                                 max_query_cost=args.max_cost,
                                  cache_dir=args.cache_dir)
     session_name = Path(args.constraints).stem
     session = service.register(session_name, pcset, observed=observed,

@@ -91,8 +91,8 @@ class BoundOptions:
         (``--deadline`` on the CLI).  On expiry the fan-out stops
         dispatching, abandons in-flight work, and raises
         :class:`~repro.exceptions.QueryDeadlineError` carrying partial
-        progress.  Under the service the scope opens at admission, so time
-        spent queued *shrinks* the execution budget.  Excluded from option
+        progress.  Under the service the scope opens before the query is
+        priced, so pricing counts against the budget.  Excluded from option
         fingerprints: it changes failure behaviour, never a returned range.
     ``degrade``
         ``"worst-case"`` opts the component-sharded aggregates into

@@ -99,16 +99,14 @@ class QueryRejectedError(ReproError):
     """Raised when admission control declines to run a query.
 
     Shed load is not an internal failure: the service priced the query from
-    its plan (before any decomposition or solve was dispatched) and decided
-    it would exceed the configured budget, the admission queue was full, or
-    a deferred query waited past its deadline.  ``cost`` and ``limit`` carry
-    the priced units and the budget that tripped, ``reason`` is one of
-    ``"over-budget"``, ``"queue-full"`` or ``"timeout"``, so callers can
-    retry, downscope, or route to a bigger deployment without parsing the
-    message.  For ``"over-budget"`` rejections, ``cell_budget`` carries the
-    largest estimated-cell count a same-shaped query *would* clear the
-    budget with (the price-model inversion) — the concrete downscoping
-    target, also embedded in the message the CLI prints.
+    its plan (before any decomposition or solve was dispatched) and found it
+    over the per-query budget.  ``cost`` and ``limit`` carry the priced
+    units and the budget that tripped, and ``reason`` is ``"over-budget"``,
+    so callers can downscope or route to a bigger deployment without
+    parsing the message.  ``cell_budget`` carries the largest
+    estimated-cell count a same-shaped query *would* clear the budget with
+    (the price-model inversion) — the concrete downscoping target, also
+    embedded in the message the CLI prints.
     """
 
     def __init__(self, message: str, cost: float | None = None,
@@ -124,8 +122,7 @@ class QueryRejectedError(ReproError):
 class QueryDeadlineError(ReproError):
     """Raised when a query's wall-clock deadline fires mid-execution.
 
-    Admission timeouts are :class:`QueryRejectedError` (the query never
-    ran); this error means the query *was* running and was cancelled: the
+    This error means the query *was* running and was cancelled: the
     coordinator stopped dispatching new tasks, abandoned whatever was still
     in flight, and unwound.  ``deadline`` is the configured budget in
     seconds, ``elapsed`` the wall time actually spent, and

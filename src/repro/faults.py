@@ -47,7 +47,7 @@ worker only ever executes what the coordinator already decided.
 
 The module also owns the ambient **query deadline**: a
 :class:`Deadline` installed with :func:`deadline_scope` is visible to every
-layer underneath (admission wait loops, pool rounds) via
+layer underneath (pool rounds, inline fan-outs) via
 :func:`current_deadline`, without threading a parameter through each
 signature.
 """
@@ -365,9 +365,9 @@ def query_deadline_scope(deadline_seconds: float | None):
     runs under.
 
     An ambient deadline wins: a fresh :class:`Deadline` is created only when
-    none is installed yet.  The service opens its scope at admission (and a
-    batch may install its own budget), so restarting the clock inside would
-    hand a queued query its full budget back.
+    none is installed yet.  The service opens its scope before it prices
+    a query (and a batch may install its own budget), so restarting the
+    clock inside would hand the query back the time already spent.
     """
     if deadline_seconds is None or current_deadline() is not None:
         return deadline_scope(None)

@@ -13,13 +13,13 @@ state, and an empty registry snapshots to empty dicts.  The three layers:
   rendered from a span tree, with JSON export.
 """
 
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      get_registry, set_registry, timed)
+from .metrics import (Counter, Histogram, MetricsRegistry, get_registry,
+                      set_registry, timed)
 from .profile import ProfileNode, QueryProfile
 from .trace import Span, Trace, Tracer, get_tracer, tracing_enabled
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "Histogram", "MetricsRegistry",
     "get_registry", "set_registry", "timed",
     "ProfileNode", "QueryProfile",
     "Span", "Trace", "Tracer", "get_tracer", "tracing_enabled",

@@ -1,17 +1,13 @@
-"""The shared metrics registry: counters, gauges, latency histograms.
+"""The shared metrics registry: counters and latency histograms.
 
-Before this module, telemetry was four incompatible ad-hoc classes
-(``ServiceStatistics``, ``PoolStatistics``, ``AdmissionStatistics`` and the
-batch counters), each with its own snapshot idiom and no common export.
-The :class:`MetricsRegistry` is the one sink they all publish into now —
-the dataclasses survive as snapshot *views*, but every increment also
-lands on a named instrument here, so ``repro stats`` (and any future
-scrape endpoint) sees the whole system through one interface.
+The statistics classes (``ServiceStatistics``, ``PoolStatistics``,
+``AdmissionStatistics`` and the batch counters) are snapshot *views*; every
+increment also lands on a named instrument in the :class:`MetricsRegistry`,
+so ``repro stats`` sees the whole system through one interface.
 
-Three instrument kinds, all thread-safe:
+Two instrument kinds, both thread-safe:
 
 * :class:`Counter` — monotone event counts (``pool.tasks_dispatched``).
-* :class:`Gauge` — last-write-wins levels (``admission.units_in_flight``).
 * :class:`Histogram` — fixed-bucket latency distributions with estimated
   p50/p95/p99 snapshots.  Buckets are fixed at construction so concurrent
   ``observe`` calls are one bisect + one array increment, never a resize.
@@ -44,7 +40,7 @@ import threading
 import time
 from typing import Callable, Iterator, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["Counter", "Histogram", "MetricsRegistry",
            "get_registry", "set_registry", "timed"]
 
 #: Default latency buckets (seconds): 100us .. 30s, roughly 3 per decade.
@@ -71,30 +67,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease "
                              f"(inc({amount}))")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A last-write-wins level (thread-safe set/add)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
         with self._lock:
             self._value += amount
 
@@ -272,7 +244,7 @@ class MetricsRegistry:
 
     Instruments are created on first use (``counter(name)`` etc.) and a name
     is pinned to its first kind: asking for ``counter("x")`` after
-    ``gauge("x")`` raises, because a single exported name must mean one
+    ``histogram("x")`` raises, because a single exported name must mean one
     thing.  All operations are thread-safe; ``snapshot()`` is a consistent
     point-in-time read of every instrument.
     """
@@ -280,7 +252,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------ #
@@ -294,14 +265,6 @@ class MetricsRegistry:
                 instrument = self._counters[name] = Counter(name)
             return instrument
 
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                self._check_unclaimed(name, "gauge")
-                instrument = self._gauges[name] = Gauge(name)
-            return instrument
-
     def histogram(self, name: str,
                   buckets: Sequence[float] | None = None) -> Histogram:
         with self._lock:
@@ -313,7 +276,6 @@ class MetricsRegistry:
 
     def _check_unclaimed(self, name: str, kind: str) -> None:
         for kind_name, table in (("counter", self._counters),
-                                 ("gauge", self._gauges),
                                  ("histogram", self._histograms)):
             if name in table:
                 raise ValueError(
@@ -322,12 +284,11 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         with self._lock:
-            return sorted([*self._counters, *self._gauges, *self._histograms])
+            return sorted([*self._counters, *self._histograms])
 
     def __len__(self) -> int:
         with self._lock:
-            return (len(self._counters) + len(self._gauges)
-                    + len(self._histograms))
+            return len(self._counters) + len(self._histograms)
 
     # ------------------------------------------------------------------ #
     # Export
@@ -336,11 +297,9 @@ class MetricsRegistry:
         """A plain-data view of every instrument (empty dicts when idle)."""
         with self._lock:
             counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
         return {
             "counters": {c.name: c.value for c in counters},
-            "gauges": {g.name: g.value for g in gauges},
             "histograms": {h.name: h.snapshot() for h in histograms},
         }
 
@@ -352,10 +311,6 @@ class MetricsRegistry:
             lines.append("counters:")
             for name, value in sorted(snapshot["counters"].items()):
                 lines.append(f"  {name:<44s} {value:,.0f}")
-        if snapshot["gauges"]:
-            lines.append("gauges:")
-            for name, value in sorted(snapshot["gauges"].items()):
-                lines.append(f"  {name:<44s} {value:,.3f}")
         if snapshot["histograms"]:
             lines.append("histograms (seconds):")
             for name, stats in sorted(snapshot["histograms"].items()):
@@ -376,7 +331,6 @@ class MetricsRegistry:
         """Drop every instrument (tests; production registries only grow)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
     def __iter__(self) -> Iterator[str]:

@@ -5,15 +5,12 @@ into a long-lived service: constraint sets are registered once under stable
 names, cell decompositions and finished reports are cached by content
 fingerprint, and query batches execute on the service's worker pool.
 
-Layering: ``repro.service`` sits strictly above ``repro.core`` — core never
-imports it at module scope.  The one upward reference (the bound solver
-deriving a default cache namespace) is a lazy import that only triggers when
-a shared cache is in play.
+Layering: ``repro.service`` sits strictly above ``repro.core``; no core,
+plan, parallel, solvers or relational module imports it.
 """
 
 from .admission import (
     AdmissionController,
-    AdmissionPolicy,
     AdmissionStatistics,
     QueryCost,
     price_query,
@@ -38,7 +35,6 @@ from .store import PersistentStore, StoreStatistics, default_cache_dir
 
 __all__ = [
     "AdmissionController",
-    "AdmissionPolicy",
     "AdmissionStatistics",
     "QueryCost",
     "price_query",

@@ -11,56 +11,39 @@ compiled program is already warm in the cache, and the worker pool's
 warm-hit rate.
 
 :func:`price_query` folds those signals into a scalar unit count
-(:class:`QueryCost`), and :class:`AdmissionController` enforces an
-:class:`AdmissionPolicy` over it:
-
-* a **per-query budget** (``max_query_cost``) — queries priced above it are
-  shed immediately with :class:`~repro.exceptions.QueryRejectedError`;
-* a **concurrent capacity** (``capacity``) with a **bounded queue**
-  (``max_pending``) — queries that fit the budget but not the currently
-  free capacity are *deferred* on the queue until running work releases
-  units, and rejected only when the queue itself is full or the wait
-  exceeds ``max_wait_seconds``.
-
-The deferred queue is **not** FIFO: released capacity goes to the
-*shortest-priced* waiter first (small queries never stall behind a giant
-one), tempered by two fairness rules.  A session never jumps its own work
-past another session's indefinitely — when the last admission went to the
-same session and somebody else is waiting, that somebody wins the tie —
-and a newcomer never bypasses the queue while anyone is waiting, so a
-large waiter always sees capacity drain toward it instead of being
-starved by a stream of small arrivals.
+(:class:`QueryCost`), and :class:`AdmissionController` holds it against
+one per-query budget (``max_query_cost``): a query priced above it is shed
+with :class:`~repro.exceptions.QueryRejectedError`, which carries the
+price model's inversion of the budget (:func:`admissible_cell_budget`).
+Admission holds no capacity, so an admitted query owes the controller
+nothing when it finishes.
 
 Everything happens at the plan stage: a rejected query never touches the
 decomposition cache, never compiles a program, and never dispatches a pool
-task.  Report-cache hits bypass admission entirely — answering from cache
-costs nothing worth metering.
+task.  Report-cache hits are never priced — answering from cache costs
+nothing worth metering.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.cells import estimate_cell_count
-from ..exceptions import QueryDeadlineError, QueryRejectedError
-from ..faults import current_deadline
+from ..exceptions import QueryRejectedError
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
 from ..plan.program import AVG_MAX_PROBES
 from ..relational.aggregates import AggregateFunction
 
 __all__ = ["QueryCost", "price_query", "admissible_cell_budget",
-           "AdmissionPolicy", "AdmissionStatistics", "AdmissionTicket",
-           "AdmissionController"]
+           "AdmissionStatistics", "AdmissionController"]
 
 #: Registry counter names, precomputed so the mutation hot path never
 #: formats strings (mirrors the worker pool's ``_POOL_METRICS`` idiom).
 _ADMISSION_METRICS = {
     field: f"admission.{field}"
-    for field in ("priced", "admitted", "deferred", "rejected_over_budget",
-                  "rejected_queue_full", "rejected_timeout", "units_admitted")
+    for field in ("priced", "admitted", "rejected_over_budget",
+                  "units_admitted")
 }
 
 
@@ -194,350 +177,75 @@ def admissible_cell_budget(cost: QueryCost, budget: float) -> int:
 
 
 @dataclass
-class AdmissionPolicy:
-    """The budgets an :class:`AdmissionController` enforces.
-
-    ``max_query_cost``
-        Per-query ceiling in cost units; ``None`` disables shedding by size.
-    ``capacity``
-        Total units allowed in flight at once; ``None`` disables capacity
-        metering (every admitted query runs immediately).
-    ``max_pending``
-        How many queries may *wait* for capacity (the bounded admission
-        queue).  ``0`` rejects immediately when capacity is exhausted.
-    ``max_wait_seconds``
-        Deadline for a deferred query; waiting past it rejects with reason
-        ``"timeout"`` so callers never hang on an overloaded deployment.
-    """
-
-    max_query_cost: float | None = None
-    capacity: float | None = None
-    max_pending: int = 0
-    max_wait_seconds: float = 30.0
-
-
-@dataclass
 class AdmissionStatistics:
     """What the controller has decided so far."""
 
     priced: int = 0
     admitted: int = 0
-    deferred: int = 0
     rejected_over_budget: int = 0
-    rejected_queue_full: int = 0
-    rejected_timeout: int = 0
     units_admitted: float = 0.0
-    units_in_flight: float = 0.0
-    pending: int = 0
-
-    @property
-    def rejected(self) -> int:
-        return (self.rejected_over_budget + self.rejected_queue_full
-                + self.rejected_timeout)
 
     def as_dict(self) -> dict[str, float]:
         return {
             "priced": self.priced,
             "admitted": self.admitted,
-            "deferred": self.deferred,
-            "rejected": self.rejected,
             "rejected_over_budget": self.rejected_over_budget,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_timeout": self.rejected_timeout,
             "units_admitted": self.units_admitted,
-            "units_in_flight": self.units_in_flight,
-            "pending": self.pending,
         }
-
-    def snapshot(self) -> "AdmissionStatistics":
-        return AdmissionStatistics(
-            self.priced, self.admitted, self.deferred,
-            self.rejected_over_budget, self.rejected_queue_full,
-            self.rejected_timeout, self.units_admitted,
-            self.units_in_flight, self.pending)
-
-
-class AdmissionTicket:
-    """Admitted capacity that must be released when the work finishes.
-
-    Context-managed; ``release`` is idempotent so error paths can release
-    defensively.  Releasing wakes deferred queries waiting for capacity.
-    """
-
-    def __init__(self, controller: "AdmissionController", units: float):
-        self._controller = controller
-        self._units = units
-        self._released = False
-
-    @property
-    def units(self) -> float:
-        return self._units
-
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self._controller._release(self._units)
-
-    def __enter__(self) -> "AdmissionTicket":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.release()
-
-
-class _Waiter:
-    """One deferred query parked on the admission queue.
-
-    ``seq`` is the arrival order (the final tiebreaker, so equal-priced
-    waiters from one session still admit FIFO); ``units`` and ``session``
-    feed the head-selection ordering in
-    :meth:`AdmissionController._select_head`.
-    """
-
-    __slots__ = ("units", "session", "seq")
-
-    def __init__(self, units: float, session, seq: int):
-        self.units = units
-        self.session = session
-        self.seq = seq
 
 
 class AdmissionController:
-    """Thread-safe enforcement of one :class:`AdmissionPolicy`.
+    """Thread-safe enforcement of one per-query budget, ``max_query_cost``.
 
-    ``admit`` either returns an :class:`AdmissionTicket` (possibly after a
-    bounded wait on the admission queue) or raises
-    :class:`~repro.exceptions.QueryRejectedError`.  The controller never
-    runs queries itself — the service holds the ticket across the solve and
-    releases it in a ``finally``.
-
-    Deferred queries admit in shortest-priced-first order with a
-    per-session fairness penalty, and only ever through the selected queue
-    head — a waiter that is not the head stays parked even when its units
-    would fit, which is what lets a large waiter accumulate the capacity
-    it needs instead of starving behind smaller arrivals.
+    ``admit`` and ``admit_many`` return once every cost clears the budget
+    and raise :class:`~repro.exceptions.QueryRejectedError` otherwise.
     """
 
-    def __init__(self, policy: AdmissionPolicy | None = None):
-        self._policy = policy or AdmissionPolicy()
-        self._condition = threading.Condition()
-        self._in_flight = 0.0
-        self._pending = 0
+    def __init__(self, max_query_cost: float):
+        self._max_query_cost = max_query_cost
+        self._lock = threading.Lock()
         self._statistics = AdmissionStatistics()
-        self._waiters: list[_Waiter] = []
-        self._seq = 0
-        self._last_session = None
 
     def _bump(self, field: str, amount: float = 1) -> None:
         """Advance one decision counter in the dataclass snapshot *and* the
         process-wide metrics registry (``admission.*``)."""
-        statistics = self._statistics
-        setattr(statistics, field, getattr(statistics, field) + amount)
+        with self._lock:
+            statistics = self._statistics
+            setattr(statistics, field, getattr(statistics, field) + amount)
         get_registry().counter(_ADMISSION_METRICS[field]).inc(amount)
 
     @property
-    def policy(self) -> AdmissionPolicy:
-        return self._policy
-
-    @property
     def statistics(self) -> AdmissionStatistics:
-        with self._condition:
-            snapshot = self._statistics.snapshot()
-            snapshot.units_in_flight = self._in_flight
-            snapshot.pending = self._pending
-            return snapshot
+        with self._lock:
+            return replace(self._statistics)
 
-    # ------------------------------------------------------------------ #
-    # Admission
-    # ------------------------------------------------------------------ #
-    def admit(self, cost: QueryCost, enforce_budget: bool = True,
-              session=None, *, already_priced: bool = False
-              ) -> AdmissionTicket:
-        """Admit ``cost`` units, deferring on the bounded queue if needed.
+    def admit(self, cost: QueryCost) -> None:
+        """Admit one query, or shed it when ``cost`` exceeds the budget."""
+        self._admit([cost], "query")
 
-        ``session`` is an opaque caller identity (the service passes the
-        session fingerprint); it only feeds the per-session fairness rule
-        in head selection, never pricing.  ``enforce_budget`` is disabled
-        by :meth:`admit_many`, which has already applied the per-query
-        ceiling to each member — the combined reservation is only metered
-        against capacity; ``already_priced`` likewise skips the priced
-        counter when the batch path has already counted every member.
+    def admit_many(self, costs: list[QueryCost]) -> None:
+        """Admit a batch's distinct cache misses, each on its own budget.
+
+        Every member is counted as priced once, up front, and each must
+        clear ``max_query_cost`` (a batch is not a loophole around the
+        per-query ceiling): one member over it rejects the whole batch
+        before any member is admitted.
         """
-        policy = self._policy
-        with self._condition:
-            if not already_priced:
-                self._bump("priced")
-            budget = policy.max_query_cost if enforce_budget else None
-            if budget is not None and cost.units > budget:
+        self._admit(costs, "batch")
+
+    def _admit(self, costs: list[QueryCost], what: str) -> None:
+        self._bump("priced", len(costs))
+        budget = self._max_query_cost
+        for cost in costs:
+            if cost.units > budget:
                 self._bump("rejected_over_budget")
                 fitting = admissible_cell_budget(cost, budget)
                 raise QueryRejectedError(
-                    f"query rejected before any solve was dispatched: "
+                    f"{what} rejected before any solve was dispatched: "
                     f"{cost.describe()} exceeds the per-query budget of "
                     f"{budget:.1f} unit(s); a same-shaped query of at most "
                     f"~{fitting} estimated cell(s) would fit",
                     cost=cost.units, limit=budget, reason="over-budget",
                     cell_budget=fitting)
-            capacity = policy.capacity
-            if capacity is not None:
-                # A newcomer never bypasses parked waiters, even when its
-                # own units would fit — otherwise a stream of small
-                # arrivals starves whoever is queued.
-                must_wait = bool(self._waiters) or not self._fits(cost.units,
-                                                                  capacity)
-                if must_wait:
-                    if self._pending >= policy.max_pending:
-                        self._bump("rejected_queue_full")
-                        raise QueryRejectedError(
-                            f"query rejected: {cost.describe()} cannot run "
-                            f"now ({self._in_flight:.1f}/{capacity:.1f} "
-                            f"unit(s) in flight) and the admission queue is "
-                            f"full ({policy.max_pending} pending)",
-                            cost=cost.units, limit=capacity,
-                            reason="queue-full")
-                    waiter = _Waiter(cost.units, session, self._seq)
-                    self._seq += 1
-                    self._waiters.append(waiter)
-                    self._pending += 1
-                    deferred = False
-                    try:
-                        # The query's ambient deadline keeps ticking while
-                        # the query is parked: the effective wait is the
-                        # smaller of the policy's patience and whatever
-                        # budget the deadline has left, and an expiry caused
-                        # by the *query deadline* surfaces as
-                        # QueryDeadlineError rather than an admission
-                        # rejection — the query ran out of time, the
-                        # service did not shed it.
-                        query_deadline = current_deadline()
-                        deadline = time.monotonic() + policy.max_wait_seconds
-                        # Head-only admission: a waiter admits only while it
-                        # is the selected head AND its units fit — a
-                        # non-head waiter stays parked even if it would fit,
-                        # so capacity drains toward the head.
-                        while not (self._select_head() is waiter
-                                   and self._fits(cost.units, capacity)):
-                            if not deferred:
-                                deferred = True
-                                self._bump("deferred")
-                                get_tracer().annotate(admission="deferred")
-                            remaining = deadline - time.monotonic()
-                            if query_deadline is not None:
-                                remaining = min(remaining,
-                                                query_deadline.remaining())
-                            if remaining <= 0 or \
-                                    not self._condition.wait(remaining):
-                                if query_deadline is not None and \
-                                        query_deadline.expired():
-                                    raise QueryDeadlineError(
-                                        f"query deadline of "
-                                        f"{query_deadline.seconds:.3f}s "
-                                        f"expired after "
-                                        f"{query_deadline.elapsed():.3f}s "
-                                        f"while deferred in the admission "
-                                        f"queue ({cost.describe()})",
-                                        deadline=query_deadline.seconds,
-                                        elapsed=query_deadline.elapsed())
-                                self._bump("rejected_timeout")
-                                raise QueryRejectedError(
-                                    f"query rejected: {cost.describe()} "
-                                    f"waited "
-                                    f"{policy.max_wait_seconds:.1f}s for "
-                                    f"capacity",
-                                    cost=cost.units, limit=capacity,
-                                    reason="timeout")
-                    finally:
-                        self._waiters.remove(waiter)
-                        self._pending -= 1
-                        # Whether admitted or timed out, the head changed —
-                        # re-run head selection in the remaining waiters.
-                        self._condition.notify_all()
-            self._in_flight += cost.units
-            self._last_session = session
-            self._bump("admitted")
-            self._bump("units_admitted", cost.units)
-            return AdmissionTicket(self, cost.units)
-
-    def admit_many(self, costs: list[QueryCost],
-                   session=None) -> AdmissionTicket:
-        """Admit a batch: per-query budget checks, one combined capacity ask.
-
-        Each query must individually clear ``max_query_cost`` (a batch is
-        not a loophole around the per-query ceiling); the batch then
-        occupies the *sum* of its units until released, reflecting that its
-        queries run concurrently.
-
-        Every member is counted as priced exactly once, up front — the
-        earlier scheme counted only the offending member on rejection and
-        only the combined reservation on success, so the ``priced`` counter
-        under-reported batch traffic on both paths.
-        """
-        policy = self._policy
-        with self._condition:
-            self._bump("priced", len(costs))
-        budget = policy.max_query_cost
-        if budget is not None:
-            for cost in costs:
-                if cost.units > budget:
-                    with self._condition:
-                        self._bump("rejected_over_budget")
-                    fitting = admissible_cell_budget(cost, budget)
-                    raise QueryRejectedError(
-                        f"batch rejected before any solve was dispatched: "
-                        f"{cost.describe()} exceeds the per-query budget of "
-                        f"{budget:.1f} unit(s); a same-shaped query of at "
-                        f"most ~{fitting} estimated cell(s) would fit",
-                        cost=cost.units, limit=budget, reason="over-budget",
-                        cell_budget=fitting)
-        total = sum(cost.units for cost in costs)
-        combined = QueryCost(units=total, aggregate="batch",
-                             constraint_count=max((c.constraint_count
-                                                   for c in costs), default=0),
-                             estimated_cells=max((c.estimated_cells
-                                                  for c in costs), default=0),
-                             shard_count=max((c.shard_count for c in costs),
-                                             default=1),
-                             strategy="batch",
-                             program_warm=all(c.program_warm for c in costs),
-                             pool_warm_hit_rate=max((c.pool_warm_hit_rate
-                                                     for c in costs),
-                                                    default=0.0))
-        return self.admit(combined, enforce_budget=False, session=session,
-                          already_priced=True)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _select_head(self) -> _Waiter | None:
-        """The waiter next in line: shortest-priced first, fairness-aware.
-
-        Ordering key is ``(penalty, units, seq)``: the penalty is 1 only
-        when the waiter belongs to the session that got the *previous*
-        admission while some other session is also waiting — so one
-        session's flood of cheap queries alternates with everyone else
-        instead of monopolizing released capacity.  Must be called with
-        the condition lock held.
-        """
-        if not self._waiters:
-            return None
-
-        def key(waiter: _Waiter):
-            penalty = 0
-            if waiter.session == self._last_session and any(
-                    other.session != waiter.session
-                    for other in self._waiters):
-                penalty = 1
-            return (penalty, waiter.units, waiter.seq)
-
-        return min(self._waiters, key=key)
-
-    def _fits(self, units: float, capacity: float) -> bool:
-        # A query bigger than the whole capacity may still run alone —
-        # otherwise it could never run at all; the per-query ceiling is
-        # max_query_cost's job, not capacity's.
-        return self._in_flight + units <= capacity or self._in_flight == 0.0
-
-    def _release(self, units: float) -> None:
-        with self._condition:
-            self._in_flight = max(0.0, self._in_flight - units)
-            self._condition.notify_all()
+        self._bump("admitted", len(costs))
+        self._bump("units_admitted", sum(cost.units for cost in costs))

@@ -49,13 +49,7 @@ from ..obs.trace import Trace, get_tracer
 from ..parallel.pool import WorkerPool, default_pool_mode
 from ..relational.relation import Relation
 from ..solvers.registry import resolve_backend
-from .admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    AdmissionTicket,
-    QueryCost,
-    price_query,
-)
+from .admission import AdmissionController, QueryCost, price_query
 from .batch import BatchExecutor, BatchResult
 from .cache import CacheStatistics, LRUCache
 from .fingerprint import fingerprint_query
@@ -79,7 +73,7 @@ class ServiceStatistics:
     decompositions_computed: int
     decomposition_solver_calls: int
     programs_compiled: int
-    #: Queries that raised QueryDeadlineError (in admission or mid-solve).
+    #: Queries that raised QueryDeadlineError.
     deadline_exceeded: int = 0
     #: Queries answered with at least one worst-case-degraded shard.
     degraded: int = 0
@@ -156,8 +150,8 @@ class ServiceStatistics:
             lines.append(
                 f"admission control      : "
                 f"{int(self.admission['admitted'])} admitted / "
-                f"{int(self.admission['deferred'])} deferred / "
-                f"{int(self.admission['rejected'])} rejected "
+                f"{int(self.admission['rejected_over_budget'])} rejected "
+                f"over budget "
                 f"({self.admission['units_admitted']:.1f} unit(s) admitted)")
         if self.store is not None:
             lines.append(
@@ -211,15 +205,14 @@ class ContingencyService:
         pool outlives every batch: it serves batch phase 2 and every
         session's sharded fan-out, and is torn down by :meth:`shutdown`
         (or the atexit reaper).
-    admission:
-        Optional :class:`~repro.service.admission.AdmissionPolicy` enabling
-        program-aware admission control: every cold query is priced from
-        its plan (constraint count, estimated cells, sharded layout,
-        program warmth, pool warm-hit rate) *before* anything is solved,
-        and queries over the per-query budget — or arriving when capacity
-        and the bounded admission queue are both exhausted — are shed with
+    max_query_cost:
+        Optional per-query budget in cost units enabling program-aware
+        admission control: every cold query is priced from its plan
+        (constraint count, estimated cells, sharded layout, program
+        warmth, pool warm-hit rate) *before* anything is solved, and a
+        query priced above the budget is shed with
         :class:`~repro.exceptions.QueryRejectedError`.  Report-cache hits
-        bypass admission (answering from cache costs nothing to meter).
+        are not priced (answering from cache costs nothing to meter).
     cache_dir:
         Optional directory for the persistent cache tier (see
         :mod:`repro.service.store`).  When set — explicitly or via the
@@ -242,7 +235,7 @@ class ContingencyService:
                  default_options: BoundOptions | None = None,
                  verify_backend: str | None = None,
                  pool_mode: str | None = None,
-                 admission: AdmissionPolicy | None = None,
+                 max_query_cost: float | None = None,
                  cache_dir: str | None = None):
         if verify_backend is not None:
             resolve_backend(verify_backend)  # a typo fails now, not per query
@@ -270,8 +263,8 @@ class ContingencyService:
         self._executor = BatchExecutor(max_workers, pool=self._worker_pool)
         self._default_options = default_options
         self._verify_backend = verify_backend
-        self._admission = (None if admission is None
-                           else AdmissionController(admission))
+        self._admission = (None if max_query_cost is None
+                           else AdmissionController(max_query_cost))
         self._queries_answered = 0
         self._batches_executed = 0
         self._deadline_exceeded = 0
@@ -279,11 +272,6 @@ class ContingencyService:
         self._delta_migrations = 0
         self._delta_invalidations = 0
         self._counter_lock = threading.Lock()
-        # Side index from report-cache key parts to the query object, so an
-        # append can re-evaluate cached queries' WHERE regions against the
-        # delta.  Entries missing here (e.g. reports loaded from a previous
-        # process's store) simply are not migrated — a miss, never unsound.
-        self._report_queries: dict[tuple[str, str], ContingencyQuery] = {}
 
     # ------------------------------------------------------------------ #
     # Registry facade
@@ -299,7 +287,7 @@ class ContingencyService:
 
     @property
     def admission(self) -> AdmissionController | None:
-        """The admission controller (None when the service admits freely)."""
+        """The admission controller (None without a ``max_query_cost``)."""
         return self._admission
 
     # ------------------------------------------------------------------ #
@@ -405,7 +393,6 @@ class ContingencyService:
         get_registry().counter("service.queries_answered").inc()
         query_fingerprint = fingerprint_query(query)
         key = ("report", session.fingerprint, query_fingerprint)
-        self._remember_query(session.fingerprint, query_fingerprint, query)
         tracer = get_tracer()
         if tracer.active:
             # peek() perturbs neither LRU recency nor the cache counters,
@@ -413,12 +400,9 @@ class ContingencyService:
             tracer.annotate(report_cache=(
                 "hit" if self._report_cache.peek(key) is not None
                 else "miss"))
-        # Report-cache hits bypass both admission *and* the deadline: a
-        # cached answer is effectively instantaneous, so metering it against
-        # the budget could only produce spurious expiries.  Everything
-        # colder runs under the session's deadline scope, which covers the
-        # admission wait (a deferred query's solve budget shrinks while it
-        # is parked) as well as the solve itself.
+        # The session's deadline scope covers pricing and the solve; a
+        # report-cache hit checks no deadline, since a cached answer is
+        # effectively instantaneous.
         try:
             with query_deadline_scope(session.options.deadline_seconds):
                 report = self._analyze_admitted(session, query, key, tracer)
@@ -434,28 +418,21 @@ class ContingencyService:
     def _analyze_admitted(self, session: RegisteredSession,
                           query: ContingencyQuery, key, tracer
                           ) -> ContingencyReport:
-        if self._admission is None:
-            return self._report_cache.get_or_compute(
-                key, lambda: session.analyze(query))
-        # Admission-controlled path: cache hits bypass pricing entirely
-        # (they cost nothing worth metering); cold queries are priced from
-        # their plan and admitted — or shed — before any solve runs.  The
-        # solve itself still goes through get_or_compute, so concurrent
-        # racers on one key keep the single-flight dedup the non-admission
-        # path has: each racer holds its own admitted units while waiting
-        # (two requests genuinely are in flight), but only the winner
-        # solves — the losers adopt the cached report.
-        report = self._report_cache.get(key)
-        if report is not None:
-            return report
-        with tracer.span("admission"):
-            cost = self._price(session, query)
-            tracer.annotate(units=cost.units)
-            ticket = self._admission.admit(cost,
-                                           session=session.fingerprint)
-        with ticket:
-            return self._report_cache.get_or_compute(
-                key, lambda: session.analyze(query))
+        if self._admission is not None:
+            # Cache hits are not priced (they cost nothing worth metering);
+            # a cold query is priced from its plan and admitted, or shed,
+            # before any solve runs.  The solve still goes through
+            # get_or_compute, so concurrent racers on one key share one
+            # solve: each racer is admitted, only the winner solves.
+            report = self._report_cache.get(key)
+            if report is not None:
+                return report
+            with tracer.span("admission"):
+                cost = self._price(session, query)
+                tracer.annotate(units=cost.units)
+                self._admission.admit(cost)
+        return self._report_cache.get_or_compute(
+            key, lambda: session.analyze(query))
 
     def _price(self, session: RegisteredSession,
                query: ContingencyQuery) -> QueryCost:
@@ -486,7 +463,6 @@ class ContingencyService:
         for position, query in enumerate(queries):
             query_fingerprint = fingerprint_query(query)
             key = ("report", session.fingerprint, query_fingerprint)
-            self._remember_query(session.fingerprint, query_fingerprint, query)
             report = self._report_cache.get(key)
             if report is None:
                 missing_by_query.setdefault(query_fingerprint, []).append(position)
@@ -497,22 +473,14 @@ class ContingencyService:
                               for positions in missing_by_query.values()]
         distinct_queries = [queries[position]
                             for position in distinct_positions]
-        # Price the batch's distinct cache misses and admit them as one
-        # capacity reservation before anything is dispatched: every query
-        # must clear the per-query budget, and the whole batch is shed at
-        # the plan stage when it cannot.
-        ticket: AdmissionTicket | None = None
+        # Price each distinct cache miss before anything is dispatched:
+        # every one must clear the per-query budget, and the whole batch is
+        # shed at the plan stage when one cannot.
         if self._admission is not None and distinct_queries:
-            costs = [self._price(session, query)
-                     for query in distinct_queries]
-            ticket = self._admission.admit_many(
-                costs, session=session.fingerprint)
-        try:
-            result = self._executor.execute(session.analyzer, distinct_queries,
-                                            session_key=session.fingerprint)
-        finally:
-            if ticket is not None:
-                ticket.release()
+            self._admission.admit_many([self._price(session, query)
+                                        for query in distinct_queries])
+        result = self._executor.execute(session.analyzer, distinct_queries,
+                                        session_key=session.fingerprint)
         for (query_fingerprint, positions), report in zip(
                 missing_by_query.items(), result.reports):
             if report.degraded_shards:
@@ -530,22 +498,6 @@ class ContingencyService:
     # ------------------------------------------------------------------ #
     # Data deltas
     # ------------------------------------------------------------------ #
-    def _remember_query(self, session_fingerprint: str,
-                        query_fingerprint: str,
-                        query: ContingencyQuery) -> None:
-        """Record the report-key → query mapping used for delta migration."""
-        with self._counter_lock:
-            self._report_queries[(session_fingerprint, query_fingerprint)] = query
-            # Bound the index: prune entries whose report is long gone once
-            # the map outgrows the report cache by a wide margin.
-            if len(self._report_queries) > 4 * self._report_cache.max_entries:
-                keep = {
-                    parts: stored_query
-                    for parts, stored_query in self._report_queries.items()
-                    if ("report", *parts) in self._report_cache
-                }
-                self._report_queries = keep
-
     def append_rows(self, name: str,
                     rows: "Relation | list", *,
                     version: int | None = None) -> RegisteredSession:
@@ -594,26 +546,20 @@ class ContingencyService:
             return new_session  # empty delta — nothing to migrate
         migrated = 0
         invalidated = 0
-        with self._counter_lock:
-            candidates = [
-                (query_fingerprint, query)
-                for (session_fingerprint, query_fingerprint), query
-                in self._report_queries.items()
-                if session_fingerprint == session.fingerprint
-            ]
-        for query_fingerprint, query in candidates:
-            report = self._report_cache.peek(
-                ("report", session.fingerprint, query_fingerprint))
+        # Each cached report carries its query, so the report cache itself
+        # says which reports to test against the delta.
+        for key in self._report_cache.keys():
+            if key[1] != session.fingerprint:
+                continue
+            report = self._report_cache.peek(key)
             if report is None:
                 continue
-            where = query.to_aggregate_query().where
+            where = report.query.to_aggregate_query().where
             if bool(np.asarray(where.evaluate(delta)).any()):
                 invalidated += 1
                 continue
-            self._report_cache.put(
-                ("report", new_session.fingerprint, query_fingerprint), report)
-            self._remember_query(new_session.fingerprint, query_fingerprint,
-                                 query)
+            self._report_cache.put(("report", new_session.fingerprint, key[2]),
+                                   report)
             migrated += 1
         with self._counter_lock:
             self._delta_migrations += migrated

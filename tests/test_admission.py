@@ -1,17 +1,15 @@
 """Unit tests for program-aware admission control.
 
-The controller is pinned directly (accept / reject / defer / timeout over
-synthetic costs), the pricing model is pinned for monotonicity and
-warm/sharded discounts, and the service integration is pinned end-to-end:
-an over-budget query is shed *before* any decomposition or compilation, the
-bounded queue defers and resumes, batches admit as one reservation, and
-report-cache hits bypass admission entirely.
+The controller is pinned directly (accept / reject over synthetic costs),
+the pricing model is pinned for monotonicity and warm/sharded discounts,
+and the service integration is pinned end-to-end: an over-budget query is
+shed *before* any decomposition or compilation, a batch admits each
+distinct cache miss on its own, and report-cache hits are never priced.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -25,7 +23,7 @@ from repro.core.engine import ContingencyQuery
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.exceptions import QueryRejectedError
-from repro.service import AdmissionPolicy, ContingencyService, price_query
+from repro.service import ContingencyService, price_query
 from repro.service.admission import AdmissionController, QueryCost
 
 
@@ -51,84 +49,46 @@ def cost(units: float) -> QueryCost:
 # --------------------------------------------------------------------- #
 class TestAdmissionController:
     def test_admits_under_budget_and_releases(self):
-        controller = AdmissionController(AdmissionPolicy(max_query_cost=10,
-                                                         capacity=10))
-        with controller.admit(cost(4)):
-            assert controller.statistics.units_in_flight == 4
+        # Admission holds no capacity, so an admitted query has nothing to
+        # release: the next one is checked against the budget alone.
+        controller = AdmissionController(max_query_cost=10)
+        controller.admit(cost(4))
+        controller.admit(cost(10))
         stats = controller.statistics
-        assert stats.admitted == 1 and stats.units_in_flight == 0
+        assert stats.priced == 2 and stats.admitted == 2
+        assert stats.units_admitted == 14
 
     def test_over_budget_rejected_with_reason(self):
-        controller = AdmissionController(AdmissionPolicy(max_query_cost=5))
+        controller = AdmissionController(max_query_cost=5)
         with pytest.raises(QueryRejectedError) as info:
             controller.admit(cost(6))
         assert info.value.reason == "over-budget"
         assert info.value.cost == 6 and info.value.limit == 5
         assert controller.statistics.rejected_over_budget == 1
 
-    def test_queue_full_rejects_immediately(self):
-        controller = AdmissionController(AdmissionPolicy(capacity=5,
-                                                         max_pending=0))
-        ticket = controller.admit(cost(4))
-        with pytest.raises(QueryRejectedError) as info:
-            controller.admit(cost(4))
-        assert info.value.reason == "queue-full"
-        ticket.release()
-        controller.admit(cost(4)).release()  # capacity freed
-
-    def test_deferred_query_resumes_on_release(self):
-        controller = AdmissionController(AdmissionPolicy(
-            capacity=5, max_pending=1, max_wait_seconds=5.0))
-        first = controller.admit(cost(4))
-        admitted = threading.Event()
-
-        def deferred():
-            with controller.admit(cost(4)):
-                admitted.set()
-
-        waiter = threading.Thread(target=deferred)
-        waiter.start()
-        time.sleep(0.05)
-        assert not admitted.is_set()  # parked on the bounded queue
-        assert controller.statistics.pending == 1
-        first.release()
-        waiter.join(timeout=5.0)
-        assert admitted.is_set()
-        assert controller.statistics.deferred == 1
-        assert controller.statistics.admitted == 2
-
-    def test_deferred_query_times_out(self):
-        controller = AdmissionController(AdmissionPolicy(
-            capacity=5, max_pending=1, max_wait_seconds=0.05))
-        ticket = controller.admit(cost(4))
-        with pytest.raises(QueryRejectedError) as info:
-            controller.admit(cost(4))
-        assert info.value.reason == "timeout"
-        ticket.release()
-
-    def test_oversized_query_runs_alone(self):
-        # capacity is a concurrency budget, not a per-query ceiling: a query
-        # bigger than the whole capacity still runs when nothing else does.
-        controller = AdmissionController(AdmissionPolicy(capacity=5))
-        with controller.admit(cost(9)):
-            pass
-        assert controller.statistics.admitted == 1
-
     def test_admit_many_checks_each_then_reserves_the_sum(self):
-        controller = AdmissionController(AdmissionPolicy(max_query_cost=5,
-                                                         capacity=20))
-        ticket = controller.admit_many([cost(3), cost(4)])
-        assert controller.statistics.units_in_flight == 7
-        ticket.release()
+        controller = AdmissionController(max_query_cost=5)
+        controller.admit_many([cost(3), cost(4)])
+        stats = controller.statistics
+        assert stats.admitted == 2 and stats.units_admitted == 7
         with pytest.raises(QueryRejectedError):
             controller.admit_many([cost(3), cost(6)])  # one member too big
 
-    def test_release_is_idempotent(self):
-        controller = AdmissionController(AdmissionPolicy(capacity=5))
-        ticket = controller.admit(cost(3))
-        ticket.release()
-        ticket.release()
-        assert controller.statistics.units_in_flight == 0
+    def test_admit_many_prices_every_member_exactly_once(self):
+        # Success path: three members, three priced, three admitted.
+        controller = AdmissionController(max_query_cost=5)
+        controller.admit_many([cost(1), cost(2), cost(3)])
+        stats = controller.statistics
+        assert stats.priced == 3 and stats.admitted == 3
+        # Rejection path: both members were priced before the second one
+        # tripped the budget, and neither was admitted.
+        rejecting = AdmissionController(max_query_cost=5)
+        with pytest.raises(QueryRejectedError):
+            rejecting.admit_many([cost(3), cost(6)])
+        stats = rejecting.statistics
+        assert stats.priced == 2
+        assert stats.rejected_over_budget == 1
+        assert stats.admitted == 0
 
 
 # --------------------------------------------------------------------- #
@@ -200,8 +160,7 @@ class TestServiceAdmission:
     OPTIONS = BoundOptions(check_closure=False)
 
     def test_over_budget_query_shed_before_any_solve(self):
-        with ContingencyService(admission=AdmissionPolicy(
-                max_query_cost=0.5)) as service:
+        with ContingencyService(max_query_cost=0.5) as service:
             session = service.register("s", chain_pcset(),
                                        options=self.OPTIONS)
             with pytest.raises(QueryRejectedError) as info:
@@ -211,12 +170,11 @@ class TestServiceAdmission:
             assert solver.decompositions_computed == 0
             assert solver.programs_compiled == 0
             stats = service.statistics()
-            assert stats.admission["rejected"] == 1
+            assert stats.admission["rejected_over_budget"] == 1
             assert "admission control" in stats.summary()
 
     def test_admitted_query_answers_and_frees_capacity(self):
-        with ContingencyService(admission=AdmissionPolicy(
-                max_query_cost=1e9, capacity=1e9)) as service:
+        with ContingencyService(max_query_cost=1e9) as service:
             service.register("s", chain_pcset(), options=self.OPTIONS)
             report = service.analyze("s", ContingencyQuery.count())
             baseline = PCBoundSolver(chain_pcset(), self.OPTIONS)
@@ -224,11 +182,10 @@ class TestServiceAdmission:
             assert (report.missing_range.lower, report.missing_range.upper) \
                 == (expected.lower, expected.upper)
             stats = service.statistics().admission
-            assert stats["admitted"] == 1 and stats["units_in_flight"] == 0.0
+            assert stats["admitted"] == 1 and stats["units_admitted"] > 0.0
 
     def test_report_cache_hits_bypass_admission(self):
-        with ContingencyService(admission=AdmissionPolicy(
-                max_query_cost=1e9)) as service:
+        with ContingencyService(max_query_cost=1e9) as service:
             service.register("s", chain_pcset(), options=self.OPTIONS)
             query = ContingencyQuery.count()
             service.analyze("s", query)
@@ -237,8 +194,7 @@ class TestServiceAdmission:
             assert stats["priced"] == 1 and stats["admitted"] == 1
 
     def test_batch_rejected_before_dispatch(self):
-        with ContingencyService(admission=AdmissionPolicy(
-                max_query_cost=0.5)) as service:
+        with ContingencyService(max_query_cost=0.5) as service:
             session = service.register("s", chain_pcset(),
                                        options=self.OPTIONS)
             queries = [ContingencyQuery.count(),
@@ -250,23 +206,21 @@ class TestServiceAdmission:
             assert solver.programs_compiled == 0
 
     def test_batch_admits_distinct_misses_as_one_reservation(self):
-        with ContingencyService(admission=AdmissionPolicy(
-                max_query_cost=1e9, capacity=1e9)) as service:
+        with ContingencyService(max_query_cost=1e9) as service:
             service.register("s", chain_pcset(), options=self.OPTIONS)
             queries = [ContingencyQuery.count(), ContingencyQuery.count(),
                        ContingencyQuery.sum("v")]
             result = service.execute_batch("s", queries)
             assert len(result) == 3
             stats = service.statistics().admission
-            # One combined reservation, fully released.
-            assert stats["admitted"] == 1
-            assert stats["units_in_flight"] == 0.0
+            # The two distinct misses are priced and admitted on their own;
+            # the duplicate COUNT is neither.
+            assert stats["priced"] == stats["admitted"] == 2
 
     def test_concurrent_cold_racers_solve_once(self):
         # Admission must not forfeit the report cache's single-flight
-        # dedup: racers each hold admitted units, but only one solves.
-        with ContingencyService(admission=AdmissionPolicy(
-                max_query_cost=1e9, capacity=1e9)) as service:
+        # dedup: both racers are admitted, but only one solves.
+        with ContingencyService(max_query_cost=1e9) as service:
             session = service.register("s", chain_pcset(),
                                        options=self.OPTIONS)
             query = ContingencyQuery.count()
@@ -293,123 +247,3 @@ class TestServiceAdmission:
             service.analyze("s", ContingencyQuery.count())
             assert service.admission is None
             assert service.statistics().admission is None
-
-
-# --------------------------------------------------------------------- #
-# Deferred-queue wakeup ordering
-# --------------------------------------------------------------------- #
-class TestWakeupOrdering:
-    """Released capacity goes to the shortest-priced waiter first, with a
-    per-session fairness penalty and no newcomer bypass — the elastic
-    scheduler's admission leg."""
-
-    def wait_for_pending(self, controller, count, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while controller.statistics.pending != count:
-            if time.monotonic() > deadline:
-                raise AssertionError(
-                    f"pending never reached {count} "
-                    f"(now {controller.statistics.pending})")
-            time.sleep(0.005)
-
-    def test_shortest_priced_waiter_admits_first(self):
-        # Capacity 4, fully held.  Waiters arrive largest-first (4, 3, 2);
-        # each fills the capacity alone, so admissions serialize and the
-        # recorded order is exactly the head-selection order: shortest
-        # first, not FIFO.
-        controller = AdmissionController(AdmissionPolicy(
-            capacity=4, max_pending=3, max_wait_seconds=10.0))
-        held = controller.admit(cost(4))
-        order: list[float] = []
-
-        def deferred(units):
-            with controller.admit(cost(units), session=f"s{units}"):
-                order.append(units)
-
-        threads = []
-        for units, pending in ((4, 1), (3, 2), (2, 3)):
-            thread = threading.Thread(target=deferred, args=(units,))
-            thread.start()
-            threads.append(thread)
-            self.wait_for_pending(controller, pending)
-        held.release()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert order == [2, 3, 4]
-        stats = controller.statistics
-        assert stats.deferred == 3 and stats.admitted == 4
-        assert stats.pending == 0 and stats.units_in_flight == 0
-
-    def test_newcomer_never_bypasses_a_parked_large_waiter(self):
-        # Capacity 10 with 7 held: an 8-unit waiter parks, then a 2-unit
-        # newcomer arrives that *would* fit — it must queue anyway, or a
-        # stream of small arrivals starves the large waiter forever.
-        controller = AdmissionController(AdmissionPolicy(
-            capacity=10, max_pending=2, max_wait_seconds=10.0))
-        held = controller.admit(cost(7), session="a")
-        admissions: list[float] = []
-
-        def deferred(units, session):
-            with controller.admit(cost(units), session=session):
-                admissions.append(units)
-                time.sleep(0.02)  # hold briefly so both overlap
-
-        large = threading.Thread(target=deferred, args=(8, "b"))
-        large.start()
-        self.wait_for_pending(controller, 1)
-        small = threading.Thread(target=deferred, args=(2, "a"))
-        small.start()
-        self.wait_for_pending(controller, 2)
-        # The newcomer fits (7 + 2 <= 10) yet is parked behind the queue.
-        assert controller.statistics.admitted == 1
-        held.release()
-        large.join(timeout=10.0)
-        small.join(timeout=10.0)
-        assert sorted(admissions) == [2, 8]
-        assert controller.statistics.admitted == 3
-        assert controller.statistics.units_in_flight == 0
-
-    def test_session_flood_does_not_starve_other_sessions(self):
-        # Session "a" got the last admission and has another query parked;
-        # session "b"'s waiter is larger AND arrived later, but the
-        # fairness penalty on back-to-back same-session admissions makes
-        # "b" the head once capacity frees.
-        controller = AdmissionController(AdmissionPolicy(
-            capacity=2, max_pending=2, max_wait_seconds=10.0))
-        held = controller.admit(cost(2), session="a")
-        order: list[str] = []
-
-        def deferred(units, session):
-            with controller.admit(cost(units), session=session):
-                order.append(session)
-
-        first = threading.Thread(target=deferred, args=(1, "a"))
-        first.start()
-        self.wait_for_pending(controller, 1)
-        second = threading.Thread(target=deferred, args=(2, "b"))
-        second.start()
-        self.wait_for_pending(controller, 2)
-        held.release()
-        first.join(timeout=10.0)
-        second.join(timeout=10.0)
-        assert order == ["b", "a"]
-        assert controller.statistics.admitted == 3
-
-    def test_admit_many_prices_every_member_exactly_once(self):
-        # Success path: three members, three priced, one combined admit.
-        controller = AdmissionController(AdmissionPolicy(max_query_cost=5,
-                                                         capacity=100))
-        with controller.admit_many([cost(1), cost(2), cost(3)]):
-            pass
-        stats = controller.statistics
-        assert stats.priced == 3 and stats.admitted == 1
-        # Rejection path: both members were priced before the second one
-        # tripped the budget — the old accounting counted only the
-        # offending member.
-        rejecting = AdmissionController(AdmissionPolicy(max_query_cost=5))
-        with pytest.raises(QueryRejectedError):
-            rejecting.admit_many([cost(3), cost(6)])
-        stats = rejecting.statistics
-        assert stats.priced == 2
-        assert stats.rejected_over_budget == 1
-        assert stats.admitted == 0

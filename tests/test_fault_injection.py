@@ -51,11 +51,6 @@ from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service import ContingencyService
-from repro.service.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    QueryCost,
-)
 
 WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "3")))
 
@@ -197,25 +192,6 @@ class TestDeadlines:
             with pytest.raises(QueryDeadlineError) as excinfo:
                 pool.solve_programs(keyed, AggregateFunction.SUM)
         assert excinfo.value.pending > 0
-
-    def test_deferred_admission_respects_query_deadline(self):
-        controller = AdmissionController(AdmissionPolicy(
-            capacity=1.0, max_pending=4, max_wait_seconds=30.0))
-        cost = QueryCost(units=1.0, aggregate="sum", constraint_count=1,
-                         estimated_cells=1, shard_count=1,
-                         strategy="component", program_warm=False,
-                         pool_warm_hit_rate=0.0)
-        blocker = controller.admit(cost)
-        started = time.monotonic()
-        # Parked behind the blocker with a 50 ms budget: the expiry must
-        # surface as the query's deadline, not an admission timeout, and
-        # far sooner than the policy's 30 s patience.
-        with deadline_scope(Deadline(0.05)):
-            with pytest.raises(QueryDeadlineError, match="admission"):
-                controller.admit(cost)
-        assert time.monotonic() - started < 1.0
-        blocker.release()
-        controller.admit(cost).release()  # capacity freed; admits again
 
 
 # --------------------------------------------------------------------- #

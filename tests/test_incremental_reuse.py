@@ -213,6 +213,24 @@ class TestDeltaInvalidation:
         assert near_after.observed_value == 2.0  # 12.5 and the new 12.6
         service.shutdown()
 
+    def test_batch_cached_reports_migrate_on_append(self):
+        """Reports cached by ``execute_batch`` migrate like ``analyze``'s."""
+        q_far = ContingencyQuery.sum("price", Predicate.range("utc", 11, 12))
+        q_near = ContingencyQuery.count(Predicate.range("utc", 12, 13))
+        with ContingencyService(max_workers=1) as service:
+            service.register("outage", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            before = service.execute_batch("outage", [q_far, q_near, q_far])
+            service.append_rows("outage", [(12.6, 9.0)])
+            statistics = service.statistics()
+            assert statistics.delta_migrations == 1
+            assert statistics.delta_invalidations == 1
+
+            hits = service.report_cache.statistics.hits
+            far_after = service.analyze("outage", q_far)
+            assert service.report_cache.statistics.hits == hits + 1
+            assert_reports_identical(far_after, before.reports[0])
+
     def test_append_matches_cold_registration(self):
         """The appended session fingerprints identically to registering the
         concatenated relation from scratch — so migrated entries are exactly

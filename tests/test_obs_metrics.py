@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -36,14 +35,6 @@ class TestCounter:
     def test_rejects_negative_increments(self):
         with pytest.raises(ValueError, match="cannot decrease"):
             Counter("x").inc(-1)
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        gauge = Gauge("g")
-        gauge.set(5)
-        gauge.add(-2)
-        assert gauge.value == 3.0
 
 
 class TestHistogram:
@@ -98,20 +89,18 @@ class TestRegistry:
     def test_kind_conflict_raises(self, registry):
         registry.counter("x")
         with pytest.raises(ValueError, match="already a counter"):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_empty_snapshot_and_render(self, registry):
         snapshot = registry.snapshot()
-        assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert snapshot == {"counters": {}, "histograms": {}}
         assert registry.render() == "(no metrics recorded)"
 
     def test_snapshot_is_plain_data(self, registry):
         registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
         registry.histogram("h").observe(0.01)
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"c": 3.0}
-        assert snapshot["gauges"] == {"g": 1.5}
         assert snapshot["histograms"]["h"]["count"] == 1
 
     def test_thread_safety_under_concurrent_increments(self, registry):

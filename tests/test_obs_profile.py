@@ -174,10 +174,7 @@ class TestServiceSurface:
         assert snapshot["service.batches_executed"] == 1.0
 
     def test_admission_counters_publish_into_registry(self, registry):
-        from repro.service.admission import AdmissionPolicy
-
-        with ContingencyService(
-                admission=AdmissionPolicy(max_query_cost=1e9)) as service:
+        with ContingencyService(max_query_cost=1e9) as service:
             service.register("s", chain_pcset(4))
             service.analyze("s", ContingencyQuery.count())
         counters = registry.snapshot()["counters"]

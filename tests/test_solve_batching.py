@@ -116,12 +116,9 @@ class TestAdmissionInversion:
 
     def test_rejection_carries_cell_budget_and_message(self):
         from repro.exceptions import QueryRejectedError
-        from repro.service.admission import (
-            AdmissionController,
-            AdmissionPolicy,
-        )
+        from repro.service.admission import AdmissionController
 
-        controller = AdmissionController(AdmissionPolicy(max_query_cost=50.0))
+        controller = AdmissionController(max_query_cost=50.0)
         cost = self._cost(units=220.0, cells=100, constraints=10)
         with pytest.raises(QueryRejectedError) as caught:
             controller.admit(cost)
@@ -132,12 +129,9 @@ class TestAdmissionInversion:
 
     def test_batch_rejection_carries_cell_budget(self):
         from repro.exceptions import QueryRejectedError
-        from repro.service.admission import (
-            AdmissionController,
-            AdmissionPolicy,
-        )
+        from repro.service.admission import AdmissionController
 
-        controller = AdmissionController(AdmissionPolicy(max_query_cost=50.0))
+        controller = AdmissionController(max_query_cost=50.0)
         costs = [self._cost(units=10.0, cells=5),
                  self._cost(units=220.0, cells=100)]
         with pytest.raises(QueryRejectedError) as caught:
