@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                               help="persistent cache directory: route the "
                                    "query through a service whose "
-                                   "decomposition/report caches write "
+                                   "decomposition/range caches write "
                                    "through to a sqlite store in DIR, so a "
                                    "repeated invocation is served warm "
                                    "(default: the REPRO_CACHE_DIR "
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                               help="persistent cache directory (sqlite "
                                    "write-through tier for decompositions "
-                                   "and reports; default: the "
+                                   "and missing-row ranges; default: the "
                                    "REPRO_CACHE_DIR environment toggle)")
     _add_profile_arguments(serve_parser)
     _add_solver_arguments(serve_parser)

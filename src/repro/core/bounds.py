@@ -186,14 +186,15 @@ class PCBoundSolver:
         are cached in a private per-instance dict.
     range_cache:
         Optional shared cache of closed-world missing ranges (any object
-        with ``get(key)`` and ``put(key, value)``).  A COUNT, SUM, MIN or
-        MAX range over the missing rows depends only on the compiled
-        program and the fan-out width, so it is memoized under
-        ``("range", program_key, aggregate, solve_workers)`` and a repeated
-        query skips compiling and solving.  AVG (its range depends on the
-        observed sum and count), degraded ranges and calls that raise are
-        never memoized; verification, open-world widening and the observed
-        combine run on every call.  When omitted nothing is memoized.
+        with ``get(key)`` and ``put(key, value)``).  A range over the
+        missing rows depends only on the compiled program, the fan-out
+        width and, for AVG, the observed sum and count, so it is memoized
+        under ``("range", program_key, aggregate, solve_workers, known_sum,
+        known_count)`` (the observed pair is 0.0 for every aggregate but
+        AVG) and a repeated query skips compiling and solving.  Degraded
+        ranges and calls that raise are never memoized; verification,
+        open-world widening and the observed combine run on every call.
+        When omitted nothing is memoized.
     worker_pool:
         Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
         sharded fan-out borrows instead of spinning a per-call executor
@@ -369,8 +370,7 @@ class PCBoundSolver:
         components), and — orthogonally — cross-backend verification
         (``verify_backend``), which intersects the range with a second
         backend's and alarms on disagreement.  With a range cache the
-        closed-world range of COUNT, SUM, MIN and MAX is looked up before
-        either solve path runs.
+        closed-world range is looked up before either solve path runs.
         """
         if aggregate.needs_attribute and attribute is None:
             raise SolverError(f"{aggregate.value} bounds require an attribute")
@@ -400,13 +400,17 @@ class PCBoundSolver:
         """:meth:`_bound_missing` behind the range cache (see the class
         docstring).  ``solve_workers`` joins the key because a
         component-sharded SUM adds up its shards' optima where the serial
-        path solves one objective, so the two may differ by an ulp or two."""
+        path solves one objective, so the two may differ by an ulp or two.
+        AVG's observed sum and count are exact floats, so a region an
+        append did not touch keeps its key."""
         cache = self._range_cache
-        if cache is None or aggregate is AggregateFunction.AVG:
+        if cache is None:
             return self._bound_missing(aggregate, attribute, region,
                                        known_sum, known_count)
+        observed = ((known_sum, known_count)
+                    if aggregate is AggregateFunction.AVG else (0.0, 0.0))
         key = ("range", self.program_key(region, attribute), aggregate,
-               self._options.solve_workers)
+               self._options.solve_workers, *observed)
         result = cache.get(key)
         if result is None:
             result = self._bound_missing(aggregate, attribute, region,

@@ -30,19 +30,13 @@ Value = TypeVar("Value")
 
 @dataclass
 class CacheStatistics:
-    """Counters describing one cache's traffic.
-
-    ``evictions`` counts capacity-driven removals only; ``invalidations``
-    counts removals requested via :meth:`LRUCache.invalidate_where` — the
-    two removal paths have very different meanings (memory pressure vs.
-    "this entry is no longer valid") and must not be conflated in stats.
-    """
+    """Counters describing one cache's traffic (``evictions`` counts
+    capacity-driven removals)."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     puts: int = 0
-    invalidations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -61,13 +55,12 @@ class CacheStatistics:
             "misses": self.misses,
             "evictions": self.evictions,
             "puts": self.puts,
-            "invalidations": self.invalidations,
             "hit_rate": self.hit_rate,
         }
 
     def snapshot(self) -> "CacheStatistics":
         return CacheStatistics(self.hits, self.misses, self.evictions,
-                               self.puts, self.invalidations)
+                               self.puts)
 
 
 class LRUCache:
@@ -105,11 +98,10 @@ class LRUCache:
         """Back this cache with a persistent tier.
 
         ``store`` is duck-typed: it must expose ``read(kind, key)`` (returning
-        ``None`` on miss/failure), ``write(kind, key, value)`` and
-        ``invalidate_where(kind, predicate)``.  ``kind`` namespaces this
-        cache's rows inside the shared store file (defaults to the cache
-        name).  Entries loaded from the store are promoted into memory
-        without being written back.
+        ``None`` on miss/failure) and ``write(kind, key, value)``.  ``kind``
+        namespaces this cache's rows inside the shared store file (defaults
+        to the cache name).  Entries loaded from the store are promoted into
+        memory without being written back.
         """
         self._store = store
         self._store_kind = kind if kind is not None else self._name
@@ -200,25 +192,6 @@ class LRUCache:
         if store is not None:
             store.write(self._store_kind, key, value)
 
-    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Remove every entry whose *key* satisfies ``predicate``.
-
-        Returns the number of in-memory entries removed; removals are counted
-        under ``invalidations``, never ``evictions`` (capacity pressure and
-        validity are different removal reasons).  With a persistent tier
-        attached the matching store rows are deleted too, so an invalidated
-        entry cannot resurrect on the next restart.
-        """
-        with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            self._statistics.invalidations += len(doomed)
-        store = self._store
-        if store is not None:
-            store.invalidate_where(self._store_kind, predicate)
-        return len(doomed)
-
     def get_or_compute(self, key: Hashable,
                        factory: Callable[[], Value]) -> Value:
         """Return the cached value, computing (once) and caching on a miss.
@@ -234,22 +207,26 @@ class LRUCache:
         with self._lock:
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:
-            # A concurrent computation may have finished while we waited on
-            # the key lock; peek so the race loser does not double-count.
-            value = self.peek(key, _MISSING)
-            if value is _MISSING:
-                value = factory()
-                self.put(key, value)
-            with self._lock:
-                self._key_locks.pop(key, None)
+            try:
+                # A concurrent computation may have finished while we waited
+                # on the key lock; peek so the race loser does not
+                # double-count.
+                value = self.peek(key, _MISSING)
+                if value is _MISSING:
+                    value = factory()
+                    self.put(key, value)
+            finally:
+                # Popped on a raise too, or each failed compute would keep
+                # its lock for the life of the cache.
+                with self._lock:
+                    self._key_locks.pop(key, None)
         return value  # type: ignore[return-value]
 
     def clear(self) -> None:
         """Drop every in-memory entry (statistics and the store persist).
 
         An attached persistent tier is deliberately untouched: ``clear`` is a
-        memory-pressure valve, not an invalidation — use
-        :meth:`invalidate_where` to remove entries from both tiers.
+        memory-pressure valve, not an invalidation.
         """
         with self._lock:
             self._entries.clear()

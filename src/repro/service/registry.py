@@ -149,7 +149,8 @@ class SessionRegistry:
         Shared cache of missing-row ranges keyed by compiled program, handed
         to every session's analyzer: sessions that differ only in observed
         data (every version of an append chain) share their COUNT, SUM, MIN
-        and MAX ranges.  ``None`` memoizes nothing.
+        and MAX ranges, and their AVG ranges over regions whose observed sum
+        and count agree.  ``None`` memoizes nothing.
     """
 
     def __init__(self, decomposition_cache=None, program_cache=None,

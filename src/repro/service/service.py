@@ -11,12 +11,13 @@ together —
   :class:`~repro.plan.BoundProgram` objects, so warm queries skip plan
   optimization, profile extraction and MILP skeleton construction and only
   patch parameters into an existing program,
-* a **range cache** holding each COUNT, SUM, MIN and MAX range over the
-  missing rows under its compiled program's key, so a report miss over a
-  known query shape (after an append, or in another session over the same
-  constraints and options) costs one observed scan and no solve,
-* a **report cache** so a byte-identical repeated query is answered without
-  touching the solver at all,
+* a **range cache** holding each range over the missing rows under its
+  compiled program's key (and, for AVG, the observed sum and count), so a
+  report miss over a known query shape (after an append, or in another
+  session over the same constraints and options) costs one observed scan
+  and no solve,
+* an in-memory **report cache** so a byte-identical repeated query is
+  answered without touching the solver at all,
 * a **session registry** with content-fingerprint deduplication and
   versioning,
 * a **batch executor** that groups queries by region and runs them on the
@@ -216,12 +217,13 @@ class ContingencyService:
     cache_dir:
         Optional directory for the persistent cache tier (see
         :mod:`repro.service.store`).  When set — explicitly or via the
-        ``REPRO_CACHE_DIR`` environment toggle — the decomposition, range
-        and report caches write through to a sqlite store in that directory
-        and read from it on memory misses, so warm work survives restarts
-        and can be shared between processes on one host.  Ranges are keyed
-        by program, not by data, so a restarted service answers an appended
-        relation's queries without solving.  The store is strictly
+        ``REPRO_CACHE_DIR`` environment toggle — the decomposition and range
+        caches write through to a sqlite store in that directory and read
+        from it on memory misses, so warm work survives restarts and can be
+        shared between processes on one host.  Ranges are keyed by program,
+        not by data, so a restarted service answers an appended relation's
+        queries without solving.  Reports stay in memory: a report miss is
+        a range hit plus one observed scan.  The store is strictly
         best-effort: any store failure is a cache miss, never an error.
         Compiled programs are deliberately not persisted — they recompile
         in milliseconds from a cached decomposition and may hold
@@ -253,7 +255,6 @@ class ContingencyService:
             self._store = PersistentStore(cache_dir)
             self._decomposition_cache.attach_store(self._store,
                                                    "decomposition")
-            self._report_cache.attach_store(self._store, "report")
             self._range_cache.attach_store(self._store, "range")
         self._registry = SessionRegistry(
             decomposition_cache=self._decomposition_cache,
@@ -418,21 +419,19 @@ class ContingencyService:
     def _analyze_admitted(self, session: RegisteredSession,
                           query: ContingencyQuery, key, tracer
                           ) -> ContingencyReport:
-        if self._admission is not None:
-            # Cache hits are not priced (they cost nothing worth metering);
-            # a cold query is priced from its plan and admitted, or shed,
-            # before any solve runs.  The solve still goes through
-            # get_or_compute, so concurrent racers on one key share one
-            # solve: each racer is admitted, only the winner solves.
-            report = self._report_cache.get(key)
-            if report is not None:
-                return report
-            with tracer.span("admission"):
-                cost = self._price(session, query)
-                tracer.annotate(units=cost.units)
-                self._admission.admit(cost)
-        return self._report_cache.get_or_compute(
-            key, lambda: session.analyze(query))
+        def analyze() -> ContingencyReport:
+            # Runs only on the miss that computes: a hit, and a racer that
+            # finds the winner's report, are never priced.  Under a budget
+            # the query is priced from its plan and admitted, or shed,
+            # before any solve runs.
+            if self._admission is not None:
+                with tracer.span("admission"):
+                    cost = self._price(session, query)
+                    tracer.annotate(units=cost.units)
+                    self._admission.admit(cost)
+            return session.analyze(query)
+
+        return self._report_cache.get_or_compute(key, analyze)
 
     def _price(self, session: RegisteredSession,
                query: ContingencyQuery) -> QueryCost:
@@ -514,8 +513,10 @@ class ContingencyService:
         the delta are left behind under the old fingerprint (the old
         version stays queryable and they remain correct *for it*) and are
         counted as ``cache.delta_invalidations`` — the new version
-        recomputes them, for COUNT, SUM, MIN and MAX as a range-cache hit
-        plus one scan of the observed rows.
+        recomputes them as a range-cache hit plus one scan of the observed
+        rows (an AVG whose region gained rows has a new observed sum and
+        count, so it solves again).  Reports live in memory only, so the
+        migration commits nothing to the persistent store.
 
         Decomposition, program and range caches are keyed by constraint-set
         content, not data, so they stay warm across appends by

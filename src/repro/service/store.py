@@ -2,10 +2,12 @@
 
 :class:`PersistentStore` is the disk side of the service cache stack: the
 in-memory :class:`~repro.service.cache.LRUCache` instances for decompositions
-and reports attach a store (see :meth:`LRUCache.attach_store`) and from then
-on every ``put`` writes through and every memory miss falls back to a store
-read, so warm work survives process restarts and can be shared between
-replicas pointing at the same directory.
+and missing-row ranges attach a store (see :meth:`LRUCache.attach_store`) and
+from then on every ``put`` writes through and every memory miss falls back
+to a store read, so warm work survives process restarts and can be shared
+between replicas pointing at the same directory.  Reports are not stored: a
+report is its missing-row range combined with one scan of the observed rows,
+so a stored range already rebuilds it.
 
 Design rules, in order of importance:
 
@@ -28,8 +30,8 @@ Design rules, in order of importance:
   so processes may share a directory only on one host (no network
   filesystems).
 
-Rows are namespaced by ``kind`` (one per attached cache) so decompositions,
-missing-row ranges and reports share one file without colliding.
+Rows are namespaced by ``kind`` (one per attached cache) so decompositions
+and missing-row ranges share one file without colliding.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, Iterator
+from typing import Hashable
 
 from ..obs.metrics import get_registry
 
@@ -55,7 +57,10 @@ __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 #: may carry a depth learned from earlier traffic.  Version 4: a cell whose
 #: covering constraints' bounds on any attribute are empty holds no rows,
 #: where version 3 ranges (COUNT above all) could still place rows there.
-SCHEMA_VERSION = 4
+#: Version 5 stores no reports, keeps no pickled key beside the digest (only
+#: key iteration read it), and range keys carry the observed sum and count
+#: (AVG's, else 0.0), so version 4 report and range rows are dropped.
+SCHEMA_VERSION = 5
 
 _DB_FILENAME = "repro-cache.sqlite"
 
@@ -157,7 +162,6 @@ class PersistentStore:
             "CREATE TABLE IF NOT EXISTS entries ("
             " kind TEXT NOT NULL,"
             " key BLOB NOT NULL,"
-            " key_pickle BLOB NOT NULL,"
             " value BLOB NOT NULL,"
             " PRIMARY KEY (kind, key))"
         )
@@ -197,10 +201,9 @@ class PersistentStore:
     # Key/value encoding
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _encode_key(key: Hashable) -> tuple[bytes, bytes]:
-        """``(sha256 lookup key, pickled key)`` for a cache key tuple."""
-        key_pickle = pickle.dumps(key, protocol=4)
-        return hashlib.sha256(key_pickle).digest(), key_pickle
+    def _encode_key(key: Hashable) -> bytes:
+        """The sha256 lookup key of a cache key tuple's pickle."""
+        return hashlib.sha256(pickle.dumps(key, protocol=4)).digest()
 
     # ------------------------------------------------------------------ #
     # Read / write
@@ -213,7 +216,7 @@ class PersistentStore:
             if self._closed or self._connection is None:
                 return None
             try:
-                digest, _ = self._encode_key(key)
+                digest = self._encode_key(key)
                 row = self._connection.execute(
                     "SELECT value FROM entries WHERE kind = ? AND key = ?",
                     (kind, digest),
@@ -237,7 +240,7 @@ class PersistentStore:
     def write(self, kind: str, key: Hashable, value: object) -> None:
         """Persist ``value`` (best-effort — failures are swallowed)."""
         try:
-            digest, key_pickle = self._encode_key(key)
+            digest = self._encode_key(key)
             value_pickle = pickle.dumps(value, protocol=4)
         except Exception:
             self._count_error()
@@ -247,9 +250,9 @@ class PersistentStore:
                 return
             try:
                 self._connection.execute(
-                    "INSERT OR REPLACE INTO entries (kind, key, key_pickle, value)"
-                    " VALUES (?, ?, ?, ?)",
-                    (kind, digest, key_pickle, value_pickle),
+                    "INSERT OR REPLACE INTO entries (kind, key, value)"
+                    " VALUES (?, ?, ?)",
+                    (kind, digest, value_pickle),
                 )
                 self._connection.commit()
             except sqlite3.Error:
@@ -264,7 +267,7 @@ class PersistentStore:
             if self._closed or self._connection is None:
                 return
             try:
-                digest, _ = self._encode_key(key)
+                digest = self._encode_key(key)
                 self._connection.execute(
                     "DELETE FROM entries WHERE kind = ? AND key = ?",
                     (kind, digest),
@@ -272,38 +275,6 @@ class PersistentStore:
                 self._connection.commit()
             except Exception:
                 self._count_error()
-
-    def keys(self, kind: str) -> Iterator[Hashable]:
-        """Iterate the decoded cache keys of one kind (bad rows skipped)."""
-        with self._lock:
-            if self._closed or self._connection is None:
-                return
-            try:
-                rows = self._connection.execute(
-                    "SELECT key_pickle FROM entries WHERE kind = ?", (kind,)
-                ).fetchall()
-            except sqlite3.Error:
-                self._recreate()
-                return
-        for (key_pickle,) in rows:
-            try:
-                yield pickle.loads(key_pickle)
-            except Exception:
-                self._count_error()
-
-    def invalidate_where(self, kind: str,
-                         predicate: Callable[[Hashable], bool]) -> int:
-        """Delete every row of ``kind`` whose decoded key matches."""
-        doomed = []
-        for key in self.keys(kind):
-            try:
-                if predicate(key):
-                    doomed.append(key)
-            except Exception:
-                continue
-        for key in doomed:
-            self.delete(kind, key)
-        return len(doomed)
 
     def entry_count(self, kind: str | None = None) -> int:
         """Number of persisted rows (``-1`` when the store is unusable)."""

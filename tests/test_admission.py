@@ -219,7 +219,8 @@ class TestServiceAdmission:
 
     def test_concurrent_cold_racers_solve_once(self):
         # Admission must not forfeit the report cache's single-flight
-        # dedup: both racers are admitted, but only one solves.
+        # dedup: only the racer that computes is priced, admitted and
+        # solves; the other is served the winner's report like a hit.
         with ContingencyService(max_query_cost=1e9) as service:
             session = service.register("s", chain_pcset(),
                                        options=self.OPTIONS)
@@ -240,6 +241,18 @@ class TestServiceAdmission:
             assert (reports[0].lower, reports[0].upper) == \
                 (reports[1].lower, reports[1].upper)
             assert session.analyzer.solver.decompositions_computed == 1
+            stats = service.statistics().admission
+            assert stats["priced"] == stats["admitted"] == 1
+
+    def test_budgeted_cold_query_is_looked_up_once(self):
+        with ContingencyService(max_query_cost=1e9) as service:
+            service.register("s", chain_pcset(), options=self.OPTIONS)
+            service.analyze("s", ContingencyQuery.count())
+            statistics = service.statistics()
+            assert statistics.report_cache.misses == 1
+            assert statistics.report_cache.hits == 0
+            assert statistics.admission["priced"] == 1
+            assert statistics.admission["admitted"] == 1
 
     def test_service_without_policy_admits_freely(self):
         with ContingencyService() as service:

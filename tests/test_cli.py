@@ -150,10 +150,11 @@ class TestCliBound:
         assert int(writes.group(1)) > 0 and writes.group(2) == str(cache_dir)
         assert any(cache_dir.iterdir())
 
-    def test_bound_warm_run_reads_only_the_report(self, capsys, tmp_path,
-                                                  constraint_text_file):
-        """A warm run answers from the stored report and prints the plan
-        without compiling a program: one store read, one hit, no write."""
+    def test_bound_warm_run_reads_only_the_range(self, capsys, tmp_path,
+                                                 constraint_text_file):
+        """A warm run answers from the stored missing-row range plus one
+        observed scan and prints the plan without compiling a program: one
+        store read, one hit, no write."""
         arguments = ["bound", "--constraints", str(constraint_text_file),
                      "--aggregate", "sum", "--attribute", "price",
                      "--no-closure-check",

@@ -9,9 +9,9 @@ bit-identical* to cold computation:
 * delta-aware invalidation: :meth:`ContingencyService.append_rows` migrates
   cached reports whose query region the delta provably cannot touch and
   drops (only) the intersecting ones;
-* the range tier: COUNT, SUM, MIN and MAX ranges over the missing rows are
-  keyed by compiled program, not data, so a dropped report recomputes
-  without compiling or solving.
+* the range tier: ranges over the missing rows are keyed by compiled
+  program, not data (AVG's also by the observed sum and count), so a
+  dropped report recomputes without compiling or solving.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ def assert_reports_identical(actual, expected):
     assert actual.missing_range.lower == expected.missing_range.lower
     assert actual.missing_range.upper == expected.missing_range.upper
     assert actual.observed_value == expected.observed_value
+
+
+def refuse_solves(patch) -> None:
+    """Make every compiled MILP solve raise: a range hit must not solve."""
+    def solve(*_args, **_kwargs):
+        raise AssertionError("a range hit must not solve")
+
+    patch.setattr(CompiledMILP, "solve_objective", solve)
+    patch.setattr(CompiledMILP, "solve_objectives", solve)
 
 
 def window_chain() -> PredicateConstraintSet:
@@ -327,8 +336,8 @@ class TestDeltaInvalidation:
         service.shutdown()
 
     def test_append_with_persistent_store_migrates_on_disk(self, tmp_path):
-        """Migrated reports written through the store warm the *new* version
-        after a restart."""
+        """Migrated reports stay in memory, so no report reaches the store;
+        the stored range warms the *new* version after a restart."""
         q_far = ContingencyQuery.sum("price", Predicate.range("utc", 11, 12))
         with ContingencyService(max_workers=1,
                                 cache_dir=str(tmp_path)) as service:
@@ -336,6 +345,8 @@ class TestDeltaInvalidation:
                              observed=build_observed(), options=FAST)
             before = service.analyze("outage", q_far)
             service.append_rows("outage", [(13.5, 45.0)])
+            assert service.statistics().delta_migrations == 1
+            assert service.store.entry_count("report") == 0
 
         with ContingencyService(max_workers=1,
                                 cache_dir=str(tmp_path)) as warm:
@@ -378,12 +389,8 @@ class TestRangeTier:
             warm.register("outage", build_pcset(), observed=appended,
                           options=FAST)
 
-            def solve(*_args, **_kwargs):
-                raise AssertionError("a range hit must not solve")
-
             with monkeypatch.context() as guarded:
-                guarded.setattr(CompiledMILP, "solve_objective", solve)
-                guarded.setattr(CompiledMILP, "solve_objectives", solve)
+                refuse_solves(guarded)
                 reports = [warm.analyze("outage", maker(region))
                            for maker in NON_AVG]
             statistics = warm.statistics()
@@ -429,7 +436,9 @@ class TestRangeTier:
         for query, report in zip(queries, result.reports):
             assert_reports_identical(report, cold.analyze(query))
 
-    def test_avg_is_never_memoized(self):
+    def test_avg_is_memoized_under_its_observed_sum_and_count(self):
+        """A delta row inside the region changes AVG's observed sum and
+        count, so AVG solves again under a new key beside the old one."""
         region = Predicate.range("utc", 11, 13)
         query = ContingencyQuery.avg("price", region)
         service = ContingencyService(max_workers=1)
@@ -444,10 +453,82 @@ class TestRangeTier:
                           options=FAST)
         assert_reports_identical(after, cold.analyze(query))
         assert after.result_range.upper != before.result_range.upper
-        assert len(service.range_cache) == 0
+        keys = service.range_cache.keys()
+        assert len(keys) == 2
+        assert {key[2] for key in keys} == {AggregateFunction.AVG}
+        assert {key[4:] for key in keys} == {(60.0, 2.0), (150.0, 3.0)}
         if service.store is not None:
-            assert service.store.entry_count("range") == 0
+            assert service.store.entry_count("range") == 2
         service.shutdown()
+
+    def test_session_differing_outside_the_region_reuses_avg(
+            self, monkeypatch):
+        """Observed rows that differ only outside the region leave AVG's
+        observed sum and count, hence its key, unchanged: a second session
+        answers AVG without solving."""
+        region = Predicate.range("utc", 11, 13)
+        query = ContingencyQuery.avg("price", region)
+        other = Relation.from_rows(observed_schema(), [
+            (10.0, 5.0), (10.7, 80.0), (11.2, 25.0), (12.5, 35.0)])
+        with ContingencyService(max_workers=1) as service:
+            service.register("first", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            service.register("second", build_pcset(), observed=other,
+                             options=FAST)
+            service.analyze("first", query)
+            with monkeypatch.context() as guarded:
+                refuse_solves(guarded)
+                report = service.analyze("second", query)
+            assert service.range_cache.statistics.hits == 1
+
+        cold = PCAnalyzer(build_pcset(), observed=other, options=FAST)
+        assert_reports_identical(report, cold.analyze(query))
+
+    def test_restart_after_append_answers_avg_from_stored_range(
+            self, tmp_path, monkeypatch):
+        """A restarted service over the appended relation answers AVG over
+        a region the delta missed from the stored range: no compile, no
+        solve, bit-identical to a cold analyzer."""
+        region = Predicate.range("utc", 11, 12)
+        query = ContingencyQuery.avg("price", region)
+        delta = [(12.6, 9.0)]
+        with ContingencyService(max_workers=1,
+                                cache_dir=str(tmp_path)) as service:
+            service.register("outage", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            service.analyze("outage", query)
+            service.append_rows("outage", delta)
+            assert service.statistics().delta_migrations == 1
+
+        appended = build_observed().append(delta)
+        with ContingencyService(max_workers=1,
+                                cache_dir=str(tmp_path)) as warm:
+            warm.register("outage", build_pcset(), observed=appended,
+                          options=FAST)
+            with monkeypatch.context() as guarded:
+                refuse_solves(guarded)
+                report = warm.analyze("outage", query)
+            statistics = warm.statistics()
+            assert statistics.programs_compiled == 0
+            assert statistics.decompositions_computed == 0
+            assert statistics.store["hits"] == 1
+
+        cold = PCAnalyzer(build_pcset(), observed=appended, options=FAST)
+        assert_reports_identical(report, cold.analyze(query))
+
+    def test_store_holds_ranges_and_no_reports(self, tmp_path):
+        region = Predicate.range("utc", 11, 13)
+        with ContingencyService(max_workers=1,
+                                cache_dir=str(tmp_path)) as service:
+            service.register("outage", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            service.analyze("outage", ContingencyQuery.sum("price", region))
+            service.execute_batch("outage", [maker(region)
+                                             for maker in ALL_AGGREGATES])
+            service.append_rows("outage", [(10.2, 9.0)])
+            assert service.statistics().delta_migrations == len(ALL_AGGREGATES)
+            assert service.store.entry_count("report") == 0
+            assert service.store.entry_count("range") > 0
 
     def test_degraded_range_is_not_served_later(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:shard=0,count=2")
@@ -492,8 +573,10 @@ class TestRangeTier:
 
         keys = service.range_cache.keys()
         assert len(keys) == 2
-        assert {key[:-1] for key in keys} == {keys[0][:-1]}
-        assert {key[-1] for key in keys} == {None, 2}
+        # The key is ("range", program_key, aggregate, solve_workers,
+        # known_sum, known_count): only the fan-out width differs.
+        assert len({key[:3] + key[4:] for key in keys}) == 1
+        assert {key[3] for key in keys} == {None, 2}
         for name, options in (("serial", serial), ("sharded", sharded)):
             expected = PCAnalyzer(disjoint_windows(), options=options
                                   ).analyze(query)

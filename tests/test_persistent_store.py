@@ -72,7 +72,7 @@ class TestPersistentStore:
         store = PersistentStore(tmp_path)
         store.write("report", ("k",), "value")
         # Corrupt the pickled value in place: the row decodes no more.
-        digest, _ = PersistentStore._encode_key(("k",))
+        digest = PersistentStore._encode_key(("k",))
         connection = sqlite3.connect(str(store.path))
         connection.execute(
             "UPDATE entries SET value = ? WHERE kind = ? AND key = ?",
@@ -119,18 +119,6 @@ class TestPersistentStore:
         assert store.statistics.writes == 0
         assert store.statistics.errors == 1
         assert store.read("report", ("k",)) is None
-        store.close()
-
-    def test_keys_and_invalidate_where(self, tmp_path):
-        store = PersistentStore(tmp_path)
-        for index in range(4):
-            store.write("report", ("fp", index), index * 10)
-        assert sorted(store.keys("report")) == [("fp", 0), ("fp", 1),
-                                                ("fp", 2), ("fp", 3)]
-        removed = store.invalidate_where("report", lambda key: key[1] % 2 == 0)
-        assert removed == 2
-        assert sorted(store.keys("report")) == [("fp", 1), ("fp", 3)]
-        assert store.read("report", ("fp", 1)) == 10
         store.close()
 
     def test_closed_store_is_inert(self, tmp_path):
@@ -236,30 +224,6 @@ class TestLRUCacheStoreIntegration:
         assert store.entry_count("report") == 4  # evicted but not erased
         assert cache.get(("k", 0)) == 0  # re-readable from disk
         store.close()
-
-    def test_invalidate_where_removes_both_tiers(self, tmp_path):
-        store = PersistentStore(tmp_path)
-        cache = LRUCache(max_entries=8, name="report")
-        cache.attach_store(store)
-        cache.put(("keep",), 1)
-        cache.put(("drop",), 2)
-        removed = cache.invalidate_where(lambda key: key[0] == "drop")
-        assert removed == 1
-        assert cache.statistics.invalidations == 1
-        assert cache.statistics.evictions == 0  # invalidation != eviction
-        assert store.entry_count("report") == 1
-        cache.clear()
-        assert cache.get(("drop",)) is None  # cannot resurrect from disk
-        assert cache.get(("keep",)) == 1
-        store.close()
-
-    def test_invalidate_where_without_store(self):
-        cache = LRUCache(max_entries=8, name="plain")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.invalidate_where(lambda key: key == "a") == 1
-        assert cache.statistics.invalidations == 1
-        assert "a" not in cache and "b" in cache
 
 
 class TestServiceWarmRestart:

@@ -108,6 +108,18 @@ class TestGetOrCompute:
             release.set()
             assert slow.result(timeout=5.0) == "slow"
 
+    def test_raising_factories_leave_no_key_locks(self):
+        cache = LRUCache(max_entries=8)
+
+        def failing():
+            raise RuntimeError("compute failed")
+
+        for index in range(100):
+            with pytest.raises(RuntimeError):
+                cache.get_or_compute(("key", index), failing)
+        assert cache._key_locks == {}
+        assert len(cache) == 0
+
 
 class TestStatistics:
     def test_snapshot_is_frozen_copy(self):
