@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
+
+import numpy as np
 
 from ..exceptions import QueryError
 from ..obs.trace import get_tracer
-from ..relational.aggregates import AggregateFunction
+from ..relational.aggregates import AggregateFunction, compute_aggregate
 from ..relational.expressions import TrueExpression
 from ..relational.query import AggregateQuery
 from ..relational.relation import Relation
@@ -32,6 +34,9 @@ from .predicates import Predicate
 __all__ = ["ContingencyQuery", "ContingencyReport", "PCAnalyzer"]
 
 _INF = float("inf")
+#: Aggregates whose observed value merges exactly under inserts.
+_MERGEABLE = frozenset({AggregateFunction.COUNT, AggregateFunction.MIN,
+                        AggregateFunction.MAX})
 
 
 @dataclass(frozen=True)
@@ -330,6 +335,43 @@ class PCAnalyzer:
         if query.aggregate is AggregateFunction.AVG and result.matching_rows:
             observed_sum = float(result.selected.sum())
         return result.value, result.matching_rows, observed_sum
+
+    def merge_appended(self, report: ContingencyReport, delta: Relation,
+                       mask: np.ndarray) -> ContingencyReport | None:
+        """``report`` over this analyzer's observed rows, from ``report``
+        over those rows before ``delta`` (``mask``: its rows in the region).
+
+        COUNT, MIN and MAX merge exactly under inserts: the count adds the
+        matching delta rows, and an extreme is the extreme of the old value
+        (None: no old rows) and the delta's, NaN propagating as in
+        ``np.min``.  The missing range depends on the program, not the data,
+        so it is reused and :meth:`_combine` rebuilds the result: the merge
+        equals a cold ``analyze`` bit for bit.  SUM (a pairwise sum does not
+        merge bit for bit), AVG (its range reads the observed sum and count)
+        and a degraded report (the range tier never reuses a fallback range)
+        return None: they rescan.
+        """
+        query = report.query
+        aggregate = query.aggregate
+        if aggregate not in _MERGEABLE or report.degraded_shards:
+            return None
+        matching = int(np.count_nonzero(mask))
+        if aggregate is AggregateFunction.COUNT:
+            observed = report.observed_value + matching
+        else:
+            old = report.observed_value
+            observed = compute_aggregate(
+                aggregate, delta.column(query.attribute)[mask])
+            if old is not None:
+                pick = (np.minimum if aggregate is AggregateFunction.MIN
+                        else np.maximum)
+                observed = (old if observed is None
+                            else float(pick(old, observed)))
+        return replace(report,
+                       result_range=self._combine(query, report.missing_range,
+                                                  observed),
+                       observed_value=observed,
+                       observed_rows=report.observed_rows + matching)
 
     def _combine(self, query: ContingencyQuery, missing: ResultRange,
                  observed_value: float | None) -> ResultRange:

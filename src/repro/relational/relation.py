@@ -72,6 +72,10 @@ class Relation:
 
     #: The append buffer this relation's columns are views of, if any.
     _buffer: _AppendBuffer | None = None
+    #: The relation :meth:`append` extended to build this one, and the rows
+    #: it appended (both None for a relation built any other way).
+    _append_parent: "Relation | None" = None
+    _append_delta: "Relation | None" = None
 
     def __init__(
         self,
@@ -263,13 +267,14 @@ class Relation:
     def append(self, rows: "Relation | Iterable[Sequence] | Iterable[Mapping[str, object]]") -> "Relation":
         """Union-all that records its lineage for incremental reuse.
 
-        Unlike :meth:`concat`, the result remembers the base relation and the
-        ordered deltas appended to it (see :attr:`append_lineage`).  The
-        service layer uses that lineage for two things: fingerprinting the
-        result incrementally (hash only the delta bytes instead of the whole
-        table) and deciding which cached reports an append can provably keep.
-        Any other mutation (``filter``, ``with_column``, ...) produces a
-        relation without lineage, which callers must treat as a full rebuild.
+        Unlike :meth:`concat`, the result remembers the relation it extends
+        and the delta it appended (see :attr:`append_parent`), and nothing
+        more, so a version holds O(1) lineage however long its chain.  The
+        service layer uses that link for two things: fingerprinting the
+        result from its parent's hashers plus the delta bytes, and deciding
+        which cached reports an append can provably keep.  Any other
+        mutation (``filter``, ``with_column``, ...) produces a relation
+        without lineage, which callers must treat as a full rebuild.
 
         The versions of an append chain share one buffer per column, and
         each version's columns are read-only views of its first rows, so an
@@ -303,9 +308,8 @@ class Relation:
         result._length = length
         result._buffer = self._extend_buffer(delta, length)
         result._columns = result._buffer.views(length)
-        base, deltas = self.append_lineage or (self, ())
-        result._append_base = base
-        result._append_deltas = (*deltas, delta)
+        result._append_parent = self
+        result._append_delta = delta
         return result
 
     def _extend_buffer(self, delta: "Relation", length: int) -> _AppendBuffer:
@@ -329,18 +333,34 @@ class Relation:
         return _AppendBuffer(arrays, capacity, length)
 
     @property
+    def append_parent(self) -> "tuple[Relation, Relation] | None":
+        """``(parent, delta)`` when this relation was built via :meth:`append`.
+
+        ``parent`` is the relation that was extended and ``delta`` the rows
+        appended to it; ``None`` for relations built any other way.
+        """
+        if self._append_parent is None:
+            return None
+        return self._append_parent, self._append_delta
+
+    @property
     def append_lineage(self) -> "tuple[Relation, tuple[Relation, ...]] | None":
         """``(base, deltas)`` when this relation was built via :meth:`append`.
 
-        ``base`` is the original (pre-append) relation and ``deltas`` the
-        ordered appended batches; concatenating ``base`` with every delta
-        reproduces this relation exactly.  ``None`` for relations built any
-        other way.
+        ``base`` is the root of the append chain and ``deltas`` the ordered
+        appended batches, found by walking the parent links iteratively;
+        concatenating ``base`` with every delta reproduces this relation
+        exactly.  ``None`` for relations built any other way.
         """
-        base = getattr(self, "_append_base", None)
-        if base is None:
+        deltas = []
+        relation = self
+        while (link := relation.append_parent) is not None:
+            relation, delta = link
+            deltas.append(delta)
+        if not deltas:
             return None
-        return base, self._append_deltas
+        deltas.reverse()
+        return relation, tuple(deltas)
 
     def __getstate__(self) -> dict:
         """Drop unpicklable and process-local state before pickling.
@@ -349,12 +369,16 @@ class Relation:
         objects (see :mod:`repro.service.fingerprint`); hasher objects do
         not pickle, and a worker process never needs them — the memoized
         digest string travels, and hashers rebuild lazily if asked for.
-        The append buffer is dropped too, so a pickled version carries only
-        its own rows; its next append copies them into a new buffer.
+        The append buffer and the parent link are dropped too, so a pickled
+        version carries only its own rows (not its whole chain, one nesting
+        level per version) and unpickles without lineage; its next append
+        copies the rows into a new buffer.
         """
         state = self.__dict__.copy()
         state.pop("_fingerprint_hashers", None)
         state.pop("_buffer", None)
+        state.pop("_append_parent", None)
+        state.pop("_append_delta", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -184,35 +184,43 @@ def _update_column_hasher(hasher: "hashlib._Hash", is_numeric: bool,
 def _column_hashers(relation: Relation) -> dict[str, "hashlib._Hash"]:
     """Per-column running hashers for ``relation``, memoized on the object.
 
-    For a relation with append lineage the hashers are built incrementally:
-    copy the base relation's (memoized) hasher states via ``hashlib``'s
-    ``.copy()`` and stream every delta appended since the base — work that
-    grows with the appended rows, not the base, and yields digests
-    byte-identical to a cold full-content pass, preserving the
-    "fingerprints equal iff content equal" contract.  Callers must
+    For a relation built by :meth:`Relation.append` the hashers are built
+    incrementally: walk up the append chain (iteratively, so no chain is too
+    long) to the nearest version with memoized hashers — or to the chain's
+    root, which is hashed cold and memoized — copy those hasher states via
+    ``hashlib``'s ``.copy()`` and stream only the deltas appended since.
+    A version whose parent was fingerprinted streams exactly its own delta,
+    so an append costs its delta's bytes whatever the chain's length, and
+    the digests stay byte-identical to a cold full-content pass, preserving
+    the "fingerprints equal iff content equal" contract.  Callers must
     ``copy()`` a hasher before finalising if they intend to extend it
     further.
     """
     cached = getattr(relation, "_fingerprint_hashers", None)
     if cached is not None:
         return cached
-    lineage = relation.append_lineage
-    if lineage is not None:
-        base, deltas = lineage
-        hashers = {name: hasher.copy()
-                   for name, hasher in _column_hashers(base).items()}
-        for delta in deltas:
+    deltas = []
+    ancestor = relation
+    hashers = None
+    while hashers is None and (link := ancestor.append_parent) is not None:
+        ancestor, delta = link
+        deltas.append(delta)
+        hashers = getattr(ancestor, "_fingerprint_hashers", None)
+    if hashers is None:  # the chain's root, never hashed: one cold pass
+        hashers = {}
+        for column in ancestor.schema:
+            hasher = hashlib.sha256()
+            _update_column_hasher(hasher, column.is_numeric,
+                                  ancestor.column(column.name))
+            hashers[column.name] = hasher
+        ancestor._fingerprint_hashers = hashers
+    if deltas:
+        hashers = {name: hasher.copy() for name, hasher in hashers.items()}
+        for delta in reversed(deltas):
             for column in relation.schema:
                 _update_column_hasher(hashers[column.name], column.is_numeric,
                                       delta.column(column.name))
-    else:
-        hashers = {}
-        for column in relation.schema:
-            hasher = hashlib.sha256()
-            _update_column_hasher(hasher, column.is_numeric,
-                                  relation.column(column.name))
-            hashers[column.name] = hasher
-    relation._fingerprint_hashers = hashers
+        relation._fingerprint_hashers = hashers
     return hashers
 
 
@@ -229,9 +237,10 @@ def fingerprint_relation(relation: Relation) -> str:
 
     The digest is memoized on the relation object (relations and their
     read-only columns are immutable), and relations built via
-    :meth:`Relation.append` are hashed incrementally from their lineage —
-    only the rows appended since the base are streamed, yet the digest
-    equals the one a cold full-content pass would produce.
+    :meth:`Relation.append` are hashed incrementally from their parent —
+    only the rows appended since the nearest fingerprinted ancestor are
+    streamed (for a registered append chain, the version's own delta), yet
+    the digest equals the one a cold full-content pass would produce.
     """
     memo = getattr(relation, "_fingerprint_memo", None)
     if memo is not None:

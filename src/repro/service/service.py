@@ -59,10 +59,14 @@ from .store import PersistentStore, default_cache_dir
 
 __all__ = ["ServiceStatistics", "ContingencyService"]
 
+#: Marks a region whose delta mask an append has not evaluated yet.
+_UNTESTED = object()
+
 
 @dataclass
 class ServiceStatistics:
-    """A snapshot of the service's cumulative behaviour."""
+    """A snapshot of the service's cumulative behaviour (the ``delta_*``
+    counters: see :meth:`ContingencyService.append_rows`)."""
 
     decomposition_cache: CacheStatistics
     program_cache: CacheStatistics
@@ -82,10 +86,12 @@ class ServiceStatistics:
     admission: dict[str, float] | None = None
     #: Persistent-store traffic (None when no cache_dir is configured).
     store: dict[str, int] | None = None
-    #: Report-cache entries kept live across appends (delta did not touch
-    #: their query region) vs. dropped (delta rows matched the region).
+    #: Report-cache entries kept live across appends (re-keyed, or merged
+    #: from the delta) vs. dropped (a SUM or AVG whose region gained rows).
     delta_migrations: int = 0
     delta_invalidations: int = 0
+    #: The migrated COUNT, MIN and MAX reports whose region gained rows.
+    delta_merges: int = 0
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -107,6 +113,7 @@ class ServiceStatistics:
                           else dict(self.admission)),
             "store": (None if self.store is None else dict(self.store)),
             "delta_migrations": self.delta_migrations,
+            "delta_merges": self.delta_merges,
             "delta_invalidations": self.delta_invalidations,
         }
 
@@ -165,7 +172,8 @@ class ServiceStatistics:
             lines.append(
                 f"append deltas          : "
                 f"{self.delta_migrations} report(s) migrated / "
-                f"{self.delta_invalidations} invalidated")
+                f"{self.delta_invalidations} invalidated / "
+                f"{self.delta_merges} merged from the delta")
         return "\n".join(lines)
 
 
@@ -271,8 +279,10 @@ class ContingencyService:
         self._deadline_exceeded = 0
         self._degraded = 0
         self._delta_migrations = 0
+        self._delta_merges = 0
         self._delta_invalidations = 0
         self._counter_lock = threading.Lock()
+        self._append_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Registry facade
@@ -503,20 +513,25 @@ class ContingencyService:
         """Append rows to a session's observed relation, keeping warm work.
 
         Registers a new session version whose observed relation is
-        ``session.observed.append(rows)`` and *migrates* every cached report
-        the delta provably cannot change: a report depends on observed data
-        only through the rows matching its query's WHERE region (the
-        missing-partition bound is data-independent — see
-        :meth:`~repro.core.engine.PCAnalyzer.analyze`), so a cached report
-        whose region matches **zero** delta rows is bit-identical under the
-        new version and is re-keyed to it.  Reports whose region intersects
-        the delta are left behind under the old fingerprint (the old
-        version stays queryable and they remain correct *for it*) and are
-        counted as ``cache.delta_invalidations`` — the new version
-        recomputes them as a range-cache hit plus one scan of the observed
-        rows (an AVG whose region gained rows has a new observed sum and
-        count, so it solves again).  Reports live in memory only, so the
-        migration commits nothing to the persistent store.
+        ``session.observed.append(rows)`` and *migrates* the old version's
+        cached reports.  A report depends on observed data only through the
+        rows matching its query's WHERE region (the missing-partition bound
+        is data-independent), so each distinct region is tested against the
+        delta once.  A report whose region matches **zero** delta rows is
+        bit-identical under the new version and is re-keyed to it; a COUNT,
+        MIN or MAX report whose region gained rows is merged from the old
+        report and those rows
+        (:meth:`~repro.core.engine.PCAnalyzer.merge_appended`,
+        ``cache.delta_merges``); both count as ``cache.delta_migrations``.
+        A SUM or AVG report whose region gained rows stays behind with the
+        old, still queryable version (``cache.delta_invalidations``), and
+        the new version recomputes it as a range-cache hit plus one scan (an
+        AVG solves again under its new observed sum and count).  Nothing is
+        committed to the persistent store.  Appends to one service hold one
+        lock from reading the latest version to the end of the migration,
+        so racing appends never extend the same version; queries take no
+        such lock.  An append costs its delta and the number of live cached
+        reports, not the relation's size or its append chain's length.
 
         Decomposition, program and range caches are keyed by constraint-set
         content, not data, so they stay warm across appends by
@@ -527,26 +542,51 @@ class ContingencyService:
         have no such incremental path — re-register the session, which is a
         full invalidation of report-level reuse.
         """
-        session = self._registry.get(name, version)
-        if session.observed is None:
-            raise ReproError(
-                f"session {name!r} has no observed relation to append to")
-        if isinstance(rows, Relation):
-            delta = rows
-        else:
-            materialised = list(rows)
-            delta = (Relation.from_dicts(session.observed.schema, materialised)
-                     if materialised and isinstance(materialised[0], dict)
-                     else Relation.from_rows(session.observed.schema,
-                                             materialised))
-        appended = session.observed.append(delta)
-        new_session = self._registry.register(name, session.pcset,
-                                              observed=appended,
-                                              options=session.options)
-        if new_session.fingerprint == session.fingerprint:
-            return new_session  # empty delta — nothing to migrate
-        migrated = 0
-        invalidated = 0
+        with self._append_lock:
+            session = self._registry.get(name, version)
+            if session.observed is None:
+                raise ReproError(
+                    f"session {name!r} has no observed relation to append to")
+            if isinstance(rows, Relation):
+                delta = rows
+            else:
+                materialised = list(rows)
+                delta = (Relation.from_dicts(session.observed.schema,
+                                             materialised)
+                         if materialised and isinstance(materialised[0], dict)
+                         else Relation.from_rows(session.observed.schema,
+                                                 materialised))
+            appended = session.observed.append(delta)
+            new_session = self._registry.register(name, session.pcset,
+                                                  observed=appended,
+                                                  options=session.options)
+            if new_session.fingerprint == session.fingerprint:
+                return new_session  # empty delta — nothing to migrate
+            migrated, merged, invalidated = self._migrate_reports(
+                session, new_session, delta)
+        with self._counter_lock:
+            self._delta_migrations += migrated
+            self._delta_merges += merged
+            self._delta_invalidations += invalidated
+        registry = get_registry()
+        if migrated:
+            registry.counter("cache.delta_migrations").inc(migrated)
+        if merged:
+            registry.counter("cache.delta_merges").inc(merged)
+        if invalidated:
+            registry.counter("cache.delta_invalidations").inc(invalidated)
+        return new_session
+
+    def _migrate_reports(self, session: RegisteredSession,
+                         new_session: RegisteredSession,
+                         delta: Relation) -> tuple[int, int, int]:
+        """Carry ``session``'s cached reports over to ``new_session``;
+        returns (migrated, merged, invalidated) counts."""
+        migrated = merged = invalidated = 0
+        analyzer = new_session.analyzer
+        # Each region's delta mask, or None when no delta row matches it.
+        # Regions compare by value, and None stands for the whole relation.
+        masks = {}
         # Each cached report carries its query, so the report cache itself
         # says which reports to test against the delta.
         for key in self._report_cache.keys():
@@ -555,22 +595,22 @@ class ContingencyService:
             report = self._report_cache.peek(key)
             if report is None:
                 continue
-            where = report.query.to_aggregate_query().where
-            if bool(np.asarray(where.evaluate(delta)).any()):
-                invalidated += 1
-                continue
+            region = report.query.region
+            mask = masks.get(region, _UNTESTED)
+            if mask is _UNTESTED:
+                where = report.query.to_aggregate_query().where
+                mask = np.asarray(where.evaluate(delta), dtype=bool)
+                mask = masks[region] = mask if mask.any() else None
+            if mask is not None:
+                report = analyzer.merge_appended(report, delta, mask)
+                if report is None:
+                    invalidated += 1
+                    continue
+                merged += 1
             self._report_cache.put(("report", new_session.fingerprint, key[2]),
                                    report)
             migrated += 1
-        with self._counter_lock:
-            self._delta_migrations += migrated
-            self._delta_invalidations += invalidated
-        registry = get_registry()
-        if migrated:
-            registry.counter("cache.delta_migrations").inc(migrated)
-        if invalidated:
-            registry.counter("cache.delta_invalidations").inc(invalidated)
-        return new_session
+        return migrated, merged, invalidated
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -604,6 +644,7 @@ class ContingencyService:
             store=(None if self._store is None
                    else self._store.statistics.as_dict()),
             delta_migrations=self._delta_migrations,
+            delta_merges=self._delta_merges,
             delta_invalidations=self._delta_invalidations,
         )
 
