@@ -32,7 +32,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service.batch import BatchExecutor
 from repro.solvers.lp import Sense
-from repro.solvers.milp import CompiledMILP, MILPModel
+from repro.solvers.milp import CompiledMILP
 
 WORKERS = 4
 KERNEL_VARS = 32
@@ -50,13 +50,7 @@ def available_cores() -> int:
 def test_bench_batched_kernel_vs_per_cell(report_artifact, bench_record):
     """One warm skeleton, one matrix of objectives: >= 3x over per-cell."""
     rng = np.random.default_rng(5)
-    model = MILPModel()
-    for index in range(KERNEL_VARS):
-        model.add_variable(f"x{index}",
-                           lower=float(rng.uniform(-5.0, 0.0)),
-                           upper=float(rng.uniform(0.0, 5.0)),
-                           is_integer=False)
-    compiled = CompiledMILP(model)
+    compiled = CompiledMILP(rng.uniform(0.0, 5.0, KERNEL_VARS))
     C = rng.normal(size=(KERNEL_ROWS, KERNEL_VARS))
 
     # Warm both paths outside the timed sections.

@@ -32,7 +32,7 @@ from repro.exceptions import DisjointRangeError
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.schema import ColumnType
 from repro.solvers.lp import LPSolution, SolutionStatus
-from repro.solvers.registry import register_backend
+from repro.solvers.registry import register_backend, resolve_backend
 
 
 def build_scenario():
@@ -108,14 +108,12 @@ def main() -> None:
           "(scipy ∩ branch-and-bound)")
 
     # --- what the alarm looks like --------------------------------------
-    def lying_backend(model, time_limit=None):
-        from repro.solvers.milp import _solve_scipy
-
-        solution = _solve_scipy(model)
+    def lying_backend(milp, c, sense):
+        solution = resolve_backend("scipy")(milp, c, sense)
         if solution.status is not SolutionStatus.OPTIMAL:
             return solution
         return LPSolution(SolutionStatus.OPTIMAL,
-                          (solution.objective or 0.0) * 7.0, solution.values)
+                          (solution.objective or 0.0) * 7.0, solution.x)
 
     register_backend("example-lying-backend", lying_backend, replace=True)
     broken = PCBoundSolver(pcset, BoundOptions(

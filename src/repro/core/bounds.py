@@ -604,24 +604,22 @@ class PCBoundSolver:
         profiles = program.profiles
         if not profiles:
             return BoundExplanation(aggregate, attribute, 0.0, (), ())
-        coefficients = {
-            profile.index: (1.0 if aggregate is AggregateFunction.COUNT
-                            else profile.value_upper)
-            for profile in profiles
-        }
-        solution = program.solve_for_explanation(coefficients).raise_for_status()
-        assert solution.objective is not None
+        coefficients = [1.0 if aggregate is AggregateFunction.COUNT
+                        else profile.value_upper for profile in profiles]
+        solution = program.solve_for_explanation(
+            coefficients).raise_for_status()
+        assert solution.objective is not None and solution.x is not None
 
         pcset = program.pcset
         allocations = []
         allocated_per_constraint = {index: 0.0 for index in range(len(pcset))}
-        for profile in profiles:
-            rows = solution.values.get(f"x{profile.index}", 0.0)
+        # The allocation's first columns are the cells, in profile order.
+        for profile, rows, value in zip(profiles, solution.x.tolist(),
+                                        coefficients):
             if rows <= 0:
                 continue
             names = tuple(pcset[i].name for i in sorted(profile.covering))
-            allocations.append(CellAllocation(names, rows,
-                                              coefficients[profile.index]))
+            allocations.append(CellAllocation(names, rows, value))
             for constraint_index in profile.covering:
                 allocated_per_constraint[constraint_index] += rows
         saturated = tuple(

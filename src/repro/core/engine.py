@@ -260,10 +260,18 @@ class PCAnalyzer:
                 observed_value, observed_rows, observed_sum = \
                     self._observed_summary(query)
             if query.aggregate is AggregateFunction.AVG:
-                missing = self._solver.bound(query.aggregate, query.attribute,
-                                             query.region,
-                                             known_sum=observed_sum,
-                                             known_count=float(observed_rows))
+                if math.isnan(observed_sum):
+                    # A NaN observed value makes every average NaN, as it
+                    # makes the other aggregates' results NaN; the search
+                    # would answer an inverted range, and a NaN known_sum
+                    # never equals itself as a range-tier key.
+                    missing = ResultRange(math.nan, math.nan, query.aggregate,
+                                          query.attribute)
+                else:
+                    missing = self._solver.bound(
+                        query.aggregate, query.attribute, query.region,
+                        known_sum=observed_sum,
+                        known_count=float(observed_rows))
                 combined = missing  # AVG combination inside the solver.
             else:
                 missing = self._solver.bound(query.aggregate, query.attribute,

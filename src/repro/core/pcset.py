@@ -58,6 +58,10 @@ class PredicateConstraintSet:
         self._closed_hint: bool | None = None
         #: attribute -> {integral flag: first constraint carrying it}
         self._integrality: dict[str, dict[bool, str]] = {}
+        #: The content digest, memoized by
+        #: :func:`repro.service.fingerprint.fingerprint_pcset`; adding a
+        #: constraint or setting a domain drops it.
+        self.fingerprint_memo: str | None = None
         for constraint in constraints:
             self.add(constraint)
 
@@ -85,6 +89,7 @@ class PredicateConstraintSet:
         self._constraints.append(constraint)
         self._disjoint_hint = None
         self._closed_hint = None
+        self.fingerprint_memo = None
 
     def extend(self, constraints: Iterable[PredicateConstraint]) -> None:
         for constraint in constraints:
@@ -112,6 +117,7 @@ class PredicateConstraintSet:
         self._check_integrality(attribute,
                                 self._integrality.get(attribute, {}), domain)
         self._domains[attribute] = domain
+        self.fingerprint_memo = None
 
     @staticmethod
     def _check_integrality(attribute: str, flags: dict[bool, str],

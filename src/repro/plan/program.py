@@ -10,8 +10,9 @@ pair.  Compilation materializes, exactly once:
 * the slack-variable layout for mandatory rows that may live outside the
   region (one satisfiability check per mandatory constraint — previously
   re-run for every MILP build),
-* the MILP *skeleton*: variables, box bounds, integrality and frequency
-  coupling rows, frozen into a :class:`~repro.solvers.milp.CompiledMILP`.
+* the MILP *skeleton*: one column per cell (then one per slack variable),
+  their upper bounds and the frequency coupling rows, written straight into
+  the arrays of a :class:`~repro.solvers.milp.CompiledMILP`.
 
 Executions then only patch parameters: SUM/COUNT swap objective vectors,
 AVG's binary search swaps the ``value - target`` objective per probe, and
@@ -41,7 +42,7 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
 from ..solvers.lp import LPSolution, Sense, SolutionStatus
-from ..solvers.milp import CompiledMILP, MILPModel, solve_milp
+from ..solvers.milp import CompiledMILP
 from ..core.cells import CellDecomposition
 from ..core.pcset import PredicateConstraintSet
 from ..core.predicates import Predicate
@@ -84,139 +85,59 @@ class CellProfile:
     value_lower: float
 
 
-class _Skeleton:
-    """One frozen model structure: variables + coupling rows, no objective.
+def _compile_skeleton(profiles: list[CellProfile], slack_bounds: dict[int, int],
+                      pcset: PredicateConstraintSet, floor_row: bool,
+                      backend: str) -> CompiledMILP:
+    """One frozen model structure over ``profiles``: variables and coupling
+    rows, no objective.
 
-    Built once per (program, variant); thread-safe because it is immutable
-    after construction.  ``solve_objectives`` patches a matrix of
-    cell-coefficient rows into the structure (slack variables always carry
-    objective 0).
+    Columns are the cells in profile order, then one slack variable per
+    ``slack_bounds`` entry in constraint order.  Rows are the frequency
+    constraints in order, then the "at least one allocated row" floor over
+    the cells when ``floor_row``.  A constraint that covers nothing gets no
+    row (it raises if it forces rows), and neither does one covering a
+    single cell with no slack and no forced rows: that cell's capacity is
+    already at most the constraint's maximum.  Skipping it keeps the
+    disjoint / partitioned case a pure box problem, which the greedy step
+    solves in linear time (paper §4.2).
     """
+    slack = sorted(slack_bounds)
+    upper = np.array([profile.capacity for profile in profiles]
+                     + [slack_bounds[index] for index in slack], dtype=float)
+    coverage = np.zeros((len(pcset), len(upper)))
+    for column, profile in enumerate(profiles):
+        coverage[list(profile.covering), column] = 1.0
+    for column, index in enumerate(slack, start=len(profiles)):
+        coverage[index, column] = 1.0
+    terms = np.count_nonzero(coverage, axis=1)
+    kept: list[int] = []
+    for index, pc in enumerate(pcset):
+        if terms[index] == 0:
+            if pc.min_rows() > 0:
+                raise SolverError(
+                    f"constraint {pc.name!r} forces rows to exist but its "
+                    "predicate is unsatisfiable")
+        elif terms[index] > 1 or index in slack_bounds or pc.min_rows() > 0:
+            kept.append(index)
+    matrix = coverage[kept]
+    row_lower = [float(pcset[index].min_rows()) for index in kept]
+    row_upper = [float(pcset[index].max_rows()) for index in kept]
+    if floor_row:
+        floor = np.zeros(len(upper))
+        floor[:len(profiles)] = 1.0
+        matrix = np.vstack([matrix, floor])
+        row_lower.append(1.0)
+        row_upper.append(_INF)
+    return CompiledMILP(upper, matrix, row_lower, row_upper, backend)
 
-    def __init__(self, profiles: list[CellProfile],
-                 slack_bounds: dict[int, int],
-                 pcset: PredicateConstraintSet,
-                 floor_row: bool,
-                 backend: str):
-        self._profiles = profiles
-        self._backend = backend
-        self._cell_names = [f"x{profile.index}" for profile in profiles]
-        self._slack_items = sorted(slack_bounds.items())
-        self._var_lower: dict[str, float] = {}
-        self._var_upper: dict[str, float] = {}
-        names: list[str] = []
-        for profile in profiles:
-            name = f"x{profile.index}"
-            names.append(name)
-            self._var_lower[name] = 0.0
-            self._var_upper[name] = float(profile.capacity)
-        for constraint_index, max_rows in self._slack_items:
-            name = f"s{constraint_index}"
-            names.append(name)
-            self._var_lower[name] = 0.0
-            self._var_upper[name] = float(max_rows)
-        self._names = names
-        self._rows = self._build_rows(profiles, dict(self._slack_items), pcset)
-        if floor_row:
-            self._rows.append(
-                ({f"x{profile.index}": 1.0 for profile in profiles}, 1.0, _INF))
-        self._pure_box = not self._rows
-        self._compiled: CompiledMILP | None = None
-        # Only the vectorised-greedy (pure box) and scipy paths consult the
-        # compiled arrays; other backends re-materialize models per solve.
-        if self._pure_box or backend == "scipy":
-            self._compiled = CompiledMILP(self._materialize({}, Sense.MAXIMIZE))
 
-    @staticmethod
-    def _build_rows(profiles: list[CellProfile], slack_bounds: dict[int, int],
-                    pcset: PredicateConstraintSet
-                    ) -> list[tuple[dict[str, float], float, float]]:
-        """The frequency coupling rows, with the redundancy eliminations the
-        monolithic solver applied (kept bit-for-bit so results match)."""
-        rows: list[tuple[dict[str, float], float, float]] = []
-        for constraint_index, pc in enumerate(pcset):
-            terms: dict[str, float] = {}
-            covered_capacity_total = 0
-            for profile in profiles:
-                if constraint_index in profile.covering:
-                    terms[f"x{profile.index}"] = 1.0
-                    covered_capacity_total += profile.capacity
-            has_slack = constraint_index in slack_bounds
-            if has_slack:
-                terms[f"s{constraint_index}"] = 1.0
-            if not terms:
-                if pc.min_rows() > 0:
-                    raise SolverError(
-                        f"constraint {pc.name!r} forces rows to exist but its "
-                        "predicate is unsatisfiable"
-                    )
-                continue
-            if (len(terms) == 1 and not has_slack and pc.min_rows() == 0
-                    and covered_capacity_total <= pc.max_rows()):
-                # A single cell already bounded by its own capacity: the
-                # frequency constraint is redundant.  Skipping it keeps the
-                # disjoint / partitioned case a pure box problem, which the
-                # greedy path solves in linear time (paper §4.2).
-                continue
-            rows.append((terms, float(pc.min_rows()), float(pc.max_rows())))
-        return rows
-
-    def _materialize(self, objective: dict[str, float], sense: Sense) -> MILPModel:
-        """A concrete :class:`MILPModel` over the frozen structure."""
-        full_objective = {name: objective.get(name, 0.0) for name in self._names}
-        return MILPModel(
-            sense=sense,
-            objective=full_objective,
-            lower_bounds=self._var_lower,
-            upper_bounds=self._var_upper,
-            constraints=self._rows,
-            integer_variables=set(self._names),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Solving
-    # ------------------------------------------------------------------ #
-    def solve_objectives(self, cell_matrix: np.ndarray, sense: Sense
-                         ) -> list[tuple[SolutionStatus, float | None]]:
-        """Optimise every row of ``cell_matrix`` against this skeleton.
-
-        ``cell_matrix`` rows are aligned with this skeleton's profile order;
-        one slack padding, one kernel entry.  Backends without compiled
-        arrays (the branch-and-bound / relaxation dispatch path) still batch
-        what they can — the model structure is materialized once for the
-        whole batch and only the objective dict is swapped per row.
-        """
-        cell_matrix = np.asarray(cell_matrix, dtype=float)
-        if cell_matrix.ndim != 2:
-            cell_matrix = cell_matrix.reshape(len(cell_matrix), -1)
-        if self._compiled is not None:
-            if self._slack_items:
-                padding = np.zeros((cell_matrix.shape[0],
-                                    len(self._slack_items)))
-                cell_matrix = np.hstack([cell_matrix, padding])
-            return self._compiled.solve_objectives(cell_matrix, sense)
-        model = self._materialize({}, sense)
-        backend = "greedy" if self._pure_box else self._backend
-        results: list[tuple[SolutionStatus, float | None]] = []
-        for row in cell_matrix:
-            for name, value in zip(self._cell_names, row):
-                model.objective[name] = float(value)
-            solution = solve_milp(model, backend=backend)
-            results.append((solution.status, solution.objective))
-        return results
-
-    def solve_solution(self, coefficients: dict[str, float],
-                       sense: Sense) -> LPSolution:
-        """Optimise and return the full per-variable solution (explanations)."""
-        if self._compiled is not None:
-            c = self._compiled.objective_vector(coefficients)
-            return self._compiled.solve(c, sense)
-        return self._dispatch(coefficients, sense)
-
-    def _dispatch(self, objective: dict[str, float], sense: Sense) -> LPSolution:
-        model = self._materialize(objective, sense)
-        backend = "greedy" if self._pure_box else self._backend
-        return solve_milp(model, backend=backend)
+def _objective_matrix(milp: CompiledMILP, rows: Sequence[Sequence[float]]
+                      ) -> np.ndarray:
+    """Cell-coefficient ``rows`` as objective rows over ``milp``'s columns:
+    the slack columns after the cells carry 0."""
+    matrix = np.zeros((len(rows), milp.num_variables))
+    matrix[:, :len(rows[0])] = rows
+    return matrix
 
 
 class BoundProgram:
@@ -241,7 +162,7 @@ class BoundProgram:
         self._profiles = self._build_profiles()
         self._active = [p for p in self._profiles if p.capacity > 0]
         self._slack_bounds = self._compile_slack_bounds()
-        self._skeletons: dict[str, _Skeleton] = {}
+        self._skeletons: dict[str, CompiledMILP] = {}
         self._forced_extrema: dict[bool, float | None] = {}
         self._satisfiable: bool | None = None
         # Patchable coefficient vectors, aligned with the skeleton variants.
@@ -413,12 +334,12 @@ class BoundProgram:
                 slack_bounds[constraint_index] = pc.max_rows()
         return slack_bounds
 
-    def _skeleton(self, variant: str) -> _Skeleton:
+    def _skeleton(self, variant: str) -> CompiledMILP:
         with self._lock:
             skeleton = self._skeletons.get(variant)
             if skeleton is None:
                 profiles = self._profiles if variant == _FULL else self._active
-                skeleton = _Skeleton(
+                skeleton = _compile_skeleton(
                     profiles, self._slack_bounds, self._pcset,
                     floor_row=(variant == _ACTIVE_FLOOR),
                     backend=self._backend)
@@ -442,12 +363,11 @@ class BoundProgram:
         if count == 0:
             return []
         get_tracer().add("solver_calls", count)
-        matrix = np.array(rows, dtype=float)
-        if matrix.ndim != 2:
-            matrix = matrix.reshape(count, -1)
         get_registry().histogram("solver.batch_size",
                                  buckets=_BATCH_SIZE_BUCKETS).observe(count)
-        return self._skeleton(variant).solve_objectives(matrix, sense)
+        skeleton = self._skeleton(variant)
+        return skeleton.solve_objectives(_objective_matrix(skeleton, rows),
+                                         sense)
 
     @staticmethod
     def _checked_value(status: SolutionStatus, objective: float | None,
@@ -462,11 +382,14 @@ class BoundProgram:
             raise SolverError(f"MILP solve failed with status {status.value}")
         return objective
 
-    def solve_for_explanation(self, coefficients: dict[int, float]
+    def solve_for_explanation(self, coefficients: Sequence[float]
                               ) -> LPSolution:
-        """Maximise over the full skeleton, returning per-cell allocations."""
-        named = {f"x{index}": value for index, value in coefficients.items()}
-        return self._skeleton(_FULL).solve_solution(named, Sense.MAXIMIZE)
+        """Maximise ``coefficients`` (one per profile) over the full
+        skeleton.  The allocation's first columns are the cells, in profile
+        order."""
+        skeleton = self._skeleton(_FULL)
+        return skeleton.solve(_objective_matrix(skeleton, [coefficients])[0],
+                              Sense.MAXIMIZE)
 
     # ------------------------------------------------------------------ #
     # Execution: one entry point per aggregate

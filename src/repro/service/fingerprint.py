@@ -120,13 +120,19 @@ def fingerprint_constraint(constraint: PredicateConstraint) -> str:
 
 
 def fingerprint_pcset(pcset: PredicateConstraintSet) -> str:
-    """Content hash of a constraint set (order-sensitive, domain-sensitive)."""
-    tokens = ["pcset", str(len(pcset))]
-    for constraint in pcset:
-        tokens.append(fingerprint_constraint(constraint))
-    for attribute, domain in sorted(pcset.domains.items()):
-        tokens.extend(_domain_tokens(attribute, domain))
-    return _digest(tokens)
+    """Content hash of a constraint set (order-sensitive, domain-sensitive).
+
+    Computed once per content: the digest is memoized on the set, which
+    drops it when a constraint is added or a domain set.
+    """
+    if pcset.fingerprint_memo is None:
+        tokens = ["pcset", str(len(pcset))]
+        for constraint in pcset:
+            tokens.append(fingerprint_constraint(constraint))
+        for attribute, domain in sorted(pcset.domains.items()):
+            tokens.extend(_domain_tokens(attribute, domain))
+        pcset.fingerprint_memo = _digest(tokens)
+    return pcset.fingerprint_memo
 
 
 def fingerprint_query(query: ContingencyQuery) -> str:

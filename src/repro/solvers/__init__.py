@@ -15,7 +15,7 @@ from .fec import (
     solve_fractional_edge_cover,
 )
 from .lp import LinearProgram, LPSolution, Sense, SolutionStatus
-from .milp import CompiledMILP, MILPBackend, MILPModel, solve_milp
+from .milp import CompiledMILP, MILPBackend
 from .registry import (
     BackendCapabilities,
     available_backends,
@@ -37,8 +37,6 @@ __all__ = [
     "SolutionStatus",
     "CompiledMILP",
     "MILPBackend",
-    "MILPModel",
-    "solve_milp",
     "BackendCapabilities",
     "available_backends",
     "backend_capabilities",

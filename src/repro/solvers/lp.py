@@ -2,19 +2,22 @@
 
 The predicate-constraint framework needs two LP-shaped solvers:
 
-* the LP relaxation used by the pure-Python branch-and-bound MILP backend
-  (:mod:`repro.solvers.milp`), and
-* the fractional-edge-cover LP used by the join bound (:mod:`repro.solvers.fec`).
+* the LP relaxations behind the ``branch-and-bound`` and ``relaxation``
+  MILP backends (:mod:`repro.solvers.milp`), which read the compiled
+  allocation program's arrays, and
+* the fractional-edge-cover LP used by the join bound (:mod:`repro.solvers.fec`),
+  built declaratively with :class:`LinearProgram` (named variables, ranged
+  linear constraints, a linear objective) and lowered to arrays.
 
-Models are built declaratively (variables, ranged linear constraints, a
-linear objective) and solved with HiGHS through SciPy.
+Both solve through :func:`solve_lp`, the one ``linprog`` call, and
+:func:`scipy_solution` is the one map from a SciPy result (``linprog`` or
+``milp``) onto :class:`LPSolution`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -28,6 +31,8 @@ __all__ = [
     "LinearConstraint",
     "LinearProgram",
     "LPSolution",
+    "scipy_solution",
+    "solve_lp",
 ]
 
 
@@ -83,12 +88,19 @@ class LinearConstraint:
 
 @dataclass
 class LPSolution:
-    """The result of solving a linear (or integer) program."""
+    """The result of solving a linear (or integer) program.
+
+    ``x`` is the optimal point in column order (``None`` unless optimal).
+    :class:`LinearProgram` labels its columns with ``names``, so
+    :meth:`value` reads a variable by name; the allocation programs of
+    :mod:`repro.solvers.milp` are read by column position.
+    """
 
     status: SolutionStatus
     objective: float | None
-    values: dict[str, float] = field(default_factory=dict)
+    x: np.ndarray | None = None
     message: str = ""
+    names: tuple[str, ...] = ()
 
     @property
     def is_optimal(self) -> bool:
@@ -96,9 +108,9 @@ class LPSolution:
 
     def value(self, name: str) -> float:
         """The optimal value of variable ``name``."""
-        if name not in self.values:
+        if self.x is None or name not in self.names:
             raise SolverError(f"no value recorded for variable {name!r}")
-        return self.values[name]
+        return float(self.x[self.names.index(name)])
 
     def raise_for_status(self) -> "LPSolution":
         """Raise a descriptive exception unless the solution is optimal."""
@@ -111,11 +123,46 @@ class LPSolution:
         raise SolverError(self.message or "solver failed")
 
 
+_SCIPY_FAILURES = {2: SolutionStatus.INFEASIBLE, 3: SolutionStatus.UNBOUNDED}
+
+
+def scipy_solution(result, sense: Sense) -> LPSolution:
+    """Map a ``scipy.optimize`` ``milp`` or ``linprog`` result onto
+    :class:`LPSolution`; a MAXIMIZE program was solved as the minimum of
+    ``-c``, so its optimum is negated back."""
+    message = str(result.message)
+    if result.status == 0 and result.x is not None:
+        objective = float(result.fun)
+        if sense is Sense.MAXIMIZE:
+            objective = -objective
+        return LPSolution(SolutionStatus.OPTIMAL, objective, result.x, message)
+    return LPSolution(_SCIPY_FAILURES.get(result.status, SolutionStatus.ERROR),
+                      None, message=message)
+
+
+def solve_lp(c: np.ndarray, sense: Sense, matrix: np.ndarray,
+             row_lower: np.ndarray, row_upper: np.ndarray,
+             lower: np.ndarray, upper: np.ndarray) -> LPSolution:
+    """Optimise ``c . x`` over ``row_lower <= matrix x <= row_upper`` and
+    ``lower <= x <= upper`` in the reals, with HiGHS.
+
+    ``linprog`` takes only one-sided rows, so each finite side of a ranged
+    row becomes one ``A_ub`` row: row by row, the upper side first.
+    """
+    signed = np.stack([matrix, -matrix], axis=1).reshape(-1, len(c))
+    limits = np.stack([row_upper, -row_lower], axis=1).ravel()
+    finite = np.isfinite(limits)
+    a_ub, b_ub = (signed[finite], limits[finite]) if finite.any() else (None, None)
+    result = linprog(-c if sense is Sense.MAXIMIZE else c, A_ub=a_ub, b_ub=b_ub,
+                     bounds=np.column_stack([lower, upper]), method="highs")
+    return scipy_solution(result, sense)
+
+
 class LinearProgram:
     """A declaratively-built linear program.
 
     Variables and constraints are registered by name; :meth:`solve` lowers
-    the model to SciPy's matrix form and normalises the result.
+    the model to arrays and solves it with :func:`solve_lp`.
     """
 
     def __init__(self, sense: Sense = Sense.MAXIMIZE, name: str = "lp"):
@@ -185,73 +232,27 @@ class LinearProgram:
         return len(self._constraints)
 
     # ------------------------------------------------------------------ #
-    # Lowering and solving
+    # Solving
     # ------------------------------------------------------------------ #
-    def to_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                                   list[tuple[float, float]]]:
-        """Lower to ``(c, A, lower, upper, bounds)`` in variable order.
-
-        ``c`` is the minimisation objective (negated when the model's sense
-        is MAXIMIZE) so that callers can feed SciPy directly.
-        """
-        count = len(self._variables)
-        c = np.zeros(count)
+    def solve(self) -> LPSolution:
+        """Lower the model to arrays in variable order and solve it with
+        :func:`solve_lp`."""
+        names = tuple(variable.name for variable in self._variables)
+        if not names:
+            return LPSolution(SolutionStatus.OPTIMAL, 0.0)
+        index = self._variable_index
+        c = np.zeros(len(names))
         for name, coefficient in self._objective.items():
-            c[self._variable_index[name]] = coefficient
-        if self.sense is Sense.MAXIMIZE:
-            c = -c
-        rows = max(len(self._constraints), 0)
-        matrix = np.zeros((rows, count))
-        lower = np.full(rows, -np.inf)
-        upper = np.full(rows, np.inf)
+            c[index[name]] = coefficient
+        matrix = np.zeros((len(self._constraints), len(names)))
         for row, constraint in enumerate(self._constraints):
             for name, coefficient in constraint.coefficients.items():
-                matrix[row, self._variable_index[name]] = coefficient
-            lower[row] = constraint.lower
-            upper[row] = constraint.upper
-        bounds = [(variable.lower, variable.upper) for variable in self._variables]
-        return c, matrix, lower, upper, bounds
-
-    def solve(self) -> LPSolution:
-        """Solve the continuous relaxation with HiGHS."""
-        if not self._variables:
-            return LPSolution(SolutionStatus.OPTIMAL, 0.0, {})
-        c, matrix, lower, upper, bounds = self.to_matrices()
-        constraints = []
-        if len(self._constraints) > 0:
-            # linprog only supports A_ub/A_eq; encode ranged constraints as
-            # two inequality blocks where needed.
-            a_ub_blocks = []
-            b_ub = []
-            for row in range(matrix.shape[0]):
-                if np.isfinite(upper[row]):
-                    a_ub_blocks.append(matrix[row])
-                    b_ub.append(upper[row])
-                if np.isfinite(lower[row]):
-                    a_ub_blocks.append(-matrix[row])
-                    b_ub.append(-lower[row])
-            a_ub = np.vstack(a_ub_blocks) if a_ub_blocks else None
-            b_ub_arr = np.asarray(b_ub) if b_ub else None
-        else:
-            a_ub, b_ub_arr = None, None
-        result = linprog(c, A_ub=a_ub, b_ub=b_ub_arr, bounds=bounds, method="highs")
-        return self._normalise(result)
-
-    def _normalise(self, result) -> LPSolution:
-        if result.status == 0:
-            objective = float(result.fun)
-            if self.sense is Sense.MAXIMIZE:
-                objective = -objective
-            values = {
-                variable.name: float(result.x[index])
-                for index, variable in enumerate(self._variables)
-            }
-            return LPSolution(SolutionStatus.OPTIMAL, objective, values,
-                              message=str(result.message))
-        if result.status == 2:
-            return LPSolution(SolutionStatus.INFEASIBLE, None, {},
-                              message=str(result.message))
-        if result.status == 3:
-            return LPSolution(SolutionStatus.UNBOUNDED, None, {},
-                              message=str(result.message))
-        return LPSolution(SolutionStatus.ERROR, None, {}, message=str(result.message))
+                matrix[row, index[name]] = coefficient
+        solution = solve_lp(
+            c, self.sense, matrix,
+            np.array([constraint.lower for constraint in self._constraints]),
+            np.array([constraint.upper for constraint in self._constraints]),
+            np.array([variable.lower for variable in self._variables]),
+            np.array([variable.upper for variable in self._variables]))
+        solution.names = names
+        return solution

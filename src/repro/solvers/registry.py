@@ -1,20 +1,21 @@
 """Uniform registration and resolution of MILP backends.
 
-The bounding engine historically dispatched on hard-coded backend names
-inside :func:`repro.solvers.milp.solve_milp`.  The plan compiler needs the
-same resolution in more places (skeleton solves, CLI validation, service
-fingerprints), so the mapping now lives in one registry:
+Backend names are resolved in several places (compiled programs at solve
+time, CLI validation, service fingerprints), so the mapping lives in one
+registry:
 
-* built-in backends (``scipy``, ``branch-and-bound``, ``relaxation``,
-  ``greedy``) register themselves when :mod:`repro.solvers.milp` is
-  imported;
+* built-in backends (``scipy``, ``branch-and-bound``, ``relaxation``)
+  register themselves when :mod:`repro.solvers.milp` is imported;
 * extensions (tests, future native solvers) call :func:`register_backend`
   and immediately become addressable from :class:`~repro.core.bounds.
   BoundOptions.milp_backend`, the CLI ``--backend`` flag and the service
   layer, with no dispatch code to touch.
 
-A backend is a callable ``(model, time_limit) -> LPSolution``; ``time_limit``
-is advisory and backends that cannot honour it simply ignore it.
+A backend is a callable ``(milp, c, sense) -> LPSolution``: it optimises the
+objective vector ``c`` over a coupled :class:`~repro.solvers.milp.
+CompiledMILP` in direction ``sense`` and returns the status, the optimum
+and the allocation ``x``.  Pure box programs never reach a backend: the
+compiled program's greedy step answers them.
 
 Backends additionally carry :class:`BackendCapabilities`, declared at
 registration time, which the parallel/verification layers consult instead of
@@ -26,14 +27,10 @@ matching on names:
     inexact ones (the LP ``relaxation``) promise containment, not equality.
 ``process_safe``
     The backend's solves can run in a worker *process*: it holds no native
-    handles, so models/compiled skeletons pickle across the boundary.  A
-    future backend wrapping a persistent native solver handle registers with
+    handles, so compiled programs pickle across the boundary.  A future
+    backend wrapping a persistent native solver handle registers with
     ``process_safe=False`` and its work runs inline instead of fanning out
     to processes (:func:`repro.parallel.pool.pool_for_backend`).
-``supports_coupling``
-    The backend can solve models with coupling constraints.  ``greedy`` is
-    the one built-in that cannot — it is exact, but only on pure box
-    problems.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ __all__ = ["BackendFn", "BackendCapabilities", "register_backend",
 class BackendFn(Protocol):
     """The callable signature every registered backend satisfies."""
 
-    def __call__(self, model, time_limit: float | None = None): ...
+    def __call__(self, milp, c, sense): ...
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,6 @@ class BackendCapabilities:
 
     exact: bool = True
     process_safe: bool = True
-    supports_coupling: bool = True
 
 
 _DEFAULT_CAPABILITIES = BackendCapabilities()
@@ -78,7 +74,7 @@ def register_backend(name: str, solver: Callable, *, replace: bool = False,
     Raises :class:`SolverError` on a duplicate name unless ``replace`` is
     set — silently shadowing a built-in would make bound results depend on
     import order.  ``capabilities`` defaults to the conservative
-    all-features profile (exact, process-safe, coupling-capable).
+    all-features profile (exact, process-safe).
     """
     if not name:
         raise SolverError("backend name must be non-empty")

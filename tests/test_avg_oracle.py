@@ -180,11 +180,11 @@ class FirstSolveFails:
     def __init__(self):
         self.failed_in: set[int] = set()
 
-    def __call__(self, model, time_limit=None):
+    def __call__(self, milp, c, sense):
         if os.getpid() not in self.failed_in:
             self.failed_in.add(os.getpid())
             return LPSolution(SolutionStatus.ERROR, None)
-        return resolve_backend("branch-and-bound")(model, time_limit)
+        return resolve_backend("branch-and-bound")(milp, c, sense)
 
 
 # A: t ∈ [0, 2], v ∈ [0, 100]; B: t ∈ [1, 3], v ∈ [0, 10]; 0–5 rows each.

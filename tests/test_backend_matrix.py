@@ -10,8 +10,9 @@ is automatically drafted into the oracle the moment it registers:
   the soundness scenario;
 * **inexact** backends (the LP relaxation) must return ranges that
   *contain* the reference — sound but possibly looser;
-* backends that cannot solve coupled models (``greedy``) are exercised only
-  on the disjoint scenario that matches their declared capability;
+* the disjoint scenario compiles to pure box programs, which the compiled
+  greedy step answers on every backend, and the coupled one reaches the
+  backend itself;
 * unknown/unavailable backends skip rather than fail, keeping the matrix
   usable on trimmed-down installs.
 """
@@ -91,8 +92,6 @@ def test_backend_matches_reference_on_soundness_scenario(scenarios, backend,
     if not has_backend(backend):
         pytest.skip(f"backend {backend!r} is not available in this install")
     capabilities = backend_capabilities(backend)
-    if kind == "coupled" and not capabilities.supports_coupling:
-        pytest.skip(f"backend {backend!r} does not solve coupled models")
     pcset, regions = scenarios[kind]
     reference = _ranges(pcset, regions, REFERENCE)
     candidate = _ranges(pcset, regions, backend)
@@ -131,4 +130,3 @@ def test_every_backend_declares_capabilities():
         capabilities = backend_capabilities(backend)
         assert isinstance(capabilities.exact, bool)
         assert isinstance(capabilities.process_safe, bool)
-        assert isinstance(capabilities.supports_coupling, bool)

@@ -283,9 +283,7 @@ class TestCliSolverOptions:
                                                      constraint_text_file):
         from repro.solvers.registry import register_backend, resolve_backend
 
-        register_backend("cli-test-backend",
-                         lambda model, time_limit=None:
-                         resolve_backend("scipy")(model, time_limit),
+        register_backend("cli-test-backend", resolve_backend("scipy"),
                          replace=True)
         code = main(["bound", "--constraints", str(constraint_text_file),
                      "--aggregate", "count", "--no-closure-check",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.bounds import BoundOptions
@@ -17,6 +19,7 @@ from repro.exceptions import QueryError
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
+from repro.service import ContingencyService
 
 NO_CLOSURE = BoundOptions(check_closure=False)
 
@@ -117,6 +120,27 @@ class TestPCAnalyzerCombined:
         # Extreme: 5 extra rows at 200 and 10 at 100.
         best_case = (80.0 + 10 * 100.0 + 5 * 200.0) / (4 + 15)
         assert report.upper >= best_case - 1e-6
+
+    def test_avg_over_nan_observed_values_is_nan(self):
+        """A NaN observed value makes AVG NaN, as it makes SUM, MIN and MAX,
+        instead of an inverted range, and no NaN-keyed range is cached."""
+        pcset = PredicateConstraintSet([PredicateConstraint(
+            Predicate.range("t", 0, 3), ValueConstraint({"v": (0.0, 10.0)}),
+            FrequencyConstraint(0, 3), name="c")])
+        schema = Schema.from_pairs([("t", ColumnType.FLOAT),
+                                    ("v", ColumnType.FLOAT)])
+        observed = Relation.from_rows(schema, [(1.0, math.nan), (2.0, 4.0)],
+                                      name="nan_readings")
+        query = ContingencyQuery.avg("v")
+        report = PCAnalyzer(pcset, observed=observed,
+                            options=NO_CLOSURE).analyze(query)
+        for bound in (report.result_range, report.missing_range):
+            assert math.isnan(bound.lower) and math.isnan(bound.upper)
+        service = ContingencyService()
+        service.register("nan", pcset, observed=observed, options=NO_CLOSURE)
+        served = service.analyze("nan", query)
+        assert math.isnan(served.lower) and math.isnan(served.upper)
+        assert len(service.range_cache) == 0
 
     def test_bound_all(self, outage_pcs, observed):
         analyzer = PCAnalyzer(outage_pcs, observed=observed, options=NO_CLOSURE)

@@ -17,32 +17,41 @@ from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.exceptions import SolverError
 from repro.relational.aggregates import AggregateFunction
+from repro.solvers.registry import available_backends
 
 NO_CLOSURE = BoundOptions(check_closure=False)
+#: The built-in backends, read at import, before any test registers its own.
+BACKENDS = available_backends()
 
 
 class TestBoundExplanation:
     def test_paper_example_allocation(self, paper_overlapping_pcs):
-        solver = PCBoundSolver(paper_overlapping_pcs, NO_CLOSURE)
-        explanation = solver.explain(AggregateFunction.SUM, "price")
-        assert explanation.bound == pytest.approx(17_748.75)
-        # The optimal allocation: 50 rows in the t1∧t2 cell at 129.99 and 75
-        # rows in the t2-only cell at 149.99.
-        contributions = {allocation.covering_constraints: allocation
-                         for allocation in explanation.allocations}
-        assert contributions[("t1", "t2")].rows_allocated == pytest.approx(50)
-        assert contributions[("t1", "t2")].per_row_value == pytest.approx(129.99)
-        assert contributions[("t2",)].rows_allocated == pytest.approx(75)
-        assert contributions[("t2",)].per_row_value == pytest.approx(149.99)
-        total = sum(allocation.contribution for allocation in explanation.allocations)
-        assert total == pytest.approx(explanation.bound)
+        for backend in BACKENDS:
+            solver = PCBoundSolver(paper_overlapping_pcs, BoundOptions(
+                milp_backend=backend, check_closure=False))
+            explanation = solver.explain(AggregateFunction.SUM, "price")
+            assert explanation.bound == pytest.approx(17_748.75), backend
+            # The optimal allocation: 50 rows in the t1∧t2 cell at 129.99
+            # and 75 rows in the t2-only cell at 149.99.
+            contributions = {allocation.covering_constraints: allocation
+                             for allocation in explanation.allocations}
+            both, t2_only = contributions[("t1", "t2")], contributions[("t2",)]
+            assert both.rows_allocated == pytest.approx(50), backend
+            assert both.per_row_value == pytest.approx(129.99), backend
+            assert t2_only.rows_allocated == pytest.approx(75), backend
+            assert t2_only.per_row_value == pytest.approx(149.99), backend
+            total = sum(allocation.contribution
+                        for allocation in explanation.allocations)
+            assert total == pytest.approx(explanation.bound), backend
 
     def test_saturated_constraints_reported(self, paper_overlapping_pcs):
-        solver = PCBoundSolver(paper_overlapping_pcs, NO_CLOSURE)
-        explanation = solver.explain(AggregateFunction.COUNT)
-        # The COUNT bound (125) saturates t2's frequency capacity.
-        assert "t2" in explanation.saturated_constraints
-        assert "COUNT upper bound" in explanation.summary()
+        for backend in BACKENDS:
+            solver = PCBoundSolver(paper_overlapping_pcs, BoundOptions(
+                milp_backend=backend, check_closure=False))
+            explanation = solver.explain(AggregateFunction.COUNT)
+            # The COUNT bound (125) saturates both frequency capacities.
+            assert explanation.saturated_constraints == ("t1", "t2"), backend
+            assert "COUNT upper bound" in explanation.summary(), backend
 
     def test_explanation_matches_bound(self, paper_disjoint_pcs):
         solver = PCBoundSolver(paper_disjoint_pcs, NO_CLOSURE)

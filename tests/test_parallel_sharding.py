@@ -36,6 +36,7 @@ from repro.solvers.registry import (
     BackendCapabilities,
     has_backend,
     register_backend,
+    resolve_backend,
 )
 
 
@@ -177,11 +178,9 @@ class TestBatchExecutorModes:
         instead of crashing inside a worker."""
         from repro.core.engine import ContingencyQuery, PCAnalyzer
         from repro.service.batch import BatchExecutor
-        from repro.solvers.milp import _solve_scipy
 
         register_backend(
-            "test-native-handle-batch",
-            lambda model, time_limit=None: _solve_scipy(model),
+            "test-native-handle-batch", resolve_backend("scipy"),
             replace=True,
             capabilities=BackendCapabilities(process_safe=False))
         analyzer = PCAnalyzer(windows_pcset(3), options=BoundOptions(
@@ -226,15 +225,13 @@ class TestPickleHandoff:
 # --------------------------------------------------------------------- #
 def _register_inflating_backend(name: str, factor: float) -> None:
     """A deliberately-broken backend: every objective scaled by ``factor``."""
-    from repro.solvers.milp import _solve_scipy
-
-    def broken(model, time_limit=None):
-        solution = _solve_scipy(model)
+    def broken(milp, c, sense):
+        solution = resolve_backend("scipy")(milp, c, sense)
         if solution.status is not SolutionStatus.OPTIMAL:
             return solution
         assert solution.objective is not None
         return LPSolution(SolutionStatus.OPTIMAL,
-                          solution.objective * factor, solution.values)
+                          solution.objective * factor, solution.x)
 
     register_backend(name, broken, replace=True)
 

@@ -320,15 +320,15 @@ class TestBackendRegistry:
 
     def test_builtins_registered(self):
         names = available_backends()
-        for name in ("scipy", "branch-and-bound", "relaxation", "greedy"):
+        for name in ("scipy", "branch-and-bound", "relaxation"):
             assert name in names
 
     def test_custom_backend_usable_from_bound_options(self):
         calls = []
 
-        def counting_backend(model, time_limit=None):
-            calls.append(model)
-            return resolve_backend("branch-and-bound")(model, time_limit)
+        def counting_backend(milp, c, sense):
+            calls.append(milp)
+            return resolve_backend("branch-and-bound")(milp, c, sense)
 
         register_backend("counting-test-backend", counting_backend,
                          replace=True)

@@ -345,19 +345,21 @@ def test_sharded_verified_combination_is_sound():
 # --------------------------------------------------------------------- #
 def _random_compiled_milp(rng, *, pure_box: bool):
     """A random compiled skeleton shaped like the cell-allocation programs."""
-    from repro.solvers.milp import CompiledMILP, MILPModel
+    from repro.solvers.milp import CompiledMILP
 
-    model = MILPModel()
     count = int(rng.integers(2, 7))
-    for index in range(count):
-        model.add_variable(f"x{index}", 0, float(rng.integers(1, 9)),
-                           objective=0.0, is_integer=True)
-    if not pure_box:
-        for _ in range(int(rng.integers(1, 4))):
-            members = rng.choice(count, size=max(2, count // 2), replace=False)
-            model.add_constraint({f"x{int(m)}": 1.0 for m in members},
-                                 upper=float(rng.integers(2, 12)))
-    return CompiledMILP(model), count
+    upper = [float(rng.integers(1, 9)) for _ in range(count)]
+    if pure_box:
+        return CompiledMILP(upper), count
+    rows = []
+    row_upper = []
+    for _ in range(int(rng.integers(1, 4))):
+        members = rng.choice(count, size=max(2, count // 2), replace=False)
+        row = np.zeros(count)
+        row[members] = 1.0
+        rows.append(row)
+        row_upper.append(float(rng.integers(2, 12)))
+    return CompiledMILP(upper, rows, row_upper=row_upper), count
 
 
 @pytest.mark.parametrize("seed", [31, 32])
@@ -386,11 +388,11 @@ def test_solve_objectives_matches_row_by_row(seed, pure_box):
             assert value == want_value, (sense, row, value, want_value)
 
 
-#: The backends whose batched paths these tests compare: scipy runs the
-#: compiled multi-RHS kernel, branch-and-bound and relaxation the
-#: materialize-once dispatch loop.  Whether a backend's ranges are the true
-#: extremes is ``tests/test_range_oracle.py``'s question; here a range must
-#: not depend on its batch or on the fan-out.
+#: The backends whose batched paths these tests compare: each solves the
+#: same compiled arrays, one backend call per coupled objective row.
+#: Whether a backend's ranges are the true extremes is
+#: ``tests/test_range_oracle.py``'s question; here a range must not depend
+#: on its batch or on the fan-out.
 REFERENCE_BACKENDS = ["scipy", "branch-and-bound", "relaxation"]
 
 

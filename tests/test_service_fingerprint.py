@@ -15,6 +15,8 @@ from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
+from repro.service import ContingencyService
+from repro.service import fingerprint as fingerprint_module
 from repro.service.fingerprint import (
     combine_fingerprints,
     decomposition_namespace,
@@ -92,6 +94,41 @@ class TestConstraintAndSetFingerprints:
     def test_pcset_reproducible_across_instances(self):
         assert (fingerprint_pcset(PredicateConstraintSet([make_constraint(1, 2)]))
                 == fingerprint_pcset(PredicateConstraintSet([make_constraint(1, 2)])))
+
+    def test_appends_compute_no_constraint_digest(self, monkeypatch):
+        """The set's digest is memoized, so an append, which registers a
+        new version over the same constraints, never re-hashes them."""
+        schema = Schema.from_pairs([("utc", ColumnType.FLOAT),
+                                    ("price", ColumnType.FLOAT)])
+        service = ContingencyService()
+        service.register("sales", PredicateConstraintSet(
+            [make_constraint(11, 12), make_constraint(12, 13)]),
+            observed=Relation.from_rows(schema, [(10.0, 5.0)], name="sales"),
+            options=BoundOptions(check_closure=False))
+        service.analyze("sales", ContingencyQuery.sum("price"))
+        digested = []
+        original = fingerprint_module.fingerprint_constraint
+        monkeypatch.setattr(
+            fingerprint_module, "fingerprint_constraint",
+            lambda constraint: digested.append(constraint)
+            or original(constraint))
+        for step in range(10):
+            service.append_rows("sales", [(11.0 + step / 10, 20.0)])
+            service.analyze("sales", ContingencyQuery.sum("price"))
+        assert digested == []
+        assert service.session("sales").version == 11
+
+    def test_add_or_set_domain_after_registration_changes_fingerprint(self):
+        pcset = PredicateConstraintSet([make_constraint(11, 12)])
+        service = ContingencyService()
+        fingerprints = [service.register("s", pcset).fingerprint]
+        pcset.add(make_constraint(12, 13))
+        fingerprints.append(service.register("s", pcset).fingerprint)
+        pcset.set_domain("utc", AttributeDomain.numeric(0.0, 24.0))
+        fingerprints.append(service.register("s", pcset).fingerprint)
+        assert len(set(fingerprints)) == 3
+        assert fingerprint_pcset(pcset) == fingerprint_pcset(
+            PredicateConstraintSet(pcset.constraints, pcset.domains))
 
 
 class TestQueryAndOptionsFingerprints:

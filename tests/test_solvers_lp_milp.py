@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
 from repro.solvers.lp import LinearProgram, Sense, SolutionStatus
-from repro.solvers.milp import MILPBackend, MILPModel, solve_milp
+from repro.solvers.milp import CompiledMILP, MILPBackend
+from repro.solvers.registry import available_backends
 
 
 class TestLinearProgram:
@@ -90,93 +91,89 @@ class TestLinearProgram:
             solution.value("nope")
 
 
-def build_allocation_model(uppers, capacities, group_limit) -> MILPModel:
-    """A miniature version of the paper's cell-allocation program."""
-    model = MILPModel()
-    for index, (value, capacity) in enumerate(zip(uppers, capacities)):
-        model.add_variable(f"x{index}", 0, capacity, objective=value)
-    model.add_constraint({f"x{index}": 1.0 for index in range(len(uppers))},
-                         upper=group_limit)
-    return model
+#: The built-in backends, read at import, before any test registers its own.
+BACKENDS = available_backends()
+
+
+def allocation_program(capacities, group_limit,
+                       backend: str = MILPBackend.SCIPY) -> CompiledMILP:
+    """A miniature version of the paper's cell-allocation program: one
+    variable per cell up to its capacity, one row capping their sum."""
+    return CompiledMILP(capacities, [np.ones(len(capacities))],
+                        row_upper=[group_limit], backend=backend)
+
+
+def solve(program: CompiledMILP, c, sense: Sense = Sense.MAXIMIZE):
+    return program.solve(np.asarray(c, dtype=float), sense)
 
 
 class TestMILPBackends:
     def test_simple_integer_solution(self):
-        model = build_allocation_model([5.0, 3.0], [4, 4], group_limit=5)
-        solution = solve_milp(model).raise_for_status()
+        program = allocation_program([4, 4], group_limit=5)
+        solution = solve(program, [5.0, 3.0]).raise_for_status()
         assert solution.objective == pytest.approx(4 * 5 + 1 * 3)
 
-    def test_greedy_requires_pure_box(self):
-        model = build_allocation_model([5.0], [4], group_limit=5)
-        with pytest.raises(SolverError):
-            solve_milp(model, backend=MILPBackend.GREEDY)
-
     def test_greedy_on_disjoint_model(self):
-        model = MILPModel()
-        model.add_variable("a", 0, 3, objective=2.0)
-        model.add_variable("b", 0, 5, objective=-1.0)
-        solution = solve_milp(model, backend=MILPBackend.GREEDY).raise_for_status()
-        assert solution.objective == pytest.approx(6.0)
-        assert solution.values["b"] == 0.0
+        # A pure box problem never reaches the backend: every backend
+        # answers it with the compiled greedy step.
+        for backend in BACKENDS:
+            program = CompiledMILP([3, 5], backend=backend)
+            assert program.is_pure_box_problem
+            solution = solve(program, [2.0, -1.0]).raise_for_status()
+            assert solution.objective == pytest.approx(6.0), backend
+            assert solution.x.tolist() == [3.0, 0.0], backend
 
     def test_greedy_minimisation(self):
-        model = MILPModel(sense=Sense.MINIMIZE)
-        model.add_variable("a", 1, 3, objective=2.0)
-        model.add_variable("b", 0, 5, objective=-1.0)
-        solution = solve_milp(model, backend=MILPBackend.GREEDY).raise_for_status()
-        assert solution.objective == pytest.approx(2.0 * 1 - 1.0 * 5)
+        for backend in BACKENDS:
+            program = CompiledMILP([3.5, 5], backend=backend)
+            solution = solve(program, [2.0, -1.0],
+                             Sense.MINIMIZE).raise_for_status()
+            assert solution.objective == pytest.approx(-1.0 * 5), backend
+            assert solution.x.tolist() == [0.0, 5.0], backend
+            # Integral endpoints: a fractional capacity rounds down.
+            assert solve(program, [1.0, 0.0]).objective == 3.0, backend
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SolverError):
-            solve_milp(MILPModel(), backend="simplex-of-doom")
+        program = allocation_program([1, 1], group_limit=1,
+                                     backend="simplex-of-doom")
+        with pytest.raises(SolverError, match="scipy"):
+            program.solve_objective(np.ones(2), Sense.MAXIMIZE)
 
     def test_empty_model(self):
-        assert solve_milp(MILPModel()).objective == 0.0
+        for backend in BACKENDS:
+            program = CompiledMILP([], backend=backend)
+            assert program.solve_objective(np.zeros(0), Sense.MAXIMIZE) == \
+                (SolutionStatus.OPTIMAL, 0.0)
 
     def test_infeasible_model(self):
-        model = MILPModel()
-        model.add_variable("x", 0, 1)
-        model.add_constraint({"x": 1.0}, lower=5)
-        solution = solve_milp(model)
-        assert solution.status is SolutionStatus.INFEASIBLE
+        for backend in BACKENDS:
+            program = CompiledMILP([1], [[1.0]], row_lower=[5],
+                                   backend=backend)
+            assert solve(program, [1.0]).status is \
+                SolutionStatus.INFEASIBLE, backend
 
     def test_relaxation_at_least_as_large_for_max(self):
-        model = build_allocation_model([7.0, 2.0], [3, 3], group_limit=4)
-        integral = solve_milp(model, backend=MILPBackend.SCIPY).objective
-        relaxed = solve_milp(model, backend=MILPBackend.RELAXATION).objective
+        integral = solve(allocation_program([3, 3], 4), [7.0, 2.0]).objective
+        relaxed = solve(allocation_program([3, 3], 4, MILPBackend.RELAXATION),
+                        [7.0, 2.0]).objective
         assert relaxed >= integral - 1e-9
 
     def test_branch_and_bound_agrees_with_scipy_on_knapsack(self):
-        model = MILPModel()
         values = [6.0, 5.0, 4.0]
-        weights = [3.0, 2.0, 2.0]
-        for index, value in enumerate(values):
-            model.add_variable(f"x{index}", 0, 1, objective=value)
-        model.add_constraint({f"x{index}": weights[index] for index in range(3)},
-                             upper=4.0)
-        scipy_solution = solve_milp(model, backend=MILPBackend.SCIPY)
-        bb_solution = solve_milp(model, backend=MILPBackend.BRANCH_AND_BOUND)
+        weights = [[3.0, 2.0, 2.0]]
+        scipy_solution = solve(CompiledMILP([1, 1, 1], weights,
+                                            row_upper=[4.0]), values)
+        bb_solution = solve(CompiledMILP(
+            [1, 1, 1], weights, row_upper=[4.0],
+            backend=MILPBackend.BRANCH_AND_BOUND), values)
         assert scipy_solution.objective == pytest.approx(bb_solution.objective)
         assert bb_solution.objective == pytest.approx(9.0)
+        assert bb_solution.x.tolist() == [0.0, 1.0, 1.0]
 
     def test_branch_and_bound_infeasible(self):
-        model = MILPModel()
-        model.add_variable("x", 0, 1)
-        model.add_constraint({"x": 1.0}, lower=3)
-        solution = solve_milp(model, backend=MILPBackend.BRANCH_AND_BOUND)
-        assert solution.status is SolutionStatus.INFEASIBLE
-
-    def test_duplicate_variable_rejected(self):
-        model = MILPModel()
-        model.add_variable("x")
-        with pytest.raises(SolverError):
-            model.add_variable("x")
-
-    def test_constraint_references_unknown_variable(self):
-        model = MILPModel()
-        model.add_variable("x")
-        with pytest.raises(SolverError):
-            model.add_constraint({"nope": 1.0}, upper=1)
+        program = CompiledMILP([1], [[1.0]], row_lower=[3],
+                               backend=MILPBackend.BRANCH_AND_BOUND)
+        assert solve(program, [1.0]).status is SolutionStatus.INFEASIBLE
 
 
 class TestMILPBackendProperty:
@@ -192,9 +189,10 @@ class TestMILPBackendProperty:
     @settings(max_examples=40, deadline=None)
     def test_backends_agree(self, uppers, capacities, limit):
         size = min(len(uppers), len(capacities))
-        model = build_allocation_model(uppers[:size], capacities[:size], limit)
-        scipy_solution = solve_milp(model, backend=MILPBackend.SCIPY)
-        bb_solution = solve_milp(model, backend=MILPBackend.BRANCH_AND_BOUND)
+        c = uppers[:size]
+        scipy_solution = solve(allocation_program(capacities[:size], limit), c)
+        bb_solution = solve(allocation_program(
+            capacities[:size], limit, MILPBackend.BRANCH_AND_BOUND), c)
         assert scipy_solution.is_optimal and bb_solution.is_optimal
         assert scipy_solution.objective == pytest.approx(bb_solution.objective,
                                                          rel=1e-6, abs=1e-6)

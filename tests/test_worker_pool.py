@@ -34,7 +34,11 @@ from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service import ContingencyService
-from repro.solvers.registry import BackendCapabilities, register_backend
+from repro.solvers.registry import (
+    BackendCapabilities,
+    register_backend,
+    resolve_backend,
+)
 
 # Width-1 pools degrade to serial by design (pinned in TestModesAndFallbacks),
 # so the lifecycle/affinity tests need at least two real workers even on the
@@ -190,11 +194,8 @@ class TestModesAndFallbacks:
     def test_process_unsafe_backend_runs_inline(self):
         """A bare solver borrows the shared process pool; a backend without
         ``process_safe`` runs inline instead, with serial-identical ranges."""
-        from repro.solvers.milp import _solve_scipy
-
         register_backend(
-            "test-pool-native-handle",
-            lambda model, time_limit=None: _solve_scipy(model),
+            "test-pool-native-handle", resolve_backend("scipy"),
             replace=True,
             capabilities=BackendCapabilities(process_safe=False))
         pcset = build_partition_pcs(make_relation(), ["t"], 6)
@@ -478,11 +479,8 @@ class TestServiceIntegration:
     def test_injected_process_pool_gated_for_unsafe_backend(self):
         """A process-unsafe backend never reaches an injected process pool:
         the solver runs inline instead, with serial-identical ranges."""
-        from repro.solvers.milp import _solve_scipy
-
         register_backend(
-            "test-pool-unsafe-solver",
-            lambda model, time_limit=None: _solve_scipy(model),
+            "test-pool-unsafe-solver", resolve_backend("scipy"),
             replace=True,
             capabilities=BackendCapabilities(process_safe=False))
         relation, pcset, _ = self.make_service_scenario()
