@@ -86,8 +86,5 @@ class MissingDataEstimator(abc.ABC):
                 f"{type(self).__name__}.estimate() called before fit()"
             )
 
-    def estimate_many(self, queries: list[ContingencyQuery]) -> list[IntervalEstimate]:
-        return [self.estimate(query) for query in queries]
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -363,7 +363,7 @@ def _command_bound(args: argparse.Namespace) -> int:
         else:
             flavour = "merged shard solves"
         # Report the pool the solve actually borrowed: the service's or
-        # the shared one; process-unsafe backends run inline.
+        # the shared one.
         pool = analyzer.solver.borrow_pool(options.solve_workers)
         print(f"sharding        : {sharded.strategy} strategy, "
               f"{len(sharded)} shard(s) over "

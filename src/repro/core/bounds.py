@@ -8,12 +8,12 @@ constraints.
 Since the plan-pipeline refactor the solver is a thin facade over
 :mod:`repro.plan`: every query is lowered to a logical
 :class:`~repro.plan.BoundPlan`, optimized (region pruning, duplicate
-merging), compiled into a :class:`~repro.plan.BoundProgram` — exact cell
-decomposition, cell profiles, slack layout and MILP skeleton materialized
-once — and executed by patching parameters into that program.  Programs
-are cached per (region, attribute), privately or in a shared LRU supplied
-by the service layer, so repeated queries (and every probe of AVG's binary
-search) skip model construction entirely.
+merging), compiled into a :class:`~repro.plan.BoundProgram` — the exact
+cell decomposition read once into per-cell arrays, the slack layout and the
+MILP skeleton's CSC rows — and executed by patching parameters into that
+program.  Programs are cached per (region, attribute), privately or in a
+shared LRU supplied by the service layer, so repeated queries (and every
+probe of AVG's binary search) skip model construction entirely.
 
 One deviation from the paper's informal description is documented here
 because it matters for soundness: when a query predicate is pushed down and
@@ -467,15 +467,12 @@ class PCBoundSolver:
         pool when one was supplied, else the process-global shared process
         pool of width ``workers`` — either way long-lived, so repeated
         sharded solves never pay pool start-up or re-ship warm programs.
-        A backend without the ``process_safe`` capability runs inline
-        instead (:func:`~repro.parallel.pool.pool_for_backend`).
         """
-        from ..parallel.pool import pool_for_backend, shared_pool
+        from ..parallel.pool import shared_pool
 
-        pool = self._worker_pool
-        if pool is None:
-            pool = shared_pool(max_workers=workers)
-        return pool_for_backend(pool, self._options.milp_backend)
+        if self._worker_pool is not None:
+            return self._worker_pool
+        return shared_pool(max_workers=workers)
 
     def _keyed_shard_programs(self, sharded, region: Predicate | None,
                               attribute: str | None) -> list[tuple]:
@@ -526,7 +523,7 @@ class PCBoundSolver:
         # results: workers return bare endpoints, and the parent compiled
         # (or cache-loaded) every shard program anyway.
         statistics = merge_shard_statistics(
-            program.decomposition.statistics for _, program in keyed)
+            program.statistics for _, program in keyed)
         statistics.degraded_shards = tuple(degraded)
         return merge_shard_ranges(aggregate, ranges, attribute,
                                   statistics=statistics)
@@ -544,7 +541,7 @@ class PCBoundSolver:
             [program for _, program in keyed], known_sum, known_count,
             functools.partial(self.borrow_pool(workers).avg_probes, keyed))
         statistics = merge_shard_statistics(
-            program.decomposition.statistics for _, program in keyed)
+            program.statistics for _, program in keyed)
         return ResultRange(lower, upper, AggregateFunction.AVG, attribute,
                            statistics=statistics)
 
@@ -600,35 +597,12 @@ class PCBoundSolver:
             raise SolverError("explain() supports COUNT and SUM bounds only")
         if aggregate is AggregateFunction.SUM and attribute is None:
             raise SolverError("SUM explanations require an attribute")
-        program = self.program(region, attribute)
-        profiles = program.profiles
-        if not profiles:
-            return BoundExplanation(aggregate, attribute, 0.0, (), ())
-        coefficients = [1.0 if aggregate is AggregateFunction.COUNT
-                        else profile.value_upper for profile in profiles]
-        solution = program.solve_for_explanation(
-            coefficients).raise_for_status()
-        assert solution.objective is not None and solution.x is not None
-
-        pcset = program.pcset
-        allocations = []
-        allocated_per_constraint = {index: 0.0 for index in range(len(pcset))}
-        # The allocation's first columns are the cells, in profile order.
-        for profile, rows, value in zip(profiles, solution.x.tolist(),
-                                        coefficients):
-            if rows <= 0:
-                continue
-            names = tuple(pcset[i].name for i in sorted(profile.covering))
-            allocations.append(CellAllocation(names, rows, value))
-            for constraint_index in profile.covering:
-                allocated_per_constraint[constraint_index] += rows
-        saturated = tuple(
-            pcset[index].name
-            for index, allocated in allocated_per_constraint.items()
-            if allocated >= pcset[index].max_rows() - 1e-9
-            and pcset[index].max_rows() > 0)
-        return BoundExplanation(aggregate, attribute, solution.objective,
-                                tuple(allocations), saturated)
+        bound, allocations, saturated = self.program(
+            region, attribute).explain_upper(aggregate)
+        return BoundExplanation(
+            aggregate, attribute, bound,
+            tuple(CellAllocation(*allocation) for allocation in allocations),
+            saturated)
 
     # ------------------------------------------------------------------ #
     # The pipeline: plan -> optimize -> compile

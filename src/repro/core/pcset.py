@@ -17,6 +17,7 @@ The class offers:
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import ClosureError, ConstraintError, QueryError
@@ -94,6 +95,21 @@ class PredicateConstraintSet:
     def extend(self, constraints: Iterable[PredicateConstraint]) -> None:
         for constraint in constraints:
             self.add(constraint)
+
+    def copy(self) -> "PredicateConstraintSet":
+        """An independent set with this one's constraints, domains,
+        integrality flags, hints and memoized digest.
+
+        Nothing is re-checked or re-digested: the constraints passed
+        :meth:`add` once already.  Adding to either set afterwards leaves
+        the other unchanged.
+        """
+        duplicate = copy.copy(self)
+        duplicate._constraints = list(self._constraints)
+        duplicate._domains = dict(self._domains)
+        duplicate._integrality = {attribute: dict(flags) for attribute, flags
+                                  in self._integrality.items()}
+        return duplicate
 
     def __iter__(self) -> Iterator[PredicateConstraint]:
         return iter(self._constraints)

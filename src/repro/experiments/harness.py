@@ -60,13 +60,6 @@ class EvaluationMetrics:
         return float(np.median(finite))
 
     @property
-    def mean_over_estimation(self) -> float:
-        finite = [rate for rate in self.over_estimation_rates if math.isfinite(rate)]
-        if not finite:
-            return math.inf if self.over_estimation_rates else 1.0
-        return float(np.mean(finite))
-
-    @property
     def seconds_per_query(self) -> float:
         if self.num_queries == 0:
             return 0.0

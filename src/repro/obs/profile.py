@@ -227,13 +227,6 @@ class QueryProfile:
             return 1.0
         return max(cells) / mean
 
-    def shard_cell_loads(self) -> dict[Any, float]:
-        """Cells solved per shard id — the raw per-shard load map behind
-        :meth:`shard_cell_skew`, for tooling that wants to see *which*
-        shard ran hot rather than just how unbalanced the run was."""
-        return {shard: entry[1]
-                for shard, entry in self._shard_totals().items()}
-
     def retried_tasks(self) -> int:
         """How many pool task spans came from a re-dispatched task.
 

@@ -22,9 +22,7 @@ Design constraints, in priority order:
    Clocks are ``time.perf_counter`` — CLOCK_MONOTONIC on Linux, a shared
    boot-relative timebase across processes on one host, so parent and child
    timestamps land on one axis.
-3. **Bounded overhead when enabled.**  Root traces honour a sampling knob
-   (``sample_every=N`` keeps one trace in N); forced traces (explicit
-   profile requests) bypass sampling.  Span storage is append-only per
+3. **Bounded overhead when enabled.**  Span storage is append-only per
    trace, flat, and bounded by pipeline depth × shard count.
 
 State is thread-local: each coordinator thread owns its active trace.
@@ -216,28 +214,13 @@ class Tracer:
     turning tracing on globally.
     """
 
-    def __init__(self, enabled: bool | None = None, sample_every: int = 1):
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    def __init__(self, enabled: bool | None = None):
         self._enabled = tracing_enabled() if enabled is None else enabled
-        self._sample_every = sample_every
-        self._sample_counter = itertools.count()
         self._state = threading.local()
 
     @property
     def enabled(self) -> bool:
         return self._enabled
-
-    def configure(self, enabled: bool | None = None,
-                  sample_every: int | None = None) -> None:
-        """Adjust the ambient switch / sampling (tests, CLI flags)."""
-        if enabled is not None:
-            self._enabled = enabled
-        if sample_every is not None:
-            if sample_every < 1:
-                raise ValueError(
-                    f"sample_every must be >= 1, got {sample_every}")
-            self._sample_every = sample_every
 
     # ------------------------------------------------------------------ #
     # Thread-local state
@@ -283,17 +266,11 @@ class Tracer:
     def trace(self, name: str, force: bool = False) -> _TraceContext:
         """Open a root trace (or join the active one as a child span).
 
-        ``force=True`` bypasses both the ambient enable switch and
-        sampling — the ``profile=True`` path.  Unforced roots are sampled:
-        with ``sample_every=N`` only every Nth root actually records.
+        ``force=True`` bypasses the ambient enable switch — the
+        ``profile=True`` path.
         """
-        if force:
-            return _TraceContext(self, name, active=True)
-        if not self._enabled and not self.active:
+        if not force and not self._enabled and not self.active:
             return _TraceContext(self, name, active=False)
-        if not self.active and self._sample_every > 1:
-            if next(self._sample_counter) % self._sample_every != 0:
-                return _TraceContext(self, name, active=False)
         return _TraceContext(self, name, active=True)
 
     def span(self, name: str):

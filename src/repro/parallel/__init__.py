@@ -13,10 +13,7 @@ pass, :mod:`repro.plan.sharding`):
     warm-up protocol, restart on worker death, and the transport for
     cross-shard AVG probes (:meth:`WorkerPool.avg_probes`; the search is
     :func:`repro.plan.program.avg_endpoints`).  Work always ships as
-    batches — a one-item job is a width-1 batch.  Process mode is offered
-    only to backends whose capability flags declare their compiled
-    skeletons pickle-safe; other backends run inline
-    (:func:`~repro.parallel.pool.pool_for_backend`).  The service owns one
+    batches — a one-item job is a width-1 batch.  The service owns one
     pool; bare solvers and the CLI borrow process-global shared process
     pools.
 ``verify``

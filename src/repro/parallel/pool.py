@@ -24,10 +24,7 @@ long-lived runtime that amortises those costs:
 
 Two modes share one interface: ``"serial"`` (inline in the caller's
 thread, the default and the width-1 degeneration) and ``"process"`` (real
-CPU scale-out).  A backend whose ``process_safe`` capability is off never
-reaches a process pool: :func:`pool_for_backend` routes its work inline
-instead of failing, the pool being infrastructure that outlives any one
-backend choice.  Nested use is safe: code already running inside a pool
+CPU scale-out).  Nested use is safe: code already running inside a pool
 worker executes inline instead of re-entering a pool, so a pooled analyzer
 whose options request fan-out can never recurse into worker-spawning.
 
@@ -58,10 +55,9 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
 from ..solvers.batching import adaptive_batch_size, chunked
-from ..solvers.registry import backend_capabilities
 
 __all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "shared_pool",
-           "shutdown_shared_pools", "pool_for_backend", "default_pool_mode",
+           "shutdown_shared_pools", "default_pool_mode",
            "default_pool_workers", "in_worker", "register_for_reaping"]
 
 #: The pool flavours a caller may request: inline or process workers.
@@ -509,9 +505,7 @@ class WorkerPool:
         Pool width (default ``min(8, cpu_count)``); ``1`` degrades to
         serial inline execution.
     mode:
-        ``"serial"`` (default, inline) or ``"process"``.  Callers route a
-        backend without the ``process_safe`` capability through
-        :func:`pool_for_backend`, which keeps it off process pools.
+        ``"serial"`` (default, inline) or ``"process"``.
     name:
         Label for diagnostics.
 
@@ -584,12 +578,6 @@ class WorkerPool:
     @property
     def statistics(self) -> PoolStatistics:
         return self._statistics
-
-    @property
-    def breaker_tripped(self) -> bool:
-        """Whether the crash-loop circuit breaker is currently open (new
-        entry points run inline until the cool-down expires)."""
-        return time.monotonic() < self._breaker_until
 
     @property
     def fault_plan(self):
@@ -1384,15 +1372,3 @@ def shutdown_shared_pools() -> None:
         for pool in _shared_pools.values():
             pool.shutdown()
         _shared_pools.clear()
-
-
-def pool_for_backend(pool: WorkerPool, backend: str) -> WorkerPool:
-    """The pool solves on ``backend`` may use: ``pool`` itself, or the
-    inline pool when ``pool`` is a process pool and the backend lacks the
-    ``process_safe`` capability (its state cannot cross the process
-    boundary, so the work runs in the caller's process instead of failing
-    inside a worker)."""
-    if (pool.mode == "process"
-            and not backend_capabilities(backend).process_safe):
-        return shared_pool(max_workers=1)
-    return pool

@@ -15,11 +15,11 @@ physical execution:
     optimized plan yields the same result range as the original.
 ``program``
     :class:`BoundProgram`, the compiled physical artifact: the exact cell
-    decomposition, per-cell profiles, slack variables and the MILP skeleton
-    are materialized once; executions (including every probe of AVG's
-    binary search) only patch objective parameters.  Programs are immutable
-    after compilation and safe to share across threads, which is what lets
-    the service layer LRU-cache them alongside decompositions.
+    decomposition read into per-cell arrays, slack variables and the MILP
+    skeleton are materialized once; executions (including every probe of
+    AVG's binary search) only patch objective parameters.  Programs are
+    immutable after compilation and safe to share across threads, which is
+    what lets the service layer LRU-cache them alongside decompositions.
 ``sharding``
     The sharding pass: :func:`select_sharding` maps one optimized plan to a
     :class:`ShardedBoundPlan` — constraint-component splitting for

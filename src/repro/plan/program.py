@@ -3,16 +3,22 @@
 A :class:`BoundProgram` is the compiled form of one optimized
 :class:`~repro.plan.ir.BoundPlan`, specialised to a (query region,
 aggregated attribute) pair and able to answer *every* aggregate over that
-pair.  Compilation materializes, exactly once:
+pair.  Compilation reads the cell decomposition (through the shared
+decomposition cache) into arrays exactly once and keeps only those arrays
+and the decomposition's statistics:
 
-* the cell decomposition (through the shared decomposition cache),
-* per-cell profiles (capacity, value bounds clipped to the query region),
+* the covering as a CSR over the cells: cell ``i`` is covered by the
+  constraints ``indices[indptr[i]:indptr[i + 1]]``, ascending,
+* per-cell float vectors ``capacity``, ``value_lower`` and ``value_upper``
+  (value bounds clipped to the query region) and the ``active`` mask of the
+  cells that can hold rows,
 * the slack-variable layout for mandatory rows that may live outside the
   region (one satisfiability check per mandatory constraint — previously
   re-run for every MILP build),
 * the MILP *skeleton*: one column per cell (then one per slack variable),
-  their upper bounds and the frequency coupling rows, written straight into
-  the arrays of a :class:`~repro.solvers.milp.CompiledMILP`.
+  their upper bounds and the frequency coupling rows, written from the
+  covering CSR straight into the CSC matrix of a
+  :class:`~repro.solvers.milp.CompiledMILP`, the form HiGHS reads.
 
 Executions then only patch parameters: SUM/COUNT swap objective vectors,
 AVG's binary search swaps the ``value - target`` objective per probe, and
@@ -32,16 +38,16 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from ..exceptions import SolverError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
-from ..solvers.lp import LPSolution, Sense, SolutionStatus
+from ..solvers.lp import Sense, SolutionStatus
 from ..solvers.milp import CompiledMILP
 from ..core.cells import CellDecomposition
 from ..core.pcset import PredicateConstraintSet
@@ -49,7 +55,7 @@ from ..core.predicates import Predicate
 from ..core.ranges import ResultRange
 from .ir import BoundPlan
 
-__all__ = ["CellProfile", "BoundProgram", "compile_plan", "avg_endpoints",
+__all__ = ["BoundProgram", "compile_plan", "avg_endpoints",
            "AVG_TOLERANCE", "AVG_MAX_PROBES"]
 
 _INF = float("inf")
@@ -63,8 +69,8 @@ AVG_MAX_PROBES = 64
 _UNSATISFIABLE = ("the predicate-constraint set is unsatisfiable: no "
                   "allocation of missing rows meets every frequency constraint")
 
-# Skeleton variants: which profile subset a model is built over, and whether
-# the "at least one allocated row" floor (AVG with no observed rows) applies.
+# Skeleton variants: which cells a model is built over, and whether the
+# "at least one allocated row" floor (AVG with no observed rows) applies.
 _FULL = "full"
 _ACTIVE = "active"
 _ACTIVE_FLOOR = "active-floor"
@@ -72,63 +78,6 @@ _ACTIVE_FLOOR = "active-floor"
 # Batch-size histogram buckets: row counts per kernel entry, not latencies.
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                        512.0)
-
-
-@dataclass(frozen=True)
-class CellProfile:
-    """Per-cell data extracted from the covering constraints."""
-
-    index: int
-    covering: frozenset[int]
-    capacity: int
-    value_upper: float
-    value_lower: float
-
-
-def _compile_skeleton(profiles: list[CellProfile], slack_bounds: dict[int, int],
-                      pcset: PredicateConstraintSet, floor_row: bool,
-                      backend: str) -> CompiledMILP:
-    """One frozen model structure over ``profiles``: variables and coupling
-    rows, no objective.
-
-    Columns are the cells in profile order, then one slack variable per
-    ``slack_bounds`` entry in constraint order.  Rows are the frequency
-    constraints in order, then the "at least one allocated row" floor over
-    the cells when ``floor_row``.  A constraint that covers nothing gets no
-    row (it raises if it forces rows), and neither does one covering a
-    single cell with no slack and no forced rows: that cell's capacity is
-    already at most the constraint's maximum.  Skipping it keeps the
-    disjoint / partitioned case a pure box problem, which the greedy step
-    solves in linear time (paper §4.2).
-    """
-    slack = sorted(slack_bounds)
-    upper = np.array([profile.capacity for profile in profiles]
-                     + [slack_bounds[index] for index in slack], dtype=float)
-    coverage = np.zeros((len(pcset), len(upper)))
-    for column, profile in enumerate(profiles):
-        coverage[list(profile.covering), column] = 1.0
-    for column, index in enumerate(slack, start=len(profiles)):
-        coverage[index, column] = 1.0
-    terms = np.count_nonzero(coverage, axis=1)
-    kept: list[int] = []
-    for index, pc in enumerate(pcset):
-        if terms[index] == 0:
-            if pc.min_rows() > 0:
-                raise SolverError(
-                    f"constraint {pc.name!r} forces rows to exist but its "
-                    "predicate is unsatisfiable")
-        elif terms[index] > 1 or index in slack_bounds or pc.min_rows() > 0:
-            kept.append(index)
-    matrix = coverage[kept]
-    row_lower = [float(pcset[index].min_rows()) for index in kept]
-    row_upper = [float(pcset[index].max_rows()) for index in kept]
-    if floor_row:
-        floor = np.zeros(len(upper))
-        floor[:len(profiles)] = 1.0
-        matrix = np.vstack([matrix, floor])
-        row_lower.append(1.0)
-        row_upper.append(_INF)
-    return CompiledMILP(upper, matrix, row_lower, row_upper, backend)
 
 
 def _objective_matrix(milp: CompiledMILP, rows: Sequence[Sequence[float]]
@@ -140,14 +89,38 @@ def _objective_matrix(milp: CompiledMILP, rows: Sequence[Sequence[float]]
     return matrix
 
 
+def _avg_bracket(lowers: np.ndarray, uppers: np.ndarray, known_sum: float,
+                 known_count: float) -> tuple[float | None, float | None]:
+    """The solver-free AVG range over active cells with value bounds
+    ``lowers`` and ``uppers``.
+
+    Every achievable average lies between the extreme clipped cell values
+    and the observed average.  Without active cells only the observed
+    average remains (or nothing), and an unbounded value bound gives
+    (−inf, inf).
+    """
+    if not len(lowers):
+        if known_count > 0:
+            average = known_sum / known_count
+            return average, average
+        return None, None
+    if np.isinf(uppers).any() or np.isinf(lowers).any():
+        return -_INF, _INF
+    known = [known_sum / known_count] if known_count else []
+    return (min([float(lowers.min())] + known),
+            max([float(uppers.max())] + known))
+
+
 class BoundProgram:
     """One compiled (constraint set, region, attribute) bounding program.
 
     Answers all five aggregates; AVG additionally takes the observed
     partition's ``(known_sum, known_count)`` as execution-time parameters.
-    Compiled state is immutable; lazily-built pieces (skeleton variants,
-    forced extrema) are guarded by a lock, so one program instance can serve
-    concurrent batch traffic.
+    The cell arrays (``indptr``, ``indices``, ``capacity``, ``value_lower``,
+    ``value_upper``, ``active``) and ``statistics`` are read-only after
+    compilation; lazily-built pieces (skeleton variants, forced extrema)
+    are guarded by a lock, so one program instance can serve concurrent
+    batch traffic.
     """
 
     def __init__(self, plan: BoundPlan, decomposition: CellDecomposition):
@@ -155,21 +128,22 @@ class BoundProgram:
         self._pcset = plan.pcset
         self._region = plan.query.region
         self._attribute = plan.query.attribute
-        self._decomposition = decomposition
         self._backend = plan.milp_backend
         self._lock = threading.Lock()
 
-        self._profiles = self._build_profiles()
-        self._active = [p for p in self._profiles if p.capacity > 0]
+        #: The decomposition's counters; the program keeps no cell objects.
+        self.statistics = decomposition.statistics
+        cells = decomposition.cells
+        self.indptr = np.zeros(len(cells) + 1, dtype=np.int32)
+        self.indptr[1:] = np.cumsum([len(cell.covering) for cell in cells])
+        self.indices = np.fromiter(
+            (index for cell in cells for index in sorted(cell.covering)),
+            dtype=np.int32, count=int(self.indptr[-1]))
+        self._compile_cells()
         self._slack_bounds = self._compile_slack_bounds()
         self._skeletons: dict[str, CompiledMILP] = {}
         self._forced_extrema: dict[bool, float | None] = {}
         self._satisfiable: bool | None = None
-        # Patchable coefficient vectors, aligned with the skeleton variants.
-        self._full_uppers = np.array([p.value_upper for p in self._profiles])
-        self._full_lowers = np.array([p.value_lower for p in self._profiles])
-        self._active_uppers = np.array([p.value_upper for p in self._active])
-        self._active_lowers = np.array([p.value_lower for p in self._active])
 
     # ------------------------------------------------------------------ #
     # Pickling (process-pool solve fan-out)
@@ -196,23 +170,6 @@ class BoundProgram:
     @property
     def plan(self) -> BoundPlan:
         return self._plan
-
-    @property
-    def decomposition(self) -> CellDecomposition:
-        return self._decomposition
-
-    @property
-    def profiles(self) -> list[CellProfile]:
-        return list(self._profiles)
-
-    @property
-    def active_profiles(self) -> list[CellProfile]:
-        """The cells that can actually hold rows (capacity > 0).
-
-        :func:`avg_endpoints` unions these across its programs for the AVG
-        bracket (no active cells, infinite value bounds, search start).
-        """
-        return list(self._active)
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -244,9 +201,9 @@ class BoundProgram:
         with self._lock:
             satisfiable = self._satisfiable
         if satisfiable is None:
-            if self._active:
+            if self.active.any():
                 status, objective = self._solve_rows(
-                    _FULL, [np.ones(len(self._profiles))], Sense.MAXIMIZE)[0]
+                    _FULL, [np.ones(len(self.capacity))], Sense.MAXIMIZE)[0]
                 satisfiable = status is not SolutionStatus.INFEASIBLE
                 if satisfiable:
                     self._checked_value(status, objective, Sense.MAXIMIZE)
@@ -259,12 +216,56 @@ class BoundProgram:
         if not satisfiable:
             raise SolverError(_UNSATISFIABLE)
 
+    def explain_upper(self, aggregate: AggregateFunction
+                      ) -> tuple[float, list[tuple], tuple[str, ...]]:
+        """The allocation behind COUNT's (or SUM's) upper bound.
+
+        Maximises the rows (or the rows at every cell's upper value) over
+        the full skeleton.  Returns the optimum; for each cell that received
+        rows, its covering constraints' names, its rows and its per-row
+        value; and the names of the constraints whose maximum the
+        allocation reaches.
+        """
+        count = len(self.capacity)
+        if not count:
+            return 0.0, [], ()
+        coefficients = (np.ones(count) if aggregate is AggregateFunction.COUNT
+                        else self.value_upper)
+        skeleton = self._skeleton(_FULL)
+        solution = skeleton.solve(
+            _objective_matrix(skeleton, [coefficients])[0],
+            Sense.MAXIMIZE).raise_for_status()
+        # The allocation's first columns are the cells, in cell order.
+        rows = np.maximum(solution.x[:count], 0.0)
+        names = [pc.name for pc in self._pcset]
+        allocations = [
+            (tuple(names[index] for index
+                   in self.indices[self.indptr[cell]:self.indptr[cell + 1]]),
+             rows[cell].item(), coefficients[cell].item())
+            for cell in np.flatnonzero(rows > 0)]
+        allocated = np.bincount(
+            self.indices, weights=np.repeat(rows, np.diff(self.indptr)),
+            minlength=len(names))
+        saturated = tuple(
+            pc.name for pc, total in zip(self._pcset, allocated.tolist())
+            if total >= pc.max_rows() - 1e-9 and pc.max_rows() > 0)
+        return solution.objective, allocations, saturated
+
     # ------------------------------------------------------------------ #
     # Compilation steps
     # ------------------------------------------------------------------ #
-    def _build_profiles(self) -> list[CellProfile]:
-        """One profile per cell: its capacity and the aggregated
-        attribute's value bounds, clipped to the query region.
+    def _per_cell(self, reduce: np.ufunc, values: Sequence[float]
+                  ) -> np.ndarray:
+        """``reduce`` over each cell's covering constraints of ``values``
+        (one per constraint): exact in any order for min and max."""
+        if not len(self.indices):
+            return np.zeros(0)
+        return reduce.reduceat(np.asarray(values, dtype=float)[self.indices],
+                               self.indptr[:-1])
+
+    def _compile_cells(self) -> None:
+        """Every cell's capacity and the aggregated attribute's value
+        bounds, clipped to the query region.
 
         A cell is barren (capacity 0) when, on the aggregated attribute or
         on any attribute a constraint bounds, its covering constraints'
@@ -288,28 +289,23 @@ class BoundProgram:
                 lows = [max(low, clip.low) for low in lows]
                 highs = [min(high, clip.high) for high in highs]
             bounds[name] = (lows, highs)
-        checked = [(lows, highs) for name, (lows, highs) in bounds.items()
-                   if name != attribute and max(lows) > min(highs)]
-        capacities = [pc.max_rows() for pc in pcset]
-        profiles: list[CellProfile] = []
-        for index, cell in enumerate(self._decomposition.cells):
-            covering = cell.covering
-            capacity = min(capacities[i] for i in covering)
-            if attribute is None:
-                value_upper, value_lower = 1.0, 1.0
-            else:
-                lows, highs = bounds[attribute]
-                value_upper = min(highs[i] for i in covering)
-                value_lower = max(lows[i] for i in covering)
-                if value_upper < value_lower:
-                    capacity = 0
-            if any(min(highs[i] for i in covering)
-                   < max(lows[i] for i in covering)
-                   for lows, highs in checked):
-                capacity = 0
-            profiles.append(CellProfile(index, covering, capacity,
-                                        value_upper, value_lower))
-        return profiles
+        self.capacity = self._per_cell(np.minimum,
+                                       [pc.max_rows() for pc in pcset])
+        barren = np.zeros(len(self.capacity), dtype=bool)
+        if attribute is None:
+            self.value_upper = np.ones(len(self.capacity))
+            self.value_lower = np.ones(len(self.capacity))
+        else:
+            lows, highs = bounds[attribute]
+            self.value_upper = self._per_cell(np.minimum, highs)
+            self.value_lower = self._per_cell(np.maximum, lows)
+            barren |= self.value_upper < self.value_lower
+        for name, (lows, highs) in bounds.items():
+            if name != attribute and max(lows) > min(highs):
+                barren |= (self._per_cell(np.minimum, highs)
+                           < self._per_cell(np.maximum, lows))
+        self.capacity[barren] = 0.0
+        self.active = self.capacity > 0
 
     def _compile_slack_bounds(self) -> dict[int, int]:
         """Zero-objective allocations for mandatory rows outside the region.
@@ -334,15 +330,74 @@ class BoundProgram:
                 slack_bounds[constraint_index] = pc.max_rows()
         return slack_bounds
 
+    def _compile_skeleton(self, variant: str) -> CompiledMILP:
+        """One frozen model structure for ``variant``: variables and
+        coupling rows, no objective.
+
+        Columns are the cells (every cell for ``_FULL``, the active ones
+        otherwise) in cell order, then one slack variable per slack bound
+        in constraint order.  Rows are the frequency constraints in order,
+        then the "at least one allocated row" floor over the cells for
+        ``_ACTIVE_FLOOR``.  A constraint that covers nothing gets no row (it
+        raises if it forces rows), and neither does one covering a single
+        cell with no slack and no forced rows: that cell's capacity is
+        already at most the constraint's maximum.  Skipping it keeps the
+        disjoint / partitioned case a pure box problem, which the greedy
+        step solves in linear time (paper §4.2).  The rows are written from
+        the covering CSR as CSC columns with ascending row indices and no
+        explicit zeros.
+        """
+        pcset, slack_bounds = self._pcset, self._slack_bounds
+        slack = sorted(slack_bounds)
+        floor = variant == _ACTIVE_FLOOR
+        columns = (np.ones(len(self.capacity), dtype=bool) if variant == _FULL
+                   else self.active)
+        lengths = np.diff(self.indptr)
+        entries = self.indices[np.repeat(columns, lengths)]
+        lengths = lengths[columns]
+        terms = np.bincount(entries, minlength=len(pcset))
+        terms[slack] += 1
+        kept: list[int] = []
+        for index, pc in enumerate(pcset):
+            if terms[index] == 0:
+                if pc.min_rows() > 0:
+                    raise SolverError(
+                        f"constraint {pc.name!r} forces rows to exist but its "
+                        "predicate is unsatisfiable")
+            elif (terms[index] > 1 or index in slack_bounds
+                  or pc.min_rows() > 0):
+                kept.append(index)
+        row_of = np.full(len(pcset), -1, dtype=np.int32)
+        row_of[kept] = np.arange(len(kept), dtype=np.int32)
+        rows = row_of[entries]
+        written = rows >= 0
+        per_column = np.bincount(
+            np.repeat(np.arange(len(lengths)), lengths)[written],
+            minlength=len(lengths))
+        rows = rows[written]
+        if floor:
+            rows = np.insert(rows, np.cumsum(per_column), len(kept))
+            per_column += 1
+        rows = np.concatenate([rows, row_of[slack]])
+        indptr = np.zeros(len(per_column) + len(slack) + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(np.append(per_column,
+                                         np.ones(len(slack), dtype=int)))
+        matrix = csc_array((np.ones(len(rows)), rows, indptr),
+                           shape=(len(kept) + floor, len(indptr) - 1))
+        upper = np.concatenate([self.capacity[columns],
+                                [slack_bounds[index] for index in slack]])
+        row_lower = [float(pcset[index].min_rows()) for index in kept]
+        row_upper = [float(pcset[index].max_rows()) for index in kept]
+        if floor:
+            row_lower.append(1.0)
+            row_upper.append(_INF)
+        return CompiledMILP(upper, matrix, row_lower, row_upper, self._backend)
+
     def _skeleton(self, variant: str) -> CompiledMILP:
         with self._lock:
             skeleton = self._skeletons.get(variant)
             if skeleton is None:
-                profiles = self._profiles if variant == _FULL else self._active
-                skeleton = _compile_skeleton(
-                    profiles, self._slack_bounds, self._pcset,
-                    floor_row=(variant == _ACTIVE_FLOOR),
-                    backend=self._backend)
+                skeleton = self._compile_skeleton(variant)
                 self._skeletons[variant] = skeleton
             return skeleton
 
@@ -382,15 +437,6 @@ class BoundProgram:
             raise SolverError(f"MILP solve failed with status {status.value}")
         return objective
 
-    def solve_for_explanation(self, coefficients: Sequence[float]
-                              ) -> LPSolution:
-        """Maximise ``coefficients`` (one per profile) over the full
-        skeleton.  The allocation's first columns are the cells, in profile
-        order."""
-        skeleton = self._skeleton(_FULL)
-        return skeleton.solve(_objective_matrix(skeleton, [coefficients])[0],
-                              Sense.MAXIMIZE)
-
     # ------------------------------------------------------------------ #
     # Execution: one entry point per aggregate
     # ------------------------------------------------------------------ #
@@ -405,9 +451,9 @@ class BoundProgram:
                          known_count: float = 0.0) -> ResultRange:
         """A solver-free sound superset of :meth:`bound`'s range.
 
-        Computed directly from the compiled cell profiles — every cell at
+        Computed directly from the compiled cell vectors — every cell at
         its capacity, every value at its clipped extreme, no coupling
-        constraints — so it costs one pass over the profiles and cannot
+        constraints — so it costs one pass over the cells and cannot
         fail or time out.  This is the ``degrade="worst-case"`` fallback: a
         shard whose exact solve died or ran past the deadline substitutes
         this range, and the merged result is still sound (the true answer
@@ -415,44 +461,35 @@ class BoundProgram:
         mandatory-row floors, cross-cell frequency coupling and the AVG
         search are all relaxed.
         """
+        capacity = self.capacity[self.active]
+        uppers = self.value_upper[self.active]
+        lowers = self.value_lower[self.active]
         if aggregate is AggregateFunction.COUNT:
             # Ignore mandatory-row floors (exact lower >= 0 = this lower)
             # and every coupling row (exact upper <= capacity sum).
-            upper = float(sum(p.capacity for p in self._active))
-            return self._range(0.0, upper, AggregateFunction.COUNT)
+            return self._range(0.0, float(sum(capacity.tolist())),
+                               AggregateFunction.COUNT)
         if aggregate is AggregateFunction.SUM:
-            if any(math.isinf(p.value_upper) and p.value_upper > 0
-                   for p in self._active):
-                upper = _INF
-            else:
-                upper = float(sum(max(0.0, p.capacity * p.value_upper)
-                                  for p in self._active))
-            if any(math.isinf(p.value_lower) and p.value_lower < 0
-                   for p in self._active):
-                lower = -_INF
-            else:
-                lower = float(sum(min(0.0, p.capacity * p.value_lower)
-                                  for p in self._active))
+            # Python's sum adds left to right; numpy's pairwise sum would
+            # move the last bits of these endpoints.
+            upper = (_INF if np.isposinf(uppers).any() else
+                     float(sum(np.maximum(capacity * uppers, 0.0).tolist())))
+            lower = (-_INF if np.isneginf(lowers).any() else
+                     float(sum(np.minimum(capacity * lowers, 0.0).tolist())))
             return self._range(lower, upper, AggregateFunction.SUM,
                                self._attribute)
         if aggregate is AggregateFunction.MAX:
-            if not self._active:
-                return self._range(None, None, AggregateFunction.MAX,
-                                   self._attribute)
             # No forced-extremum lower guarantee: None (undefined) is the
             # sound relaxation of "some row must exist with value >= x".
-            upper = max(p.value_upper for p in self._active)
+            upper = float(uppers.max()) if len(uppers) else None
             return self._range(None, upper, AggregateFunction.MAX,
                                self._attribute)
         if aggregate is AggregateFunction.MIN:
-            if not self._active:
-                return self._range(None, None, AggregateFunction.MIN,
-                                   self._attribute)
-            lower = min(p.value_lower for p in self._active)
+            lower = float(lowers.min()) if len(lowers) else None
             return self._range(lower, None, AggregateFunction.MIN,
                                self._attribute)
         if aggregate is AggregateFunction.AVG:
-            lower, upper = _avg_bracket(self._active, known_sum, known_count)
+            lower, upper = _avg_bracket(lowers, uppers, known_sum, known_count)
             return self._range(lower, upper, AggregateFunction.AVG,
                                self._attribute)
         raise SolverError(f"unsupported aggregate {aggregate!r}")  # pragma: no cover
@@ -485,12 +522,12 @@ class BoundProgram:
             elif aggregate is AggregateFunction.AVG:
                 builders.append(self._bound_avg(known_sum, known_count))
             elif aggregate is AggregateFunction.COUNT:
-                if not self._profiles:
+                if not len(self.capacity):
                     self.check_satisfiable()
                     builders.append(self._range(0.0, 0.0,
                                                 AggregateFunction.COUNT))
                     continue
-                ones = np.ones(len(self._profiles))
+                ones = np.ones(len(self.capacity))
                 upper_slot = enqueue(_FULL, ones, Sense.MAXIMIZE)
                 lower_slot = (enqueue(_FULL, ones, Sense.MINIMIZE)
                               if self._pcset.has_mandatory_rows() else None)
@@ -503,30 +540,26 @@ class BoundProgram:
 
                 builders.append(build_count)
             elif aggregate is AggregateFunction.SUM:
-                if not self._profiles:
+                if not len(self.capacity):
                     self.check_satisfiable()
                     builders.append(self._range(0.0, 0.0, AggregateFunction.SUM,
                                                 self._attribute))
                     continue
                 # The infinite-value fast paths replace a solve; everything
                 # else enqueues one row per direction.
-                if any(math.isinf(p.value_upper) and p.value_upper > 0
-                       for p in self._active):
+                if np.isposinf(self.value_upper[self.active]).any():
                     upper_slot, upper_const = None, _INF
                 else:
-                    upper_slot = enqueue(_FULL, self._full_uppers,
+                    upper_slot = enqueue(_FULL, self.value_upper,
                                          Sense.MAXIMIZE)
                     upper_const = None
                 mandatory = self._pcset.has_mandatory_rows()
-                non_negative = all(profile.value_lower >= 0
-                                   for profile in self._profiles)
-                if not mandatory and non_negative:
+                if not mandatory and (self.value_lower >= 0).all():
                     lower_slot, lower_const = None, 0.0
-                elif any(math.isinf(p.value_lower) and p.value_lower < 0
-                         for p in self._active):
+                elif np.isneginf(self.value_lower[self.active]).any():
                     lower_slot, lower_const = None, -_INF
                 else:
-                    lower_slot = enqueue(_FULL, self._full_lowers,
+                    lower_slot = enqueue(_FULL, self.value_lower,
                                          Sense.MINIMIZE)
                     lower_const = None
 
@@ -563,22 +596,22 @@ class BoundProgram:
                aggregate: AggregateFunction,
                attribute: str | None = None) -> ResultRange:
         return ResultRange(lower, upper, aggregate, attribute,
-                           statistics=self._decomposition.statistics)
+                           statistics=self.statistics)
 
     # MIN / MAX ---------------------------------------------------------- #
     def _bound_max(self) -> ResultRange:
         self.check_satisfiable()
-        if not self._active:
+        if not self.active.any():
             return self._range(None, None, AggregateFunction.MAX, self._attribute)
-        upper = max(profile.value_upper for profile in self._active)
+        upper = float(self.value_upper[self.active].max())
         lower = self._forced_extremum(want_max=True)
         return self._range(lower, upper, AggregateFunction.MAX, self._attribute)
 
     def _bound_min(self) -> ResultRange:
         self.check_satisfiable()
-        if not self._active:
+        if not self.active.any():
             return self._range(None, None, AggregateFunction.MIN, self._attribute)
-        lower = min(profile.value_lower for profile in self._active)
+        lower = float(self.value_lower[self.active].min())
         upper = self._forced_extremum(want_max=False)
         return self._range(lower, upper, AggregateFunction.MIN, self._attribute)
 
@@ -645,13 +678,15 @@ class BoundProgram:
         most four kernel entries (one :meth:`_skeleton` lookup and one lock
         acquisition each).
         """
+        uppers = self.value_upper[self.active]
+        lowers = self.value_lower[self.active]
         results: list[float | None] = [None] * len(probes)
         rows: dict[tuple[str, Sense], list[np.ndarray]] = {}
         slots: dict[tuple[str, Sense], list[int]] = {}
         for position, (target, at_least, floor) in enumerate(probes):
-            if floor and not self._active:
+            if floor and not len(uppers):
                 continue
-            values = self._active_uppers if at_least else self._active_lowers
+            values = uppers if at_least else lowers
             sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
             group = (_ACTIVE_FLOOR if floor else _ACTIVE, sense)
             rows.setdefault(group, []).append(values - target)
@@ -663,28 +698,6 @@ class BoundProgram:
                 results[position] = self._checked_value(status, objective,
                                                         sense)
         return results
-
-
-def _avg_bracket(active: Sequence[CellProfile], known_sum: float,
-                 known_count: float) -> tuple[float | None, float | None]:
-    """The solver-free AVG range over the ``active`` cells.
-
-    Every achievable average lies between the extreme clipped cell values
-    and the observed average.  Without active cells only the observed
-    average remains (or nothing), and an unbounded value bound gives
-    (−inf, inf).
-    """
-    if not active:
-        if known_count > 0:
-            average = known_sum / known_count
-            return average, average
-        return None, None
-    uppers = [p.value_upper for p in active]
-    lowers = [p.value_lower for p in active]
-    if any(math.isinf(value) for value in uppers + lowers):
-        return -_INF, _INF
-    known = [known_sum / known_count] if known_count else []
-    return min(lowers + known), max(uppers + known)
 
 
 def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
@@ -699,13 +712,13 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
     program's own :meth:`BoundProgram.avg_probe_optima_batch`, or
     :meth:`repro.parallel.pool.WorkerPool.avg_probes` for shards.
 
-    The search starts from :func:`_avg_bracket`, which is already the
-    answer when nothing forces rows and no rows are observed (one row at
-    the extreme cell attains the extreme average).  Otherwise it bisects
-    both directions in lockstep, one probe per open direction per round,
-    until the bracket is :data:`AVG_TOLERANCE` narrow or
-    :data:`AVG_MAX_PROBES` probes are spent.  A target is achievable when
-    the optimum of ``value − target`` plus the observed rows' share
+    The search starts from :func:`_avg_bracket` over every program's active
+    cells, which is already the answer when nothing forces rows and no rows
+    are observed (one row at the extreme cell attains the extreme average).
+    Otherwise it bisects both directions in lockstep, one probe per open
+    direction per round, until the bracket is :data:`AVG_TOLERANCE` narrow
+    or :data:`AVG_MAX_PROBES` probes are spent.  A target is achievable
+    when the optimum of ``value − target`` plus the observed rows' share
     ``known_sum − target · known_count`` reaches 0.  The programs' optima
     add up, since the objective and every frequency row separate.  The
     floor row (no observed rows) is the one constraint that spans
@@ -720,9 +733,12 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
     value bound, a bracket closed from the start), through every program's
     :meth:`BoundProgram.check_satisfiable` verdict.
     """
-    active = [profile for program in programs
-              for profile in program.active_profiles]
-    low, high = _avg_bracket(active, known_sum, known_count)
+    low, high = _avg_bracket(
+        np.concatenate([program.value_lower[program.active]
+                        for program in programs]),
+        np.concatenate([program.value_upper[program.active]
+                        for program in programs]),
+        known_sum, known_count)
     mandatory = any(program.pcset.has_mandatory_rows() for program in programs)
     if low is None or math.isinf(high) or not (mandatory or known_count):
         for program in programs:

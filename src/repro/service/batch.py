@@ -30,12 +30,7 @@ from ..core.predicates import Predicate
 from ..exceptions import SolverError
 from ..obs.metrics import timed
 from ..obs.trace import get_tracer
-from ..parallel.pool import (
-    POOL_MODES,
-    WorkerPool,
-    default_pool_workers,
-    pool_for_backend,
-)
+from ..parallel.pool import POOL_MODES, WorkerPool, default_pool_workers
 from .registry import session_fingerprint
 
 __all__ = ["BatchStatistics", "BatchResult", "BatchExecutor"]
@@ -226,11 +221,9 @@ class BatchExecutor:
         # Serial mode answers inline, compiling on demand.  Process mode
         # registers the session on each involved worker once, pre-ships
         # the compiled skeletons to their affinity workers, and from then
-        # on ships only keys.  Backends that are not process-safe run
-        # inline.
+        # on ships only keys.
         tracer = get_tracer()
-        pool = pool_for_backend(self._borrowed_pool(),
-                                analyzer.options.milp_backend)
+        pool = self._borrowed_pool()
         statistics.executor_mode = pool.mode
         before = pool.statistics.snapshot()
         if pool.mode == "process":

@@ -185,7 +185,7 @@ class SessionRegistry:
             session = RegisteredSession(
                 name=name,
                 version=len(versions) + 1,
-                pcset=pcset,
+                pcset=pcset.copy(),
                 observed=observed,
                 options=options,
                 fingerprint=fingerprint,

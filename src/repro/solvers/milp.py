@@ -4,7 +4,9 @@ The core of the paper's bounding algorithm is the integer program of §4.2:
 allocate an integral number of missing rows to every satisfiable cell,
 maximise the weighted allocation, subject to per-predicate-constraint
 frequency bounds.  :class:`CompiledMILP` is that program frozen into arrays,
-and every solve patches in only an objective vector.
+with its coupling rows as one ``scipy.sparse.csc_array`` (the form
+``scipy.optimize.milp`` hands HiGHS), and every solve patches in only an
+objective vector.
 
 A program without coupling rows is a pure box problem: each variable takes
 the bound its coefficient prefers (paper §4.2, "Faster Algorithm in Special
@@ -32,6 +34,7 @@ import numpy as np
 from scipy.optimize import Bounds
 from scipy.optimize import LinearConstraint as ScipyLinearConstraint
 from scipy.optimize import milp as scipy_milp
+from scipy.sparse import csc_array
 
 from ..exceptions import SolverError
 from .lp import LPSolution, Sense, SolutionStatus, scipy_solution, solve_lp
@@ -56,9 +59,11 @@ class CompiledMILP:
 
     Every variable is a non-negative integer bounded by ``upper``; the
     coupling rows are ``row_lower <= matrix x <= row_upper`` (no ``matrix``:
-    a pure box problem).  ``backend`` names the registered backend that
-    solves coupled programs; it is resolved at solve time, so a program
-    pickled to a worker process resolves it there.  Instances are never
+    a pure box problem).  ``matrix`` may be anything ``csc_array`` takes;
+    it is converted once and kept as a ``csc_array``.  ``backend`` names the
+    registered backend that solves coupled programs; it is resolved at solve
+    time, so a program pickled to a worker process resolves it there.  The
+    LP-based backends densify the matrix once per solve.  Instances are never
     mutated after construction and are safe to share across threads.
     """
 
@@ -66,9 +71,9 @@ class CompiledMILP:
                  backend: str = MILPBackend.SCIPY):
         self.upper = np.asarray(upper, dtype=float)
         columns = len(self.upper)
-        self.matrix = (np.zeros((0, columns)) if matrix is None
-                       else np.asarray(matrix, dtype=float))
-        rows = len(self.matrix)
+        self.matrix = csc_array(np.zeros((0, columns)) if matrix is None
+                                else matrix, dtype=float)
+        rows = self.matrix.shape[0]
         self.row_lower = (np.full(rows, -np.inf) if row_lower is None
                           else np.asarray(row_lower, dtype=float))
         self.row_upper = (np.full(rows, np.inf) if row_upper is None
@@ -83,7 +88,7 @@ class CompiledMILP:
 
     @property
     def is_pure_box_problem(self) -> bool:
-        return len(self.matrix) == 0
+        return self.matrix.shape[0] == 0
 
     def solve_objective(self, c: np.ndarray, sense: Sense
                         ) -> tuple[SolutionStatus, float | None]:
@@ -147,8 +152,8 @@ def _solve_scipy(milp: CompiledMILP, c: np.ndarray, sense: Sense
 
 def _solve_relaxation(milp: CompiledMILP, c: np.ndarray, sense: Sense
                       ) -> LPSolution:
-    return solve_lp(c, sense, milp.matrix, milp.row_lower, milp.row_upper,
-                    np.zeros(milp.num_variables), milp.upper)
+    return solve_lp(c, sense, milp.matrix.toarray(), milp.row_lower,
+                    milp.row_upper, np.zeros(milp.num_variables), milp.upper)
 
 
 def _solve_branch_and_bound(milp: CompiledMILP, c: np.ndarray, sense: Sense
@@ -160,6 +165,7 @@ def _solve_branch_and_bound(milp: CompiledMILP, c: np.ndarray, sense: Sense
     no allocation and is pruned.
     """
     maximise = sense is Sense.MAXIMIZE
+    matrix = milp.matrix.toarray()
     best: LPSolution | None = None
     counter = 0
     heap = [(0.0, counter, np.zeros(milp.num_variables), milp.upper)]
@@ -169,7 +175,7 @@ def _solve_branch_and_bound(milp: CompiledMILP, c: np.ndarray, sense: Sense
     while heap and explored < _MAX_NODES:
         _, _, lower, upper = heapq.heappop(heap)
         explored += 1
-        solution = solve_lp(c, sense, milp.matrix, milp.row_lower,
+        solution = solve_lp(c, sense, matrix, milp.row_lower,
                             milp.row_upper, lower, upper)
         if explored == 1:
             root_status = solution.status
@@ -211,9 +217,7 @@ def _solve_branch_and_bound(milp: CompiledMILP, c: np.ndarray, sense: Sense
     return best
 
 
-# None of the built-ins keeps a persistent native handle (the scipy/HiGHS
-# path re-enters the library per solve from the compiled arrays), so all
-# three are process-safe; the relaxation is deliberately inexact.
+# The relaxation is deliberately inexact.
 register_backend(MILPBackend.SCIPY, _solve_scipy, replace=True)
 register_backend(MILPBackend.BRANCH_AND_BOUND, _solve_branch_and_bound,
                  replace=True)

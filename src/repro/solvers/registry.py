@@ -25,12 +25,6 @@ matching on names:
     The backend returns the true integer optimum.  The cross-backend
     equivalence oracle asserts range *equality* only between exact backends;
     inexact ones (the LP ``relaxation``) promise containment, not equality.
-``process_safe``
-    The backend's solves can run in a worker *process*: it holds no native
-    handles, so compiled programs pickle across the boundary.  A future
-    backend wrapping a persistent native solver handle registers with
-    ``process_safe=False`` and its work runs inline instead of fanning out
-    to processes (:func:`repro.parallel.pool.pool_for_backend`).
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ class BackendCapabilities:
     """What a registered backend promises (see the module docstring)."""
 
     exact: bool = True
-    process_safe: bool = True
 
 
 _DEFAULT_CAPABILITIES = BackendCapabilities()
@@ -73,8 +66,7 @@ def register_backend(name: str, solver: Callable, *, replace: bool = False,
 
     Raises :class:`SolverError` on a duplicate name unless ``replace`` is
     set — silently shadowing a built-in would make bound results depend on
-    import order.  ``capabilities`` defaults to the conservative
-    all-features profile (exact, process-safe).
+    import order.  ``capabilities`` defaults to an exact backend.
     """
     if not name:
         raise SolverError("backend name must be non-empty")

@@ -204,9 +204,6 @@ class Box:
     def is_empty(self) -> bool:
         return any(constraint.is_empty() for constraint in self._constraints.values())
 
-    def is_unconstrained(self) -> bool:
-        return not self._constraints
-
     def with_constraint(self, attribute: str,
                         constraint: Interval | CategoricalSet) -> "Box":
         updated = dict(self._constraints)

@@ -84,16 +84,18 @@ def feasible_allocations(program) -> np.ndarray:
 
     Cells are added one at a time; a partial allocation that already
     exceeds some ``ku`` is dropped, since adding cells only adds rows."""
-    active = program.active_profiles
-    membership = np.array([[index in profile.covering for profile in active]
-                           for index in range(len(program.pcset))],
-                          dtype=np.int64).reshape(len(program.pcset), -1)
+    cells = np.repeat(np.arange(len(program.capacity)),
+                      np.diff(program.indptr))
+    membership = np.zeros((len(program.pcset), len(program.capacity)),
+                          dtype=np.int64)
+    membership[program.indices, cells] = 1
+    membership = membership[:, program.active]
     kl = np.array([pc.min_rows() for pc in program.pcset])
     ku = np.array([pc.max_rows() for pc in program.pcset])
     allocations = np.zeros((1, 0), dtype=np.int64)
     counts = np.zeros((1, len(kl)), dtype=np.int64)
-    for cell, profile in enumerate(active):
-        rows = np.arange(profile.capacity + 1)
+    for cell, capacity in enumerate(program.capacity[program.active]):
+        rows = np.arange(int(capacity) + 1)
         values = np.tile(rows, len(allocations))
         allocations = np.hstack([np.repeat(allocations, len(rows), axis=0),
                                  values[:, None]])
@@ -115,9 +117,8 @@ def oracle(program, known_sum: float, known_count: float):
     positive = denominators > 0
     if not positive.any():
         return None, None
-    active = program.active_profiles
-    uppers = np.array([profile.value_upper for profile in active])
-    lowers = np.array([profile.value_lower for profile in active])
+    uppers = program.value_upper[program.active]
+    lowers = program.value_lower[program.active]
     highest = ((known_sum + feasible @ uppers)[positive]
                / denominators[positive]).max()
     lowest = ((known_sum + feasible @ lowers)[positive]

@@ -129,4 +129,3 @@ def test_every_backend_declares_capabilities():
     for backend in available_backends():
         capabilities = backend_capabilities(backend)
         assert isinstance(capabilities.exact, bool)
-        assert isinstance(capabilities.process_safe, bool)

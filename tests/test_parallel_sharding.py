@@ -33,7 +33,6 @@ from repro.relational.aggregates import AggregateFunction
 from repro.service import ContingencyService
 from repro.solvers.lp import LPSolution, SolutionStatus
 from repro.solvers.registry import (
-    BackendCapabilities,
     has_backend,
     register_backend,
     resolve_backend,
@@ -153,8 +152,8 @@ class TestMergeShardRanges:
         result = sharded.bound(AggregateFunction.COUNT)
         assert result.statistics is not None
         plan = sharded.sharded_plan(None, None)
-        per_shard = [sharded.shard_program(shard, None, None)
-                     .decomposition.statistics for shard in plan]
+        per_shard = [sharded.shard_program(shard, None, None).statistics
+                     for shard in plan]
         assert result.statistics.solver_calls == \
             sum(statistics.solver_calls for statistics in per_shard)
         assert result.statistics.satisfiable_cells == \
@@ -172,26 +171,6 @@ class TestBatchExecutorModes:
             with pytest.raises(SolverError, match=r"unknown pool mode .* "
                                r"\('serial', 'process'\)"):
                 BatchExecutor(mode=mode)
-
-    def test_batch_process_mode_honours_capability_gate(self):
-        """A process-mode batch runs inline on a process-unsafe backend
-        instead of crashing inside a worker."""
-        from repro.core.engine import ContingencyQuery, PCAnalyzer
-        from repro.service.batch import BatchExecutor
-
-        register_backend(
-            "test-native-handle-batch", resolve_backend("scipy"),
-            replace=True,
-            capabilities=BackendCapabilities(process_safe=False))
-        analyzer = PCAnalyzer(windows_pcset(3), options=BoundOptions(
-            check_closure=False, milp_backend="test-native-handle-batch"))
-        with BatchExecutor(max_workers=2, mode="process") as executor:
-            result = executor.execute(analyzer, [ContingencyQuery.count()])
-        assert result.statistics.executor_mode == "serial"
-        baseline = PCAnalyzer(windows_pcset(3), options=BoundOptions(
-            check_closure=False)).analyze(ContingencyQuery.count())
-        assert result.reports[0].lower == baseline.lower
-        assert result.reports[0].upper == baseline.upper
 
 
 # --------------------------------------------------------------------- #

@@ -8,11 +8,16 @@ as the unoptimized plan.  Whether those ranges are the true extremes is
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from repro.core.bounds import BoundOptions, PCBoundSolver
-from repro.core.cells import CellDecomposer
+from repro.core.cells import Cell, CellDecomposer, CellDecomposition
 from repro.core.constraints import (
     FrequencyConstraint,
     PredicateConstraint,
@@ -240,6 +245,102 @@ class TestCompiledProgramEquivalence:
         assert solver.programs_compiled == 1  # one (region, attribute) pair
         solver.bound(AggregateFunction.COUNT, None, region)
         assert solver.programs_compiled == 2  # COUNT has attribute None
+
+
+def cold_chain_pcset(windows: int, seed: int
+                     ) -> tuple[PredicateConstraintSet, Predicate]:
+    """A chained set of the cold-chain benchmark's shape: four overlapping
+    ``u`` bands on each of ``windows`` windows chained along ``t`` (edges
+    jittered, no forced rows), and a ``t`` region over 45% of the chain."""
+    rng = np.random.default_rng(seed)
+    bands = [(0.0, 40.0), (25.0, 65.0), (50.0, 90.0), (75.0, 100.0)]
+    constraints = []
+    for window in range(windows):
+        start = 15.0 * window + rng.uniform(-0.5, 0.5)
+        width = 18.0 + rng.uniform(-0.5, 0.5)
+        for band, (low, high) in enumerate(bands):
+            predicate = Predicate.range(
+                "t", round(start, 3), round(start + width, 3)).with_range(
+                "u", round(low + rng.uniform(-2, 2), 3),
+                round(high + rng.uniform(-2, 2), 3))
+            constraints.append(PredicateConstraint(
+                predicate,
+                ValueConstraint({"v": (0.0, float(rng.integers(60, 140)))}),
+                FrequencyConstraint(0, int(rng.integers(20, 80))),
+                name=f"w{window}b{band}"))
+    span = 15.0 * windows + 3.0
+    low = rng.uniform(-1.5, 0.55 * span)
+    region = Predicate.range("t", round(low, 3), round(low + 0.45 * span, 3))
+    return PredicateConstraintSet(constraints), region
+
+
+def holds_any(root, kinds) -> bool:
+    """Whether an instance of ``kinds`` is reachable from ``root`` through
+    data (modules, classes and functions are not followed)."""
+    skipped = (type, types.ModuleType, types.FunctionType,
+               types.BuiltinFunctionType, types.MethodType)
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skipped):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            return True
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+class TestProgramArrays:
+    """A compiled program keeps its cells as arrays, not cell objects."""
+
+    @staticmethod
+    def compile_and_answer(pcset: PredicateConstraintSet, region: Predicate):
+        plan = optimize_plan(build_plan(
+            BoundQuery(AggregateFunction.SUM, "v", region), pcset,
+            NO_CLOSURE))
+        program = compile_plan(plan,
+                               CellDecomposer(plan.pcset).decompose(region))
+        program.bound(AggregateFunction.COUNT)
+        program.bound(AggregateFunction.SUM)
+        return program
+
+    def test_64_constraint_program_retains_under_32_kb(self):
+        self.compile_and_answer(*cold_chain_pcset(16, seed=0))
+        pcset, region = cold_chain_pcset(16, seed=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            program = self.compile_and_answer(pcset, region)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pcset) == 64
+        assert retained < 32 * 1024
+        assert not holds_any(program, (Cell, CellDecomposition))
+        assert len(program.capacity) > 100
+
+    def test_skeleton_rows_are_canonical_csc(self):
+        """Every skeleton variant's rows are the CSC form of its dense
+        matrix: ascending row indices and no explicit zeros."""
+        solver = PCBoundSolver(window_pcset(), NO_CLOSURE)
+        program = solver.program(Predicate.range("utc", 11, 13), "price")
+        program.bound_batch([(AggregateFunction.COUNT, 0.0, 0.0),
+                             (AggregateFunction.AVG, 0.0, 0.0),
+                             (AggregateFunction.AVG, 90.0, 2.0)])
+        skeletons = program._skeletons
+        assert set(skeletons) == {"full", "active", "active-floor"}
+        for skeleton in skeletons.values():
+            matrix = skeleton.matrix
+            assert isinstance(matrix, csc_array)
+            canonical = csc_array(matrix.toarray())
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(matrix, part),
+                                      getattr(canonical, part))
+        # The far mandatory constraint parks its rows in a slack column.
+        assert skeletons["full"].num_variables == len(program.capacity) + 1
 
 
 class TestPrivateCacheConcurrency:

@@ -14,7 +14,7 @@ constraint's value bounds, so a point whose bounds are empty holds no
 rows.  Under a region on ``t`` a point lies inside or outside it; under a
 region on ``v`` a point's rows split into those whose value can fall
 inside the region and those whose value can fall outside it.  Nothing here
-goes through box-SAT, cell profiles, the slack layout or the MILP: the
+goes through box-SAT, the per-cell arrays, the slack layout or the MILP: the
 oracle reads only the constraint tuples the instance was drawn from.
 
 Each instance runs on three backends, serially and through

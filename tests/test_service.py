@@ -287,3 +287,27 @@ class TestContingencyService:
         old = service.analyze("outage", query, version=1)
         new = service.analyze("outage", query, version=2)
         assert new.result_range.upper == 2 * old.result_range.upper
+
+    def test_editing_a_registered_set_leaves_its_versions_alone(self):
+        """A session holds its own copy of the constraint set, digest
+        included: adding to the caller's set and registering it again forks
+        version 2 and leaves version 1's answers as they were."""
+        def day(max_rows: int) -> PredicateConstraint:
+            return PredicateConstraint(
+                Predicate.range("utc", 11, 12),
+                ValueConstraint({"price": (0.99, 129.99)}),
+                FrequencyConstraint(0, max_rows), name="day")
+
+        pcset = PredicateConstraintSet([day(10)])
+        service = ContingencyService(max_workers=1)
+        first = service.register("s", pcset, options=FAST)
+        digest = pcset.fingerprint_memo
+        pcset.add(day(7))
+        assert service.register("s", pcset, options=FAST).version == 2
+        query = ContingencyQuery.count()
+        ranges = [service.analyze("s", query, version=version).result_range
+                  for version in (1, 2)]
+        assert [(r.lower, r.upper) for r in ranges] == [(0.0, 10.0),
+                                                        (0.0, 7.0)]
+        assert len(first.pcset) == 1
+        assert first.pcset.fingerprint_memo == digest is not None

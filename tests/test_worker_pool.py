@@ -24,21 +24,11 @@ from repro.core.builders import build_partition_pcs
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.predicates import Predicate
 from repro.exceptions import SolverError
-from repro.parallel.pool import (
-    WorkerPool,
-    pool_for_backend,
-    shared_pool,
-    shutdown_shared_pools,
-)
+from repro.parallel.pool import WorkerPool, shared_pool, shutdown_shared_pools
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service import ContingencyService
-from repro.solvers.registry import (
-    BackendCapabilities,
-    register_backend,
-    resolve_backend,
-)
 
 # Width-1 pools degrade to serial by design (pinned in TestModesAndFallbacks),
 # so the lifecycle/affinity tests need at least two real workers even on the
@@ -190,38 +180,6 @@ class TestModesAndFallbacks:
 
     def test_width_one_degrades_to_serial(self):
         assert WorkerPool(max_workers=1, mode="process").mode == "serial"
-
-    def test_process_unsafe_backend_runs_inline(self):
-        """A bare solver borrows the shared process pool; a backend without
-        ``process_safe`` runs inline instead, with serial-identical ranges."""
-        register_backend(
-            "test-pool-native-handle", resolve_backend("scipy"),
-            replace=True,
-            capabilities=BackendCapabilities(process_safe=False))
-        pcset = build_partition_pcs(make_relation(), ["t"], 6)
-        safe = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                 solve_workers=2))
-        process_pool = safe.borrow_pool(2)
-        assert process_pool.mode == "process"
-        assert pool_for_backend(process_pool, "scipy") is process_pool
-        unsafe = PCBoundSolver(pcset, BoundOptions(
-            check_closure=False, solve_workers=2,
-            milp_backend="test-pool-native-handle"))
-        inline = unsafe.borrow_pool(2)
-        assert inline.mode == "serial"
-        assert pool_for_backend(process_pool,
-                                "test-pool-native-handle") is inline
-        dispatched = process_pool.statistics.tasks_dispatched
-        serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-        for aggregate, attribute in [(AggregateFunction.COUNT, None),
-                                     (AggregateFunction.SUM, "v")]:
-            pooled_range = unsafe.bound(aggregate, attribute)
-            serial_range = serial.bound(aggregate, attribute)
-            assert pooled_range.lower == pytest.approx(serial_range.lower,
-                                                       rel=1e-9)
-            assert pooled_range.upper == pytest.approx(serial_range.upper,
-                                                       rel=1e-9)
-        assert process_pool.statistics.tasks_dispatched == dispatched
 
     @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_solve_programs_matches_direct_bounds(self, solver, mode):
@@ -475,35 +433,6 @@ class TestServiceIntegration:
             assert [(r.lower, r.upper) for r in first.reports] == \
                 [(r.lower, r.upper) for r in recovered.reports]
             assert service.worker_pool.statistics.worker_restarts >= 1
-
-    def test_injected_process_pool_gated_for_unsafe_backend(self):
-        """A process-unsafe backend never reaches an injected process pool:
-        the solver runs inline instead, with serial-identical ranges."""
-        register_backend(
-            "test-pool-unsafe-solver", resolve_backend("scipy"),
-            replace=True,
-            capabilities=BackendCapabilities(process_safe=False))
-        relation, pcset, _ = self.make_service_scenario()
-        pool = WorkerPool(max_workers=WORKERS, mode="process", name="gated")
-        try:
-            solver = PCBoundSolver(
-                pcset, BoundOptions(check_closure=False, solve_workers=2,
-                                    milp_backend="test-pool-unsafe-solver"),
-                worker_pool=pool)
-            borrowed = solver.borrow_pool(2)
-            assert borrowed is not pool
-            assert borrowed.mode == "serial"
-            serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-            pooled_range = solver.bound(AggregateFunction.SUM, "v")
-            serial_range = serial.bound(AggregateFunction.SUM, "v")
-            assert pooled_range.lower == pytest.approx(serial_range.lower,
-                                                       rel=1e-9)
-            assert pooled_range.upper == pytest.approx(serial_range.upper,
-                                                       rel=1e-9)
-            # The process pool never saw the unsafe backend's work.
-            assert pool.statistics.tasks_dispatched == 0
-        finally:
-            pool.shutdown()
 
     def test_sharded_solver_borrows_injected_pool(self):
         relation, pcset, _ = self.make_service_scenario()
