@@ -56,9 +56,10 @@ def coupled_scenario() -> tuple[PCAnalyzer, list[ContingencyQuery]]:
     relation = Relation.from_rows(schema, [tuple(row) for row in rows],
                                   name="fanout")
     pcset = build_random_overlapping_boxes(relation, ["t"], 12, rng=rng)
-    # An observed partition makes every AVG query a real binary search
+    # An observed partition makes every AVG query a real search
     # (known_count > 0 disables the extreme-cell fast path): each query is
-    # then dozens of coupled MILP solves, the workload worth fanning out.
+    # then a handful of coupled MILP solves per direction (Dinkelbach's
+    # iteration), the workload worth fanning out.
     observed_rows = np.column_stack([rng.uniform(0.0, 34.0, 400),
                                      rng.uniform(1.0, 200.0, 400)])
     observed = Relation.from_rows(schema, [tuple(row) for row in observed_rows],
@@ -67,8 +68,8 @@ def coupled_scenario() -> tuple[PCAnalyzer, list[ContingencyQuery]]:
                           options=BoundOptions(check_closure=False))
     regions = [Predicate.range("t", 2.0 * index, 2.0 * index + 6.0)
                for index in range(REGIONS)]
-    # AVG dominates: each query is a binary search of coupled MILP solves,
-    # the production-shaped "expensive dashboard" workload.
+    # AVG dominates: each query is an iterated search of coupled MILP
+    # solves, the production-shaped "expensive dashboard" workload.
     queries = [ContingencyQuery.avg("v", region) for region in regions]
     queries += [ContingencyQuery.sum("v", region) for region in regions]
     return analyzer, queries

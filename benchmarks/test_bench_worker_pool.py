@@ -1,9 +1,9 @@
 """Benchmark: the cross-shard AVG search on the persistent worker pool.
 
-The paper's §4.2 AVG binary search couples every cell through the shared
-target, but for a fixed target the ``value − target`` objective separates
-across plan shards, so each probe round fans out over the pool and folds
-the per-shard optima with one reduction.  Range equality with the serial
+AVG's Dinkelbach iteration couples every cell through the shared target,
+but for a fixed target the ``value − target`` objective separates across
+plan shards, so each iteration fans out over the pool and adds the
+per-shard optima and allocation sums.  Range equality with the serial
 search is asserted unconditionally; the timings are recorded, not gated.
 """
 
@@ -65,7 +65,7 @@ def test_bench_cross_shard_avg(report_artifact, bench_record):
     assert sharded_range.upper == pytest.approx(serial_range.upper, rel=1e-9)
 
     report_artifact(
-        "Cross-shard AVG binary search on a 48-window mandatory partition\n"
+        "Cross-shard AVG search on a 48-window mandatory partition\n"
         f"  shards               : {len(sharded_plan)}\n"
         f"  serial search        : {serial_seconds * 1000:.1f} ms\n"
         f"  cross-shard search   : {sharded_seconds * 1000:.1f} ms\n"

@@ -6,7 +6,8 @@ Run with::
 
 Builds a partitioned constraint set (whose overlap graph splits into many
 independent components), compares the serial and sharded execution paths —
-including the cross-shard AVG binary search — reuses one persistent process
+including the cross-shard AVG search (Dinkelbach's iteration, whose shards
+answer each probe's optimum and allocation sums) — reuses one persistent process
 pool across repeated service batches to show the warm worker caches at
 work, and demonstrates the cross-backend verification oracle, including
 what the alarm looks like when a backend is deliberately broken.

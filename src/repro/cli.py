@@ -353,13 +353,13 @@ def _command_bound(args: argparse.Namespace) -> int:
         print(f"                  - {note}")
     if options.solve_workers is not None and options.solve_workers > 1:
         # Every aggregate parallelises now: COUNT/SUM/MIN/MAX merge shard
-        # ranges, AVG runs the cross-shard binary search — and region
+        # ranges, AVG runs the cross-shard Dinkelbach search — and region
         # sharding fans the cell enumeration out for one-component sets.
         sharded = analyzer.solver.sharded_plan(query.region, query.attribute)
         if sharded.strategy == "region":
             flavour = "region-split cell enumeration"
         elif query.aggregate is AggregateFunction.AVG:
-            flavour = "cross-shard binary search"
+            flavour = "cross-shard Dinkelbach search"
         else:
             flavour = "merged shard solves"
         # Report the pool the solve actually borrowed: the service's or

@@ -13,7 +13,7 @@ cell decomposition read once into per-cell arrays, the slack layout and the
 MILP skeleton's CSC rows — and executed by patching parameters into that
 program.  Programs are cached per (region, attribute), privately or in a
 shared LRU supplied by the service layer, so repeated queries (and every
-probe of AVG's binary search) skip model construction entirely.
+probe of AVG's Dinkelbach iteration) skip model construction entirely.
 
 One deviation from the paper's informal description is documented here
 because it matters for soundness: when a query predicate is pushed down and
@@ -531,9 +531,9 @@ class PCBoundSolver:
     def _bound_avg_sharded(self, sharded, attribute: str | None,
                            region: Predicate | None, known_sum: float,
                            known_count: float, workers: int) -> ResultRange:
-        """AVG across component shards: the one §4.2 search
+        """AVG across component shards: the one AVG search
         (:func:`~repro.plan.program.avg_endpoints`) over the shard
-        programs, each round one pooled probe task per shard."""
+        programs, each iteration one pooled probe task per shard."""
         from ..plan.sharding import merge_shard_statistics
 
         keyed = self._keyed_shard_programs(sharded, region, attribute)

@@ -2,8 +2,8 @@
 
 The PC framework answers MIN/MAX queries with the exact extreme of the
 covering cells' value bounds — an optimal bound when the constraints are
-annotated with true ranges — and AVG queries via the binary-search procedure
-of §4.2.  The figure reports the median over-estimation rate (bound / truth)
+annotated with true ranges — and AVG queries with the exact extreme
+averages (Dinkelbach's iteration, where §4.2 bisects).  The figure reports the median over-estimation rate (bound / truth)
 per aggregate on the Intel Wireless dataset partitioned on device id and
 time.
 """

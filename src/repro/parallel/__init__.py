@@ -11,7 +11,8 @@ pass, :mod:`repro.plan.sharding`):
     (``"serial"``) or long-lived process workers with warm per-worker
     program caches keyed by the parent's fingerprints, affinity routing, a
     warm-up protocol, restart on worker death, and the transport for
-    cross-shard AVG probes (:meth:`WorkerPool.avg_probes`; the search is
+    cross-shard AVG probes and their allocation sums
+    (:meth:`WorkerPool.avg_probes`; the Dinkelbach search is
     :func:`repro.plan.program.avg_endpoints`).  Work always ships as
     batches — a one-item job is a width-1 batch.  The service owns one
     pool; bare solvers and the CLI borrow process-global shared process

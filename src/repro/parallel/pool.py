@@ -28,9 +28,11 @@ CPU scale-out).  Nested use is safe: code already running inside a pool
 worker executes inline instead of re-entering a pool, so a pooled analyzer
 whose options request fan-out can never recurse into worker-spawning.
 
-The pool carries cross-shard AVG probes (:meth:`WorkerPool.avg_probes`) but
-holds no AVG logic: the search, one function for one program and for
-shards alike, is :func:`repro.plan.program.avg_endpoints`.
+The pool carries cross-shard AVG probes (:meth:`WorkerPool.avg_probes`) and
+their per-shard outcomes (each probe's optimum and its optimal allocation's
+exact value and row sums) but holds no AVG logic: the search, one function
+for one program and for shards alike, is
+:func:`repro.plan.program.avg_endpoints`.
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ def _handle_solve_batch(programs, sessions, task):
 
 def _handle_probe_batch(programs, sessions, task):
     """Every AVG probe of one search round against one shard's program —
-    the whole round's coefficient matrix solves in one kernel entry."""
+    the whole round's coefficient matrix solves in one kernel entry, and
+    each probe answers its optimum and allocation sums."""
     _, _, key, program, probes = task
     program = _resolve_program(programs, key, program)
     get_tracer().annotate(cells=len(probes))
@@ -838,14 +841,15 @@ class WorkerPool:
                 completed=completed, pending=total - completed)
 
     def avg_probes(self, keyed_programs: Sequence[tuple],
-                   probes: Sequence[tuple]) -> list[list[float | None]]:
+                   probes: Sequence[tuple]) -> list[list[tuple | None]]:
         """One round of AVG probes against every shard program.
 
         ``probes`` is a sequence of ``(target, at_least, floor)`` triples
         (:meth:`repro.plan.program.BoundProgram.avg_probe_optima_batch`).
-        Returns, per probe, the shard optima in shard order: the
-        ``probe_round`` that :func:`repro.plan.program.avg_endpoints`
-        reduces.
+        Returns, per probe, the shard outcomes in shard order (each the
+        optimum and the optimal allocation's exact ``Σ value·x`` and
+        ``Σ x``): the ``probe_round`` that
+        :func:`repro.plan.program.avg_endpoints` reduces.
 
         The whole round ships as **one task per shard** (the
         ``probe_batch`` kind): every probe's coefficient row solves against

@@ -17,7 +17,7 @@ physical execution:
     :class:`BoundProgram`, the compiled physical artifact: the exact cell
     decomposition read into per-cell arrays, slack variables and the MILP
     skeleton are materialized once; executions (including every probe of
-    AVG's binary search) only patch objective parameters.  Programs are
+    AVG's Dinkelbach iteration) only patch objective parameters.  Programs are
     immutable after compilation and safe to share across threads, which is
     what lets the service layer LRU-cache them alongside decompositions.
 ``sharding``

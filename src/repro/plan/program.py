@@ -21,10 +21,12 @@ and the decomposition's statistics:
   :class:`~repro.solvers.milp.CompiledMILP`, the form HiGHS reads.
 
 Executions then only patch parameters: SUM/COUNT swap objective vectors,
-AVG's binary search swaps the ``value - target`` objective per probe, and
-MIN/MAX read precompiled extrema after one memoized feasibility check.  The
-AVG search itself, :func:`avg_endpoints`, serves one program and the
-component programs of a sharded plan alike.  This is what makes
+AVG's Dinkelbach iteration swaps the ``value - target`` objective per probe
+and reads the optimal allocation back, and MIN/MAX read precompiled extrema
+after one memoized feasibility check.  The AVG search itself,
+:func:`avg_endpoints`, serves one program and the component programs of a
+sharded plan alike, and ends on the exact extreme averages rounded outward
+(the paper's §4.2 bisects to a tolerance instead).  This is what makes
 compiled-program reuse cheap enough for the service layer to treat programs
 as cacheable values alongside decompositions.
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 import threading
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,23 +50,21 @@ from ..exceptions import SolverError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
-from ..solvers.lp import Sense, SolutionStatus
+from ..solvers.lp import LPSolution, Sense, SolutionStatus
 from ..solvers.milp import CompiledMILP
+from ..solvers.registry import backend_capabilities
 from ..core.cells import CellDecomposition
 from ..core.pcset import PredicateConstraintSet
 from ..core.predicates import Predicate
 from ..core.ranges import ResultRange
 from .ir import BoundPlan
 
-__all__ = ["BoundProgram", "compile_plan", "avg_endpoints",
-           "AVG_TOLERANCE", "AVG_MAX_PROBES"]
+__all__ = ["BoundProgram", "compile_plan", "avg_endpoints", "AVG_MAX_PROBES"]
 
 _INF = float("inf")
 
-#: The AVG search (:func:`avg_endpoints`) stops once its bracket is this
-#: narrow relative to the bracket's magnitude, or after this many probes
-#: per direction.
-AVG_TOLERANCE = 1e-6
+#: The AVG search (:func:`avg_endpoints`) gives up on a direction after
+#: this many iterations and answers that direction's bracket end.
 AVG_MAX_PROBES = 64
 
 _UNSATISFIABLE = ("the predicate-constraint set is unsatisfiable: no "
@@ -89,26 +90,66 @@ def _objective_matrix(milp: CompiledMILP, rows: Sequence[Sequence[float]]
     return matrix
 
 
+def _rounded(ratio: Fraction, up: bool) -> float:
+    """The float beside the exact ``ratio``: the smallest float at or
+    above it when ``up``, else the largest float at or below it."""
+    nearest = float(ratio)  # int / int: correctly rounded
+    if up and nearest < ratio:
+        return math.nextafter(nearest, _INF)
+    if not up and nearest > ratio:
+        return math.nextafter(nearest, -_INF)
+    return nearest
+
+
+def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """The exact sum of ``(numerator, denominator)`` terms whose
+    denominators are powers of two: one integer over the largest."""
+    denominator = max((term[1] for term in terms), default=1)
+    return Fraction(sum(numerator * (denominator // term_denominator)
+                        for numerator, term_denominator in terms),
+                    denominator)
+
+
+def _allocation_sums(values: np.ndarray, allocation: np.ndarray
+                     ) -> tuple[Fraction, Fraction]:
+    """``Σ value·x`` and ``Σ x`` over the allocation ``x``, without
+    rounding: every finite float is an integer over a power of two."""
+    held = allocation != 0
+    weights = [weight.as_integer_ratio()
+               for weight in allocation[held].tolist()]
+    products = []
+    for value, (numerator, denominator) in zip(values[held].tolist(), weights):
+        value_numerator, value_denominator = value.as_integer_ratio()
+        products.append((value_numerator * numerator,
+                         value_denominator * denominator))
+    return _exact_sum(products), _exact_sum(weights)
+
+
 def _avg_bracket(lowers: np.ndarray, uppers: np.ndarray, known_sum: float,
                  known_count: float) -> tuple[float | None, float | None]:
     """The solver-free AVG range over active cells with value bounds
     ``lowers`` and ``uppers``.
 
     Every achievable average lies between the extreme clipped cell values
-    and the observed average.  Without active cells only the observed
+    and the observed average, which is rounded outward, so the bracket
+    holds the exact extremes.  Without active cells only the observed
     average remains (or nothing), and an unbounded value bound gives
     (−inf, inf).
     """
+    known: list[float] = []  # the observed average, rounded down and up
+    if known_count:
+        average = known_sum / known_count
+        if math.isfinite(average):
+            exact = Fraction(known_sum) / Fraction(known_count)
+            known = [_rounded(exact, up=False), _rounded(exact, up=True)]
+        else:
+            known = [average, average]
     if not len(lowers):
-        if known_count > 0:
-            average = known_sum / known_count
-            return average, average
-        return None, None
+        return (known[0], known[1]) if known else (None, None)
     if np.isinf(uppers).any() or np.isinf(lowers).any():
         return -_INF, _INF
-    known = [known_sum / known_count] if known_count else []
-    return (min([float(lowers.min())] + known),
-            max([float(uppers.max())] + known))
+    return (min([float(lowers.min())] + known[:1]),
+            max([float(uppers.max())] + known[1:]))
 
 
 class BoundProgram:
@@ -202,11 +243,11 @@ class BoundProgram:
             satisfiable = self._satisfiable
         if satisfiable is None:
             if self.active.any():
-                status, objective = self._solve_rows(
+                solution = self._solve_rows(
                     _FULL, [np.ones(len(self.capacity))], Sense.MAXIMIZE)[0]
-                satisfiable = status is not SolutionStatus.INFEASIBLE
+                satisfiable = solution.status is not SolutionStatus.INFEASIBLE
                 if satisfiable:
-                    self._checked_value(status, objective, Sense.MAXIMIZE)
+                    self._checked_value(solution, Sense.MAXIMIZE)
             else:
                 satisfiable = all(index in self._slack_bounds
                                   for index, pc in enumerate(self._pcset)
@@ -405,14 +446,14 @@ class BoundProgram:
     # Shared solve plumbing
     # ------------------------------------------------------------------ #
     def _solve_rows(self, variant: str, rows: list[np.ndarray], sense: Sense
-                    ) -> list[tuple[SolutionStatus, float | None]]:
+                    ) -> list[LPSolution]:
         """Optimise every patched objective row against one skeleton.
 
         Every patched-objective MILP solve funnels through here — one
         skeleton lookup, one lock acquisition and one kernel entry per
         call, and the one chokepoint the per-span solver-call tallies hang
-        off (no-op without an active trace).  Returns raw per-row
-        ``(status, objective)`` pairs for :meth:`_checked_value`.
+        off (no-op without an active trace).  Returns the raw per-row
+        solutions for :meth:`_checked_value`.
         """
         count = len(rows)
         if count == 0:
@@ -425,17 +466,17 @@ class BoundProgram:
                                          sense)
 
     @staticmethod
-    def _checked_value(status: SolutionStatus, objective: float | None,
-                       sense: Sense) -> float:
+    def _checked_value(solution: LPSolution, sense: Sense) -> float:
         """The bound status policy for one solved row: infeasible and
         failed solves raise, unbounded ones are the signed infinity."""
+        status = solution.status
         if status is SolutionStatus.INFEASIBLE:
             raise SolverError(_UNSATISFIABLE)
         if status is SolutionStatus.UNBOUNDED:
             return _INF if sense is Sense.MAXIMIZE else -_INF
-        if status is not SolutionStatus.OPTIMAL or objective is None:
+        if status is not SolutionStatus.OPTIMAL or solution.objective is None:
             raise SolverError(f"MILP solve failed with status {status.value}")
-        return objective
+        return solution.objective
 
     # ------------------------------------------------------------------ #
     # Execution: one entry point per aggregate
@@ -587,8 +628,8 @@ class BoundProgram:
         for (variant, sense), members in groups.items():
             outcomes = self._solve_rows(
                 variant, [descriptors[index][1] for index in members], sense)
-            for member, (status, objective) in zip(members, outcomes):
-                solved[member] = self._checked_value(status, objective, sense)
+            for member, solution in zip(members, outcomes):
+                solved[member] = self._checked_value(solution, sense)
         return [builder if isinstance(builder, ResultRange)
                 else builder(solved) for builder in builders]
 
@@ -652,27 +693,32 @@ class BoundProgram:
             self._forced_extrema[want_max] = best
         return best
 
-    # AVG (binary search, paper §4.2) ------------------------------------ #
+    # AVG (Dinkelbach's iteration; paper §4.2 bisects) ------------------ #
     def _bound_avg(self, known_sum: float, known_count: float) -> ResultRange:
         lower, upper = avg_endpoints(
             [self], known_sum, known_count,
-            lambda probes: [[optimum] for optimum
+            lambda probes: [[outcome] for outcome
                             in self.avg_probe_optima_batch(probes)])
         return self._range(lower, upper, AggregateFunction.AVG,
                            self._attribute)
 
     def avg_probe_optima_batch(self, probes: Sequence[tuple]
-                               ) -> list[float | None]:
-        """The optima of one round of AVG probes against this program.
+                               ) -> list[tuple | None]:
+        """One round of AVG probes against this program.
 
-        ``probes`` holds ``(target, at_least, floor)`` triples.  A probe's
-        optimum is the ``value − target`` objective over this program's
+        ``probes`` holds ``(target, at_least, floor)`` triples.  A probe
+        optimises the ``value − target`` objective over this program's
         active cells, maximised when ``at_least`` and minimised otherwise,
-        with the "at least one allocated row" row added when ``floor``.
+        with the "at least one allocated row" row added when ``floor``.  Its
+        outcome is ``(optimum, value_sum, rows)``: the optimum, and the
+        optimal allocation's ``Σ value·x`` and ``Σ x`` as exact fractions.
+        An exact backend's allocation is rounded to integers first; the
+        relaxation's fractional one is kept, so its range stays a superset.
         A floored probe on a program without active cells is ``None``: the
         program cannot carry that row.  Every other probe follows the bound
         status policy (:meth:`_checked_value`), so an infeasible or failed
-        solve raises and an unbounded one is the signed infinity.
+        solve raises, and an unbounded one is the signed infinity with
+        ``None`` parts.
 
         Rows are grouped by (skeleton variant, sense), so a round costs at
         most four kernel entries (one :meth:`_skeleton` lookup and one lock
@@ -680,7 +726,8 @@ class BoundProgram:
         """
         uppers = self.value_upper[self.active]
         lowers = self.value_lower[self.active]
-        results: list[float | None] = [None] * len(probes)
+        integral = backend_capabilities(self._backend).exact
+        results: list[tuple | None] = [None] * len(probes)
         rows: dict[tuple[str, Sense], list[np.ndarray]] = {}
         slots: dict[tuple[str, Sense], list[int]] = {}
         for position, (target, at_least, floor) in enumerate(probes):
@@ -692,46 +739,77 @@ class BoundProgram:
             rows.setdefault(group, []).append(values - target)
             slots.setdefault(group, []).append(position)
         for (variant, sense), group_rows in rows.items():
-            outcomes = self._solve_rows(variant, group_rows, sense)
-            for position, (status, objective) in zip(slots[(variant, sense)],
-                                                     outcomes):
-                results[position] = self._checked_value(status, objective,
-                                                        sense)
+            values = uppers if sense is Sense.MAXIMIZE else lowers
+            solutions = self._solve_rows(variant, group_rows, sense)
+            for position, solution in zip(slots[(variant, sense)], solutions):
+                optimum = self._checked_value(solution, sense)
+                if math.isinf(optimum):
+                    results[position] = (optimum, None, None)
+                    continue
+                # The cells are the first columns; slack columns follow.
+                allocation = np.maximum(solution.x[:len(values)], 0.0)
+                if integral:
+                    allocation = np.round(allocation)
+                results[position] = (optimum,
+                                     *_allocation_sums(values, allocation))
         return results
+
+
+def _carried_parts(frees: list[tuple], floors: list[tuple | None],
+                   at_least: bool) -> list[tuple]:
+    """Per program, the probe outcome of the best allocation that meets the
+    floor row spanning the programs: one program carries the row (its
+    floored outcome) and every other takes its free one.  The carrier is
+    the one whose combination has the best optimum."""
+    total = sum(optimum for optimum, _, _ in frees)
+    choose = max if at_least else min
+    carrier = choose(
+        (index for index, floored in enumerate(floors) if floored is not None),
+        key=lambda index: total - frees[index][0] + floors[index][0])
+    return frees[:carrier] + [floors[carrier]] + frees[carrier + 1:]
 
 
 def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
                   known_count: float, probe_round: Callable
                   ) -> tuple[float | None, float | None]:
-    """The (lower, upper) AVG range over ``programs`` (paper §4.2).
+    """The (lower, upper) AVG range over ``programs``.
 
     ``programs`` is one program, or the component programs of a sharded
     plan, whose cells and constraints partition the unsharded program's.
     ``probe_round(probes)`` answers a list of ``(target, at_least, floor)``
-    probes with, per probe, the optima of every program in order: a single
-    program's own :meth:`BoundProgram.avg_probe_optima_batch`, or
+    probes with, per probe, the outcomes of every program in order: a
+    single program's own :meth:`BoundProgram.avg_probe_optima_batch`, or
     :meth:`repro.parallel.pool.WorkerPool.avg_probes` for shards.
 
-    The search starts from :func:`_avg_bracket` over every program's active
+    The range starts from :func:`_avg_bracket` over every program's active
     cells, which is already the answer when nothing forces rows and no rows
     are observed (one row at the extreme cell attains the extreme average).
-    Otherwise it bisects both directions in lockstep, one probe per open
-    direction per round, until the bracket is :data:`AVG_TOLERANCE` narrow
-    or :data:`AVG_MAX_PROBES` probes are spent.  A target is achievable
-    when the optimum of ``value − target`` plus the observed rows' share
-    ``known_sum − target · known_count`` reaches 0.  The programs' optima
-    add up, since the objective and every frequency row separate.  The
-    floor row (no observed rows) is the one constraint that spans
-    programs: its optimum is the best, over which program carries the row,
-    of that program's floored optimum plus everyone else's free one.  The
-    returned endpoints are the bracket's conservative ends, so the range
-    contains the true extremes.
+    Otherwise the average ``(known_sum + Σ value·x) / (known_count + Σ x)``
+    is a ratio of two linear forms over the allocations, and Dinkelbach's
+    iteration finds its extremes (W. Dinkelbach, "On Nonlinear Fractional
+    Programming", Management Science 13(7), 1967; the paper's §4.2
+    bisects instead).  The upper search starts its target at the bracket's
+    low end and the lower search at its high end, in lockstep, one probe
+    per open direction per round.  A probe optimises ``value − target``, and
+    the optimal allocation's exact average becomes the next target when it
+    beats the best so far.  When it does not, no allocation beats the best:
+    the probe's optimum ``F(target)`` is at most 0.  The direction then
+    closes on that exact extreme, rounded outward to the adjacent float (a
+    target is the best rounded the same way, so a probe still finds any
+    better allocation).  The programs' outcomes add up, since the objective
+    and every frequency row separate.  The floor row (no observed rows) is
+    the one constraint that spans programs: the allocation is the best,
+    over which program carries the row, of that program's floored probe
+    plus everyone else's free one.
 
-    A set that forces rows but admits no allocation raises
-    :class:`~repro.exceptions.SolverError`, like COUNT and SUM: through a
-    probe's status, or, when no probe runs (no active cells, an unbounded
-    value bound, a bracket closed from the start), through every program's
-    :meth:`BoundProgram.check_satisfiable` verdict.
+    An unbounded probe, which only an infinite frequency bound can cause,
+    closes its direction at the bracket end, and so does a direction still
+    open after :data:`AVG_MAX_PROBES` iterations; the search then counts
+    ``queries.avg_capped``.  Both ends are sound.  A set that forces rows
+    but admits no allocation raises :class:`~repro.exceptions.SolverError`,
+    like COUNT and SUM: through a probe's status, or, when no probe runs
+    (no active cells, an unbounded value bound, a one-point bracket),
+    through every program's :meth:`BoundProgram.check_satisfiable` verdict.
     """
     low, high = _avg_bracket(
         np.concatenate([program.value_lower[program.active]
@@ -740,51 +818,55 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
                         for program in programs]),
         known_sum, known_count)
     mandatory = any(program.pcset.has_mandatory_rows() for program in programs)
-    if low is None or math.isinf(high) or not (mandatory or known_count):
+    if (low is None or math.isinf(low) or math.isinf(high) or low == high
+            or not (mandatory or known_count)):
         for program in programs:
             program.check_satisfiable()
         return low, high
     floor = known_count == 0
     # Several programs share the floor row, so each probe asks every
-    # program for its free and its floored optimum.
+    # program for its free and its floored outcome.
     split = floor and len(programs) > 1
-    brackets = {True: [low, high], False: [low, high]}
+    known_sum, known_count = Fraction(known_sum), Fraction(known_count)
+    # Per open direction (``at_least`` is the upper search): its target,
+    # its best exact average so far and its endpoint.
+    targets = {True: low, False: high}
+    best: dict[bool, Fraction] = {}
+    ends = {True: high, False: low}
     tracer = get_tracer()
-    for round_index in range(AVG_MAX_PROBES):
-        targets = [(at_least, (bracket[0] + bracket[1]) / 2.0)
-                   for at_least, bracket in brackets.items()
-                   if bracket[1] - bracket[0] > AVG_TOLERANCE * max(
-                       1.0, abs(bracket[1]), abs(bracket[0]))]
+    for _ in range(AVG_MAX_PROBES):
         if not targets:
-            if round_index == 0:
-                # Closed from the start: no probe ran.
-                for program in programs:
-                    program.check_satisfiable()
             break
         probes = []
-        for at_least, target in targets:
+        for at_least, target in targets.items():
             if split:
                 probes.append((target, at_least, False))
             probes.append((target, at_least, floor))
         with tracer.span("avg.round"):
             tracer.annotate(probes=len(probes), shards=len(programs))
-            optima = iter(probe_round(probes))
-        for at_least, target in targets:
-            if split:
-                frees, floors = next(optima), next(optima)
-                total = sum(frees)
-                candidates = [total - free + floored
-                              for free, floored in zip(frees, floors)
-                              if floored is not None]
-                optimum = max(candidates) if at_least else min(candidates)
+            outcomes = iter(probe_round(probes))
+        for at_least in list(targets):
+            # The programs' free outcomes, then their floored ones if split.
+            answers = [next(outcomes) for _ in range(2 if split else 1)]
+            if any(math.isinf(outcome[0]) for answer in answers
+                   for outcome in answer if outcome is not None):
+                del targets[at_least]  # unbounded: the bracket end stands
+                continue
+            parts = (_carried_parts(*answers, at_least) if split
+                     else answers[0])
+            average = ((known_sum + sum(part[1] for part in parts))
+                       / (known_count + sum(part[2] for part in parts)))
+            previous = best.get(at_least)
+            if previous is None or (average > previous if at_least
+                                    else average < previous):
+                best[at_least] = average
+                targets[at_least] = _rounded(average, up=at_least)
             else:
-                optimum = sum(next(optima))
-            value = optimum + (known_sum - target * known_count)
-            achievable = value >= -1e-9 if at_least else value <= 1e-9
-            # The upper search moves its low end up to an achievable target
-            # and its high end down to any other; the lower search mirrors.
-            brackets[at_least][0 if achievable == at_least else 1] = target
-    return brackets[False][0], brackets[True][1]
+                ends[at_least] = _rounded(previous, up=at_least)
+                del targets[at_least]
+    if targets:
+        get_registry().counter("queries.avg_capped").inc()
+    return ends[False], ends[True]
 
 
 def compile_plan(plan: BoundPlan, decomposition: CellDecomposition

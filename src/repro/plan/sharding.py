@@ -16,8 +16,9 @@ share a cell: the *connected components* of the predicate-overlap graph
 induce a block-diagonal MILP, and each block can compile and solve as its
 own :class:`~repro.plan.BoundProgram` on its own worker.  Per-shard result
 ranges recombine exactly through :func:`merge_shard_ranges`
-(COUNT/SUM-additive, MIN/MAX-extrema); AVG runs its binary search over the
-shard programs (:func:`repro.plan.program.avg_endpoints`).
+(COUNT/SUM-additive, MIN/MAX-extrema); AVG runs its Dinkelbach iteration
+over the shard programs, adding their optimal allocations' parts
+(:func:`repro.plan.program.avg_endpoints`).
 
 **Region-level splitting** (:class:`RegionSharding`).  A one-component
 overlap graph defeats component splitting — and it is exactly the regime

@@ -98,9 +98,10 @@ def price_query(solver, query, *, pool_statistics=None) -> QueryCost:
       a pool that has been answering this workload likely holds the
       per-shard skeletons already.
     * **solve cost** — one objective patch over the estimated cells, divided
-      by the shard count (shards solve concurrently), and multiplied by the
-      probe budget for AVG (each binary-search probe is one patched solve
-      per direction).
+      by the shard count (shards solve concurrently), and multiplied for
+      AVG by its iteration cap in both directions, ``2 * AVG_MAX_PROBES``
+      (each Dinkelbach iteration is one patched solve per direction; a
+      search usually closes in two or three).
 
     Monotone by construction: more constraints or more estimated cells can
     only raise the price, warmth and sharding can only lower it.

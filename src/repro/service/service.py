@@ -59,6 +59,13 @@ from .store import PersistentStore, default_cache_dir
 
 __all__ = ["ServiceStatistics", "ContingencyService"]
 
+#: Capacity of the shared decomposition LRU (each entry is one
+#: region-specific cell decomposition, with its cells).  Its hits come from
+#: a region's programs for sibling attributes, compiled within one session's
+#: traffic, so a few recent regions are all it needs; an evicted entry is
+#: still read back from an attached store.
+DECOMPOSITION_CACHE_ENTRIES = 16
+
 #: Marks a region whose delta mask an append has not evaluated yet.
 _UNTESTED = object()
 
@@ -182,9 +189,6 @@ class ContingencyService:
 
     Parameters
     ----------
-    decomposition_cache_entries:
-        Capacity of the shared decomposition LRU (each entry is one
-        region-specific cell decomposition).
     program_cache_entries:
         Capacity of the shared compiled-program LRU (each entry is one
         (session, region, attribute) bound program).
@@ -238,8 +242,7 @@ class ContingencyService:
         backend-specific state.
     """
 
-    def __init__(self, *, decomposition_cache_entries: int = 256,
-                 program_cache_entries: int = 1024,
+    def __init__(self, *, program_cache_entries: int = 1024,
                  report_cache_entries: int = 2048,
                  max_workers: int | None = None,
                  default_options: BoundOptions | None = None,
@@ -252,7 +255,7 @@ class ContingencyService:
         self._worker_pool = WorkerPool(max_workers=max_workers,
                                        mode=pool_mode or default_pool_mode(),
                                        name="service")
-        self._decomposition_cache = LRUCache(decomposition_cache_entries,
+        self._decomposition_cache = LRUCache(DECOMPOSITION_CACHE_ENTRIES,
                                              name="decomposition")
         self._program_cache = LRUCache(program_cache_entries, name="program")
         self._report_cache = LRUCache(report_cache_entries, name="report")

@@ -60,7 +60,9 @@ __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 #: Version 5 stores no reports, keeps no pickled key beside the digest (only
 #: key iteration read it), and range keys carry the observed sum and count
 #: (AVG's, else 0.0), so version 4 report and range rows are dropped.
-SCHEMA_VERSION = 5
+#: Version 6: AVG endpoints are the exact extremes rounded outward, where
+#: version 5 AVG ranges are the bisection's ends, loose by up to 1e-6.
+SCHEMA_VERSION = 6
 
 _DB_FILENAME = "repro-cache.sqlite"
 

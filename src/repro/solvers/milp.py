@@ -98,19 +98,19 @@ class CompiledMILP:
         return solution.status, solution.objective
 
     def solve_objectives(self, C: np.ndarray, sense: Sense
-                         ) -> list[tuple[SolutionStatus, float | None]]:
+                         ) -> list[LPSolution]:
         """Optimise every row of ``C``: the multi-solve kernel.
 
         One entry amortises the per-call floor across a whole batch of
         objective rows.  A pure box problem selects every row's endpoints in
         one ``np.where``; a coupled one enters the backend once per row
-        against the same arrays.  Results are bit-identical to
-        :meth:`solve_objective` row by row: each row's optimum is the same
-        1-D ``np.dot`` over the same selected endpoints, or the same backend
-        call.
+        against the same arrays.  Each row's solution carries its
+        allocation (``x``, by column) when optimal.  Statuses and optima are
+        bit-identical to :meth:`solve_objective` row by row: each row's
+        optimum is the same 1-D ``np.dot`` over the same selected endpoints,
+        or the same backend call.
         """
-        return [(solution.status, solution.objective)
-                for solution in self._solve(C, sense)]
+        return self._solve(C, sense)
 
     def solve(self, c: np.ndarray, sense: Sense) -> LPSolution:
         """Optimise ``c . x`` and return the allocation as well."""

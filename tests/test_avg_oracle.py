@@ -1,24 +1,28 @@
-"""The AVG search against an allocation oracle, and its failure policy.
+"""The AVG search against an exact allocation oracle, and its failure policy.
 
-The §4.2 search (:func:`repro.plan.program.avg_endpoints`) bisects over
-MILP probes, so its endpoints are the bracket's conservative ends, not the
-exact extremes.  The oracle checks both halves of that promise on tiny
-generated sets: each endpoint contains the true extreme average and lies
-within the search's stopping width of it.
+The AVG search (:func:`repro.plan.program.avg_endpoints`) runs Dinkelbach's
+iteration over MILP probes and closes each direction on the exact extreme
+average, rounded outward to the adjacent float.  The oracle checks that
+promise bit for bit on tiny generated sets: the lower endpoint is the
+largest float at or below the exact minimum, and the upper endpoint the
+smallest float at or above the exact maximum.
 
 Ground truth enumerates every integer allocation of rows to the unsharded
 program's active cells, keeps those meeting every constraint's ``[kl, ku]``,
 and takes the extreme of ``(known_sum + Σ value·x) / (known_count + Σ x)``
-over the kept allocations with a positive denominator (cell upper values
-for the maximum, lower values for the minimum).  A set without a feasible
-allocation must raise :class:`~repro.exceptions.SolverError`, as COUNT and
-SUM do.  The same checks run on the one-program search and on the
-two-program reduction over a component-sharded plan's programs.
+as a ``fractions.Fraction`` over the kept allocations with a positive
+denominator (cell upper values for the maximum, lower values for the
+minimum).  A set without a feasible allocation must raise
+:class:`~repro.exceptions.SolverError`, as COUNT and SUM do.  The one-program
+search and the two-program reduction over a component-sharded plan's
+programs must give the same bits.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +39,9 @@ from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.exceptions import SolverError
 from repro.parallel.pool import WorkerPool
-from repro.plan.program import AVG_TOLERANCE, avg_endpoints
+from repro.obs.metrics import get_registry
+from repro.plan import program as program_module
+from repro.plan.program import avg_endpoints
 from repro.relational.aggregates import AggregateFunction
 from repro.solvers.lp import LPSolution, SolutionStatus
 from repro.solvers.registry import register_backend, resolve_backend
@@ -106,6 +112,26 @@ def feasible_allocations(program) -> np.ndarray:
     return allocations[np.all(counts >= kl, axis=1)]
 
 
+def extreme_average(feasible: np.ndarray, values: np.ndarray,
+                    known_sum: float, denominators: np.ndarray,
+                    choose) -> Fraction:
+    """The exact extreme (``choose`` is max or min) of the averages of the
+    ``feasible`` allocations whose denominator is positive.
+
+    Every value is an integer multiple of ``1 / scale``, so each numerator
+    is an exact integer over ``scale``; per denominator only the extreme
+    numerator can win."""
+    scale = max(Fraction(number).denominator
+                for number in values.tolist() + [known_sum])
+    scaled = np.array([int(Fraction(value) * scale)
+                       for value in values.tolist()], dtype=object)
+    numerators = int(Fraction(known_sum) * scale) + feasible @ scaled
+    return choose(
+        Fraction(int(choose(numerators[denominators == denominator])),
+                 int(denominator) * scale)
+        for denominator in np.unique(denominators[denominators > 0]))
+
+
 def oracle(program, known_sum: float, known_count: float):
     """The exact (min, max) average over the feasible allocations: None
     when no allocation is feasible, and (None, None) when no feasible
@@ -113,28 +139,32 @@ def oracle(program, known_sum: float, known_count: float):
     feasible = feasible_allocations(program)
     if len(feasible) == 0:
         return None
-    denominators = known_count + feasible.sum(axis=1)
-    positive = denominators > 0
-    if not positive.any():
+    denominators = int(known_count) + feasible.sum(axis=1)
+    if not (denominators > 0).any():
         return None, None
-    uppers = program.value_upper[program.active]
-    lowers = program.value_lower[program.active]
-    highest = ((known_sum + feasible @ uppers)[positive]
-               / denominators[positive]).max()
-    lowest = ((known_sum + feasible @ lowers)[positive]
-              / denominators[positive]).min()
-    return float(lowest), float(highest)
+    return (extreme_average(feasible, program.value_lower[program.active],
+                            known_sum, denominators, min),
+            extreme_average(feasible, program.value_upper[program.active],
+                            known_sum, denominators, max))
 
 
-def assert_within_stopping_width(lower, upper, truth) -> None:
+def float_at_or_below(value: Fraction) -> float:
+    nearest = float(value)
+    return nearest if nearest <= value else math.nextafter(nearest, -math.inf)
+
+
+def float_at_or_above(value: Fraction) -> float:
+    nearest = float(value)
+    return nearest if nearest >= value else math.nextafter(nearest, math.inf)
+
+
+def assert_exact(lower, upper, truth) -> None:
     lowest, highest = truth
     if lowest is None:
         assert (lower, upper) == (None, None)
         return
-    assert lower <= lowest and upper >= highest
-    for endpoint, extreme in ((lower, lowest), (upper, highest)):
-        width = AVG_TOLERANCE * max(1.0, abs(endpoint), abs(extreme))
-        assert abs(endpoint - extreme) <= width + 1e-9
+    assert lower == float_at_or_below(lowest)
+    assert upper == float_at_or_above(highest)
 
 
 def component_programs(pcset: PredicateConstraintSet) -> list:
@@ -147,6 +177,9 @@ class TestAvgOracle:
     @settings(max_examples=60, deadline=None)
     @given(instances())
     def test_endpoints_contain_and_approach_the_true_extremes(self, instance):
+        """Each endpoint is the exact extreme rounded outward to the adjacent
+        float, and the one-program and two-program searches agree bit for
+        bit."""
         pcset, known_sum, known_count = instance
         solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
         truth = oracle(solver.program(None, "v"), known_sum, known_count)
@@ -166,8 +199,42 @@ class TestAvgOracle:
                     reduction()
                 return
             result = solver.bound(AVG, "v", None, known_sum, known_count)
-            assert_within_stopping_width(result.lower, result.upper, truth)
-            assert_within_stopping_width(*reduction(), truth)
+            assert_exact(result.lower, result.upper, truth)
+            assert reduction() == (result.lower, result.upper)
+
+    @settings(max_examples=30, deadline=None)
+    @given(instances())
+    def test_iteration_cap_answers_the_bracket_ends(self, instance):
+        """With one iteration per direction, every direction a search opens
+        is still open at the cap and answers its bracket end (the solver-free
+        worst case), which holds the exact extreme."""
+        pcset, known_sum, known_count = instance
+        solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
+        program = solver.program(None, "v")
+        truth = oracle(program, known_sum, known_count)
+        if truth is None:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(program_module, "AVG_MAX_PROBES", 1)
+            result = program.bound(AVG, known_sum, known_count)
+        bracket = program.worst_case_range(AVG, known_sum, known_count)
+        assert (result.lower, result.upper) == (bracket.lower, bracket.upper)
+        lowest, highest = truth
+        if lowest is not None:
+            assert result.lower <= lowest and result.upper >= highest
+
+    def test_capped_search_is_counted(self, monkeypatch):
+        solver = PCBoundSolver(PredicateConstraintSet(list(_OVERLAPPING)),
+                               BoundOptions(check_closure=False))
+        capped = get_registry().counter("queries.avg_capped")
+        exact = solver.bound(AVG, "v", None, 30.0, 3.0)
+        assert exact.upper == 66.25
+        before = capped.value
+        monkeypatch.setattr(program_module, "AVG_MAX_PROBES", 1)
+        program = solver.program(None, "v")
+        result = program.bound(AVG, 30.0, 3.0)
+        assert (result.lower, result.upper) == (0.0, 100.0)
+        assert capped.value == before + 1
 
 
 # --------------------------------------------------------------------- #

@@ -178,7 +178,7 @@ class TestCliBound:
                      "--workers", "2", "--no-closure-check"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "cross-shard binary search" in output
+        assert "cross-shard Dinkelbach search" in output
         assert "result range" in output
 
     def test_bound_workers_match_serial_ranges(self, capsys,

@@ -113,6 +113,28 @@ class TestPersistentStore:
         assert reopened.entry_count() == 0
         reopened.close()
 
+        # Version 5 AVG ranges are bisection-loose: a service drops them and
+        # solves again instead of serving the old bits.
+        query = ContingencyQuery.avg("price", Predicate.range("utc", 11, 13))
+        directory = str(tmp_path / "older")
+        with ContingencyService(cache_dir=directory) as service:
+            service.register("outage", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            written = service.analyze("outage", query)
+            path = service.store.path
+        connection = sqlite3.connect(str(path))
+        connection.execute("PRAGMA user_version = 5")
+        connection.commit()
+        connection.close()
+        with ContingencyService(cache_dir=directory) as service:
+            service.register("outage", build_pcset(),
+                             observed=build_observed(), options=FAST)
+            solved = service.analyze("outage", query)
+            assert service.store.statistics.hits == 0
+            assert service.statistics().decompositions_computed == 1
+        assert solved.missing_range.lower == written.missing_range.lower
+        assert solved.missing_range.upper == written.missing_range.upper
+
     def test_unpicklable_key_or_value_is_swallowed(self, tmp_path):
         store = PersistentStore(tmp_path)
         store.write("report", ("k",), lambda: None)  # unpicklable value

@@ -195,13 +195,13 @@ def test_cross_backend_verification_sound_and_identical(kind):
 @pytest.mark.parametrize("seed", [707, 808])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
-    """Cross-shard AVG (the pooled binary search) equals the serial search.
+    """Cross-shard AVG (the pooled Dinkelbach search) equals the serial one.
 
     AVG is the one aggregate whose bounds do not merge from independent
-    shard ranges — the binary search couples every cell through the shared
+    shard ranges — the search couples every cell through the shared
     target.  The cross-shard search instead exchanges per-shard
-    ``value − target`` optima once per probe, which must reproduce the
-    serial search's decisions bit-for-bit: same midpoints, same endpoints.
+    ``value − target`` optima and allocation sums once per probe, and both
+    searches end on the exact extremes rounded outward: same endpoints.
     Covered regimes: no observed partition (the floored search), an
     observed partition (``known_count > 0``), and randomized regions.
     """
@@ -381,11 +381,12 @@ def test_solve_objectives_matches_row_by_row(seed, pure_box):
     for sense in (Sense.MAXIMIZE, Sense.MINIMIZE):
         batch = compiled.solve_objectives(matrix, sense)
         assert len(batch) == matrix.shape[0]
-        for row, (status, value) in enumerate(batch):
+        for row, solution in enumerate(batch):
             want_status, want_value = compiled.solve_objective(
                 matrix[row], sense)
-            assert status is want_status, (sense, row)
-            assert value == want_value, (sense, row, value, want_value)
+            assert solution.status is want_status, (sense, row)
+            assert solution.objective == want_value, (
+                sense, row, solution.objective, want_value)
 
 
 #: The backends whose batched paths these tests compare: each solves the

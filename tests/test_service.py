@@ -189,6 +189,23 @@ class TestContingencyService:
         assert service.decomposition_cache.statistics.misses == misses
         assert service.decomposition_cache.statistics.hits >= 1
 
+    def test_decomposition_lru_is_capped_and_serves_sibling_compiles(self):
+        """40 regions of one session, COUNT then SUM on each: the LRU never
+        holds more than 16 decompositions, and every SUM compile reads the
+        decomposition its region's COUNT left."""
+        service = ContingencyService()
+        service.register("outage", build_pcset(), options=FAST)
+        cache = service.decomposition_cache
+        for index in range(40):
+            region = Predicate.range("utc", 11, 12 + index / 40)
+            service.analyze("outage", ContingencyQuery.count(region))
+            assert len(cache) <= 16
+            hits, misses = cache.statistics.hits, cache.statistics.misses
+            service.analyze("outage", ContingencyQuery.sum("price", region))
+            assert cache.statistics.hits == hits + 1
+            assert cache.statistics.misses == misses
+        assert len(cache) == 16
+
     def test_equal_pcsets_share_cache_across_sessions(self):
         service = ContingencyService(max_workers=2)
         service.register("first", build_pcset(), options=FAST)
