@@ -38,7 +38,8 @@ def _bound_with_depth(pcset, early_stop_depth):
                       BoundOptions(check_closure=False))
     decomposition = CellDecomposer(
         pcset, early_stop_depth=early_stop_depth).decompose()
-    return compile_plan(plan, decomposition).bound(AggregateFunction.SUM)
+    return compile_plan(plan, decomposition).bound(AggregateFunction.SUM,
+                                                   "light")
 
 
 @pytest.mark.paper_artifact("ablation-early-stopping")

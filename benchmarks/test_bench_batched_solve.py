@@ -103,7 +103,7 @@ def test_bench_batched_cross_shard_avg(report_artifact, bench_record):
     """Cross-shard AVG re-run: one probe task per shard per iteration."""
     pcset = _avg_scenario()
     serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-    serial.program(None, "v")
+    serial.program(None)
 
     started = time.perf_counter()
     serial_range = serial.bound(AggregateFunction.AVG, "v",
@@ -117,9 +117,9 @@ def test_bench_batched_cross_shard_avg(report_artifact, bench_record):
         sharded = PCBoundSolver(
             pcset, BoundOptions(check_closure=False, solve_workers=WORKERS),
             worker_pool=pool)
-        plan = sharded.sharded_plan(None, "v")
+        plan = sharded.sharded_plan(None)
         for shard in plan:
-            sharded.shard_program(shard, None, "v")
+            sharded.shard_program(shard, None)
         started = time.perf_counter()
         batched_range = sharded.bound(AggregateFunction.AVG, "v",
                                       known_sum=5000.0, known_count=200.0)
@@ -213,7 +213,7 @@ def test_bench_batched_warm_fanout(report_artifact, bench_record):
 
     analyzer, queries = coupled_scenario()
     for query in queries:
-        analyzer.solver.program(query.region, query.attribute)
+        analyzer.solver.program(query.region)
 
     def run(workers: int, mode: str):
         with BatchExecutor(max_workers=workers, mode=mode) as executor:

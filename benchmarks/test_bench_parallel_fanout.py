@@ -91,7 +91,7 @@ def test_bench_warm_multi_region_batch_fanout(report_artifact, bench_record):
     # Warm every program outside the timed sections: the claim is about
     # solve fan-out, not compilation.
     for query in queries:
-        analyzer.solver.program(query.region, query.attribute)
+        analyzer.solver.program(query.region)
 
     serial_result, serial_seconds = run_batch(analyzer, queries, 1, "serial")
     fanout_result, fanout_seconds = run_batch(analyzer, queries, WORKERS,
@@ -157,7 +157,7 @@ def test_bench_sharded_single_query_fanout(report_artifact, bench_record):
         assert sharded_range.upper == pytest.approx(serial_range.upper,
                                                     rel=1e-12)
 
-    plan = sharded.sharded_plan(None, "v")
+    plan = sharded.sharded_plan(None)
     largest_shard = max(len(shard.pcset) for shard in plan)
     report_artifact(
         "Single-query plan sharding on a 64-window partition\n"

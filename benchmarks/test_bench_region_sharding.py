@@ -75,7 +75,7 @@ def test_region_sharded_enumeration_vs_serial(bench_record):
     started = time.perf_counter()
     serial_result = serial.bound(AggregateFunction.COUNT)
     serial_seconds = time.perf_counter() - started
-    serial_calls = serial.decompose(None).statistics.solver_calls
+    serial_calls = serial.decomposition_solver_calls
 
     with WorkerPool(max_workers=WORKERS, mode="process",
                     name="bench-region") as pool:
@@ -90,7 +90,7 @@ def test_region_sharded_enumeration_vs_serial(bench_record):
         # Identity: the merged program is the serial program.
         assert (region_result.lower, region_result.upper) == \
             (serial_result.lower, serial_result.upper)
-        sharded = region.sharded_plan(None, None)
+        sharded = region.sharded_plan(None)
         assert sharded.strategy == "region" and len(sharded) >= 2
         assert pool.statistics.tasks_dispatched >= 2
 

@@ -46,10 +46,10 @@ def test_bench_cross_shard_avg(report_artifact, bench_record):
     sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
                                                 solve_workers=WORKERS))
     # Compile both paths' programs outside the timed sections.
-    serial.program(None, "v")
-    sharded_plan = sharded.sharded_plan(None, "v")
+    serial.program(None)
+    sharded_plan = sharded.sharded_plan(None)
     for shard in sharded_plan:
-        sharded.shard_program(shard, None, "v")
+        sharded.shard_program(shard, None)
 
     started = time.perf_counter()
     serial_range = serial.bound(AggregateFunction.AVG, "v",

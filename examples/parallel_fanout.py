@@ -53,7 +53,7 @@ def main() -> None:
     # --- plan sharding --------------------------------------------------
     serial = PCBoundSolver(pcset, BoundOptions())
     sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=4))
-    plan = sharded.sharded_plan(None, "v")
+    plan = sharded.sharded_plan(None)
     print(f"constraints: {len(pcset)}, shards: {len(plan)} "
           f"(largest {max(len(s.pcset) for s in plan)} constraints)")
 

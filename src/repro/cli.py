@@ -355,7 +355,7 @@ def _command_bound(args: argparse.Namespace) -> int:
         # Every aggregate parallelises now: COUNT/SUM/MIN/MAX merge shard
         # ranges, AVG runs the cross-shard Dinkelbach search — and region
         # sharding fans the cell enumeration out for one-component sets.
-        sharded = analyzer.solver.sharded_plan(query.region, query.attribute)
+        sharded = analyzer.solver.sharded_plan(query.region)
         if sharded.strategy == "region":
             flavour = "region-split cell enumeration"
         elif query.aggregate is AggregateFunction.AVG:

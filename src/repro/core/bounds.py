@@ -11,9 +11,11 @@ Since the plan-pipeline refactor the solver is a thin facade over
 merging), compiled into a :class:`~repro.plan.BoundProgram` — the exact
 cell decomposition read once into per-cell arrays, the slack layout and the
 MILP skeleton's CSC rows — and executed by patching parameters into that
-program.  Programs are cached per (region, attribute), privately or in a
-shared LRU supplied by the service layer, so repeated queries (and every
-probe of AVG's Dinkelbach iteration) skip model construction entirely.
+program.  Programs are cached per (constraint set, region), privately or in
+a shared LRU supplied by the service layer: one program answers every
+aggregate over every attribute of its region, so repeated queries (and
+every probe of AVG's Dinkelbach iteration) skip model construction
+entirely.
 
 One deviation from the paper's informal description is documented here
 because it matters for soundness: when a query predicate is pushed down and
@@ -173,8 +175,7 @@ class PCBoundSolver:
         factory)``, e.g. :class:`repro.service.LRUCache`).  When given,
         decompositions are stored there under a content-derived namespace so
         equal constraint sets share work across solvers and threads; when
-        omitted, the solver keeps a private per-instance dict (single-
-        threaded use).
+        omitted, a region decomposes once per compiled program.
     cache_namespace:
         Overrides the namespace used inside a shared cache.  Defaults to a
         structural key derived from the constraint set's content, which is
@@ -187,14 +188,14 @@ class PCBoundSolver:
     range_cache:
         Optional shared cache of closed-world missing ranges (any object
         with ``get(key)`` and ``put(key, value)``).  A range over the
-        missing rows depends only on the compiled program, the fan-out
-        width and, for AVG, the observed sum and count, so it is memoized
-        under ``("range", program_key, aggregate, solve_workers, known_sum,
-        known_count)`` (the observed pair is 0.0 for every aggregate but
-        AVG) and a repeated query skips compiling and solving.  Degraded
-        ranges and calls that raise are never memoized; verification,
-        open-world widening and the observed combine run on every call.
-        When omitted nothing is memoized.
+        missing rows depends only on the compiled program, the aggregate
+        and attribute, the fan-out width and, for AVG, the observed sum and
+        count, so it is memoized under ``("range", program_key, aggregate,
+        attribute, solve_workers, known_sum, known_count)`` (the observed
+        pair is 0.0 for every aggregate but AVG) and a repeated query skips
+        compiling and solving.  Degraded ranges and calls that raise are
+        never memoized; verification, open-world widening and the observed
+        combine run on every call.  When omitted nothing is memoized.
     worker_pool:
         Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
         sharded fan-out borrows instead of spinning a per-call executor
@@ -217,8 +218,6 @@ class PCBoundSolver:
         self._program_cache = program_cache
         self._range_cache = range_cache
         self._worker_pool = worker_pool
-        self._decomposition_cache: dict[object, CellDecomposition] = {}
-        self._decomposition_locks: dict[object, threading.Lock] = {}
         self._local_programs: dict[object, BoundProgram] = {}
         self._local_program_locks: dict[object, threading.Lock] = {}
         self._sharded_plans: dict[tuple, object] = {}
@@ -235,9 +234,9 @@ class PCBoundSolver:
     def __getstate__(self) -> dict:
         """Locks are dropped and rebuilt; shared caches do not cross processes.
 
-        A worker process receives the solver with its *private* program and
-        decomposition caches intact (warm compiled skeletons travel), but
-        with any shared LRU caches replaced by ``None`` — a cache shared by
+        A worker process receives the solver with its *private* program
+        cache intact (warm compiled skeletons travel), but with any shared
+        LRU caches replaced by ``None`` — a cache shared by
         reference cannot span processes, and silently pickling a snapshot
         would masquerade as shared state.  The worker falls back to private
         caching, which is correct, merely less deduplicated.
@@ -247,7 +246,6 @@ class PCBoundSolver:
         state["_program_cache"] = None
         state["_range_cache"] = None
         state["_worker_pool"] = None
-        state["_decomposition_locks"] = {}
         state["_local_program_locks"] = {}
         del state["_counter_lock"]
         del state["_program_lock"]
@@ -281,9 +279,8 @@ class PCBoundSolver:
         """
         self._program_cache = cache
 
-    def program_key(self, region: Predicate | None = None,
-                    attribute: str | None = None) -> tuple:
-        """The content-derived cache key for the (region, attribute) program.
+    def program_key(self, region: Predicate | None = None) -> tuple:
+        """The content-derived cache key for the region's program.
 
         The decomposition namespace covers the constraint set's content; the
         backend is appended because it changes the compiled artifact.  The
@@ -291,36 +288,30 @@ class PCBoundSolver:
         worker-side caches with the parent's keys.
         """
         return ("program", self._namespace(), self._options.milp_backend,
-                region, attribute)
+                region)
 
-    def shard_program_key(self, shard, region: Predicate | None,
-                          attribute: str | None) -> tuple:
+    def shard_program_key(self, shard, region: Predicate | None) -> tuple:
         """The cache key for one shard's program (program key + shard token)."""
-        return self.program_key(region, attribute) + shard.cache_token()
+        return self.program_key(region) + shard.cache_token()
 
     def has_cached_program(self, region: Predicate | None = None,
-                           attribute: str | None = None,
                            shard=None) -> bool:
-        """Whether the pair's (or one shard's) compiled program is warm.
+        """Whether the region's (or one shard's) compiled program is warm.
 
         Admission pricing consults this to discount queries that will only
         patch parameters into an existing skeleton — passing ``shard``
         checks the shard-token-extended key that component-sharded
-        execution actually populates, instead of the unsharded pair key it
-        never compiles.  The lookup peeks: it must not perturb cache
+        execution actually populates, instead of the unsharded region key
+        it never compiles.  The lookup peeks: it must not perturb cache
         statistics or LRU recency, and it never compiles anything.
         """
+        token = () if shard is None else shard.cache_token()
         if self._program_cache is not None:
-            key = self.program_key(region, attribute)
-            if shard is not None:
-                key = key + shard.cache_token()
             peek = getattr(self._program_cache, "peek",
                            self._program_cache.get)
-            return peek(key) is not None
-        private_key = ((region, attribute) if shard is None
-                       else (region, attribute, shard.cache_token()))
+            return peek(self.program_key(region) + token) is not None
         with self._program_lock:
-            return private_key in self._local_programs
+            return (region, *token) in self._local_programs
 
     @property
     def decompositions_computed(self) -> int:
@@ -409,7 +400,7 @@ class PCBoundSolver:
                                        known_sum, known_count)
         observed = ((known_sum, known_count)
                     if aggregate is AggregateFunction.AVG else (0.0, 0.0))
-        key = ("range", self.program_key(region, attribute), aggregate,
+        key = ("range", self.program_key(region), aggregate, attribute,
                self._options.solve_workers, *observed)
         result = cache.get(key)
         if result is None:
@@ -435,8 +426,7 @@ class PCBoundSolver:
             # analyzers degrade to the serial path.
             if not in_worker():
                 with tracer.span("shard.plan"):
-                    sharded = self.sharded_plan(region, attribute,
-                                                max_shards=workers)
+                    sharded = self.sharded_plan(region, max_shards=workers)
                     tracer.annotate(strategy=sharded.strategy,
                                     shards=len(sharded))
                 if sharded.is_sharded and sharded.strategy == "component":
@@ -457,10 +447,10 @@ class PCBoundSolver:
                 # decomposition (see _decompose_plan), so every aggregate —
                 # AVG included — executes on the serial-identical program
                 # while the enumeration work fanned out.
-        program = self.program(region, attribute)
+        program = self.program(region)
         with tracer.span("solve.serial"):
             return program.bound_batch(
-                [(aggregate, known_sum, known_count)])[0]
+                [(aggregate, attribute, known_sum, known_count)])[0]
 
     def borrow_pool(self, workers: int):
         """The worker pool the fan-out runs on: the injected (service-owned)
@@ -474,11 +464,11 @@ class PCBoundSolver:
             return self._worker_pool
         return shared_pool(max_workers=workers)
 
-    def _keyed_shard_programs(self, sharded, region: Predicate | None,
-                              attribute: str | None) -> list[tuple]:
+    def _keyed_shard_programs(self, sharded, region: Predicate | None
+                              ) -> list[tuple]:
         """(pool key, compiled program) per shard, parent-cache warm."""
-        return [(self.shard_program_key(shard, region, attribute),
-                 self.shard_program(shard, region, attribute))
+        return [(self.shard_program_key(shard, region),
+                 self.shard_program(shard, region))
                 for shard in sharded]
 
     def _bound_sharded(self, sharded, aggregate: AggregateFunction,
@@ -497,17 +487,17 @@ class PCBoundSolver:
         )
 
         degrade = self._options.degrade
-        keyed = self._keyed_shard_programs(sharded, region, attribute)
+        keyed = self._keyed_shard_programs(sharded, region)
         pool = self.borrow_pool(workers)
         degraded: list[int] = []
         if degrade == "worst-case":
-            collected, failures = pool.solve_programs_resilient(keyed,
-                                                                aggregate)
+            collected, failures = pool.solve_programs_resilient(
+                keyed, aggregate, attribute)
             endpoints = []
             for position, (_key, program) in enumerate(keyed):
                 triple = collected.get(position)
                 if triple is None:
-                    fallback = program.worst_case_range(aggregate)
+                    fallback = program.worst_case_range(aggregate, attribute)
                     triple = (fallback.lower, fallback.upper, fallback.closed)
                     degraded.append(position)
                 endpoints.append(triple)
@@ -516,7 +506,7 @@ class PCBoundSolver:
                 tracer.annotate(degraded_shards=tuple(degraded))
                 get_registry().counter("queries.degraded").inc()
         else:
-            endpoints = pool.solve_programs(keyed, aggregate)
+            endpoints = pool.solve_programs(keyed, aggregate, attribute)
         ranges = [ResultRange(lower, upper, aggregate, attribute, closed=closed)
                   for lower, upper, closed in endpoints]
         # Statistics come from the parent's shard programs, not the worker
@@ -536,10 +526,12 @@ class PCBoundSolver:
         programs, each iteration one pooled probe task per shard."""
         from ..plan.sharding import merge_shard_statistics
 
-        keyed = self._keyed_shard_programs(sharded, region, attribute)
+        keyed = self._keyed_shard_programs(sharded, region)
         lower, upper = avg_endpoints(
-            [program for _, program in keyed], known_sum, known_count,
-            functools.partial(self.borrow_pool(workers).avg_probes, keyed))
+            [program for _, program in keyed], attribute, known_sum,
+            known_count,
+            functools.partial(self.borrow_pool(workers).avg_probes, keyed,
+                              attribute))
         statistics = merge_shard_statistics(
             program.statistics for _, program in keyed)
         return ResultRange(lower, upper, AggregateFunction.AVG, attribute,
@@ -597,8 +589,8 @@ class PCBoundSolver:
             raise SolverError("explain() supports COUNT and SUM bounds only")
         if aggregate is AggregateFunction.SUM and attribute is None:
             raise SolverError("SUM explanations require an attribute")
-        bound, allocations, saturated = self.program(
-            region, attribute).explain_upper(aggregate)
+        bound, allocations, saturated = self.program(region).explain_upper(
+            aggregate, attribute)
         return BoundExplanation(
             aggregate, attribute, bound,
             tuple(CellAllocation(*allocation) for allocation in allocations),
@@ -622,77 +614,68 @@ class PCBoundSolver:
             tracer.annotate(constraints=len(plan.pcset))
         return plan
 
-    def program(self, region: Predicate | None = None,
-                attribute: str | None = None) -> BoundProgram:
-        """The compiled program for a (region, attribute) pair, cached.
+    def program(self, region: Predicate | None = None) -> BoundProgram:
+        """The compiled program for a region, cached.
 
-        One program answers every aggregate over the pair, so the cache key
-        ignores the aggregate.  With a shared program cache the per-key
-        locking inside ``get_or_compute`` dedupes concurrent compilations;
-        the private fallback mirrors that per-key scheme, so distinct pairs
-        compile concurrently while same-key racers share one compile.
+        One program answers every aggregate over every attribute of the
+        region, so the cache key names neither.  With a shared program
+        cache the per-key locking inside ``get_or_compute`` dedupes
+        concurrent compilations; the private fallback mirrors that per-key
+        scheme, so distinct regions compile concurrently while same-key
+        racers share one compile.
         """
-        return self._cached_program(
-            (region, attribute),
-            lambda: self.program_key(region, attribute),
-            lambda: self._compile(region, attribute))
+        return self._cached_program(region, (), lambda: self._compile(region))
 
     def sharded_plan(self, region: Predicate | None = None,
-                     attribute: str | None = None,
                      max_shards: int | None = None):
-        """The :class:`~repro.plan.ShardedBoundPlan` for a (region,
-        attribute) pair: the optimized plan run through the sharding pass
+        """The :class:`~repro.plan.ShardedBoundPlan` for a region: its
+        optimized plan run through the sharding pass
         (:func:`~repro.plan.sharding.select_sharding`), capped at
         ``max_shards`` (defaulting to ``options.solve_workers``).  The layout
         depends on the plan alone; a plan neither splitter can split comes
         back with one shard (``is_sharded`` False).
 
-        Sharded plans are cached per (region, attribute, max_shards):
-        building one runs the optimizer plus a quadratic predicate-overlap
-        scan, which a warm repeated query must not pay again.  Plans and the
-        shard layouts they induce are immutable, so the cached object is
-        safe to share across threads.
+        Sharded plans are cached per (region, max_shards): building one
+        runs the optimizer plus a quadratic predicate-overlap scan, which a
+        warm repeated query must not pay again.  Plans and the shard
+        layouts they induce are immutable, so the cached object is safe to
+        share across threads.
         """
         from ..plan.sharding import select_sharding
 
         if max_shards is None:
             max_shards = self._options.solve_workers
-        key = (region, attribute, max_shards)
+        key = (region, max_shards)
         with self._program_lock:
             cached = self._sharded_plans.get(key)
         if cached is not None:
             return cached
-        aggregate = (AggregateFunction.COUNT if attribute is None
-                     else AggregateFunction.SUM)
-        plan = self.plan(BoundQuery(aggregate, attribute, region))
-        sharded = select_sharding(plan, max_shards=max_shards)
+        sharded = select_sharding(self._region_plan(region),
+                                  max_shards=max_shards)
         with self._program_lock:
             return self._sharded_plans.setdefault(key, sharded)
 
-    def shard_program(self, shard, region: Predicate | None,
-                      attribute: str | None) -> BoundProgram:
+    def shard_program(self, shard, region: Predicate | None) -> BoundProgram:
         """The compiled program for one plan shard, cached like any program.
 
         Shard programs live in the same (shared or private) cache as their
-        unsharded siblings: the key is the ordinary (namespace, region,
-        attribute) program key extended with the shard's
+        unsharded siblings: the key is the region's program key extended
+        with the shard's
         :meth:`~repro.parallel.PlanShard.cache_token`, so repeated sharded
         queries patch parameters into warm per-shard skeletons exactly like
         the serial path does.
         """
-        token = shard.cache_token()
-        return self._cached_program(
-            (region, attribute, token),
-            lambda: self.program_key(region, attribute) + token,
-            lambda: self._compile_shard(shard, region))
+        return self._cached_program(region, shard.cache_token(),
+                                    lambda: self._compile_shard(shard, region))
 
-    def _cached_program(self, private_key, shared_key_factory,
+    def _cached_program(self, region: Predicate | None, token: tuple,
                         factory) -> BoundProgram:
-        """Per-key deduplicated program caching (shared LRU or private dict)."""
+        """Per-key deduplicated program caching (shared LRU or private
+        dict) of the region's program, or of the shard ``token`` names."""
         if self._program_cache is not None:
             return self._program_cache.get_or_compute(
-                shared_key_factory(), factory)
-        key = private_key
+                self.program_key(region) + token, factory)
+        key = (region, *token)
         with self._program_lock:
             program = self._local_programs.get(key)
             if program is not None:
@@ -713,15 +696,15 @@ class PCBoundSolver:
             return self._cache_namespace
         return _structural_namespace(self._pcset)
 
-    def _compile(self, region: Predicate | None,
-                 attribute: str | None) -> BoundProgram:
-        # A representative aggregate: the optimizer passes never read it, so
-        # the compiled program serves every aggregate over the pair.
-        aggregate = (AggregateFunction.COUNT if attribute is None
-                     else AggregateFunction.SUM)
+    def _region_plan(self, region: Predicate | None) -> BoundPlan:
+        """The optimized plan of the region's program.  No optimizer pass
+        reads the aggregate or the attribute, so it is the COUNT(*) plan."""
+        return self.plan(BoundQuery(AggregateFunction.COUNT, None, region))
+
+    def _compile(self, region: Predicate | None) -> BoundProgram:
         tracer = get_tracer()
         with tracer.span("compile"):
-            plan = self.plan(BoundQuery(aggregate, attribute, region))
+            plan = self._region_plan(region)
             decomposition = self._decompose_plan(plan)
             program = compile_plan(plan, decomposition)
             tracer.annotate(cells=len(decomposition.cells))
@@ -785,14 +768,14 @@ class PCBoundSolver:
     # Decomposition
     # ------------------------------------------------------------------ #
     def decompose(self, region: Predicate | None = None) -> CellDecomposition:
-        """The (cached) cell decomposition for ``region``.
+        """The cell decomposition for ``region`` (cached when the solver has
+        a shared decomposition cache).
 
         Public so callers can reuse or pre-warm decompositions.  Runs
         through the plan pipeline, so the cells are those of the
         *optimized* constraint set.
         """
-        plan = self.plan(BoundQuery(AggregateFunction.COUNT, None, region))
-        return self._decompose_plan(plan)
+        return self._decompose_plan(self._region_plan(region))
 
     def _record_decomposition(self, decomposition: CellDecomposition) -> None:
         # Distinct regions can decompose concurrently under a shared cache
@@ -822,8 +805,7 @@ class PCBoundSolver:
 
         if in_worker():
             return None
-        sharded = self.sharded_plan(plan.query.region, plan.query.attribute,
-                                    max_shards=workers)
+        sharded = self.sharded_plan(plan.query.region, max_shards=workers)
         if sharded.strategy != "region" or not sharded.is_sharded:
             return None
         return lambda: self._pooled_region_decomposition(plan, sharded,
@@ -850,8 +832,7 @@ class PCBoundSolver:
         from ..solvers.batching import adaptive_batch_size
 
         region = plan.query.region
-        attribute = plan.query.attribute
-        keyed = [(self.shard_program_key(shard, region, attribute),
+        keyed = [(self.shard_program_key(shard, region),
                   shard.plan.pcset, shard.plan.query.region)
                  for shard in sharded]
         pool = self.borrow_pool(workers)
@@ -862,54 +843,20 @@ class PCBoundSolver:
             plan, pool.decompose_shards(keyed, batch_size=batch_size))
 
     def _decompose_plan(self, plan: BoundPlan) -> CellDecomposition:
+        """``plan``'s decomposition, through the shared cache when the
+        solver has one (the caller's namespace covers the original
+        constraint set, and every entry is a whole-region decomposition of
+        the optimized set, which follows from that set and the region;
+        without a caller's namespace the optimized set's structural key
+        names it)."""
         tracer = get_tracer()
         with tracer.span("decompose"):
-            decomposition = self._decompose_plan_inner(plan)
+            decomposition = decompose_cached(
+                plan.pcset, plan.query.region,
+                cache=self._shared_cache,
+                namespace=(None if self._cache_namespace is None
+                           else ("plan", self._cache_namespace)),
+                on_compute=self._record_decomposition,
+                compute_override=self._region_decomposition_factory(plan))
             tracer.annotate(cells=len(decomposition.cells))
         return decomposition
-
-    def _plan_namespace(self, plan: BoundPlan) -> object:
-        """The decomposition-cache namespace for ``plan``'s entries.
-
-        The caller's namespace covers the original constraint set; every
-        entry is a whole-region decomposition of the optimized set, which
-        follows from that set and the region.  Without a caller's namespace
-        the structural key of the optimized constraint set names it.
-        """
-        if self._cache_namespace is not None:
-            return ("plan", self._cache_namespace)
-        return _structural_namespace(plan.pcset)
-
-    def _decompose_plan_inner(self, plan: BoundPlan) -> CellDecomposition:
-        region = plan.query.region
-        compute_override = self._region_decomposition_factory(plan)
-        if self._shared_cache is not None:
-            namespace = self._plan_namespace(plan)
-            return decompose_cached(
-                plan.pcset, region,
-                cache=self._shared_cache,
-                namespace=namespace,
-                on_compute=self._record_decomposition,
-                compute_override=compute_override)
-        # Programs for the same region but different attributes can compile
-        # concurrently (threads sharing one analyzer), so the private
-        # dict needs per-region locking to keep one decomposition per
-        # region and exact counters.
-        with self._program_lock:
-            decomposition = self._decomposition_cache.get(region)
-            if decomposition is not None:
-                return decomposition
-            region_lock = self._decomposition_locks.setdefault(
-                region, threading.Lock())
-        with region_lock:
-            with self._program_lock:
-                decomposition = self._decomposition_cache.get(region)
-            if decomposition is None:
-                decomposition = decompose_cached(
-                    plan.pcset, region,
-                    on_compute=self._record_decomposition,
-                    compute_override=compute_override)
-                with self._program_lock:
-                    self._decomposition_cache[region] = decomposition
-                    self._decomposition_locks.pop(region, None)
-            return decomposition

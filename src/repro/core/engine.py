@@ -237,7 +237,7 @@ class PCAnalyzer:
         layer prices admission decisions from it, and the CLI renders it as
         the sharding half of the EXPLAIN output.
         """
-        return self._solver.sharded_plan(query.region, query.attribute)
+        return self._solver.sharded_plan(query.region)
 
     # ------------------------------------------------------------------ #
     # Main API

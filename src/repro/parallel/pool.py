@@ -6,7 +6,7 @@ long-lived runtime that amortises those costs:
 
 * **Worker-side warm caches.**  Each process worker owns a program cache
   keyed by the *parent's* program-cache keys (content fingerprints + region
-  + attribute + shard token).  The first solve for a key ships the compiled
+  + shard token).  The first solve for a key ships the compiled
   :class:`~repro.plan.BoundProgram` skeleton (a few KB); every later solve
   ships only the key, and the worker patches parameters into its warm copy.
 * **Fingerprint-affinity routing.**  A key is pinned to one worker
@@ -70,8 +70,9 @@ Endpoints = tuple
 
 
 def _bound_endpoints(program, request: tuple) -> Endpoints:
-    """One ``(aggregate, known_sum, known_count)`` request as a width-1
-    batch, flattened to endpoints (the shard merge needs nothing else)."""
+    """One ``(aggregate, attribute, known_sum, known_count)`` request as a
+    width-1 batch, flattened to endpoints (the shard merge needs nothing
+    else)."""
     result = program.bound_batch([request])[0]
     return (result.lower, result.upper, result.closed)
 
@@ -232,10 +233,10 @@ def _handle_probe_batch(programs, sessions, task):
     """Every AVG probe of one search round against one shard's program —
     the whole round's coefficient matrix solves in one kernel entry, and
     each probe answers its optimum and allocation sums."""
-    _, _, key, program, probes = task
+    _, _, key, program, attribute, probes = task
     program = _resolve_program(programs, key, program)
     get_tracer().annotate(cells=len(probes))
-    return program.avg_probe_optima_batch(list(probes))
+    return program.avg_probe_optima_batch(attribute, list(probes))
 
 
 def _handle_decompose_batch(programs, sessions, task):
@@ -753,9 +754,11 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     def solve_programs(self, keyed_programs: Sequence[tuple],
                        aggregate: AggregateFunction,
+                       attribute: str | None = None,
                        known_sum: float = 0.0, known_count: float = 0.0
                        ) -> list[Endpoints]:
-        """Bound ``aggregate`` on every ``(key, program)`` pair, in order.
+        """Bound ``aggregate(attribute)`` on every ``(key, program)`` pair,
+        in order.
 
         Returns ``(lower, upper, closed)`` endpoint triples.  Every solve
         runs through the batched kernel as a one-request batch; process
@@ -763,7 +766,7 @@ class WorkerPool:
         worker, with the program attached only if that worker does not
         hold it warm.
         """
-        request = (aggregate, known_sum, known_count)
+        request = (aggregate, attribute, known_sum, known_count)
         self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
         if self._inline() or len(keyed_programs) <= 1:
             tracer = get_tracer()
@@ -784,6 +787,7 @@ class WorkerPool:
 
     def solve_programs_resilient(self, keyed_programs: Sequence[tuple],
                                  aggregate: AggregateFunction,
+                                 attribute: str | None = None,
                                  known_sum: float = 0.0,
                                  known_count: float = 0.0
                                  ) -> tuple[dict, dict]:
@@ -798,7 +802,7 @@ class WorkerPool:
         substitutes each failed shard's precomputed worst-case range and
         the merged result stays sound.
         """
-        request = (aggregate, known_sum, known_count)
+        request = (aggregate, attribute, known_sum, known_count)
         self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
         pairs = list(keyed_programs)
         if self._inline() or len(pairs) <= 1:
@@ -840,9 +844,10 @@ class WorkerPool:
                 deadline=deadline.seconds, elapsed=deadline.elapsed(),
                 completed=completed, pending=total - completed)
 
-    def avg_probes(self, keyed_programs: Sequence[tuple],
+    def avg_probes(self, keyed_programs: Sequence[tuple], attribute: str,
                    probes: Sequence[tuple]) -> list[list[tuple | None]]:
-        """One round of AVG probes against every shard program.
+        """One round of AVG(``attribute``) probes against every shard
+        program.
 
         ``probes`` is a sequence of ``(target, at_least, floor)`` triples
         (:meth:`repro.plan.program.BoundProgram.avg_probe_optima_batch`).
@@ -867,10 +872,12 @@ class WorkerPool:
                     if shards > 1:
                         tracer.annotate(shard=position)
                     tracer.annotate(cells=len(probes))
-                    per_shard.append(program.avg_probe_optima_batch(probes))
+                    per_shard.append(
+                        program.avg_probe_optima_batch(attribute, probes))
         else:
             requests = [
-                ("probe_batch", key, (key, program, probes), position)
+                ("probe_batch", key, (key, program, attribute, probes),
+                 position)
                 for position, (key, program) in enumerate(keyed_programs)]
             results = self._locked_round(requests)
             per_shard = [results[position] for position in range(shards)]
@@ -1241,9 +1248,10 @@ class WorkerPool:
             shipped = self._maybe_ship(worker, key, program)
             return ("solve_batch", task_id, key, shipped, batch_requests)
         if kind == "probe_batch":
-            key, program, probe_tuple = args
+            key, program, attribute, probe_tuple = args
             shipped = self._maybe_ship(worker, key, program)
-            return ("probe_batch", task_id, key, shipped, probe_tuple)
+            return ("probe_batch", task_id, key, shipped, attribute,
+                    probe_tuple)
         if kind == "decompose_batch":
             # Self-contained: no program shipping or warm bookkeeping.
             return (kind, task_id) + args

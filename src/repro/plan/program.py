@@ -1,16 +1,17 @@
 """Compiled bound programs: the physical artifact of the plan pipeline.
 
 A :class:`BoundProgram` is the compiled form of one optimized
-:class:`~repro.plan.ir.BoundPlan`, specialised to a (query region,
-aggregated attribute) pair and able to answer *every* aggregate over that
-pair.  Compilation reads the cell decomposition (through the shared
-decomposition cache) into arrays exactly once and keeps only those arrays
-and the decomposition's statistics:
+:class:`~repro.plan.ir.BoundPlan`, specialised to a (constraint set, query
+region) pair and able to answer *every* aggregate over *every* attribute of
+that region: the paper's §4.2 allocation program has one variable per cell
+and one row per frequency constraint, and the aggregated attribute only
+picks the objective's coefficients.  Compilation reads the cell
+decomposition (through the shared decomposition cache) into arrays exactly
+once and keeps only those arrays and the decomposition's statistics:
 
 * the covering as a CSR over the cells: cell ``i`` is covered by the
   constraints ``indices[indptr[i]:indptr[i + 1]]``, ascending,
-* per-cell float vectors ``capacity``, ``value_lower`` and ``value_upper``
-  (value bounds clipped to the query region) and the ``active`` mask of the
+* the per-cell float vector ``capacity`` and the ``active`` mask of the
   cells that can hold rows,
 * the slack-variable layout for mandatory rows that may live outside the
   region (one satisfiability check per mandatory constraint — previously
@@ -20,6 +21,8 @@ and the decomposition's statistics:
   covering CSR straight into the CSC matrix of a
   :class:`~repro.solvers.milp.CompiledMILP`, the form HiGHS reads.
 
+Per attribute, the program memoizes each cell's value bounds clipped to the
+region (:meth:`BoundProgram.value_bounds`) and MIN/MAX's forced extrema.
 Executions then only patch parameters: SUM/COUNT swap objective vectors,
 AVG's Dinkelbach iteration swaps the ``value - target`` objective per probe
 and reads the optimal allocation back, and MIN/MAX read precompiled extrema
@@ -153,22 +156,21 @@ def _avg_bracket(lowers: np.ndarray, uppers: np.ndarray, known_sum: float,
 
 
 class BoundProgram:
-    """One compiled (constraint set, region, attribute) bounding program.
+    """One compiled (constraint set, region) bounding program.
 
-    Answers all five aggregates; AVG additionally takes the observed
+    Answers all five aggregates over any attribute: every request names
+    its aggregate and attribute, and AVG additionally takes the observed
     partition's ``(known_sum, known_count)`` as execution-time parameters.
-    The cell arrays (``indptr``, ``indices``, ``capacity``, ``value_lower``,
-    ``value_upper``, ``active``) and ``statistics`` are read-only after
-    compilation; lazily-built pieces (skeleton variants, forced extrema)
-    are guarded by a lock, so one program instance can serve concurrent
-    batch traffic.
+    The cell arrays (``indptr``, ``indices``, ``capacity``, ``active``) and
+    ``statistics`` are read-only after compilation; lazily-built pieces
+    (skeleton variants, per-attribute value bounds and forced extrema) are
+    guarded by a lock, so one program instance can serve concurrent batch
+    traffic.
     """
 
     def __init__(self, plan: BoundPlan, decomposition: CellDecomposition):
-        self._plan = plan
         self._pcset = plan.pcset
         self._region = plan.query.region
-        self._attribute = plan.query.attribute
         self._backend = plan.milp_backend
         self._lock = threading.Lock()
 
@@ -183,7 +185,8 @@ class BoundProgram:
         self._compile_cells()
         self._slack_bounds = self._compile_slack_bounds()
         self._skeletons: dict[str, CompiledMILP] = {}
-        self._forced_extrema: dict[bool, float | None] = {}
+        self._value_bounds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._forced_extrema: dict[tuple[str, bool], float | None] = {}
         self._satisfiable: bool | None = None
 
     # ------------------------------------------------------------------ #
@@ -193,9 +196,10 @@ class BoundProgram:
         """Everything but the lock: compiled skeletons travel with the program.
 
         The worker pool hands warm programs to worker processes, so
-        lazily-built skeletons, forced extrema and the feasibility verdict
-        are deliberately kept in the state — a worker receives the same warm
-        artifact the parent had instead of re-deriving it.
+        lazily-built skeletons, value bounds, forced extrema and the
+        feasibility verdict are deliberately kept in the state — a worker
+        receives the same warm artifact the parent had instead of
+        re-deriving it.
         """
         state = dict(self.__dict__)
         del state["_lock"]
@@ -209,16 +213,8 @@ class BoundProgram:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def plan(self) -> BoundPlan:
-        return self._plan
-
-    @property
     def pcset(self) -> PredicateConstraintSet:
         return self._pcset
-
-    @property
-    def attribute(self) -> str | None:
-        return self._attribute
 
     @property
     def region(self) -> Predicate | None:
@@ -257,9 +253,11 @@ class BoundProgram:
         if not satisfiable:
             raise SolverError(_UNSATISFIABLE)
 
-    def explain_upper(self, aggregate: AggregateFunction
+    def explain_upper(self, aggregate: AggregateFunction,
+                      attribute: str | None = None
                       ) -> tuple[float, list[tuple], tuple[str, ...]]:
-        """The allocation behind COUNT's (or SUM's) upper bound.
+        """The allocation behind COUNT's (or SUM(``attribute``)'s) upper
+        bound.
 
         Maximises the rows (or the rows at every cell's upper value) over
         the full skeleton.  Returns the optimum; for each cell that received
@@ -271,7 +269,7 @@ class BoundProgram:
         if not count:
             return 0.0, [], ()
         coefficients = (np.ones(count) if aggregate is AggregateFunction.COUNT
-                        else self.value_upper)
+                        else self.value_bounds(attribute)[1])
         skeleton = self._skeleton(_FULL)
         solution = skeleton.solve(
             _objective_matrix(skeleton, [coefficients])[0],
@@ -304,49 +302,58 @@ class BoundProgram:
         return reduce.reduceat(np.asarray(values, dtype=float)[self.indices],
                                self.indptr[:-1])
 
-    def _compile_cells(self) -> None:
-        """Every cell's capacity and the aggregated attribute's value
-        bounds, clipped to the query region.
-
-        A cell is barren (capacity 0) when, on the aggregated attribute or
-        on any attribute a constraint bounds, its covering constraints'
-        bounds (folded with their predicate ranges, as
+    def _clipped_bounds(self, attribute: str
+                        ) -> tuple[list[float], list[float]]:
+        """Each constraint's lower and upper bound on ``attribute`` (folded
+        with its predicate range, as
         :meth:`~repro.core.constraints.PredicateConstraint.value_lower`
-        does) clipped to the region's range on that attribute are empty:
-        no row of the cell can meet them all.  Each constraint's bounds are
-        read once per program.  An attribute whose bounds meet across every
-        constraint cannot empty a cell, so only the others are checked.
+        does), clipped to the region's range on it."""
+        lows = [pc.value_lower(attribute) for pc in self._pcset]
+        highs = [pc.value_upper(attribute) for pc in self._pcset]
+        clip = (None if self._region is None
+                else self._region.range_for(attribute))
+        if clip is not None:
+            lows = [max(low, clip.low) for low in lows]
+            highs = [min(high, clip.high) for high in highs]
+        return lows, highs
+
+    def _compile_cells(self) -> None:
+        """Every cell's capacity, 0 for a barren cell.
+
+        A cell is barren when, on some attribute a value constraint bounds,
+        its covering constraints' clipped bounds are empty: no row of the
+        cell can meet them all.  An attribute whose bounds meet across
+        every constraint cannot empty a cell, so only the others are
+        checked.  The aggregated attribute plays no part: a satisfiable
+        cell has a point inside the region and every covering predicate,
+        so the bounds on an attribute no value constraint names always meet
+        on that cell.
         """
-        attribute, region, pcset = self._attribute, self._region, self._pcset
-        names = {name for pc in pcset for name in pc.values.attributes()}
-        if attribute is not None:
-            names.add(attribute)
-        bounds: dict[str, tuple[list[float], list[float]]] = {}
-        for name in names:
-            lows = [pc.value_lower(name) for pc in pcset]
-            highs = [pc.value_upper(name) for pc in pcset]
-            clip = None if region is None else region.range_for(name)
-            if clip is not None:
-                lows = [max(low, clip.low) for low in lows]
-                highs = [min(high, clip.high) for high in highs]
-            bounds[name] = (lows, highs)
+        pcset = self._pcset
         self.capacity = self._per_cell(np.minimum,
                                        [pc.max_rows() for pc in pcset])
         barren = np.zeros(len(self.capacity), dtype=bool)
-        if attribute is None:
-            self.value_upper = np.ones(len(self.capacity))
-            self.value_lower = np.ones(len(self.capacity))
-        else:
-            lows, highs = bounds[attribute]
-            self.value_upper = self._per_cell(np.minimum, highs)
-            self.value_lower = self._per_cell(np.maximum, lows)
-            barren |= self.value_upper < self.value_lower
-        for name, (lows, highs) in bounds.items():
-            if name != attribute and max(lows) > min(highs):
+        for name in {name for pc in pcset for name in pc.values.attributes()}:
+            lows, highs = self._clipped_bounds(name)
+            if max(lows) > min(highs):
                 barren |= (self._per_cell(np.minimum, highs)
                            < self._per_cell(np.maximum, lows))
         self.capacity[barren] = 0.0
         self.active = self.capacity > 0
+
+    def value_bounds(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's lower and upper bound on ``attribute``, clipped to
+        the query region: the coefficients SUM, MIN, MAX and AVG read.
+        Computed once per attribute."""
+        with self._lock:
+            bounds = self._value_bounds.get(attribute)
+        if bounds is None:
+            lows, highs = self._clipped_bounds(attribute)
+            bounds = (self._per_cell(np.maximum, lows),
+                      self._per_cell(np.minimum, highs))
+            with self._lock:
+                bounds = self._value_bounds.setdefault(attribute, bounds)
+        return bounds
 
     def _compile_slack_bounds(self) -> dict[int, int]:
         """Zero-objective allocations for mandatory rows outside the region.
@@ -481,13 +488,15 @@ class BoundProgram:
     # ------------------------------------------------------------------ #
     # Execution: one entry point per aggregate
     # ------------------------------------------------------------------ #
-    def bound(self, aggregate: AggregateFunction,
+    def bound(self, aggregate: AggregateFunction, attribute: str | None = None,
               known_sum: float = 0.0, known_count: float = 0.0) -> ResultRange:
-        """The result range of ``aggregate`` over the missing rows (a
-        width-1 :meth:`bound_batch`)."""
-        return self.bound_batch([(aggregate, known_sum, known_count)])[0]
+        """The result range of ``aggregate(attribute)`` over the missing
+        rows (a width-1 :meth:`bound_batch`)."""
+        return self.bound_batch(
+            [(aggregate, attribute, known_sum, known_count)])[0]
 
     def worst_case_range(self, aggregate: AggregateFunction,
+                         attribute: str | None = None,
                          known_sum: float = 0.0,
                          known_count: float = 0.0) -> ResultRange:
         """A solver-free sound superset of :meth:`bound`'s range.
@@ -503,13 +512,13 @@ class BoundProgram:
         search are all relaxed.
         """
         capacity = self.capacity[self.active]
-        uppers = self.value_upper[self.active]
-        lowers = self.value_lower[self.active]
         if aggregate is AggregateFunction.COUNT:
             # Ignore mandatory-row floors (exact lower >= 0 = this lower)
             # and every coupling row (exact upper <= capacity sum).
             return self._range(0.0, float(sum(capacity.tolist())),
                                AggregateFunction.COUNT)
+        lowers, uppers = (values[self.active]
+                          for values in self.value_bounds(attribute))
         if aggregate is AggregateFunction.SUM:
             # Python's sum adds left to right; numpy's pairwise sum would
             # move the last bits of these endpoints.
@@ -517,26 +526,23 @@ class BoundProgram:
                      float(sum(np.maximum(capacity * uppers, 0.0).tolist())))
             lower = (-_INF if np.isneginf(lowers).any() else
                      float(sum(np.minimum(capacity * lowers, 0.0).tolist())))
-            return self._range(lower, upper, AggregateFunction.SUM,
-                               self._attribute)
+            return self._range(lower, upper, AggregateFunction.SUM, attribute)
         if aggregate is AggregateFunction.MAX:
             # No forced-extremum lower guarantee: None (undefined) is the
             # sound relaxation of "some row must exist with value >= x".
             upper = float(uppers.max()) if len(uppers) else None
-            return self._range(None, upper, AggregateFunction.MAX,
-                               self._attribute)
+            return self._range(None, upper, AggregateFunction.MAX, attribute)
         if aggregate is AggregateFunction.MIN:
             lower = float(lowers.min()) if len(lowers) else None
-            return self._range(lower, None, AggregateFunction.MIN,
-                               self._attribute)
+            return self._range(lower, None, AggregateFunction.MIN, attribute)
         if aggregate is AggregateFunction.AVG:
             lower, upper = _avg_bracket(lowers, uppers, known_sum, known_count)
-            return self._range(lower, upper, AggregateFunction.AVG,
-                               self._attribute)
+            return self._range(lower, upper, AggregateFunction.AVG, attribute)
         raise SolverError(f"unsupported aggregate {aggregate!r}")  # pragma: no cover
 
     def bound_batch(self, requests: list[tuple]) -> list[ResultRange]:
-        """Answer ``(aggregate, known_sum, known_count)`` requests as a batch.
+        """Answer ``(aggregate, attribute, known_sum, known_count)``
+        requests as a batch.
 
         The COUNT/SUM one-shot solves across the whole request list are
         grouped by (skeleton variant, sense) and solved through single
@@ -555,13 +561,14 @@ class BoundProgram:
             return len(descriptors) - 1
 
         builders: list = []
-        for aggregate, known_sum, known_count in requests:
+        for aggregate, attribute, known_sum, known_count in requests:
             if aggregate is AggregateFunction.MAX:
-                builders.append(self._bound_max())
+                builders.append(self._bound_max(attribute))
             elif aggregate is AggregateFunction.MIN:
-                builders.append(self._bound_min())
+                builders.append(self._bound_min(attribute))
             elif aggregate is AggregateFunction.AVG:
-                builders.append(self._bound_avg(known_sum, known_count))
+                builders.append(self._bound_avg(attribute, known_sum,
+                                                known_count))
             elif aggregate is AggregateFunction.COUNT:
                 if not len(self.capacity):
                     self.check_satisfiable()
@@ -584,24 +591,23 @@ class BoundProgram:
                 if not len(self.capacity):
                     self.check_satisfiable()
                     builders.append(self._range(0.0, 0.0, AggregateFunction.SUM,
-                                                self._attribute))
+                                                attribute))
                     continue
+                value_lower, value_upper = self.value_bounds(attribute)
                 # The infinite-value fast paths replace a solve; everything
                 # else enqueues one row per direction.
-                if np.isposinf(self.value_upper[self.active]).any():
+                if np.isposinf(value_upper[self.active]).any():
                     upper_slot, upper_const = None, _INF
                 else:
-                    upper_slot = enqueue(_FULL, self.value_upper,
-                                         Sense.MAXIMIZE)
+                    upper_slot = enqueue(_FULL, value_upper, Sense.MAXIMIZE)
                     upper_const = None
                 mandatory = self._pcset.has_mandatory_rows()
-                if not mandatory and (self.value_lower >= 0).all():
+                if not mandatory and (value_lower >= 0).all():
                     lower_slot, lower_const = None, 0.0
-                elif np.isneginf(self.value_lower[self.active]).any():
+                elif np.isneginf(value_lower[self.active]).any():
                     lower_slot, lower_const = None, -_INF
                 else:
-                    lower_slot = enqueue(_FULL, self.value_lower,
-                                         Sense.MINIMIZE)
+                    lower_slot = enqueue(_FULL, value_lower, Sense.MINIMIZE)
                     lower_const = None
 
                 if upper_slot is None and lower_slot is None:
@@ -609,13 +615,13 @@ class BoundProgram:
 
                 def build_sum(solved, upper_slot=upper_slot,
                               upper_const=upper_const, lower_slot=lower_slot,
-                              lower_const=lower_const):
+                              lower_const=lower_const, attribute=attribute):
                     upper = (upper_const if upper_slot is None
                              else solved[upper_slot])
                     lower = (lower_const if lower_slot is None
                              else solved[lower_slot])
                     return self._range(lower, upper, AggregateFunction.SUM,
-                                       self._attribute)
+                                       attribute)
 
                 builders.append(build_sum)
             else:  # pragma: no cover - the enum has no other members
@@ -640,34 +646,34 @@ class BoundProgram:
                            statistics=self.statistics)
 
     # MIN / MAX ---------------------------------------------------------- #
-    def _bound_max(self) -> ResultRange:
+    def _bound_max(self, attribute: str) -> ResultRange:
         self.check_satisfiable()
         if not self.active.any():
-            return self._range(None, None, AggregateFunction.MAX, self._attribute)
-        upper = float(self.value_upper[self.active].max())
-        lower = self._forced_extremum(want_max=True)
-        return self._range(lower, upper, AggregateFunction.MAX, self._attribute)
+            return self._range(None, None, AggregateFunction.MAX, attribute)
+        upper = float(self.value_bounds(attribute)[1][self.active].max())
+        lower = self._forced_extremum(attribute, want_max=True)
+        return self._range(lower, upper, AggregateFunction.MAX, attribute)
 
-    def _bound_min(self) -> ResultRange:
+    def _bound_min(self, attribute: str) -> ResultRange:
         self.check_satisfiable()
         if not self.active.any():
-            return self._range(None, None, AggregateFunction.MIN, self._attribute)
-        lower = float(self.value_lower[self.active].min())
-        upper = self._forced_extremum(want_max=False)
-        return self._range(lower, upper, AggregateFunction.MIN, self._attribute)
+            return self._range(None, None, AggregateFunction.MIN, attribute)
+        lower = float(self.value_bounds(attribute)[0][self.active].min())
+        upper = self._forced_extremum(attribute, want_max=False)
+        return self._range(lower, upper, AggregateFunction.MIN, attribute)
 
-    def _forced_extremum(self, want_max: bool) -> float | None:
+    def _forced_extremum(self, attribute: str, want_max: bool) -> float | None:
         """Guaranteed MAX lower / MIN upper from constraints that force rows.
 
         A constraint with ``kl > 0`` whose predicate lies entirely inside the
         query region guarantees at least one matching row, whose value is
         bracketed by the constraint's value bounds.  Compiled once per
-        direction (the satisfiability scan does not depend on parameters).
+        attribute and direction (the satisfiability scan does not depend on
+        parameters).
         """
         with self._lock:
-            if want_max in self._forced_extrema:
-                return self._forced_extrema[want_max]
-        attribute = self._attribute
+            if (attribute, want_max) in self._forced_extrema:
+                return self._forced_extrema[(attribute, want_max)]
         solver = self._pcset.solver()
         region_box = self._region.to_box() if self._region is not None else None
         best: float | None = None
@@ -690,21 +696,21 @@ class BoundProgram:
             else:
                 best = min(best, candidate)
         with self._lock:
-            self._forced_extrema[want_max] = best
+            self._forced_extrema[(attribute, want_max)] = best
         return best
 
     # AVG (Dinkelbach's iteration; paper §4.2 bisects) ------------------ #
-    def _bound_avg(self, known_sum: float, known_count: float) -> ResultRange:
+    def _bound_avg(self, attribute: str, known_sum: float,
+                   known_count: float) -> ResultRange:
         lower, upper = avg_endpoints(
-            [self], known_sum, known_count,
+            [self], attribute, known_sum, known_count,
             lambda probes: [[outcome] for outcome
-                            in self.avg_probe_optima_batch(probes)])
-        return self._range(lower, upper, AggregateFunction.AVG,
-                           self._attribute)
+                            in self.avg_probe_optima_batch(attribute, probes)])
+        return self._range(lower, upper, AggregateFunction.AVG, attribute)
 
-    def avg_probe_optima_batch(self, probes: Sequence[tuple]
+    def avg_probe_optima_batch(self, attribute: str, probes: Sequence[tuple]
                                ) -> list[tuple | None]:
-        """One round of AVG probes against this program.
+        """One round of AVG probes of ``attribute`` against this program.
 
         ``probes`` holds ``(target, at_least, floor)`` triples.  A probe
         optimises the ``value − target`` objective over this program's
@@ -724,8 +730,8 @@ class BoundProgram:
         most four kernel entries (one :meth:`_skeleton` lookup and one lock
         acquisition each).
         """
-        uppers = self.value_upper[self.active]
-        lowers = self.value_lower[self.active]
+        lowers, uppers = (values[self.active]
+                          for values in self.value_bounds(attribute))
         integral = backend_capabilities(self._backend).exact
         results: list[tuple | None] = [None] * len(probes)
         rows: dict[tuple[str, Sense], list[np.ndarray]] = {}
@@ -769,10 +775,10 @@ def _carried_parts(frees: list[tuple], floors: list[tuple | None],
     return frees[:carrier] + [floors[carrier]] + frees[carrier + 1:]
 
 
-def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
-                  known_count: float, probe_round: Callable
+def avg_endpoints(programs: Sequence[BoundProgram], attribute: str,
+                  known_sum: float, known_count: float, probe_round: Callable
                   ) -> tuple[float | None, float | None]:
-    """The (lower, upper) AVG range over ``programs``.
+    """The (lower, upper) range of AVG(``attribute``) over ``programs``.
 
     ``programs`` is one program, or the component programs of a sharded
     plan, whose cells and constraints partition the unsharded program's.
@@ -802,21 +808,29 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
     over which program carries the row, of that program's floored probe
     plus everyone else's free one.
 
-    An unbounded probe, which only an infinite frequency bound can cause,
-    closes its direction at the bracket end, and so does a direction still
-    open after :data:`AVG_MAX_PROBES` iterations; the search then counts
-    ``queries.avg_capped``.  Both ends are sound.  A set that forces rows
-    but admits no allocation raises :class:`~repro.exceptions.SolverError`,
-    like COUNT and SUM: through a probe's status, or, when no probe runs
-    (no active cells, an unbounded value bound, a one-point bracket),
-    through every program's :meth:`BoundProgram.check_satisfiable` verdict.
+    Only an active cell without a frequency limit makes a probe unbounded:
+    one whose value beats the target.  As that cell's rows grow, the
+    average approaches the cell's value without reaching it, so the probe's
+    "allocation" is the extreme value over such cells, which beats the
+    target and is the search's next one; no probe at or past it is
+    unbounded.  A direction still open after :data:`AVG_MAX_PROBES`
+    iterations answers its bracket end, which is sound, and the search
+    counts ``queries.avg_capped``.  A set that forces rows but admits no
+    allocation raises :class:`~repro.exceptions.SolverError`, like COUNT
+    and SUM: through a probe's status, or, when no probe runs (no active
+    cells, an unbounded value bound, a one-point bracket), through every
+    program's :meth:`BoundProgram.check_satisfiable` verdict.
     """
-    low, high = _avg_bracket(
-        np.concatenate([program.value_lower[program.active]
-                        for program in programs]),
-        np.concatenate([program.value_upper[program.active]
-                        for program in programs]),
-        known_sum, known_count)
+    # Every program's active cells: value bounds, and which have no limit.
+    lowers, uppers, unlimited = [], [], []
+    for program in programs:
+        lower, upper = program.value_bounds(attribute)
+        lowers.append(lower[program.active])
+        uppers.append(upper[program.active])
+        unlimited.append(np.isinf(program.capacity[program.active]))
+    lowers, uppers, unlimited = (np.concatenate(parts)
+                                 for parts in (lowers, uppers, unlimited))
+    low, high = _avg_bracket(lowers, uppers, known_sum, known_count)
     mandatory = any(program.pcset.has_mandatory_rows() for program in programs)
     if (low is None or math.isinf(low) or math.isinf(high) or low == high
             or not (mandatory or known_count)):
@@ -850,12 +864,13 @@ def avg_endpoints(programs: Sequence[BoundProgram], known_sum: float,
             answers = [next(outcomes) for _ in range(2 if split else 1)]
             if any(math.isinf(outcome[0]) for answer in answers
                    for outcome in answer if outcome is not None):
-                del targets[at_least]  # unbounded: the bracket end stands
-                continue
-            parts = (_carried_parts(*answers, at_least) if split
-                     else answers[0])
-            average = ((known_sum + sum(part[1] for part in parts))
-                       / (known_count + sum(part[2] for part in parts)))
+                average = Fraction(float(uppers[unlimited].max()) if at_least
+                                   else float(lowers[unlimited].min()))
+            else:
+                parts = (_carried_parts(*answers, at_least) if split
+                         else answers[0])
+                average = ((known_sum + sum(part[1] for part in parts))
+                           / (known_count + sum(part[2] for part in parts)))
             previous = best.get(at_least)
             if previous is None or (average > previous if at_least
                                     else average < previous):

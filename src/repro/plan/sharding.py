@@ -163,11 +163,11 @@ class PlanShard:
     def cache_token(self) -> tuple:
         """A key suffix distinguishing this shard in the program cache.
 
-        Appended to the existing (namespace, region, attribute) program key.
+        Appended to the region's (namespace, backend, region) program key.
         Component shards keep the historical token shape (constraint indices
         plus shard layout); region shards key by their partition slice, so a
         region shard can never alias a component shard — or the unsharded
-        program — of the same pair.
+        program — of the same region.
         """
         if self.split == "region":
             return ("region-shard", self.shard_count, self.shard_index,
@@ -214,8 +214,13 @@ class ShardedBoundPlan:
         return iter(self.shards)
 
     def describe(self) -> str:
-        lines = [f"sharded plan: {self.parent.query.describe()} "
-                 f"({self.strategy} strategy, {len(self.shards)} shard(s))"]
+        """The layout of the region's program, which serves every
+        aggregate and attribute, so no aggregate is named."""
+        region = self.parent.query.region
+        scope = ("" if region is None or region.is_tautology()
+                 else f" WHERE {region!r}")
+        lines = [f"sharded plan{scope} ({self.strategy} strategy, "
+                 f"{len(self.shards)} shard(s))"]
         lines.extend(f"  {shard.describe()}" for shard in self.shards)
         return "\n".join(lines)
 

@@ -92,11 +92,12 @@ def price_query(solver, query, *, pool_statistics=None) -> QueryCost:
     plan-stage quantities (one unit ≈ one satisfiability check or one
     patched-objective solve over one cell):
 
-    * **build cost** — a cold (region, attribute) pair pays the enumeration
-      plus compilation, ``estimated_cells + constraints``; a warm pair pays
-      nothing.  The worker pool's warm-hit rate discounts the cold cost —
-      a pool that has been answering this workload likely holds the
-      per-shard skeletons already.
+    * **build cost** — a cold region pays the enumeration plus
+      compilation, ``estimated_cells + constraints``; a warm region pays
+      nothing, whichever aggregate or attribute compiled its program.  The
+      worker pool's warm-hit rate discounts the cold cost — a pool that
+      has been answering this workload likely holds the per-shard
+      skeletons already.
     * **solve cost** — one objective patch over the estimated cells, divided
       by the shard count (shards solve concurrently), and multiplied for
       AVG by its iteration cap in both directions, ``2 * AVG_MAX_PROBES``
@@ -106,7 +107,7 @@ def price_query(solver, query, *, pool_statistics=None) -> QueryCost:
     Monotone by construction: more constraints or more estimated cells can
     only raise the price, warmth and sharding can only lower it.
     """
-    sharded = solver.sharded_plan(query.region, query.attribute)
+    sharded = solver.sharded_plan(query.region)
     plan = sharded.parent
     cells = max(1, estimate_cell_count(plan.pcset))
     constraints = len(plan.pcset)
@@ -119,14 +120,13 @@ def price_query(solver, query, *, pool_statistics=None) -> QueryCost:
     strategy = sharded.strategy if fans_out else "serial"
     # Warmth is probed against the programs the chosen layout will actually
     # look up: component-sharded execution compiles only shard-token keys
-    # (the unsharded pair key stays forever cold there), while serial and
-    # region-sharded execution compile the pair program itself.
+    # (the unsharded region key stays forever cold there), while serial and
+    # region-sharded execution compile the region's program itself.
     if fans_out and sharded.strategy == "component":
-        warm = all(solver.has_cached_program(query.region, query.attribute,
-                                             shard=shard)
+        warm = all(solver.has_cached_program(query.region, shard=shard)
                    for shard in sharded)
     else:
-        warm = solver.has_cached_program(query.region, query.attribute)
+        warm = solver.has_cached_program(query.region)
     warm_hit_rate = 0.0
     if pool_statistics is not None:
         warm_hit_rate = min(1.0, max(0.0, pool_statistics.warm_hit_rate))

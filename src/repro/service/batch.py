@@ -10,10 +10,10 @@ batches — the first batch ships compiled skeletons and registers the
 session on each worker, every later batch ships only keys and queries.
 
 Inline, each query compiles its program on demand inside ``analyze``, and
-only when the range tier misses; queries sharing a (region, attribute)
-pair share one cached program, and pairs sharing a region share one
-decomposition.  A process batch compiles each query's program in the
-caller's process, because it ships the program to its worker.
+only when the range tier misses; queries sharing a region share one cached
+program, whatever their aggregates and attributes.  A process batch
+compiles each region's program in the caller's process, because it ships
+the program to its worker.
 
 Results come back in input order, each paired with the same
 :class:`~repro.core.engine.ContingencyReport` a sequential
@@ -42,7 +42,6 @@ class BatchStatistics:
 
     total_queries: int = 0
     region_groups: int = 0
-    program_groups: int = 0
     max_workers: int = 0
     executor_mode: str = "serial"
     warm_seconds: float = 0.0
@@ -58,7 +57,6 @@ class BatchStatistics:
         return {
             "total_queries": self.total_queries,
             "region_groups": self.region_groups,
-            "program_groups": self.program_groups,
             "max_workers": self.max_workers,
             "executor_mode": self.executor_mode,
             "warm_seconds": self.warm_seconds,
@@ -178,19 +176,6 @@ class BatchExecutor:
             groups.setdefault(query.region, []).append(position)
         return groups
 
-    def group_by_program(self, queries: list[ContingencyQuery]
-                         ) -> dict[tuple[Predicate | None, str | None], list[int]]:
-        """Input positions grouped by compiled-program identity.
-
-        A bound program is keyed by (region, aggregated attribute) — one
-        program answers every aggregate over the pair, so COUNT/SUM/AVG/...
-        queries over the same region and attribute share one compilation.
-        """
-        groups: dict[tuple[Predicate | None, str | None], list[int]] = {}
-        for position, query in enumerate(queries):
-            groups.setdefault((query.region, query.attribute), []).append(position)
-        return groups
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -216,12 +201,11 @@ class BatchExecutor:
             "TRUE" if region is None else repr(region): len(positions)
             for region, positions in groups.items()
         }
-        statistics.program_groups = len(self.group_by_program(queries))
 
         # Serial mode answers inline, compiling on demand.  Process mode
         # registers the session on each involved worker once, pre-ships
-        # the compiled skeletons to their affinity workers, and from then
-        # on ships only keys.
+        # each region's compiled program to its affinity worker, and from
+        # then on ships only keys.
         tracer = get_tracer()
         pool = self._borrowed_pool()
         statistics.executor_mode = pool.mode
@@ -230,16 +214,13 @@ class BatchExecutor:
             with timed("batch.warm_seconds") as warm_timer, \
                     tracer.span("batch.warm"):
                 solver = analyzer.solver
-                entries = {}
-                keyed_queries = []
-                for query in queries:
-                    program_key = solver.program_key(query.region,
-                                                     query.attribute)
-                    program = solver.program(query.region, query.attribute)
-                    entries[program_key] = program
-                    keyed_queries.append((program_key, program, query))
-                tracer.annotate(programs=len(entries))
-                pool.warm(entries)
+                programs = {region: (solver.program_key(region),
+                                     solver.program(region))
+                            for region in groups}
+                tracer.annotate(programs=len(programs))
+                pool.warm(dict(programs.values()))
+                keyed_queries = [(*programs[query.region], query)
+                                 for query in queries]
             statistics.warm_seconds = warm_timer.seconds
             key = session_key or session_fingerprint(
                 analyzer.pcset, analyzer.observed, analyzer.options)

@@ -60,10 +60,12 @@ from .store import PersistentStore, default_cache_dir
 __all__ = ["ServiceStatistics", "ContingencyService"]
 
 #: Capacity of the shared decomposition LRU (each entry is one
-#: region-specific cell decomposition, with its cells).  Its hits come from
-#: a region's programs for sibling attributes, compiled within one session's
-#: traffic, so a few recent regions are all it needs; an evicted entry is
-#: still read back from an attached store.
+#: region-specific cell decomposition, with its cells).  One program per
+#: region serves every aggregate and attribute, so an entry is read again
+#: only when the region compiles once more: for a second backend (the
+#: cross-backend verifier) or after the program LRU evicted its program.  A
+#: few recent regions are all it needs; an evicted entry is still read back
+#: from an attached store.
 DECOMPOSITION_CACHE_ENTRIES = 16
 
 #: Marks a region whose delta mask an append has not evaluated yet.
@@ -191,7 +193,8 @@ class ContingencyService:
     ----------
     program_cache_entries:
         Capacity of the shared compiled-program LRU (each entry is one
-        (session, region, attribute) bound program).
+        (constraint set, backend, region) bound program, which answers
+        every aggregate and attribute over the region).
     report_cache_entries:
         Capacity of the per-(session, query) report LRU, and of the range
         LRU (one missing-row range per compiled program and aggregate).

@@ -62,7 +62,11 @@ __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 #: (AVG's, else 0.0), so version 4 report and range rows are dropped.
 #: Version 6: AVG endpoints are the exact extremes rounded outward, where
 #: version 5 AVG ranges are the bisection's ends, loose by up to 1e-6.
-SCHEMA_VERSION = 6
+#: Version 7: a range key names one program per region plus the attribute,
+#: where a version 6 key names a per-attribute program no lookup forms any
+#: more; and an AVG with an unlimited cell approaches that cell's value,
+#: where version 6 answered the bracket end.
+SCHEMA_VERSION = 7
 
 _DB_FILENAME = "repro-cache.sqlite"
 

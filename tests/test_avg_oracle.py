@@ -142,9 +142,10 @@ def oracle(program, known_sum: float, known_count: float):
     denominators = int(known_count) + feasible.sum(axis=1)
     if not (denominators > 0).any():
         return None, None
-    return (extreme_average(feasible, program.value_lower[program.active],
+    lower, upper = program.value_bounds("v")
+    return (extreme_average(feasible, lower[program.active],
                             known_sum, denominators, min),
-            extreme_average(feasible, program.value_upper[program.active],
+            extreme_average(feasible, upper[program.active],
                             known_sum, denominators, max))
 
 
@@ -169,8 +170,8 @@ def assert_exact(lower, upper, truth) -> None:
 
 def component_programs(pcset: PredicateConstraintSet) -> list:
     solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-    sharded = solver.sharded_plan(None, "v", max_shards=2)
-    return [solver.shard_program(shard, None, "v") for shard in sharded]
+    sharded = solver.sharded_plan(None, max_shards=2)
+    return [solver.shard_program(shard, None) for shard in sharded]
 
 
 class TestAvgOracle:
@@ -182,15 +183,15 @@ class TestAvgOracle:
         bit."""
         pcset, known_sum, known_count = instance
         solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-        truth = oracle(solver.program(None, "v"), known_sum, known_count)
+        truth = oracle(solver.program(None), known_sum, known_count)
         programs = component_programs(pcset)
         with WorkerPool(max_workers=1) as pool:
             keyed = list(enumerate(programs))
 
             def reduction():
                 return avg_endpoints(
-                    programs, known_sum, known_count,
-                    lambda probes: pool.avg_probes(keyed, probes))
+                    programs, "v", known_sum, known_count,
+                    lambda probes: pool.avg_probes(keyed, "v", probes))
 
             if truth is None:
                 with pytest.raises(SolverError):
@@ -210,14 +211,14 @@ class TestAvgOracle:
         worst case), which holds the exact extreme."""
         pcset, known_sum, known_count = instance
         solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-        program = solver.program(None, "v")
+        program = solver.program(None)
         truth = oracle(program, known_sum, known_count)
         if truth is None:
             return
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(program_module, "AVG_MAX_PROBES", 1)
-            result = program.bound(AVG, known_sum, known_count)
-        bracket = program.worst_case_range(AVG, known_sum, known_count)
+            result = program.bound(AVG, "v", known_sum, known_count)
+        bracket = program.worst_case_range(AVG, "v", known_sum, known_count)
         assert (result.lower, result.upper) == (bracket.lower, bracket.upper)
         lowest, highest = truth
         if lowest is not None:
@@ -231,10 +232,34 @@ class TestAvgOracle:
         assert exact.upper == 66.25
         before = capped.value
         monkeypatch.setattr(program_module, "AVG_MAX_PROBES", 1)
-        program = solver.program(None, "v")
-        result = program.bound(AVG, 30.0, 3.0)
+        program = solver.program(None)
+        result = program.bound(AVG, "v", 30.0, 3.0)
         assert (result.lower, result.upper) == (0.0, 100.0)
         assert capped.value == before + 1
+
+    @pytest.mark.parametrize("a_values,known_sum,expected", [
+        ((0.0, 50.0), 30.0, (0.0, 50.0)),
+        ((20.0, 50.0), 300.0, (20.0, 100.0))])
+    def test_unlimited_cell_bounds_the_average_by_its_value(
+            self, a_values, known_sum, expected):
+        """A lets any number of rows in, B one; 3 rows are observed.  A
+        probe that A's value beats is unbounded, and as A's rows grow the
+        average approaches A's value: that is the endpoint, not the
+        bracket end (0 or 100).  One program and the two component
+        programs agree."""
+        pcset = PredicateConstraintSet([
+            pc(0.0, 1.0, a_values, 0, math.inf, "A"),
+            pc(5.0, 6.0, (0.0, 100.0), 0, 1, "B")])
+        solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
+        result = solver.bound(AVG, "v", None, known_sum, 3.0)
+        assert (result.lower, result.upper) == expected
+        programs = component_programs(pcset)
+        assert len(programs) == 2
+        with WorkerPool(max_workers=1) as pool:
+            keyed = list(enumerate(programs))
+            assert avg_endpoints(
+                programs, "v", known_sum, 3.0,
+                lambda probes: pool.avg_probes(keyed, "v", probes)) == expected
 
 
 # --------------------------------------------------------------------- #
@@ -294,7 +319,7 @@ class TestProbeFailures:
                 pcset, BoundOptions(check_closure=False, solve_workers=2,
                                     milp_backend="first-solve-fails"),
                 worker_pool=pool)
-            sharded = solver.sharded_plan(None, "v")
+            sharded = solver.sharded_plan(None)
             assert sharded.is_sharded and sharded.strategy == "component"
             with pytest.raises(SolverError, match="MILP solve failed"):
                 solver.bound(AVG, "v", None, 30.0, 3.0)
@@ -315,7 +340,7 @@ class TestProbeFailures:
                 PredicateConstraintSet(list(_UNSATISFIABLE)),
                 BoundOptions(check_closure=False, solve_workers=2),
                 worker_pool=pool)
-            sharded = solver.sharded_plan(None, "v")
+            sharded = solver.sharded_plan(None)
             assert sharded.is_sharded and sharded.strategy == "component"
             with pytest.raises(SolverError, match="unsatisfiable"):
                 solver.bound(AVG, "v", None, *known)

@@ -366,7 +366,8 @@ class TestCellDecomposerEdgeCases:
                               BoundOptions(check_closure=False))
             decomposition = CellDecomposer(
                 pcset, early_stop_depth=depth).decompose()
-            return compile_plan(plan, decomposition).bound(aggregate)
+            return compile_plan(plan, decomposition).bound(aggregate,
+                                                           attribute)
 
         for aggregate, attribute in [(AggregateFunction.COUNT, None),
                                      (AggregateFunction.SUM, "v"),

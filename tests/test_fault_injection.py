@@ -83,18 +83,19 @@ def make_solver(**options) -> PCBoundSolver:
                          BoundOptions(check_closure=False, **options))
 
 
-def keyed_shard_programs(solver: PCBoundSolver, attribute: str = "v",
+def keyed_shard_programs(solver: PCBoundSolver,
                          shards: int = 3) -> list[tuple]:
-    sharded = solver.sharded_plan(None, attribute, max_shards=shards)
+    sharded = solver.sharded_plan(None, max_shards=shards)
     assert sharded.is_sharded
-    return [(solver.shard_program_key(shard, None, attribute),
-             solver.shard_program(shard, None, attribute))
+    return [(solver.shard_program_key(shard, None),
+             solver.shard_program(shard, None))
             for shard in sharded]
 
 
-def direct_endpoints(keyed, aggregate):
+def direct_endpoints(keyed, aggregate, attribute="v"):
     return [(r.lower, r.upper, r.closed)
-            for r in (program.bound(aggregate) for _, program in keyed)]
+            for r in (program.bound(aggregate, attribute)
+                      for _, program in keyed)]
 
 
 def counter_value(name: str) -> float:
@@ -190,7 +191,7 @@ class TestDeadlines:
         pool = WorkerPool(max_workers=WORKERS, mode="serial")
         with deadline_scope(Deadline(1e-9)):
             with pytest.raises(QueryDeadlineError) as excinfo:
-                pool.solve_programs(keyed, AggregateFunction.SUM)
+                pool.solve_programs(keyed, AggregateFunction.SUM, "v")
         assert excinfo.value.pending > 0
 
 
@@ -210,7 +211,7 @@ class TestKillRecovery:
                 # Re-arm the plan so the first dispatch of *every* round
                 # dies: each aggregate exercises kill -> respawn -> retry.
                 pool.fault_plan.reset()
-                recovered = pool.solve_programs(keyed, aggregate)
+                recovered = pool.solve_programs(keyed, aggregate, "v")
                 assert recovered == direct_endpoints(keyed, aggregate)
             statistics = pool.statistics
             assert statistics.tasks_retried >= len(ALL_AGGREGATES)
@@ -229,7 +230,7 @@ class TestKillRecovery:
         keyed = keyed_shard_programs(solver, shards=6)
         pool = WorkerPool(max_workers=2, mode="process")
         try:
-            recovered = pool.solve_programs(keyed, AggregateFunction.SUM)
+            recovered = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert recovered == direct_endpoints(keyed,
                                                  AggregateFunction.SUM)
             assert pool.statistics.worker_restarts >= 1
@@ -265,11 +266,11 @@ class TestKillRecovery:
             started = time.monotonic()
             with deadline_scope(Deadline(0.75)):
                 with pytest.raises(QueryDeadlineError) as excinfo:
-                    pool.solve_programs(keyed, AggregateFunction.SUM)
+                    pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert time.monotonic() - started < 5.0
             assert excinfo.value.pending >= 1
             # The plan is exhausted; the next round answers clean.
-            assert pool.solve_programs(keyed, AggregateFunction.SUM) == \
+            assert pool.solve_programs(keyed, AggregateFunction.SUM, "v") == \
                 direct_endpoints(keyed, AggregateFunction.SUM)
         finally:
             pool.shutdown()
@@ -287,7 +288,7 @@ class TestPoisonQuarantine:
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with pytest.raises(PoisonTaskError) as excinfo:
-                pool.solve_programs(keyed, AggregateFunction.SUM)
+                pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             error = excinfo.value
             assert error.fingerprint is not None
             assert error.fingerprint in str(error)
@@ -299,7 +300,7 @@ class TestPoisonQuarantine:
             assert statistics.tasks_retried >= 1
             # The poison plan is exhausted: the same query now completes
             # bit-identically to the serial path on the same pool.
-            assert pool.solve_programs(keyed, AggregateFunction.SUM) == \
+            assert pool.solve_programs(keyed, AggregateFunction.SUM, "v") == \
                 direct_endpoints(keyed, AggregateFunction.SUM)
         finally:
             pool.shutdown()
@@ -312,19 +313,19 @@ class TestPoisonQuarantine:
         monkeypatch.setenv(FAULTS_ENV, "kill:shard=2,count=2")
         solver = make_solver()
         wide = keyed_shard_programs(solver, shards=3)
-        narrow = keyed_shard_programs(solver, attribute="t", shards=2)
+        narrow = keyed_shard_programs(solver, shards=2)
         assert len(wide) >= 3 and len(narrow) == 2
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with ThreadPoolExecutor(max_workers=2) as executor:
                 poisoned = executor.submit(
-                    pool.solve_programs, wide, AggregateFunction.SUM)
+                    pool.solve_programs, wide, AggregateFunction.SUM, "v")
                 healthy = executor.submit(
-                    pool.solve_programs, narrow, AggregateFunction.MAX)
+                    pool.solve_programs, narrow, AggregateFunction.MAX, "t")
                 with pytest.raises(PoisonTaskError):
                     poisoned.result(timeout=60)
                 assert healthy.result(timeout=60) == \
-                    direct_endpoints(narrow, AggregateFunction.MAX)
+                    direct_endpoints(narrow, AggregateFunction.MAX, "t")
         finally:
             pool.shutdown()
 
@@ -346,7 +347,7 @@ class TestDeadlineEndToEnd:
             started = time.monotonic()
             with deadline_scope(Deadline(0.05)):
                 with pytest.raises(QueryDeadlineError) as excinfo:
-                    pool.solve_programs(keyed, AggregateFunction.SUM)
+                    pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert time.monotonic() - started < 1.0
             error = excinfo.value
             assert error.deadline == pytest.approx(0.05)
@@ -384,8 +385,8 @@ class TestDegradation:
         keyed = keyed_shard_programs(solver)
         for _key, program in keyed:
             for aggregate in ALL_AGGREGATES:
-                exact = program.bound(aggregate)
-                worst = program.worst_case_range(aggregate)
+                exact = program.bound(aggregate, "v")
+                worst = program.worst_case_range(aggregate, "v")
                 if worst.lower is not None:
                     assert exact.lower is not None
                     assert worst.lower <= exact.lower + 1e-9

@@ -417,7 +417,7 @@ class TestDeltaInvalidation:
             observed=Relation.from_rows(observed_schema(), rows),
             options=options)
         for region in regions:
-            sharded = session.analyzer.solver.sharded_plan(region, "price")
+            sharded = session.analyzer.solver.sharded_plan(region)
             assert (sharded.strategy if sharded.is_sharded
                     else "serial") == layout
         for region in regions:  # warm the caches pre-append
@@ -708,7 +708,7 @@ class TestRangeTier:
         keys = service.range_cache.keys()
         assert len(keys) == 2
         assert {key[2] for key in keys} == {AggregateFunction.AVG}
-        assert {key[4:] for key in keys} == {(60.0, 2.0), (150.0, 3.0)}
+        assert {key[-2:] for key in keys} == {(60.0, 2.0), (150.0, 3.0)}
         if service.store is not None:
             assert service.store.entry_count("range") == 2
         service.shutdown()
@@ -845,16 +845,17 @@ class TestRangeTier:
         service.register("serial", disjoint_windows(), options=serial)
         service.register("sharded", disjoint_windows(), options=sharded)
         assert service.session("sharded").analyzer.solver.sharded_plan(
-            region, "price").strategy == "component"
+            region).strategy == "component"
         reports = {name: service.analyze(name, query)
                    for name in ("serial", "sharded")}
 
         keys = service.range_cache.keys()
         assert len(keys) == 2
-        # The key is ("range", program_key, aggregate, solve_workers,
-        # known_sum, known_count): only the fan-out width differs.
-        assert len({key[:3] + key[4:] for key in keys}) == 1
-        assert {key[3] for key in keys} == {None, 2}
+        # The key is ("range", program_key, aggregate, attribute,
+        # solve_workers, known_sum, known_count): only the fan-out width
+        # differs.
+        assert len({key[:4] + key[5:] for key in keys}) == 1
+        assert {key[4] for key in keys} == {None, 2}
         for name, options in (("serial", serial), ("sharded", sharded)):
             expected = PCAnalyzer(disjoint_windows(), options=options
                                   ).analyze(query)

@@ -151,8 +151,8 @@ class TestMergeShardRanges:
             check_closure=False, solve_workers=2))
         result = sharded.bound(AggregateFunction.COUNT)
         assert result.statistics is not None
-        plan = sharded.sharded_plan(None, None)
-        per_shard = [sharded.shard_program(shard, None, None).statistics
+        plan = sharded.sharded_plan(None)
+        per_shard = [sharded.shard_program(shard, None).statistics
                      for shard in plan]
         assert result.statistics.solver_calls == \
             sum(statistics.solver_calls for statistics in per_shard)
@@ -180,11 +180,11 @@ class TestPickleHandoff:
     def test_warm_program_roundtrips_with_skeletons(self):
         solver = PCBoundSolver(chained_pcset(),
                                BoundOptions(check_closure=False))
-        program = solver.program(None, "v")
-        before = program.bound(AggregateFunction.AVG, known_sum=10.0,
+        program = solver.program(None)
+        before = program.bound(AggregateFunction.AVG, "v", known_sum=10.0,
                                known_count=2.0)
         restored = pickle.loads(pickle.dumps(program))
-        after = restored.bound(AggregateFunction.AVG, known_sum=10.0,
+        after = restored.bound(AggregateFunction.AVG, "v", known_sum=10.0,
                                known_count=2.0)
         assert (before.lower, before.upper) == (after.lower, after.upper)
         # Lazily-built skeleton variants travel with the program.

@@ -36,6 +36,8 @@ from repro.plan.passes import (
     default_passes,
 )
 from repro.relational.aggregates import AggregateFunction
+from repro.relational.relation import Relation
+from repro.relational.schema import ColumnType, Schema
 from repro.service import ContingencyService
 from repro.solvers.registry import (
     available_backends,
@@ -81,8 +83,8 @@ def raw_plan_bound(pcset: PredicateConstraintSet,
     plan = build_plan(BoundQuery(aggregate, attribute, region), pcset,
                       NO_CLOSURE)
     decomposition = CellDecomposer(plan.pcset).decompose(region)
-    return compile_plan(plan, decomposition).bound(aggregate, known_sum,
-                                                   known_count)
+    return compile_plan(plan, decomposition).bound(aggregate, attribute,
+                                                   known_sum, known_count)
 
 
 def assert_ranges_equal(left: ResultRange, right: ResultRange,
@@ -217,8 +219,8 @@ class TestConstraintMergingPass:
 
 
 class TestCompiledProgramEquivalence:
-    """One compiled program per (region, attribute) pair serves every
-    aggregate over it."""
+    """One compiled program per region serves every aggregate over every
+    attribute."""
 
     def test_program_key_survives_pickling(self):
         """A solver's program key is the same before and after it bounds
@@ -227,24 +229,70 @@ class TestCompiledProgramEquivalence:
         import pickle
 
         solver = PCBoundSolver(window_pcset(), NO_CLOSURE)
-        key_before = solver.program_key(None, "price")
+        key_before = solver.program_key(None)
         solver.bound(AggregateFunction.COUNT)
         solver.bound(AggregateFunction.SUM, "price",
                      Predicate.range("utc", 11, 13))
-        assert solver.program_key(None, "price") == key_before
+        assert solver.program_key(None) == key_before
         worker_copy = pickle.loads(pickle.dumps(solver))
-        assert worker_copy.program_key(None, "price") == key_before
+        assert worker_copy.program_key(None) == key_before
 
-    def test_program_compiled_once_per_region_attribute(self):
-        solver = PCBoundSolver(window_pcset(), NO_CLOSURE)
+    @staticmethod
+    def region_queries(region: Predicate) -> list[ContingencyQuery]:
+        """All five aggregates over ``price``, and SUM over ``utc``."""
+        return [ContingencyQuery.count(region),
+                ContingencyQuery.sum("price", region),
+                ContingencyQuery.avg("price", region),
+                ContingencyQuery.min("price", region),
+                ContingencyQuery.max("price", region),
+                ContingencyQuery.sum("utc", region)]
+
+    def test_program_compiled_once_per_region(self):
         region = Predicate.range("utc", 11, 13)
-        for _ in range(3):
-            solver.bound(AggregateFunction.SUM, "price", region)
-            solver.bound(AggregateFunction.AVG, "price", region)
-            solver.bound(AggregateFunction.MAX, "price", region)
-        assert solver.programs_compiled == 1  # one (region, attribute) pair
-        solver.bound(AggregateFunction.COUNT, None, region)
-        assert solver.programs_compiled == 2  # COUNT has attribute None
+        solver = PCBoundSolver(window_pcset(), NO_CLOSURE)
+        for query in self.region_queries(region) * 2:
+            solver.bound(query.aggregate, query.attribute, query.region)
+        assert solver.programs_compiled == 1
+        assert solver.decompositions_computed == 1
+
+    def test_service_compiles_once_per_region(self):
+        region = Predicate.range("utc", 11, 13)
+        service = ContingencyService(max_workers=1)
+        service.register("outage", window_pcset(), options=NO_CLOSURE)
+        for query in self.region_queries(region):
+            service.analyze("outage", query)
+        assert service.statistics().programs_compiled == 1
+        service.shutdown()
+
+    def test_process_pool_ships_each_shard_program_once(self):
+        """COUNT, SUM and AVG over a component-sharded region share its
+        shard programs, so each travels to its worker once."""
+        pcset = PredicateConstraintSet([
+            pc(10, 11.4, 40.0, 4, name="d0"),
+            pc(11.5, 12.4, 60.0, 5, name="d1"),
+            pc(12.5, 13.5, 80.0, 6, min_rows=1, name="d2")])
+        observed = Relation.from_rows(
+            Schema.from_pairs([("utc", ColumnType.FLOAT),
+                               ("price", ColumnType.FLOAT)]),
+            [(10.5, 20.0), (12.0, 30.0)])
+        region = Predicate.range("utc", 10, 13.5)
+        service = ContingencyService(max_workers=2, pool_mode="process")
+        service.register("outage", pcset, observed=observed,
+                         options=BoundOptions(check_closure=False,
+                                              solve_workers=2))
+        try:
+            solver = service.session("outage").analyzer.solver
+            sharded = solver.sharded_plan(region)
+            assert sharded.strategy == "component" and sharded.is_sharded
+            for query in (ContingencyQuery.count(region),
+                          ContingencyQuery.sum("price", region),
+                          ContingencyQuery.avg("price", region)):
+                service.analyze("outage", query)
+            statistics = service.worker_pool.statistics
+            assert statistics.programs_shipped == len(sharded)
+            assert statistics.warm_hits > 0
+        finally:
+            service.shutdown()
 
 
 def cold_chain_pcset(windows: int, seed: int
@@ -302,7 +350,7 @@ class TestProgramArrays:
         program = compile_plan(plan,
                                CellDecomposer(plan.pcset).decompose(region))
         program.bound(AggregateFunction.COUNT)
-        program.bound(AggregateFunction.SUM)
+        program.bound(AggregateFunction.SUM, "v")
         return program
 
     def test_64_constraint_program_retains_under_32_kb(self):
@@ -326,10 +374,10 @@ class TestProgramArrays:
         """Every skeleton variant's rows are the CSC form of its dense
         matrix: ascending row indices and no explicit zeros."""
         solver = PCBoundSolver(window_pcset(), NO_CLOSURE)
-        program = solver.program(Predicate.range("utc", 11, 13), "price")
-        program.bound_batch([(AggregateFunction.COUNT, 0.0, 0.0),
-                             (AggregateFunction.AVG, 0.0, 0.0),
-                             (AggregateFunction.AVG, 90.0, 2.0)])
+        program = solver.program(Predicate.range("utc", 11, 13))
+        program.bound_batch([(AggregateFunction.COUNT, None, 0.0, 0.0),
+                             (AggregateFunction.AVG, "price", 0.0, 0.0),
+                             (AggregateFunction.AVG, "price", 90.0, 2.0)])
         skeletons = program._skeletons
         assert set(skeletons) == {"full", "active", "active-floor"}
         for skeleton in skeletons.values():
@@ -345,12 +393,10 @@ class TestProgramArrays:
 
 class TestPrivateCacheConcurrency:
     def test_parallel_warm_compiles_each_pair_once(self):
-        """A cache-less analyzer compiles each pair of a batch exactly once.
-
-        Programs for one region but different attributes share a single
-        decomposition (per-key locking in the private caches keeps that
-        true when they compile concurrently).
-        """
+        """A cache-less analyzer compiles each region of a batch exactly
+        once, whatever aggregates and attributes ask it (per-key locking in
+        the private program cache keeps that true when they compile
+        concurrently)."""
         from repro.service import BatchExecutor
 
         analyzer = PCAnalyzer(window_pcset(), options=NO_CLOSURE)
@@ -364,7 +410,7 @@ class TestPrivateCacheConcurrency:
         result = BatchExecutor(max_workers=4).execute(analyzer, queries * 3)
         assert len(result.reports) == len(queries) * 3
         assert analyzer.solver.decompositions_computed == len(regions)
-        assert analyzer.solver.programs_compiled == 2 * len(regions)
+        assert analyzer.solver.programs_compiled == len(regions)
 
 
 class TestServiceProgramCache:
@@ -378,7 +424,7 @@ class TestServiceProgramCache:
         service = ContingencyService(max_workers=1)
         service.register("outage", self.build_pcset(), options=NO_CLOSURE)
         region = Predicate.range("utc", 11, 12.5)
-        # Distinct aggregates over one (region, attribute) pair: one compile.
+        # Distinct aggregates over one region: one compile.
         service.analyze("outage", ContingencyQuery.sum("price", region))
         service.analyze("outage", ContingencyQuery.avg("price", region))
         service.analyze("outage", ContingencyQuery.max("price", region))
@@ -400,7 +446,7 @@ class TestServiceProgramCache:
         service.analyze("outage", query)
         assert service.statistics().programs_compiled == 2
 
-    def test_batch_statistics_report_program_groups(self):
+    def test_batch_statistics_report_region_groups(self):
         service = ContingencyService(max_workers=2)
         service.register("outage", self.build_pcset(), options=NO_CLOSURE)
         region = Predicate.range("utc", 11, 12.5)
@@ -408,10 +454,10 @@ class TestServiceProgramCache:
                    ContingencyQuery.sum("price", region),
                    ContingencyQuery.avg("price", region)]
         result = service.execute_batch("outage", queries)
-        # One region, two attributes (None and "price").
+        # One region, so one program for COUNT(*) and both price queries.
         assert result.statistics.region_groups == 1
-        assert result.statistics.program_groups == 2
-        assert result.statistics.as_dict()["program_groups"] == 2
+        assert result.statistics.as_dict()["region_groups"] == 1
+        assert service.statistics().programs_compiled == 1
 
 
 class TestBackendRegistry:

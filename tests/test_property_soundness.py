@@ -271,7 +271,7 @@ def test_region_sharded_matches_component_sharded_and_serial(seed, kind):
     _, _, missing, pcset, queries = scenario(seed, kind)
     serial = PCBoundSolver(pcset, BoundOptions())
     sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3))
-    layout = sharded.sharded_plan(None, "v")
+    layout = sharded.sharded_plan(None)
     assert layout.is_sharded
     assert layout.strategy == ("region" if kind == "overlapping"
                                else "component")
@@ -305,7 +305,7 @@ def test_region_sharding_engages_on_one_component_sets():
                     name="acceptance") as pool:
         region = PCBoundSolver(pcset, BoundOptions(solve_workers=3),
                                worker_pool=pool)
-        sharded = region.sharded_plan(None, "v")
+        sharded = region.sharded_plan(None)
         assert sharded.strategy == "region" and len(sharded) >= 2
         # Component splitting really cannot shard this set (one component).
         from repro.plan.sharding import ConstraintComponentSharding
@@ -409,14 +409,16 @@ def test_bound_batch_matches_per_request_across_backends(backend):
     """
     _, _, _, pcset, _ = scenario(606, "mandatory")
     program = PCBoundSolver(pcset, BoundOptions(milp_backend=backend)
-                            ).program(None, "v")
+                            ).program(None)
     reference = PCBoundSolver(pcset, BoundOptions(milp_backend=backend)
-                              ).program(None, "v")
-    requests = [(aggregate, 0.0, 0) for aggregate, _ in AGGREGATES]
-    requests.append((AggregateFunction.AVG, 42.0, 11))
+                              ).program(None)
+    requests = [(aggregate, attribute, 0.0, 0)
+                for aggregate, attribute in AGGREGATES]
+    requests.append((AggregateFunction.AVG, "v", 42.0, 11))
     batch = program.bound_batch(requests)
-    for (aggregate, known_sum, known_count), got in zip(requests, batch):
-        want = reference.bound(aggregate, known_sum=known_sum,
+    for (aggregate, attribute, known_sum, known_count), got in zip(requests,
+                                                                   batch):
+        want = reference.bound(aggregate, attribute, known_sum=known_sum,
                                known_count=known_count)
         detail = (backend, aggregate, str(got), str(want))
         _assert_endpoint(got.lower, want.lower, detail)

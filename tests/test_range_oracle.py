@@ -224,8 +224,8 @@ def serial_bound(solver: PCBoundSolver, region, aggregate, attribute):
 
 def merged_bound(solver: PCBoundSolver, region, aggregate, attribute):
     """The range merged from the component shards' programs, in-process."""
-    sharded = solver.sharded_plan(region, attribute, max_shards=2)
-    ranges = [solver.shard_program(shard, region, attribute).bound(aggregate)
+    sharded = solver.sharded_plan(region, max_shards=2)
+    ranges = [solver.shard_program(shard, region).bound(aggregate, attribute)
               for shard in sharded]
     return merge_shard_ranges(aggregate, ranges, attribute)
 
@@ -331,7 +331,7 @@ class TestFeasibilityVerdict:
                 self.nested((0.0, 10.0)),
                 BoundOptions(check_closure=False, solve_workers=2),
                 worker_pool=pool)
-            assert solver.sharded_plan(None, "v").strategy == "component"
+            assert solver.sharded_plan(None).strategy == "component"
             for aggregate in (MIN, MAX):
                 with pytest.raises(SolverError, match="unsatisfiable"):
                     solver.bound(aggregate, "v")

@@ -241,7 +241,7 @@ class TestSolverIntegration:
         pcset = chain_pcset(6, mandatory=mandatory)
         serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
         region = PCBoundSolver(pcset, region_options())
-        sharded = region.sharded_plan(None, "v")
+        sharded = region.sharded_plan(None)
         assert sharded.strategy == "region" and len(sharded) >= 2
         for aggregate, attribute in AGGREGATES:
             expected = serial.bound(aggregate, attribute)
@@ -319,13 +319,14 @@ class TestSpeculativeAvg:
             for i in range(4)])
         pcset.mark_disjoint(True)
         solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-        sharded = solver.sharded_plan(None, "v", max_shards=2)
+        sharded = solver.sharded_plan(None, max_shards=2)
         assert sharded.is_sharded and sharded.strategy == "component"
-        keyed = [(solver.shard_program_key(shard, None, "v"),
-                  solver.shard_program(shard, None, "v"))
+        keyed = [(solver.shard_program_key(shard, None),
+                  solver.shard_program(shard, None))
                  for shard in sharded]
-        program = solver.program(None, "v")
-        serial = program.bound(AggregateFunction.AVG, known_sum, known_count)
+        program = solver.program(None)
+        serial = program.bound(AggregateFunction.AVG, "v", known_sum,
+                               known_count)
         return keyed, serial
 
     @pytest.mark.parametrize("known_rows", [False, True])
@@ -338,7 +339,8 @@ class TestSpeculativeAvg:
         with WorkerPool(max_workers=3, mode="process",
                         name="cross-shard-avg") as pool:
             lower, upper = avg_endpoints(
-                [program for _, program in keyed], known_sum, known_count,
-                lambda probes: pool.avg_probes(keyed, probes))
+                [program for _, program in keyed], "v", known_sum,
+                known_count,
+                lambda probes: pool.avg_probes(keyed, "v", probes))
             assert pool.statistics.tasks_shipped > 0
         assert lower == serial.lower and upper == serial.upper

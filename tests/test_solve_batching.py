@@ -60,22 +60,22 @@ class TestPoolBatchTraffic:
 
         _, _, _, pcset, _ = scenario(717, "disjoint")
         solver = PCBoundSolver(pcset, BoundOptions(solve_workers=2))
-        sharded = solver.sharded_plan(None, "v", max_shards=2)
-        keyed = [(solver.shard_program_key(shard, None, "v"),
-                  solver.shard_program(shard, None, "v"))
+        sharded = solver.sharded_plan(None, max_shards=2)
+        keyed = [(solver.shard_program_key(shard, None),
+                  solver.shard_program(shard, None))
                  for shard in sharded]
         assert len(keyed) >= 2
         keyed = keyed[:2]
         probes = [(1.0, True, True), (2.0, False, True), (3.0, True, False)]
         with WorkerPool(max_workers=2, mode="process",
                         name="probe-test") as pool:
-            outcomes = pool.avg_probes(keyed, probes)
+            outcomes = pool.avg_probes(keyed, "v", probes)
         assert len(outcomes) == len(probes)
         assert all(len(per_shard) == len(keyed) for per_shard in outcomes)
         assert pool.statistics.tasks_shipped == len(keyed)
         assert pool.statistics.cells_solved == len(keyed) * len(probes)
         # Same results as each probe solved alone as a width-1 batch.
-        assert outcomes == [[program.avg_probe_optima_batch([probe])[0]
+        assert outcomes == [[program.avg_probe_optima_batch("v", [probe])[0]
                              for _, program in keyed]
                             for probe in probes]
 
@@ -206,9 +206,9 @@ class TestProfileBatchAccounting:
         from test_property_soundness import scenario
 
         _, _, _, pcset, _ = scenario(818, "disjoint")
-        program = PCBoundSolver(pcset, BoundOptions()).program(None, "v")
+        program = PCBoundSolver(pcset, BoundOptions()).program(None)
         before = get_registry().histogram("solver.batch_size").count
-        program.bound_batch([(AggregateFunction.COUNT, 0.0, 0),
-                             (AggregateFunction.SUM, 0.0, 0)])
+        program.bound_batch([(AggregateFunction.COUNT, None, 0.0, 0),
+                             (AggregateFunction.SUM, "v", 0.0, 0)])
         after = get_registry().histogram("solver.batch_size").count
         assert after > before

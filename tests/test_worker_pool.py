@@ -46,12 +46,12 @@ def make_relation(rows: int = 240, seed: int = 5) -> Relation:
                               name="pool-test")
 
 
-def keyed_shard_programs(solver: PCBoundSolver, attribute: str = "v",
+def keyed_shard_programs(solver: PCBoundSolver,
                          shards: int = 3) -> list[tuple]:
-    sharded = solver.sharded_plan(None, attribute, max_shards=shards)
+    sharded = solver.sharded_plan(None, max_shards=shards)
     assert sharded.is_sharded
-    return [(solver.shard_program_key(shard, None, attribute),
-             solver.shard_program(shard, None, attribute))
+    return [(solver.shard_program_key(shard, None),
+             solver.shard_program(shard, None))
             for shard in sharded]
 
 
@@ -61,16 +61,17 @@ def solver() -> PCBoundSolver:
     return PCBoundSolver(pcset, BoundOptions(check_closure=False))
 
 
-def direct_endpoints(keyed, aggregate):
+def direct_endpoints(keyed, aggregate, attribute="v"):
     return [(r.lower, r.upper, r.closed)
-            for r in (program.bound(aggregate) for _, program in keyed)]
+            for r in (program.bound(aggregate, attribute)
+                      for _, program in keyed)]
 
 
 class TestLifecycle:
     def test_shutdown_is_idempotent_and_context_managed(self, solver):
         keyed = keyed_shard_programs(solver)
         with WorkerPool(max_workers=WORKERS, mode="process") as pool:
-            endpoints = pool.solve_programs(keyed, AggregateFunction.SUM)
+            endpoints = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert endpoints == direct_endpoints(keyed, AggregateFunction.SUM)
             assert pool.alive_workers() == WORKERS
         assert pool.alive_workers() == 0
@@ -90,7 +91,7 @@ class TestLifecycle:
     def test_restart_bounces_workers(self, solver):
         keyed = keyed_shard_programs(solver)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
-        pool.solve_programs(keyed, AggregateFunction.SUM)
+        pool.solve_programs(keyed, AggregateFunction.SUM, "v")
         pids = set(pool.worker_pids())
         pool.restart()
         assert pool.alive_workers() == WORKERS
@@ -101,11 +102,11 @@ class TestLifecycle:
         keyed = keyed_shard_programs(solver)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
-            baseline = pool.solve_programs(keyed, AggregateFunction.SUM)
+            baseline = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             victim = pool.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             time.sleep(0.1)
-            recovered = pool.solve_programs(keyed, AggregateFunction.SUM)
+            recovered = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert recovered == baseline
             assert pool.statistics.worker_restarts >= 1
             assert pool.alive_workers() == WORKERS
@@ -133,7 +134,7 @@ class TestLifecycle:
         keyed = keyed_shard_programs(solver)
         big = [keyed[index % len(keyed)] for index in range(4000)]
         with WorkerPool(max_workers=2, mode="process") as pool:
-            endpoints = pool.solve_programs(big, AggregateFunction.MIN)
+            endpoints = pool.solve_programs(big, AggregateFunction.MIN, "v")
         expected = direct_endpoints(keyed, AggregateFunction.MIN)
         assert endpoints == [expected[index % len(expected)]
                              for index in range(4000)]
@@ -188,7 +189,7 @@ class TestModesAndFallbacks:
         with WorkerPool(max_workers=workers, mode=mode) as pool:
             for aggregate in (AggregateFunction.COUNT, AggregateFunction.SUM,
                               AggregateFunction.MIN, AggregateFunction.MAX):
-                assert pool.solve_programs(keyed, aggregate) == \
+                assert pool.solve_programs(keyed, aggregate, "v") == \
                     direct_endpoints(keyed, aggregate)
 
     @pytest.mark.parametrize("mode", ["process"])
@@ -196,9 +197,9 @@ class TestModesAndFallbacks:
         keyed = keyed_shard_programs(solver)
         probes = [(10.0, True, True), (30.0, False, True), (50.0, True, False)]
         with WorkerPool(max_workers=WORKERS, mode=mode) as pool:
-            pooled = pool.avg_probes(keyed, probes)
+            pooled = pool.avg_probes(keyed, "v", probes)
         # Reference: each probe solved alone, a width-1 batch per shard.
-        direct = [[program.avg_probe_optima_batch([probe])[0]
+        direct = [[program.avg_probe_optima_batch("v", [probe])[0]
                    for _, program in keyed]
                   for probe in probes]
         assert pooled == direct
@@ -243,7 +244,7 @@ class TestBatchedTaskVocabulary:
                                        BoundOptions(check_closure=False))
                 sharded = PCBoundSolver(pcset, BoundOptions(
                     check_closure=False, solve_workers=2), worker_pool=pool)
-                plan = sharded.sharded_plan(None, "v")
+                plan = sharded.sharded_plan(None)
                 assert plan.strategy == strategy and len(plan) == 2
                 for aggregate, attribute in aggregates:
                     # An observed partition keeps AVG off its fast path,
@@ -287,7 +288,7 @@ class TestAffinityAndWarmCaches:
             assert pool.statistics.programs_shipped == shipped_after_warm
             # Solves for warmed keys ship no programs: warm hits only.
             for _ in range(3):
-                pool.solve_programs(keyed, AggregateFunction.SUM)
+                pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert pool.statistics.programs_shipped == shipped_after_warm
             assert pool.statistics.warm_hits >= 3 * len(keyed)
             assert pool.statistics.warm_hit_rate > 0.5
@@ -309,7 +310,7 @@ class TestAffinityAndWarmCaches:
             pool.warm(dict(keyed))
             for key, _ in keyed:
                 assert key in pool.warm_keys_on(pool.worker_for(key))
-            endpoints = pool.solve_programs(keyed, AggregateFunction.SUM)
+            endpoints = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             statistics = pool.statistics
         assert statistics.programs_shipped == len(keyed)
         assert statistics.warm_hits == len(keyed)
@@ -345,9 +346,9 @@ class TestAffinityAndWarmCaches:
         pool = WorkerPool(max_workers=2, mode="process")
         try:
             baseline = direct_endpoints(keyed, AggregateFunction.SUM)
-            first = pool.solve_programs(keyed, AggregateFunction.SUM)
+            first = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             shipped = pool.statistics.programs_shipped
-            second = pool.solve_programs(keyed, AggregateFunction.SUM)
+            second = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert first == baseline and second == baseline
             # The second round hit evicted entries: programs were
             # re-shipped instead of raising WorkerCacheMiss at the caller.
@@ -360,12 +361,12 @@ class TestAffinityAndWarmCaches:
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             pool.warm(dict(keyed))
-            baseline = pool.solve_programs(keyed, AggregateFunction.SUM)
+            baseline = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             for pid in pool.worker_pids():
                 os.kill(pid, signal.SIGKILL)
             time.sleep(0.1)
             shipped_before = pool.statistics.programs_shipped
-            recovered = pool.solve_programs(keyed, AggregateFunction.SUM)
+            recovered = pool.solve_programs(keyed, AggregateFunction.SUM, "v")
             assert recovered == baseline
             # Cold respawned workers were re-shipped their programs.  Only
             # workers with affinity keys had tasks to recover, so only they
