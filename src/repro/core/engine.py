@@ -23,7 +23,11 @@ import numpy as np
 
 from ..exceptions import QueryError
 from ..obs.trace import get_tracer
-from ..relational.aggregates import AggregateFunction, compute_aggregate
+from ..relational.aggregates import (
+    AggregateFunction,
+    ExactSum,
+    compute_aggregate,
+)
 from ..relational.expressions import TrueExpression
 from ..relational.query import AggregateQuery
 from ..relational.relation import Relation
@@ -34,9 +38,6 @@ from .predicates import Predicate
 __all__ = ["ContingencyQuery", "ContingencyReport", "PCAnalyzer"]
 
 _INF = float("inf")
-#: Aggregates whose observed value merges exactly under inserts.
-_MERGEABLE = frozenset({AggregateFunction.COUNT, AggregateFunction.MIN,
-                        AggregateFunction.MAX})
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,9 @@ class ContingencyReport:
     observed_value: float | None
     observed_rows: int
     elapsed_seconds: float
+    #: The matching observed rows' exact sum, for SUM and AVG over an
+    #: observed relation (``observed_value`` is its rounded value for SUM).
+    observed_sum: ExactSum | None = None
     #: The EXPLAIN ANALYZE span tree, attached only when the caller asked
     #: for one (``ContingencyService.analyze(..., profile=True)``) — plain
     #: analyzer calls leave it None so reports stay lean and picklable
@@ -260,7 +264,9 @@ class PCAnalyzer:
                 observed_value, observed_rows, observed_sum = \
                     self._observed_summary(query)
             if query.aggregate is AggregateFunction.AVG:
-                if math.isnan(observed_sum):
+                known_sum = (0.0 if observed_sum is None
+                             else observed_sum.value)
+                if math.isnan(known_sum):
                     # A NaN observed value makes every average NaN, as it
                     # makes the other aggregates' results NaN; the search
                     # would answer an inverted range, and a NaN known_sum
@@ -270,19 +276,22 @@ class PCAnalyzer:
                 else:
                     missing = self._solver.bound(
                         query.aggregate, query.attribute, query.region,
-                        known_sum=observed_sum,
+                        known_sum=known_sum,
                         known_count=float(observed_rows))
                 combined = missing  # AVG combination inside the solver.
             else:
                 missing = self._solver.bound(query.aggregate, query.attribute,
                                              query.region)
-                combined = self._combine(query, missing, observed_value)
+                combined = (missing if self._observed is None else
+                            self._combine(query, missing, observed_value,
+                                          observed_sum))
         elapsed = time.perf_counter() - started
         return ContingencyReport(query=query, result_range=combined,
                                  missing_range=missing,
                                  observed_value=observed_value,
                                  observed_rows=observed_rows,
-                                 elapsed_seconds=elapsed)
+                                 elapsed_seconds=elapsed,
+                                 observed_sum=observed_sum)
 
     def bound_all(self, queries: list[ContingencyQuery]) -> list[ContingencyReport]:
         """Analyze a workload of queries."""
@@ -334,67 +343,90 @@ class PCAnalyzer:
     # Observed-partition handling
     # ------------------------------------------------------------------ #
     def _observed_summary(self, query: ContingencyQuery
-                          ) -> tuple[float | None, int, float]:
-        """(observed aggregate, matching row count, matching sum for AVG)."""
+                          ) -> tuple[float | None, int, ExactSum | None]:
+        """(observed aggregate, matching row count, exact matching sum for
+        SUM and AVG)."""
         if self._observed is None:
-            return None, 0, 0.0
+            return None, 0, None
         result = query.to_aggregate_query().execute(self._observed)
-        observed_sum = 0.0
-        if query.aggregate is AggregateFunction.AVG and result.matching_rows:
-            observed_sum = float(result.selected.sum())
-        return result.value, result.matching_rows, observed_sum
+        return result.value, result.matching_rows, result.exact_sum
 
-    def merge_appended(self, report: ContingencyReport, delta: Relation,
-                       mask: np.ndarray) -> ContingencyReport | None:
-        """``report`` over this analyzer's observed rows, from ``report``
-        over those rows before ``delta`` (``mask``: its rows in the region).
+    @classmethod
+    def merge_appended(cls, report: ContingencyReport,
+                       matched: Relation) -> ContingencyReport | None:
+        """``report`` over an observed relation after an append, from
+        ``report`` over it before; ``matched`` holds the appended rows in
+        the report's region.  It reads no analyzer state, so an append
+        builds no analyzer for the new version.
 
-        COUNT, MIN and MAX merge exactly under inserts: the count adds the
-        matching delta rows, and an extreme is the extreme of the old value
-        (None: no old rows) and the delta's, NaN propagating as in
-        ``np.min``.  The missing range depends on the program, not the data,
-        so it is reused and :meth:`_combine` rebuilds the result: the merge
-        equals a cold ``analyze`` bit for bit.  SUM (a pairwise sum does not
-        merge bit for bit), AVG (its range reads the observed sum and count)
-        and a degraded report (the range tier never reuses a fallback range)
-        return None: they rescan.
+        COUNT, SUM, MIN and MAX merge exactly under inserts: the count adds
+        the matched rows, the exact sum adds their
+        :class:`~repro.relational.aggregates.ExactSum` (memoized on
+        ``matched``, so regions that share it sum it once; the rounded
+        value is a cold scan's, NaN and infinities included), and an
+        extreme is the extreme of the old value (None: no old rows) and the
+        matched rows', NaN propagating as in ``np.min``.  The missing range
+        depends on the program, not the data, so it is reused and
+        :meth:`_combine` rebuilds the result: the merge equals a cold
+        ``analyze`` bit for bit.  AVG (its range must be solved again under
+        the new sum and count) and a degraded report (the range tier never
+        reuses a fallback range) return None: they rescan.
         """
         query = report.query
         aggregate = query.aggregate
-        if aggregate not in _MERGEABLE or report.degraded_shards:
+        if aggregate is AggregateFunction.AVG or report.degraded_shards:
             return None
-        matching = int(np.count_nonzero(mask))
+        matching = matched.num_rows
+        observed_sum = None
         if aggregate is AggregateFunction.COUNT:
             observed = report.observed_value + matching
+        elif aggregate is AggregateFunction.SUM:
+            observed_sum = (report.observed_sum
+                            + matched.exact_sum(query.attribute))
+            observed = observed_sum.value
         else:
             old = report.observed_value
-            observed = compute_aggregate(
-                aggregate, delta.column(query.attribute)[mask])
+            observed = compute_aggregate(aggregate,
+                                         matched.column(query.attribute))
             if old is not None:
                 pick = (np.minimum if aggregate is AggregateFunction.MIN
                         else np.maximum)
                 observed = (old if observed is None
                             else float(pick(old, observed)))
         return replace(report,
-                       result_range=self._combine(query, report.missing_range,
-                                                  observed),
+                       result_range=cls._combine(query, report.missing_range,
+                                                 observed, observed_sum),
                        observed_value=observed,
-                       observed_rows=report.observed_rows + matching)
+                       observed_rows=report.observed_rows + matching,
+                       observed_sum=observed_sum)
 
-    def _combine(self, query: ContingencyQuery, missing: ResultRange,
-                 observed_value: float | None) -> ResultRange:
+    @classmethod
+    def _combine(cls, query: ContingencyQuery, missing: ResultRange,
+                 observed_value: float | None,
+                 observed_sum: ExactSum | None) -> ResultRange:
         """Combine the missing-partition range with the observed answer."""
-        if self._observed is None:
-            return missing
         aggregate = query.aggregate
-        if aggregate in (AggregateFunction.COUNT, AggregateFunction.SUM):
-            offset = observed_value if observed_value is not None else 0.0
-            return missing.shifted(offset)
+        if aggregate is AggregateFunction.COUNT:
+            return missing.shifted(observed_value)
+        if aggregate is AggregateFunction.SUM:
+            return cls._combine_sum(missing, observed_sum)
         if aggregate is AggregateFunction.MAX:
-            return self._combine_max(missing, observed_value)
+            return cls._combine_max(missing, observed_value)
         if aggregate is AggregateFunction.MIN:
-            return self._combine_min(missing, observed_value)
+            return cls._combine_min(missing, observed_value)
         return missing
+
+    @staticmethod
+    def _combine_sum(missing: ResultRange, observed: ExactSum) -> ResultRange:
+        """Add the exact observed sum to each missing endpoint exactly and
+        round the lower end down and the upper end up, so the range holds
+        every exact total, not only its nearest doubles (an infinite
+        endpoint or a NaN observed sum adds as in IEEE arithmetic)."""
+        lower, upper = missing.lower, missing.upper
+        return replace(
+            missing,
+            lower=None if lower is None else observed.shifted(lower, False),
+            upper=None if upper is None else observed.shifted(upper, True))
 
     @staticmethod
     def _combine_max(missing: ResultRange, observed: float | None) -> ResultRange:

@@ -17,11 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import QueryError
-from .aggregates import AggregateFunction, compute_aggregate
+from .aggregates import AggregateFunction, ExactSum, compute_aggregate
 from .expressions import Expression, TrueExpression
 from .relation import Relation
 
 __all__ = ["AggregateQuery", "QueryResult"]
+
+#: Aggregates whose ungrouped result carries the matching rows' exact sum.
+_SUMMED = (AggregateFunction.SUM, AggregateFunction.AVG)
 
 
 @dataclass(frozen=True)
@@ -30,17 +33,16 @@ class QueryResult:
 
     ``value`` is the scalar result for queries without GROUP BY; ``groups``
     maps group keys to per-group values when GROUP BY is present.
-    ``selected`` holds the aggregated column's float64 values over the
-    matching rows, in row order, for an ungrouped query over an attribute
-    (``None`` otherwise), so a caller needing a second statistic of the same
-    rows does not scan again.
+    ``exact_sum`` is the :class:`~repro.relational.aggregates.ExactSum` of
+    the matching rows for an ungrouped SUM or AVG (``None`` otherwise): a
+    SUM's value is its correctly rounded sum, and AVG's bounding reads the
+    same sum without scanning again.
     """
 
     value: float | None
     groups: dict[tuple, float | None] | None = None
     matching_rows: int = 0
-    selected: np.ndarray | None = field(default=None, compare=False,
-                                        repr=False)
+    exact_sum: ExactSum | None = None
 
     @property
     def is_grouped(self) -> bool:
@@ -149,8 +151,15 @@ class AggregateQuery:
                                matching_rows=matching_rows)
         selected = relation.column(self.attribute)[mask].astype(np.float64,
                                                                 copy=False)
-        return QueryResult(value=compute_aggregate(self.aggregate, selected),
-                           matching_rows=matching_rows, selected=selected)
+        if self.aggregate not in _SUMMED:
+            return QueryResult(value=compute_aggregate(self.aggregate,
+                                                       selected),
+                               matching_rows=matching_rows)
+        exact_sum = ExactSum.of(selected)
+        value = (exact_sum.value if self.aggregate is AggregateFunction.SUM
+                 else compute_aggregate(self.aggregate, selected))
+        return QueryResult(value=value, matching_rows=matching_rows,
+                           exact_sum=exact_sum)
 
     def scalar(self, relation: Relation) -> float | None:
         """Execute and return the scalar value (no GROUP BY allowed)."""

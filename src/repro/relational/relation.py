@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..exceptions import SchemaError, TypeMismatchError
+from .aggregates import ExactSum
 from .schema import Column, ColumnType, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -27,11 +28,12 @@ __all__ = ["Relation"]
 class _AppendBuffer:
     """Column storage shared by the versions of one append chain.
 
-    ``arrays`` holds one array per column with spare capacity at its end, and
-    each version's columns are read-only views ``array[:n]``.  ``rows`` is
-    the number of rows written so far: only a version with exactly that many
-    rows may write after them, so rows a view can see are never written
-    again.  ``lock`` serialises those writes.
+    ``arrays`` holds one array per column with spare capacity at its end;
+    each version's columns are read-only views ``array[:n]``, and its
+    delta's ``array[parent rows:n]``.  ``rows`` is the number of rows
+    written so far: only a version with exactly that many rows may write
+    after them, so rows a view can see are never written again (a buffer
+    that was outgrown has ``rows`` -1).  ``lock`` serialises those writes.
     """
 
     __slots__ = ("arrays", "capacity", "rows", "lock")
@@ -42,11 +44,11 @@ class _AppendBuffer:
         self.rows = rows
         self.lock = threading.Lock()
 
-    def views(self, rows: int) -> dict[str, np.ndarray]:
-        """Read-only views of the first ``rows`` rows of every column."""
+    def views(self, start: int, stop: int) -> dict[str, np.ndarray]:
+        """Read-only views of rows ``start`` to ``stop`` of every column."""
         views = {}
         for name, array in self.arrays.items():
-            view = array[:rows]
+            view = array[start:stop]
             view.flags.writeable = False
             views[name] = view
         return views
@@ -282,7 +284,12 @@ class Relation:
         relation's rows when this is the buffer's newest version and the
         rows fit.  Otherwise — a first append, a full buffer, or an append to
         an older version — the rows are copied once into a new buffer of
-        twice the new length.  No row a version can see ever moves.
+        twice the new length.  The appended delta is kept as read-only views
+        of the buffer rows it was written to, not as ``rows``, so the rows
+        are stored once.  A buffer outgrown by its newest version moves
+        every version and delta that views it onto the new buffer, at the
+        same rows, and its arrays are freed: a chain holds one buffer, at
+        most twice its newest version.  A row's value never changes.
 
         ``rows`` may be another relation with an identical schema, an
         iterable of row tuples in schema order, or an iterable of
@@ -301,16 +308,24 @@ class Relation:
                 delta = Relation.from_dicts(self._schema, materialised, name=self._name)
             else:
                 delta = Relation.from_rows(self._schema, materialised, name=self._name)
-        length = self._length + delta._length
-        result = Relation.__new__(Relation)
-        result._schema = self._schema
-        result._name = self._name
-        result._length = length
-        result._buffer = self._extend_buffer(delta, length)
-        result._columns = result._buffer.views(length)
+        start = self._length
+        length = start + delta._length
+        buffer = self._extend_buffer(delta, length)
+        result = self._view(buffer, 0, length, self._name)
+        result._buffer = buffer
         result._append_parent = self
-        result._append_delta = delta
+        result._append_delta = self._view(buffer, start, length, delta._name)
         return result
+
+    def _view(self, buffer: _AppendBuffer, start: int, stop: int,
+              name: str) -> "Relation":
+        """A relation over rows ``start`` to ``stop`` of ``buffer``."""
+        view = Relation.__new__(Relation)
+        view._schema = self._schema
+        view._name = name
+        view._length = stop - start
+        view._columns = buffer.views(start, stop)
+        return view
 
     def _extend_buffer(self, delta: "Relation", length: int) -> _AppendBuffer:
         """A buffer holding this relation's rows, then ``delta``'s."""
@@ -323,6 +338,35 @@ class Relation:
                         array[start:length] = delta._columns[name]
                     buffer.rows = length
                     return buffer
+                if buffer.rows == start:
+                    return self._outgrow(buffer, delta, length)
+        return self._copy_into_buffer(delta, length)
+
+    def _outgrow(self, buffer: _AppendBuffer, delta: "Relation",
+                 length: int) -> _AppendBuffer:
+        """Copy ``buffer``, this relation's full buffer, into a larger one,
+        and move every version and delta viewing it there (under its lock).
+        """
+        grown = self._copy_into_buffer(delta, length)
+        # Every version viewing the outgrown buffer is this one or an
+        # ancestor (only the newest version writes into a buffer), and the
+        # first of them has a parent that views another buffer or none.
+        version = self
+        while version._buffer is buffer:
+            parent = version._append_parent
+            version._buffer = grown
+            version._columns = grown.views(0, version._length)
+            version._append_delta._columns = grown.views(parent._length,
+                                                         version._length)
+            version = parent
+        buffer.rows = -1
+        return grown
+
+    def _copy_into_buffer(self, delta: "Relation",
+                          length: int) -> _AppendBuffer:
+        """A new buffer of twice ``length`` rows: this relation's, then
+        ``delta``'s."""
+        start = self._length
         capacity = 2 * length
         arrays = {}
         for name, column in self._columns.items():
@@ -453,6 +497,14 @@ class Relation:
     def column_sum(self, name: str) -> float:
         """Sum of a numeric column (0.0 on empty relations)."""
         return float(self._numeric_values(name).sum())
+
+    def exact_sum(self, name: str) -> ExactSum:
+        """The :class:`~repro.relational.aggregates.ExactSum` of a numeric
+        column, memoized on the relation (its columns never change)."""
+        sums = self.__dict__.setdefault("_exact_sums", {})
+        if name not in sums:
+            sums[name] = ExactSum.of(self._numeric_values(name))
+        return sums[name]
 
     def column_mean(self, name: str) -> float:
         """Mean of a numeric column (raises on empty relations)."""

@@ -172,7 +172,9 @@ class SessionRegistry:
 
         Returns the existing latest session when its content fingerprint
         matches (idempotent re-registration); otherwise creates version
-        ``latest + 1``.
+        ``latest + 1``.  The session keeps a private copy of ``pcset``,
+        unless ``pcset`` is the latest version's copy already (an append
+        passes it on): every version of an append chain shares one copy.
         """
         if not name:
             raise ReproError("session name must be non-empty")
@@ -182,10 +184,12 @@ class SessionRegistry:
             versions = self._sessions.setdefault(name, [])
             if versions and versions[-1].fingerprint == fingerprint:
                 return versions[-1]
+            if not versions or versions[-1].pcset is not pcset:
+                pcset = pcset.copy()
             session = RegisteredSession(
                 name=name,
                 version=len(versions) + 1,
-                pcset=pcset.copy(),
+                pcset=pcset,
                 observed=observed,
                 options=options,
                 fingerprint=fingerprint,

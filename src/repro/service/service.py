@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.bounds import BoundOptions
-from ..core.engine import ContingencyQuery, ContingencyReport
+from ..core.engine import ContingencyQuery, ContingencyReport, PCAnalyzer
 from ..core.pcset import PredicateConstraintSet
 from ..exceptions import QueryDeadlineError, ReproError
 from ..faults import query_deadline_scope
@@ -96,10 +96,12 @@ class ServiceStatistics:
     #: Persistent-store traffic (None when no cache_dir is configured).
     store: dict[str, int] | None = None
     #: Report-cache entries kept live across appends (re-keyed, or merged
-    #: from the delta) vs. dropped (a SUM or AVG whose region gained rows).
+    #: from the delta) vs. dropped (an AVG or a degraded report whose
+    #: region gained rows).
     delta_migrations: int = 0
     delta_invalidations: int = 0
-    #: The migrated COUNT, MIN and MAX reports whose region gained rows.
+    #: The migrated COUNT, SUM, MIN and MAX reports whose region gained
+    #: rows.
     delta_merges: int = 0
 
     def as_dict(self) -> dict[str, object]:
@@ -525,19 +527,24 @@ class ContingencyService:
         is data-independent), so each distinct region is tested against the
         delta once.  A report whose region matches **zero** delta rows is
         bit-identical under the new version and is re-keyed to it; a COUNT,
-        MIN or MAX report whose region gained rows is merged from the old
-        report and those rows
+        SUM, MIN or MAX report whose region gained rows is merged from the
+        old report and those rows, a SUM by adding their exact sum
         (:meth:`~repro.core.engine.PCAnalyzer.merge_appended`,
         ``cache.delta_merges``); both count as ``cache.delta_migrations``.
-        A SUM or AVG report whose region gained rows stays behind with the
-        old, still queryable version (``cache.delta_invalidations``), and
-        the new version recomputes it as a range-cache hit plus one scan (an
-        AVG solves again under its new observed sum and count).  Nothing is
-        committed to the persistent store.  Appends to one service hold one
-        lock from reading the latest version to the end of the migration,
-        so racing appends never extend the same version; queries take no
-        such lock.  An append costs its delta and the number of live cached
-        reports, not the relation's size or its append chain's length.
+        Either way the new report equals a cold analyzer's bit for bit.  An
+        AVG (or degraded) report whose region gained rows stays behind with
+        the old, still queryable version (``cache.delta_invalidations``),
+        and the new version recomputes it as one scan plus a solve under
+        its new observed sum and count.  Nothing is committed to the
+        persistent store.  Appends to one service hold one lock from
+        reading the latest version to the end of the migration, so racing
+        appends never extend the same version; queries take no such lock.
+        An append costs its delta and the number of live cached reports,
+        not the relation's size or its append chain's length, and it
+        stores its rows once: the new version and its delta are views of
+        the chain's shared buffer (see
+        :meth:`~repro.relational.relation.Relation.append`), and it
+        shares the old version's private copy of the constraint set.
 
         Decomposition, program and range caches are keyed by constraint-set
         content, not data, so they stay warm across appends by
@@ -589,10 +596,11 @@ class ContingencyService:
         """Carry ``session``'s cached reports over to ``new_session``;
         returns (migrated, merged, invalidated) counts."""
         migrated = merged = invalidated = 0
-        analyzer = new_session.analyzer
-        # Each region's delta mask, or None when no delta row matches it.
-        # Regions compare by value, and None stands for the whole relation.
-        masks = {}
+        # Each region's delta rows, or None when no delta row matches it;
+        # a region that holds every delta row shares ``delta`` itself, so
+        # its exact sums are computed once.  Regions compare by value, and
+        # None stands for the whole relation.
+        matches = {}
         # Each cached report carries its query, so the report cache itself
         # says which reports to test against the delta.
         for key in self._report_cache.keys():
@@ -602,13 +610,15 @@ class ContingencyService:
             if report is None:
                 continue
             region = report.query.region
-            mask = masks.get(region, _UNTESTED)
-            if mask is _UNTESTED:
+            matched = matches.get(region, _UNTESTED)
+            if matched is _UNTESTED:
                 where = report.query.to_aggregate_query().where
                 mask = np.asarray(where.evaluate(delta), dtype=bool)
-                mask = masks[region] = mask if mask.any() else None
-            if mask is not None:
-                report = analyzer.merge_appended(report, delta, mask)
+                matched = matches[region] = (
+                    None if not mask.any() else
+                    delta if mask.all() else delta.filter(mask))
+            if matched is not None:
+                report = PCAnalyzer.merge_appended(report, matched)
                 if report is None:
                     invalidated += 1
                     continue

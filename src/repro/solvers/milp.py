@@ -140,14 +140,32 @@ class CompiledMILP:
 # --------------------------------------------------------------------- #
 def _solve_scipy(milp: CompiledMILP, c: np.ndarray, sense: Sense
                  ) -> LPSolution:
-    result = scipy_milp(
-        c=-c if sense is Sense.MAXIMIZE else c,
+    """HiGHS may answer only "unbounded or infeasible" (scipy status 4);
+    a zero-objective solve of the same program then tells the two apart:
+    a feasible program is the unbounded one."""
+    solution = scipy_solution(
+        _highs_milp(milp, -c if sense is Sense.MAXIMIZE else c), sense)
+    if (solution.status is SolutionStatus.ERROR
+            and "unbounded or infeasible" in solution.message):
+        feasible = scipy_solution(
+            _highs_milp(milp, np.zeros(milp.num_variables)), sense)
+        if feasible.status is SolutionStatus.OPTIMAL:
+            return LPSolution(SolutionStatus.UNBOUNDED, None,
+                              message=solution.message)
+        if feasible.status is SolutionStatus.INFEASIBLE:
+            return feasible
+    return solution
+
+
+def _highs_milp(milp: CompiledMILP, c: np.ndarray):
+    """``scipy.optimize.milp``'s result for minimising ``c . x``."""
+    return scipy_milp(
+        c=c,
         constraints=ScipyLinearConstraint(milp.matrix, milp.row_lower,
                                           milp.row_upper),
         integrality=np.ones(milp.num_variables),
         bounds=Bounds(np.zeros(milp.num_variables), milp.upper),
     )
-    return scipy_solution(result, sense)
 
 
 def _solve_relaxation(milp: CompiledMILP, c: np.ndarray, sense: Sense

@@ -27,7 +27,14 @@ from repro.core.builders import (
     build_partition_pcs,
     build_random_overlapping_boxes,
 )
+from repro.core.constraints import (
+    FrequencyConstraint,
+    PredicateConstraint,
+    ValueConstraint,
+)
+from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
+from repro.exceptions import SolverError
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
@@ -129,3 +136,45 @@ def test_every_backend_declares_capabilities():
     for backend in available_backends():
         capabilities = backend_capabilities(backend)
         assert isinstance(capabilities.exact, bool)
+
+
+def _unlimited_cell_pcset(*extra: PredicateConstraint):
+    """``c0`` puts no limit on the rows at ``4 <= t <= 5``, so a coupled
+    program has an active cell of unlimited frequency."""
+    return PredicateConstraintSet([
+        PredicateConstraint(Predicate.range("t", 4.0, 5.0),
+                            ValueConstraint({"v": (7.5, 7.5)}),
+                            FrequencyConstraint(0, float("inf")), name="c0"),
+        PredicateConstraint(Predicate.range("t", 2.0, 4.0),
+                            ValueConstraint({"v": (2.0, 5.0)}),
+                            FrequencyConstraint(0, 2), name="c1"),
+        *extra])
+
+
+@pytest.mark.parametrize("backend", _backend_matrix())
+def test_unlimited_cell_is_unbounded_on_every_backend(backend):
+    """HiGHS may call such a program "unbounded or infeasible"; every
+    backend answers COUNT and SUM as unbounded above, not as an error."""
+    solver = PCBoundSolver(_unlimited_cell_pcset(),
+                           BoundOptions(milp_backend=backend,
+                                        check_closure=False))
+    for aggregate, attribute in ((AggregateFunction.COUNT, None),
+                                 (AggregateFunction.SUM, "v")):
+        result = solver.bound(aggregate, attribute)
+        assert (result.lower, result.upper) == (0.0, float("inf")), backend
+
+
+@pytest.mark.parametrize("backend", _backend_matrix())
+def test_unsatisfiable_set_with_an_unlimited_cell_raises(backend):
+    """``c2`` asks for three rows where ``c1`` allows two: the set is
+    infeasible beside the unlimited cell, and every backend raises for
+    COUNT and SUM."""
+    solver = PCBoundSolver(
+        _unlimited_cell_pcset(PredicateConstraint(
+            Predicate.range("t", 2.0, 4.0), ValueConstraint({"v": (2.0, 5.0)}),
+            FrequencyConstraint(3, 3), name="c2")),
+        BoundOptions(milp_backend=backend, check_closure=False))
+    for aggregate, attribute in ((AggregateFunction.COUNT, None),
+                                 (AggregateFunction.SUM, "v")):
+        with pytest.raises(SolverError):
+            solver.bound(aggregate, attribute)

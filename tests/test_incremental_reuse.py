@@ -9,9 +9,9 @@ bit-identical* to cold computation:
   chain's length, and the digest equals a cold full-content pass;
 * delta-aware migration: :meth:`ContingencyService.append_rows` tests each
   cached region against the delta once, re-keys the reports whose region
-  the delta provably cannot touch, merges touched COUNT, MIN and MAX
-  reports from the delta, and drops (only) touched SUM and AVG reports;
-  appends to one service are serialized, so racing appends lose no rows;
+  the delta provably cannot touch, merges touched COUNT, SUM, MIN and MAX
+  reports from the delta, and drops (only) touched AVG reports; appends to
+  one service are serialized, so racing appends lose no rows;
 * the range tier: ranges over the missing rows are keyed by compiled
   program, not data (AVG's also by the observed sum and count), so a
   dropped report recomputes without compiling or solving.
@@ -284,17 +284,20 @@ class TestDeltaInvalidation:
         q_far = ContingencyQuery.sum("price", Predicate.range("utc", 11, 12))
         q_near = ContingencyQuery.sum("price", Predicate.range("utc", 12, 13))
         q_count = ContingencyQuery.count(Predicate.range("utc", 12, 13))
+        q_avg = ContingencyQuery.avg("price", Predicate.range("utc", 12, 13))
         far_before = service.analyze("outage", q_far)
         service.analyze("outage", q_near)
         service.analyze("outage", q_count)
+        service.analyze("outage", q_avg)
 
         session = service.append_rows("outage", [(12.6, 9.0)])
         assert session.version == 2
         statistics = service.statistics()
-        assert statistics.delta_migrations == 2  # q_far re-keyed, q_count merged
-        assert statistics.delta_merges == 1  # q_count: the row lands inside
-        assert statistics.delta_invalidations == 1  # q_near: a SUM it lands in
-        assert ("2 report(s) migrated / 1 invalidated / 1 merged from the "
+        # q_far re-keyed; q_count and q_near merged: the row lands inside.
+        assert statistics.delta_migrations == 3
+        assert statistics.delta_merges == 2
+        assert statistics.delta_invalidations == 1  # q_avg: an AVG it lands in
+        assert ("3 report(s) migrated / 1 invalidated / 2 merged from the "
                 "delta") in statistics.summary()
 
         # The migrated report answers from cache — no new solve.
@@ -305,23 +308,26 @@ class TestDeltaInvalidation:
         assert service.report_cache.statistics.hits == hits + 1
         assert_reports_identical(far_after, far_before)
 
-        # The merged COUNT answers from cache too, and counts the new row.
+        # The merged COUNT and SUM answer from cache too, with the new row.
         count_after = service.analyze("outage", ContingencyQuery.count(
             Predicate.range("utc", 12, 13)))
-        assert service.report_cache.statistics.hits == hits + 2
-        assert count_after.observed_value == 2.0  # 12.5 and the new 12.6
-
-        # The invalidated SUM is a genuine miss and recomputes cold.
         near_after = service.analyze("outage", ContingencyQuery.sum(
             "price", Predicate.range("utc", 12, 13)))
-        assert service.report_cache.statistics.misses == misses + 1
+        assert service.report_cache.statistics.hits == hits + 3
+        assert count_after.observed_value == 2.0  # 12.5 and the new 12.6
         assert near_after.observed_value == 44.0  # 35.0 and the new 9.0
+
+        # The invalidated AVG is a genuine miss and recomputes cold.
+        avg_after = service.analyze("outage", ContingencyQuery.avg(
+            "price", Predicate.range("utc", 12, 13)))
+        assert service.report_cache.statistics.misses == misses + 1
+        assert avg_after.observed_value == 22.0
         service.shutdown()
 
     def test_batch_cached_reports_migrate_on_append(self):
         """Reports cached by ``execute_batch`` migrate like ``analyze``'s."""
         q_far = ContingencyQuery.sum("price", Predicate.range("utc", 11, 12))
-        q_near = ContingencyQuery.sum("price", Predicate.range("utc", 12, 13))
+        q_near = ContingencyQuery.avg("price", Predicate.range("utc", 12, 13))
         q_count = ContingencyQuery.count(Predicate.range("utc", 12, 13))
         with ContingencyService(max_workers=1) as service:
             service.register("outage", build_pcset(),
@@ -332,7 +338,7 @@ class TestDeltaInvalidation:
             statistics = service.statistics()
             assert statistics.delta_migrations == 2
             assert statistics.delta_merges == 1
-            assert statistics.delta_invalidations == 1
+            assert statistics.delta_invalidations == 1  # q_near, an AVG
 
             hits = service.report_cache.statistics.hits
             far_after = service.analyze("outage", q_far)
@@ -501,14 +507,14 @@ class TestDeltaInvalidation:
 
 
 # --------------------------------------------------------------------- #
-# Merging COUNT, MIN and MAX from the delta, against a cold analyzer
+# Merging COUNT, SUM, MIN and MAX from the delta, against a cold analyzer
 # --------------------------------------------------------------------- #
 _NAN = float("nan")
 _T_POINTS = (0.0, 1.0, 2.0, 3.0, 4.0)
-_V_VALUES = (-2.5, 0.0, 1.5, 7.25, _NAN)
+_V_VALUES = (-2.5, 0.0, 1.5, 7.25, 0.1, _NAN)
 _K_VALUES = (-3, 0, 4, 9)
-_MERGED = (AggregateFunction.COUNT, AggregateFunction.MIN,
-           AggregateFunction.MAX)
+_MERGED = (AggregateFunction.COUNT, AggregateFunction.SUM,
+           AggregateFunction.MIN, AggregateFunction.MAX)
 
 
 def merge_schema() -> Schema:
@@ -570,8 +576,8 @@ def _touches(region: Predicate | None, rows: list[tuple]) -> bool:
 def test_merged_reports_equal_a_cold_analyzer(base, deltas, regions,
                                               attribute):
     """After 1-3 appends every cached report equals a cold analyzer on the
-    concatenated rows (NaN equal to NaN); COUNT, MIN and MAX reports whose
-    region gained rows are merged, and SUM and AVG ones invalidated."""
+    concatenated rows (NaN equal to NaN); COUNT, SUM, MIN and MAX reports
+    whose region gained rows are merged, and AVG ones invalidated."""
     queries = list(dict.fromkeys(
         ContingencyQuery(aggregate, None if aggregate is
                          AggregateFunction.COUNT else attribute, region)
@@ -620,8 +626,8 @@ class TestRangeTier:
     def test_restart_after_append_answers_from_stored_ranges(
             self, tmp_path, monkeypatch):
         """A restarted service over the appended relation answers a region
-        the delta invalidated with no compile and no solve, bit-identical
-        to a cold analyzer on the appended data."""
+        the delta touched with no compile and no solve, bit-identical to a
+        cold analyzer on the appended data."""
         region = Predicate.range("utc", 12, 13)
         delta = [(12.6, 9.0)]
         with ContingencyService(max_workers=1,
@@ -632,8 +638,8 @@ class TestRangeTier:
                 service.analyze("outage", maker(region))
             service.append_rows("outage", delta)
             statistics = service.statistics()
-            assert statistics.delta_invalidations == 1  # the SUM
-            assert statistics.delta_merges == len(NON_AVG) - 1
+            assert statistics.delta_invalidations == 0
+            assert statistics.delta_merges == len(NON_AVG)
 
         appended = build_observed().append(delta)
         with ContingencyService(max_workers=1,
@@ -864,8 +870,9 @@ class TestRangeTier:
 
     def test_hit_is_still_widened_and_cross_checked(self, monkeypatch):
         """Only the closed-world range is memoized: open-world widening and
-        cross-backend verification run on a hit too.  SUM rescans after an
-        append that touches its region, so it reaches the range tier."""
+        cross-backend verification run on a hit too.  The report cache is
+        emptied after the append (which merged the SUM), so the SUM rescans
+        and reaches the range tier."""
         checks = []
         cross_check = PCBoundSolver._cross_check
 
@@ -882,6 +889,7 @@ class TestRangeTier:
                          options=options)
         service.analyze("outage", query)
         service.append_rows("outage", [(12.6, 9.0)])
+        service.report_cache.clear()
         hits = service.range_cache.statistics.hits
         report = service.analyze("outage", query)
         assert service.range_cache.statistics.hits == hits + 1

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import QueryError, UnsupportedAggregateError
-from repro.relational.aggregates import AggregateFunction, compute_aggregate
+from repro.relational.aggregates import (
+    AggregateFunction,
+    ExactSum,
+    compute_aggregate,
+)
 from repro.relational.expressions import Between, IsIn
 from repro.relational.query import AggregateQuery
 from repro.relational.relation import Relation
@@ -123,7 +127,7 @@ class TestAggregateQuery:
     @pytest.mark.parametrize("aggregate", list(AggregateFunction))
     def test_one_scan_matches_the_filtered_relation(self, aggregate):
         """An ungrouped query selects one column under one mask; its value,
-        row count and selection equal, bit for bit, what aggregating the
+        row count and exact sum equal, bit for bit, what aggregating the
         filtered relation gives (the reference)."""
         rng = np.random.default_rng(7)
         schema = Schema.from_pairs([("t", ColumnType.FLOAT),
@@ -142,4 +146,7 @@ class TestAggregateQuery:
                 continue
             assert result.value == compute_aggregate(
                 aggregate, matching.column("n").astype(np.float64))
-            assert float(result.selected.sum()) == matching.column_sum("n")
+            summed = aggregate in (AggregateFunction.SUM,
+                                   AggregateFunction.AVG)
+            assert result.exact_sum == (
+                ExactSum.of(matching.column("n")) if summed else None)

@@ -259,8 +259,11 @@ class TestSharedAppendStorage:
             for version in versions[1:]:
                 _assert_same(version, _lineage_concat(version))
 
-    def test_buffers_hold_at_most_four_times_the_newest_version(
+    def test_buffers_hold_at_most_twice_the_newest_version(
             self, schema: Schema):
+        """Outgrown buffers are freed: every version and every delta views
+        one buffer of at most twice the newest version, beside the base's
+        own arrays."""
         rng = np.random.default_rng(11)
         base = Relation.from_rows(schema, _random_rows(rng, 5))
         versions = [base]
@@ -269,12 +272,22 @@ class TestSharedAppendStorage:
             versions.append(versions[-1].append(_random_rows(rng, size)))
         buffers = {}
         for version in versions:
-            for array in version.columns().values():
-                owner = array if array.base is None else array.base
-                buffers[id(owner)] = owner.nbytes
+            relations = [version]
+            if version.append_parent is not None:
+                relations.append(version.append_parent[1])
+            for relation in relations:
+                for array in relation.columns().values():
+                    owner = array if array.base is None else array.base
+                    buffers[id(owner)] = owner.nbytes
         newest = sum(a.nbytes for a in versions[-1].columns().values())
         base_bytes = sum(a.nbytes for a in base.columns().values())
-        assert sum(buffers.values()) <= 4 * newest + base_bytes
+        assert sum(buffers.values()) <= 2 * newest + base_bytes
+        for version in versions[1:]:
+            delta = version.append_parent[1]
+            for name in schema.names:
+                assert np.shares_memory(delta.column(name),
+                                        versions[-1].column(name)) == (
+                    delta.num_rows > 0)
         _assert_same(versions[-1], _lineage_concat(versions[-1]))
 
     def test_concurrent_appends_to_one_version(self, schema: Schema):

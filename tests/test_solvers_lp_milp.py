@@ -152,6 +152,23 @@ class TestMILPBackends:
             assert solve(program, [1.0]).status is \
                 SolutionStatus.INFEASIBLE, backend
 
+    def test_unlimited_variable_tells_unbounded_from_infeasible(self):
+        """HiGHS answers both programs "unbounded or infeasible" (scipy
+        status 4); every backend tells the feasible one unbounded and the
+        other infeasible."""
+        inf = float("inf")
+        rows = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+        for backend in BACKENDS:
+            feasible = CompiledMILP([inf, 5, 5], rows, row_lower=[0, 3, 0],
+                                    row_upper=[inf, inf, 4], backend=backend)
+            assert solve(feasible, [1.0, 1.0, 1.0]).status is \
+                SolutionStatus.UNBOUNDED, backend
+            infeasible = CompiledMILP([inf, 5, 5], rows, row_lower=[0, 3, 0],
+                                      row_upper=[inf, inf, 2],
+                                      backend=backend)
+            assert solve(infeasible, [1.0, 1.0, 1.0]).status is \
+                SolutionStatus.INFEASIBLE, backend
+
     def test_relaxation_at_least_as_large_for_max(self):
         integral = solve(allocation_program([3, 3], 4), [7.0, 2.0]).objective
         relaxed = solve(allocation_program([3, 3], 4, MILPBackend.RELAXATION),
