@@ -33,9 +33,7 @@ def main() -> None:
     low, high = relation.column_range("time")
     width = (high - low) / 10.0
     lost_window = Predicate.range("time", low + 6 * width, low + 7 * width)
-    lost_mask = lost_window.to_expression().evaluate(relation)
-    missing = relation.filter(lost_mask)
-    observed = relation.filter(~lost_mask)
+    missing, observed = relation.split_by_mask(lost_window)
     print(f"Loaded {observed.num_rows} readings; lost partition holds "
           f"{missing.num_rows} readings.\n")
 

@@ -104,7 +104,7 @@ class UniformSamplingEstimator(MissingDataEstimator):
         if sample.num_rows == 0:
             return np.zeros(0)
         if query.region is not None:
-            mask = query.region.to_expression().evaluate(sample)
+            mask = query.region.evaluate(sample)
         else:
             mask = np.ones(sample.num_rows, dtype=bool)
         if query.aggregate is AggregateFunction.COUNT:

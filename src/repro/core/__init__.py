@@ -55,7 +55,7 @@ from .joins import (
     naive_join_bound,
 )
 from .pcset import PredicateConstraintSet
-from .predicates import AttributeMembership, AttributeRange, Predicate
+from .predicates import Predicate
 
 __all__ = [
     "BoundExplanation",
@@ -96,7 +96,5 @@ __all__ = [
     "fec_join_bound",
     "naive_join_bound",
     "PredicateConstraintSet",
-    "AttributeMembership",
-    "AttributeRange",
     "Predicate",
 ]

@@ -299,7 +299,7 @@ def build_random_overlapping_boxes(relation: Relation, attributes: Sequence[str]
             width = span * float(generator.uniform(0.1, 0.6))
             start = low + float(generator.uniform(0.0, max(span - width, 1e-12)))
             predicate = predicate.with_range(attribute, start, start + width)
-        subset = relation.filter(predicate.to_expression())
+        subset = relation.filter(predicate)
         pcset.add(_summarising_constraint(subset, relation, predicate, value_names,
                                           name=f"box_{index}"))
     if include_catch_all:
@@ -340,7 +340,7 @@ def build_overlapping_pcs(relation: Relation, attributes: Sequence[str],
             predicate = predicate.with_membership(attribute, membership.values)
         # Re-summarise against the relation so the stretched constraint is
         # still valid (it now covers more rows).
-        subset = relation.filter(predicate.to_expression())
+        subset = relation.filter(predicate)
         value_names = list(constraint.values.bounds)
         stretched.add(_summarising_constraint(subset, relation, predicate,
                                               value_names, name=constraint.name,

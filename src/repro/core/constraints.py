@@ -240,8 +240,7 @@ class PredicateConstraint:
         the past before trusting them about the future.
         """
         found: list[ConstraintViolation] = []
-        mask = self.predicate.to_expression().evaluate(relation)
-        matching = relation.filter(mask)
+        matching = relation.filter(self.predicate)
         count = matching.num_rows
         if not self.frequency.contains(count):
             found.append(ConstraintViolation(

@@ -28,7 +28,6 @@ from ..relational.aggregates import (
     ExactSum,
     compute_aggregate,
 )
-from ..relational.expressions import TrueExpression
 from ..relational.query import AggregateQuery
 from ..relational.relation import Relation
 from .bounds import BoundOptions, PCBoundSolver, ResultRange
@@ -82,11 +81,7 @@ class ContingencyQuery:
 
     def to_aggregate_query(self) -> AggregateQuery:
         """The equivalent relational query (for exact evaluation on data)."""
-        if self.region is not None:
-            where = self.region.to_expression()
-        else:
-            where = TrueExpression()
-        return AggregateQuery(self.aggregate, self.attribute, where)
+        return AggregateQuery(self.aggregate, self.attribute, self.region)
 
     def ground_truth(self, relation: Relation) -> float | None:
         """The exact answer of this query over ``relation``."""

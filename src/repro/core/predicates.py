@@ -2,133 +2,75 @@
 
 The paper restricts predicates to *conjunctions of ranges and equalities*
 (§3.1) so that satisfiability testing during cell decomposition stays
-tractable.  A :class:`Predicate` is therefore an axis-aligned box over a
-mixed numeric/categorical attribute space:
+tractable, and it restricts a query's WHERE clause to the same language.  A
+:class:`Predicate` is therefore an axis-aligned box over a mixed
+numeric/categorical attribute space:
 
 * numeric attributes are constrained to closed intervals
   (``low <= a <= high``), optionally integral;
 * categorical attributes are constrained to finite value sets
   (``a = 'Chicago'`` or ``a IN {...}``).
 
-Predicates compile both to :class:`repro.solvers.sat.Box` (for the cell
-decomposition's satisfiability checks) and to
-:class:`repro.relational.expressions.Expression` (for exact evaluation
-against relations when validating constraints or computing ground truth).
+Its per-attribute constraints are the SAT solver's own
+:class:`~repro.solvers.sat.Interval` and
+:class:`~repro.solvers.sat.CategoricalSet`, so :meth:`Predicate.to_box`
+wraps them as they are, and :meth:`Predicate.evaluate` masks the rows of a
+relation it matches (ground truth, constraint validation, observed scans).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+import numpy as np
 
 from ..exceptions import PredicateError
-from ..relational.expressions import (
-    Between,
-    Expression,
-    IsIn,
-    TrueExpression,
-    conjunction,
-)
 from ..solvers.sat import Box, CategoricalSet, Interval
 
-__all__ = ["AttributeRange", "AttributeMembership", "Predicate"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..relational.relation import Relation
+
+__all__ = ["Predicate"]
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
 
-@dataclass(frozen=True)
-class AttributeRange:
-    """A closed numeric range constraint on one attribute."""
-
-    attribute: str
-    low: float = _NEG_INF
-    high: float = _POS_INF
-    integral: bool = False
-
-    def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise PredicateError(
-                f"range on {self.attribute!r} has low {self.low} > high {self.high}"
-            )
-
-    def to_interval(self) -> Interval:
-        return Interval(self.low, self.high, self.integral)
-
-    def contains(self, value: float) -> bool:
-        return self.to_interval().contains(value)
-
-    def intersect(self, other: "AttributeRange") -> "AttributeRange":
-        if other.attribute != self.attribute:
-            raise PredicateError(
-                f"cannot intersect ranges on different attributes "
-                f"({self.attribute!r} vs {other.attribute!r})"
-            )
-        low = max(self.low, other.low)
-        high = min(self.high, other.high)
-        if low > high:
-            raise PredicateError(
-                f"intersection of ranges on {self.attribute!r} is empty"
-            )
-        return AttributeRange(self.attribute, low, high,
-                              self.integral or other.integral)
-
-
-@dataclass(frozen=True)
-class AttributeMembership:
-    """A finite-set membership constraint on one (categorical) attribute."""
-
-    attribute: str
-    values: frozenset
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise PredicateError(
-                f"membership constraint on {self.attribute!r} must list at least "
-                "one value"
-            )
-
-    @classmethod
-    def of(cls, attribute: str, values: Iterable) -> "AttributeMembership":
-        return cls(attribute, frozenset(values))
-
-    def to_set(self) -> CategoricalSet:
-        return CategoricalSet(self.values)
-
-    def contains(self, value) -> bool:
-        return value in self.values
-
-    def intersect(self, other: "AttributeMembership") -> "AttributeMembership":
-        if other.attribute != self.attribute:
-            raise PredicateError(
-                f"cannot intersect memberships on different attributes "
-                f"({self.attribute!r} vs {other.attribute!r})"
-            )
-        shared = self.values & other.values
-        if not shared:
-            raise PredicateError(
-                f"intersection of membership sets on {self.attribute!r} is empty"
-            )
-        return AttributeMembership(self.attribute, shared)
-
-
 class Predicate:
     """A conjunction of per-attribute range/membership constraints.
 
-    The empty conjunction is the tautology ``TRUE`` (matches every row),
-    mirroring the paper's ``TRUE => ...`` predicate-constraints.
+    ``ranges`` maps numeric attributes to :class:`Interval` objects and
+    ``memberships`` maps categorical attributes to :class:`CategoricalSet`
+    objects.  The empty conjunction is the tautology ``TRUE`` (matches every
+    row), mirroring the paper's ``TRUE => ...`` predicate-constraints.
 
     Instances are immutable; the fluent builders (:meth:`with_range`,
     :meth:`with_equals`, :meth:`with_membership`) return new predicates with
     the additional conjunct merged in (taking the intersection when the
     attribute is already constrained).
+
+    Raises
+    ------
+    PredicateError
+        On an inverted range (``low > high``), an empty membership set, or
+        an attribute given both kinds of constraint.
     """
 
     def __init__(self,
-                 ranges: Mapping[str, AttributeRange] | None = None,
-                 memberships: Mapping[str, AttributeMembership] | None = None):
-        self._ranges: dict[str, AttributeRange] = dict(ranges or {})
-        self._memberships: dict[str, AttributeMembership] = dict(memberships or {})
+                 ranges: Mapping[str, Interval] | None = None,
+                 memberships: Mapping[str, CategoricalSet] | None = None):
+        self._ranges: dict[str, Interval] = dict(ranges or {})
+        self._memberships: dict[str, CategoricalSet] = dict(memberships or {})
+        for attribute, interval in self._ranges.items():
+            if interval.low > interval.high:
+                raise PredicateError(
+                    f"range on {attribute!r} has low {interval.low} > high "
+                    f"{interval.high}")
+        for attribute, members in self._memberships.items():
+            if not members.values:
+                raise PredicateError(
+                    f"membership constraint on {attribute!r} must list at "
+                    "least one value")
         overlap = set(self._ranges) & set(self._memberships)
         if overlap:
             raise PredicateError(
@@ -148,31 +90,26 @@ class Predicate:
     def range(cls, attribute: str, low: float = _NEG_INF, high: float = _POS_INF,
               integral: bool = False) -> "Predicate":
         """``low <= attribute <= high``."""
-        return cls({attribute: AttributeRange(attribute, low, high, integral)})
+        return cls({attribute: Interval(low, high, integral)})
 
     @classmethod
     def equals(cls, attribute: str, value) -> "Predicate":
         """``attribute = value`` (categorical equality)."""
-        return cls(memberships={attribute: AttributeMembership.of(attribute, [value])})
+        return cls.isin(attribute, [value])
 
     @classmethod
     def isin(cls, attribute: str, values: Iterable) -> "Predicate":
         """``attribute IN (values...)``."""
-        return cls(memberships={attribute: AttributeMembership.of(attribute, values)})
+        return cls(memberships={attribute: CategoricalSet.of(values)})
 
     @classmethod
     def box(cls, ranges: Mapping[str, tuple[float, float]],
             memberships: Mapping[str, Iterable] | None = None) -> "Predicate":
         """Build a predicate from plain ``{attr: (low, high)}`` mappings."""
-        range_constraints = {
-            attribute: AttributeRange(attribute, low, high)
-            for attribute, (low, high) in ranges.items()
-        }
-        membership_constraints = {
-            attribute: AttributeMembership.of(attribute, values)
-            for attribute, values in (memberships or {}).items()
-        }
-        return cls(range_constraints, membership_constraints)
+        return cls({attribute: Interval(low, high)
+                    for attribute, (low, high) in ranges.items()},
+                   {attribute: CategoricalSet.of(values)
+                    for attribute, values in (memberships or {}).items()})
 
     # ------------------------------------------------------------------ #
     # Fluent builders
@@ -180,12 +117,14 @@ class Predicate:
     def with_range(self, attribute: str, low: float = _NEG_INF,
                    high: float = _POS_INF, integral: bool = False) -> "Predicate":
         """Return this predicate with an extra range conjunct."""
-        addition = AttributeRange(attribute, low, high, integral)
+        interval = Interval(low, high, integral)
         ranges = dict(self._ranges)
         if attribute in ranges:
-            ranges[attribute] = ranges[attribute].intersect(addition)
-        else:
-            ranges[attribute] = addition
+            interval = ranges[attribute].intersect(interval)
+            if interval.low > interval.high:
+                raise PredicateError(
+                    f"intersection of ranges on {attribute!r} is empty")
+        ranges[attribute] = interval
         return Predicate(ranges, self._memberships)
 
     def with_equals(self, attribute: str, value) -> "Predicate":
@@ -194,12 +133,15 @@ class Predicate:
 
     def with_membership(self, attribute: str, values: Iterable) -> "Predicate":
         """Return this predicate with an extra membership conjunct."""
-        addition = AttributeMembership.of(attribute, values)
+        members = CategoricalSet.of(values)
         memberships = dict(self._memberships)
         if attribute in memberships:
-            memberships[attribute] = memberships[attribute].intersect(addition)
-        else:
-            memberships[attribute] = addition
+            members = memberships[attribute].intersect(members)
+            if members.is_empty():
+                raise PredicateError(
+                    f"intersection of membership sets on {attribute!r} is "
+                    "empty")
+        memberships[attribute] = members
         return Predicate(self._ranges, memberships)
 
     def conjoin(self, other: "Predicate") -> "Predicate":
@@ -212,22 +154,22 @@ class Predicate:
             membership sets on a shared attribute).
         """
         result = self
-        for attribute, constraint in other._ranges.items():
-            result = result.with_range(attribute, constraint.low, constraint.high,
-                                       constraint.integral)
-        for attribute, constraint in other._memberships.items():
-            result = result.with_membership(attribute, constraint.values)
+        for attribute, interval in other._ranges.items():
+            result = result.with_range(attribute, interval.low, interval.high,
+                                       interval.integral)
+        for attribute, members in other._memberships.items():
+            result = result.with_membership(attribute, members.values)
         return result
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def ranges(self) -> dict[str, AttributeRange]:
+    def ranges(self) -> dict[str, Interval]:
         return dict(self._ranges)
 
     @property
-    def memberships(self) -> dict[str, AttributeMembership]:
+    def memberships(self) -> dict[str, CategoricalSet]:
         return dict(self._memberships)
 
     def attributes(self) -> set[str]:
@@ -236,38 +178,49 @@ class Predicate:
     def is_tautology(self) -> bool:
         return not self._ranges and not self._memberships
 
-    def range_for(self, attribute: str) -> AttributeRange | None:
+    def range_for(self, attribute: str) -> Interval | None:
         return self._ranges.get(attribute)
 
-    def membership_for(self, attribute: str) -> AttributeMembership | None:
+    def membership_for(self, attribute: str) -> CategoricalSet | None:
         return self._memberships.get(attribute)
 
-    # ------------------------------------------------------------------ #
-    # Compilation targets
-    # ------------------------------------------------------------------ #
     def to_box(self) -> Box:
-        """Compile to the SAT solver's box representation."""
-        constraints: dict[str, Interval | CategoricalSet] = {}
-        for attribute, constraint in self._ranges.items():
-            constraints[attribute] = constraint.to_interval()
-        for attribute, constraint in self._memberships.items():
-            constraints[attribute] = constraint.to_set()
-        return Box(constraints)
-
-    def to_expression(self) -> Expression:
-        """Compile to a relational WHERE-clause expression."""
-        conjuncts: list[Expression] = []
-        for attribute, constraint in sorted(self._ranges.items()):
-            conjuncts.append(Between(attribute, constraint.low, constraint.high))
-        for attribute, constraint in sorted(self._memberships.items()):
-            conjuncts.append(IsIn(attribute, constraint.values))
-        if not conjuncts:
-            return TrueExpression()
-        return conjunction(conjuncts)
+        """The SAT solver's box over this predicate's own constraints."""
+        return Box({**self._ranges, **self._memberships})
 
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
+    def evaluate(self, relation: "Relation") -> np.ndarray:
+        """The boolean mask of the rows of ``relation`` this box matches.
+
+        A range keeps the rows with ``low <= value <= high`` (integrality is
+        not read; NaN matches no range) and a membership the rows whose
+        value is in the set (``np.isin``).  Ranges are tested first, then
+        memberships, each in attribute order; the mask starts from the first
+        conjunct and the rest are skipped once no row is left.  ``TRUE``
+        matches every row.
+        """
+        mask = None
+        conjuncts = [*sorted(self._ranges.items()),
+                     *sorted(self._memberships.items())]
+        for attribute, constraint in conjuncts:
+            if mask is not None and not mask.any():
+                break
+            column = relation.column(attribute)
+            if isinstance(constraint, Interval):
+                matched = np.asarray((column >= constraint.low)
+                                     & (column <= constraint.high), dtype=bool)
+            else:
+                matched = np.isin(column, list(constraint.values))
+            if mask is None:
+                mask = matched
+            else:
+                mask &= matched
+        if mask is None:
+            return np.ones(relation.num_rows, dtype=bool)
+        return mask
+
     def matches_row(self, row: Mapping[str, object]) -> bool:
         """Whether a concrete row satisfies the predicate."""
         for attribute, constraint in self._ranges.items():

@@ -22,10 +22,10 @@ once and keeps only those arrays and the decomposition's statistics:
   :class:`~repro.solvers.milp.CompiledMILP`, the form HiGHS reads.
 
 Per attribute, the program memoizes each cell's value bounds clipped to the
-region (:meth:`BoundProgram.value_bounds`) and MIN/MAX's forced extrema.
-Executions then only patch parameters: SUM/COUNT swap objective vectors,
-AVG's Dinkelbach iteration swaps the ``value - target`` objective per probe
-and reads the optimal allocation back, and MIN/MAX read precompiled extrema
+region (:meth:`BoundProgram.value_bounds`).  Executions then only patch
+parameters: SUM/COUNT swap objective vectors, AVG's Dinkelbach iteration
+swaps the ``value - target`` objective per probe and reads the optimal
+allocation back, and MIN/MAX read the value bounds and the slack layout
 after one memoized feasibility check.  The AVG search itself,
 :func:`avg_endpoints`, serves one program and the component programs of a
 sharded plan alike, and ends on the exact extreme averages rounded outward
@@ -163,9 +163,8 @@ class BoundProgram:
     partition's ``(known_sum, known_count)`` as execution-time parameters.
     The cell arrays (``indptr``, ``indices``, ``capacity``, ``active``) and
     ``statistics`` are read-only after compilation; lazily-built pieces
-    (skeleton variants, per-attribute value bounds and forced extrema) are
-    guarded by a lock, so one program instance can serve concurrent batch
-    traffic.
+    (skeleton variants and per-attribute value bounds) are guarded by a
+    lock, so one program instance can serve concurrent batch traffic.
     """
 
     def __init__(self, plan: BoundPlan, decomposition: CellDecomposition):
@@ -186,7 +185,6 @@ class BoundProgram:
         self._slack_bounds = self._compile_slack_bounds()
         self._skeletons: dict[str, CompiledMILP] = {}
         self._value_bounds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._forced_extrema: dict[tuple[str, bool], float | None] = {}
         self._satisfiable: bool | None = None
 
     # ------------------------------------------------------------------ #
@@ -196,10 +194,9 @@ class BoundProgram:
         """Everything but the lock: compiled skeletons travel with the program.
 
         The worker pool hands warm programs to worker processes, so
-        lazily-built skeletons, value bounds, forced extrema and the
-        feasibility verdict are deliberately kept in the state — a worker
-        receives the same warm artifact the parent had instead of
-        re-deriving it.
+        lazily-built skeletons, value bounds and the feasibility verdict are
+        deliberately kept in the state — a worker receives the same warm
+        artifact the parent had instead of re-deriving it.
         """
         state = dict(self.__dict__)
         del state["_lock"]
@@ -667,24 +664,14 @@ class BoundProgram:
 
         A constraint with ``kl > 0`` whose predicate lies entirely inside the
         query region guarantees at least one matching row, whose value is
-        bracketed by the constraint's value bounds.  Compiled once per
-        attribute and direction (the satisfiability scan does not depend on
-        parameters).
+        bracketed by the constraint's value bounds.  A mandatory constraint
+        escapes the region exactly when it holds a slack bound, so the
+        compiled slack layout answers without a satisfiability check.
         """
-        with self._lock:
-            if (attribute, want_max) in self._forced_extrema:
-                return self._forced_extrema[(attribute, want_max)]
-        solver = self._pcset.solver()
-        region_box = self._region.to_box() if self._region is not None else None
         best: float | None = None
-        for pc in self._pcset:
-            if pc.min_rows() <= 0:
+        for index, pc in enumerate(self._pcset):
+            if pc.min_rows() <= 0 or index in self._slack_bounds:
                 continue
-            if region_box is not None:
-                escapes_region = solver.is_satisfiable(
-                    [pc.predicate.to_box()], [region_box])
-                if escapes_region:
-                    continue
             candidate = (pc.value_lower(attribute) if want_max
                          else pc.value_upper(attribute))
             if not math.isfinite(candidate):
@@ -695,8 +682,6 @@ class BoundProgram:
                 best = max(best, candidate)
             else:
                 best = min(best, candidate)
-        with self._lock:
-            self._forced_extrema[(attribute, want_max)] = best
         return best
 
     # AVG (Dinkelbach's iteration; paper §4.2 bisects) ------------------ #

@@ -1,27 +1,15 @@
 """In-memory relational substrate.
 
 This subpackage re-implements the small slice of a relational engine the
-paper's evaluation depends on: typed column-store relations, conjunctive
-WHERE-clause expressions, the five supported aggregates, GROUP BY, inner
-equi-joins / natural joins, and CSV IO.
+paper's evaluation depends on: typed column-store relations, the five
+supported aggregates, GROUP BY, inner equi-joins / natural joins, and CSV
+IO.  A WHERE clause is a box :class:`~repro.core.predicates.Predicate` (the
+paper's predicate language, §3.1), which masks a relation's rows itself, or
+``None`` for every row; :meth:`Relation.filter` also takes a boolean mask.
 """
 
 from .aggregates import AggregateFunction, compute_aggregate
 from .csvio import read_csv, write_csv
-from .expressions import (
-    And,
-    Between,
-    Comparison,
-    ComparisonOperator,
-    Expression,
-    FalseExpression,
-    IsIn,
-    Not,
-    Or,
-    TrueExpression,
-    conjunction,
-    disjunction,
-)
 from .joins import hash_join, join_size, natural_join, natural_join_many
 from .query import AggregateQuery, QueryResult
 from .relation import Relation
@@ -32,18 +20,6 @@ __all__ = [
     "compute_aggregate",
     "read_csv",
     "write_csv",
-    "And",
-    "Between",
-    "Comparison",
-    "ComparisonOperator",
-    "Expression",
-    "FalseExpression",
-    "IsIn",
-    "Not",
-    "Or",
-    "TrueExpression",
-    "conjunction",
-    "disjunction",
     "hash_join",
     "join_size",
     "natural_join",

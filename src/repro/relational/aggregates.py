@@ -174,6 +174,17 @@ class ExactSum:
             return special
         return _nearest(self.mantissa, self.exponent)
 
+    def mean(self, count: int) -> float:
+        """This sum over a positive ``count``, correctly rounded (a Python
+        int quotient rounds correctly); NaN and the infinities answer as
+        :attr:`value` does."""
+        special = self._special
+        if special is not None:
+            return special
+        if self.exponent >= 0:
+            return (self.mantissa << self.exponent) / count
+        return self.mantissa / (count << -self.exponent)
+
     def shifted(self, value: float, upward: bool) -> float:
         """``value`` plus this sum, added exactly and rounded up (``upward``)
         or down to a double: one exact comparison with the nearest double

@@ -2,7 +2,7 @@
 
 An :class:`AggregateQuery` describes queries of the form the paper studies::
 
-    SELECT agg(attr) FROM R WHERE <conjunctive predicate> [GROUP BY cols]
+    SELECT agg(attr) FROM R WHERE <box predicate> [GROUP BY cols]
 
 Execution against a :class:`~repro.relational.relation.Relation` produces the
 exact ground truth used by the experiments when measuring failure rates and
@@ -11,15 +11,17 @@ over-estimation rates of the bounding frameworks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..exceptions import QueryError
 from .aggregates import AggregateFunction, ExactSum, compute_aggregate
-from .expressions import Expression, TrueExpression
 from .relation import Relation
+
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports this package
+    from ..core.predicates import Predicate
 
 __all__ = ["AggregateQuery", "QueryResult"]
 
@@ -61,7 +63,9 @@ class AggregateQuery:
         The aggregated attribute.  Must be ``None`` for ``COUNT`` (COUNT(*))
         and a numeric attribute name otherwise.
     where:
-        Optional WHERE-clause expression; defaults to TRUE.
+        Optional WHERE clause, a box
+        :class:`~repro.core.predicates.Predicate`; ``None`` (the default)
+        matches every row.
     group_by:
         Optional list of grouping attributes.  Per the paper, a GROUP BY
         query is treated as a union of per-group queries.
@@ -69,7 +73,7 @@ class AggregateQuery:
 
     aggregate: AggregateFunction
     attribute: str | None = None
-    where: Expression = field(default_factory=TrueExpression)
+    where: Predicate | None = None
     group_by: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -86,44 +90,34 @@ class AggregateQuery:
     # Convenience constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def count(cls, where: Expression | None = None,
+    def count(cls, where: Predicate | None = None,
               group_by: Sequence[str] = ()) -> "AggregateQuery":
         """``SELECT COUNT(*) ...``"""
-        return cls(AggregateFunction.COUNT, None,
-                   where if where is not None else TrueExpression(),
-                   tuple(group_by))
+        return cls(AggregateFunction.COUNT, None, where, tuple(group_by))
 
     @classmethod
-    def sum(cls, attribute: str, where: Expression | None = None,
+    def sum(cls, attribute: str, where: Predicate | None = None,
             group_by: Sequence[str] = ()) -> "AggregateQuery":
         """``SELECT SUM(attribute) ...``"""
-        return cls(AggregateFunction.SUM, attribute,
-                   where if where is not None else TrueExpression(),
-                   tuple(group_by))
+        return cls(AggregateFunction.SUM, attribute, where, tuple(group_by))
 
     @classmethod
-    def avg(cls, attribute: str, where: Expression | None = None,
+    def avg(cls, attribute: str, where: Predicate | None = None,
             group_by: Sequence[str] = ()) -> "AggregateQuery":
         """``SELECT AVG(attribute) ...``"""
-        return cls(AggregateFunction.AVG, attribute,
-                   where if where is not None else TrueExpression(),
-                   tuple(group_by))
+        return cls(AggregateFunction.AVG, attribute, where, tuple(group_by))
 
     @classmethod
-    def min(cls, attribute: str, where: Expression | None = None,
+    def min(cls, attribute: str, where: Predicate | None = None,
             group_by: Sequence[str] = ()) -> "AggregateQuery":
         """``SELECT MIN(attribute) ...``"""
-        return cls(AggregateFunction.MIN, attribute,
-                   where if where is not None else TrueExpression(),
-                   tuple(group_by))
+        return cls(AggregateFunction.MIN, attribute, where, tuple(group_by))
 
     @classmethod
-    def max(cls, attribute: str, where: Expression | None = None,
+    def max(cls, attribute: str, where: Predicate | None = None,
             group_by: Sequence[str] = ()) -> "AggregateQuery":
         """``SELECT MAX(attribute) ...``"""
-        return cls(AggregateFunction.MAX, attribute,
-                   where if where is not None else TrueExpression(),
-                   tuple(group_by))
+        return cls(AggregateFunction.MAX, attribute, where, tuple(group_by))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -131,8 +125,8 @@ class AggregateQuery:
     def execute(self, relation: Relation) -> QueryResult:
         """Execute the query exactly against ``relation``.
 
-        Without GROUP BY the WHERE mask is evaluated once and only the
-        aggregated column's matching values are selected; no filtered
+        Without GROUP BY the WHERE predicate masks the rows once and only
+        the aggregated column's matching values are selected; no filtered
         relation is built.
         """
         if self.attribute is not None:
@@ -144,7 +138,8 @@ class AggregateQuery:
                 groups[key] = self._aggregate_relation(group)
             return QueryResult(value=None, groups=groups,
                                matching_rows=matching.num_rows)
-        mask = np.asarray(self.where.evaluate(relation), dtype=bool)
+        mask = (np.ones(relation.num_rows, dtype=bool) if self.where is None
+                else self.where.evaluate(relation))
         matching_rows = int(np.count_nonzero(mask))
         if self.attribute is None:  # COUNT(*)
             return QueryResult(value=float(matching_rows),
@@ -182,7 +177,7 @@ class AggregateQuery:
         """A SQL-ish rendering of the query (for logs and reports)."""
         target = "*" if self.attribute is None else self.attribute
         text = f"SELECT {self.aggregate.value}({target}) FROM R"
-        if not isinstance(self.where, TrueExpression):
+        if self.where is not None and not self.where.is_tautology():
             text += f" WHERE {self.where!r}"
         if self.group_by:
             text += f" GROUP BY {', '.join(self.group_by)}"
@@ -190,7 +185,9 @@ class AggregateQuery:
 
     def referenced_attributes(self) -> set[str]:
         """All attributes the query touches (aggregate + predicate + group)."""
-        attributes = set(self.where.attributes()) | set(self.group_by)
+        attributes = set(self.group_by)
+        if self.where is not None:
+            attributes |= self.where.attributes()
         if self.attribute is not None:
             attributes.add(self.attribute)
         return attributes

@@ -2,7 +2,7 @@
 
 :class:`Relation` stores each column as a read-only numpy array and provides
 the small set of operations the rest of the library needs: filtering by
-boolean masks or expressions, projection, concatenation, appending,
+boolean masks or box predicates, projection, concatenation, appending,
 sampling, sorting, grouping, and per-column summary statistics.  It
 deliberately has no query optimiser — the experiments operate on datasets of
 at most a few hundred thousand rows.
@@ -19,8 +19,8 @@ from ..exceptions import SchemaError, TypeMismatchError
 from .aggregates import ExactSum
 from .schema import Column, ColumnType, Schema
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .expressions import Expression
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports this package
+    from ..core.predicates import Predicate
 
 __all__ = ["Relation"]
 
@@ -211,12 +211,13 @@ class Relation:
     # ------------------------------------------------------------------ #
     # Core relational operations
     # ------------------------------------------------------------------ #
-    def filter(self, condition: "Expression | np.ndarray") -> "Relation":
+    def filter(self, condition: "Predicate | np.ndarray | None") -> "Relation":
         """Return the sub-relation of rows matching ``condition``.
 
-        ``condition`` may be a boolean numpy mask or any object exposing an
-        ``evaluate(relation) -> mask`` method (see
-        :mod:`repro.relational.expressions`).
+        ``condition`` may be a boolean numpy mask, a box
+        :class:`~repro.core.predicates.Predicate` (which masks the rows
+        itself, :meth:`~repro.core.predicates.Predicate.evaluate`), or
+        ``None`` for every row.
         """
         mask = self._as_mask(condition)
         columns = {name: array[mask] for name, array in self._columns.items()}
@@ -457,8 +458,10 @@ class Relation:
             order = order[::-1]
         return self.take(order)
 
-    def split_by_mask(self, condition: "Expression | np.ndarray") -> tuple["Relation", "Relation"]:
-        """Split into (matching, non-matching) sub-relations."""
+    def split_by_mask(self, condition: "Predicate | np.ndarray | None"
+                      ) -> tuple["Relation", "Relation"]:
+        """Split into (matching, non-matching) sub-relations; ``condition``
+        is read as by :meth:`filter`."""
         mask = self._as_mask(condition)
         return self.filter(mask), self.filter(~mask)
 
@@ -495,8 +498,10 @@ class Relation:
         return float(values.max())
 
     def column_sum(self, name: str) -> float:
-        """Sum of a numeric column (0.0 on empty relations)."""
-        return float(self._numeric_values(name).sum())
+        """Sum of a numeric column, correctly rounded (0.0 on empty
+        relations): the value of :meth:`exact_sum`, as the engine's
+        observed SUM."""
+        return self.exact_sum(name).value
 
     def exact_sum(self, name: str) -> ExactSum:
         """The :class:`~repro.relational.aggregates.ExactSum` of a numeric
@@ -507,11 +512,12 @@ class Relation:
         return sums[name]
 
     def column_mean(self, name: str) -> float:
-        """Mean of a numeric column (raises on empty relations)."""
-        values = self._numeric_values(name)
-        if values.size == 0:
+        """Mean of a numeric column (raises on empty relations): its
+        :meth:`exact_sum` over the row count, correctly rounded."""
+        total = self.exact_sum(name)  # rejects a non-numeric column first
+        if self._length == 0:
             raise ValueError(f"column {name!r} is empty; no mean exists")
-        return float(values.mean())
+        return total.mean(self._length)
 
     def column_range(self, name: str) -> tuple[float, float]:
         """(min, max) of a numeric column."""
@@ -527,7 +533,8 @@ class Relation:
         return {value: int(count) for value, count in zip(values, counts)}
 
     def describe(self) -> dict[str, dict[str, float]]:
-        """Per-numeric-column summary (count/min/max/mean/std)."""
+        """Per-numeric-column summary (count/min/max/mean/std); the mean is
+        :meth:`column_mean`'s."""
         summary: dict[str, dict[str, float]] = {}
         for column in self._schema:
             if not column.is_numeric:
@@ -540,7 +547,7 @@ class Relation:
                 "count": float(values.size),
                 "min": float(values.min()),
                 "max": float(values.max()),
-                "mean": float(values.mean()),
+                "mean": self.column_mean(column.name),
                 "std": float(values.std()),
             }
         return summary
@@ -552,15 +559,22 @@ class Relation:
         self._schema.require_numeric(name)
         return self._columns[name].astype(np.float64)
 
-    def _as_mask(self, condition: "Expression | np.ndarray") -> np.ndarray:
-        if isinstance(condition, np.ndarray):
+    def _as_mask(self, condition: "Predicate | np.ndarray | None"
+                 ) -> np.ndarray:
+        """The boolean mask of ``condition``: a mask as given, a predicate's
+        :meth:`~repro.core.predicates.Predicate.evaluate` (read by duck
+        typing: this package cannot import :mod:`repro.core`), or every row
+        for ``None``."""
+        if condition is None:
+            mask = np.ones(self._length, dtype=bool)
+        elif isinstance(condition, np.ndarray):
             mask = condition
         elif hasattr(condition, "evaluate"):
             mask = condition.evaluate(self)
         else:
             raise TypeMismatchError(
-                "filter condition must be a boolean mask or an Expression, "
-                f"got {type(condition).__name__}"
+                "filter condition must be a boolean mask, a Predicate or "
+                f"None, got {type(condition).__name__}"
             )
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self._length,):

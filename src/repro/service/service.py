@@ -612,8 +612,8 @@ class ContingencyService:
             region = report.query.region
             matched = matches.get(region, _UNTESTED)
             if matched is _UNTESTED:
-                where = report.query.to_aggregate_query().where
-                mask = np.asarray(where.evaluate(delta), dtype=bool)
+                mask = (np.ones(delta.num_rows, dtype=bool) if region is None
+                        else region.evaluate(delta))
                 matched = matches[region] = (
                     None if not mask.any() else
                     delta if mask.all() else delta.filter(mask))

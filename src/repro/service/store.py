@@ -65,8 +65,11 @@ __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 #: Version 7: a range key names one program per region plus the attribute,
 #: where a version 6 key names a per-attribute program no lookup forms any
 #: more; and an AVG with an unlimited cell approaches that cell's value,
-#: where version 6 answered the bracket end.
-SCHEMA_VERSION = 7
+#: where version 6 answered the bracket end.  Version 8: a region's
+#: ``Predicate`` pickles its constraints as the SAT solver's ``Interval`` and
+#: ``CategoricalSet``, so the digest of every range and decomposition key
+#: changes and version 7 rows are unreachable.
+SCHEMA_VERSION = 8
 
 _DB_FILENAME = "repro-cache.sqlite"
 

@@ -50,7 +50,9 @@ class Interval:
     """A (possibly unbounded) closed numeric interval, optionally integral.
 
     ``integral`` marks attributes whose domain is the integers (e.g. device
-    identifiers); an integral interval is empty when it contains no integer.
+    identifiers); an integral interval is empty when it contains no integer,
+    and a value that is not an integer (NaN and the infinities included)
+    lies outside it.
     """
 
     low: float = _NEG_INF
@@ -68,7 +70,7 @@ class Interval:
         return False
 
     def contains(self, value: float) -> bool:
-        if self.integral and float(value) != int(value):
+        if self.integral and not float(value).is_integer():
             return False
         return self.low <= value <= self.high
 

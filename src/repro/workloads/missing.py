@@ -77,9 +77,7 @@ def remove_random(relation: Relation, fraction: float,
 
 def remove_region(relation: Relation, region: Predicate) -> MissingDataScenario:
     """Remove every row inside ``region`` (e.g. "the New York branch outage")."""
-    mask = region.to_expression().evaluate(relation)
-    missing = relation.filter(mask)
-    observed = relation.filter(~mask)
+    missing, observed = relation.split_by_mask(region)
     fraction = missing.num_rows / relation.num_rows if relation.num_rows else 0.0
     return MissingDataScenario(observed, missing, mechanism="region",
                                fraction=fraction)

@@ -44,7 +44,7 @@ class TestSensorOutageWalkthrough:
         low, high = self.relation.column_range("time")
         width = (high - low) / 10.0
         self.outage = Predicate.range("time", low + 6 * width, low + 7 * width)
-        mask = self.outage.to_expression().evaluate(self.relation)
+        mask = self.outage.evaluate(self.relation)
         self.missing = self.relation.filter(mask)
         self.observed = self.relation.filter(~mask)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -38,11 +39,13 @@ class TestTopLevelExports:
             assert module is not None
 
     def test_subpackage_all_lists_resolve(self):
-        for module_name in ("repro.core", "repro.relational", "repro.solvers",
-                            "repro.baselines", "repro.datasets", "repro.workloads"):
-            module = importlib.import_module(module_name)
+        """Every name in every ``__all__`` under ``repro`` resolves."""
+        modules = [repro] + [
+            importlib.import_module(info.name) for info in
+            pkgutil.walk_packages(repro.__path__, prefix="repro.")]
+        for module in modules:
             for name in getattr(module, "__all__", []):
-                assert hasattr(module, name), f"{module_name}.{name}"
+                assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestExceptionHierarchy:

@@ -375,7 +375,7 @@ class TestBarrenCells:
         low, high = relation.column_range("time")
         width = (high - low) / 10.0
         lost = Predicate.range("time", low + 6 * width, low + 7 * width)
-        lost_mask = lost.to_expression().evaluate(relation)
+        lost_mask = lost.evaluate(relation)
         missing = relation.filter(lost_mask)
         threshold = float(np.quantile(relation.column("light"), 0.90))
         query = ContingencyQuery.count(

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.predicates import Predicate
 from repro.exceptions import QueryError, UnsupportedAggregateError
 from repro.relational.aggregates import (
     AggregateFunction,
     ExactSum,
     compute_aggregate,
 )
-from repro.relational.expressions import Between, IsIn
 from repro.relational.query import AggregateQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
@@ -77,7 +77,7 @@ class TestAggregateQuery:
         assert AggregateQuery.count().scalar(orders) == 5.0
 
     def test_sum_with_predicate(self, orders):
-        query = AggregateQuery.sum("price", where=IsIn("branch", ["Chicago"]))
+        query = AggregateQuery.sum("price", where=Predicate.isin("branch", ["Chicago"]))
         assert query.scalar(orders) == 80.0
 
     def test_avg_min_max(self, orders):
@@ -86,9 +86,9 @@ class TestAggregateQuery:
         assert AggregateQuery.max("price").scalar(orders) == 50.0
 
     def test_empty_predicate_result(self, orders):
-        query = AggregateQuery.avg("price", where=Between("day", 10.0, 20.0))
+        query = AggregateQuery.avg("price", where=Predicate.range("day", 10.0, 20.0))
         assert query.scalar(orders) is None
-        count = AggregateQuery.count(where=Between("day", 10.0, 20.0))
+        count = AggregateQuery.count(where=Predicate.range("day", 10.0, 20.0))
         assert count.scalar(orders) == 0.0
 
     def test_group_by(self, orders):
@@ -104,7 +104,7 @@ class TestAggregateQuery:
         """GROUP BY is a union of per-group queries (paper §2)."""
         grouped = AggregateQuery.count(group_by=["branch"]).execute(orders).groups
         for (branch,), value in grouped.items():
-            filtered = AggregateQuery.count(where=IsIn("branch", [branch]))
+            filtered = AggregateQuery.count(where=Predicate.isin("branch", [branch]))
             assert filtered.scalar(orders) == value
 
     def test_non_numeric_aggregate_rejected(self, orders):
@@ -113,7 +113,8 @@ class TestAggregateQuery:
             query.execute(orders)
 
     def test_describe_and_referenced_attributes(self, orders):
-        query = AggregateQuery.sum("price", where=Between("day", 1.0, 2.0),
+        query = AggregateQuery.sum("price",
+                                   where=Predicate.range("day", 1.0, 2.0),
                                    group_by=["branch"])
         description = query.describe()
         assert "SUM(price)" in description
@@ -121,7 +122,9 @@ class TestAggregateQuery:
         assert query.referenced_attributes() == {"price", "day", "branch"}
 
     def test_matching_rows_reported(self, orders):
-        result = AggregateQuery.sum("price", where=Between("day", 2.0, 3.0)).execute(orders)
+        query = AggregateQuery.sum("price",
+                                   where=Predicate.range("day", 2.0, 3.0))
+        result = query.execute(orders)
         assert result.matching_rows == 3
 
     @pytest.mark.parametrize("aggregate", list(AggregateFunction))
@@ -135,7 +138,8 @@ class TestAggregateQuery:
         relation = Relation(schema, {
             "t": rng.uniform(0.0, 10.0, 5000),
             "n": rng.integers(-1000, 1000, 5000)})
-        for where in (Between("t", 2.5, 7.25), Between("t", 20.0, 30.0)):
+        for where in (Predicate.range("t", 2.5, 7.25),
+                      Predicate.range("t", 20.0, 30.0)):
             attribute = None if aggregate is AggregateFunction.COUNT else "n"
             result = AggregateQuery(aggregate, attribute, where).execute(
                 relation)

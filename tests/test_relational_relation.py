@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repro.core.predicates import Predicate
 from repro.exceptions import SchemaError, TypeMismatchError
-from repro.relational.expressions import Comparison, ComparisonOperator
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 
@@ -93,9 +95,13 @@ class TestOperations:
         filtered = relation.filter(mask)
         assert filtered.column("k").tolist() == [10, 30]
 
-    def test_filter_with_expression(self, relation: Relation):
-        expr = Comparison("x", ComparisonOperator.GT, 2.0)
-        assert relation.filter(expr).num_rows == 2
+    def test_filter_with_predicate(self, relation: Relation):
+        region = Predicate.range("x", 2.5, float("inf"))
+        assert relation.filter(region).column("k").tolist() == [30, 40]
+        assert relation.filter(None).num_rows == relation.num_rows
+        matching, rest = relation.split_by_mask(Predicate.isin("tag", ["a"]))
+        assert matching.column("k").tolist() == [10, 30]
+        assert rest.column("k").tolist() == [20, 40]
 
     def test_filter_bad_mask_shape(self, relation: Relation):
         with pytest.raises(TypeMismatchError):
@@ -188,6 +194,21 @@ class TestStatistics:
         summary = relation.describe()
         assert summary["x"]["count"] == 4.0
         assert "tag" not in summary
+
+    def test_sums_and_means_are_exact(self):
+        """Column sums and means round the exact sum once, as the engine's
+        observed SUM does (numpy's pairwise sum of this column is an ulp
+        off)."""
+        prices = np.round(np.random.default_rng(7).gamma(2.0, 20.0, 100_000)
+                          + 0.99, 2)
+        relation = Relation(Schema.from_pairs([("price", ColumnType.FLOAT)]),
+                            {"price": prices})
+        assert relation.column_sum("price") == math.fsum(prices)
+        assert relation.column_sum("price") == \
+            relation.exact_sum("price").value
+        mean = float(sum(map(Fraction, prices.tolist())) / len(prices))
+        assert relation.column_mean("price") == mean
+        assert relation.describe()["price"]["mean"] == mean
 
 
 class TestReadOnlyColumns:

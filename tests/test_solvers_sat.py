@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,18 @@ class TestInterval:
         assert not Interval(1, 5).contains(6)
         assert Interval(1, 5, integral=True).contains(3)
         assert not Interval(1, 5, integral=True).contains(3.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_integral_interval_excludes_nan_and_infinities(self, value):
+        """A value that is not an integer lies outside an integral interval,
+        bounded or not (``int()`` of it used to raise)."""
+        for interval in (Interval(0, 5, integral=True),
+                         Interval(integral=True)):
+            assert not interval.contains(value)
+            assert not interval.contains(np.float64(value))
+            assert not Box({"t": interval}).contains_point({"t": value})
+        assert not Interval().contains(math.nan)
+        assert Interval().contains(value) == (not math.isnan(value))
 
     def test_intersect(self):
         merged = Interval(0, 10).intersect(Interval(5, 20, integral=True))
